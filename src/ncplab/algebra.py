@@ -169,11 +169,6 @@ def hs_norm(a: AlgebraElement) -> float:
     return float(np.sqrt(sum(np.sum(np.abs(x) ** 2) for x in a.blocks)))
 
 
-def hs_distance(a: AlgebraElement, b: AlgebraElement) -> float:
-    _check_same_shape(a, b)
-    return hs_norm(add(a, scale(-1.0, b)))
-
-
 def is_positive(a: AlgebraElement, tol: float = 1e-10) -> bool:
     """True iff every block is Hermitian within tol with min eigenvalue >= -tol."""
     for x in a.blocks:

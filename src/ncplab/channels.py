@@ -226,10 +226,6 @@ def is_unital(phi: CpuMap, tol: float = UNITAL_TOL) -> bool:
     return dev <= tol
 
 
-def _transpose_blocks(shape: AlgebraShape, mats) -> list[np.ndarray]:
-    return [m.T for m in mats]
-
-
 def predual_apply(phi: CpuMap, density_blocks) -> list[np.ndarray]:
     """Schroedinger-picture linear action on density-like block data.
 
@@ -241,7 +237,7 @@ def predual_apply(phi: CpuMap, density_blocks) -> list[np.ndarray]:
     )  # coords of blockwise transpose
     vec_out = phi.linear_action.T @ vec_in
     out_t = element_from_coords(phi.source_shape, vec_out)
-    return _transpose_blocks(phi.source_shape, out_t.blocks)
+    return [m.T for m in out_t.blocks]
 
 
 def predual(phi: CpuMap, rho: NormalState) -> NormalState:

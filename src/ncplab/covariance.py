@@ -146,25 +146,44 @@ def _require_petz_ok(kind: CovarianceKind, state: NormalState) -> None:
         )
 
 
+def _group_forms(kind: CovarianceKind, group) -> np.ndarray:
+    """Block forms of every block in one rank group of a GNS space, stacked:
+    (m, n^2, n^2)."""
+    m, n = group.index.size, group.n
+    if kind.tag == "gns":
+        # I (x) conj(D); the symmetrized density makes it exactly Hermitian
+        b = np.einsum("ij,kab->kiajb", np.eye(n), group.density.conj())
+        return kind.scale * b.reshape(m, n * n, n * n)
+    if kind.tag != "petz":
+        raise UnsupportedKindError(f"unknown kind tag {kind.tag!r}")
+    w, v = group.eigs, group.vecs
+    r = group.rank
+    ratios = w[:, :, None] * (1.0 / w)[:, None, :]
+    weights = (w[:, None, :] * kind.omf(ratios)).reshape(m, r * r, 1)
+    # rows (a, b) of the eigenbasis change: conj(v[i, a]) * v[j, b]
+    to_eig = np.einsum("kia,kjb->kabij", v.conj(), v).reshape(m, r * r, n * n)
+    b = to_eig.conj().swapaxes(-1, -2) @ (weights * to_eig)
+    return kind.scale * (b + b.conj().swapaxes(-1, -2)) / 2.0
+
+
 def block_form(kind: CovarianceKind, space: GnsSpace, k: int) -> np.ndarray:
     """Covariance pairing on raw coordinates of block k: a Hermitian
     (n_k^2 x n_k^2) matrix B with <x, y> = vec(x_k)^dag B vec(y_k) summed
-    over blocks."""
-    n = space.shape.blocks[k]
-    if kind.tag == "gns":
-        d = space.state.densities[k]
-        b = np.kron(np.eye(n), d.conj())
-    elif kind.tag == "petz":
-        _require_petz_ok(kind, space.state)
-        w = space._block_eigs[k]
-        v = space._block_vecs[k]
-        weights = (w[None, :] * kind.omf(np.outer(w, 1.0 / w))).ravel()
-        to_eig = np.kron(v.conj().T, v.T)
-        b = to_eig.conj().T @ (weights[:, None] * to_eig)
-    else:
-        raise UnsupportedKindError(f"unknown kind tag {kind.tag!r}")
-    b = (b + b.conj().T) / 2.0
-    return kind.scale * b
+    over blocks.
+
+    The first call for a kind computes the forms of all blocks of the space,
+    one batched product per rank group, and caches them on the space; every
+    call returns a read-only view of that cache.
+    """
+    _require_petz_ok(kind, space.state)
+    forms = space._forms.get(kind)
+    if forms is None:
+        forms = [_group_forms(kind, g) for g in space._groups]
+        for f in forms:
+            f.flags.writeable = False
+        space._forms[kind] = forms
+    g, j = space._where[k]
+    return forms[g][j]
 
 
 def covariance_gram(kind: CovarianceKind, space: GnsSpace) -> CovarianceGram:

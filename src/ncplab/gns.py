@@ -6,11 +6,17 @@ Construction
 For a state rho with density blocks D_k, the pre-inner product
 <x|y> = rho(x^dag y) has, in the matrix-unit coordinates of this package, the
 exact block form ``G = (+)_k I_{n_k} (x) conj(D_k)``.  Its null space is the
-Gelfand ideal, so the quotient is obtained by eigendecomposing each D_k and
-dropping eigenvalues below a relative cutoff.  Coordinates are rescaled to be
-orthonormal, ordered by descending Gram eigenvalue (ties broken by block and
-position), and eigenvector phases are fixed so the first nonzero component is
-real positive.  The result is reproducible run to run.
+Gelfand ideal, so the quotient is obtained from the eigendecomposition of each
+D_k by dropping eigenvalues below a relative cutoff.  That decomposition is
+the one cached on the state (:class:`~ncplab.states.Spectrum`), so building a
+space decomposes nothing: the cutoff and the phase fix act on the per-size
+stacks, which are then split by kept rank into rectangular groups that
+:func:`embed` and the covariance block forms process one batched product at a
+time.  Coordinates are rescaled to be orthonormal, ordered by descending Gram
+eigenvalue (ties broken by block and position), and eigenvector phases are
+fixed so the first nonzero component is real positive.  The coordinate order
+does not depend on how blocks are grouped, and the result is reproducible run
+to run.
 
 A morphism (A, rho) -> (B, sigma) induces the linear contraction
 H_sigma -> H_rho, [b] -> [phi(b)], realized here as a matrix in orthonormal
@@ -19,6 +25,7 @@ coordinates.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,11 +36,10 @@ from .algebra import (
     ShapeError,
     _wrap,
     adjoint,
-    identity,
     multiply,
 )
 from .channels import NcpMorphism, apply, compose, identity_morphism
-from .states import NormalState, SUPPORT_RTOL, evaluate
+from .states import NormalState, SUPPORT_RTOL, _stack_blocks, evaluate
 
 WELL_DEFINED_TOL = 1e-8
 
@@ -47,15 +53,30 @@ class GnsQuotientError(RuntimeError):
 
 
 def _phase_fix(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first component above 1e-12 is real positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        idx = np.flatnonzero(np.abs(col) > 1e-12)
-        anchor = col[idx[0]] if idx.size else None
-        if anchor is not None and abs(anchor) > 0:
-            out[:, j] = col * (anchor.conjugate() / abs(anchor))
-    return out
+    """Rotate each column of each matrix in a (K, n, n) stack of unit
+    eigenvectors so its first component above 1e-12 is real positive."""
+    first = np.argmax(np.abs(vectors) > 1e-12, axis=1)[:, None, :]
+    anchor = np.take_along_axis(vectors, first, axis=1)
+    return vectors * (anchor.conj() / np.abs(anchor))
+
+
+@dataclass(frozen=True)
+class _RankGroup:
+    """Blocks of one size n whose densities keep the same rank r.
+
+    ``index`` holds the block numbers; ``eigs`` (m, r) the kept eigenvalues,
+    descending; ``vecs`` (m, n, r) and ``null_vecs`` (m, n, n - r) the
+    phase-fixed kept and dropped eigenvectors; ``density`` (m, n, n) the
+    symmetrized densities.
+    """
+
+    n: int
+    rank: int
+    index: np.ndarray
+    eigs: np.ndarray
+    vecs: np.ndarray
+    null_vecs: np.ndarray
+    density: np.ndarray
 
 
 class GnsSpace:
@@ -75,37 +96,44 @@ class GnsSpace:
         self.state = state
         self.tol = tol
 
-        eig_blocks = []
-        for n, d in zip(shape.blocks, state.densities):
-            if n == 1:
-                w = np.array([float(d[0, 0].real)])
-                v = np.ones((1, 1), dtype=complex)
-            else:
-                w, v = np.linalg.eigh((d + d.conj().T) / 2.0)
-                w, v = w[::-1], _phase_fix(v[:, ::-1])
-            eig_blocks.append((w, v))
-        max_eig = max(float(w[0]) for w, _ in eig_blocks)
-        cutoff = tol * max_eig
-        # spectral data per block split at the cutoff, eigenvalues descending
-        self._block_eigs: list[np.ndarray] = []
-        self._block_vecs: list[np.ndarray] = []
-        self._block_null_vecs: list[np.ndarray] = []
-        for w, v in eig_blocks:
-            keep = w > cutoff
-            self._block_eigs.append(np.ascontiguousarray(w[keep], dtype=float))
-            self._block_vecs.append(np.ascontiguousarray(v[:, keep]))
-            self._block_null_vecs.append(np.ascontiguousarray(v[:, ~keep]))
+        cutoff = tol * state.spectrum.max_eig
+        self._groups: list[_RankGroup] = []
+        for s in state.spectrum.stacks:
+            w = s.eigvals[:, ::-1]
+            v = _phase_fix(s.eigvecs[:, :, ::-1])
+            ranks = np.sum(w > cutoff, axis=1)  # w descends, so kept ones lead
+            for r in np.unique(ranks).tolist():
+                sel = np.flatnonzero(ranks == r)
+                self._groups.append(
+                    _RankGroup(
+                        s.n,
+                        r,
+                        s.index[sel],
+                        np.ascontiguousarray(w[sel, :r]),
+                        np.ascontiguousarray(v[sel, :, :r]),
+                        np.ascontiguousarray(v[sel, :, r:]),
+                        s.density[sel],
+                    )
+                )
+        # block k is self._groups[g].index[j] for (g, j) = self._where[k]
+        self._where: list[tuple[int, int]] = [None] * shape.num_blocks
+        for g, grp in enumerate(self._groups):
+            for j, k in enumerate(grp.index.tolist()):
+                self._where[k] = (g, j)
+        #: per-kind block forms of each group, filled by covariance.block_form
+        self._forms: dict = {}
 
-        # Global coordinate order: descending eigenvalue, then block, row,
-        # eigenvalue rank.  ``_perm[q]`` is the position in the block-major
-        # raw layout (block k, row i, kept eigenvector r; r fastest).
+        # Raw layout: group by group, entries (block j, row i, kept rank r)
+        # with r fastest.  Global coordinate order: descending eigenvalue,
+        # then block, row, eigenvalue rank; ``_perm[q]`` is the raw position
+        # of coordinate q.
         eigs, blocks_idx, rows_idx, ranks_idx = [], [], [], []
-        for k, (w, n) in enumerate(zip(self._block_eigs, shape.blocks)):
-            r = w.size
-            eigs.append(np.repeat(w[None, :], n, axis=0).ravel())
-            blocks_idx.append(np.full(n * r, k))
-            rows_idx.append(np.repeat(np.arange(n), r))
-            ranks_idx.append(np.tile(np.arange(r), n))
+        for grp in self._groups:
+            j, i, r = np.indices((grp.index.size, grp.n, grp.rank)).reshape(3, -1)
+            eigs.append(grp.eigs[j, r])
+            blocks_idx.append(grp.index[j])
+            rows_idx.append(i)
+            ranks_idx.append(r)
         eigs = np.concatenate(eigs)
         order_keys = (
             np.concatenate(ranks_idx),
@@ -116,7 +144,10 @@ class GnsSpace:
         self._perm = np.lexsort(order_keys)
         self.dim = int(eigs.size)
         self._sorted_eigs = eigs[self._perm]
-        self.cyclic = embed(self, identity(shape))
+        # [1] in closed form: embed's (1 @ v) * sqrt(w) without building the unit
+        self.cyclic = np.concatenate(
+            [(g.vecs * np.sqrt(g.eigs)[:, None, :]).ravel() for g in self._groups]
+        )[self._perm]
 
     @property
     def base(self) -> tuple[AlgebraShape, NormalState]:
@@ -127,49 +158,46 @@ class GnsSpace:
         """Kept Gram eigenvalues in coordinate order (descending)."""
         return self._sorted_eigs.copy()
 
-    def _raw_embed(self, a: AlgebraElement) -> np.ndarray:
-        parts = []
-        for x, w, v in zip(a.blocks, self._block_eigs, self._block_vecs):
-            if w.size == 0:
-                continue
-            parts.append(((x @ v) * np.sqrt(w)[None, :]).ravel())
-        if not parts:
-            return np.zeros(0, dtype=complex)
-        return np.concatenate(parts)
-
     @cached_property
     def iso_matrix(self) -> np.ndarray:
         """dim x element_dim matrix sending element coordinates to GNS coordinates."""
-        offs = self.shape.block_offsets()
-        rows = []
-        for k, n in enumerate(self.shape.blocks):
-            w, v = self._block_eigs[k], self._block_vecs[k]
-            for i in range(n):
-                for r in range(w.size):
-                    row = np.zeros(self.shape.element_dim, dtype=complex)
-                    row[offs[k] + i * n: offs[k] + (i + 1) * n] = np.sqrt(w[r]) * v[:, r]
-                    rows.append(row)
-        raw = np.array(rows)
+        offs = np.asarray(self.shape.block_offsets()[:-1])
+        raw = np.zeros((self.dim, self.shape.element_dim), dtype=complex)
+        start = 0
+        for grp in self._groups:
+            m, n, r = grp.index.size, grp.n, grp.rank
+            # raw row (j, i, q) holds sqrt(w_q) * v[:, q] at row i of block j
+            rows = start + np.arange(m * n * r).reshape(m, n, r, 1)
+            cols = (
+                offs[grp.index][:, None, None, None]
+                + n * np.arange(n)[None, :, None, None]
+                + np.arange(n)[None, None, None, :]
+            )
+            vals = np.sqrt(grp.eigs)[:, None, :] * grp.vecs
+            raw[rows, cols] = vals.transpose(0, 2, 1)[:, None, :, :]
+            start += m * n * r
         return raw[self._perm]
 
     @cached_property
     def rep_elements(self) -> list[AlgebraElement]:
         """Elements whose classes are the orthonormal coordinate basis."""
         raw = []
-        for k, n in enumerate(self.shape.blocks):
-            w, v = self._block_eigs[k], self._block_vecs[k]
-            for i in range(n):
-                for r in range(w.size):
-                    mats = [np.zeros((m, m), dtype=complex) for m in self.shape.blocks]
-                    mats[k][i, :] = v[:, r].conj() / np.sqrt(w[r])
-                    raw.append(_wrap(self.shape, mats))
+        for grp in self._groups:
+            rows = grp.vecs.conj() / np.sqrt(grp.eigs)[:, None, :]
+            for j, k in enumerate(grp.index.tolist()):
+                for i in range(grp.n):
+                    for r in range(grp.rank):
+                        mats = [np.zeros((m, m), dtype=complex) for m in self.shape.blocks]
+                        mats[k][i, :] = rows[j, :, r]
+                        raw.append(_wrap(self.shape, mats))
         return [raw[p] for p in self._perm]
 
     def null_elements(self) -> list[AlgebraElement]:
         """Basis of the numerically identified Gelfand ideal (unit HS norm)."""
         out = []
         for k, n in enumerate(self.shape.blocks):
-            nulls = self._block_null_vecs[k]
+            g, j = self._where[k]
+            nulls = self._groups[g].null_vecs[j]
             for r in range(nulls.shape[1]):
                 for i in range(n):
                     mats = [np.zeros((m, m), dtype=complex) for m in self.shape.blocks]
@@ -187,7 +215,11 @@ def embed(space: GnsSpace, a: AlgebraElement) -> np.ndarray:
     """Coordinates of the class [a] in the orthonormal GNS basis."""
     if a.shape != space.shape:
         raise ShapeError(f"element shape {a.shape} != space shape {space.shape}")
-    return space._raw_embed(a)[space._perm]
+    raw = [
+        ((_stack_blocks(a.blocks, g.index) @ g.vecs) * np.sqrt(g.eigs)[:, None, :]).ravel()
+        for g in space._groups
+    ]
+    return np.concatenate(raw)[space._perm]
 
 
 def inner(space: GnsSpace, a: AlgebraElement, b: AlgebraElement) -> complex:

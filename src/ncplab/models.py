@@ -15,7 +15,8 @@ Normalization: the quantum Fisher information convention is used throughout
 (no 1/4), so the pure-qubit family below carries the round unit-sphere metric,
 i.e. four times the Fubini-Study metric.
 
-The covariance pairing and the Riesz systems decompose block by block, so
+The covariance pairing and the Riesz systems decompose block by block; the
+systems of all blocks of one size are solved together as one stack, so
 pullbacks stay cheap even for finely discretized abelian models.
 """
 
@@ -38,7 +39,7 @@ from .algebra import (
 from .channels import CpuMap, markov_from_stochastic, predual, predual_apply
 from .covariance import CovarianceKind, block_form, gns_kind
 from .gns import build_gns, embed
-from .states import NormalState, mk_state
+from .states import NormalState, _stack_blocks, _unstack, mk_state
 
 
 class ModelDomainError(ValueError):
@@ -368,14 +369,9 @@ class GroupActionModel:
         g o g2 and the chained channels at g and g2."""
         rho = self.base.state_at(theta)
         direct = predual(self.automorphism_at(self.act_on_params(g, g2)), rho)
-        chained_action = (
-            self.automorphism_at(g2).linear_action
-            @ self.automorphism_at(g).linear_action
-        )
-        shape = self.base.shape
-        chained = predual(
-            CpuMap(shape, shape, chained_action), rho
-        )
+        # the channel at g after the one at g2, one map alive at a time
+        mid = predual(self.automorphism_at(g2), rho)
+        chained = predual(self.automorphism_at(g), mid)
         p = np.array([m[0, 0].real for m in direct.densities])
         q = np.array([m[0, 0].real for m in chained.densities])
         return float(np.sum(np.abs(p - q)))
@@ -421,44 +417,34 @@ def gaussian_group_model(n_bins: int, x_min: float, x_max: float) -> GroupAction
 
 
 def _riesz_solve(model: StatModel, theta, kind: CovarianceKind):
+    """Scores at theta, solved for all blocks of one size at once.
+
+    Returns the GNS space and, per block size, the state's size stack, the
+    block forms (K_n, n^2, n^2) and the raw score coordinates (K_n, n^2, p).
+    """
     state = model.state_at(theta)
     space = build_gns(model.shape, state)
     derivs = model.derivatives(theta)
     p = model.param_dim
-    score_blocks: list[list[np.ndarray]] = [[] for _ in range(p)]
-    forms = []
+    forms = [block_form(kind, space, k) for k in range(model.shape.num_blocks)]
+    solved = []
     worst_resid = np.zeros(p)
     t_scale = 1.0
-    for k, n in enumerate(model.shape.blocks):
-        b = block_form(kind, space, k)
-        forms.append(b)
-        if n == 1:
-            # one real coordinate; solve directly
-            bb = float(b[0, 0].real)
-            t = np.array([float(d.blocks[k][0, 0].real) for d in derivs])
-            t_scale = max(t_scale, float(np.max(np.abs(t))))
-            if bb > 0.0:
-                c = t / bb
-                resid = np.zeros(p)
-            else:
-                c = np.zeros(p)
-                resid = np.abs(t)
-            worst_resid = np.maximum(worst_resid, resid)
-            for i in range(p):
-                score_blocks[i].append(np.array([[c[i]]], dtype=complex))
-            continue
-        hmats = hermitian_matrix_basis(n)
-        h = np.column_stack([m.ravel() for m in hmats])
+    for stack in state.spectrum.stacks:
+        m, n2 = stack.index.size, stack.n * stack.n
+        b = _stack_blocks(forms, stack.index)
+        h = np.column_stack([x.ravel() for x in hermitian_matrix_basis(stack.n)])
         a = (h.conj().T @ b @ h).real
-        t = np.column_stack(
-            [(d.blocks[k].ravel().conj() @ h).real for d in derivs]
+        d = np.stack(
+            [_stack_blocks(x.blocks, stack.index).reshape(m, n2) for x in derivs], axis=-1
         )
-        t_scale = max(t_scale, float(np.max(np.abs(t))) if t.size else 1.0)
-        c, *_ = np.linalg.lstsq(a, t, rcond=None)
-        resid = np.max(np.abs(a @ c - t), axis=0)
+        t = (h.T @ d.conj()).real
+        t_scale = max(t_scale, float(np.max(np.abs(t))))
+        # minimum-norm least squares, with lstsq's default singular value cutoff
+        c = np.linalg.pinv(a, rtol=None) @ t
+        resid = np.max(np.abs(a @ c - t), axis=(0, 1))
         worst_resid = np.maximum(worst_resid, resid)
-        for i in range(p):
-            score_blocks[i].append((h @ c[:, i]).reshape(n, n))
+        solved.append((stack, b, h @ c))
     for i in range(p):
         if worst_resid[i] > RESIDUAL_TOL * t_scale:
             raise ScoreNotRepresentableError(
@@ -467,26 +453,32 @@ def _riesz_solve(model: StatModel, theta, kind: CovarianceKind):
                 f"(residual {worst_resid[i]:.3e})",
                 param_index=i,
             )
-    scores = [_wrap(model.shape, blocks) for blocks in score_blocks]
-    return space, scores, forms
+    return space, solved
 
 
 def riesz_score(model: StatModel, theta, kind: CovarianceKind | None = None) -> list[np.ndarray]:
     """GNS coordinates of the score vectors v_1..v_p at theta."""
     kind = kind if kind is not None else gns_kind()
-    space, scores, _ = _riesz_solve(model, theta, kind)
-    return [embed(space, v) for v in scores]
+    space, solved = _riesz_solve(model, theta, kind)
+    K = model.shape.num_blocks
+    out = []
+    for i in range(model.param_dim):
+        parts = [
+            (stack.index, scores[..., i].reshape(-1, stack.n, stack.n))
+            for stack, _, scores in solved
+        ]
+        out.append(embed(space, _wrap(model.shape, _unstack(K, parts))))
+    return out
 
 
 def metric_pullback(model: StatModel, theta, kind: CovarianceKind | None = None) -> np.ndarray:
     """Metric matrix g_ij = Re <v_i, v_j> of the pulled-back covariance."""
     kind = kind if kind is not None else gns_kind()
-    _, scores, forms = _riesz_solve(model, theta, kind)
-    p = model.param_dim
-    g = np.zeros((p, p))
-    for k, b in enumerate(forms):
-        vecs = np.column_stack([v.blocks[k].ravel() for v in scores])
-        g += (vecs.conj().T @ b @ vecs).real
+    _, solved = _riesz_solve(model, theta, kind)
+    g = sum(
+        (scores.conj().swapaxes(-1, -2) @ b @ scores).real.sum(axis=0)
+        for _, b, scores in solved
+    )
     return (g + g.T) / 2.0
 
 

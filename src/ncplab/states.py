@@ -3,11 +3,21 @@
 A state evaluates elements as rho(a) = sum_k Tr(D_k a_k).  Classical
 probability vectors are simply states on abelian shapes; there is no separate
 type for them.
+
+Spectral decomposition
+----------------------
+:func:`mk_state` decomposes each state once and caches the result on it as a
+:class:`Spectrum`.  The densities of each block size n are stacked in block
+order into one (K_n, n, n) array, symmetrized, and diagonalized by a single
+``np.linalg.eigh`` call; each stack keeps its block numbers as the map back
+to block order.  Validation, :func:`is_faithful`, :func:`support`,
+:meth:`NormalState.block_eigenvalues` and the GNS construction all read this
+cache, so a state on thousands of 1x1 blocks costs one eigensolver call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +41,8 @@ SUPPORT_RTOL = 1e-9
 
 
 class StateValidationError(ValueError):
-    """A density block fails Hermiticity/positivity, or total trace is off."""
+    """A density block is not finite, fails Hermiticity/positivity, or total
+    trace is off."""
 
     def __init__(self, message: str, block: int | None = None):
         super().__init__(message)
@@ -39,22 +50,72 @@ class StateValidationError(ValueError):
 
 
 @dataclass(frozen=True)
+class SizeStack:
+    """The density blocks of one size n, stacked in block order.
+
+    ``index`` holds their block numbers (ascending), ``density`` the
+    symmetrized densities (K_n, n, n), ``eigvals`` their ascending eigenvalues
+    (K_n, n) and ``eigvecs`` the matching eigenvectors as columns (K_n, n, n).
+    """
+
+    n: int
+    index: np.ndarray
+    density: np.ndarray
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Eigendecomposition of every density block, batched by block size.
+
+    ``stacks`` holds one :class:`SizeStack` per block size, in ascending
+    size; a stack's ``index`` maps its positions back to block numbers.
+    """
+
+    stacks: tuple[SizeStack, ...]
+    min_eig: float
+    max_eig: float
+
+
+def _stack_blocks(blocks, index: np.ndarray) -> np.ndarray:
+    """The listed blocks of a block-order sequence as one (len(index), n, n) array."""
+    return np.array([blocks[k] for k in index.tolist()])
+
+
+def _unstack(num_blocks: int, parts) -> list:
+    """Block-order list from (index, stacked array) pairs covering every block."""
+    out = [None] * num_blocks
+    for index, arr in parts:
+        for k, x in zip(index.tolist(), arr):
+            out[k] = x
+    return out
+
+
+@dataclass(frozen=True)
 class NormalState:
-    """Per-block densities D_k, each Hermitian PSD, with sum_k Tr(D_k) = 1."""
+    """Per-block densities D_k, each Hermitian PSD, with sum_k Tr(D_k) = 1.
+
+    Build with :func:`mk_state`, which also fills ``spectrum``.
+    """
 
     shape: AlgebraShape
     densities: tuple[np.ndarray, ...]
+    spectrum: Spectrum = field(repr=False, compare=False)
 
     def block_eigenvalues(self) -> list[np.ndarray]:
         """Ascending eigenvalues of each density block."""
-        return [np.linalg.eigvalsh((d + d.conj().T) / 2.0) for d in self.densities]
+        parts = [(s.index, s.eigvals) for s in self.spectrum.stacks]
+        return _unstack(self.shape.num_blocks, parts)
 
 
 def mk_state(shape: AlgebraShape, densities) -> NormalState:
     """Validated normal state.
 
-    Raises :class:`StateValidationError` naming the offending block when a
-    density is not Hermitian PSD, or when the total trace is not one.
+    Raises :class:`StateValidationError` naming the first offending block (in
+    block order) when a density is not finite or not Hermitian PSD, and when
+    the total trace is not one.  A block that is neither Hermitian nor PSD is
+    reported as not Hermitian.
     """
     if len(densities) != shape.num_blocks:
         raise ShapeError(
@@ -65,25 +126,54 @@ def mk_state(shape: AlgebraShape, densities) -> NormalState:
         arr = np.asarray(d, dtype=complex)
         if arr.shape != (n, n):
             raise ShapeError(f"density block {k} must be {n}x{n}, got {arr.shape}")
-        herm_dev = float(np.max(np.abs(arr - arr.conj().T)))
-        if herm_dev > HERMITIAN_TOL:
-            raise StateValidationError(
-                f"density block {k} not Hermitian (deviation {herm_dev:.3e})",
-                block=k,
-            )
-        min_eig = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)[0])
-        if min_eig < -PSD_TOL:
-            raise StateValidationError(
-                f"density block {k} not positive semidefinite "
-                f"(min eigenvalue {min_eig:.3e})",
-                block=k,
-            )
         mats.append(arr)
-    total = float(sum(np.trace(m).real for m in mats))
-    if abs(total - 1.0) > TRACE_TOL:
+    sizes = np.asarray(shape.blocks)
+    raw = {}
+    nonfinite = []
+    for n in sorted(set(shape.blocks)):
+        index = (sizes == n).nonzero()[0]
+        d = _stack_blocks(mats, index)
+        d.flags.writeable = False
+        raw[n] = (index, d)
+        if not np.isfinite(d).all():
+            finite = np.isfinite(d).all(axis=(1, 2))
+            nonfinite.append(int(index[finite.argmin()]))
+    if nonfinite:
+        k = min(nonfinite)
+        raise StateValidationError(f"density block {k} is not finite", block=k)
+
+    stacks, failures, total = [], [], 0.0
+    for n, (index, d) in raw.items():
+        d_h = d.conj().swapaxes(-1, -2)
+        herm_dev = np.abs(d - d_h).max(axis=(1, 2))
+        sym = (d + d_h) / 2.0
+        w, v = np.linalg.eigh(sym)
+        # comparisons written so that NaN fails them
+        fail = ~(herm_dev <= HERMITIAN_TOL) | ~(w[:, 0] >= -PSD_TOL)
+        if fail.any():
+            j = int(fail.argmax())
+            failures.append((int(index[j]), float(herm_dev[j]), float(w[j, 0])))
+        total += float(d.trace(axis1=1, axis2=2).real.sum())
+        stacks.append(SizeStack(n, index, sym, w, v))
+    if failures:
+        k, herm_dev, min_eig = min(failures)
+        if not herm_dev <= HERMITIAN_TOL:
+            raise StateValidationError(
+                f"density block {k} not Hermitian (deviation {herm_dev:.3e})", block=k
+            )
+        raise StateValidationError(
+            f"density block {k} not positive semidefinite "
+            f"(min eigenvalue {min_eig:.3e})",
+            block=k,
+        )
+    if not abs(total - 1.0) <= TRACE_TOL:
         raise StateValidationError(f"total trace is {total!r}, expected 1")
-    frozen = _wrap(shape, mats)
-    return NormalState(shape, frozen.blocks)
+    spectrum = Spectrum(
+        tuple(stacks),
+        min(float(s.eigvals[:, 0].min()) for s in stacks),
+        max(float(s.eigvals[:, -1].max()) for s in stacks),
+    )
+    return NormalState(shape, tuple(_unstack(shape.num_blocks, raw.values())), spectrum)
 
 
 def evaluate(rho: NormalState, a: AlgebraElement) -> complex:
@@ -97,25 +187,17 @@ def evaluate(rho: NormalState, a: AlgebraElement) -> complex:
 
 def support(rho: NormalState, tol: float = SUPPORT_RTOL) -> AlgebraElement:
     """Spectral projection onto eigenvalues above tol * (max eigenvalue)."""
-    eigs = []
-    vecs = []
-    for d in rho.densities:
-        w, v = np.linalg.eigh((d + d.conj().T) / 2.0)
-        eigs.append(w)
-        vecs.append(v)
-    cutoff = tol * max(float(w[-1]) for w in eigs)
-    mats = []
-    for w, v in zip(eigs, vecs):
-        keep = v[:, w > cutoff]
-        mats.append(keep @ keep.conj().T)
-    return _wrap(rho.shape, mats)
+    cutoff = tol * rho.spectrum.max_eig
+    parts = []
+    for s in rho.spectrum.stacks:
+        keep = s.eigvecs * (s.eigvals > cutoff)[:, None, :]
+        parts.append((s.index, keep @ keep.conj().swapaxes(-1, -2)))
+    return _wrap(rho.shape, _unstack(rho.shape.num_blocks, parts))
 
 
 def is_faithful(rho: NormalState, tol: float = SUPPORT_RTOL) -> bool:
     """True iff every density block has full rank at the support cutoff."""
-    eigs = rho.block_eigenvalues()
-    cutoff = tol * max(float(w[-1]) for w in eigs)
-    return all(float(w[0]) > cutoff for w in eigs)
+    return rho.spectrum.min_eig > tol * rho.spectrum.max_eig
 
 
 def _is_tracial_scalar_blocks(rho: NormalState, tol: float) -> bool:
@@ -162,20 +244,18 @@ def random_state(shape: AlgebraShape, faithful: bool = False, seed: int = 0) -> 
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         mats.append(g @ g.conj().T)
     total = sum(np.trace(m).real for m in mats)
-    mats = [m / total for m in mats]
-    if faithful:
-        floor = 1e-3
-        min_eig = min(
-            float(np.linalg.eigvalsh((m + m.conj().T) / 2.0)[0]) for m in mats
-        )
-        if min_eig < floor:
-            N = shape.total_dim
-            # mixing weight t gives min eigenvalue >= (1-t)*min_eig + t/N
-            t = (floor - min_eig) / (1.0 / N - min_eig)
-            mats = [
-                (1.0 - t) * m + t * np.eye(n) / N
-                for m, n in zip(mats, shape.blocks)
-            ]
+    state = mk_state(shape, [m / total for m in mats])
+    floor = 1e-3
+    min_eig = state.spectrum.min_eig
+    if not faithful or min_eig >= floor:
+        return state
+    N = shape.total_dim
+    # mixing weight t gives min eigenvalue >= (1-t)*min_eig + t/N
+    t = (floor - min_eig) / (1.0 / N - min_eig)
+    mats = [
+        (1.0 - t) * m + t * np.eye(n) / N
+        for m, n in zip(state.densities, shape.blocks)
+    ]
     return mk_state(shape, mats)
 
 

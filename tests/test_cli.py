@@ -58,6 +58,12 @@ class TestGnsCommand:
         assert code == 0
         assert rep["dim"] == 2
 
+    def test_non_finite_prob_is_input_error(self, tmp_path):
+        path = write_json(tmp_path, "p.json", {"prob": [float("nan"), 0.5]})
+        code, rep = run_cli(["gns", "--state", path], tmp_path)
+        assert code == 2
+        assert "density block 0 is not finite" in rep["error"]
+
 
 class TestCheckChannel:
     def test_identity_passes(self, tmp_path):

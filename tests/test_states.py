@@ -36,6 +36,20 @@ class TestConstruction:
         with pytest.raises(StateValidationError):
             mk_state(mk_shape([2]), [np.eye(2)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_with_block(self, bad):
+        with pytest.raises(StateValidationError, match="not finite") as err:
+            mk_state(
+                mk_shape([1, 2, 1]),
+                [np.array([[0.5]]), np.array([[0.25, bad], [bad, 0.25]]), np.array([[bad]])],
+            )
+        assert err.value.block == 1
+
+    def test_nan_probability_rejected(self):
+        with pytest.raises(StateValidationError, match="not finite") as err:
+            mk_state(mk_shape([1, 1]), [np.array([[np.nan]]), np.array([[0.5]])])
+        assert err.value.block == 0
+
     def test_offending_block_index_reported(self):
         with pytest.raises(StateValidationError) as err:
             mk_state(
