@@ -49,7 +49,8 @@ PRESERVATION_TOL = 1e-9
 
 
 class ChannelValidationError(ValueError):
-    """Kraus/stochastic data fails unitality, positivity, or dimensions."""
+    """Channel data is not finite, or fails unitality, positivity, or
+    dimensions."""
 
 
 class MorphismValidationError(ValueError):
@@ -100,11 +101,13 @@ def apply(phi: CpuMap, b: AlgebraElement) -> AlgebraElement:
 
 
 def from_linear(src: AlgebraShape, dst: AlgebraShape, matrix) -> CpuMap:
-    """Wrap a raw coordinate matrix; no CP/unitality validation."""
+    """Wrap a finite raw coordinate matrix; no CP/unitality validation."""
     mat = np.asarray(matrix, dtype=complex)
     expected = (dst.element_dim, src.element_dim)
     if mat.shape != expected:
         raise ShapeError(f"linear action must be {expected}, got {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ChannelValidationError("linear action is not finite")
     mat = mat.copy()
     mat.flags.writeable = False
     return CpuMap(src, dst, mat)
@@ -126,12 +129,14 @@ def from_kraus(src: AlgebraShape, dst: AlgebraShape, kraus_list) -> CpuMap:
             raise ShapeError(
                 f"Kraus operator {i} must be {NB}x{NA}, got {arr.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise ChannelValidationError(f"Kraus operator {i} is not finite")
         ks.append(arr)
     if not ks:
         raise ChannelValidationError("empty Kraus list")
     total = sum(k.conj().T @ k for k in ks)
     dev = float(np.linalg.norm(total - np.eye(NA)))
-    if dev > UNITAL_TOL:
+    if not dev <= UNITAL_TOL:
         raise ChannelValidationError(
             f"Kraus family is not unital: ||sum K^dag K - 1|| = {dev:.3e}"
         )
@@ -332,12 +337,14 @@ def markov_from_stochastic(S) -> CpuMap:
     if S.ndim != 2:
         raise ShapeError("stochastic matrix must be two-dimensional")
     m, n = S.shape
-    if np.min(S) < -1e-12:
-        raise ChannelValidationError(
-            f"stochastic matrix has negative entry {float(np.min(S)):.3e}"
-        )
+    low = float(np.min(S))
     col_dev = float(np.max(np.abs(S.sum(axis=0) - 1.0)))
-    if col_dev > 1e-10:
+    # a NaN or infinite entry leaves the minimum or a column sum non-finite
+    if not np.isfinite(low + col_dev):
+        raise ChannelValidationError("stochastic matrix is not finite")
+    if not low >= -1e-12:
+        raise ChannelValidationError(f"stochastic matrix has negative entry {low:.3e}")
+    if not col_dev <= 1e-10:
         raise ChannelValidationError(
             f"columns must sum to one (worst deviation {col_dev:.3e})"
         )
@@ -358,7 +365,9 @@ def congruent_embedding(partition, weights) -> CongruentEmbedding:
     m = len(part)
     if w.shape != (m,):
         raise ChannelValidationError("partition and weights must have equal length")
-    if np.min(w) <= 0.0:
+    if not np.isfinite(w).all():
+        raise ChannelValidationError("weights are not finite")
+    if not np.min(w) > 0.0:
         raise ChannelValidationError("weights must be strictly positive")
     n = max(part) + 1
     if set(part) != set(range(n)):
@@ -367,7 +376,7 @@ def congruent_embedding(partition, weights) -> CongruentEmbedding:
     for i, j in enumerate(part):
         S[i, j] = w[i]
     fiber_dev = float(np.max(np.abs(S.sum(axis=0) - 1.0)))
-    if fiber_dev > 1e-10:
+    if not fiber_dev <= 1e-10:
         raise ChannelValidationError(
             f"weights must sum to one within each fiber (deviation {fiber_dev:.3e})"
         )

@@ -3,14 +3,13 @@
 Exit codes: 0 = all checked properties hold, 1 = a property failed (the
 report carries the failing witnesses), 2 = unusable input.  Reports are
 byte-identical for identical configurations except for the ``timestamp``
-field.  ``NCP_LAB_THREADS`` caps worker threads for batch subcommands.
+field.  Every subcommand runs on one thread, within any NCP_LAB_THREADS cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -38,14 +37,6 @@ EXIT_INPUT_ERROR = 2
 
 class InputError(Exception):
     """Anything wrong with files, JSON, or flag values."""
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("NCP_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _load_json(path: str):
@@ -157,7 +148,7 @@ def _cmd_pullback(args) -> tuple[int, dict]:
         "metric": [[float(x) for x in row] for row in g],
         "residual_tol": models.RESIDUAL_TOL,
     }
-    oracle = _oracle_for(model.name, theta) if kind.tag == "gns" else None
+    oracle = _oracle_for(model.name, theta) if kind.is_gns else None
     if oracle is not None:
         report["oracle"] = [[float(x) for x in row] for row in oracle]
         report["oracle_deviation"] = float(np.max(np.abs(g - oracle)))
@@ -166,7 +157,10 @@ def _cmd_pullback(args) -> tuple[int, dict]:
 
 def _cmd_gaussian_demo(args) -> tuple[int, dict]:
     span = 10.0 * args.sigma
-    model = models.gaussian_model(args.bins, args.mu - span, args.mu + span)
+    try:
+        model = models.gaussian_model(args.bins, args.mu - span, args.mu + span)
+    except ValueError as exc:
+        raise InputError(f"bad --bins, --mu or --sigma: {exc}") from exc
     theta = np.array([args.mu, args.sigma])
     g = models.metric_pullback(model, theta)
     oracle = models.gaussian_fisher_rao_metric(args.mu, args.sigma)
@@ -188,8 +182,7 @@ def _cmd_tracial_uniqueness(args) -> tuple[int, dict]:
 
     shapes = [mk_shape([2]), mk_shape([3]), mk_shape([1, 1]), mk_shape([2, 3])]
     report = covariance.tracial_collapse_check(
-        shapes, n_states=args.samples, seed=args.seed, tol=args.tol,
-        threads=_thread_count(),
+        shapes, n_states=args.samples, seed=args.seed, tol=args.tol
     )
     report["pass"] = report.pop("passed")
     code = EXIT_PASS if report["pass"] else EXIT_PROPERTY_FAILURE

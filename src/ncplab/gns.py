@@ -64,19 +64,19 @@ def _phase_fix(vectors: np.ndarray) -> np.ndarray:
 class _RankGroup:
     """Blocks of one size n whose densities keep the same rank r.
 
-    ``index`` holds the block numbers; ``eigs`` (m, r) the kept eigenvalues,
-    descending; ``vecs`` (m, n, r) and ``null_vecs`` (m, n, n - r) the
-    phase-fixed kept and dropped eigenvectors; ``density`` (m, n, n) the
-    symmetrized densities.
+    ``index`` holds the block numbers; ``eigs`` (m, r) and ``null_eigs``
+    (m, n - r) the kept and dropped eigenvalues, descending; ``vecs``
+    (m, n, r) and ``null_vecs`` (m, n, n - r) the matching phase-fixed
+    eigenvectors.
     """
 
     n: int
     rank: int
     index: np.ndarray
     eigs: np.ndarray
+    null_eigs: np.ndarray
     vecs: np.ndarray
     null_vecs: np.ndarray
-    density: np.ndarray
 
 
 class GnsSpace:
@@ -110,9 +110,9 @@ class GnsSpace:
                         r,
                         s.index[sel],
                         np.ascontiguousarray(w[sel, :r]),
+                        np.ascontiguousarray(w[sel, r:]),
                         np.ascontiguousarray(v[sel, :, :r]),
                         np.ascontiguousarray(v[sel, :, r:]),
-                        s.density[sel],
                     )
                 )
         # block k is self._groups[g].index[j] for (g, j) = self._where[k]

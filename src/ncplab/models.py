@@ -235,8 +235,8 @@ def gaussian_model(
     """
     if n_bins < 2:
         raise ValueError("need at least two bins")
-    if not x_min < x_max:
-        raise ValueError("empty bin range")
+    if not (x_min < x_max and np.isfinite([x_min, x_max]).all()):
+        raise ValueError(f"bin range [{x_min}, {x_max}] is empty or not finite")
     shape = mk_shape([1] * n_bins)
     edges = np.linspace(x_min, x_max, n_bins + 1)
 
@@ -457,7 +457,9 @@ def _riesz_solve(model: StatModel, theta, kind: CovarianceKind):
 
 
 def riesz_score(model: StatModel, theta, kind: CovarianceKind | None = None) -> list[np.ndarray]:
-    """GNS coordinates of the score vectors v_1..v_p at theta."""
+    """GNS coordinates of the score vectors v_1..v_p at theta.  The quotient
+    drops sub-cutoff bins that :func:`metric_pullback` keeps, so the Gram of
+    these vectors differs from it (1.1e-7 relative on gaussian:4096 over +-20)."""
     kind = kind if kind is not None else gns_kind()
     space, solved = _riesz_solve(model, theta, kind)
     K = model.shape.num_blocks

@@ -53,14 +53,13 @@ class StateValidationError(ValueError):
 class SizeStack:
     """The density blocks of one size n, stacked in block order.
 
-    ``index`` holds their block numbers (ascending), ``density`` the
-    symmetrized densities (K_n, n, n), ``eigvals`` their ascending eigenvalues
-    (K_n, n) and ``eigvecs`` the matching eigenvectors as columns (K_n, n, n).
+    ``index`` holds their block numbers (ascending), ``eigvals`` the
+    ascending eigenvalues of the symmetrized densities (K_n, n) and
+    ``eigvecs`` the matching eigenvectors as columns (K_n, n, n).
     """
 
     n: int
     index: np.ndarray
-    density: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
 
@@ -146,15 +145,14 @@ def mk_state(shape: AlgebraShape, densities) -> NormalState:
     for n, (index, d) in raw.items():
         d_h = d.conj().swapaxes(-1, -2)
         herm_dev = np.abs(d - d_h).max(axis=(1, 2))
-        sym = (d + d_h) / 2.0
-        w, v = np.linalg.eigh(sym)
+        w, v = np.linalg.eigh((d + d_h) / 2.0)
         # comparisons written so that NaN fails them
         fail = ~(herm_dev <= HERMITIAN_TOL) | ~(w[:, 0] >= -PSD_TOL)
         if fail.any():
             j = int(fail.argmax())
             failures.append((int(index[j]), float(herm_dev[j]), float(w[j, 0])))
         total += float(d.trace(axis1=1, axis2=2).real.sum())
-        stacks.append(SizeStack(n, index, sym, w, v))
+        stacks.append(SizeStack(n, index, w, v))
     if failures:
         k, herm_dev, min_eig = min(failures)
         if not herm_dev <= HERMITIAN_TOL:

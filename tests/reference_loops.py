@@ -4,7 +4,8 @@ code paths.
 These are the straightforward loops over density blocks that the batched
 (per-block-size) implementations in ``ncplab`` replace.  They are kept here,
 and only here, so the batched code can be checked against them: one
-eigendecomposition per block, one form and one least-squares solve per block.
+eigendecomposition per block, one form and one least-squares solve per block,
+and the covariance Gram assembled from the raw forms.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class RefGnsSpace:
 
 def block_form(kind, space, k):
     n = space.shape.blocks[k]
-    if kind.tag == "gns":
+    if kind.is_gns:
         b = np.kron(np.eye(n), space.state.densities[k].conj())
     else:
         w, v = space.block_eigs[k], space.block_vecs[k]
@@ -129,6 +130,17 @@ def block_form(kind, space, k):
         b = to_eig.conj().T @ (weights[:, None] * to_eig)
     b = (b + b.conj().T) / 2.0
     return kind.scale * b
+
+
+def covariance_gram(kind, space):
+    """Covariance Gram in GNS coordinates through the raw forms: each block
+    form applied to the raw coordinates of the representative elements."""
+    reps = space.rep_elements()
+    gram = np.zeros((space.dim, space.dim), dtype=complex)
+    for k in range(space.shape.num_blocks):
+        vecs = np.column_stack([r.blocks[k].ravel() for r in reps])
+        gram += vecs.conj().T @ block_form(kind, space, k) @ vecs
+    return (gram + gram.conj().T) / 2.0
 
 
 def metric_pullback(model, theta, kind):

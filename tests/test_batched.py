@@ -10,10 +10,23 @@ from hypothesis import strategies as st
 import reference_loops as ref
 from conftest import random_element
 from ncplab.algebra import _wrap, identity, mk_shape
-from ncplab.covariance import SLD, UnsupportedKindError, kind_catalog, petz_kind
+from ncplab.covariance import (
+    SLD,
+    UnsupportedKindError,
+    covariance_gram,
+    gns_kind,
+    kind_catalog,
+    petz_kind,
+)
 from ncplab.gns import build_gns, embed
 from ncplab.models import ScoreNotRepresentableError, StatModel, gaussian_model, metric_pullback
-from ncplab.states import StateValidationError, is_faithful, mk_state, support
+from ncplab.states import (
+    StateValidationError,
+    is_faithful,
+    mk_state,
+    random_tracial_state,
+    support,
+)
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
 
@@ -106,6 +119,32 @@ class TestValidationAgainstLoops:
         assert word in str(err.value)
 
 
+class TestKernelGramAgainstForms:
+    @SETTINGS
+    @given(shapes, seeds, st.sampled_from(range(5)))
+    def test_gram_matches_raw_forms(self, blocks, seed, kind_no):
+        rho, _ = random_state_on(blocks, seed, rank_deficient=False)
+        kind = kind_catalog()[kind_no]
+        g = covariance_gram(kind, build_gns(rho.shape, rho)).gram
+        g_ref = ref.covariance_gram(kind, ref.RefGnsSpace(rho.shape, rho))
+        assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+
+    @SETTINGS
+    @given(shapes, seeds)
+    def test_gns_gram_exact_identity_on_rank_deficient(self, blocks, seed):
+        rho, _ = random_state_on(blocks, seed, rank_deficient=True)
+        space = build_gns(rho.shape, rho)
+        assert np.array_equal(covariance_gram(gns_kind(), space).gram, np.eye(space.dim))
+
+    @SETTINGS
+    @given(shapes, seeds)
+    def test_tracial_deviation_exactly_zero(self, blocks, seed):
+        rho = random_tracial_state(mk_shape(blocks), seed=seed)
+        space = build_gns(rho.shape, rho)
+        for kind in kind_catalog():
+            assert np.array_equal(covariance_gram(kind, space).gram, np.eye(space.dim))
+
+
 def _fixed_model(rho, derivs):
     """Two-parameter chart whose state is rho at every theta, with the given
     differentials; enough for one pullback at theta = 0."""
@@ -147,7 +186,7 @@ class TestPullbackAgainstLoops:
         kind = kind_catalog()[kind_no]
         model = _fixed_model(rho, _differentials(rho, rng, representable))
         theta = [0.0, 0.0]
-        if kind.tag == "petz" and not is_faithful(rho):
+        if not kind.is_gns and not is_faithful(rho):
             with pytest.raises(UnsupportedKindError):
                 metric_pullback(model, theta, kind)
             return

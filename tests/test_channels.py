@@ -308,6 +308,32 @@ class TestCongruentEmbedding:
             congruent_embedding([0, 0], [1.5, -0.5])
 
 
+class TestNonFiniteRejected:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_stochastic(self, bad):
+        with pytest.raises(ChannelValidationError, match="not finite"):
+            markov_from_stochastic(np.array([[bad, 0.5], [0.5, 0.5]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_embedding_weights(self, bad):
+        with pytest.raises(ChannelValidationError, match="not finite"):
+            congruent_embedding([0, 0], [bad, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_kraus(self, bad):
+        k = np.eye(2, dtype=complex)
+        k[0, 1] = bad
+        with pytest.raises(ChannelValidationError, match="Kraus operator 1 is not finite"):
+            from_kraus(mk_shape([2]), mk_shape([2]), [np.eye(2), k])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_linear(self, bad):
+        mat = np.eye(4, dtype=complex)
+        mat[1, 2] = bad
+        with pytest.raises(ChannelValidationError, match="not finite"):
+            from_linear(mk_shape([2]), mk_shape([2]), mat)
+
+
 class TestRandomChannelProperties:
     def test_random_kraus_channels(self):
         for trial in range(100):

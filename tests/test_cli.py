@@ -83,6 +83,12 @@ class TestCheckChannel:
         assert rep["cp"] is False
         assert abs(rep["min_choi_eig"] + 0.5) < 1e-12
 
+    def test_non_finite_stochastic_is_input_error(self, tmp_path):
+        path = write_json(tmp_path, "chan.json", {"stochastic": [[float("nan"), 0.5], [0.5, 0.5]]})
+        code, rep = run_cli(["check-channel", "--channel", path], tmp_path)
+        assert code == 2
+        assert "not finite" in rep["error"]
+
 
 class TestMonotonicity:
     def test_valid_morphism_passes(self, tmp_path):
@@ -168,6 +174,14 @@ class TestGaussianDemo:
         assert code == 0
         assert rep["relative_error"] < 0.01
         assert rep["oracle"] == [[0.25, 0.0], [0.0, 0.5]]
+
+    @pytest.mark.parametrize(
+        "args", [["--sigma", "-1"], ["--sigma", "nan"], ["--mu", "inf"], ["--bins", "1"]]
+    )
+    def test_bad_arguments_are_input_errors(self, tmp_path, args):
+        code, rep = run_cli(["gaussian-demo", *args], tmp_path)
+        assert code == 2
+        assert "error" in rep
 
 
 class TestTracialUniqueness:

@@ -264,9 +264,3 @@ class TestTracialCollapse:
     def test_block_scalar_direct_sum(self):
         rep = tracial_collapse_check([mk_shape([2, 3])], n_states=5, seed=2)
         assert rep["max_deviation"] < 1e-10
-
-    def test_threaded_matches_serial(self):
-        shapes = [S2, mk_shape([2, 3])]
-        serial = tracial_collapse_check(shapes, n_states=8, seed=3, threads=1)
-        threaded = tracial_collapse_check(shapes, n_states=8, seed=3, threads=4)
-        assert serial["max_deviation"] == threaded["max_deviation"]
