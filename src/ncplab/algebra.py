@@ -252,6 +252,15 @@ def element_from_coords(shape: AlgebraShape, vec: np.ndarray) -> AlgebraElement:
     return _wrap(shape, mats)
 
 
+def full_positions(shape: AlgebraShape) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column, inside the enveloping M_N, of each coordinate."""
+    n = np.asarray(shape.blocks)
+    size = n * n
+    local = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    start, per = np.repeat(np.cumsum(n) - n, size), np.repeat(n, size)
+    return start + local // per, start + local % per
+
+
 def embed_full(a: AlgebraElement) -> np.ndarray:
     """Element as a block-diagonal matrix inside the enveloping M_N."""
     N = a.shape.total_dim
@@ -261,18 +270,3 @@ def embed_full(a: AlgebraElement) -> np.ndarray:
         out[pos: pos + n, pos: pos + n] = x
         pos += n
     return out
-
-
-def compress_full(shape: AlgebraShape, mat: np.ndarray) -> AlgebraElement:
-    """Diagonal-block compression M_N -> algebra (the trace-preserving
-    conditional expectation onto the block-diagonal subalgebra)."""
-    mat = np.asarray(mat, dtype=complex)
-    N = shape.total_dim
-    if mat.shape != (N, N):
-        raise ShapeError(f"matrix must be {N}x{N}, got {mat.shape}")
-    mats = []
-    pos = 0
-    for n in shape.blocks:
-        mats.append(mat[pos: pos + n, pos: pos + n])
-        pos += n
-    return _wrap(shape, mats)

@@ -33,10 +33,10 @@ from .algebra import (
     ShapeError,
     _wrap,
     basis,
-    compress_full,
     coords,
     element_from_coords,
     embed_full,
+    full_positions,
     identity,
     hs_norm,
     mk_shape,
@@ -114,12 +114,14 @@ def from_linear(src: AlgebraShape, dst: AlgebraShape, matrix) -> CpuMap:
 
 
 def from_kraus(src: AlgebraShape, dst: AlgebraShape, kraus_list) -> CpuMap:
-    """CPU map phi(b) = sum_i K_i^dag b K_i, compressed onto dst blocks.
+    """CPU map phi(b) = sum_k K_k^dag b K_k, compressed onto dst blocks.
 
-    Each K_i is an N_B x N_A matrix between the enveloping algebras of source
-    and target; unitality requires sum_i K_i^dag K_i = 1 within 1e-10.  When
+    Each K_k is an N_B x N_A matrix between the enveloping algebras of source
+    and target; unitality requires sum_k K_k^dag K_k = 1 within 1e-10.  When
     the raw output of the Kraus action is not block-diagonal for ``dst`` it is
-    pinched onto the blocks, which keeps the map CPU.
+    pinched onto the blocks, which keeps the map CPU.  The action is read off
+    entrywise: for a source matrix unit e_ij and a target position (a, b) of
+    the enveloping algebras, phi(e_ij)_ab = sum_k conj(K_k[i, a]) K_k[j, b].
     """
     NB, NA = src.total_dim, dst.total_dim
     ks = []
@@ -140,12 +142,8 @@ def from_kraus(src: AlgebraShape, dst: AlgebraShape, kraus_list) -> CpuMap:
         raise ChannelValidationError(
             f"Kraus family is not unital: ||sum K^dag K - 1|| = {dev:.3e}"
         )
-    cols = []
-    for e in basis(src):
-        full = embed_full(e)
-        out = sum(k.conj().T @ full @ k for k in ks)
-        cols.append(coords(compress_full(dst, out)))
-    action = np.column_stack(cols)
+    (si, sj), (da, db) = full_positions(src), full_positions(dst)
+    action = sum(k[si][:, da].conj() * k[sj][:, db] for k in ks).T
     action.flags.writeable = False
     frozen = []
     for k in ks:

@@ -1,21 +1,27 @@
 """Deterministic JSON-reporting command line front end.
 
 Exit codes: 0 = all checked properties hold, 1 = a property failed (the
-report carries the failing witnesses), 2 = unusable input.  Reports are
-byte-identical for identical configurations except for the ``timestamp``
-field.  Every subcommand runs on one thread, within any NCP_LAB_THREADS cap.
+report carries the failing witnesses), 2 = unusable input (files, payloads,
+flag values), 3 = internal error: any other exception, reported with
+``"internal_error": true`` and its traceback on standard error.  Reports are
+strict JSON, byte-identical for identical configurations except for the
+``timestamp`` field.  Every subcommand runs on one thread, within any
+NCP_LAB_THREADS cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import traceback
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import covariance, models
+from .algebra import ShapeError
 from .channels import ChannelValidationError, MorphismValidationError, is_cp, is_unital, min_choi_eig
 from .covariance import kind_from_name, omf_catalog
 from .gns import GnsQuotientError, build_gns
@@ -33,10 +39,21 @@ SCHEMA_VERSION = 1
 EXIT_PASS = 0
 EXIT_PROPERTY_FAILURE = 1
 EXIT_INPUT_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
+
+# least --samples per subcommand: monotonicity's verdict is the exact criterion
+MIN_SAMPLES = {"monotonicity": 0, "tracial-uniqueness": 1, "congruence-invariance": 1}
 
 
 class InputError(Exception):
     """Anything wrong with files, JSON, or flag values."""
+
+
+INPUT_ERRORS = (
+    InputError, SerializationError, ShapeError, StateValidationError, ChannelValidationError,
+    MorphismValidationError, ModelDomainError, GnsQuotientError, covariance.UnsupportedKindError,
+    OSError,
+)
 
 
 def _load_json(path: str):
@@ -49,6 +66,17 @@ def _load_json(path: str):
         raise InputError(
             f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def _check_flags(args) -> None:
+    tol = getattr(args, "tol", 0.0)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InputError(f"--tol must be finite and >= 0, got {tol}")
+    least = MIN_SAMPLES.get(args.command)
+    if least is not None and args.samples < least:
+        raise InputError(f"--samples must be >= {least}, got {args.samples}")
+    if getattr(args, "seed", 0) < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
 
 
 def _parse_model(spec: str, fd: bool = False) -> models.StatModel:
@@ -328,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2) + "\n"
+    text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -337,36 +365,23 @@ def _emit(report: dict, out_path: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    head = {"schema": SCHEMA_VERSION, "command": args.command}
     try:
-        code, body = args.handler(args)
-    except (
-        InputError,
-        SerializationError,
-        StateValidationError,
-        ChannelValidationError,
-        MorphismValidationError,
-        ModelDomainError,
-        GnsQuotientError,
-        covariance.UnsupportedKindError,
-        OSError,
-    ) as exc:
-        report = {
-            "schema": SCHEMA_VERSION,
-            "command": args.command,
-            "error": str(exc),
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-        }
-        _emit(report, args.out)
+        try:
+            _check_flags(args)
+            code, body = args.handler(args)
+        except INPUT_ERRORS as exc:
+            code, body = EXIT_INPUT_ERROR, {"error": str(exc)}
+        _emit({**head, **body, "timestamp": datetime.now(timezone.utc).isoformat()}, args.out)
+    except OSError as exc:  # only writing --out can raise it here: report on stdout
+        _emit({**head, "error": str(exc), "timestamp": datetime.now(timezone.utc).isoformat()}, None)
         return EXIT_INPUT_ERROR
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": args.command,
-        **body,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    _emit(report, args.out)
+    except Exception as exc:
+        traceback.print_exc()
+        body = {"error": f"{type(exc).__name__}: {exc}", "internal_error": True}
+        _emit({**head, **body, "timestamp": datetime.now(timezone.utc).isoformat()}, args.out)
+        return EXIT_INTERNAL_ERROR
     return code
 
 

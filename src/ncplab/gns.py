@@ -18,27 +18,24 @@ fixed so the first nonzero component is real positive.  The coordinate order
 does not depend on how blocks are grouped, and the result is reproducible run
 to run.
 
-A morphism (A, rho) -> (B, sigma) induces the linear contraction
-H_sigma -> H_rho, [b] -> [phi(b)], realized here as a matrix in orthonormal
-coordinates.
+The coordinate matrices are rebuilt from the groups by one index scatter on
+each access, never cached: the embedding E (``iso_matrix``), representatives
+R = E^dag / w (``rep_matrix``, w the Gram eigenvalues) and a unit-HS-norm
+basis N of the Gelfand ideal (``null_matrix``).  A morphism (A, rho) ->
+(B, sigma) carried by phi: B -> A, with coordinate matrix L, induces the
+contraction H_sigma -> H_rho, [b] -> [phi(b)]: the matrix E_rho L R_sigma,
+well defined when the columns of E_rho L N_sigma vanish.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .algebra import (
-    AlgebraElement,
-    AlgebraShape,
-    ShapeError,
-    _wrap,
-    adjoint,
-    multiply,
-)
-from .channels import NcpMorphism, apply, compose, identity_morphism
+from .algebra import AlgebraElement, AlgebraShape, ShapeError, adjoint, multiply
+from .channels import NcpMorphism, compose, identity_morphism
+from .channels import apply  # noqa: F401  (perfbench's binding test reads ncplab.gns.apply)
 from .states import NormalState, SUPPORT_RTOL, _stack_blocks, evaluate
 
 WELL_DEFINED_TOL = 1e-8
@@ -158,52 +155,42 @@ class GnsSpace:
         """Kept Gram eigenvalues in coordinate order (descending)."""
         return self._sorted_eigs.copy()
 
-    @cached_property
-    def iso_matrix(self) -> np.ndarray:
-        """dim x element_dim matrix sending element coordinates to GNS coordinates."""
+    def _scatter(self, values) -> np.ndarray:
+        """Rows, group by group, for each (block j, row i, column q) of the
+        (m, n, c) array ``values(group)``: its column q at row i of block j,
+        zero elsewhere, in element coordinates."""
         offs = np.asarray(self.shape.block_offsets()[:-1])
-        raw = np.zeros((self.dim, self.shape.element_dim), dtype=complex)
+        vals = [values(g) for g in self._groups]
+        out = np.zeros((sum(v.size for v in vals), self.shape.element_dim), dtype=complex)
         start = 0
-        for grp in self._groups:
-            m, n, r = grp.index.size, grp.n, grp.rank
-            # raw row (j, i, q) holds sqrt(w_q) * v[:, q] at row i of block j
-            rows = start + np.arange(m * n * r).reshape(m, n, r, 1)
+        for grp, v in zip(self._groups, vals):
+            m, n, c = v.shape
+            rows = start + np.arange(m * n * c).reshape(m, n, c, 1)
             cols = (
                 offs[grp.index][:, None, None, None]
                 + n * np.arange(n)[None, :, None, None]
                 + np.arange(n)[None, None, None, :]
             )
-            vals = np.sqrt(grp.eigs)[:, None, :] * grp.vecs
-            raw[rows, cols] = vals.transpose(0, 2, 1)[:, None, :, :]
-            start += m * n * r
-        return raw[self._perm]
-
-    @cached_property
-    def rep_elements(self) -> list[AlgebraElement]:
-        """Elements whose classes are the orthonormal coordinate basis."""
-        raw = []
-        for grp in self._groups:
-            rows = grp.vecs.conj() / np.sqrt(grp.eigs)[:, None, :]
-            for j, k in enumerate(grp.index.tolist()):
-                for i in range(grp.n):
-                    for r in range(grp.rank):
-                        mats = [np.zeros((m, m), dtype=complex) for m in self.shape.blocks]
-                        mats[k][i, :] = rows[j, :, r]
-                        raw.append(_wrap(self.shape, mats))
-        return [raw[p] for p in self._perm]
-
-    def null_elements(self) -> list[AlgebraElement]:
-        """Basis of the numerically identified Gelfand ideal (unit HS norm)."""
-        out = []
-        for k, n in enumerate(self.shape.blocks):
-            g, j = self._where[k]
-            nulls = self._groups[g].null_vecs[j]
-            for r in range(nulls.shape[1]):
-                for i in range(n):
-                    mats = [np.zeros((m, m), dtype=complex) for m in self.shape.blocks]
-                    mats[k][i, :] = nulls[:, r].conj()
-                    out.append(_wrap(self.shape, mats))
+            out[rows, cols] = v.transpose(0, 2, 1)[:, None, :, :]
+            start += m * n * c
         return out
+
+    @property
+    def iso_matrix(self) -> np.ndarray:
+        """dim x element_dim matrix sending element coordinates to GNS coordinates."""
+        return self._scatter(lambda g: np.sqrt(g.eigs)[:, None, :] * g.vecs)[self._perm]
+
+    @property
+    def rep_matrix(self) -> np.ndarray:
+        """element_dim x dim: column q holds the coordinates of an element
+        whose class is the q-th orthonormal basis vector."""
+        return self.iso_matrix.conj().T / self._sorted_eigs
+
+    @property
+    def null_matrix(self) -> np.ndarray:
+        """element_dim x (element_dim - dim): coordinates of a basis of the
+        numerically identified Gelfand ideal, one unit-HS-norm column each."""
+        return self._scatter(lambda g: g.null_vecs.conj()).T
 
 
 def build_gns(shape: AlgebraShape, state: NormalState, tol: float = SUPPORT_RTOL) -> GnsSpace:
@@ -267,22 +254,16 @@ def induced_contraction(
         for x, y in zip(space_rho.state.densities, rho.densities)
     ):
         raise ShapeError("GNS spaces were built for different states")
-    for x in space_sigma.null_elements():
-        leak = float(np.linalg.norm(embed(space_rho, apply(morphism.cpu, x))))
-        if leak > tol:
-            raise GnsQuotientError(
-                f"null element maps outside the target null space (norm {leak:.3e}); "
-                "re-run with a tighter support tolerance"
-            )
-    cols = [
-        embed(space_rho, apply(morphism.cpu, rep))
-        for rep in space_sigma.rep_elements
-    ]
-    matrix = (
-        np.column_stack(cols)
-        if cols
-        else np.zeros((space_rho.dim, 0), dtype=complex)
-    )
+    iso = space_rho.iso_matrix
+    action = morphism.cpu.linear_action
+    leak = np.linalg.norm(iso @ (action @ space_sigma.null_matrix), axis=0)
+    worst = float(leak.max(initial=0.0))
+    if not worst <= tol:
+        raise GnsQuotientError(
+            f"null element maps outside the target null space (largest norm {worst:.3e}); "
+            "re-run with a tighter support tolerance"
+        )
+    matrix = iso @ (action @ space_sigma.rep_matrix)
     return GnsContraction(space_sigma, space_rho, matrix)
 
 

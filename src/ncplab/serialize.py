@@ -28,15 +28,17 @@ def _complex_to_json(z: complex) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
+def _object(obj, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise SerializationError(f"{what} payload must be a JSON object, got {type(obj).__name__}")
+
+
 def _complex_from_json(obj) -> complex:
-    if isinstance(obj, dict):
-        try:
-            return complex(float(obj["re"]), float(obj.get("im", 0.0)))
-        except (KeyError, TypeError) as exc:
-            raise SerializationError(f"bad complex entry {obj!r}") from exc
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    raise SerializationError(f"bad complex entry {obj!r}")
+    re, im = (obj.get("re"), obj.get("im", 0.0)) if isinstance(obj, dict) else (obj, 0.0)
+    for x in (re, im):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise SerializationError(f"bad complex entry {obj!r}")
+    return complex(re, im)
 
 
 def matrix_to_json(mat: np.ndarray) -> list:
@@ -45,13 +47,20 @@ def matrix_to_json(mat: np.ndarray) -> list:
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, list) or not obj:
-        raise SerializationError("matrix must be a nonempty list of rows")
+    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
+        raise SerializationError("matrix must be a nonempty list of rows, each a list")
     rows = [[_complex_from_json(z) for z in row] for row in obj]
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise SerializationError("matrix rows have unequal lengths")
     return np.array(rows, dtype=complex)
+
+
+def _real_matrix_from_json(obj) -> np.ndarray:
+    mat = matrix_from_json(obj)
+    if np.any(mat.imag):
+        raise SerializationError("entries must be real numbers")
+    return mat.real
 
 
 def shape_to_json(shape: AlgebraShape) -> dict:
@@ -61,8 +70,8 @@ def shape_to_json(shape: AlgebraShape) -> dict:
 def shape_from_json(obj) -> AlgebraShape:
     try:
         return mk_shape(obj["blocks"])
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"bad shape payload {obj!r}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(f"bad shape payload {obj!r}: {exc}") from exc
 
 
 def element_to_json(a: AlgebraElement) -> dict:
@@ -86,8 +95,9 @@ def state_to_json(state: NormalState) -> dict:
 
 
 def state_from_json(obj) -> NormalState:
+    _object(obj, "state")
     if "prob" in obj:
-        p = [float(x) for x in obj["prob"]]
+        p = _real_matrix_from_json([obj["prob"]])[0]
         shape = mk_shape([1] * len(p))
         return mk_state(shape, [np.array([[x]]) for x in p])
     try:
@@ -111,9 +121,9 @@ def cpumap_to_json(phi: CpuMap) -> dict:
 
 
 def cpumap_from_json(obj) -> CpuMap:
+    _object(obj, "channel")
     if "stochastic" in obj:
-        s = np.array([[float(x) for x in row] for row in obj["stochastic"]])
-        return markov_from_stochastic(s)
+        return markov_from_stochastic(_real_matrix_from_json(obj["stochastic"]))
     try:
         src = shape_from_json(obj["source"])
         dst = shape_from_json(obj["target"])
@@ -136,6 +146,7 @@ def morphism_to_json(m: NcpMorphism) -> dict:
 
 def morphism_from_json(obj, tol: float = 1e-9, verify: bool = True) -> NcpMorphism:
     """Load a morphism; with ``verify=False`` the carrier map is trusted."""
+    _object(obj, "morphism")
     try:
         rho = state_from_json(obj["source"])
         sigma = state_from_json(obj["target"])

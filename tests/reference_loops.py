@@ -1,18 +1,21 @@
-"""Per-block reference implementations of the batched state, GNS and pullback
-code paths.
+"""Per-block and per-basis-element reference implementations of the batched
+state, GNS, contraction, Kraus and pullback code paths.
 
-These are the straightforward loops over density blocks that the batched
-(per-block-size) implementations in ``ncplab`` replace.  They are kept here,
-and only here, so the batched code can be checked against them: one
-eigendecomposition per block, one form and one least-squares solve per block,
-and the covariance Gram assembled from the raw forms.
+These are the straightforward loops that the batched implementations in
+``ncplab`` replace.  They are kept here, and only here, so the batched code
+can be checked against them: one eigendecomposition per block, one form and
+one least-squares solve per block, the covariance Gram assembled from the raw
+forms, the induced contraction one GNS coordinate at a time and the Kraus
+action one source basis element at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ncplab.algebra import _wrap, hermitian_matrix_basis
+from ncplab.algebra import _wrap, basis, embed_full, hermitian_matrix_basis
+from ncplab.channels import apply
+from ncplab.gns import GnsQuotientError
 
 SUPPORT_RTOL = 1e-9
 HERMITIAN_TOL = 1e-10
@@ -61,11 +64,12 @@ class RefGnsSpace:
                 w, v = w[::-1], _phase_fix(v[:, ::-1])
             eig_blocks.append((w, v))
         cutoff = tol * max(float(w[0]) for w, _ in eig_blocks)
-        self.block_eigs, self.block_vecs = [], []
+        self.block_eigs, self.block_vecs, self.block_null_vecs = [], [], []
         for w, v in eig_blocks:
             keep = w > cutoff
             self.block_eigs.append(np.ascontiguousarray(w[keep], dtype=float))
             self.block_vecs.append(np.ascontiguousarray(v[:, keep]))
+            self.block_null_vecs.append(np.ascontiguousarray(v[:, ~keep]))
         eigs, blocks_idx, rows_idx, ranks_idx = [], [], [], []
         for k, (w, n) in enumerate(zip(self.block_eigs, shape.blocks)):
             r = w.size
@@ -117,6 +121,45 @@ class RefGnsSpace:
                     mats[k][i, :] = v[:, r].conj() / np.sqrt(w[r])
                     raw.append(_wrap(self.shape, mats))
         return [raw[p] for p in self.perm]
+
+
+    def null_elements(self):
+        """Basis of the Gelfand ideal (unit HS norm): row i of block k is a
+        dropped eigenvector, conjugated."""
+        out = []
+        for k, n in enumerate(self.shape.blocks):
+            nulls = self.block_null_vecs[k]
+            for r in range(nulls.shape[1]):
+                for i in range(n):
+                    mats = [np.zeros((m, m), dtype=complex) for m in self.shape.blocks]
+                    mats[k][i, :] = nulls[:, r].conj()
+                    out.append(_wrap(self.shape, mats))
+        return out
+
+
+def induced_contraction(morphism, space_sigma, space_rho, tol=1e-8):
+    """Contraction matrix built one GNS coordinate at a time: the carrier map
+    applied to each null element and each representative of ``space_sigma``,
+    each result embedded in ``space_rho``."""
+    for x in space_sigma.null_elements():
+        leak = float(np.linalg.norm(space_rho.embed(apply(morphism.cpu, x))))
+        if leak > tol:
+            raise GnsQuotientError(f"null element maps outside the null space (norm {leak:.3e})")
+    return np.column_stack(
+        [space_rho.embed(apply(morphism.cpu, rep)) for rep in space_sigma.rep_elements()]
+    )
+
+
+def from_kraus_action(src, dst, kraus):
+    """Kraus action one source basis element at a time: sum_k K_k^dag e K_k in
+    the enveloping algebra, pinched onto the ``dst`` blocks."""
+    starts = np.cumsum([0, *dst.blocks[:-1]])
+    cols = []
+    for e in basis(src):
+        full = embed_full(e)
+        out = sum(k.conj().T @ full @ k for k in kraus)
+        cols.append(np.concatenate([out[p: p + n, p: p + n].ravel() for p, n in zip(starts, dst.blocks)]))
+    return np.column_stack(cols)
 
 
 def block_form(kind, space, k):

@@ -1,6 +1,6 @@
-"""The batched (per-block-size) state, GNS and pullback paths against the
-per-block reference loops, on random mixed shapes, and the count of
-eigendecompositions per state."""
+"""The batched (per-block-size) state, GNS, contraction, Kraus and pullback
+paths against the per-block and per-basis-element reference loops, on random
+mixed shapes, and the count of eigendecompositions per state."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import reference_loops as ref
 from conftest import random_element
-from ncplab.algebra import _wrap, identity, mk_shape
+from ncplab.algebra import _wrap, coords, identity, mk_shape
 from ncplab.covariance import (
     SLD,
     UnsupportedKindError,
@@ -18,7 +18,15 @@ from ncplab.covariance import (
     kind_catalog,
     petz_kind,
 )
-from ncplab.gns import build_gns, embed
+from ncplab.channels import (
+    NcpMorphism,
+    conjugation_map,
+    mk_morphism,
+    predual,
+    random_cpu_map,
+    transpose_map,
+)
+from ncplab.gns import GnsQuotientError, build_gns, embed, induced_contraction
 from ncplab.models import ScoreNotRepresentableError, StatModel, gaussian_model, metric_pullback
 from ncplab.states import (
     StateValidationError,
@@ -29,8 +37,10 @@ from ncplab.states import (
 )
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
+EPS = np.finfo(float).eps
 
 shapes = st.lists(st.integers(1, 4), min_size=1, max_size=6)
+small_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4)
 seeds = st.integers(0, 2**32 - 1)
 
 
@@ -76,8 +86,9 @@ class TestGnsAgainstLoops:
         for _ in range(3):
             a = random_element(rho.shape, rng)
             assert np.array_equal(embed(space, a), loops.embed(a))
-        for x, y in zip(space.rep_elements, loops.rep_elements()):
-            assert all(np.array_equal(p, q) for p, q in zip(x.blocks, y.blocks))
+        # E^dag / w rounds differently from the loops' conj(v) / sqrt(w)
+        reps = np.column_stack([coords(x) for x in loops.rep_elements()])
+        assert np.all(np.abs(space.rep_matrix - reps) <= 4 * EPS * np.abs(reps))
 
     @SETTINGS
     @given(shapes, seeds, st.booleans())
@@ -143,6 +154,61 @@ class TestKernelGramAgainstForms:
         space = build_gns(rho.shape, rho)
         for kind in kind_catalog():
             assert np.array_equal(covariance_gram(kind, space).gram, np.eye(space.dim))
+
+
+def random_morphism_on(blocks_a, blocks_b, seed, rank_deficient, automorphism, mix):
+    """Verified morphism (A, rho) -> (B, sigma).  An automorphism conjugates
+    each block of A by a random unitary, so a rank-deficient rho gives a
+    rank-deficient sigma; otherwise the carrier is a random CPU map B -> A."""
+    rho, rng = random_state_on(blocks_a, seed, rank_deficient)
+    shape_a = rho.shape
+    if automorphism:
+        unitaries = [np.linalg.qr(_hermitian(rng, n) + 1j * np.eye(n))[0] for n in blocks_a]
+        phi = conjugation_map(shape_a, unitaries)
+    else:
+        phi = random_cpu_map(mk_shape(blocks_b), shape_a, seed=seed, mix_trace=mix)
+    sigma = predual(phi, rho)
+    return mk_morphism((shape_a, rho), (sigma.shape, sigma), phi)
+
+
+class TestContractionAgainstLoops:
+    @SETTINGS
+    @given(small_shapes, small_shapes, seeds, st.booleans(), st.booleans(), st.sampled_from([0.0, 0.1]))
+    def test_matrix_matches(self, blocks_a, blocks_b, seed, rank_deficient, automorphism, mix):
+        m = random_morphism_on(blocks_a, blocks_b, seed, rank_deficient, automorphism, mix)
+        (shape_a, rho), (shape_b, sigma) = m.source, m.target
+        c = induced_contraction(m, build_gns(shape_b, sigma), build_gns(shape_a, rho)).matrix
+        c_ref = ref.induced_contraction(
+            m, ref.RefGnsSpace(shape_b, sigma), ref.RefGnsSpace(shape_a, rho)
+        )
+        assert c.shape == c_ref.shape
+        assert np.max(np.abs(c - c_ref)) <= 1e-12 * np.max(np.abs(c_ref))
+
+    @SETTINGS
+    @given(small_shapes.filter(lambda b: max(b) > 1), seeds)
+    def test_transposed_pure_state_raises(self, blocks, seed):
+        rng = np.random.default_rng(seed)
+        k = next(k for k, n in enumerate(blocks) if n > 1)
+        psi = rng.standard_normal(blocks[k]) + 1j * rng.standard_normal(blocks[k])
+        mats = [np.zeros((n, n)) for n in blocks]
+        mats[k] = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+        rho = mk_state(mk_shape(blocks), mats)
+        bad = NcpMorphism((rho.shape, rho), (rho.shape, rho), transpose_map(rho.shape))
+        space = build_gns(rho.shape, rho)
+        with pytest.raises(GnsQuotientError):
+            induced_contraction(bad, space, space)
+        loops = ref.RefGnsSpace(rho.shape, rho)
+        with pytest.raises(GnsQuotientError):
+            ref.induced_contraction(bad, loops, loops)
+
+
+class TestKrausAgainstLoop:
+    @SETTINGS
+    @given(small_shapes, small_shapes, seeds, st.sampled_from([0.0, 0.1]))
+    def test_action_matches(self, blocks_src, blocks_dst, seed, mix):
+        phi = random_cpu_map(mk_shape(blocks_src), mk_shape(blocks_dst), seed=seed, mix_trace=mix)
+        action = ref.from_kraus_action(phi.source_shape, phi.target_shape, phi.kraus)
+        assert np.max(np.abs(phi.linear_action - action)) <= 1e-14 * np.max(np.abs(action))
 
 
 def _fixed_model(rho, derivs):

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import depolarizing_kraus
 from ncplab.algebra import mk_shape
-from ncplab.channels import from_kraus, identity_map, predual, transpose_map
+from ncplab.channels import from_kraus, identity_map, mk_morphism, predual, transpose_map
+from ncplab import cli
 from ncplab.cli import main
 from ncplab.serialize import cpumap_to_json, morphism_to_json, state_to_json
 from ncplab.states import mk_state, random_state
@@ -222,6 +227,11 @@ class TestContract:
         assert code == 2
         assert "line" in rep["error"] and "column" in rep["error"]
 
+    def test_unwritable_out_reports_on_stdout(self, tmp_path, capsys):
+        code = main(["omf-catalog", "--out", str(tmp_path / "missing" / "r.json")])
+        assert code == 2
+        assert "No such file" in _strict_json(capsys.readouterr().out)["error"]
+
     def test_missing_file(self, tmp_path):
         code, rep = run_cli(["gns", "--state", str(tmp_path / "nope.json")], tmp_path)
         assert code == 2
@@ -232,3 +242,109 @@ class TestContract:
         rep1.pop("timestamp")
         rep2.pop("timestamp")
         assert rep1 == rep2
+
+
+QUBIT_STATE = {"shape": {"blocks": [2]}, "densities": [[[0.75, 0.0], [0.0, 0.25]]]}
+QUBIT_IDENTITY = {"source": {"blocks": [2]}, "target": {"blocks": [2]}, "kraus": [[[1, 0], [0, 1]]]}
+
+
+class TestMalformedPayloads:
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("gns", {"shape": {"blocks": [2]}, "densities": [np.eye(3).tolist()]}),
+            ("gns", {"prob": "ab"}),
+            ("gns", 5),
+            ("check-channel", {"stochastic": [1, 2]}),
+            ("check-channel", {**QUBIT_IDENTITY, "kraus": [[[1, 0, 0], [0, 1, 0]]]}),
+        ],
+    )
+    def test_is_input_error(self, tmp_path, command, payload):
+        flag = "--state" if command == "gns" else "--channel"
+        code, rep = run_cli([command, flag, write_json(tmp_path, "p.json", payload)], tmp_path)
+        assert code == 2
+        assert rep["error"] and "internal_error" not in rep
+
+
+class TestBadFlagValues:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gns", "--state", "STATE", "--tol", "nan"],
+            ["gns", "--state", "STATE", "--tol=-1e-9"],
+            ["check-channel", "--channel", "CHANNEL", "--tol", "nan"],
+            ["check-channel", "--channel", "CHANNEL", "--tol", "inf"],
+            ["congruence-invariance", "--samples", "-2"],
+            ["tracial-uniqueness", "--samples", "-1"],
+            ["tracial-uniqueness", "--samples", "0"],
+            ["monotonicity", "--morphism", "CHANNEL", "--samples", "-1"],
+            ["tracial-uniqueness", "--seed", "-3"],
+        ],
+    )
+    def test_is_input_error(self, tmp_path, args):
+        files = {
+            "STATE": write_json(tmp_path, "s.json", QUBIT_STATE),
+            "CHANNEL": write_json(tmp_path, "c.json", QUBIT_IDENTITY),
+        }
+        code, rep = run_cli([files.get(a, a) for a in args], tmp_path)
+        assert code == 2
+        assert rep["error"].startswith(("--tol", "--samples", "--seed"))
+
+    def test_zero_samples_allowed_for_monotonicity(self, tmp_path):
+        shape = mk_shape([2])
+        rho = mk_state(shape, [np.diag([0.75, 0.25])])
+        m = mk_morphism((shape, rho), (shape, rho), identity_map(shape))
+        path = write_json(tmp_path, "m.json", morphism_to_json(m))
+        code, rep = run_cli(["monotonicity", "--morphism", path, "--samples", "0"], tmp_path)
+        assert code == 0
+        assert rep["n_samples"] == 0 and rep["pass"] is True
+
+
+class TestInternalError:
+    def test_unexpected_exception_is_reported(self, tmp_path, monkeypatch, capsys):
+        def broken(_args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_omf_catalog", broken)
+        code, rep = run_cli(["omf-catalog"], tmp_path)
+        assert code == 3
+        assert rep["internal_error"] is True
+        assert rep["error"] == "RuntimeError: boom"
+        assert set(rep) == {"schema", "command", "error", "internal_error", "timestamp"}
+        assert "RuntimeError: boom" in capsys.readouterr().err
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.fixture(scope="module")
+def payload_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("payloads")
+    return {
+        "gns": ["--state", write_json(root, "s.json", QUBIT_STATE)],
+        "check-channel": ["--channel", write_json(root, "c.json", QUBIT_IDENTITY)],
+    }
+
+
+class TestExitCodeContract:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(["gns", "check-channel", "tracial-uniqueness", "omf-catalog"]),
+        st.one_of(st.floats(), st.sampled_from([float("nan"), float("inf"), -float("inf"), -1.0])),
+        st.integers(-5, 3),
+    )
+    def test_codes_and_strict_json(self, payload_files, command, tol, samples):
+        argv = [command, *payload_files.get(command, [])]
+        if command != "omf-catalog":
+            argv.append(f"--tol={tol!r}")
+        if command == "tracial-uniqueness":
+            argv.append(f"--samples={samples}")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert _strict_json(out.getvalue())["command"] == command

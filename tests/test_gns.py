@@ -13,6 +13,7 @@ from conftest import (
 from ncplab.algebra import (
     adjoint,
     basis,
+    element_from_coords,
     hs_norm,
     identity,
     mk_element,
@@ -87,7 +88,7 @@ class TestBuild:
         for seed, shape in enumerate(STANDARD_SHAPES):
             rho = random_state(shape, faithful=(seed % 2 == 0), seed=seed + 10)
             space = build_gns(shape, rho)
-            reps = space.rep_elements
+            reps = [element_from_coords(shape, c) for c in space.rep_matrix.T]
             gram = np.array(
                 [[inner(space, a, b) for b in reps] for a in reps]
             )
