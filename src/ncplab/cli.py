@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import covariance, models
-from .algebra import ShapeError
+from .algebra import ShapeError, mk_shape
 from .channels import ChannelValidationError, MorphismValidationError, is_cp, is_unital, min_choi_eig
 from .covariance import kind_from_name, omf_catalog
 from .gns import GnsQuotientError, build_gns
@@ -125,27 +125,19 @@ def _oracle_for(model_name: str, theta: np.ndarray):
 def _cmd_gns(args) -> tuple[int, dict]:
     state = state_from_json(_load_json(args.state))
     space = build_gns(state.shape, state, tol=args.tol)
-    report = {
+    return EXIT_PASS, {
         "dim": space.dim,
         "gram_eigenvalues": [float(x) for x in space.gram_eigenvalues],
         "cyclic_norm": float(np.linalg.norm(space.cyclic)),
         "tol": args.tol,
     }
-    return EXIT_PASS, report
 
 
 def _cmd_check_channel(args) -> tuple[int, dict]:
     phi = cpumap_from_json(_load_json(args.channel))
-    cp = is_cp(phi, tol=args.tol)
-    unital = is_unital(phi)
-    report = {
-        "cp": cp,
-        "unital": unital,
-        "min_choi_eig": min_choi_eig(phi),
-        "tol": args.tol,
-    }
-    code = EXIT_PASS if (cp and unital) else EXIT_PROPERTY_FAILURE
-    return code, report
+    cp, unital = is_cp(phi, tol=args.tol), is_unital(phi)
+    report = {"cp": cp, "unital": unital, "min_choi_eig": min_choi_eig(phi), "tol": args.tol}
+    return (EXIT_PASS if (cp and unital) else EXIT_PROPERTY_FAILURE), report
 
 
 def _cmd_monotonicity(args) -> tuple[int, dict]:
@@ -194,7 +186,7 @@ def _cmd_gaussian_demo(args) -> tuple[int, dict]:
     oracle = models.gaussian_fisher_rao_metric(args.mu, args.sigma)
     denom = np.sqrt(np.outer(np.diag(oracle), np.diag(oracle)))
     rel = float(np.max(np.abs(g - oracle) / denom))
-    report = {
+    return EXIT_PASS, {
         "bins": args.bins,
         "range": [args.mu - span, args.mu + span],
         "theta": [args.mu, args.sigma],
@@ -202,12 +194,9 @@ def _cmd_gaussian_demo(args) -> tuple[int, dict]:
         "oracle": [[float(x) for x in row] for row in oracle],
         "relative_error": rel,
     }
-    return EXIT_PASS, report
 
 
 def _cmd_tracial_uniqueness(args) -> tuple[int, dict]:
-    from .algebra import mk_shape
-
     shapes = [mk_shape([2]), mk_shape([3]), mk_shape([1, 1]), mk_shape([2, 3])]
     report = covariance.tracial_collapse_check(
         shapes, n_states=args.samples, seed=args.seed, tol=args.tol
@@ -225,19 +214,16 @@ def _cmd_congruence_invariance(args) -> tuple[int, dict]:
         raise InputError("congruence invariance applies to abelian models only")
     rng = np.random.default_rng(args.seed)
     n = model.shape.num_blocks
-    worst = 0.0
     per_embedding = []
     for _ in range(args.samples):
         fiber_sizes = rng.integers(1, 4, size=n)
         partition = np.repeat(np.arange(n), fiber_sizes)
-        weights = np.concatenate(
-            [rng.dirichlet(np.ones(sz)) for sz in fiber_sizes]
-        )
+        weights = np.concatenate([rng.dirichlet(np.ones(sz)) for sz in fiber_sizes])
         emb = congruent_embedding(partition, weights)
         thetas = [_random_interior_theta(model, rng) for _ in range(3)]
         rep = models.congruence_invariance_check(model, emb, thetas, tol=args.tol)
         per_embedding.append(rep["max_metric_deviation"])
-        worst = max(worst, rep["max_metric_deviation"])
+    worst = max(per_embedding, default=0.0)
     report = {
         "model": model.name,
         "n_embeddings": args.samples,
@@ -355,33 +341,47 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict, out_path: str | None) -> None:
+def _stamped(command: str, body: dict) -> dict:
+    stamp = datetime.now(timezone.utc).isoformat()
+    return {"schema": SCHEMA_VERSION, "command": command, **body, "timestamp": stamp}
+
+
+def _emit(report: dict, out_path: str | None) -> bool:
+    """Write ``report`` as strict JSON to ``out_path`` or standard output;
+    False when that fails.  An unwritable ``out_path`` is reported on standard
+    output (keeping the report's error and ``internal_error``), an unwritable
+    standard output on standard error."""
     text = json.dumps(report, indent=2, allow_nan=False) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+            return True
+        except OSError as exc:
+            kept = {"internal_error": True} if report.get("internal_error") else {}
+            error = "; ".join(filter(None, (report.get("error"), str(exc))))
+            text = json.dumps(_stamped(report["command"], {"error": error, **kept}), indent=2) + "\n"
+    try:
         sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        sys.stderr.write(f"cannot write the report to standard output: {exc}\n")
+        return False
+    return not out_path
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    head = {"schema": SCHEMA_VERSION, "command": args.command}
     try:
-        try:
-            _check_flags(args)
-            code, body = args.handler(args)
-        except INPUT_ERRORS as exc:
-            code, body = EXIT_INPUT_ERROR, {"error": str(exc)}
-        _emit({**head, **body, "timestamp": datetime.now(timezone.utc).isoformat()}, args.out)
-    except OSError as exc:  # only writing --out can raise it here: report on stdout
-        _emit({**head, "error": str(exc), "timestamp": datetime.now(timezone.utc).isoformat()}, None)
-        return EXIT_INPUT_ERROR
+        _check_flags(args)
+        code, body = args.handler(args)
+        return code if _emit(_stamped(args.command, body), args.out) else EXIT_INPUT_ERROR
+    except INPUT_ERRORS as exc:
+        code, body = EXIT_INPUT_ERROR, {"error": str(exc)}
     except Exception as exc:
         traceback.print_exc()
-        body = {"error": f"{type(exc).__name__}: {exc}", "internal_error": True}
-        _emit({**head, **body, "timestamp": datetime.now(timezone.utc).isoformat()}, args.out)
-        return EXIT_INTERNAL_ERROR
+        code, body = EXIT_INTERNAL_ERROR, {"error": f"{type(exc).__name__}: {exc}", "internal_error": True}
+    _emit(_stamped(args.command, body), args.out)
     return code
 
 

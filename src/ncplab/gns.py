@@ -184,7 +184,7 @@ class GnsSpace:
     def rep_matrix(self) -> np.ndarray:
         """element_dim x dim: column q holds the coordinates of an element
         whose class is the q-th orthonormal basis vector."""
-        return self.iso_matrix.conj().T / self._sorted_eigs
+        return self._scatter(lambda g: g.vecs.conj() / np.sqrt(g.eigs)[:, None, :])[self._perm].T
 
     @property
     def null_matrix(self) -> np.ndarray:

@@ -37,7 +37,6 @@ from ncplab.states import (
 )
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
-EPS = np.finfo(float).eps
 
 shapes = st.lists(st.integers(1, 4), min_size=1, max_size=6)
 small_shapes = st.lists(st.integers(1, 4), min_size=1, max_size=4)
@@ -86,9 +85,8 @@ class TestGnsAgainstLoops:
         for _ in range(3):
             a = random_element(rho.shape, rng)
             assert np.array_equal(embed(space, a), loops.embed(a))
-        # E^dag / w rounds differently from the loops' conj(v) / sqrt(w)
         reps = np.column_stack([coords(x) for x in loops.rep_elements()])
-        assert np.all(np.abs(space.rep_matrix - reps) <= 4 * EPS * np.abs(reps))
+        assert np.array_equal(space.rep_matrix, reps)
 
     @SETTINGS
     @given(shapes, seeds, st.booleans())

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -312,6 +313,35 @@ class TestInternalError:
         assert rep["error"] == "RuntimeError: boom"
         assert set(rep) == {"schema", "command", "error", "internal_error", "timestamp"}
         assert "RuntimeError: boom" in capsys.readouterr().err
+
+    def test_unexpected_exception_with_unwritable_out(self, tmp_path, monkeypatch, capsys):
+        def broken(_args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_omf_catalog", broken)
+        code = main(["omf-catalog", "--out", str(tmp_path / "missing" / "r.json")])
+        assert code == 3
+        rep = _strict_json(capsys.readouterr().out)
+        assert rep["internal_error"] is True
+        assert rep["error"].startswith("RuntimeError: boom; ") and "No such file" in rep["error"]
+
+
+class TestUnwritableStdout:
+    class Closed:
+        def write(self, _text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    @pytest.mark.parametrize("crash", [False, True])
+    def test_reported_on_stderr(self, monkeypatch, capsys, crash):
+        if crash:
+            monkeypatch.setattr(cli, "_cmd_omf_catalog", lambda _args: 1 / 0)
+        monkeypatch.setattr(sys, "stdout", self.Closed())
+        code = main(["omf-catalog"])
+        assert code == (3 if crash else 2)
+        assert "cannot write the report to standard output: [Errno 32] Broken pipe" in capsys.readouterr().err
 
 
 def _strict_json(text):
