@@ -1,21 +1,34 @@
 """Finite-dimensional W*-algebras stored as direct sums of full complex matrix blocks.
 
-Every algebra here is canonically block-diagonal: an element is one complex
-n_k x n_k matrix per block.  Elements are immutable after construction and all
-operations return new values, so they are safe to share across threads.
+Every algebra here is canonically block-diagonal.  An element is stored as
+one read-only complex vector, its coordinates: block-major, entries
+row-major inside each block.  This order matches :func:`basis`, so the
+coordinates of an element are literally its matrix entries, and it is the
+order every layer of the package (channels, GNS quotients, covariance
+kernels, pullbacks) and the wire format use.  ``blocks`` are read-only
+per-block matrix views of that vector, for callers that want matrices.
 
-The coordinate convention used throughout the package: an element is
-vectorized block-major, entries row-major inside each block.  This order
-matches :func:`basis`, so coordinates of an element are literally its matrix
-entries.
+:class:`AlgebraShape` computes once and caches the index maps that move
+between the vector and its blocks: block offsets, the per-size gather
+positions, the blockwise-transpose permutation and the positions inside the
+enveloping full matrix algebra.  Elements never change after construction,
+and all operations return new values, so they are safe to share across
+threads: a cached map or view computed twice by two threads is the same
+value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 class ShapeError(ValueError):
@@ -24,7 +37,11 @@ class ShapeError(ValueError):
 
 @dataclass(frozen=True)
 class AlgebraShape:
-    """Block dimensions (n_1, ..., n_K) of a direct sum of matrix algebras."""
+    """Block dimensions (n_1, ..., n_K) of a direct sum of matrix algebras.
+
+    The index maps between coordinates and blocks are computed on first use
+    and cached as read-only integer arrays.
+    """
 
     blocks: tuple[int, ...]
 
@@ -54,12 +71,48 @@ class AlgebraShape:
     def is_abelian(self) -> bool:
         return all(n == 1 for n in self.blocks)
 
-    def block_offsets(self) -> list[int]:
+    def block_offsets(self) -> np.ndarray:
         """Start index of each block in the coordinate vector (plus end)."""
-        offs = [0]
-        for n in self.blocks:
-            offs.append(offs[-1] + n * n)
-        return offs
+        return self._offsets
+
+    @cached_property
+    def _offsets(self) -> np.ndarray:
+        return _frozen(np.concatenate([[0], np.cumsum(np.asarray(self.blocks) ** 2)]))
+
+    @cached_property
+    def size_positions(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+        """Per block size n, ascending: the block numbers of that size (K_n,)
+        and the coordinates of their entries (K_n, n, n), so that
+        ``vec[pos]`` stacks those blocks of a coordinate vector."""
+        sizes = np.asarray(self.blocks)
+        out = []
+        for n in np.unique(sizes).tolist():
+            index = np.flatnonzero(sizes == n)
+            pos = self._offsets[index][:, None, None] + np.arange(n * n).reshape(n, n)
+            out.append((n, _frozen(index), _frozen(pos)))
+        return tuple(out)
+
+    @cached_property
+    def transpose_perm(self) -> np.ndarray:
+        """``vec[transpose_perm]`` are the coordinates of the blockwise transpose."""
+        out = np.empty(self.element_dim, dtype=int)
+        for _, _, pos in self.size_positions:
+            out[pos] = pos.swapaxes(1, 2)
+        return _frozen(out)
+
+    @cached_property
+    def full_positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row and column, inside the enveloping M_N, of each coordinate."""
+        n = np.asarray(self.blocks)
+        size = n * n
+        local = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        start, per = np.repeat(np.cumsum(n) - n, size), np.repeat(n, size)
+        return _frozen(start + local // per), _frozen(start + local % per)
+
+    def split(self, vec: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-block n_k x n_k views of a coordinate vector."""
+        offs = self._offsets.tolist()
+        return tuple(vec[offs[k]: offs[k + 1]].reshape(n, n) for k, n in enumerate(self.blocks))
 
     def __repr__(self) -> str:  # compact, e.g. AlgebraShape[2,3]
         return f"AlgebraShape{list(self.blocks)}"
@@ -70,12 +123,22 @@ def mk_shape(dims: Sequence[int]) -> AlgebraShape:
     return AlgebraShape(tuple(dims))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgebraElement:
-    """One complex matrix per block of ``shape``.  Immutable."""
+    """An element of ``shape`` held as its read-only coordinate vector ``vec``.
+    Immutable; equal when shapes and coordinates are."""
 
     shape: AlgebraShape
-    blocks: tuple[np.ndarray, ...]
+    vec: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, AlgebraElement) and self.shape == other.shape
+        return same and np.array_equal(self.vec, other.vec)
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """Read-only per-block matrix views of ``vec``."""
+        return self.shape.split(self.vec)
 
     # --- sugar; the module-level functions are the primary API ---
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -100,38 +163,43 @@ class AlgebraElement:
         return adjoint(self)
 
 
+def _from_vec(shape: AlgebraShape, vec) -> AlgebraElement:
+    """Internal constructor: takes over a coordinate vector of the right
+    length (copied only to make it complex and contiguous) and freezes it."""
+    return AlgebraElement(shape, _frozen(np.ascontiguousarray(vec, dtype=complex)))
+
+
 def _wrap(shape: AlgebraShape, blocks) -> AlgebraElement:
-    """Internal constructor: freezes arrays without re-validating sizes."""
-    frozen = []
-    for b in blocks:
-        arr = np.ascontiguousarray(b, dtype=complex)
-        arr.flags.writeable = False
-        frozen.append(arr)
-    return AlgebraElement(shape, tuple(frozen))
+    """Internal constructor from per-block matrices, without re-validating sizes."""
+    return _from_vec(shape, np.concatenate(blocks, axis=None, dtype=complex))
+
+
+def _checked_vec(shape: AlgebraShape, blocks: Sequence, what: str) -> np.ndarray:
+    """Coordinate vector of per-block matrices, each checked against ``shape``;
+    errors name the offending ``what`` (say "block")."""
+    if len(blocks) != shape.num_blocks:
+        raise ShapeError(f"expected {shape.num_blocks} {what}s, got {len(blocks)}")
+    mats = []
+    for k, (n, b) in enumerate(zip(shape.blocks, blocks)):
+        mats.append(np.asarray(b, dtype=complex))
+        if mats[-1].shape != (n, n):
+            raise ShapeError(f"{what} {k} must be {n}x{n}, got {mats[-1].shape}")
+    return np.concatenate(mats, axis=None)
 
 
 def mk_element(shape: AlgebraShape, blocks: Sequence) -> AlgebraElement:
     """Validated element from per-block matrices."""
-    if len(blocks) != shape.num_blocks:
-        raise ShapeError(
-            f"expected {shape.num_blocks} blocks, got {len(blocks)}"
-        )
-    mats = []
-    for k, (n, b) in enumerate(zip(shape.blocks, blocks)):
-        arr = np.asarray(b, dtype=complex)
-        if arr.shape != (n, n):
-            raise ShapeError(f"block {k} must be {n}x{n}, got {arr.shape}")
-        mats.append(arr)
-    return _wrap(shape, mats)
+    return _from_vec(shape, _checked_vec(shape, blocks, "block"))
 
 
 def identity(shape: AlgebraShape) -> AlgebraElement:
     """Unit of the algebra: per-block identity matrices."""
-    return _wrap(shape, [np.eye(n, dtype=complex) for n in shape.blocks])
+    rows, cols = shape.full_positions
+    return _from_vec(shape, rows == cols)
 
 
 def zero(shape: AlgebraShape) -> AlgebraElement:
-    return _wrap(shape, [np.zeros((n, n), dtype=complex) for n in shape.blocks])
+    return _from_vec(shape, np.zeros(shape.element_dim))
 
 
 def _check_same_shape(a: AlgebraElement, b: AlgebraElement) -> None:
@@ -147,16 +215,16 @@ def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 def adjoint(a: AlgebraElement) -> AlgebraElement:
     """Blockwise conjugate transpose; an exact involution."""
-    return _wrap(a.shape, [x.conj().T for x in a.blocks])
+    return _from_vec(a.shape, a.vec[a.shape.transpose_perm].conj())
 
 
 def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     _check_same_shape(a, b)
-    return _wrap(a.shape, [x + y for x, y in zip(a.blocks, b.blocks)])
+    return _from_vec(a.shape, a.vec + b.vec)
 
 
 def scale(c, a: AlgebraElement) -> AlgebraElement:
-    return _wrap(a.shape, [complex(c) * x for x in a.blocks])
+    return _from_vec(a.shape, complex(c) * a.vec)
 
 
 def trace_functional(a: AlgebraElement) -> complex:
@@ -166,7 +234,7 @@ def trace_functional(a: AlgebraElement) -> complex:
 
 def hs_norm(a: AlgebraElement) -> float:
     """Hilbert-Schmidt norm sqrt(sum_k Tr(a_k^dag a_k))."""
-    return float(np.sqrt(sum(np.sum(np.abs(x) ** 2) for x in a.blocks)))
+    return float(np.sqrt(np.sum(np.abs(a.vec) ** 2)))
 
 
 def is_positive(a: AlgebraElement, tol: float = 1e-10) -> bool:
@@ -186,14 +254,7 @@ def basis(shape: AlgebraShape) -> list[AlgebraElement]:
     The order is fixed so that Gram matrices and quotient coordinates are
     reproducible bit-for-bit across runs.
     """
-    out = []
-    for k, n in enumerate(shape.blocks):
-        for i in range(n):
-            for j in range(n):
-                mats = [np.zeros((m, m), dtype=complex) for m in shape.blocks]
-                mats[k][i, j] = 1.0
-                out.append(_wrap(shape, mats))
-    return out
+    return [_from_vec(shape, e) for e in np.eye(shape.element_dim, dtype=complex)]
 
 
 def hermitian_matrix_basis(n: int) -> list[np.ndarray]:
@@ -223,50 +284,38 @@ def hermitian_matrix_basis(n: int) -> list[np.ndarray]:
 
 def hermitian_basis(shape: AlgebraShape) -> list[AlgebraElement]:
     """Real basis of self-adjoint elements, block-major."""
-    out = []
-    for k, n in enumerate(shape.blocks):
-        for m in hermitian_matrix_basis(n):
-            mats = [np.zeros((p, p), dtype=complex) for p in shape.blocks]
-            mats[k] = m
-            out.append(_wrap(shape, mats))
-    return out
+    # row q holds the coordinates of basis element q; block k's n_k^2
+    # elements take the rows of its own coordinates
+    out = np.zeros((shape.element_dim, shape.element_dim), dtype=complex)
+    for n, _, pos in shape.size_positions:
+        at = pos.reshape(-1, n * n)
+        out[at[:, :, None], at[:, None, :]] = np.reshape(hermitian_matrix_basis(n), (n * n, n * n))
+    return [_from_vec(shape, e) for e in out]
 
 
 def coords(a: AlgebraElement) -> np.ndarray:
-    """Vectorize an element: blocks concatenated, entries row-major."""
-    return np.concatenate([x.ravel() for x in a.blocks])
+    """The element's read-only coordinate vector: blocks in order, entries row-major."""
+    return a.vec
 
 
 def element_from_coords(shape: AlgebraShape, vec: np.ndarray) -> AlgebraElement:
-    """Inverse of :func:`coords`."""
-    vec = np.asarray(vec, dtype=complex)
+    """Inverse of :func:`coords`; the element keeps a copy of ``vec``."""
+    vec = np.array(vec, dtype=complex)
     if vec.shape != (shape.element_dim,):
         raise ShapeError(
             f"coordinate vector must have length {shape.element_dim}, got {vec.shape}"
         )
-    offs = shape.block_offsets()
-    mats = [
-        vec[offs[k]: offs[k + 1]].reshape(n, n)
-        for k, n in enumerate(shape.blocks)
-    ]
-    return _wrap(shape, mats)
+    return _from_vec(shape, vec)
 
 
 def full_positions(shape: AlgebraShape) -> tuple[np.ndarray, np.ndarray]:
     """Row and column, inside the enveloping M_N, of each coordinate."""
-    n = np.asarray(shape.blocks)
-    size = n * n
-    local = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-    start, per = np.repeat(np.cumsum(n) - n, size), np.repeat(n, size)
-    return start + local // per, start + local % per
+    return shape.full_positions
 
 
 def embed_full(a: AlgebraElement) -> np.ndarray:
     """Element as a block-diagonal matrix inside the enveloping M_N."""
     N = a.shape.total_dim
     out = np.zeros((N, N), dtype=complex)
-    pos = 0
-    for x, n in zip(a.blocks, a.shape.blocks):
-        out[pos: pos + n, pos: pos + n] = x
-        pos += n
+    out[a.shape.full_positions] = a.vec
     return out

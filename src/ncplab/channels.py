@@ -31,17 +31,15 @@ from .algebra import (
     AlgebraElement,
     AlgebraShape,
     ShapeError,
+    _from_vec,
     _wrap,
     basis,
-    coords,
-    element_from_coords,
     embed_full,
-    full_positions,
     identity,
     hs_norm,
     mk_shape,
 )
-from .states import NormalState, StateValidationError, evaluate, mk_state
+from .states import NormalState, StateValidationError, _state_from_vec, evaluate
 
 CP_TOL = 1e-9
 UNITAL_TOL = 1e-10
@@ -97,7 +95,7 @@ def apply(phi: CpuMap, b: AlgebraElement) -> AlgebraElement:
     """Evaluate phi on an element of its source algebra."""
     if b.shape != phi.source_shape:
         raise ShapeError(f"element shape {b.shape} != map source {phi.source_shape}")
-    return element_from_coords(phi.target_shape, phi.linear_action @ coords(b))
+    return _from_vec(phi.target_shape, phi.linear_action @ b.vec)
 
 
 def from_linear(src: AlgebraShape, dst: AlgebraShape, matrix) -> CpuMap:
@@ -142,7 +140,7 @@ def from_kraus(src: AlgebraShape, dst: AlgebraShape, kraus_list) -> CpuMap:
         raise ChannelValidationError(
             f"Kraus family is not unital: ||sum K^dag K - 1|| = {dev:.3e}"
         )
-    (si, sj), (da, db) = full_positions(src), full_positions(dst)
+    (si, sj), (da, db) = src.full_positions, dst.full_positions
     action = sum(k[si][:, da].conj() * k[sj][:, db] for k in ks).T
     action.flags.writeable = False
     frozen = []
@@ -163,26 +161,15 @@ def conjugation_map(shape: AlgebraShape, block_unitaries) -> CpuMap:
     mats = [np.asarray(u, dtype=complex) for u in block_unitaries]
     if len(mats) != shape.num_blocks:
         raise ShapeError("one unitary per block required")
-    full = np.zeros((shape.total_dim, shape.total_dim), dtype=complex)
-    pos = 0
     for u, n in zip(mats, shape.blocks):
         if u.shape != (n, n):
             raise ShapeError(f"unitary must be {n}x{n}, got {u.shape}")
-        full[pos: pos + n, pos: pos + n] = u
-        pos += n
-    return from_kraus(shape, shape, [full])
+    return from_kraus(shape, shape, [embed_full(_wrap(shape, mats))])
 
 
 def transpose_map(shape: AlgebraShape) -> CpuMap:
     """Blockwise transpose.  Positive and unital but not CP for blocks >= 2."""
-    dim = shape.element_dim
-    action = np.zeros((dim, dim), dtype=complex)
-    offs = shape.block_offsets()
-    for k, n in enumerate(shape.blocks):
-        for i in range(n):
-            for j in range(n):
-                action[offs[k] + j * n + i, offs[k] + i * n + j] = 1.0
-    return from_linear(shape, shape, action)
+    return from_linear(shape, shape, np.eye(shape.element_dim)[shape.transpose_perm])
 
 
 def choi(phi: CpuMap) -> np.ndarray:
@@ -192,36 +179,35 @@ def choi(phi: CpuMap) -> np.ndarray:
     source matrix algebra onto the source blocks and M embeds target elements
     block-diagonally.  phi is CP iff this matrix is PSD.
     """
-    NB, NA = phi.source_shape.total_dim, phi.target_shape.total_dim
-    C = np.zeros((NB * NA, NB * NA), dtype=complex)
-    offs = [0]
-    for n in phi.source_shape.blocks:
-        offs.append(offs[-1] + n)
-    for k, n in enumerate(phi.source_shape.blocks):
-        for a in range(n):
-            for b in range(n):
-                i, j = offs[k] + a, offs[k] + b
-                e = [np.zeros((m, m), dtype=complex) for m in phi.source_shape.blocks]
-                e[k][a, b] = 1.0
-                out = embed_full(apply(phi, _wrap(phi.source_shape, e)))
-                C[i * NA: (i + 1) * NA, j * NA: (j + 1) * NA] = out
-    return C / NB
+    src, dst = phi.source_shape, phi.target_shape
+    NB, NA = src.total_dim, dst.total_dim
+    (si, sj), (da, db) = src.full_positions, dst.full_positions
+    # entry (i*NA + a, j*NA + b) of C is entry [i, a, j, b] of this view
+    C = np.zeros((NB, NA, NB, NA), dtype=complex)
+    for q in range(src.element_dim):
+        unit = np.zeros(src.element_dim)
+        unit[q] = 1.0
+        C[si[q], da, sj[q], db] = apply(phi, _from_vec(src, unit)).vec
+    return C.reshape(NB * NA, NB * NA) / NB
+
+
+def _choi_test(phi: CpuMap, tol: float) -> tuple[bool, float]:
+    """(CP verdict, min eigenvalue of the Hermitian part of the Choi matrix)
+    from one Choi matrix and one eigensolve; tolerance scaled by Choi trace."""
+    c = choi(phi)
+    herm_dev = float(np.max(np.abs(c - c.conj().T)))
+    scale = max(1.0, abs(float(np.trace(c).real)))
+    min_eig = float(np.linalg.eigvalsh((c + c.conj().T) / 2.0)[0])
+    return herm_dev <= tol * scale and min_eig >= -tol * scale, min_eig
 
 
 def min_choi_eig(phi: CpuMap) -> float:
-    c = choi(phi)
-    return float(np.linalg.eigvalsh((c + c.conj().T) / 2.0)[0])
+    return _choi_test(phi, CP_TOL)[1]
 
 
 def is_cp(phi: CpuMap, tol: float = CP_TOL) -> bool:
     """Complete positivity via the Choi test, tolerance scaled by Choi trace."""
-    c = choi(phi)
-    herm_dev = float(np.max(np.abs(c - c.conj().T)))
-    scale = max(1.0, abs(float(np.trace(c).real)))
-    if herm_dev > tol * scale:
-        return False
-    min_eig = float(np.linalg.eigvalsh((c + c.conj().T) / 2.0)[0])
-    return min_eig >= -tol * scale
+    return _choi_test(phi, tol)[0]
 
 
 def is_unital(phi: CpuMap, tol: float = UNITAL_TOL) -> bool:
@@ -235,12 +221,16 @@ def predual_apply(phi: CpuMap, density_blocks) -> list[np.ndarray]:
     Solves sum_k Tr(out_k b_k) = sum_k Tr(in_k phi(b)_k) for all b; no state
     validation is performed, so this can push derivative data as well.
     """
-    vec_in = np.concatenate(
-        [m.T.ravel() for m in density_blocks]
-    )  # coords of blockwise transpose
-    vec_out = phi.linear_action.T @ vec_in
-    out_t = element_from_coords(phi.source_shape, vec_out)
-    return [m.T for m in out_t.blocks]
+    vec = np.concatenate(density_blocks, axis=None, dtype=complex)
+    return list(phi.source_shape.split(_predual_vec(phi, vec)))
+
+
+def _predual_vec(phi: CpuMap, vec: np.ndarray) -> np.ndarray:
+    """:func:`predual_apply` on coordinate vectors: the transpose of the
+    action, conjugated by the blockwise transposes of target and source."""
+    return (phi.linear_action.T @ vec[phi.target_shape.transpose_perm])[
+        phi.source_shape.transpose_perm
+    ]
 
 
 def predual(phi: CpuMap, rho: NormalState) -> NormalState:
@@ -253,9 +243,8 @@ def predual(phi: CpuMap, rho: NormalState) -> NormalState:
         raise ShapeError(
             f"state shape {rho.shape} != map target {phi.target_shape}"
         )
-    mats = predual_apply(phi, rho.densities)
     try:
-        return mk_state(phi.source_shape, mats)
+        return _state_from_vec(phi.source_shape, _predual_vec(phi, rho.vec))
     except StateValidationError as exc:
         raise ChannelValidationError(
             f"predual output is not a valid state ({exc}); "
@@ -285,10 +274,10 @@ def mk_morphism(
     if not is_unital(phi):
         dev = hs_norm(apply(phi, identity(shape_b)) - identity(shape_a))
         raise MorphismValidationError(f"carrier map is not unital (deviation {dev:.3e})")
-    if not is_cp(phi):
+    cp, min_eig = _choi_test(phi, CP_TOL)
+    if not cp:
         raise MorphismValidationError(
-            f"carrier map is not completely positive "
-            f"(min Choi eigenvalue {min_choi_eig(phi):.3e})"
+            f"carrier map is not completely positive (min Choi eigenvalue {min_eig:.3e})"
         )
     worst = 0.0
     for b in basis(shape_b):
@@ -314,9 +303,7 @@ def compose(phi2: NcpMorphism, phi1: NcpMorphism) -> NcpMorphism:
     """
     shape_b1, sigma1 = phi1.target
     shape_b2, sigma2 = phi2.source
-    if shape_b1 != shape_b2 or not all(
-        np.array_equal(x, y) for x, y in zip(sigma1.densities, sigma2.densities)
-    ):
+    if shape_b1 != shape_b2 or not np.array_equal(sigma1.vec, sigma2.vec):
         raise ShapeError("middle objects of the composition do not match")
     action = phi1.cpu.linear_action @ phi2.cpu.linear_action
     action.flags.writeable = False

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import covariance, models
 from .algebra import ShapeError, mk_shape
-from .channels import ChannelValidationError, MorphismValidationError, is_cp, is_unital, min_choi_eig
+from .channels import ChannelValidationError, MorphismValidationError, _choi_test, is_unital
 from .covariance import kind_from_name, omf_catalog
 from .gns import GnsQuotientError, build_gns
 from .models import ModelDomainError
@@ -72,6 +72,9 @@ def _check_flags(args) -> None:
     tol = getattr(args, "tol", 0.0)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InputError(f"--tol must be finite and >= 0, got {tol}")
+    # a relative cutoff >= 1 drops every eigenvalue, the unit's class (norm 1) included
+    if args.command == "gns" and not tol < 1.0:
+        raise InputError(f"--tol for gns must be < 1, got {tol}")
     least = MIN_SAMPLES.get(args.command)
     if least is not None and args.samples < least:
         raise InputError(f"--samples must be >= {least}, got {args.samples}")
@@ -135,8 +138,8 @@ def _cmd_gns(args) -> tuple[int, dict]:
 
 def _cmd_check_channel(args) -> tuple[int, dict]:
     phi = cpumap_from_json(_load_json(args.channel))
-    cp, unital = is_cp(phi, tol=args.tol), is_unital(phi)
-    report = {"cp": cp, "unital": unital, "min_choi_eig": min_choi_eig(phi), "tol": args.tol}
+    (cp, min_eig), unital = _choi_test(phi, args.tol), is_unital(phi)
+    report = {"cp": cp, "unital": unital, "min_choi_eig": min_eig, "tol": args.tol}
     return (EXIT_PASS if (cp and unital) else EXIT_PROPERTY_FAILURE), report
 
 

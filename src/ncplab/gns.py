@@ -36,7 +36,7 @@ import numpy as np
 from .algebra import AlgebraElement, AlgebraShape, ShapeError, adjoint, multiply
 from .channels import NcpMorphism, compose, identity_morphism
 from .channels import apply  # noqa: F401  (perfbench's binding test reads ncplab.gns.apply)
-from .states import NormalState, SUPPORT_RTOL, _stack_blocks, evaluate
+from .states import NormalState, SUPPORT_RTOL, evaluate
 
 WELL_DEFINED_TOL = 1e-8
 
@@ -61,7 +61,8 @@ def _phase_fix(vectors: np.ndarray) -> np.ndarray:
 class _RankGroup:
     """Blocks of one size n whose densities keep the same rank r.
 
-    ``index`` holds the block numbers; ``eigs`` (m, r) and ``null_eigs``
+    ``index`` holds the block numbers and ``pos`` the coordinates of their
+    entries (m, n, n); ``eigs`` (m, r) and ``null_eigs``
     (m, n - r) the kept and dropped eigenvalues, descending; ``vecs``
     (m, n, r) and ``null_vecs`` (m, n, n - r) the matching phase-fixed
     eigenvectors.
@@ -70,6 +71,7 @@ class _RankGroup:
     n: int
     rank: int
     index: np.ndarray
+    pos: np.ndarray
     eigs: np.ndarray
     null_eigs: np.ndarray
     vecs: np.ndarray
@@ -106,6 +108,7 @@ class GnsSpace:
                         s.n,
                         r,
                         s.index[sel],
+                        s.pos[sel],
                         np.ascontiguousarray(w[sel, :r]),
                         np.ascontiguousarray(w[sel, r:]),
                         np.ascontiguousarray(v[sel, :, :r]),
@@ -113,10 +116,11 @@ class GnsSpace:
                     )
                 )
         # block k is self._groups[g].index[j] for (g, j) = self._where[k]
-        self._where: list[tuple[int, int]] = [None] * shape.num_blocks
+        where = np.empty((shape.num_blocks, 2), dtype=int)
         for g, grp in enumerate(self._groups):
-            for j, k in enumerate(grp.index.tolist()):
-                self._where[k] = (g, j)
+            where[grp.index, 0] = g
+            where[grp.index, 1] = np.arange(grp.index.size)
+        self._where = where.tolist()  # Python ints: block_form reads one per block
         #: per-kind block forms of each group, filled by covariance.block_form
         self._forms: dict = {}
 
@@ -159,19 +163,13 @@ class GnsSpace:
         """Rows, group by group, for each (block j, row i, column q) of the
         (m, n, c) array ``values(group)``: its column q at row i of block j,
         zero elsewhere, in element coordinates."""
-        offs = np.asarray(self.shape.block_offsets()[:-1])
         vals = [values(g) for g in self._groups]
         out = np.zeros((sum(v.size for v in vals), self.shape.element_dim), dtype=complex)
         start = 0
         for grp, v in zip(self._groups, vals):
             m, n, c = v.shape
             rows = start + np.arange(m * n * c).reshape(m, n, c, 1)
-            cols = (
-                offs[grp.index][:, None, None, None]
-                + n * np.arange(n)[None, :, None, None]
-                + np.arange(n)[None, None, None, :]
-            )
-            out[rows, cols] = v.transpose(0, 2, 1)[:, None, :, :]
+            out[rows, grp.pos[:, :, None, :]] = v.transpose(0, 2, 1)[:, None, :, :]
             start += m * n * c
         return out
 
@@ -202,10 +200,7 @@ def embed(space: GnsSpace, a: AlgebraElement) -> np.ndarray:
     """Coordinates of the class [a] in the orthonormal GNS basis."""
     if a.shape != space.shape:
         raise ShapeError(f"element shape {a.shape} != space shape {space.shape}")
-    raw = [
-        ((_stack_blocks(a.blocks, g.index) @ g.vecs) * np.sqrt(g.eigs)[:, None, :]).ravel()
-        for g in space._groups
-    ]
+    raw = [((a.vec[g.pos] @ g.vecs) * np.sqrt(g.eigs)[:, None, :]).ravel() for g in space._groups]
     return np.concatenate(raw)[space._perm]
 
 
@@ -246,12 +241,8 @@ def induced_contraction(
     shape_b, sigma = morphism.target
     if space_sigma.shape != shape_b or space_rho.shape != shape_a:
         raise ShapeError("GNS spaces do not match the morphism objects")
-    if not all(
-        np.array_equal(x, y)
-        for x, y in zip(space_sigma.state.densities, sigma.densities)
-    ) or not all(
-        np.array_equal(x, y)
-        for x, y in zip(space_rho.state.densities, rho.densities)
+    if not np.array_equal(space_sigma.state.vec, sigma.vec) or not np.array_equal(
+        space_rho.state.vec, rho.vec
     ):
         raise ShapeError("GNS spaces were built for different states")
     iso = space_rho.iso_matrix

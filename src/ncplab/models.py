@@ -32,14 +32,15 @@ from .algebra import (
     AlgebraElement,
     AlgebraShape,
     ShapeError,
+    _from_vec,
     _wrap,
     hermitian_matrix_basis,
     mk_shape,
 )
-from .channels import CpuMap, markov_from_stochastic, predual, predual_apply
+from .channels import CpuMap, _predual_vec, markov_from_stochastic, predual
 from .covariance import CovarianceKind, block_form, gns_kind
 from .gns import build_gns, embed
-from .states import NormalState, _stack_blocks, _unstack, mk_state
+from .states import NormalState, _state_from_vec
 
 
 class ModelDomainError(ValueError):
@@ -102,11 +103,7 @@ class StatModel:
             step[i] = h
             plus = self.state_at(theta + step)
             minus = self.state_at(theta - step)
-            mats = [
-                (p - m) / (2.0 * h)
-                for p, m in zip(plus.densities, minus.densities)
-            ]
-            out.append(_wrap(self.shape, mats))
+            out.append(_from_vec(self.shape, (plus.vec - minus.vec) / (2.0 * h)))
         return out
 
 
@@ -128,27 +125,20 @@ def simplex_model(n: int, derivative_mode: str = "analytic", fd_step: float = 1e
         return np.concatenate([theta, [1.0 - float(np.sum(theta))]])
 
     def state_fn(theta):
-        return mk_state(shape, [np.array([[p]]) for p in probs(theta)])
+        return _state_from_vec(shape, probs(theta))
 
     def deriv_fn(theta):
-        out = []
-        for i in range(n):
-            mats = [np.zeros((1, 1), dtype=complex) for _ in range(n + 1)]
-            mats[i][0, 0] = 1.0
-            mats[n][0, 0] = -1.0
-            out.append(_wrap(shape, mats))
-        return out
+        d = np.eye(n, n + 1)  # row i: d/dp_i moves mass from the last outcome
+        d[:, n] = -1.0
+        return [_from_vec(shape, row) for row in d]
 
     return StatModel(
         f"simplex:{n}", shape, n, domain, state_fn, deriv_fn, derivative_mode, fd_step
     )
 
 
-_PAULI = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
+#: sigma_x, sigma_y, sigma_z, entries row-major
+_PAULI = np.reshape([0, 1, 1, 0, 0, -1j, 1j, 0, 1, 0, 0, -1], (3, 2, 2)).astype(complex)
 
 
 def _bloch_vectors(th: float, ph: float):
@@ -176,7 +166,7 @@ def qubit_faithful_model(derivative_mode: str = "analytic", fd_step: float = 1e-
     def state_fn(theta):
         r, th, ph = theta
         n_hat, _, _ = _bloch_vectors(th, ph)
-        return mk_state(shape, [(np.eye(2) + r * _pauli_dot(n_hat)) / 2.0])
+        return _state_from_vec(shape, ((np.eye(2) + r * _pauli_dot(n_hat)) / 2.0).ravel())
 
     def deriv_fn(theta):
         r, th, ph = theta
@@ -203,7 +193,7 @@ def qubit_pure_model(derivative_mode: str = "analytic", fd_step: float = 1e-5) -
     def state_fn(theta):
         th, ph = theta
         n_hat, _, _ = _bloch_vectors(th, ph)
-        return mk_state(shape, [(np.eye(2) + _pauli_dot(n_hat)) / 2.0])
+        return _state_from_vec(shape, ((np.eye(2) + _pauli_dot(n_hat)) / 2.0).ravel())
 
     def deriv_fn(theta):
         th, ph = theta
@@ -264,8 +254,7 @@ def gaussian_model(
 
     def state_fn(theta):
         p = raw_probs(theta)
-        p = p / p.sum()
-        return mk_state(shape, [np.array([[x]]) for x in p])
+        return _state_from_vec(shape, p / p.sum())
 
     def deriv_fn(theta):
         mu, sig = theta
@@ -275,13 +264,10 @@ def gaussian_model(
         total = p.sum()
         d_mu = -np.diff(pdf) / sig
         d_sig = -np.diff(z * pdf) / sig
-        out = []
-        for d_raw in (d_mu, d_sig):
-            d_norm = (d_raw * total - p * d_raw.sum()) / total**2
-            out.append(
-                _wrap(shape, [np.array([[x]]) for x in d_norm])
-            )
-        return out
+        return [
+            _from_vec(shape, (d_raw * total - p * d_raw.sum()) / total**2)
+            for d_raw in (d_mu, d_sig)
+        ]
 
     return StatModel(
         f"gaussian:{n_bins}",
@@ -358,8 +344,7 @@ class GroupActionModel:
         rho = self.base.state_at(theta)
         pushed = predual(self.automorphism_at(g), rho)
         direct = self.base.state_at(self.act_on_params(g, theta))
-        p = np.array([m[0, 0].real for m in pushed.densities])
-        q = np.array([m[0, 0].real for m in direct.densities])
+        p, q = pushed.vec.real, direct.vec.real
         if interior:
             p, q = p[interior:-interior], q[interior:-interior]
         return float(np.max(np.abs(p - q)))
@@ -372,8 +357,7 @@ class GroupActionModel:
         # the channel at g after the one at g2, one map alive at a time
         mid = predual(self.automorphism_at(g2), rho)
         chained = predual(self.automorphism_at(g), mid)
-        p = np.array([m[0, 0].real for m in direct.densities])
-        q = np.array([m[0, 0].real for m in chained.densities])
+        p, q = direct.vec.real, chained.vec.real
         return float(np.sum(np.abs(p - q)))
 
 
@@ -424,20 +408,17 @@ def _riesz_solve(model: StatModel, theta, kind: CovarianceKind):
     """
     state = model.state_at(theta)
     space = build_gns(model.shape, state)
-    derivs = model.derivatives(theta)
+    derivs = np.column_stack([x.vec for x in model.derivatives(theta)])
     p = model.param_dim
-    forms = [block_form(kind, space, k) for k in range(model.shape.num_blocks)]
     solved = []
     worst_resid = np.zeros(p)
     t_scale = 1.0
     for stack in state.spectrum.stacks:
         m, n2 = stack.index.size, stack.n * stack.n
-        b = _stack_blocks(forms, stack.index)
+        b = np.array([block_form(kind, space, k) for k in stack.index.tolist()])
         h = np.column_stack([x.ravel() for x in hermitian_matrix_basis(stack.n)])
         a = (h.conj().T @ b @ h).real
-        d = np.stack(
-            [_stack_blocks(x.blocks, stack.index).reshape(m, n2) for x in derivs], axis=-1
-        )
+        d = derivs[stack.pos.reshape(m, n2)]
         t = (h.T @ d.conj()).real
         t_scale = max(t_scale, float(np.max(np.abs(t))))
         # minimum-norm least squares, with lstsq's default singular value cutoff
@@ -462,15 +443,10 @@ def riesz_score(model: StatModel, theta, kind: CovarianceKind | None = None) -> 
     these vectors differs from it (1.1e-7 relative on gaussian:4096 over +-20)."""
     kind = kind if kind is not None else gns_kind()
     space, solved = _riesz_solve(model, theta, kind)
-    K = model.shape.num_blocks
-    out = []
-    for i in range(model.param_dim):
-        parts = [
-            (stack.index, scores[..., i].reshape(-1, stack.n, stack.n))
-            for stack, _, scores in solved
-        ]
-        out.append(embed(space, _wrap(model.shape, _unstack(K, parts))))
-    return out
+    vecs = np.zeros((model.shape.element_dim, model.param_dim), dtype=complex)
+    for stack, _, scores in solved:
+        vecs[stack.pos.reshape(-1, stack.n * stack.n)] = scores
+    return [embed(space, _from_vec(model.shape, v)) for v in vecs.T]
 
 
 def metric_pullback(model: StatModel, theta, kind: CovarianceKind | None = None) -> np.ndarray:
@@ -545,11 +521,7 @@ def embedded_model(model: StatModel, embedding: CpuMap) -> StatModel:
         return predual(embedding, model.state_at(theta))
 
     def deriv_fn(theta):
-        out = []
-        for d in model.derivatives(theta):
-            mats = predual_apply(embedding, d.blocks)
-            out.append(_wrap(new_shape, mats))
-        return out
+        return [_from_vec(new_shape, _predual_vec(embedding, d.vec)) for d in model.derivatives(theta)]
 
     return StatModel(
         f"{model.name}+embedded",

@@ -17,7 +17,7 @@ from .channels import (
     markov_from_stochastic,
     mk_morphism,
 )
-from .states import NormalState, mk_state
+from .states import NormalState, _state_from_vec, mk_state
 
 
 class SerializationError(ValueError):
@@ -98,8 +98,7 @@ def state_from_json(obj) -> NormalState:
     _object(obj, "state")
     if "prob" in obj:
         p = _real_matrix_from_json([obj["prob"]])[0]
-        shape = mk_shape([1] * len(p))
-        return mk_state(shape, [np.array([[x]]) for x in p])
+        return _state_from_vec(mk_shape([1] * len(p)), p)
     try:
         shape = shape_from_json(obj["shape"])
         mats = [matrix_from_json(d) for d in obj["densities"]]

@@ -1,16 +1,22 @@
-"""Normal states as per-block density matrices with total trace one.
+"""Normal states as a density coordinate vector with total trace one.
 
-A state evaluates elements as rho(a) = sum_k Tr(D_k a_k).  Classical
-probability vectors are simply states on abelian shapes; there is no separate
-type for them.
+A state holds its densities D_k the way an element holds its blocks: as one
+read-only complex vector in the package's coordinate order (block-major,
+row-major inside each block), with ``densities`` as read-only per-block
+views of it.  A state evaluates elements as rho(a) = sum_k Tr(D_k a_k).
+Classical probability vectors are simply states on abelian shapes, whose
+density vector is the probability vector; there is no separate type for
+them.  States never change after construction, so they are safe to share
+across threads.
 
 Spectral decomposition
 ----------------------
-:func:`mk_state` decomposes each state once and caches the result on it as a
-:class:`Spectrum`.  The densities of each block size n are stacked in block
-order into one (K_n, n, n) array, symmetrized, and diagonalized by a single
-``np.linalg.eigh`` call; each stack keeps its block numbers as the map back
-to block order.  Validation, :func:`is_faithful`, :func:`support`,
+Validation decomposes each state once and caches the result on it as a
+:class:`Spectrum`.  The densities of each block size n are gathered from the
+vector in block order into one (K_n, n, n) array by the shape's per-size
+positions, symmetrized, and diagonalized by a single ``np.linalg.eigh``
+call; each stack keeps its block numbers and positions as the map back to
+the vector.  Validation, :func:`is_faithful`, :func:`support`,
 :meth:`NormalState.block_eigenvalues` and the GNS construction all read this
 cache, so a state on thousands of 1x1 blocks costs one eigensolver call.
 """
@@ -18,6 +24,7 @@ cache, so a state on thousands of 1x1 blocks costs one eigensolver call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,8 +32,11 @@ from .algebra import (
     AlgebraElement,
     AlgebraShape,
     ShapeError,
-    _wrap,
+    _checked_vec,
+    _from_vec,
+    _frozen,
     basis,
+    identity,
     multiply,
 )
 
@@ -53,13 +63,16 @@ class StateValidationError(ValueError):
 class SizeStack:
     """The density blocks of one size n, stacked in block order.
 
-    ``index`` holds their block numbers (ascending), ``eigvals`` the
-    ascending eigenvalues of the symmetrized densities (K_n, n) and
-    ``eigvecs`` the matching eigenvectors as columns (K_n, n, n).
+    ``index`` holds their block numbers (ascending) and ``pos`` the
+    coordinates of their entries (K_n, n, n), both from the shape's
+    ``size_positions``; ``eigvals`` the ascending eigenvalues of the
+    symmetrized densities (K_n, n) and ``eigvecs`` the matching eigenvectors
+    as columns (K_n, n, n).
     """
 
     n: int
     index: np.ndarray
+    pos: np.ndarray
     eigvals: np.ndarray
     eigvecs: np.ndarray
 
@@ -77,72 +90,60 @@ class Spectrum:
     max_eig: float
 
 
-def _stack_blocks(blocks, index: np.ndarray) -> np.ndarray:
-    """The listed blocks of a block-order sequence as one (len(index), n, n) array."""
-    return np.array([blocks[k] for k in index.tolist()])
-
-
-def _unstack(num_blocks: int, parts) -> list:
-    """Block-order list from (index, stacked array) pairs covering every block."""
-    out = [None] * num_blocks
-    for index, arr in parts:
-        for k, x in zip(index.tolist(), arr):
-            out[k] = x
-    return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormalState:
-    """Per-block densities D_k, each Hermitian PSD, with sum_k Tr(D_k) = 1.
+    """Densities D_k, each Hermitian PSD with sum_k Tr(D_k) = 1, held as their
+    read-only coordinate vector ``vec``; equal when shapes and vectors are.
 
     Build with :func:`mk_state`, which also fills ``spectrum``.
     """
 
     shape: AlgebraShape
-    densities: tuple[np.ndarray, ...]
-    spectrum: Spectrum = field(repr=False, compare=False)
+    vec: np.ndarray
+    spectrum: Spectrum = field(repr=False)
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, NormalState) and self.shape == other.shape
+        return same and np.array_equal(self.vec, other.vec)
+
+    @cached_property
+    def densities(self) -> tuple[np.ndarray, ...]:
+        """Read-only per-block density views of ``vec``."""
+        return self.shape.split(self.vec)
 
     def block_eigenvalues(self) -> list[np.ndarray]:
         """Ascending eigenvalues of each density block."""
-        parts = [(s.index, s.eigvals) for s in self.spectrum.stacks]
-        return _unstack(self.shape.num_blocks, parts)
+        sizes = np.asarray(self.shape.blocks)
+        ends = np.cumsum(sizes)
+        out = np.empty(self.shape.total_dim)
+        for s in self.spectrum.stacks:
+            out[(ends - sizes)[s.index][:, None] + np.arange(s.n)] = s.eigvals
+        return np.split(out, ends[:-1])
 
 
 def mk_state(shape: AlgebraShape, densities) -> NormalState:
-    """Validated normal state.
+    """Validated normal state from per-block density matrices.
 
     Raises :class:`StateValidationError` naming the first offending block (in
     block order) when a density is not finite or not Hermitian PSD, and when
     the total trace is not one.  A block that is neither Hermitian nor PSD is
     reported as not Hermitian.
     """
-    if len(densities) != shape.num_blocks:
-        raise ShapeError(
-            f"expected {shape.num_blocks} density blocks, got {len(densities)}"
-        )
-    mats = []
-    for k, (n, d) in enumerate(zip(shape.blocks, densities)):
-        arr = np.asarray(d, dtype=complex)
-        if arr.shape != (n, n):
-            raise ShapeError(f"density block {k} must be {n}x{n}, got {arr.shape}")
-        mats.append(arr)
-    sizes = np.asarray(shape.blocks)
-    raw = {}
-    nonfinite = []
-    for n in sorted(set(shape.blocks)):
-        index = (sizes == n).nonzero()[0]
-        d = _stack_blocks(mats, index)
-        d.flags.writeable = False
-        raw[n] = (index, d)
-        if not np.isfinite(d).all():
-            finite = np.isfinite(d).all(axis=(1, 2))
-            nonfinite.append(int(index[finite.argmin()]))
-    if nonfinite:
-        k = min(nonfinite)
+    return _state_from_vec(shape, _checked_vec(shape, densities, "density block"))
+
+
+def _state_from_vec(shape: AlgebraShape, vec) -> NormalState:
+    """The validation of :func:`mk_state` on a density coordinate vector of
+    length ``shape.element_dim``, which the state takes over."""
+    vec = _frozen(np.ascontiguousarray(vec, dtype=complex))
+    finite = np.isfinite(vec)
+    if not finite.all():
+        k = int(np.searchsorted(shape.block_offsets(), finite.argmin(), side="right")) - 1
         raise StateValidationError(f"density block {k} is not finite", block=k)
 
     stacks, failures, total = [], [], 0.0
-    for n, (index, d) in raw.items():
+    for n, index, pos in shape.size_positions:
+        d = vec[pos]
         d_h = d.conj().swapaxes(-1, -2)
         herm_dev = np.abs(d - d_h).max(axis=(1, 2))
         w, v = np.linalg.eigh((d + d_h) / 2.0)
@@ -152,7 +153,7 @@ def mk_state(shape: AlgebraShape, densities) -> NormalState:
             j = int(fail.argmax())
             failures.append((int(index[j]), float(herm_dev[j]), float(w[j, 0])))
         total += float(d.trace(axis1=1, axis2=2).real.sum())
-        stacks.append(SizeStack(n, index, w, v))
+        stacks.append(SizeStack(n, index, pos, w, v))
     if failures:
         k, herm_dev, min_eig = min(failures)
         if not herm_dev <= HERMITIAN_TOL:
@@ -171,26 +172,24 @@ def mk_state(shape: AlgebraShape, densities) -> NormalState:
         min(float(s.eigvals[:, 0].min()) for s in stacks),
         max(float(s.eigvals[:, -1].max()) for s in stacks),
     )
-    return NormalState(shape, tuple(_unstack(shape.num_blocks, raw.values())), spectrum)
+    return NormalState(shape, vec, spectrum)
 
 
 def evaluate(rho: NormalState, a: AlgebraElement) -> complex:
     """rho(a) = sum_k Tr(D_k a_k)."""
     if rho.shape != a.shape:
         raise ShapeError(f"shape mismatch: {rho.shape} vs {a.shape}")
-    return complex(
-        sum(np.trace(d @ x) for d, x in zip(rho.densities, a.blocks))
-    )
+    return complex(rho.vec[rho.shape.transpose_perm] @ a.vec)
 
 
 def support(rho: NormalState, tol: float = SUPPORT_RTOL) -> AlgebraElement:
     """Spectral projection onto eigenvalues above tol * (max eigenvalue)."""
     cutoff = tol * rho.spectrum.max_eig
-    parts = []
+    out = np.zeros(rho.shape.element_dim, dtype=complex)
     for s in rho.spectrum.stacks:
         keep = s.eigvecs * (s.eigvals > cutoff)[:, None, :]
-        parts.append((s.index, keep @ keep.conj().swapaxes(-1, -2)))
-    return _wrap(rho.shape, _unstack(rho.shape.num_blocks, parts))
+        out[s.pos] = keep @ keep.conj().swapaxes(-1, -2)
+    return _from_vec(rho.shape, out)
 
 
 def is_faithful(rho: NormalState, tol: float = SUPPORT_RTOL) -> bool:
@@ -250,11 +249,7 @@ def random_state(shape: AlgebraShape, faithful: bool = False, seed: int = 0) -> 
     N = shape.total_dim
     # mixing weight t gives min eigenvalue >= (1-t)*min_eig + t/N
     t = (floor - min_eig) / (1.0 / N - min_eig)
-    mats = [
-        (1.0 - t) * m + t * np.eye(n) / N
-        for m, n in zip(state.densities, shape.blocks)
-    ]
-    return mk_state(shape, mats)
+    return _state_from_vec(shape, (1.0 - t) * state.vec + t * identity(shape).vec / N)
 
 
 def random_tracial_state(shape: AlgebraShape, seed: int = 0) -> NormalState:

@@ -1,19 +1,22 @@
 """Per-block and per-basis-element reference implementations of the batched
-state, GNS, contraction, Kraus and pullback code paths.
+state, GNS, contraction, Kraus and pullback code paths, and of the element
+operations on per-block matrix lists.
 
 These are the straightforward loops that the batched implementations in
 ``ncplab`` replace.  They are kept here, and only here, so the batched code
 can be checked against them: one eigendecomposition per block, one form and
 one least-squares solve per block, the covariance Gram assembled from the raw
-forms, the induced contraction one GNS coordinate at a time and the Kraus
-action one source basis element at a time.
+forms, the induced contraction one GNS coordinate at a time, the Kraus
+action one source basis element at a time, and evaluation, the predual, the
+blockwise transpose, the block-diagonal embedding and the bases one block
+(or one basis element of K zero matrices) at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ncplab.algebra import _wrap, basis, embed_full, hermitian_matrix_basis
+from ncplab.algebra import _wrap, hermitian_matrix_basis
 from ncplab.channels import apply
 from ncplab.gns import GnsQuotientError
 
@@ -21,6 +24,72 @@ SUPPORT_RTOL = 1e-9
 HERMITIAN_TOL = 1e-10
 PSD_TOL = 1e-10
 RESIDUAL_TOL = 1e-8
+
+
+def _offsets(shape):
+    return np.cumsum([0, *(n * n for n in shape.blocks)])
+
+
+def basis(shape):
+    """Matrix-unit basis, block-major then row-major, as per-block matrix lists."""
+    out = []
+    for k, n in enumerate(shape.blocks):
+        for i in range(n):
+            for j in range(n):
+                mats = [np.zeros((m, m), dtype=complex) for m in shape.blocks]
+                mats[k][i, j] = 1.0
+                out.append(mats)
+    return out
+
+
+def hermitian_basis(shape):
+    """Self-adjoint basis, block-major, as per-block matrix lists."""
+    out = []
+    for k, n in enumerate(shape.blocks):
+        for m in hermitian_matrix_basis(n):
+            mats = [np.zeros((p, p), dtype=complex) for p in shape.blocks]
+            mats[k] = m
+            out.append(mats)
+    return out
+
+
+def embed_full(shape, blocks):
+    """Per-block matrices as one block-diagonal matrix in the enveloping M_N."""
+    N = shape.total_dim
+    out = np.zeros((N, N), dtype=complex)
+    pos = 0
+    for x, n in zip(blocks, shape.blocks):
+        out[pos: pos + n, pos: pos + n] = x
+        pos += n
+    return out
+
+
+def transpose_action(shape):
+    """Coordinate matrix of the blockwise transpose."""
+    dim = shape.element_dim
+    action = np.zeros((dim, dim), dtype=complex)
+    offs = _offsets(shape)
+    for k, n in enumerate(shape.blocks):
+        for i in range(n):
+            for j in range(n):
+                action[offs[k] + j * n + i, offs[k] + i * n + j] = 1.0
+    return action
+
+
+def evaluate(densities, blocks):
+    """sum_k Tr(D_k a_k), one block at a time."""
+    return complex(sum(np.trace(d @ x) for d, x in zip(densities, blocks)))
+
+
+def predual_apply(phi, density_blocks):
+    """The predual on per-block data, through the coordinates of the
+    blockwise transposes."""
+    vec_out = phi.linear_action.T @ np.concatenate([m.T.ravel() for m in density_blocks])
+    offs = _offsets(phi.source_shape)
+    return [
+        vec_out[offs[k]: offs[k + 1]].reshape(n, n).T
+        for k, n in enumerate(phi.source_shape.blocks)
+    ]
 
 
 def first_rejection(shape, densities):
@@ -156,7 +225,7 @@ def from_kraus_action(src, dst, kraus):
     starts = np.cumsum([0, *dst.blocks[:-1]])
     cols = []
     for e in basis(src):
-        full = embed_full(e)
+        full = embed_full(src, e)
         out = sum(k.conj().T @ full @ k for k in kraus)
         cols.append(np.concatenate([out[p: p + n, p: p + n].ravel() for p, n in zip(starts, dst.blocks)]))
     return np.column_stack(cols)

@@ -1,6 +1,7 @@
 """The batched (per-block-size) state, GNS, contraction, Kraus and pullback
-paths against the per-block and per-basis-element reference loops, on random
-mixed shapes, and the count of eigendecompositions per state."""
+paths and the coordinate-vector element operations against the per-block and
+per-basis-element reference loops, on random mixed shapes, and the count of
+eigendecompositions per state."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,17 @@ from hypothesis import strategies as st
 
 import reference_loops as ref
 from conftest import random_element
-from ncplab.algebra import _wrap, coords, identity, mk_shape
+from ncplab.algebra import (
+    _wrap,
+    adjoint,
+    basis,
+    coords,
+    element_from_coords,
+    embed_full,
+    hermitian_basis,
+    identity,
+    mk_shape,
+)
 from ncplab.covariance import (
     SLD,
     UnsupportedKindError,
@@ -23,6 +34,7 @@ from ncplab.channels import (
     conjugation_map,
     mk_morphism,
     predual,
+    predual_apply,
     random_cpu_map,
     transpose_map,
 )
@@ -30,6 +42,7 @@ from ncplab.gns import GnsQuotientError, build_gns, embed, induced_contraction
 from ncplab.models import ScoreNotRepresentableError, StatModel, gaussian_model, metric_pullback
 from ncplab.states import (
     StateValidationError,
+    evaluate,
     is_faithful,
     mk_state,
     random_tracial_state,
@@ -69,6 +82,81 @@ def random_state_on(blocks, seed, rank_deficient):
     rng = np.random.default_rng(seed)
     shape = mk_shape(blocks)
     return mk_state(shape, random_blocks(blocks, rng, rank_deficient)), rng
+
+
+def _matrices(rng, blocks):
+    return [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in blocks]
+
+
+class TestVectorRepresentation:
+    @SETTINGS
+    @given(shapes, seeds)
+    def test_views_are_the_read_only_split_of_the_vector(self, blocks, seed):
+        rho, rng = random_state_on(blocks, seed, rank_deficient=True)
+        a = random_element(rho.shape, rng)
+        offs = np.cumsum([0, *(n * n for n in blocks)])
+        for vec, views in ((a.vec, a.blocks), (rho.vec, rho.densities)):
+            assert vec.shape == (offs[-1],) and not vec.flags.writeable
+            assert [v.shape for v in views] == [(n, n) for n in blocks]
+            for k, v in enumerate(views):
+                assert np.array_equal(v.ravel(), vec[offs[k]: offs[k + 1]])
+                assert np.shares_memory(v, vec) and not v.flags.writeable
+                with pytest.raises(ValueError):
+                    v[0, 0] = 1.0
+
+    @SETTINGS
+    @given(shapes, seeds)
+    def test_wrap_roundtrips_exactly(self, blocks, seed):
+        mats = _matrices(np.random.default_rng(seed), blocks)
+        a = _wrap(mk_shape(blocks), mats)
+        assert np.array_equal(a.vec, np.concatenate([m.ravel() for m in mats]))
+        back = element_from_coords(a.shape, coords(a))
+        assert back == a and back is not a
+        for m, x, y in zip(mats, a.blocks, back.blocks):
+            assert np.array_equal(x, m) and np.array_equal(y, m)
+        # the element holds its own copy; the caller's matrices stay writeable
+        assert all(m.flags.writeable for m in mats)
+
+
+class TestVectorOpsAgainstLoops:
+    @SETTINGS
+    @given(shapes, seeds)
+    def test_evaluate(self, blocks, seed):
+        rho, rng = random_state_on(blocks, seed, rank_deficient=False)
+        a = random_element(rho.shape, rng)
+        terms = [np.abs(d) * np.abs(x.T) for d, x in zip(rho.densities, a.blocks)]
+        # both sides sum the same element_dim products, in different orders
+        bound = 4.0 * np.finfo(float).eps * rho.shape.element_dim * sum(t.sum() for t in terms)
+        assert abs(evaluate(rho, a) - ref.evaluate(rho.densities, a.blocks)) <= bound
+
+    @SETTINGS
+    @given(small_shapes, small_shapes, seeds)
+    def test_predual_apply(self, blocks_src, blocks_dst, seed):
+        phi = random_cpu_map(mk_shape(blocks_src), mk_shape(blocks_dst), seed=seed)
+        data = _matrices(np.random.default_rng(seed), blocks_dst)
+        out = predual_apply(phi, data)
+        expected = ref.predual_apply(phi, data)
+        assert len(out) == len(expected)
+        assert all(np.array_equal(x, y) for x, y in zip(out, expected))
+
+    @SETTINGS
+    @given(shapes, seeds)
+    def test_blockwise_transpose_and_embedding(self, blocks, seed):
+        shape = mk_shape(blocks)
+        a = random_element(shape, np.random.default_rng(seed))
+        assert np.array_equal(transpose_map(shape).linear_action, ref.transpose_action(shape))
+        assert all(np.array_equal(x, y.conj().T) for x, y in zip(adjoint(a).blocks, a.blocks))
+        assert np.array_equal(embed_full(a), ref.embed_full(shape, a.blocks))
+
+    @SETTINGS
+    @given(shapes)
+    def test_bases(self, blocks):
+        shape = mk_shape(blocks)
+        pairs = ((basis(shape), ref.basis(shape)), (hermitian_basis(shape), ref.hermitian_basis(shape)))
+        for ours, loops in pairs:
+            assert len(ours) == len(loops) == shape.element_dim
+            for e, mats in zip(ours, loops):
+                assert np.array_equal(e.vec, np.concatenate([m.ravel() for m in mats]))
 
 
 class TestGnsAgainstLoops:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import depolarizing_kraus
 from ncplab.algebra import mk_shape
 from ncplab.channels import from_kraus, identity_map, mk_morphism, predual, transpose_map
-from ncplab import cli
+from ncplab import channels, cli
 from ncplab.cli import main
 from ncplab.serialize import cpumap_to_json, morphism_to_json, state_to_json
 from ncplab.states import mk_state, random_state
@@ -88,6 +88,17 @@ class TestCheckChannel:
         assert code == 1
         assert rep["cp"] is False
         assert abs(rep["min_choi_eig"] + 0.5) < 1e-12
+
+    def test_one_choi_matrix_per_verdict(self, tmp_path, monkeypatch):
+        calls = []
+        original = channels.choi
+        monkeypatch.setattr(channels, "choi", lambda phi: calls.append(phi) or original(phi))
+        path = write_json(
+            tmp_path, "chan.json", cpumap_to_json(identity_map(mk_shape([2])))
+        )
+        code, rep = run_cli(["check-channel", "--channel", path], tmp_path)
+        assert code == 0 and rep["min_choi_eig"] >= -1e-12
+        assert len(calls) == 1
 
     def test_non_finite_stochastic_is_input_error(self, tmp_path):
         path = write_json(tmp_path, "chan.json", {"stochastic": [[float("nan"), 0.5], [0.5, 0.5]]})
@@ -280,11 +291,14 @@ class TestBadFlagValues:
             ["tracial-uniqueness", "--samples", "0"],
             ["monotonicity", "--morphism", "CHANNEL", "--samples", "-1"],
             ["tracial-uniqueness", "--seed", "-3"],
+            ["gns", "--state", "PROB", "--tol", "1"],
+            ["gns", "--state", "STATE", "--tol", "2.5"],
         ],
     )
     def test_is_input_error(self, tmp_path, args):
         files = {
             "STATE": write_json(tmp_path, "s.json", QUBIT_STATE),
+            "PROB": write_json(tmp_path, "p.json", {"prob": [0.25, 0.75]}),
             "CHANNEL": write_json(tmp_path, "c.json", QUBIT_IDENTITY),
         }
         code, rep = run_cli([files.get(a, a) for a in args], tmp_path)
