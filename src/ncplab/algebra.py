@@ -19,6 +19,7 @@ value.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -46,7 +47,13 @@ class AlgebraShape:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
-        blocks = tuple(int(n) for n in self.blocks)
+        blocks = tuple(self.blocks)
+        try:
+            if any(isinstance(n, (bool, np.bool_)) for n in blocks):
+                raise TypeError("booleans are not block sizes")
+            blocks = tuple(operator.index(n) for n in blocks)
+        except TypeError as exc:
+            raise ShapeError(f"block dimensions must be integers, got {list(blocks)}") from exc
         if len(blocks) == 0:
             raise ShapeError("shape needs at least one block")
         if any(n < 1 for n in blocks):
@@ -306,11 +313,6 @@ def element_from_coords(shape: AlgebraShape, vec: np.ndarray) -> AlgebraElement:
             f"coordinate vector must have length {shape.element_dim}, got {vec.shape}"
         )
     return _from_vec(shape, vec)
-
-
-def full_positions(shape: AlgebraShape) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column, inside the enveloping M_N, of each coordinate."""
-    return shape.full_positions
 
 
 def embed_full(a: AlgebraElement) -> np.ndarray:

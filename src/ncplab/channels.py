@@ -319,8 +319,8 @@ def markov_from_stochastic(S) -> CpuMap:
     m points).
     """
     S = np.asarray(S, dtype=float)
-    if S.ndim != 2:
-        raise ShapeError("stochastic matrix must be two-dimensional")
+    if S.ndim != 2 or S.size == 0:
+        raise ShapeError("stochastic matrix must be two-dimensional and nonempty")
     m, n = S.shape
     low = float(np.min(S))
     col_dev = float(np.max(np.abs(S.sum(axis=0) - 1.0)))
@@ -413,10 +413,7 @@ def random_cpu_map(
     ks = [k @ inv_sqrt for k in raw]
     if mix_trace > 0.0:
         lam = float(mix_trace)
-        ks = [np.sqrt(1.0 - lam) * k for k in ks]
-        for i in range(NB):
-            for j in range(NA):
-                t = np.zeros((NB, NA), dtype=complex)
-                t[i, j] = np.sqrt(lam / NB)
-                ks.append(t)
+        # the trace map: one Kraus operator per matrix unit of M_{NB x NA}
+        units = np.sqrt(lam / NB) * np.eye(NB * NA, dtype=complex)
+        ks = [np.sqrt(1.0 - lam) * k for k in ks] + list(units.reshape(NB * NA, NB, NA))
     return from_kraus(src, dst, ks)

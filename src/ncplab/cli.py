@@ -5,13 +5,13 @@ report carries the failing witnesses), 2 = unusable input (files, payloads,
 flag values), 3 = internal error: any other exception, reported with
 ``"internal_error": true`` and its traceback on standard error.  Reports are
 strict JSON, byte-identical for identical configurations except for the
-``timestamp`` field.  Every subcommand runs on one thread, within any
-NCP_LAB_THREADS cap.
+``timestamp`` field.  Every subcommand runs on one thread.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -82,42 +82,28 @@ def _check_flags(args) -> None:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
 
 
-def _parse_model(spec: str, fd: bool = False) -> models.StatModel:
-    mode = "fd" if fd else "analytic"
+def _parse_model(spec: str) -> models.StatModel:
     parts = spec.split(":")
     try:
         if parts[0] == "simplex" and len(parts) == 2:
-            return models.simplex_model(int(parts[1]), derivative_mode=mode)
+            return models.simplex_model(int(parts[1]))
         if parts[0] == "qubit-faithful" and len(parts) == 1:
-            return models.qubit_faithful_model(derivative_mode=mode)
+            return models.qubit_faithful_model()
         if parts[0] == "qubit-pure" and len(parts) == 1:
-            return models.qubit_pure_model(derivative_mode=mode)
+            return models.qubit_pure_model()
         if parts[0] == "gaussian" and len(parts) in (2, 4):
             bins = int(parts[1])
             if len(parts) == 4:
                 x_min, x_max = float(parts[2]), float(parts[3])
             else:
                 x_min, x_max = -10.0, 10.0
-            return models.gaussian_model(bins, x_min, x_max, derivative_mode=mode)
+            return models.gaussian_model(bins, x_min, x_max)
     except ValueError as exc:
         raise InputError(f"bad model spec {spec!r}: {exc}") from exc
     raise InputError(
         f"unknown model spec {spec!r} "
         "(use simplex:N, qubit-faithful, qubit-pure, gaussian:BINS[:XMIN:XMAX])"
     )
-
-
-def _oracle_for(model_name: str, theta: np.ndarray):
-    refs = models.analytic_references()
-    if model_name.startswith("simplex"):
-        return refs["simplex"](theta)
-    if model_name.startswith("gaussian"):
-        return refs["gaussian"](theta[0], theta[1])
-    if model_name == "qubit-faithful":
-        return refs["qubit-faithful"](*theta)
-    if model_name == "qubit-pure":
-        return refs["qubit-pure"](*theta)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +143,9 @@ def _cmd_monotonicity(args) -> tuple[int, dict]:
 
 
 def _cmd_pullback(args) -> tuple[int, dict]:
-    model = _parse_model(args.model, fd=args.fd)
+    model = _parse_model(args.model)
+    if args.fd:
+        model = models.finite_difference(model)
     kind = kind_from_name(args.kind)
     try:
         theta = np.array([float(x) for x in args.theta.split(",")])
@@ -171,7 +159,7 @@ def _cmd_pullback(args) -> tuple[int, dict]:
         "metric": [[float(x) for x in row] for row in g],
         "residual_tol": models.RESIDUAL_TOL,
     }
-    oracle = _oracle_for(model.name, theta) if kind.is_gns else None
+    oracle = model.reference(theta) if kind.is_gns and model.reference else None
     if oracle is not None:
         report["oracle"] = [[float(x) for x in row] for row in oracle]
         report["oracle_deviation"] = float(np.max(np.abs(g - oracle)))
@@ -186,7 +174,7 @@ def _cmd_gaussian_demo(args) -> tuple[int, dict]:
         raise InputError(f"bad --bins, --mu or --sigma: {exc}") from exc
     theta = np.array([args.mu, args.sigma])
     g = models.metric_pullback(model, theta)
-    oracle = models.gaussian_fisher_rao_metric(args.mu, args.sigma)
+    oracle = model.reference(theta)
     denom = np.sqrt(np.outer(np.diag(oracle), np.diag(oracle)))
     rel = float(np.max(np.abs(g - oracle) / denom))
     return EXIT_PASS, {
@@ -213,7 +201,7 @@ def _cmd_congruence_invariance(args) -> tuple[int, dict]:
     from .channels import congruent_embedding
 
     model = _parse_model(args.model)
-    if not model.shape.is_abelian:
+    if not model.shape.is_abelian or model.interior is None:
         raise InputError("congruence invariance applies to abelian models only")
     rng = np.random.default_rng(args.seed)
     n = model.shape.num_blocks
@@ -223,7 +211,7 @@ def _cmd_congruence_invariance(args) -> tuple[int, dict]:
         partition = np.repeat(np.arange(n), fiber_sizes)
         weights = np.concatenate([rng.dirichlet(np.ones(sz)) for sz in fiber_sizes])
         emb = congruent_embedding(partition, weights)
-        thetas = [_random_interior_theta(model, rng) for _ in range(3)]
+        thetas = [model.interior(rng) for _ in range(3)]
         rep = models.congruence_invariance_check(model, emb, thetas, tol=args.tol)
         per_embedding.append(rep["max_metric_deviation"])
     worst = max(per_embedding, default=0.0)
@@ -237,16 +225,6 @@ def _cmd_congruence_invariance(args) -> tuple[int, dict]:
     }
     code = EXIT_PASS if report["pass"] else EXIT_PROPERTY_FAILURE
     return code, report
-
-
-def _random_interior_theta(model: models.StatModel, rng) -> np.ndarray:
-    if model.name.startswith("simplex"):
-        p = rng.dirichlet(np.ones(model.param_dim + 1))
-        p = 0.9 * p + 0.1 / (model.param_dim + 1)
-        return p[:-1]
-    if model.name.startswith("gaussian"):
-        return np.array([rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.2)])
-    raise InputError(f"no interior sampler for model {model.name}")
 
 
 def _cmd_omf_catalog(_args) -> tuple[int, dict]:
@@ -276,7 +254,11 @@ def _cmd_omf_catalog(_args) -> tuple[int, dict]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  Subcommand ``name`` is
+    handled by the module's ``_cmd_<name>`` function, with dashes as
+    underscores, looked up when it runs."""
     parser = argparse.ArgumentParser(
         prog="ncplab",
         description="Verification workflows for states, channels, GNS spaces, "
@@ -292,12 +274,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add_parser("gns", help="quotient dimensions and Gram spectrum of a state")
     p.add_argument("--state", required=True, help="state JSON file")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(handler=_cmd_gns)
 
     p = add_parser("check-channel", help="CP and unitality of a channel")
     p.add_argument("--channel", required=True, help="channel JSON file")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(handler=_cmd_check_channel)
 
     p = add_parser("monotonicity", help="covariance contraction along a morphism")
     p.add_argument("--kind", default="gns", help="gns, sld, kmb, wy, or rld")
@@ -310,37 +290,30 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip CP/preservation verification of the carrier map (diagnostics)",
     )
-    p.set_defaults(handler=_cmd_monotonicity)
 
     p = add_parser("pullback", help="metric pullback of a model at a point")
     p.add_argument("--model", required=True, help="simplex:N, qubit-faithful, qubit-pure, gaussian:BINS[:XMIN:XMAX]")
     p.add_argument("--theta", required=True, help="comma-separated parameters")
     p.add_argument("--kind", default="gns")
     p.add_argument("--fd", action="store_true", help="use finite-difference derivatives")
-    p.set_defaults(handler=_cmd_pullback)
 
     p = add_parser("gaussian-demo", help="binned normal family vs closed form")
     p.add_argument("--bins", type=int, default=4096)
     p.add_argument("--mu", type=float, default=0.0)
     p.add_argument("--sigma", type=float, default=1.0)
-    p.set_defaults(handler=_cmd_gaussian_demo)
 
     p = add_parser("tracial-uniqueness", help="covariance collapse on tracial states")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(handler=_cmd_tracial_uniqueness)
 
     p = add_parser("congruence-invariance", help="metric invariance under refinements")
     p.add_argument("--model", default="simplex:2")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.set_defaults(handler=_cmd_congruence_invariance)
 
-    p = add_parser("omf-catalog", help="operator monotone function catalog")
-    p.set_defaults(handler=_cmd_omf_catalog)
-
+    add_parser("omf-catalog", help="operator monotone function catalog")
     return parser
 
 
@@ -377,7 +350,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_flags(args)
-        code, body = args.handler(args)
+        code, body = globals()["_cmd_" + args.command.replace("-", "_")](args)
         return code if _emit(_stamped(args.command, body), args.out) else EXIT_INPUT_ERROR
     except INPUT_ERRORS as exc:
         code, body = EXIT_INPUT_ERROR, {"error": str(exc)}

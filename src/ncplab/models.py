@@ -22,7 +22,7 @@ pullbacks stay cheap even for finely discretized abelian models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -56,14 +56,18 @@ class ScoreNotRepresentableError(RuntimeError):
 
 
 RESIDUAL_TOL = 1e-8
+FD_STEP = 1e-5
 
 
 @dataclass
 class StatModel:
     """A chart theta -> state on a fixed ambient algebra.
 
-    ``derivative_mode`` selects analytic per-parameter closures when available
-    or central finite differences with step ``fd_step``.
+    Derivatives come from the analytic closure ``_deriv_fn`` when the family
+    has one, else from central finite differences with step ``FD_STEP``.
+    ``reference(theta)`` is the family's closed-form GNS metric and
+    ``interior(rng)`` a seeded parameter point well inside the chart; either
+    is None when the family has none.
     """
 
     name: str
@@ -72,9 +76,9 @@ class StatModel:
     domain: Callable[[np.ndarray], bool]
     _state_fn: Callable[[np.ndarray], NormalState]
     _deriv_fn: Callable[[np.ndarray], list[AlgebraElement]] | None = None
-    derivative_mode: str = "analytic"
-    fd_step: float = 1e-5
     _domain_message: Callable[[np.ndarray], str] | None = None
+    reference: Callable[[np.ndarray], np.ndarray] | None = None
+    interior: Callable[[np.random.Generator], np.ndarray] | None = None
 
     def state_at(self, theta) -> NormalState:
         theta = np.asarray(theta, dtype=float)
@@ -94,17 +98,21 @@ class StatModel:
     def derivatives(self, theta) -> list[AlgebraElement]:
         """Hermitian trace-zero differentials dD_i, one per parameter."""
         theta = np.asarray(theta, dtype=float)
-        if self.derivative_mode == "analytic" and self._deriv_fn is not None:
+        if self._deriv_fn is not None:
             return self._deriv_fn(theta)
-        h = self.fd_step
         out = []
         for i in range(self.param_dim):
             step = np.zeros(self.param_dim)
-            step[i] = h
+            step[i] = FD_STEP
             plus = self.state_at(theta + step)
             minus = self.state_at(theta - step)
-            out.append(_from_vec(self.shape, (plus.vec - minus.vec) / (2.0 * h)))
+            out.append(_from_vec(self.shape, (plus.vec - minus.vec) / (2.0 * FD_STEP)))
         return out
+
+
+def finite_difference(model: StatModel) -> StatModel:
+    """The same chart with its derivatives taken by central finite differences."""
+    return replace(model, _deriv_fn=None)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +120,7 @@ class StatModel:
 # ---------------------------------------------------------------------------
 
 
-def simplex_model(n: int, derivative_mode: str = "analytic", fd_step: float = 1e-5) -> StatModel:
+def simplex_model(n: int) -> StatModel:
     """Open probability simplex on n+1 outcomes, coordinates p_1..p_n."""
     if n < 1:
         raise ValueError("simplex needs at least one free coordinate")
@@ -132,8 +140,13 @@ def simplex_model(n: int, derivative_mode: str = "analytic", fd_step: float = 1e
         d[:, n] = -1.0
         return [_from_vec(shape, row) for row in d]
 
+    def interior(rng):
+        p = rng.dirichlet(np.ones(n + 1))
+        return (0.9 * p + 0.1 / (n + 1))[:-1]
+
     return StatModel(
-        f"simplex:{n}", shape, n, domain, state_fn, deriv_fn, derivative_mode, fd_step
+        f"simplex:{n}", shape, n, domain, state_fn, deriv_fn,
+        reference=fisher_rao_simplex_metric, interior=interior,
     )
 
 
@@ -152,7 +165,7 @@ def _pauli_dot(vec) -> np.ndarray:
     return sum(c * s for c, s in zip(vec, _PAULI))
 
 
-def qubit_faithful_model(derivative_mode: str = "analytic", fd_step: float = 1e-5) -> StatModel:
+def qubit_faithful_model() -> StatModel:
     """Full-rank qubit states in spherical Bloch coordinates (r, theta, phi).
 
     The chart is the punctured open ball: r in (0, 1), theta in (0, pi).
@@ -178,11 +191,12 @@ def qubit_faithful_model(derivative_mode: str = "analytic", fd_step: float = 1e-
         ]
 
     return StatModel(
-        "qubit-faithful", shape, 3, domain, state_fn, deriv_fn, derivative_mode, fd_step
+        "qubit-faithful", shape, 3, domain, state_fn, deriv_fn,
+        reference=lambda theta: qubit_qfi_metric(*theta),
     )
 
 
-def qubit_pure_model(derivative_mode: str = "analytic", fd_step: float = 1e-5) -> StatModel:
+def qubit_pure_model() -> StatModel:
     """Rank-one qubit states on the Bloch sphere, coordinates (theta, phi)."""
     shape = mk_shape([2])
 
@@ -204,24 +218,20 @@ def qubit_pure_model(derivative_mode: str = "analytic", fd_step: float = 1e-5) -
         ]
 
     return StatModel(
-        "qubit-pure", shape, 2, domain, state_fn, deriv_fn, derivative_mode, fd_step
+        "qubit-pure", shape, 2, domain, state_fn, deriv_fn,
+        reference=lambda theta: pure_qubit_sphere_metric(*theta),
     )
 
 
 MASS_LEAK_TOL = 1e-6
 
 
-def gaussian_model(
-    n_bins: int,
-    x_min: float,
-    x_max: float,
-    derivative_mode: str = "analytic",
-    fd_step: float = 1e-5,
-) -> StatModel:
+def gaussian_model(n_bins: int, x_min: float, x_max: float) -> StatModel:
     """Normal densities binned on a uniform grid, parameters (mu, sigma).
 
     Bin masses are exact CDF differences, renormalized; the chart requires at
-    least 1 - 1e-6 of the mass inside [x_min, x_max].
+    least 1 - 1e-6 of the mass inside [x_min, x_max].  Interior points have
+    mu near the centre of the range and sigma near a twentieth of its width.
     """
     if n_bins < 2:
         raise ValueError("need at least two bins")
@@ -269,16 +279,14 @@ def gaussian_model(
             for d_raw in (d_mu, d_sig)
         ]
 
+    centre, scale = (x_min + x_max) / 2.0, (x_max - x_min) / 20.0
+
+    def interior(rng):
+        return np.array([centre + scale * rng.uniform(-0.5, 0.5), scale * rng.uniform(0.8, 1.2)])
+
     return StatModel(
-        f"gaussian:{n_bins}",
-        shape,
-        2,
-        domain,
-        state_fn,
-        deriv_fn,
-        derivative_mode,
-        fd_step,
-        domain_message,
+        f"gaussian:{n_bins}", shape, 2, domain, state_fn, deriv_fn, domain_message,
+        reference=lambda theta: gaussian_fisher_rao_metric(*theta), interior=interior,
     )
 
 
@@ -364,19 +372,12 @@ class GroupActionModel:
 def _affine_bin_overlap_stochastic(edges: np.ndarray, mu: float, s: float) -> np.ndarray:
     """Column-stochastic matrix S with S[j, i] = share of bin i's image
     (under x -> s x + mu) that lands in bin j; out-of-range mass is clamped
-    to the boundary bins."""
-    n = edges.size - 1
+    to the boundary bins: the difference, between consecutive target edges,
+    of the uniform CDF of each image, with the outer edges moved to -+inf."""
     lo = s * edges[:-1] + mu
-    hi = s * edges[1:] + mu
-    width = hi - lo
-    left = np.maximum(lo[:, None], edges[None, :-1])
-    right = np.minimum(hi[:, None], edges[None, 1:])
-    overlap = np.clip(right - left, 0.0, None) / width[:, None]  # (i, j)
-    covered = overlap.sum(axis=1)
-    below = np.clip(edges[0] - lo, 0.0, None) / width
-    overlap[:, 0] += np.minimum(below, 1.0 - covered)
-    overlap[:, -1] += 1.0 - covered - np.minimum(below, 1.0 - covered)
-    return overlap.T  # (j, i): columns indexed by source bin
+    width = s * edges[1:] + mu - lo
+    at = np.concatenate([[-np.inf], edges[1:-1], [np.inf]])
+    return np.diff(np.clip((at[:, None] - lo) / width, 0.0, 1.0), axis=0)
 
 
 def gaussian_group_model(n_bins: int, x_min: float, x_max: float) -> GroupActionModel:
@@ -491,15 +492,6 @@ def pure_qubit_sphere_metric(theta: float, phi: float) -> np.ndarray:
     return np.diag([1.0, np.sin(theta) ** 2])
 
 
-def analytic_references() -> dict[str, Callable]:
-    """Bundle of the closed-form metrics used as oracles."""
-    return {
-        "simplex": fisher_rao_simplex_metric,
-        "gaussian": gaussian_fisher_rao_metric,
-        "qubit-faithful": qubit_qfi_metric,
-        "qubit-pure": pure_qubit_sphere_metric,
-    }
-
 
 # ---------------------------------------------------------------------------
 # Congruence invariance
@@ -507,7 +499,10 @@ def analytic_references() -> dict[str, Callable]:
 
 
 def embedded_model(model: StatModel, embedding: CpuMap) -> StatModel:
-    """Compose an abelian model with the predual of a congruent embedding."""
+    """Compose an abelian model with the predual of a congruent embedding.
+
+    The chart is the base model's, and so are its domain message, its
+    reference metric (Cencov's invariance) and its interior points."""
     if not model.shape.is_abelian:
         raise ShapeError("only abelian models can be congruently embedded")
     if embedding.target_shape != model.shape:
@@ -530,8 +525,9 @@ def embedded_model(model: StatModel, embedding: CpuMap) -> StatModel:
         model.domain,
         state_fn,
         deriv_fn,
-        model.derivative_mode,
-        model.fd_step,
+        model._domain_message,
+        reference=model.reference,
+        interior=model.interior,
     )
 
 

@@ -35,9 +35,7 @@ from .algebra import (
     _checked_vec,
     _from_vec,
     _frozen,
-    basis,
     identity,
-    multiply,
 )
 
 HERMITIAN_TOL = 1e-10
@@ -197,36 +195,21 @@ def is_faithful(rho: NormalState, tol: float = SUPPORT_RTOL) -> bool:
     return rho.spectrum.min_eig > tol * rho.spectrum.max_eig
 
 
-def _is_tracial_scalar_blocks(rho: NormalState, tol: float) -> bool:
-    for n, d in zip(rho.shape.blocks, rho.densities):
-        mean = np.trace(d) / n
-        if np.max(np.abs(d - mean * np.eye(n))) > tol:
+def is_tracial(rho: NormalState, tol: float = 1e-9) -> bool:
+    """rho(ab) == rho(ba) for all a, b, within ``tol``.
+
+    On two matrix units of one density block D the gap rho(ab) - rho(ba) is
+    D_ii - D_jj (for e_ij and e_ji) or an off-diagonal entry D_ab, and it is
+    zero across blocks, so the largest gap over all basis pairs is read off
+    each block's entries.
+    """
+    for n, _, pos in rho.shape.size_positions:
+        d = rho.vec[pos]
+        diag = np.diagonal(d, axis1=1, axis2=2)
+        gaps = np.maximum(np.abs(d), np.abs(diag[:, :, None] - diag[:, None, :]))
+        if np.max(gaps[:, ~np.eye(n, dtype=bool)], initial=0.0) > tol:
             return False
     return True
-
-
-def _is_tracial_commutator_sweep(rho: NormalState, tol: float) -> bool:
-    es = basis(rho.shape)
-    for i, a in enumerate(es):
-        for b in es[i + 1:]:
-            dev = abs(evaluate(rho, multiply(a, b)) - evaluate(rho, multiply(b, a)))
-            if dev > tol:
-                return False
-    return True
-
-
-def is_tracial(rho: NormalState, tol: float = 1e-9, method: str = "commutator") -> bool:
-    """rho(ab) == rho(ba) for all a, b.
-
-    ``method="commutator"`` sweeps all basis pairs; ``method="scalar"`` uses
-    the equivalent criterion that every density block is a scalar multiple of
-    the identity.  Both are implemented so they can be cross-checked.
-    """
-    if method == "commutator":
-        return _is_tracial_commutator_sweep(rho, tol)
-    if method == "scalar":
-        return _is_tracial_scalar_blocks(rho, tol)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def random_state(shape: AlgebraShape, faithful: bool = False, seed: int = 0) -> NormalState:

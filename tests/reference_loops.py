@@ -9,13 +9,17 @@ one least-squares solve per block, the covariance Gram assembled from the raw
 forms, the induced contraction one GNS coordinate at a time, the Kraus
 action one source basis element at a time, and evaluation, the predual, the
 blockwise transpose, the block-diagonal embedding and the bases one block
-(or one basis element of K zero matrices) at a time.
+(or one basis element of K zero matrices) at a time.  Also the traciality
+sweep over all pairs of basis elements, the bin-overlap Markov matrix of an
+affine map with its boundary bookkeeping, and the trace-map Kraus operators
+appended one matrix unit at a time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ncplab import algebra, states
 from ncplab.algebra import _wrap, hermitian_matrix_basis
 from ncplab.channels import apply
 from ncplab.gns import GnsQuotientError
@@ -303,3 +307,44 @@ def metric_pullback(model, theta, kind):
         vecs = np.column_stack([blocks[k].ravel() for blocks in score_blocks])
         g += (vecs.conj().T @ b @ vecs).real
     return (g + g.T) / 2.0
+
+
+def is_tracial_commutator_sweep(rho, tol):
+    """rho(ab) == rho(ba) within ``tol`` on every pair of basis elements."""
+    es = algebra.basis(rho.shape)
+    for i, a in enumerate(es):
+        for b in es[i + 1:]:
+            ab, ba = algebra.multiply(a, b), algebra.multiply(b, a)
+            dev = abs(states.evaluate(rho, ab) - states.evaluate(rho, ba))
+            if dev > tol:
+                return False
+    return True
+
+
+def affine_bin_overlap_stochastic(edges, mu, s):
+    """Column-stochastic bin-overlap matrix of x -> s x + mu, from the
+    pairwise interval overlaps plus the uncovered mass below and above the
+    range, clamped to the boundary bins."""
+    lo = s * edges[:-1] + mu
+    hi = s * edges[1:] + mu
+    width = hi - lo
+    left = np.maximum(lo[:, None], edges[None, :-1])
+    right = np.minimum(hi[:, None], edges[None, 1:])
+    overlap = np.clip(right - left, 0.0, None) / width[:, None]  # (i, j)
+    covered = overlap.sum(axis=1)
+    below = np.clip(edges[0] - lo, 0.0, None) / width
+    overlap[:, 0] += np.minimum(below, 1.0 - covered)
+    overlap[:, -1] += 1.0 - covered - np.minimum(below, 1.0 - covered)
+    return overlap.T  # (j, i): columns indexed by source bin
+
+
+def trace_mixed_kraus(kraus, NB, NA, lam):
+    """The Kraus family scaled by sqrt(1 - lam), followed by the trace map's
+    operators sqrt(lam / NB) e_ij, one matrix unit at a time."""
+    ks = [np.sqrt(1.0 - lam) * k for k in kraus]
+    for i in range(NB):
+        for j in range(NA):
+            t = np.zeros((NB, NA), dtype=complex)
+            t[i, j] = np.sqrt(lam / NB)
+            ks.append(t)
+    return ks

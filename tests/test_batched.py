@@ -32,6 +32,7 @@ from ncplab.covariance import (
 from ncplab.channels import (
     NcpMorphism,
     conjugation_map,
+    from_kraus,
     mk_morphism,
     predual,
     predual_apply,
@@ -39,7 +40,13 @@ from ncplab.channels import (
     transpose_map,
 )
 from ncplab.gns import GnsQuotientError, build_gns, embed, induced_contraction
-from ncplab.models import ScoreNotRepresentableError, StatModel, gaussian_model, metric_pullback
+from ncplab.models import (
+    ScoreNotRepresentableError,
+    StatModel,
+    _affine_bin_overlap_stochastic,
+    gaussian_model,
+    metric_pullback,
+)
 from ncplab.states import (
     StateValidationError,
     evaluate,
@@ -295,6 +302,35 @@ class TestKrausAgainstLoop:
         phi = random_cpu_map(mk_shape(blocks_src), mk_shape(blocks_dst), seed=seed, mix_trace=mix)
         action = ref.from_kraus_action(phi.source_shape, phi.target_shape, phi.kraus)
         assert np.max(np.abs(phi.linear_action - action)) <= 1e-14 * np.max(np.abs(action))
+
+    @SETTINGS
+    @given(small_shapes, small_shapes, seeds, st.sampled_from([0.1, 0.5, 1.0]))
+    def test_trace_mix_matches_loop(self, blocks_src, blocks_dst, seed, mix):
+        src, dst = mk_shape(blocks_src), mk_shape(blocks_dst)
+        phi = random_cpu_map(src, dst, seed=seed, mix_trace=mix)
+        kraus = ref.trace_mixed_kraus(
+            random_cpu_map(src, dst, seed=seed).kraus, src.total_dim, dst.total_dim, mix
+        )
+        assert len(phi.kraus) == len(kraus)
+        assert all(np.array_equal(a, b) for a, b in zip(phi.kraus, kraus))
+        assert np.array_equal(phi.linear_action, from_kraus(src, dst, kraus).linear_action)
+
+
+class TestAffineOverlapAgainstLoop:
+    @SETTINGS
+    @given(
+        st.integers(2, 400),
+        st.floats(-20.0, 19.0),
+        st.floats(0.5, 40.0),
+        st.floats(-50.0, 50.0),
+        st.floats(-3.0, 2.0).map(lambda e: 10.0**e),
+    )
+    def test_matches_overlap_bookkeeping(self, n, x_min, span, mu, s):
+        edges = np.linspace(x_min, x_min + span, n + 1)
+        got = _affine_bin_overlap_stochastic(edges, mu, s)
+        want = ref.affine_bin_overlap_stochastic(edges, mu, s)
+        assert got.shape == want.shape == (n, n)
+        assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def _fixed_model(rho, derivs):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -221,6 +222,13 @@ class TestCongruenceInvariance:
         assert code == 0
         assert rep["max_metric_deviation"] < 1e-9
 
+    def test_gaussian_off_centre_range(self, tmp_path):
+        code, rep = run_cli(
+            ["congruence-invariance", "--model", "gaussian:64:40:60", "--samples", "2"], tmp_path
+        )
+        assert code == 0
+        assert rep["max_metric_deviation"] < 1e-9
+
 
 class TestOmfCatalog:
     def test_catalog(self, tmp_path):
@@ -248,6 +256,16 @@ class TestContract:
         code, rep = run_cli(["gns", "--state", str(tmp_path / "nope.json")], tmp_path)
         assert code == 2
 
+    def test_parser_built_once(self, tmp_path, monkeypatch):
+        run_cli(["omf-catalog"], tmp_path)
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(
+            argparse.ArgumentParser, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+        )
+        code, _ = run_cli(["omf-catalog"], tmp_path)
+        assert code == 0 and not built
+
     def test_determinism_modulo_timestamp(self, tmp_path, qubit_state_file):
         _, rep1 = run_cli(["gns", "--state", qubit_state_file], tmp_path, "a.json")
         _, rep2 = run_cli(["gns", "--state", qubit_state_file], tmp_path, "b.json")
@@ -269,6 +287,11 @@ class TestMalformedPayloads:
             ("gns", 5),
             ("check-channel", {"stochastic": [1, 2]}),
             ("check-channel", {**QUBIT_IDENTITY, "kraus": [[[1, 0, 0], [0, 1, 0]]]}),
+            ("check-channel", {"stochastic": [[]]}),
+            ("gns", {"shape": {"blocks": [1.9]}, "densities": [[[1.0]]]}),
+            ("gns", {"shape": {"blocks": [True]}, "densities": [[[1.0]]]}),
+            ("gns", {"shape": {"blocks": ["1"]}, "densities": [[[1.0]]]}),
+            ("check-channel", {"source": {"blocks": [1.5]}, "target": {"blocks": [1]}, "kraus": [[[1]]]}),
         ],
     )
     def test_is_input_error(self, tmp_path, command, payload):

@@ -13,9 +13,9 @@ from ncplab.models import (
     affine_compose,
     affine_identity,
     affine_pushforward_check,
-    analytic_references,
     congruence_invariance_check,
     embedded_model,
+    finite_difference,
     fisher_rao_simplex_metric,
     gaussian_fisher_rao_metric,
     gaussian_group_model,
@@ -347,15 +347,11 @@ class TestMetricPullback:
         assert errs[1] < 0.01
 
     def test_fd_matches_analytic(self):
-        for model_fd, model_an, theta in [
-            (simplex_model(2, derivative_mode="fd"), simplex_model(2), np.array([0.4, 0.25])),
-            (
-                qubit_faithful_model(derivative_mode="fd"),
-                qubit_faithful_model(),
-                np.array([0.5, 1.2, 0.7]),
-            ),
+        for model_an, theta in [
+            (simplex_model(2), np.array([0.4, 0.25])),
+            (qubit_faithful_model(), np.array([0.5, 1.2, 0.7])),
         ]:
-            g_fd = metric_pullback(model_fd, theta, gns_kind())
+            g_fd = metric_pullback(finite_difference(model_an), theta, gns_kind())
             g_an = metric_pullback(model_an, theta, gns_kind())
             assert np.max(np.abs(g_fd - g_an)) < 1e-6
 
@@ -381,9 +377,14 @@ class TestOracles:
         assert np.allclose(g, [[6.0, 3.0], [3.0, 6.0]], atol=1e-12)
 
     def test_reference_bundle(self):
-        refs = analytic_references()
-        assert set(refs) == {"simplex", "gaussian", "qubit-faithful", "qubit-pure"}
-        assert np.allclose(refs["qubit-pure"](np.pi / 2, 0.0), np.eye(2), atol=1e-14)
+        for m, theta, oracle in [
+            (simplex_model(2), [0.2, 0.3], fisher_rao_simplex_metric([0.2, 0.3])),
+            (gaussian_model(64, -10.0, 10.0), [0.5, 2.0], np.diag([0.25, 0.5])),
+            (qubit_faithful_model(), [0.5, 1.2, 0.3], qubit_qfi_metric(0.5, 1.2, 0.3)),
+            (qubit_pure_model(), [np.pi / 2, 0.0], np.eye(2)),
+        ]:
+            for model in (m, finite_difference(m)):
+                assert np.allclose(model.reference(np.array(theta)), oracle, atol=1e-14)
 
 
 class TestCongruenceInvariance:
@@ -410,6 +411,19 @@ class TestCongruenceInvariance:
             m, emb, [np.array([0.1, 1.2])], tol=1e-9
         )
         assert rep["max_metric_deviation"] < 1e-9
+
+    @pytest.mark.parametrize("x_min, x_max", [(-10.0, 10.0), (40.0, 60.0), (-3.0, 3.0)])
+    def test_interior_points_in_chart(self, x_min, x_max):
+        rng = np.random.default_rng(0)
+        gauss = gaussian_model(64, x_min, x_max)
+        for m in (simplex_model(3), gauss):
+            for _ in range(20):
+                m.state_at(m.interior(rng))  # raises ModelDomainError outside the chart
+        emb = congruent_embedding(np.repeat(np.arange(64), 2), np.full(128, 0.5))
+        refined = embedded_model(gauss, emb)
+        assert refined.reference is gauss.reference and refined.interior is gauss.interior
+        with pytest.raises(ModelDomainError, match="leaks outside"):
+            refined.state_at([x_max, 1.0])
 
     def test_embedded_model_states(self):
         m = simplex_model(1)

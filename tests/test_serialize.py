@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import depolarizing_kraus, random_element
-from ncplab.algebra import mk_shape
+from ncplab.algebra import ShapeError, mk_shape
 from ncplab.channels import from_kraus, markov_from_stochastic, predual, transpose_map
 from ncplab.serialize import (
     SerializationError,
@@ -90,6 +90,16 @@ class TestErrors:
             state_from_json(
                 {"shape": {"blocks": [2]}, "densities": [[[1.0, 0.0], [0.0]]]}
             )
+
+    @pytest.mark.parametrize("blocks", [[1.9], [True], ["1"], [1.5, 2]])
+    def test_non_integer_block_size(self, blocks):
+        with pytest.raises(SerializationError):
+            shape_from_json({"blocks": blocks})
+        assert shape_from_json({"blocks": [np.int64(2), 1]}).blocks == (2, 1)
+
+    def test_empty_stochastic_matrix(self):
+        with pytest.raises(ShapeError):
+            cpumap_from_json({"stochastic": [[]]})
 
     def test_bad_complex_entry(self):
         with pytest.raises(SerializationError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference_loops as ref
 from conftest import PAULI_Z, STANDARD_SHAPES, random_element
 from ncplab.algebra import adjoint, basis, hs_norm, identity, mk_element, mk_shape, multiply
 from ncplab.states import (
@@ -158,9 +159,7 @@ class TestTracial:
                 if seed % 2
                 else random_state(shape, seed=seed)
             )
-            assert is_tracial(rho, 1e-9, method="commutator") == is_tracial(
-                rho, 1e-9, method="scalar"
-            )
+            assert is_tracial(rho, 1e-9) == ref.is_tracial_commutator_sweep(rho, 1e-9)
 
 
 class TestRandomStates:
@@ -184,5 +183,5 @@ class TestRandomStates:
 
     def test_tracial_generator(self):
         rho = random_tracial_state(mk_shape([2, 3]), seed=1)
-        assert is_tracial(rho, 1e-10, method="scalar")
+        assert is_tracial(rho, 1e-10)
         assert is_faithful(rho)
