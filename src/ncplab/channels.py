@@ -15,15 +15,22 @@ no checks.
 
 Complete positivity is decided through the Choi matrix of the map extended to
 the enveloping full matrix algebra by the block-diagonal conditional
-expectation E (a pinching).  E is CPU, so phi is CP iff phi o E is CP, and one
-positive-semidefiniteness test covers direct sums without multi-block
-bookkeeping.  The Choi matrix is normalized by the source dimension:
-``C = (1/N_B) sum_ij e_ij (x) (phi o E)(e_ij)``.
+expectation E (a pinching).  E is CPU, so phi is CP iff phi o E is CP.  The
+Choi matrix is normalized by the source dimension:
+``C = (1/N_B) sum_ij e_ij (x) (phi o E)(e_ij)``.  Its entry [(i,a), (j,b)]
+vanishes unless i and j lie in one source block k and a and b in one target
+block l (Choi 1975), so C is a permutation of the direct sum of K_B*K_A
+blocks of size n_k*m_l, and the sizes add up to N_B*N_A.  The test therefore
+never forms C: :func:`choi` gathers the blocks, batched by (n_k, m_l), and
+their spectra together are the spectrum of C.  A failed test names the
+block pair (k, l) that holds the smallest eigenvalue.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +39,7 @@ from .algebra import (
     AlgebraShape,
     ShapeError,
     _from_vec,
+    _frozen,
     _wrap,
     basis,
     embed_full,
@@ -172,33 +180,96 @@ def transpose_map(shape: AlgebraShape) -> CpuMap:
     return from_linear(shape, shape, np.eye(shape.element_dim)[shape.transpose_perm])
 
 
-def choi(phi: CpuMap) -> np.ndarray:
-    """Normalized Choi matrix of the pinched extension of phi.
+class ChoiClass(NamedTuple):
+    """The Choi blocks of one size class: every pair of a source block of
+    size n and a target block of size m.
 
-    Returns (1/N_B) sum_ij e_ij (x) M(phi(E(e_ij))) where E pinches the full
-    source matrix algebra onto the source blocks and M embeds target elements
-    block-diagonally.  phi is CP iff this matrix is PSD.
+    ``pairs`` holds the block numbers (k, l) of each pair, source-major, and
+    ``blocks`` the (K_n*K_m, n*m, n*m) stack of their Choi blocks, rows and
+    columns ordered (i, a) with i in source block k and a in target block l.
+    """
+
+    pairs: np.ndarray
+    blocks: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _choi_layout(src: AlgebraShape, dst: AlgebraShape):
+    """Where the Choi test of a map src -> dst reads its flattened
+    (dst.element_dim, src.element_dim) action.
+
+    Returns the block pairs and the stack positions of each size class; for
+    each action entry, the position of its partner under the Choi adjoint
+    (the entry of the blockwise transposes); and the positions of the Choi
+    diagonal.  Cached by shape value, because every verdict read from JSON
+    builds its shapes afresh, and the index maps cached on an
+    :class:`AlgebraShape` would be rebuilt for each.
+    """
+    width = src.element_dim
+    classes = []
+    for n, ks, pos_k in src.size_positions:
+        for m, ls, pos_l in dst.size_positions:
+            pairs = np.empty((ks.size, ls.size, 2), dtype=int)
+            pairs[..., 0], pairs[..., 1] = ks[:, None], ls
+            # axes (k, l, i, a, j, b) of entry [(i,a), (j,b)] of block (k, l)
+            at = pos_l[None, :, None, :, None, :] * width + pos_k[:, None, :, None, :, None]
+            classes.append((_frozen(pairs.reshape(-1, 2)), _frozen(at.reshape(-1, n * m, n * m))))
+    adjoint = dst.transpose_perm[:, None] * width + src.transpose_perm
+    (si, sj), (da, db) = src.full_positions, dst.full_positions
+    diagonal = np.flatnonzero(da == db)[:, None] * width + np.flatnonzero(si == sj)
+    return tuple(classes), _frozen(adjoint.ravel()), _frozen(diagonal.ravel())
+
+
+def choi(phi: CpuMap) -> tuple[ChoiClass, ...]:
+    """Nonzero diagonal blocks of the normalized Choi matrix of the pinched
+    extension of phi, one :class:`ChoiClass` per (source size, target size).
+
+    The dense matrix is (1/N_B) sum_ij e_ij (x) M(phi(E(e_ij))), where E
+    pinches the full source matrix algebra onto the source blocks and M embeds
+    target elements block-diagonally.  Its entry [(i,a), (j,b)] vanishes
+    unless i and j share a source block k and a and b share a target block l,
+    so it is a permutation of the direct sum of the K_B*K_A blocks (k, l) of
+    size n_k*m_l returned here.  These sizes add up to N_B*N_A, so the blocks
+    cover every row and column, their spectra together are the spectrum of
+    the dense matrix, and phi is CP iff every block is PSD.  Entry
+    [(i,a), (j,b)] of block (k, l) is ``action[pos_l[a, b], pos_k[i, j]] / N_B``
+    with the positions of :attr:`AlgebraShape.size_positions`.
     """
     src, dst = phi.source_shape, phi.target_shape
-    NB, NA = src.total_dim, dst.total_dim
-    (si, sj), (da, db) = src.full_positions, dst.full_positions
-    # entry (i*NA + a, j*NA + b) of C is entry [i, a, j, b] of this view
-    C = np.zeros((NB, NA, NB, NA), dtype=complex)
-    for q in range(src.element_dim):
-        unit = np.zeros(src.element_dim)
+    width = src.element_dim
+    # column q holds the coordinates of phi applied to source matrix unit q
+    images = np.empty((dst.element_dim, width), dtype=complex)
+    for q in range(width):
+        unit = np.zeros(width, dtype=complex)
         unit[q] = 1.0
-        C[si[q], da, sj[q], db] = apply(phi, _from_vec(src, unit)).vec
-    return C.reshape(NB * NA, NB * NA) / NB
+        images[:, q] = apply(phi, _from_vec(src, unit)).vec
+    flat = images.ravel() / src.total_dim
+    return tuple(ChoiClass(pairs, flat[at]) for pairs, at in _choi_layout(src, dst)[0])
 
 
-def _choi_test(phi: CpuMap, tol: float) -> tuple[bool, float]:
-    """(CP verdict, min eigenvalue of the Hermitian part of the Choi matrix)
-    from one Choi matrix and one eigensolve; tolerance scaled by Choi trace."""
-    c = choi(phi)
-    herm_dev = float(np.max(np.abs(c - c.conj().T)))
-    scale = max(1.0, abs(float(np.trace(c).real)))
-    min_eig = float(np.linalg.eigvalsh((c + c.conj().T) / 2.0)[0])
-    return herm_dev <= tol * scale and min_eig >= -tol * scale, min_eig
+def _choi_test(phi: CpuMap, tol: float) -> tuple[bool, float, tuple[int, int]]:
+    """(CP verdict, min eigenvalue of the Hermitian part of the Choi matrix,
+    the block pair (k, l) holding it) from one :func:`choi` call and one
+    batched eigensolve per size class; tolerance scaled by the Choi trace.
+
+    The Hermiticity deviation and the trace are read once off the action.
+    Of several pairs holding the minimum, the smallest (k, l) is named.
+    """
+    src = phi.source_shape
+    _, adjoint, diagonal = _choi_layout(src, phi.target_shape)
+    flat = phi.linear_action.ravel()
+    herm_dev = float(np.max(np.abs(flat - flat[adjoint].conj()))) / src.total_dim
+    scale = max(1.0, abs(float(flat[diagonal].sum().real)) / src.total_dim)
+    pairs, mins = [], []
+    for cls in choi(phi):
+        herm = (cls.blocks + cls.blocks.conj().swapaxes(-1, -2)) / 2.0
+        pairs.append(cls.pairs)
+        mins.append(np.linalg.eigvalsh(herm)[:, 0])
+    pairs, mins = np.concatenate(pairs), np.concatenate(mins)
+    at = np.lexsort((pairs[:, 1], pairs[:, 0], mins))[0]
+    min_eig = float(mins[at])
+    cp = herm_dev <= tol * scale and min_eig >= -tol * scale
+    return cp, min_eig, (int(pairs[at, 0]), int(pairs[at, 1]))
 
 
 def min_choi_eig(phi: CpuMap) -> float:
@@ -274,10 +345,11 @@ def mk_morphism(
     if not is_unital(phi):
         dev = hs_norm(apply(phi, identity(shape_b)) - identity(shape_a))
         raise MorphismValidationError(f"carrier map is not unital (deviation {dev:.3e})")
-    cp, min_eig = _choi_test(phi, CP_TOL)
+    cp, min_eig, (k, l) = _choi_test(phi, CP_TOL)
     if not cp:
         raise MorphismValidationError(
-            f"carrier map is not completely positive (min Choi eigenvalue {min_eig:.3e})"
+            f"carrier map is not completely positive (min Choi eigenvalue {min_eig:.3e} "
+            f"in the block of source block {k} and target block {l})"
         )
     worst = 0.0
     for b in basis(shape_b):

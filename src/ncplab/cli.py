@@ -124,8 +124,10 @@ def _cmd_gns(args) -> tuple[int, dict]:
 
 def _cmd_check_channel(args) -> tuple[int, dict]:
     phi = cpumap_from_json(_load_json(args.channel))
-    (cp, min_eig), unital = _choi_test(phi, args.tol), is_unital(phi)
+    (cp, min_eig, (k, l)), unital = _choi_test(phi, args.tol), is_unital(phi)
     report = {"cp": cp, "unital": unital, "min_choi_eig": min_eig, "tol": args.tol}
+    if not cp:
+        report["witness"] = {"source_block": k, "target_block": l}
     return (EXIT_PASS if (cp and unital) else EXIT_PROPERTY_FAILURE), report
 
 

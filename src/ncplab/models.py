@@ -64,7 +64,8 @@ class StatModel:
     """A chart theta -> state on a fixed ambient algebra.
 
     Derivatives come from the analytic closure ``_deriv_fn`` when the family
-    has one, else from central finite differences with step ``FD_STEP``.
+    has one, else from finite differences with step ``FD_STEP``: central,
+    or one-sided of second order at the edge of the chart.
     ``reference(theta)`` is the family's closed-form GNS metric and
     ``interior(rng)`` a seeded parameter point well inside the chart; either
     is None when the family has none.
@@ -80,8 +81,8 @@ class StatModel:
     reference: Callable[[np.ndarray], np.ndarray] | None = None
     interior: Callable[[np.random.Generator], np.ndarray] | None = None
 
-    def state_at(self, theta) -> NormalState:
-        theta = np.asarray(theta, dtype=float)
+    def _check(self, theta: np.ndarray) -> None:
+        """Raise :class:`ModelDomainError` unless theta is a point of the chart."""
         if theta.shape != (self.param_dim,):
             raise ModelDomainError(
                 f"{self.name}: expected {self.param_dim} parameters, got {theta.shape}"
@@ -93,21 +94,42 @@ class StatModel:
                 else f"{self.name}: parameters {theta.tolist()} outside the chart domain"
             )
             raise ModelDomainError(msg)
+
+    def state_at(self, theta) -> NormalState:
+        theta = np.asarray(theta, dtype=float)
+        self._check(theta)
         return self._state_fn(theta)
 
     def derivatives(self, theta) -> list[AlgebraElement]:
-        """Hermitian trace-zero differentials dD_i, one per parameter."""
+        """Hermitian trace-zero differentials dD_i, one per parameter.
+
+        Finite differences are central where theta +- h both lie in the
+        chart.  Near its edge a parameter takes the second-order one-sided
+        stencil (-3 f(theta) + 4 f(theta + s h) - f(theta + 2 s h)) / (2 s h)
+        towards the side s that fits.
+        """
         theta = np.asarray(theta, dtype=float)
         if self._deriv_fn is not None:
             return self._deriv_fn(theta)
-        out = []
-        for i in range(self.param_dim):
-            step = np.zeros(self.param_dim)
-            step[i] = FD_STEP
-            plus = self.state_at(theta + step)
-            minus = self.state_at(theta - step)
-            out.append(_from_vec(self.shape, (plus.vec - minus.vec) / (2.0 * FD_STEP)))
-        return out
+        self._check(theta)
+        return [_from_vec(self.shape, self._difference(theta, i)) for i in range(self.param_dim)]
+
+    def _difference(self, theta: np.ndarray, i: int) -> np.ndarray:
+        h = np.zeros(self.param_dim)
+        h[i] = FD_STEP
+
+        def f(t):
+            return self._state_fn(t).vec
+
+        if self.domain(theta + h) and self.domain(theta - h):
+            return (f(theta + h) - f(theta - h)) / (2.0 * FD_STEP)
+        for s in (h, -h):
+            if self.domain(theta + s) and self.domain(theta + 2.0 * s):
+                return (-3.0 * f(theta) + 4.0 * f(theta + s) - f(theta + 2.0 * s)) / (2.0 * s[i])
+        raise ModelDomainError(
+            f"{self.name}: no finite-difference stencil of step {FD_STEP:.0e} in "
+            f"parameter {i} fits inside the chart at {theta.tolist()}"
+        )
 
 
 def finite_difference(model: StatModel) -> StatModel:

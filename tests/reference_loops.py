@@ -7,9 +7,11 @@ These are the straightforward loops that the batched implementations in
 can be checked against them: one eigendecomposition per block, one form and
 one least-squares solve per block, the covariance Gram assembled from the raw
 forms, the induced contraction one GNS coordinate at a time, the Kraus
-action one source basis element at a time, and evaluation, the predual, the
-blockwise transpose, the block-diagonal embedding and the bases one block
-(or one basis element of K zero matrices) at a time.  Also the traciality
+action one source basis element at a time, the dense (N_B N_A)^2 Choi
+matrix and its single eigensolve, the monotonicity samples one vector at a
+time, and evaluation, the predual, the blockwise transpose, the
+block-diagonal embedding and the bases one block (or one basis element of K
+zero matrices) at a time.  Also the traciality
 sweep over all pairs of basis elements, the bin-overlap Markov matrix of an
 affine map with its boundary bookkeeping, and the trace-map Kraus operators
 appended one matrix unit at a time.
@@ -233,6 +235,49 @@ def from_kraus_action(src, dst, kraus):
         out = sum(k.conj().T @ full @ k for k in kraus)
         cols.append(np.concatenate([out[p: p + n, p: p + n].ravel() for p, n in zip(starts, dst.blocks)]))
     return np.column_stack(cols)
+
+
+def choi(phi):
+    """The dense normalized Choi matrix of the pinched extension of phi,
+    (1/N_B) sum_ij e_ij (x) M(phi(E(e_ij))), one source matrix unit at a
+    time: the (N_B N_A)^2 matrix whose diagonal blocks ``channels.choi``
+    returns."""
+    src, dst = phi.source_shape, phi.target_shape
+    NB, NA = src.total_dim, dst.total_dim
+    (si, sj), (da, db) = src.full_positions, dst.full_positions
+    # entry (i*NA + a, j*NA + b) of C is entry [i, a, j, b] of this view
+    C = np.zeros((NB, NA, NB, NA), dtype=complex)
+    for q in range(src.element_dim):
+        unit = np.zeros(src.element_dim)
+        unit[q] = 1.0
+        C[si[q], da, sj[q], db] = apply(phi, algebra._from_vec(src, unit)).vec
+    return C.reshape(NB * NA, NB * NA) / NB
+
+
+def choi_test(phi, tol):
+    """(CP verdict, min eigenvalue of the Hermitian part) of the dense Choi
+    matrix, the tolerance scaled by its trace."""
+    c = choi(phi)
+    herm_dev = float(np.max(np.abs(c - c.conj().T)))
+    scale = max(1.0, abs(float(np.trace(c).real)))
+    min_eig = float(np.linalg.eigvalsh((c + c.conj().T) / 2.0)[0])
+    return herm_dev <= tol * scale and min_eig >= -tol * scale, min_eig
+
+
+def monotonicity_samples(pushed, g_sigma, n_samples, seed, tol):
+    """(worst ratio, violations) of ``covariance.monotonicity_check``'s
+    sampling, one random vector at a time."""
+    rng = np.random.default_rng(seed)
+    d = g_sigma.shape[0]
+    worst, violations = 0.0, 0
+    for _ in range(n_samples):
+        xi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        lhs = float((xi.conj() @ pushed @ xi).real)
+        rhs = float((xi.conj() @ g_sigma @ xi).real)
+        worst = max(worst, lhs / rhs)
+        if lhs > rhs + tol * float((xi.conj() @ xi).real):
+            violations += 1
+    return worst, violations
 
 
 def block_form(kind, space, k):

@@ -1,7 +1,7 @@
-"""The batched (per-block-size) state, GNS, contraction, Kraus and pullback
-paths and the coordinate-vector element operations against the per-block and
-per-basis-element reference loops, on random mixed shapes, and the count of
-eigendecompositions per state."""
+"""The batched (per-block-size) state, GNS, contraction, Kraus, Choi and
+pullback paths and the coordinate-vector element operations against the
+per-block and per-basis-element reference loops, on random mixed shapes, and
+the count of eigendecompositions per state."""
 
 import numpy as np
 import pytest
@@ -27,12 +27,16 @@ from ncplab.covariance import (
     covariance_gram,
     gns_kind,
     kind_catalog,
+    kind_from_name,
+    monotonicity_check,
     petz_kind,
 )
+from ncplab import channels
 from ncplab.channels import (
     NcpMorphism,
     conjugation_map,
     from_kraus,
+    from_linear,
     mk_morphism,
     predual,
     predual_apply,
@@ -295,6 +299,30 @@ class TestContractionAgainstLoops:
             ref.induced_contraction(bad, loops, loops)
 
 
+class TestMonotonicitySamplesAgainstLoop:
+    @SETTINGS
+    @given(small_shapes, small_shapes, seeds, st.sampled_from(["gns", "sld", "rld"]), st.booleans())
+    def test_samples_match(self, blocks_a, blocks_b, seed, kind_name, transposed):
+        # the blockwise transpose is not CP and breaks monotonicity, so its
+        # samples find violations
+        m = random_morphism_on(blocks_a, blocks_b, seed, False, False, 0.1)
+        if transposed:
+            (shape_a, rho) = m.source
+            t = transpose_map(shape_a)
+            m = NcpMorphism((shape_a, rho), (shape_a, predual(t, rho)), t)
+        kind = kind_from_name(kind_name)
+        (shape_a, rho), (shape_b, sigma) = m.source, m.target
+        space_rho, space_sigma = build_gns(shape_a, rho), build_gns(shape_b, sigma)
+        c = induced_contraction(m, space_sigma, space_rho).matrix
+        pushed = c.conj().T @ covariance_gram(kind, space_rho).gram @ c
+        pushed = (pushed + pushed.conj().T) / 2.0
+        g_sigma = covariance_gram(kind, space_sigma).gram
+        worst, violations = ref.monotonicity_samples(pushed, g_sigma, 40, seed, 1e-9)
+        rep = monotonicity_check(kind, m, n_samples=40, seed=seed, tol=1e-9)
+        assert rep["sample_violations"] == violations
+        assert abs(rep["worst_ratio"] - worst) <= 1e-12 * worst
+
+
 class TestKrausAgainstLoop:
     @SETTINGS
     @given(small_shapes, small_shapes, seeds, st.sampled_from([0.0, 0.1]))
@@ -314,6 +342,57 @@ class TestKrausAgainstLoop:
         assert len(phi.kraus) == len(kraus)
         assert all(np.array_equal(a, b) for a, b in zip(phi.kraus, kraus))
         assert np.array_equal(phi.linear_action, from_kraus(src, dst, kraus).linear_action)
+
+
+choi_shapes = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+
+
+def random_map(blocks_src, blocks_dst, seed, family):
+    """A CPU map with or without trace mixing, the blockwise transpose of the
+    source shape, or a random real coordinate matrix (rarely CP)."""
+    src, dst = mk_shape(blocks_src), mk_shape(blocks_dst)
+    if family == "transpose":
+        return transpose_map(src)
+    if family == "linear":
+        rng = np.random.default_rng(seed)
+        return from_linear(src, dst, rng.standard_normal((dst.element_dim, src.element_dim)))
+    return random_cpu_map(src, dst, seed=seed, mix_trace=family)
+
+
+class TestChoiBlocksAgainstDense:
+    @SETTINGS
+    @given(choi_shapes, choi_shapes, seeds, st.sampled_from([0.0, 0.1, "transpose", "linear"]))
+    def test_blocks_match_dense(self, blocks_src, blocks_dst, seed, family):
+        phi = random_map(blocks_src, blocks_dst, seed, family)
+        src, dst = phi.source_shape, phi.target_shape
+        dense = ref.choi(phi)
+        scale = max(1.0, abs(float(np.trace(dense).real)))
+        # rows (i, a) of the dense matrix, by source block of i and target block of a
+        rows = np.arange(src.total_dim * dst.total_dim).reshape(src.total_dim, dst.total_dim)
+        owner_src = np.repeat(np.arange(src.num_blocks), src.blocks)
+        owner_dst = np.repeat(np.arange(dst.num_blocks), dst.blocks)
+        spectra = []
+        for cls in channels.choi(phi):
+            for (k, l), block in zip(cls.pairs, cls.blocks):
+                at = rows[owner_src == k][:, owner_dst == l].ravel()
+                assert np.array_equal(block, dense[np.ix_(at, at)])
+            herm = (cls.blocks + cls.blocks.conj().swapaxes(-1, -2)) / 2.0
+            spectra.append(np.linalg.eigvalsh(herm).ravel())
+        spectra = np.sort(np.concatenate(spectra))
+        dense_spectrum = np.linalg.eigvalsh((dense + dense.conj().T) / 2.0)
+        assert spectra.size == src.total_dim * dst.total_dim
+        assert np.max(np.abs(spectra - dense_spectrum)) <= 1e-12 * scale
+
+        cp, min_eig, (k, l) = channels._choi_test(phi, channels.CP_TOL)
+        cp_ref, min_ref = ref.choi_test(phi, channels.CP_TOL)
+        assert cp == cp_ref
+        assert abs(min_eig - min_ref) <= 1e-13 * scale
+        # the witness holds the minimum
+        at = rows[owner_src == k][:, owner_dst == l].ravel()
+        witness = dense[np.ix_(at, at)]
+        assert np.linalg.eigvalsh((witness + witness.conj().T) / 2.0)[0] == pytest.approx(
+            min_eig, abs=1e-13 * scale
+        )
 
 
 class TestAffineOverlapAgainstLoop:

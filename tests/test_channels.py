@@ -20,6 +20,7 @@ from ncplab.algebra import (
 from ncplab.channels import (
     ChannelValidationError,
     MorphismValidationError,
+    _choi_test,
     apply,
     choi,
     compose,
@@ -92,8 +93,9 @@ class TestKrausConstruction:
         assert np.allclose(sorted(oracle_eigs), [1 / 8, 1 / 8, 1 / 8, 5 / 8], atol=1e-12)
         phi = from_kraus(S2, S2, depolarizing_kraus(lam))
         assert is_cp(phi)
+        (only,) = choi(phi)  # one source block, one target block: one Choi block
         assert np.allclose(
-            np.linalg.eigvalsh(choi(phi)), oracle_eigs, atol=1e-12
+            np.linalg.eigvalsh(only.blocks[0]), oracle_eigs, atol=1e-12
         )
 
     def test_non_unital_kraus_rejected(self):
@@ -109,7 +111,9 @@ class TestKrausConstruction:
 class TestChoi:
     def test_identity_choi_is_entangled_projector(self):
         phi = identity_map(S2)
-        c = choi(phi)
+        (only,) = choi(phi)
+        assert only.pairs.tolist() == [[0, 0]]
+        c = only.blocks[0]
         omega = np.zeros(4, dtype=complex)
         omega[0] = omega[3] = 1.0  # unnormalized maximally entangled vector
         assert np.allclose(c, np.outer(omega, omega.conj()) / 2.0, atol=1e-12)
@@ -127,6 +131,32 @@ class TestChoi:
         assert not is_cp(t)
         assert abs(min_choi_eig(t) + 0.5) < 1e-12
         assert is_unital(t)
+
+    @pytest.mark.parametrize(
+        "blocks, witness", [([3], (0, 0)), ([1, 2], (1, 1)), ([2, 2], (0, 0))]
+    )
+    def test_transpose_witness(self, blocks, witness):
+        # only the blocks (k, k) of k >= 2 see the SWAP; the two equal
+        # minima of [2, 2] go to the smaller pair
+        t = transpose_map(mk_shape(blocks))
+        cp, min_eig, pair = _choi_test(t, 1e-9)
+        assert not cp
+        assert pair == witness
+        assert min_eig == pytest.approx(-1.0 / sum(blocks), abs=1e-12)
+        rho = random_state(t.target_shape, faithful=True, seed=2)
+        with pytest.raises(
+            MorphismValidationError,
+            match=f"source block {witness[0]} and target block {witness[1]}",
+        ):
+            mk_morphism((t.target_shape, rho), (t.source_shape, predual(t, rho)), t)
+
+    def test_1024_cell_embedding_is_cp_blockwise(self):
+        rng = np.random.default_rng(5)
+        weights = rng.dirichlet(np.ones(2), size=512).ravel()
+        emb = congruent_embedding(np.repeat(np.arange(512), 2), weights)
+        (only,) = choi(emb)
+        assert only.blocks.shape == (1024 * 512, 1, 1)
+        assert is_cp(emb)
 
     def test_depolarizing_family_cp_range(self):
         # CP exactly where the oracle Choi eigenvalues stay >= -1e-9,

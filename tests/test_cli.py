@@ -89,6 +89,15 @@ class TestCheckChannel:
         assert code == 1
         assert rep["cp"] is False
         assert abs(rep["min_choi_eig"] + 0.5) < 1e-12
+        assert rep["witness"] == {"source_block": 0, "target_block": 0}
+
+    def test_transpose_witness_names_the_matrix_block(self, tmp_path):
+        path = write_json(
+            tmp_path, "chan.json", cpumap_to_json(transpose_map(mk_shape([1, 2])))
+        )
+        code, rep = run_cli(["check-channel", "--channel", path], tmp_path)
+        assert code == 1
+        assert rep["witness"] == {"source_block": 1, "target_block": 1}
 
     def test_one_choi_matrix_per_verdict(self, tmp_path, monkeypatch):
         calls = []
@@ -100,6 +109,9 @@ class TestCheckChannel:
         code, rep = run_cli(["check-channel", "--channel", path], tmp_path)
         assert code == 0 and rep["min_choi_eig"] >= -1e-12
         assert len(calls) == 1
+        # a CP map's report carries no witness
+        fields = {"schema", "command", "timestamp", "cp", "unital", "min_choi_eig", "tol"}
+        assert set(rep) == fields
 
     def test_non_finite_stochastic_is_input_error(self, tmp_path):
         path = write_json(tmp_path, "chan.json", {"stochastic": [[float("nan"), 0.5], [0.5, 0.5]]})
@@ -170,6 +182,18 @@ class TestPullback:
         assert code == 0
         assert rep["oracle_deviation"] < 1e-9
 
+    @pytest.mark.parametrize(
+        "model, theta",
+        [("qubit-pure", "0,0.4"), ("qubit-pure", f"{np.pi},0.4"), ("simplex:2", "0.000001,0.5")],
+    )
+    def test_fd_at_chart_edge_matches_analytic(self, tmp_path, model, theta):
+        # theta - FD_STEP (or theta + FD_STEP) leaves the chart: one-sided stencil
+        args = ["pullback", "--model", model, "--theta", theta]
+        code_an, analytic = run_cli(args, tmp_path, "analytic.json")
+        code_fd, fd = run_cli([*args, "--fd"], tmp_path, "fd.json")
+        assert code_an == code_fd == 0
+        assert np.max(np.abs(np.subtract(fd["metric"], analytic["metric"]))) < 1e-6
+
     def test_out_of_domain_is_input_error(self, tmp_path):
         code, rep = run_cli(
             ["pullback", "--model", "simplex:2", "--theta", "0.9,0.3"], tmp_path
@@ -203,8 +227,7 @@ class TestGaussianDemo:
 
 
 class TestTracialUniqueness:
-    def test_runs_clean(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("NCP_LAB_THREADS", "2")
+    def test_runs_clean(self, tmp_path):
         code, rep = run_cli(
             ["tracial-uniqueness", "--samples", "12", "--seed", "5"], tmp_path
         )

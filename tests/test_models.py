@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -354,6 +356,14 @@ class TestMetricPullback:
             g_fd = metric_pullback(finite_difference(model_an), theta, gns_kind())
             g_an = metric_pullback(model_an, theta, gns_kind())
             assert np.max(np.abs(g_fd - g_an)) < 1e-6
+
+    def test_fd_without_room_names_the_given_point(self):
+        # the chart is narrower than FD_STEP on both sides of 0.5
+        model = replace(
+            finite_difference(simplex_model(1)), domain=lambda t: bool(abs(t[0] - 0.5) < 5e-6)
+        )
+        with pytest.raises(ModelDomainError, match=r"\[0\.5\]"):
+            model.derivatives([0.5])
 
     def test_petz_pullback_runs_and_is_spd(self):
         # no closed-form reference; the pullback must still be symmetric
