@@ -32,7 +32,12 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class ShapeError(ValueError):
+class InputError(ValueError):
+    """Root of every error that a caller's input can cause (shapes, states, maps,
+    kinds, model parameters, payloads, flags): exit code 2 on the command line."""
+
+
+class ShapeError(InputError):
     """Invalid block-dimension list, or an operation on mismatched shapes."""
 
 

@@ -37,6 +37,7 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     AlgebraShape,
+    InputError,
     ShapeError,
     _from_vec,
     _frozen,
@@ -54,12 +55,12 @@ UNITAL_TOL = 1e-10
 PRESERVATION_TOL = 1e-9
 
 
-class ChannelValidationError(ValueError):
+class ChannelValidationError(InputError):
     """Channel data is not finite, or fails unitality, positivity, or
     dimensions."""
 
 
-class MorphismValidationError(ValueError):
+class MorphismValidationError(InputError):
     """A candidate morphism fails CP, unitality, or state preservation."""
 
 
@@ -114,9 +115,7 @@ def from_linear(src: AlgebraShape, dst: AlgebraShape, matrix) -> CpuMap:
         raise ShapeError(f"linear action must be {expected}, got {mat.shape}")
     if not np.isfinite(mat).all():
         raise ChannelValidationError("linear action is not finite")
-    mat = mat.copy()
-    mat.flags.writeable = False
-    return CpuMap(src, dst, mat)
+    return CpuMap(src, dst, _frozen(mat.copy()))
 
 
 def from_kraus(src: AlgebraShape, dst: AlgebraShape, kraus_list) -> CpuMap:
@@ -150,13 +149,7 @@ def from_kraus(src: AlgebraShape, dst: AlgebraShape, kraus_list) -> CpuMap:
         )
     (si, sj), (da, db) = src.full_positions, dst.full_positions
     action = sum(k[si][:, da].conj() * k[sj][:, db] for k in ks).T
-    action.flags.writeable = False
-    frozen = []
-    for k in ks:
-        k = k.copy()
-        k.flags.writeable = False
-        frozen.append(k)
-    return CpuMap(src, dst, action, tuple(frozen))
+    return CpuMap(src, dst, _frozen(action), tuple(_frozen(k.copy()) for k in ks))
 
 
 def identity_map(shape: AlgebraShape) -> CpuMap:
@@ -195,15 +188,14 @@ class ChoiClass(NamedTuple):
 
 @lru_cache(maxsize=16)
 def _choi_layout(src: AlgebraShape, dst: AlgebraShape):
-    """Where the Choi test of a map src -> dst reads its flattened
-    (dst.element_dim, src.element_dim) action.
+    """Where the Choi blocks of a map src -> dst sit in its flattened
+    (dst.element_dim, src.element_dim) action: the block pairs and the stack
+    positions of each size class.  Every action entry lands in exactly one
+    block, and its partner under the Choi adjoint in the same block.
 
-    Returns the block pairs and the stack positions of each size class; for
-    each action entry, the position of its partner under the Choi adjoint
-    (the entry of the blockwise transposes); and the positions of the Choi
-    diagonal.  Cached by shape value, because every verdict read from JSON
-    builds its shapes afresh, and the index maps cached on an
-    :class:`AlgebraShape` would be rebuilt for each.
+    Cached by shape value, because every verdict read from JSON builds its
+    shapes afresh, and the index maps cached on an :class:`AlgebraShape`
+    would be rebuilt for each.
     """
     width = src.element_dim
     classes = []
@@ -214,10 +206,7 @@ def _choi_layout(src: AlgebraShape, dst: AlgebraShape):
             # axes (k, l, i, a, j, b) of entry [(i,a), (j,b)] of block (k, l)
             at = pos_l[None, :, None, :, None, :] * width + pos_k[:, None, :, None, :, None]
             classes.append((_frozen(pairs.reshape(-1, 2)), _frozen(at.reshape(-1, n * m, n * m))))
-    adjoint = dst.transpose_perm[:, None] * width + src.transpose_perm
-    (si, sj), (da, db) = src.full_positions, dst.full_positions
-    diagonal = np.flatnonzero(da == db)[:, None] * width + np.flatnonzero(si == sj)
-    return tuple(classes), _frozen(adjoint.ravel()), _frozen(diagonal.ravel())
+    return tuple(classes)
 
 
 def choi(phi: CpuMap) -> tuple[ChoiClass, ...]:
@@ -244,7 +233,7 @@ def choi(phi: CpuMap) -> tuple[ChoiClass, ...]:
         unit[q] = 1.0
         images[:, q] = apply(phi, _from_vec(src, unit)).vec
     flat = images.ravel() / src.total_dim
-    return tuple(ChoiClass(pairs, flat[at]) for pairs, at in _choi_layout(src, dst)[0])
+    return tuple(ChoiClass(pairs, flat[at]) for pairs, at in _choi_layout(src, dst))
 
 
 def _choi_test(phi: CpuMap, tol: float) -> tuple[bool, float, tuple[int, int]]:
@@ -252,22 +241,22 @@ def _choi_test(phi: CpuMap, tol: float) -> tuple[bool, float, tuple[int, int]]:
     the block pair (k, l) holding it) from one :func:`choi` call and one
     batched eigensolve per size class; tolerance scaled by the Choi trace.
 
-    The Hermiticity deviation and the trace are read once off the action.
+    The blocks hold every entry of the Choi matrix, so its Hermiticity
+    deviation is read off them, and its (real) trace off their eigenvalues.
     Of several pairs holding the minimum, the smallest (k, l) is named.
     """
-    src = phi.source_shape
-    _, adjoint, diagonal = _choi_layout(src, phi.target_shape)
-    flat = phi.linear_action.ravel()
-    herm_dev = float(np.max(np.abs(flat - flat[adjoint].conj()))) / src.total_dim
-    scale = max(1.0, abs(float(flat[diagonal].sum().real)) / src.total_dim)
-    pairs, mins = [], []
+    gaps, traces, pairs, mins = [], [], [], []
     for cls in choi(phi):
-        herm = (cls.blocks + cls.blocks.conj().swapaxes(-1, -2)) / 2.0
+        adj = cls.blocks.conj().swapaxes(-1, -2)
+        eigs = np.linalg.eigvalsh((cls.blocks + adj) / 2.0)
+        gaps.append(np.abs(cls.blocks - adj).max())
+        traces.append(eigs.sum())
         pairs.append(cls.pairs)
-        mins.append(np.linalg.eigvalsh(herm)[:, 0])
+        mins.append(eigs[:, 0])
     pairs, mins = np.concatenate(pairs), np.concatenate(mins)
     at = np.lexsort((pairs[:, 1], pairs[:, 0], mins))[0]
     min_eig = float(mins[at])
+    herm_dev, scale = float(max(gaps)), max(1.0, abs(float(sum(traces))))
     cp = herm_dev <= tol * scale and min_eig >= -tol * scale
     return cp, min_eig, (int(pairs[at, 0]), int(pairs[at, 1]))
 
@@ -281,9 +270,12 @@ def is_cp(phi: CpuMap, tol: float = CP_TOL) -> bool:
     return _choi_test(phi, tol)[0]
 
 
+def _unital_deviation(phi: CpuMap) -> float:
+    return hs_norm(apply(phi, identity(phi.source_shape)) - identity(phi.target_shape))
+
+
 def is_unital(phi: CpuMap, tol: float = UNITAL_TOL) -> bool:
-    dev = hs_norm(apply(phi, identity(phi.source_shape)) - identity(phi.target_shape))
-    return dev <= tol
+    return _unital_deviation(phi) <= tol
 
 
 def predual_apply(phi: CpuMap, density_blocks) -> list[np.ndarray]:
@@ -342,8 +334,8 @@ def mk_morphism(
             f"carrier must map {shape_b} -> {shape_a}, got "
             f"{phi.source_shape} -> {phi.target_shape}"
         )
-    if not is_unital(phi):
-        dev = hs_norm(apply(phi, identity(shape_b)) - identity(shape_a))
+    dev = _unital_deviation(phi)
+    if not dev <= UNITAL_TOL:
         raise MorphismValidationError(f"carrier map is not unital (deviation {dev:.3e})")
     cp, min_eig, (k, l) = _choi_test(phi, CP_TOL)
     if not cp:
@@ -377,8 +369,7 @@ def compose(phi2: NcpMorphism, phi1: NcpMorphism) -> NcpMorphism:
     shape_b2, sigma2 = phi2.source
     if shape_b1 != shape_b2 or not np.array_equal(sigma1.vec, sigma2.vec):
         raise ShapeError("middle objects of the composition do not match")
-    action = phi1.cpu.linear_action @ phi2.cpu.linear_action
-    action.flags.writeable = False
+    action = _frozen(phi1.cpu.linear_action @ phi2.cpu.linear_action)
     cpu = CpuMap(phi2.cpu.source_shape, phi1.cpu.target_shape, action)
     return NcpMorphism(phi1.source, phi2.target, cpu)
 
@@ -405,9 +396,7 @@ def markov_from_stochastic(S) -> CpuMap:
         raise ChannelValidationError(
             f"columns must sum to one (worst deviation {col_dev:.3e})"
         )
-    src = mk_shape([1] * m)
-    dst = mk_shape([1] * n)
-    return CpuMap(src, dst, np.asarray(S.T, dtype=complex))
+    return CpuMap(mk_shape([1] * m), mk_shape([1] * n), _frozen(np.asarray(S.T, dtype=complex)))
 
 
 def congruent_embedding(partition, weights) -> CongruentEmbedding:
@@ -430,8 +419,7 @@ def congruent_embedding(partition, weights) -> CongruentEmbedding:
     if set(part) != set(range(n)):
         raise ChannelValidationError("partition must be surjective onto 0..n-1")
     S = np.zeros((m, n))
-    for i, j in enumerate(part):
-        S[i, j] = w[i]
+    S[np.arange(m), part] = w
     fiber_dev = float(np.max(np.abs(S.sum(axis=0) - 1.0)))
     if not fiber_dev <= 1e-10:
         raise ChannelValidationError(
@@ -439,22 +427,15 @@ def congruent_embedding(partition, weights) -> CongruentEmbedding:
         )
     base = markov_from_stochastic(S)
     return CongruentEmbedding(
-        base.source_shape,
-        base.target_shape,
-        base.linear_action,
-        None,
-        part,
-        tuple(float(x) for x in w),
+        base.source_shape, base.target_shape, base.linear_action, None, part, tuple(w.tolist())
     )
 
 
 def left_inverse(embedding: CongruentEmbedding) -> CpuMap:
     """Fiber-summing Markov map undoing a congruent embedding on states."""
-    m = len(embedding.partition)
-    n = max(embedding.partition) + 1
-    L = np.zeros((n, m))
-    for i, j in enumerate(embedding.partition):
-        L[j, i] = 1.0
+    part = embedding.partition
+    L = np.zeros((max(part) + 1, len(part)))
+    L[part, np.arange(len(part))] = 1.0
     return markov_from_stochastic(L)
 
 

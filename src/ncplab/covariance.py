@@ -35,13 +35,13 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .algebra import AlgebraElement
+from .algebra import AlgebraElement, InputError
 from .channels import NcpMorphism
 from .gns import GnsSpace, build_gns, embed, induced_contraction
 from .states import NormalState, is_faithful, random_tracial_state
 
 
-class UnsupportedKindError(ValueError):
+class UnsupportedKindError(InputError):
     """A covariance kind was requested at a state it is not defined for."""
 
 
@@ -114,6 +114,10 @@ class CovarianceKind:
 
     omf: OperatorMonotoneFunction = ONE
     scale: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 < self.scale < np.inf:
+            raise UnsupportedKindError(f"covariance scale must be finite and > 0, got {self.scale}")
 
     @property
     def is_gns(self) -> bool:

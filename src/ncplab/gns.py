@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, ShapeError, adjoint, multiply
+from .algebra import AlgebraElement, AlgebraShape, InputError, ShapeError, adjoint, multiply
 from .channels import NcpMorphism, compose, identity_morphism
 from .channels import apply  # noqa: F401  (perfbench's binding test reads ncplab.gns.apply)
 from .states import NormalState, SUPPORT_RTOL, evaluate
@@ -41,7 +41,7 @@ from .states import NormalState, SUPPORT_RTOL, evaluate
 WELL_DEFINED_TOL = 1e-8
 
 
-class GnsQuotientError(RuntimeError):
+class GnsQuotientError(InputError):
     """An induced map does not respect the numerically identified quotient.
 
     Usually a sign that a density eigenvalue straddles the support cutoff;

@@ -17,7 +17,9 @@ i.e. four times the Fubini-Study metric.
 
 The covariance pairing and the Riesz systems decompose block by block; the
 systems of all blocks of one size are solved together as one stack, so
-pullbacks stay cheap even for finely discretized abelian models.
+pullbacks stay cheap even for finely discretized abelian models.  A returned
+metric is always finite: where it overflows, an error names theta, so the
+solve and the metrics run with numpy's floating-point warnings off.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from scipy.special import ndtr
 from .algebra import (
     AlgebraElement,
     AlgebraShape,
+    InputError,
     ShapeError,
     _from_vec,
     _wrap,
@@ -43,11 +46,11 @@ from .gns import build_gns, embed
 from .states import NormalState, _state_from_vec
 
 
-class ModelDomainError(ValueError):
-    """Parameters outside the chart of a model."""
+class ModelDomainError(InputError):
+    """Bad model arguments, or parameters off the chart or where a metric is not finite."""
 
 
-class ScoreNotRepresentableError(RuntimeError):
+class ScoreNotRepresentableError(InputError):
     """A differential has no Riesz representative at the requested state."""
 
     def __init__(self, message: str, param_index: int):
@@ -95,6 +98,13 @@ class StatModel:
             )
             raise ModelDomainError(msg)
 
+    @np.errstate(all="ignore")
+    def reference_at(self, theta) -> np.ndarray | None:
+        """The closed-form GNS metric at theta, or None; ModelDomainError if not finite."""
+        if self.reference is None:
+            return None
+        return _finite(self, theta, "reference metric", self.reference(theta))
+
     def state_at(self, theta) -> NormalState:
         theta = np.asarray(theta, dtype=float)
         self._check(theta)
@@ -132,6 +142,14 @@ class StatModel:
         )
 
 
+def _finite(model: StatModel, theta, what: str, value: np.ndarray) -> np.ndarray:
+    if not np.isfinite(value).all():
+        raise ModelDomainError(
+            f"{model.name}: the {what} is not finite at theta={np.asarray(theta).tolist()}"
+        )
+    return value
+
+
 def finite_difference(model: StatModel) -> StatModel:
     """The same chart with its derivatives taken by central finite differences."""
     return replace(model, _deriv_fn=None)
@@ -145,7 +163,7 @@ def finite_difference(model: StatModel) -> StatModel:
 def simplex_model(n: int) -> StatModel:
     """Open probability simplex on n+1 outcomes, coordinates p_1..p_n."""
     if n < 1:
-        raise ValueError("simplex needs at least one free coordinate")
+        raise ModelDomainError("simplex needs at least one free coordinate")
     shape = mk_shape([1] * (n + 1))
 
     def domain(theta):
@@ -256,9 +274,9 @@ def gaussian_model(n_bins: int, x_min: float, x_max: float) -> StatModel:
     mu near the centre of the range and sigma near a twentieth of its width.
     """
     if n_bins < 2:
-        raise ValueError("need at least two bins")
+        raise ModelDomainError("need at least two bins")
     if not (x_min < x_max and np.isfinite([x_min, x_max]).all()):
-        raise ValueError(f"bin range [{x_min}, {x_max}] is empty or not finite")
+        raise ModelDomainError(f"bin range [{x_min}, {x_max}] is empty or not finite")
     shape = mk_shape([1] * n_bins)
     edges = np.linspace(x_min, x_max, n_bins + 1)
 
@@ -326,7 +344,7 @@ def affine_compose(xi, xi2) -> tuple[float, float]:
     mu, s = xi
     mu2, s2 = xi2
     if s <= 0.0 or s2 <= 0.0:
-        raise ValueError("affine scale must be positive")
+        raise ModelDomainError("affine scale must be positive")
     return (mu + s * mu2, s * s2)
 
 
@@ -412,7 +430,7 @@ def gaussian_group_model(n_bins: int, x_min: float, x_max: float) -> GroupAction
     def automorphism_at(g) -> CpuMap:
         mu, s = g
         if s <= 0.0:
-            raise ValueError("affine scale must be positive")
+            raise ModelDomainError("affine scale must be positive")
         return markov_from_stochastic(_affine_bin_overlap_stochastic(edges, mu, s))
 
     return GroupActionModel(base, affine_compose, automorphism_at)
@@ -423,6 +441,7 @@ def gaussian_group_model(n_bins: int, x_min: float, x_max: float) -> GroupAction
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(all="ignore")
 def _riesz_solve(model: StatModel, theta, kind: CovarianceKind):
     """Scores at theta, solved for all blocks of one size at once.
 
@@ -472,15 +491,17 @@ def riesz_score(model: StatModel, theta, kind: CovarianceKind | None = None) -> 
     return [embed(space, _from_vec(model.shape, v)) for v in vecs.T]
 
 
+@np.errstate(all="ignore")
 def metric_pullback(model: StatModel, theta, kind: CovarianceKind | None = None) -> np.ndarray:
-    """Metric matrix g_ij = Re <v_i, v_j> of the pulled-back covariance."""
+    """Metric matrix g_ij = Re <v_i, v_j> of the pulled-back covariance;
+    :class:`ModelDomainError` where it is not finite."""
     kind = kind if kind is not None else gns_kind()
     _, solved = _riesz_solve(model, theta, kind)
     g = sum(
         (scores.conj().swapaxes(-1, -2) @ b @ scores).real.sum(axis=0)
         for _, b, scores in solved
     )
-    return (g + g.T) / 2.0
+    return _finite(model, theta, f"{kind.label} metric", (g + g.T) / 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, mk_element, mk_shape
+from .algebra import AlgebraElement, AlgebraShape, InputError, mk_element, mk_shape
 from .channels import (
     CpuMap,
     NcpMorphism,
@@ -20,7 +20,7 @@ from .channels import (
 from .states import NormalState, _state_from_vec, mk_state
 
 
-class SerializationError(ValueError):
+class SerializationError(InputError):
     """Malformed or inconsistent JSON payload."""
 
 

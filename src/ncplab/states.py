@@ -31,6 +31,7 @@ import numpy as np
 from .algebra import (
     AlgebraElement,
     AlgebraShape,
+    InputError,
     ShapeError,
     _checked_vec,
     _from_vec,
@@ -48,7 +49,7 @@ TRACE_TOL = 1e-10
 SUPPORT_RTOL = 1e-9
 
 
-class StateValidationError(ValueError):
+class StateValidationError(InputError):
     """A density block is not finite, fails Hermiticity/positivity, or total
     trace is off."""
 

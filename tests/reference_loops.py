@@ -13,8 +13,9 @@ time, and evaluation, the predual, the blockwise transpose, the
 block-diagonal embedding and the bases one block (or one basis element of K
 zero matrices) at a time.  Also the traciality
 sweep over all pairs of basis elements, the bin-overlap Markov matrix of an
-affine map with its boundary bookkeeping, and the trace-map Kraus operators
-appended one matrix unit at a time.
+affine map with its boundary bookkeeping, the trace-map Kraus operators
+appended one matrix unit at a time, and the stochastic matrices of a
+congruent embedding and its left inverse filled one cell at a time.
 """
 
 from __future__ import annotations
@@ -393,3 +394,15 @@ def trace_mixed_kraus(kraus, NB, NA, lam):
             t[i, j] = np.sqrt(lam / NB)
             ks.append(t)
     return ks
+
+
+def embedding_stochastic(partition, weights):
+    """Stochastic matrices (S, L) of the congruent embedding that gives cell i
+    the share weights[i] of point partition[i], and of its fiber-summing left
+    inverse, one cell at a time."""
+    m, n = len(partition), max(partition) + 1
+    S, L = np.zeros((m, n)), np.zeros((n, m))
+    for i, j in enumerate(partition):
+        S[i, j] = weights[i]
+        L[j, i] = 1.0
+    return S, L

@@ -34,9 +34,11 @@ from ncplab.covariance import (
 from ncplab import channels
 from ncplab.channels import (
     NcpMorphism,
+    congruent_embedding,
     conjugation_map,
     from_kraus,
     from_linear,
+    left_inverse,
     mk_morphism,
     predual,
     predual_apply,
@@ -393,6 +395,19 @@ class TestChoiBlocksAgainstDense:
         assert np.linalg.eigvalsh((witness + witness.conj().T) / 2.0)[0] == pytest.approx(
             min_eig, abs=1e-13 * scale
         )
+
+
+class TestCongruentEmbeddingAgainstLoop:
+    @SETTINGS
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=8), seeds)
+    def test_actions_match(self, fiber_sizes, seed):
+        rng = np.random.default_rng(seed)
+        partition = np.repeat(np.arange(len(fiber_sizes)), fiber_sizes)
+        weights = np.concatenate([rng.dirichlet(np.ones(k)) for k in fiber_sizes])
+        emb = congruent_embedding(partition, weights)
+        S, L = ref.embedding_stochastic(partition.tolist(), weights)
+        assert np.array_equal(emb.linear_action, S.T)
+        assert np.array_equal(left_inverse(emb).linear_action, L.T)
 
 
 class TestAffineOverlapAgainstLoop:

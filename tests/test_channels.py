@@ -158,6 +158,12 @@ class TestChoi:
         assert only.blocks.shape == (1024 * 512, 1, 1)
         assert is_cp(emb)
 
+    @pytest.mark.parametrize("x, cp", [(-2e-9, True), (-4e-9, False)])
+    def test_tolerance_scales_with_choi_trace(self, x, cp):
+        # [1] -> [1]*4: the four 1x1 Choi blocks are the action entries, trace 3 + x
+        phi = from_linear(mk_shape([1]), mk_shape([1] * 4), [[1.0], [1.0], [1.0], [x]])
+        assert is_cp(phi) is cp
+
     def test_depolarizing_family_cp_range(self):
         # CP exactly where the oracle Choi eigenvalues stay >= -1e-9,
         # i.e. lam <= 4/3.
@@ -336,6 +342,39 @@ class TestCongruentEmbedding:
             congruent_embedding([0, 0], [0.3, 0.3])
         with pytest.raises(ChannelValidationError):
             congruent_embedding([0, 0], [1.5, -0.5])
+
+
+OBJ = (S2, mk_state(S2, [np.diag([0.75, 0.25])]))
+EMBEDDING = ([0, 0, 1], [0.3, 0.7, 1.0])
+
+
+class TestCarriersAreReadOnly:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: from_linear(S2, S2, np.eye(4)),
+            lambda: from_kraus(S2, S2, [np.eye(2)]),
+            lambda: identity_map(S2),
+            lambda: conjugation_map(S2, [random_unitary(2, np.random.default_rng(0))]),
+            lambda: transpose_map(S2),
+            lambda: markov_from_stochastic([[0.5, 1.0], [0.5, 0.0]]),
+            lambda: congruent_embedding(*EMBEDDING),
+            lambda: left_inverse(congruent_embedding(*EMBEDDING)),
+            lambda: compose(identity_morphism(OBJ), identity_morphism(OBJ)).cpu,
+            lambda: random_cpu_map(S2, mk_shape([1, 1]), seed=1),
+        ],
+        ids=[
+            "from_linear", "from_kraus", "identity_map", "conjugation_map", "transpose_map",
+            "markov_from_stochastic", "congruent_embedding", "left_inverse", "compose",
+            "random_cpu_map",
+        ],
+    )
+    def test_action_and_kraus_are_read_only(self, build):
+        phi = build()
+        assert not phi.linear_action.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            phi.linear_action[0, 0] = -5.0
+        assert all(not k.flags.writeable for k in phi.kraus or ())
 
 
 class TestNonFiniteRejected:

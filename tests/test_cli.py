@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from conftest import depolarizing_kraus
 from ncplab.algebra import mk_shape
 from ncplab.channels import from_kraus, identity_map, mk_morphism, predual, transpose_map
-from ncplab import channels, cli
+import ncplab
+from ncplab import algebra, channels, cli, covariance, gns, models, serialize, states
 from ncplab.cli import main
 from ncplab.serialize import cpumap_to_json, morphism_to_json, state_to_json
 from ncplab.states import mk_state, random_state
@@ -226,6 +227,41 @@ class TestGaussianDemo:
         assert "error" in rep
 
 
+class TestExtremeParametersAreInputErrors:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["pullback", "--model", "simplex:2", "--theta", "1e-320,0.5"],
+            ["pullback", "--model", "qubit-faithful", "--theta", "0.9999999999999999,1,1"],
+            ["pullback", "--model", "gaussian:4:-1e-300:1e-300", "--theta", "0,1e-301"],
+            ["gaussian-demo", "--bins", "4", "--sigma", "1e-160"],
+            ["gaussian-demo", "--bins", "4", "--sigma", "1e300"],
+        ],
+    )
+    def test_is_input_error(self, tmp_path, capsys, args):
+        # RuntimeWarnings are errors under pytest, so a warning would exit 3
+        code, rep = run_cli(args, tmp_path)
+        assert code == 2
+        assert rep["error"] and "internal_error" not in rep
+        assert capsys.readouterr().err == ""
+
+
+class TestInputErrorRoot:
+    def test_every_library_error_derives_from_the_root(self):
+        defined = [
+            value
+            for mod in (algebra, states, channels, gns, covariance, models, serialize, cli)
+            for value in vars(mod).values()
+            if isinstance(value, type) and issubclass(value, Exception) and value.__module__ == mod.__name__
+        ]
+        names = {cls.__name__ for cls in defined}
+        assert {"ShapeError", "GnsQuotientError", "ScoreNotRepresentableError", "SerializationError"} <= names
+        assert [cls.__name__ for cls in defined if not issubclass(cls, ncplab.InputError)] == []
+
+    def test_cli_maps_only_the_root_and_os_errors_to_exit_2(self):
+        assert cli.INPUT_ERRORS == (ncplab.InputError, OSError)
+
+
 class TestTracialUniqueness:
     def test_runs_clean(self, tmp_path):
         code, rep = run_cli(
@@ -420,6 +456,18 @@ def payload_files(tmp_path_factory):
     }
 
 
+def _contract_holds(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert _strict_json(out.getvalue())["command"] == argv[0]
+
+
+EXTREMES = [0.0, 5e-324, 1e-320, 1.0 - 2.0**-53, 1e300, float("nan"), float("inf"), -float("inf")]
+extreme_floats = st.one_of(st.floats(), st.floats(0.0, 4.0), st.sampled_from(EXTREMES))
+
+
 class TestExitCodeContract:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
@@ -433,8 +481,19 @@ class TestExitCodeContract:
             argv.append(f"--tol={tol!r}")
         if command == "tracial-uniqueness":
             argv.append(f"--samples={samples}")
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(argv)
-        assert code in (0, 1, 2)
-        assert _strict_json(out.getvalue())["command"] == command
+        _contract_holds(argv)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([("simplex:2", 2), ("qubit-faithful", 3), ("qubit-pure", 2)]),
+        st.lists(extreme_floats, min_size=3, max_size=3),
+    )
+    def test_pullback(self, model, theta):
+        name, dim = model
+        _contract_holds(["pullback", "--model", name, "--theta=" + ",".join(map(repr, theta[:dim]))])
+
+    # at most 64 bins: the bin count sizes every array the command allocates
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.integers(-2, 64), extreme_floats, extreme_floats)
+    def test_gaussian_demo(self, bins, mu, sigma):
+        _contract_holds(["gaussian-demo", f"--bins={bins}", f"--mu={mu!r}", f"--sigma={sigma!r}"])

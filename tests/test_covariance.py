@@ -123,6 +123,12 @@ class TestCovarianceGram:
         g2 = covariance_gram(petz_kind(SLD, scale=2.5), space).gram
         assert np.max(np.abs(2.5 * g1 - g2)) < 1e-12
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        for make in (gns_kind, lambda scale: petz_kind(SLD, scale=scale), kind_catalog):
+            with pytest.raises(UnsupportedKindError, match="scale must be finite and > 0"):
+                make(scale)
+
 
 class TestCovarianceEval:
     def test_classical_indicators(self):

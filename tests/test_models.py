@@ -218,6 +218,40 @@ class TestGaussianGroupModel:
         assert devs[1] < 0.01
 
 
+class TestModelInputErrors:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: simplex_model(0),
+            lambda: gaussian_model(1, -1.0, 1.0),
+            lambda: gaussian_model(4, 1.0, -1.0),
+            lambda: affine_compose((0.0, -1.0), (0.0, 1.0)),
+            lambda: gaussian_group_model(4, -1.0, 1.0).automorphism_at((0.0, 0.0)),
+        ],
+    )
+    def test_bad_arguments(self, call):
+        with pytest.raises(ModelDomainError):
+            call()
+
+    def test_score_that_overflows_names_theta(self):
+        # RuntimeWarnings are errors under pytest: the solve must not warn first
+        with pytest.raises(ScoreNotRepresentableError, match=r"theta=\[1e-320, 0.5\]"):
+            riesz_score(simplex_model(2), [1e-320, 0.5])
+
+    def test_metric_that_overflows_names_theta(self):
+        model = gaussian_model(4, -1e-300, 1e-300)
+        with pytest.raises(ModelDomainError, match=r"gns metric is not finite at theta=\[0.0, 1e-301\]"):
+            metric_pullback(model, [0.0, 1e-301])
+
+    def test_reference_that_overflows_names_theta(self):
+        model = gaussian_model(4, -1e-150, 1e-150)
+        with pytest.raises(ModelDomainError, match=r"reference metric is not finite at theta=\[0.0, 1e-160\]"):
+            model.reference_at(np.array([0.0, 1e-160]))
+        theta = np.array([0.5, 0.25])
+        assert np.array_equal(simplex_model(2).reference_at(theta), [[6.0, 4.0], [4.0, 8.0]])
+        assert replace(simplex_model(2), reference=None).reference_at(theta) is None
+
+
 class TestRieszScore:
     def test_simplex_score_is_classical(self):
         # oracle: solve sum_x p_x v_x a_x = sum_x dp_x a_x for all a, i.e.
