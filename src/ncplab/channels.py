@@ -71,6 +71,13 @@ class CpuMap:
     ``linear_action`` has shape (target element_dim, source element_dim) and
     satisfies coords(phi(b)) = linear_action @ coords(b).  ``kraus`` is kept
     when the map was built from Kraus operators.
+
+    The action is complex, except for Markov maps between abelian algebras
+    (:func:`markov_from_stochastic` and the maps built through it), whose
+    action is their real stochastic matrix stored as float64: a complex copy
+    would double its memory and carry nothing but zero imaginary parts.
+    Every product with an action goes through :func:`_matmul`, so a real
+    action is never cast to complex.
     """
 
     source_shape: AlgebraShape
@@ -100,11 +107,20 @@ class NcpMorphism:
     cpu: CpuMap
 
 
+def _matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x, with a real ``a`` applied to complex ``x`` as two real products:
+    numpy's mixed-dtype ``@`` would cast all of ``a`` to a complex copy on
+    every call."""
+    if a.dtype.kind == "c" or x.dtype.kind != "c":
+        return a @ x
+    return a @ x.real + 1j * (a @ x.imag)
+
+
 def apply(phi: CpuMap, b: AlgebraElement) -> AlgebraElement:
     """Evaluate phi on an element of its source algebra."""
     if b.shape != phi.source_shape:
         raise ShapeError(f"element shape {b.shape} != map source {phi.source_shape}")
-    return _from_vec(phi.target_shape, phi.linear_action @ b.vec)
+    return _from_vec(phi.target_shape, _matmul(phi.linear_action, b.vec))
 
 
 def from_linear(src: AlgebraShape, dst: AlgebraShape, matrix) -> CpuMap:
@@ -291,7 +307,7 @@ def predual_apply(phi: CpuMap, density_blocks) -> list[np.ndarray]:
 def _predual_vec(phi: CpuMap, vec: np.ndarray) -> np.ndarray:
     """:func:`predual_apply` on coordinate vectors: the transpose of the
     action, conjugated by the blockwise transposes of target and source."""
-    return (phi.linear_action.T @ vec[phi.target_shape.transpose_perm])[
+    return _matmul(phi.linear_action.T, vec[phi.target_shape.transpose_perm])[
         phi.source_shape.transpose_perm
     ]
 
@@ -369,7 +385,7 @@ def compose(phi2: NcpMorphism, phi1: NcpMorphism) -> NcpMorphism:
     shape_b2, sigma2 = phi2.source
     if shape_b1 != shape_b2 or not np.array_equal(sigma1.vec, sigma2.vec):
         raise ShapeError("middle objects of the composition do not match")
-    action = _frozen(phi1.cpu.linear_action @ phi2.cpu.linear_action)
+    action = _frozen(_matmul(phi1.cpu.linear_action, phi2.cpu.linear_action))
     cpu = CpuMap(phi2.cpu.source_shape, phi1.cpu.target_shape, action)
     return NcpMorphism(phi1.source, phi2.target, cpu)
 
@@ -379,9 +395,11 @@ def markov_from_stochastic(S) -> CpuMap:
 
     ``S`` is an m x n column-stochastic matrix; the predual acts on
     probability vectors as p -> S p (so states on n points map to states on
-    m points).
+    m points).  The ``linear_action`` is the read-only float64 transpose of a
+    private copy of S, not a complex matrix: S is real, and a complex copy of
+    it would take twice the memory (268 MB instead of 134 MB at 4096 bins).
     """
-    S = np.asarray(S, dtype=float)
+    S = np.array(S, dtype=float)
     if S.ndim != 2 or S.size == 0:
         raise ShapeError("stochastic matrix must be two-dimensional and nonempty")
     m, n = S.shape
@@ -396,7 +414,7 @@ def markov_from_stochastic(S) -> CpuMap:
         raise ChannelValidationError(
             f"columns must sum to one (worst deviation {col_dev:.3e})"
         )
-    return CpuMap(mk_shape([1] * m), mk_shape([1] * n), _frozen(np.asarray(S.T, dtype=complex)))
+    return CpuMap(mk_shape([1] * m), mk_shape([1] * n), _frozen(S).T)
 
 
 def congruent_embedding(partition, weights) -> CongruentEmbedding:

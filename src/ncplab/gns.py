@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape, InputError, ShapeError, adjoint, multiply
-from .channels import NcpMorphism, compose, identity_morphism
+from .channels import NcpMorphism, _matmul, compose, identity_morphism
 from .channels import apply  # noqa: F401  (perfbench's binding test reads ncplab.gns.apply)
 from .states import NormalState, SUPPORT_RTOL, evaluate
 
@@ -247,14 +247,14 @@ def induced_contraction(
         raise ShapeError("GNS spaces were built for different states")
     iso = space_rho.iso_matrix
     action = morphism.cpu.linear_action
-    leak = np.linalg.norm(iso @ (action @ space_sigma.null_matrix), axis=0)
+    leak = np.linalg.norm(iso @ _matmul(action, space_sigma.null_matrix), axis=0)
     worst = float(leak.max(initial=0.0))
     if not worst <= tol:
         raise GnsQuotientError(
             f"null element maps outside the target null space (largest norm {worst:.3e}); "
             "re-run with a tighter support tolerance"
         )
-    matrix = iso @ (action @ space_sigma.rep_matrix)
+    matrix = iso @ _matmul(action, space_sigma.rep_matrix)
     return GnsContraction(space_sigma, space_rho, matrix)
 
 

@@ -34,11 +34,14 @@ from ncplab.covariance import (
 from ncplab import channels
 from ncplab.channels import (
     NcpMorphism,
+    apply,
+    compose,
     congruent_embedding,
     conjugation_map,
     from_kraus,
     from_linear,
     left_inverse,
+    markov_from_stochastic,
     mk_morphism,
     predual,
     predual_apply,
@@ -408,6 +411,106 @@ class TestCongruentEmbeddingAgainstLoop:
         S, L = ref.embedding_stochastic(partition.tolist(), weights)
         assert np.array_equal(emb.linear_action, S.T)
         assert np.array_equal(left_inverse(emb).linear_action, L.T)
+
+
+def random_embedding(cells, points, rng):
+    """A congruent embedding of ``points`` points into ``cells`` >= ``points`` cells."""
+    part = np.concatenate([np.arange(points), rng.integers(0, points, size=cells - points)])
+    w = rng.random(cells) + 0.1
+    return congruent_embedding(part, w / np.bincount(part, weights=w)[part])
+
+
+def markov_map(m, n, rng, family):
+    """A Markov map with a real action onto n points: from a dense or a
+    sparse m x n column-stochastic matrix, a congruent embedding of n points
+    into max(m, n) cells, or the left inverse of one of min(m, n) points
+    into n cells."""
+    if family == "embedding":
+        return random_embedding(max(m, n), n, rng)
+    if family == "left_inverse":
+        return left_inverse(random_embedding(n, min(m, n), rng))
+    S = rng.dirichlet(np.ones(m), size=n).T
+    if family == "sparse":
+        drop = rng.random(S.shape) < 0.5
+        drop[rng.integers(0, m, size=n), np.arange(n)] = False
+        S = np.where(drop, 0.0, S)
+        S /= S.sum(axis=0)
+    return markov_from_stochastic(S)
+
+
+def complex_twin(phi):
+    """The same map with its action stored as a complex matrix."""
+    return from_linear(phi.source_shape, phi.target_shape, phi.linear_action.astype(complex))
+
+
+def gamma(k):
+    """gamma_k = k u / (1 - k u): relative bound on the rounding error of a
+    length-k float64 inner product (Higham 2002, Lemma 3.1)."""
+    u = np.finfo(np.float64).eps / 2.0
+    return k * u / (1.0 - k * u)
+
+
+def contraction_or_error(m, space_sigma, space_rho):
+    try:
+        return induced_contraction(m, space_sigma, space_rho).matrix
+    except GnsQuotientError as exc:
+        return type(exc)
+
+
+markov_families = st.sampled_from(["dense", "sparse", "embedding", "left_inverse"])
+markov_sizes = st.integers(1, 8)
+
+
+class TestRealMarkovAgainstComplexTwin:
+    # Both routes round the same real products, in different orders, each
+    # within gamma_k |A| |x| in the real and in the imaginary part, so their
+    # results differ by less than 4 gamma_k |A| |x| in modulus.
+    @SETTINGS
+    @given(markov_sizes, markov_sizes, markov_sizes, seeds, markov_families, markov_families, st.booleans())
+    def test_same_results(self, m, n, l, seed, family, family2, rank_deficient):
+        rng = np.random.default_rng(seed)
+        phi = markov_map(m, n, rng, family)
+        twin = complex_twin(phi)
+        A = phi.linear_action
+        assert A.dtype == np.float64
+        src, dst = phi.source_shape, phi.target_shape
+
+        b = random_element(src, rng)
+        got, want = apply(phi, b).vec, apply(twin, b).vec
+        assert np.all(np.abs(got - want) <= 4 * gamma(src.element_dim) * (np.abs(A) @ np.abs(b.vec)))
+
+        rho, _ = random_state_on(dst.blocks, seed, rank_deficient)
+        sigma = predual(phi, rho)
+        bound = 4 * gamma(dst.element_dim) * (np.abs(A).T @ np.abs(rho.vec))
+        assert np.all(np.abs(sigma.vec - predual(twin, rho).vec) <= bound)
+
+        m1 = mk_morphism((dst, rho), (src, sigma), phi)
+        psi = markov_map(l, src.num_blocks, rng, family2)
+        m2 = mk_morphism((src, sigma), (psi.source_shape, predual(psi, sigma)), psi)
+        twin1 = NcpMorphism(m1.source, m1.target, twin)
+        twin2 = NcpMorphism(m2.source, m2.target, complex_twin(psi))
+        want = compose(twin2, twin1).cpu.linear_action
+        bound = 4 * gamma(src.element_dim) * (np.abs(A) @ np.abs(psi.linear_action))
+        for outer, inner in [(m2, m1), (twin2, m1), (m2, twin1)]:
+            got = compose(outer, inner).cpu.linear_action
+            assert got.dtype == (np.float64 if outer is m2 and inner is m1 else complex)
+            assert np.all(np.abs(got - want) <= bound)
+
+        space_sigma, space_rho = build_gns(src, sigma), build_gns(dst, rho)
+        got = contraction_or_error(m1, space_sigma, space_rho)
+        want = contraction_or_error(twin1, space_sigma, space_rho)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            iso, rep = space_rho.iso_matrix, space_sigma.rep_matrix
+            bound = 4 * gamma(src.element_dim + dst.element_dim) * (np.abs(iso) @ np.abs(A) @ np.abs(rep))
+            assert np.all(np.abs(got - want) <= bound)
+
+        cp, min_eig, witness = channels._choi_test(phi, channels.CP_TOL)
+        cp_ref, min_ref, witness_ref = channels._choi_test(twin, channels.CP_TOL)
+        assert cp == cp_ref
+        assert abs(min_eig - min_ref) <= 4 * gamma(1) * np.abs(A).max() / src.total_dim
+        assert witness == witness_ref
 
 
 class TestAffineOverlapAgainstLoop:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from ncplab.algebra import (
     adjoint,
     basis,
     hs_norm,
+    identity,
     mk_element,
     mk_shape,
     multiply,
@@ -40,6 +43,7 @@ from ncplab.channels import (
     random_cpu_map,
     transpose_map,
 )
+from ncplab.models import gaussian_group_model
 from ncplab.states import evaluate, mk_state, random_state
 
 S2 = mk_shape([2])
@@ -375,6 +379,74 @@ class TestCarriersAreReadOnly:
         with pytest.raises(ValueError, match="read-only"):
             phi.linear_action[0, 0] = -5.0
         assert all(not k.flags.writeable for k in phi.kraus or ())
+
+
+MARKOV_S = np.array([[0.5, 1.0, 0.0], [0.5, 0.0, 0.25], [0.0, 0.0, 0.75]])
+
+
+def _markov_composite(S):
+    """Carrier of the composite of two morphisms both carried by the Markov map of S."""
+    shape = mk_shape([1, 1, 1])
+    phi = markov_from_stochastic(S)
+    rho = random_state(shape, seed=0)
+    sigma = predual(phi, rho)
+    m1 = mk_morphism((shape, rho), (shape, sigma), phi)
+    m2 = mk_morphism((shape, sigma), (shape, predual(phi, sigma)), phi)
+    return compose(m2, m1).cpu
+
+
+class TestMarkovActionIsReal:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda S, w: markov_from_stochastic(S),
+            lambda S, w: congruent_embedding([0, 0, 1], w),
+            lambda S, w: left_inverse(congruent_embedding([0, 0, 1], w)),
+            lambda S, w: gaussian_group_model(16, -4.0, 4.0).automorphism_at((0.5, 1.2)),
+            lambda S, w: _markov_composite(S),
+        ],
+        ids=["markov_from_stochastic", "congruent_embedding", "left_inverse", "automorphism_at", "compose"],
+    )
+    def test_read_only_float64_private_copy(self, build):
+        S, w = MARKOV_S.copy(), np.array([0.3, 0.7, 1.0])
+        phi = build(S, w)
+        action = phi.linear_action
+        assert action.dtype == np.float64
+        assert not action.flags.writeable
+        assert not np.shares_memory(action, S) and not np.shares_memory(action, w)
+        before = action.copy()
+        S[...], w[...] = -1.0, -1.0
+        assert np.array_equal(phi.linear_action, before)
+        assert S.flags.writeable and w.flags.writeable
+
+
+def _peak_bytes(fn):
+    """What ``fn()`` returns, and the peak of the memory it holds on top of
+    what was held before; tracemalloc must be tracing."""
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    out = fn()
+    return out, tracemalloc.get_traced_memory()[1] - held
+
+
+class TestMarkovMemory:
+    def test_one_copy_to_build_none_to_use(self):
+        # a copy of S to build, and neither a copy nor a complex cast of it
+        # (16 bytes per entry) to push a state or apply the map
+        n = 1024
+        S = np.random.default_rng(0).dirichlet(np.ones(n), size=n).T
+        rho = random_state(mk_shape([1] * n), seed=1)
+        unit = identity(mk_shape([1] * n))
+        tracemalloc.start()
+        try:
+            phi, build = _peak_bytes(lambda: markov_from_stochastic(S))
+            _, push = _peak_bytes(lambda: predual(phi, rho))
+            _, act = _peak_bytes(lambda: apply(phi, unit))
+        finally:
+            tracemalloc.stop()
+        assert build <= 1.1 * S.nbytes
+        assert push < S.nbytes / 8
+        assert act < S.nbytes / 8
 
 
 class TestNonFiniteRejected:

@@ -315,6 +315,24 @@ class TestContract:
         code, rep = run_cli(["gns", "--state", str(tmp_path / "nope.json")], tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "name, content, says",
+        [
+            ("utf16.json", b"\xff\xfe{}", "is not UTF-8 text"),
+            ("deep.json", b"[" * 100_000, "nested too deeply"),
+        ],
+        ids=["utf16", "deep"],
+    )
+    def test_undecodable_file_is_input_error(self, tmp_path, capsys, name, content, says):
+        path = tmp_path / name
+        path.write_bytes(content)
+        code = main(["gns", "--state", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        error = _strict_json(captured.out)["error"]
+        assert says in error and str(path) in error
+        assert captured.err == ""
+
     def test_parser_built_once(self, tmp_path, monkeypatch):
         run_cli(["omf-catalog"], tmp_path)
         built = []
