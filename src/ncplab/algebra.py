@@ -32,6 +32,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# bool is an int subclass, so operator.index would accept True as 1
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
+
 class InputError(ValueError):
     """Root of every error that a caller's input can cause (shapes, states, maps,
     kinds, model parameters, payloads, flags): exit code 2 on the command line."""
@@ -52,16 +56,18 @@ class AlgebraShape:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
+        # each check is one pass in C: abelian models build shapes of
+        # thousands of blocks, many times per verdict
         blocks = tuple(self.blocks)
         try:
-            if any(isinstance(n, (bool, np.bool_)) for n in blocks):
+            if not _BOOL_TYPES.isdisjoint(map(type, blocks)):
                 raise TypeError("booleans are not block sizes")
-            blocks = tuple(operator.index(n) for n in blocks)
+            blocks = tuple(map(operator.index, blocks))
         except TypeError as exc:
             raise ShapeError(f"block dimensions must be integers, got {list(blocks)}") from exc
         if len(blocks) == 0:
             raise ShapeError("shape needs at least one block")
-        if any(n < 1 for n in blocks):
+        if min(blocks) < 1:
             raise ShapeError(f"block dimensions must be >= 1, got {blocks}")
         object.__setattr__(self, "blocks", blocks)
 

@@ -398,8 +398,18 @@ def markov_from_stochastic(S) -> CpuMap:
     m points).  The ``linear_action`` is the read-only float64 transpose of a
     private copy of S, not a complex matrix: S is real, and a complex copy of
     it would take twice the memory (268 MB instead of 134 MB at 4096 bins).
+    The copy is the only one: :func:`_markov_from_owned` validates it and
+    builds the map on it.
     """
-    S = np.array(S, dtype=float)
+    return _markov_from_owned(np.array(S, dtype=float))
+
+
+def _markov_from_owned(S: np.ndarray) -> CpuMap:
+    """The Markov map of a float64 S that the caller hands over: S is
+    validated as in :func:`markov_from_stochastic`, then frozen and stored
+    without a copy.  The package's own builders (congruent embeddings, their
+    left inverses, the affine automorphisms) fill a fresh matrix and pass it
+    here, so a map costs one m x n array, not two."""
     if S.ndim != 2 or S.size == 0:
         raise ShapeError("stochastic matrix must be two-dimensional and nonempty")
     m, n = S.shape
@@ -443,7 +453,7 @@ def congruent_embedding(partition, weights) -> CongruentEmbedding:
         raise ChannelValidationError(
             f"weights must sum to one within each fiber (deviation {fiber_dev:.3e})"
         )
-    base = markov_from_stochastic(S)
+    base = _markov_from_owned(S)
     return CongruentEmbedding(
         base.source_shape, base.target_shape, base.linear_action, None, part, tuple(w.tolist())
     )
@@ -454,7 +464,7 @@ def left_inverse(embedding: CongruentEmbedding) -> CpuMap:
     part = embedding.partition
     L = np.zeros((max(part) + 1, len(part)))
     L[part, np.arange(len(part))] = 1.0
-    return markov_from_stochastic(L)
+    return _markov_from_owned(L)
 
 
 def random_cpu_map(

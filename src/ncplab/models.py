@@ -40,7 +40,7 @@ from .algebra import (
     hermitian_matrix_basis,
     mk_shape,
 )
-from .channels import CpuMap, _predual_vec, markov_from_stochastic, predual
+from .channels import CpuMap, _markov_from_owned, _predual_vec, predual
 from .covariance import CovarianceKind, block_form, gns_kind
 from .gns import build_gns, embed
 from .states import NormalState, _state_from_vec
@@ -60,6 +60,11 @@ class ScoreNotRepresentableError(InputError):
 
 RESIDUAL_TOL = 1e-8
 FD_STEP = 1e-5
+#: Most outcomes an abelian family may have (bins of ``gaussian_model``,
+#: points of ``simplex_model``).  Checked before anything is allocated, so a
+#: size far beyond memory is an input error, not a failed allocation; the
+#: largest pullback in use, 262144 bins, is well inside it.
+MAX_OUTCOMES = 2**22
 
 
 @dataclass
@@ -161,9 +166,14 @@ def finite_difference(model: StatModel) -> StatModel:
 
 
 def simplex_model(n: int) -> StatModel:
-    """Open probability simplex on n+1 outcomes, coordinates p_1..p_n."""
+    """Open probability simplex on n+1 outcomes, coordinates p_1..p_n;
+    at most ``MAX_OUTCOMES`` outcomes."""
     if n < 1:
         raise ModelDomainError("simplex needs at least one free coordinate")
+    if n + 1 > MAX_OUTCOMES:
+        raise ModelDomainError(
+            f"simplex:{n} has {n + 1} outcomes, above the limit of {MAX_OUTCOMES}"
+        )
     shape = mk_shape([1] * (n + 1))
 
     def domain(theta):
@@ -272,9 +282,12 @@ def gaussian_model(n_bins: int, x_min: float, x_max: float) -> StatModel:
     Bin masses are exact CDF differences, renormalized; the chart requires at
     least 1 - 1e-6 of the mass inside [x_min, x_max].  Interior points have
     mu near the centre of the range and sigma near a twentieth of its width.
+    ``n_bins`` runs from 2 to ``MAX_OUTCOMES``.
     """
     if n_bins < 2:
         raise ModelDomainError("need at least two bins")
+    if n_bins > MAX_OUTCOMES:
+        raise ModelDomainError(f"{n_bins} bins is above the limit of {MAX_OUTCOMES}")
     if not (x_min < x_max and np.isfinite([x_min, x_max]).all()):
         raise ModelDomainError(f"bin range [{x_min}, {x_max}] is empty or not finite")
     shape = mk_shape([1] * n_bins)
@@ -413,11 +426,36 @@ def _affine_bin_overlap_stochastic(edges: np.ndarray, mu: float, s: float) -> np
     """Column-stochastic matrix S with S[j, i] = share of bin i's image
     (under x -> s x + mu) that lands in bin j; out-of-range mass is clamped
     to the boundary bins: the difference, between consecutive target edges,
-    of the uniform CDF of each image, with the outer edges moved to -+inf."""
+    of the uniform CDF of each image, with the outer edges moved to -+inf.
+
+    Built from its band.  Column i's CDF is exactly 0 up to row ``first[i]``,
+    the last target edge at or below the image's left end, and once it
+    reaches exactly 1 it stays there: the CDF is monotone in the edge even
+    after rounding.  So only the rows from ``first[i]`` on are evaluated,
+    with the dense formula, and the band widens until every column's last
+    evaluated value is exactly 1 (or the band reaches the last edge).  The
+    differences are written into one zeroed n x n array, entry for entry
+    the matrix the dense formula gives, without its (n+1) x n temporaries.
+    """
+    n = edges.size - 1
     lo = s * edges[:-1] + mu
     width = s * edges[1:] + mu - lo
     at = np.concatenate([[-np.inf], edges[1:-1], [np.inf]])
-    return np.diff(np.clip((at[:, None] - lo) / width, 0.0, 1.0), axis=0)
+    first = np.searchsorted(at, lo, side="right") - 1
+    # start from the widest image in narrowest target bins; an image that
+    # starts inside a bin reaches one row further, found by widening
+    rows = max(1, int(np.ceil(float(np.max(width)) / float(np.min(np.diff(edges))))))
+    while True:
+        rows = min(rows, n)
+        r = np.minimum(first + np.arange(rows + 1)[:, None], n)
+        cdf = np.clip((at[r] - lo) / width, 0.0, 1.0)
+        if rows == n or np.all(cdf[-1] == 1.0):
+            break
+        rows *= 2
+    keep = r[:-1] < n
+    out = np.zeros((n, n))
+    out[r[:-1][keep], np.nonzero(keep)[1]] = np.diff(cdf, axis=0)[keep]
+    return out
 
 
 def gaussian_group_model(n_bins: int, x_min: float, x_max: float) -> GroupActionModel:
@@ -429,9 +467,11 @@ def gaussian_group_model(n_bins: int, x_min: float, x_max: float) -> GroupAction
 
     def automorphism_at(g) -> CpuMap:
         mu, s = g
+        if not np.isfinite([mu, s]).all():
+            raise ModelDomainError(f"affine map ({mu}, {s}) is not finite")
         if s <= 0.0:
             raise ModelDomainError("affine scale must be positive")
-        return markov_from_stochastic(_affine_bin_overlap_stochastic(edges, mu, s))
+        return _markov_from_owned(_affine_bin_overlap_stochastic(edges, mu, s))
 
     return GroupActionModel(base, affine_compose, automorphism_at)
 
@@ -444,6 +484,12 @@ def gaussian_group_model(n_bins: int, x_min: float, x_max: float) -> GroupAction
 @np.errstate(all="ignore")
 def _riesz_solve(model: StatModel, theta, kind: CovarianceKind):
     """Scores at theta, solved for all blocks of one size at once.
+
+    Each block's Riesz system a c = t lives on the Hermitian basis, where
+    a = Re(h^H B h) is real symmetric.  It is solved by the pseudo-inverse of
+    (a + a^T)/2 through one batched ``eigh`` per size stack (the singular
+    values are the eigenvalues' moduli, cut off as ``lstsq`` does): a
+    batched SVD of thousands of 1 x 1 forms costs about 15 times as much.
 
     Returns the GNS space and, per block size, the state's size stack, the
     block forms (K_n, n^2, n^2) and the raw score coordinates (K_n, n^2, p).
@@ -464,7 +510,7 @@ def _riesz_solve(model: StatModel, theta, kind: CovarianceKind):
         t = (h.T @ d.conj()).real
         t_scale = max(t_scale, float(np.max(np.abs(t))))
         # minimum-norm least squares, with lstsq's default singular value cutoff
-        c = np.linalg.pinv(a, rtol=None) @ t
+        c = np.linalg.pinv((a + a.swapaxes(-1, -2)) / 2.0, rtol=None, hermitian=True) @ t
         resid = np.max(np.abs(a @ c - t), axis=(0, 1))
         worst_resid = np.maximum(worst_resid, resid)
         solved.append((stack, b, h @ c))

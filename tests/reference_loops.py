@@ -13,7 +13,8 @@ time, and evaluation, the predual, the blockwise transpose, the
 block-diagonal embedding and the bases one block (or one basis element of K
 zero matrices) at a time.  Also the traciality
 sweep over all pairs of basis elements, the bin-overlap Markov matrix of an
-affine map with its boundary bookkeeping, the trace-map Kraus operators
+affine map with its boundary bookkeeping and as a dense CDF difference, the
+trace-map Kraus operators
 appended one matrix unit at a time, and the stochastic matrices of a
 congruent embedding and its left inverse filled one cell at a time.
 """
@@ -382,6 +383,16 @@ def affine_bin_overlap_stochastic(edges, mu, s):
     overlap[:, 0] += np.minimum(below, 1.0 - covered)
     overlap[:, -1] += 1.0 - covered - np.minimum(below, 1.0 - covered)
     return overlap.T  # (j, i): columns indexed by source bin
+
+
+def affine_cdf_stochastic(edges, mu, s):
+    """The same matrix as the difference, between consecutive target edges,
+    of each image's clipped uniform CDF, evaluated on every edge: the dense
+    (n+1) x n formula that the band build reproduces entry for entry."""
+    lo = s * edges[:-1] + mu
+    width = s * edges[1:] + mu - lo
+    at = np.concatenate([[-np.inf], edges[1:-1], [np.inf]])
+    return np.diff(np.clip((at[:, None] - lo) / width, 0.0, 1.0), axis=0)
 
 
 def trace_mixed_kraus(kraus, NB, NA, lam):

@@ -45,6 +45,30 @@ class TestShape:
         with pytest.raises(ShapeError):
             mk_shape([2, 0])
 
+    @pytest.mark.parametrize("bad", [True, np.True_, 1.5])
+    def test_non_integer_block_rejected(self, bad):
+        for dims in ([2, bad], [1] * 6143 + [bad]):
+            with pytest.raises(ShapeError) as err:
+                mk_shape(dims)
+            assert str(err.value) == f"block dimensions must be integers, got {dims}"
+            assert isinstance(err.value.__cause__, TypeError)
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_non_positive_block_message(self, bad):
+        for dims in ([2, bad], [1] * 6143 + [bad]):
+            with pytest.raises(ShapeError) as err:
+                mk_shape(dims)
+            assert str(err.value) == f"block dimensions must be >= 1, got {tuple(dims)}"
+
+    def test_empty_message(self):
+        with pytest.raises(ShapeError, match="^shape needs at least one block$"):
+            mk_shape([])
+
+    def test_many_blocks_become_python_ints(self):
+        s = mk_shape(np.ones(6144, dtype=np.int64).tolist()[:-1] + [np.int64(2)])
+        assert s.blocks == (1,) * 6143 + (2,)
+        assert all(type(n) is int for n in s.blocks)
+
 
 class TestElementOps:
     def test_identity_qubit(self):

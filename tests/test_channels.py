@@ -448,6 +448,17 @@ class TestMarkovMemory:
         assert push < S.nbytes / 8
         assert act < S.nbytes / 8
 
+    def test_automorphism_peaks_at_its_map(self):
+        # the band build writes into the map's own array, and the map keeps it
+        gm = gaussian_group_model(1024, -12.0, 12.0)
+        tracemalloc.start()
+        try:
+            phi, build = _peak_bytes(lambda: gm.automorphism_at((0.3, 1.1)))
+        finally:
+            tracemalloc.stop()
+        assert phi.linear_action.nbytes == 1024 * 1024 * 8
+        assert build <= 1.1 * phi.linear_action.nbytes
+
 
 class TestNonFiniteRejected:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,27 @@ class TestExtremeParametersAreInputErrors:
         assert code == 2
         assert rep["error"] and "internal_error" not in rep
         assert capsys.readouterr().err == ""
+
+
+class TestOversizedModelsAreInputErrors:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gaussian-demo", "--bins", "1000000000000"],
+            ["pullback", "--model", "gaussian:1000000000000", "--theta", "0,1"],
+            ["pullback", "--model", "simplex:1000000000000", "--theta", "0.1,0.2"],
+        ],
+    )
+    def test_refused_before_allocating(self, tmp_path, args):
+        tracemalloc.start()
+        try:
+            code, rep = run_cli(args, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert f"above the limit of {models.MAX_OUTCOMES}" in rep["error"]
+        assert peak < 2**20
 
 
 class TestInputErrorRoot:

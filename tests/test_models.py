@@ -8,7 +8,9 @@ from ncplab.algebra import adjoint, hs_norm, mk_element, mk_shape, trace_functio
 from ncplab.channels import congruent_embedding
 from ncplab.covariance import SLD, gns_kind, petz_kind
 from ncplab.gns import build_gns, embed
+from ncplab import models
 from ncplab.models import (
+    MAX_OUTCOMES,
     ModelDomainError,
     ScoreNotRepresentableError,
     StatModel,
@@ -227,11 +229,25 @@ class TestModelInputErrors:
             lambda: gaussian_model(4, 1.0, -1.0),
             lambda: affine_compose((0.0, -1.0), (0.0, 1.0)),
             lambda: gaussian_group_model(4, -1.0, 1.0).automorphism_at((0.0, 0.0)),
+            lambda: gaussian_group_model(4, -1.0, 1.0).automorphism_at((np.nan, 1.0)),
+            lambda: gaussian_group_model(4, -1.0, 1.0).automorphism_at((0.0, np.nan)),
+            lambda: gaussian_group_model(4, -1.0, 1.0).automorphism_at((np.inf, 1.0)),
+            lambda: gaussian_model(MAX_OUTCOMES + 1, -1.0, 1.0),
+            lambda: simplex_model(MAX_OUTCOMES),
         ],
     )
     def test_bad_arguments(self, call):
         with pytest.raises(ModelDomainError):
             call()
+
+    def test_size_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(models, "MAX_OUTCOMES", 8)
+        assert gaussian_model(8, -1.0, 1.0).shape.num_blocks == 8
+        assert simplex_model(7).shape.num_blocks == 8
+        with pytest.raises(ModelDomainError, match="^9 bins is above the limit of 8$"):
+            gaussian_model(9, -1.0, 1.0)
+        with pytest.raises(ModelDomainError, match="^simplex:8 has 9 outcomes, above the limit of 8$"):
+            simplex_model(8)
 
     def test_score_that_overflows_names_theta(self):
         # RuntimeWarnings are errors under pytest: the solve must not warn first
