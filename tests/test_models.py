@@ -10,7 +10,6 @@ from ncplab.covariance import SLD, gns_kind, petz_kind
 from ncplab.gns import build_gns, embed
 from ncplab import models
 from ncplab.models import (
-    MAX_OUTCOMES,
     ModelDomainError,
     ScoreNotRepresentableError,
     StatModel,
@@ -232,8 +231,6 @@ class TestModelInputErrors:
             lambda: gaussian_group_model(4, -1.0, 1.0).automorphism_at((np.nan, 1.0)),
             lambda: gaussian_group_model(4, -1.0, 1.0).automorphism_at((0.0, np.nan)),
             lambda: gaussian_group_model(4, -1.0, 1.0).automorphism_at((np.inf, 1.0)),
-            lambda: gaussian_model(MAX_OUTCOMES + 1, -1.0, 1.0),
-            lambda: simplex_model(MAX_OUTCOMES),
         ],
     )
     def test_bad_arguments(self, call):
