@@ -23,14 +23,16 @@ block l (Choi 1975), so C is a permutation of the direct sum of K_B*K_A
 blocks of size n_k*m_l, and the sizes add up to N_B*N_A.  The test therefore
 never forms C: :func:`choi` gathers the blocks, batched by (n_k, m_l), and
 their spectra together are the spectrum of C.  A failed test names the
-block pair (k, l) that holds the smallest eigenvalue.
+block pair (k, l) that holds the smallest eigenvalue.  A Markov map between
+abelian algebras, whose action is stored as CSR, has only 1 x 1 blocks,
+and its test reads them off the stored entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import NamedTuple
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -49,6 +51,9 @@ from .algebra import (
     mk_shape,
 )
 from .states import NormalState, StateValidationError, _state_from_vec, evaluate
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_array
 
 CP_TOL = 1e-9
 UNITAL_TOL = 1e-10
@@ -72,30 +77,54 @@ class CpuMap:
     satisfies coords(phi(b)) = linear_action @ coords(b).  ``kraus`` is kept
     when the map was built from Kraus operators.
 
-    The action is complex, except for Markov maps between abelian algebras
-    (:func:`markov_from_stochastic` and the maps built through it), whose
-    action is their real stochastic matrix stored as float64: a complex copy
-    would double its memory and carry nothing but zero imaginary parts.
-    Every product with an action goes through :func:`_matmul`, so a real
-    action is never cast to complex.
+    The action is a dense complex array, except for Markov maps between
+    abelian algebras (:func:`markov_from_stochastic`, congruent embeddings,
+    their left inverses, the affine automorphisms of
+    :func:`ncplab.models.gaussian_group_model` and composites of Markov
+    maps), whose action is the transpose of their real stochastic matrix
+    stored as a read-only ``scipy.sparse`` CSR float64 array of its nonzero
+    entries: the package's own Markov maps hold about s + 2 entries per
+    column, where a dense m x n array would hold m.  Every product with an
+    action goes through :func:`_matmul`, so a real action is never cast to
+    complex, and the CP test reads a CSR action's entries directly.
     """
 
     source_shape: AlgebraShape
     target_shape: AlgebraShape
-    linear_action: np.ndarray
+    linear_action: np.ndarray | csr_array
     kraus: tuple[np.ndarray, ...] | None = None
+
+    @cached_property
+    def _transposed_action(self):
+        """The transpose of the action, for the predual, formed once per map:
+        a CSR action's transpose is a CSC array over the same three arrays,
+        and building that object costs more than a small product with it."""
+        return self.linear_action.T
 
 
 @dataclass(frozen=True)
 class CongruentEmbedding(CpuMap):
-    """Markov map with a Markov left inverse, in partition/weight form.
+    """Markov map with a Markov left inverse, refining n points into m cells.
 
     ``partition[i]`` is the source-simplex index refined into output cell i;
     ``weights[i]`` is the mass fraction given to cell i within its fiber.
+    Both are read off the action, which stores one entry per column:
+    ``weights[i]`` in row ``partition[i]`` of column i.
     """
 
-    partition: tuple[int, ...] = ()
-    weights: tuple[float, ...] = ()
+    @property
+    def partition(self) -> np.ndarray:
+        a = self.linear_action
+        part = np.empty(a.shape[1], dtype=a.indices.dtype)
+        part[a.indices] = np.repeat(np.arange(a.shape[0], dtype=part.dtype), np.diff(a.indptr))
+        return part
+
+    @property
+    def weights(self) -> np.ndarray:
+        a = self.linear_action
+        w = np.empty(a.shape[1])
+        w[a.indices] = a.data
+        return w
 
 
 @dataclass(frozen=True)
@@ -107,13 +136,23 @@ class NcpMorphism:
     cpu: CpuMap
 
 
-def _matmul(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _matmul(a, x):
     """a @ x, with a real ``a`` applied to complex ``x`` as two real products:
-    numpy's mixed-dtype ``@`` would cast all of ``a`` to a complex copy on
-    every call."""
+    numpy's mixed-dtype ``@``, and scipy.sparse's, would cast all of ``a`` to
+    a complex copy on every call.  Either operand may be a dense array or a
+    CSR action; the product of two CSR actions is CSR."""
     if a.dtype.kind == "c" or x.dtype.kind != "c":
         return a @ x
     return a @ x.real + 1j * (a @ x.imag)
+
+
+def _frozen_action(a):
+    """``a`` made read-only: a dense array, or the three arrays of a CSR one."""
+    if isinstance(a, np.ndarray):
+        return _frozen(a)
+    for arr in (a.data, a.indices, a.indptr):
+        arr.flags.writeable = False
+    return a
 
 
 def apply(phi: CpuMap, b: AlgebraElement) -> AlgebraElement:
@@ -260,7 +299,10 @@ def _choi_test(phi: CpuMap, tol: float) -> tuple[bool, float, tuple[int, int]]:
     The blocks hold every entry of the Choi matrix, so its Hermiticity
     deviation is read off them, and its (real) trace off their eigenvalues.
     Of several pairs holding the minimum, the smallest (k, l) is named.
+    A CSR action is tested by :func:`_markov_choi_test`, on its entries.
     """
+    if not isinstance(phi.linear_action, np.ndarray):
+        return _markov_choi_test(phi, tol)
     gaps, traces, pairs, mins = [], [], [], []
     for cls in choi(phi):
         adj = cls.blocks.conj().swapaxes(-1, -2)
@@ -275,6 +317,34 @@ def _choi_test(phi: CpuMap, tol: float) -> tuple[bool, float, tuple[int, int]]:
     herm_dev, scale = float(max(gaps)), max(1.0, abs(float(sum(traces))))
     cp = herm_dev <= tol * scale and min_eig >= -tol * scale
     return cp, min_eig, (int(pairs[at, 0]), int(pairs[at, 1]))
+
+
+def _markov_choi_test(phi: CpuMap, tol: float) -> tuple[bool, float, tuple[int, int]]:
+    """:func:`_choi_test` of a map with a CSR action, between abelian
+    algebras.  There every Choi block is 1 x 1: the entry action[l, k] / N_B
+    of source point k and target point l, real, so Hermitian.  The spectrum
+    is these entries, an entry that is not stored counting as 0, and the
+    witness is the smallest (k, l) holding the minimum, as in the dense test.
+    """
+    a = phi.linear_action
+    rows, cols = a.shape
+    vals = a.data / phi.source_shape.total_dim
+    unstored = vals.size < rows * cols
+    low = min(float(vals.min(initial=np.inf)), 0.0 if unstored else np.inf)
+    witnesses = []
+    at = np.flatnonzero(vals == low)
+    if at.size:
+        ks, ls = a.indices[at], np.searchsorted(a.indptr, at, side="right") - 1
+        first = np.lexsort((ls, ks))[0]
+        witnesses.append((int(ks[first]), int(ls[first])))
+    if unstored and low == 0.0:
+        # the first column with an unstored entry, and its first unstored row
+        k = int(np.flatnonzero(np.bincount(a.indices, minlength=cols) < rows)[0])
+        ls = np.searchsorted(a.indptr, np.flatnonzero(a.indices == k), side="right") - 1
+        gaps = np.flatnonzero(ls != np.arange(ls.size))
+        witnesses.append((k, int(gaps[0]) if gaps.size else ls.size))
+    scale = max(1.0, abs(float(vals.sum())))
+    return low >= -tol * scale, low, min(witnesses)
 
 
 def min_choi_eig(phi: CpuMap) -> float:
@@ -307,7 +377,7 @@ def predual_apply(phi: CpuMap, density_blocks) -> list[np.ndarray]:
 def _predual_vec(phi: CpuMap, vec: np.ndarray) -> np.ndarray:
     """:func:`predual_apply` on coordinate vectors: the transpose of the
     action, conjugated by the blockwise transposes of target and source."""
-    return _matmul(phi.linear_action.T, vec[phi.target_shape.transpose_perm])[
+    return _matmul(phi._transposed_action, vec[phi.target_shape.transpose_perm])[
         phi.source_shape.transpose_perm
     ]
 
@@ -385,36 +455,93 @@ def compose(phi2: NcpMorphism, phi1: NcpMorphism) -> NcpMorphism:
     shape_b2, sigma2 = phi2.source
     if shape_b1 != shape_b2 or not np.array_equal(sigma1.vec, sigma2.vec):
         raise ShapeError("middle objects of the composition do not match")
-    action = _frozen(_matmul(phi1.cpu.linear_action, phi2.cpu.linear_action))
-    cpu = CpuMap(phi2.cpu.source_shape, phi1.cpu.target_shape, action)
+    action = _matmul(phi1.cpu.linear_action, phi2.cpu.linear_action)
+    if not isinstance(action, np.ndarray):
+        action.sort_indices()
+    cpu = CpuMap(phi2.cpu.source_shape, phi1.cpu.target_shape, _frozen_action(action))
     return NcpMorphism(phi1.source, phi2.target, cpu)
 
 
 def markov_from_stochastic(S) -> CpuMap:
     """Heisenberg map phi(f)_j = sum_i S_ij f_i between abelian algebras.
 
-    ``S`` is an m x n column-stochastic matrix; the predual acts on
+    ``S`` is a real m x n column-stochastic matrix; the predual acts on
     probability vectors as p -> S p (so states on n points map to states on
-    m points).  The ``linear_action`` is the read-only float64 transpose of a
-    private copy of S, not a complex matrix: S is real, and a complex copy of
-    it would take twice the memory (268 MB instead of 134 MB at 4096 bins).
-    The copy is the only one: :func:`_markov_from_owned` validates it and
-    builds the map on it.
+    m points).  The ``linear_action`` is S transposed, as a read-only CSR
+    float64 array of the nonzero entries of S, converted once (a slab of
+    columns at a time) and validated by :func:`_markov_from_owned`.  It
+    shares no memory with S.
     """
-    return _markov_from_owned(np.array(S, dtype=float))
-
-
-def _markov_from_owned(S: np.ndarray) -> CpuMap:
-    """The Markov map of a float64 S that the caller hands over: S is
-    validated as in :func:`markov_from_stochastic`, then frozen and stored
-    without a copy.  The package's own builders (congruent embeddings, their
-    left inverses, the affine automorphisms) fill a fresh matrix and pass it
-    here, so a map costs one m x n array, not two."""
+    try:
+        S = np.asarray(S)
+    except ValueError as exc:  # ragged nesting
+        raise ChannelValidationError(f"stochastic matrix is not a rectangular array ({exc})") from exc
+    if S.dtype.kind not in "biufc":
+        raise ChannelValidationError(f"stochastic matrix entries must be real numbers, got {S.dtype}")
+    if S.dtype.kind == "c" and np.any(S.imag):
+        raise ChannelValidationError("stochastic matrix has entries that are not real")
+    S = S.real.astype(float, copy=False)
     if S.ndim != 2 or S.size == 0:
         raise ShapeError("stochastic matrix must be two-dimensional and nonempty")
+    return _markov_from_owned(*_csr_of_transpose(S), S.shape[0])
+
+
+# entries of a dense stochastic matrix read per slab while converting it to CSR
+_SLAB = 1 << 14
+
+
+def _csr_of_transpose(S: np.ndarray):
+    """(data, indices, indptr) of the nonzero entries of S.T in CSR order.
+
+    The columns of S are read a slab at a time, once to count and once to
+    fill, so that the only temporaries besides the output are a slab's.
+    """
     m, n = S.shape
-    low = float(np.min(S))
-    col_dev = float(np.max(np.abs(S.sum(axis=0) - 1.0)))
+    step = max(1, _SLAB // m)
+    slabs = range(0, n, step)
+    counts = np.concatenate([np.count_nonzero(S[:, j:j + step], axis=0) for j in slabs])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    idx = _index_dtype(m, int(indptr[-1]))
+    data, indices = np.empty(int(indptr[-1])), np.empty(int(indptr[-1]), dtype=idx)
+    for j in slabs:
+        at, rows = np.nonzero(S[:, j:j + step].T)
+        out = slice(indptr[j], indptr[min(j + step, n)])
+        indices[out], data[out] = rows, S[rows, at + j]
+    return data, indices, indptr.astype(idx, copy=False)
+
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
+
+
+def _index_dtype(*sizes: int) -> type:
+    """The CSR index dtype that scipy.sparse keeps without a copy."""
+    return np.int32 if max(sizes) <= _INT32_MAX else np.int64
+
+
+def _markov_from_owned(data: np.ndarray, indices, indptr, width: int) -> CpuMap:
+    """The Markov map whose action is the CSR array (data, indices, indptr)
+    of shape (indptr.size - 1, width), on arrays that the caller hands over:
+    the entries are validated as in :func:`markov_from_stochastic`, then
+    frozen and stored, without a copy where the index arrays already have
+    the dtype of :func:`_index_dtype`.  Every Markov map the package builds
+    passes here, and only here is scipy.sparse imported, so
+    ``import ncplab`` does not load it.
+
+    The minimum counts 0 when some entry is not stored, and the columns of
+    the stochastic matrix are the rows of the action, summed by one
+    ``reduceat`` over the rows that store entries."""
+    from scipy.sparse import csr_array
+
+    rows = indptr.size - 1
+    low = float(data.min(initial=np.inf))
+    if data.size < rows * width:
+        low = min(low, 0.0)
+    sums = np.zeros(rows)
+    full = np.flatnonzero(np.diff(indptr))
+    if full.size:
+        sums[full] = np.add.reduceat(data, indptr[full])
+    col_dev = float(np.max(np.abs(sums - 1.0)))
     # a NaN or infinite entry leaves the minimum or a column sum non-finite
     if not np.isfinite(low + col_dev):
         raise ChannelValidationError("stochastic matrix is not finite")
@@ -424,47 +551,66 @@ def _markov_from_owned(S: np.ndarray) -> CpuMap:
         raise ChannelValidationError(
             f"columns must sum to one (worst deviation {col_dev:.3e})"
         )
-    return CpuMap(mk_shape([1] * m), mk_shape([1] * n), _frozen(S).T)
+    idx = _index_dtype(rows, width, data.size)
+    action = csr_array(
+        (data, indices.astype(idx, copy=False), indptr.astype(idx, copy=False)),
+        shape=(rows, width),
+    )
+    return CpuMap(mk_shape([1] * width), mk_shape([1] * rows), _frozen_action(action))
 
 
 def congruent_embedding(partition, weights) -> CongruentEmbedding:
     """Refinement Markov map q_i = w_i * p_{partition(i)} with a Markov left inverse.
 
     ``partition`` maps each of the m output cells onto one of the n source
-    cells (surjectively); ``weights`` are strictly positive and sum to one
-    within each fiber.
+    cells (surjectively), as a flat nonempty sequence of integers;
+    ``weights`` are strictly positive and sum to one within each fiber.  The
+    action stores one entry per column, built straight from the indices.
     """
-    part = tuple(int(i) for i in partition)
-    w = np.asarray(weights, dtype=float)
-    m = len(part)
+    try:
+        part, w = np.asarray(partition), np.asarray(weights, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ChannelValidationError(f"partition and weights must be flat sequences ({exc})") from exc
+    if part.ndim != 1 or part.size == 0:
+        raise ChannelValidationError("partition must be a nonempty flat sequence of cell indices")
+    if part.dtype.kind not in "iu":
+        raise ChannelValidationError(f"partition indices must be integers, got {part.dtype} entries")
+    m = part.size
     if w.shape != (m,):
         raise ChannelValidationError("partition and weights must have equal length")
     if not np.isfinite(w).all():
         raise ChannelValidationError("weights are not finite")
     if not np.min(w) > 0.0:
         raise ChannelValidationError("weights must be strictly positive")
-    n = max(part) + 1
-    if set(part) != set(range(n)):
+    n = int(part.max()) + 1
+    # a surjection onto 0..n-1 has n <= m, which bounds the fiber counts
+    if part.min() < 0 or n > m:
         raise ChannelValidationError("partition must be surjective onto 0..n-1")
-    S = np.zeros((m, n))
-    S[np.arange(m), part] = w
-    fiber_dev = float(np.max(np.abs(S.sum(axis=0) - 1.0)))
+    part = part.astype(np.int64, copy=False)
+    counts = np.bincount(part, minlength=n)
+    if not counts.all():
+        raise ChannelValidationError("partition must be surjective onto 0..n-1")
+    fiber_dev = float(np.max(np.abs(np.bincount(part, weights=w, minlength=n) - 1.0)))
     if not fiber_dev <= 1e-10:
         raise ChannelValidationError(
             f"weights must sum to one within each fiber (deviation {fiber_dev:.3e})"
         )
-    base = _markov_from_owned(S)
-    return CongruentEmbedding(
-        base.source_shape, base.target_shape, base.linear_action, None, part, tuple(w.tolist())
-    )
+    # row j of the action holds the cells of fiber j, in cell order
+    order = np.argsort(part, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    base = _markov_from_owned(w[order], order, indptr, m)
+    return CongruentEmbedding(base.source_shape, base.target_shape, base.linear_action)
 
 
 def left_inverse(embedding: CongruentEmbedding) -> CpuMap:
-    """Fiber-summing Markov map undoing a congruent embedding on states."""
+    """Fiber-summing Markov map undoing a congruent embedding on states: one
+    entry 1 per row, in the column of the cell's source point."""
     part = embedding.partition
-    L = np.zeros((max(part) + 1, len(part)))
-    L[part, np.arange(len(part))] = 1.0
-    return _markov_from_owned(L)
+    m = part.size
+    return _markov_from_owned(
+        np.ones(m), part, np.arange(m + 1), embedding.linear_action.shape[0]
+    )
 
 
 def random_cpu_map(

@@ -422,11 +422,12 @@ class GroupActionModel:
         return float(np.sum(np.abs(p - q)))
 
 
-def _affine_bin_overlap_stochastic(edges: np.ndarray, mu: float, s: float) -> np.ndarray:
-    """Column-stochastic matrix S with S[j, i] = share of bin i's image
-    (under x -> s x + mu) that lands in bin j; out-of-range mass is clamped
-    to the boundary bins: the difference, between consecutive target edges,
-    of the uniform CDF of each image, with the outer edges moved to -+inf.
+def _affine_bin_overlap_map(edges: np.ndarray, mu: float, s: float) -> CpuMap:
+    """Markov map of the column-stochastic matrix S with S[j, i] = share of
+    bin i's image (under x -> s x + mu) that lands in bin j; out-of-range
+    mass is clamped to the boundary bins: the difference, between
+    consecutive target edges, of the uniform CDF of each image, with the
+    outer edges moved to -+inf.
 
     Built from its band.  Column i's CDF is exactly 0 up to row ``first[i]``,
     the last target edge at or below the image's left end, and once it
@@ -434,8 +435,8 @@ def _affine_bin_overlap_stochastic(edges: np.ndarray, mu: float, s: float) -> np
     after rounding.  So only the rows from ``first[i]`` on are evaluated,
     with the dense formula, and the band widens until every column's last
     evaluated value is exactly 1 (or the band reaches the last edge).  The
-    differences are written into one zeroed n x n array, entry for entry
-    the matrix the dense formula gives, without its (n+1) x n temporaries.
+    nonzero differences of column i, at rows ``r``, are row i of the CSR
+    action, entry for entry the matrix the dense formula gives.
     """
     n = edges.size - 1
     lo = s * edges[:-1] + mu
@@ -452,10 +453,11 @@ def _affine_bin_overlap_stochastic(edges: np.ndarray, mu: float, s: float) -> np
         if rows == n or np.all(cdf[-1] == 1.0):
             break
         rows *= 2
-    keep = r[:-1] < n
-    out = np.zeros((n, n))
-    out[r[:-1][keep], np.nonzero(keep)[1]] = np.diff(cdf, axis=0)[keep]
-    return out
+    d = np.diff(cdf, axis=0).T
+    keep = (r[:-1].T < n) & (d != 0.0)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return _markov_from_owned(d[keep], r[:-1].T[keep], indptr, n)
 
 
 def gaussian_group_model(n_bins: int, x_min: float, x_max: float) -> GroupActionModel:
@@ -471,7 +473,7 @@ def gaussian_group_model(n_bins: int, x_min: float, x_max: float) -> GroupAction
             raise ModelDomainError(f"affine map ({mu}, {s}) is not finite")
         if s <= 0.0:
             raise ModelDomainError("affine scale must be positive")
-        return _markov_from_owned(_affine_bin_overlap_stochastic(edges, mu, s))
+        return _affine_bin_overlap_map(edges, mu, s)
 
     return GroupActionModel(base, affine_compose, automorphism_at)
 

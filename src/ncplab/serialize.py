@@ -6,6 +6,8 @@ accepted on input.  See docs/schemas.md for the full schemas.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape, InputError, mk_element, mk_shape
@@ -46,21 +48,58 @@ def matrix_to_json(mat: np.ndarray) -> list:
     return [[_complex_to_json(z) for z in row] for row in mat]
 
 
-def matrix_from_json(obj) -> np.ndarray:
+def _is_real_type(t: type) -> bool:
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
+def _entries_from_json(obj) -> tuple[list, bool, tuple[int, int]]:
+    """The entries of a JSON matrix as one flat list of numbers, whether
+    they are (re, im) pairs, and the matrix shape.  Entries are pairs when
+    some entry is an object.  The entry types are checked as one set, not
+    one entry at a time; a bad entry is then found and named."""
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SerializationError("matrix must be a nonempty list of rows, each a list")
-    rows = [[_complex_from_json(z) for z in row] for row in obj]
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
+    width = len(obj[0])
+    if any(len(r) != width for r in obj):
         raise SerializationError("matrix rows have unequal lengths")
-    return np.array(rows, dtype=complex)
+    flat = list(chain.from_iterable(obj))
+    types = set(map(type, flat))
+    paired = any(issubclass(t, dict) for t in types)
+    if paired:
+        flat = list(chain.from_iterable(
+            (z.get("re"), z.get("im", 0.0)) if isinstance(z, dict) else (z, 0.0)
+            for z in flat
+        ))
+        types = set(map(type, flat))
+    if not all(map(_is_real_type, types)):
+        for z in chain.from_iterable(obj):
+            _complex_from_json(z)  # raises on the first bad entry, naming it
+    return flat, paired, (len(obj), width)
+
+
+def _array(values: list, dtype) -> np.ndarray:
+    try:
+        return np.array(values, dtype=dtype)
+    except OverflowError as exc:
+        raise SerializationError(f"matrix entry out of range: {exc}") from exc
+
+
+def matrix_from_json(obj) -> np.ndarray:
+    values, paired, shape = _entries_from_json(obj)
+    if paired:
+        return _array(values, float).view(complex).reshape(shape)
+    return _array(values, complex).reshape(shape)
 
 
 def _real_matrix_from_json(obj) -> np.ndarray:
-    mat = matrix_from_json(obj)
-    if np.any(mat.imag):
-        raise SerializationError("entries must be real numbers")
-    return mat.real
+    values, paired, shape = _entries_from_json(obj)
+    mat = _array(values, float)
+    if paired:
+        mat = mat.reshape(-1, 2)
+        if np.any(mat[:, 1]):
+            raise SerializationError("entries must be real numbers")
+        mat = mat[:, 0].copy()
+    return mat.reshape(shape)
 
 
 def shape_to_json(shape: AlgebraShape) -> dict:
@@ -108,6 +147,9 @@ def state_from_json(obj) -> NormalState:
 
 
 def cpumap_to_json(phi: CpuMap) -> dict:
+    if not isinstance(phi.linear_action, np.ndarray):
+        # a Markov map: its stochastic matrix, the transpose of its CSR action
+        return {"stochastic": phi.linear_action.T.toarray().tolist()}
     out = {
         "source": shape_to_json(phi.source_shape),
         "target": shape_to_json(phi.target_shape),

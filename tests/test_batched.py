@@ -33,6 +33,7 @@ from ncplab.covariance import (
 )
 from ncplab import channels
 from ncplab.channels import (
+    CpuMap,
     NcpMorphism,
     apply,
     compose,
@@ -52,7 +53,7 @@ from ncplab.gns import GnsQuotientError, build_gns, embed, induced_contraction
 from ncplab.models import (
     ScoreNotRepresentableError,
     StatModel,
-    _affine_bin_overlap_stochastic,
+    _affine_bin_overlap_map,
     gaussian_model,
     metric_pullback,
 )
@@ -408,9 +409,15 @@ class TestCongruentEmbeddingAgainstLoop:
         partition = np.repeat(np.arange(len(fiber_sizes)), fiber_sizes)
         weights = np.concatenate([rng.dirichlet(np.ones(k)) for k in fiber_sizes])
         emb = congruent_embedding(partition, weights)
+        inv = left_inverse(emb)
         S, L = ref.embedding_stochastic(partition.tolist(), weights)
-        assert np.array_equal(emb.linear_action, S.T)
-        assert np.array_equal(left_inverse(emb).linear_action, L.T)
+        assert emb.linear_action.format == inv.linear_action.format == "csr"
+        assert np.array_equal(emb.linear_action.toarray(), S.T)
+        assert np.array_equal(inv.linear_action.toarray(), L.T)
+        # one stored entry per cell, and the partition and weights read back
+        assert emb.linear_action.nnz == inv.linear_action.nnz == partition.size
+        assert np.array_equal(emb.partition, partition)
+        assert np.array_equal(emb.weights, weights)
 
 
 def random_embedding(cells, points, rng):
@@ -439,8 +446,13 @@ def markov_map(m, n, rng, family):
 
 
 def complex_twin(phi):
-    """The same map with its action stored as a complex matrix."""
-    return from_linear(phi.source_shape, phi.target_shape, phi.linear_action.astype(complex))
+    """The same map with its action stored as a dense complex matrix."""
+    return from_linear(phi.source_shape, phi.target_shape, dense(phi.linear_action).astype(complex))
+
+
+def dense(action):
+    """A CSR action as a dense array; a dense one as it is."""
+    return action if isinstance(action, np.ndarray) else action.toarray()
 
 
 def gamma(k):
@@ -471,8 +483,8 @@ class TestRealMarkovAgainstComplexTwin:
         rng = np.random.default_rng(seed)
         phi = markov_map(m, n, rng, family)
         twin = complex_twin(phi)
-        A = phi.linear_action
-        assert A.dtype == np.float64
+        assert phi.linear_action.format == "csr" and phi.linear_action.dtype == np.float64
+        A = phi.linear_action.toarray()
         src, dst = phi.source_shape, phi.target_shape
 
         b = random_element(src, rng)
@@ -490,11 +502,13 @@ class TestRealMarkovAgainstComplexTwin:
         twin1 = NcpMorphism(m1.source, m1.target, twin)
         twin2 = NcpMorphism(m2.source, m2.target, complex_twin(psi))
         want = compose(twin2, twin1).cpu.linear_action
-        bound = 4 * gamma(src.element_dim) * (np.abs(A) @ np.abs(psi.linear_action))
+        bound = 4 * gamma(src.element_dim) * (np.abs(A) @ np.abs(psi.linear_action.toarray()))
         for outer, inner in [(m2, m1), (twin2, m1), (m2, twin1)]:
             got = compose(outer, inner).cpu.linear_action
-            assert got.dtype == (np.float64 if outer is m2 and inner is m1 else complex)
-            assert np.all(np.abs(got - want) <= bound)
+            markov = outer is m2 and inner is m1
+            assert got.dtype == (np.float64 if markov else complex)
+            assert isinstance(got, np.ndarray) != markov
+            assert np.all(np.abs(dense(got) - want) <= bound)
 
         space_sigma, space_rho = build_gns(src, sigma), build_gns(dst, rho)
         got = contraction_or_error(m1, space_sigma, space_rho)
@@ -513,6 +527,42 @@ class TestRealMarkovAgainstComplexTwin:
         assert witness == witness_ref
 
 
+# Dyadic entries, so that both paths sum them exactly into the same trace
+# and scale the tolerance alike; None is an entry that is not stored.
+csr_entries = st.sampled_from([None, 0.0, -0.0, 0.25, 0.5, 1.0, -0.5, -(2.0**-28), 2.0**-40, -(2.0**-40)])
+csr_grids = st.integers(1, 6).flatmap(
+    lambda cols: st.lists(st.lists(csr_entries, min_size=cols, max_size=cols), min_size=1, max_size=6)
+)
+
+
+def csr_map(grid):
+    """A map between abelian algebras whose CSR action stores the entries of
+    ``grid`` (rows by target point) that are not None, zeros included."""
+    from scipy.sparse import csr_array
+
+    stored = [[(k, x) for k, x in enumerate(row) if x is not None] for row in grid]
+    data = np.array([x for row in stored for _, x in row], dtype=float)
+    indices = np.array([k for row in stored for k, _ in row], dtype=np.int32)
+    indptr = np.cumsum([0] + [len(row) for row in stored]).astype(np.int32)
+    rows, cols = len(grid), len(grid[0])
+    action = csr_array((data, indices, indptr), shape=(rows, cols))
+    return CpuMap(mk_shape([1] * cols), mk_shape([1] * rows), action)
+
+
+class TestMarkovChoiAgainstDense:
+    @SETTINGS
+    @given(csr_grids, st.sampled_from([0.0, channels.CP_TOL, 1e-3]))
+    @example([[None]], channels.CP_TOL)
+    @example([[0.5, None], [0.5, 1.0]], channels.CP_TOL)
+    @example([[1.0, -0.0], [None, 1.0]], 0.0)
+    @example([[1.0, 0.5, 0.25], [0.5, None, -0.5]], channels.CP_TOL)
+    def test_same_verdict_minimum_and_witness(self, grid, tol):
+        phi = csr_map(grid)
+        got = channels._choi_test(phi, tol)
+        assert got == channels._choi_test(complex_twin(phi), tol)
+        assert isinstance(got[1], float) and all(isinstance(x, int) for x in got[2])
+
+
 class TestAffineOverlapAgainstLoop:
     @SETTINGS
     @given(
@@ -524,7 +574,7 @@ class TestAffineOverlapAgainstLoop:
     )
     def test_matches_overlap_bookkeeping(self, n, x_min, span, mu, s):
         edges = np.linspace(x_min, x_min + span, n + 1)
-        got = _affine_bin_overlap_stochastic(edges, mu, s)
+        got = _affine_bin_overlap_map(edges, mu, s).linear_action.toarray().T
         want = ref.affine_bin_overlap_stochastic(edges, mu, s)
         assert got.shape == want.shape == (n, n)
         assert np.max(np.abs(got - want)) <= 1e-15
@@ -550,10 +600,12 @@ class TestAffineBandAgainstDenseCdf:
     @example(256, -8.0, 16.0, 0.25, 1.0)
     def test_bit_identical(self, n, x_min, span, mu, s):
         edges = np.linspace(x_min, x_min + span, n + 1)
-        got = _affine_bin_overlap_stochastic(edges, mu, s)
+        action = _affine_bin_overlap_map(edges, mu, s).linear_action
         want = ref.affine_cdf_stochastic(edges, mu, s)
-        assert got.shape == want.shape == (n, n)
-        assert np.array_equal(got, want)
+        assert action.shape == want.shape == (n, n)
+        # bit for bit, signs of zeros included, and only nonzero entries stored
+        assert np.array_equal(action.toarray().T.view(np.uint64), want.view(np.uint64))
+        assert action.nnz == np.count_nonzero(want)
 
 
 def _fixed_model(rho, derivs):

@@ -366,18 +366,29 @@ class TestCarriersAreReadOnly:
             lambda: left_inverse(congruent_embedding(*EMBEDDING)),
             lambda: compose(identity_morphism(OBJ), identity_morphism(OBJ)).cpu,
             lambda: random_cpu_map(S2, mk_shape([1, 1]), seed=1),
+            lambda: _markov_composite(MARKOV_S),
+            lambda: gaussian_group_model(16, -4.0, 4.0).automorphism_at((0.5, 1.2)),
         ],
         ids=[
             "from_linear", "from_kraus", "identity_map", "conjugation_map", "transpose_map",
             "markov_from_stochastic", "congruent_embedding", "left_inverse", "compose",
-            "random_cpu_map",
+            "random_cpu_map", "markov_compose", "automorphism_at",
         ],
     )
     def test_action_and_kraus_are_read_only(self, build):
         phi = build()
-        assert not phi.linear_action.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            phi.linear_action[0, 0] = -5.0
+        action = phi.linear_action
+        # a CSR action: its three arrays, and neither a stored nor an unstored entry can be set
+        csr = not isinstance(action, np.ndarray)
+        arrays = (action.data, action.indices, action.indptr) if csr else (action,)
+        assert not any(a.flags.writeable for a in arrays)
+        before = action.toarray() if csr else action.copy()
+        spots = [(0, 0)] + ([tuple(np.argwhere(before == 0)[0])] if csr else [])
+        for at in spots:
+            with pytest.raises(ValueError, match="read-only"):
+                action[at] = -5.0
+        after = action.toarray() if csr else action
+        assert np.array_equal(after, before)
         assert all(not k.flags.writeable for k in phi.kraus or ())
 
 
@@ -411,12 +422,15 @@ class TestMarkovActionIsReal:
         S, w = MARKOV_S.copy(), np.array([0.3, 0.7, 1.0])
         phi = build(S, w)
         action = phi.linear_action
-        assert action.dtype == np.float64
-        assert not action.flags.writeable
-        assert not np.shares_memory(action, S) and not np.shares_memory(action, w)
-        before = action.copy()
+        assert action.format == "csr" and action.dtype == np.float64
+        arrays = (action.data, action.indices, action.indptr)
+        assert action.data.dtype == np.float64
+        assert not any(a.flags.writeable for a in arrays)
+        assert not any(np.shares_memory(a, x) for a in arrays for x in (S, w))
+        assert action.has_canonical_format and np.all(action.data != 0.0)
+        before = action.toarray()
         S[...], w[...] = -1.0, -1.0
-        assert np.array_equal(phi.linear_action, before)
+        assert np.array_equal(phi.linear_action.toarray(), before)
         assert S.flags.writeable and w.flags.writeable
 
 
@@ -429,14 +443,19 @@ def _peak_bytes(fn):
     return out, tracemalloc.get_traced_memory()[1] - held
 
 
+def _csr_bytes(action):
+    return action.data.nbytes + action.indices.nbytes + action.indptr.nbytes
+
+
 class TestMarkovMemory:
     def test_one_copy_to_build_none_to_use(self):
-        # a copy of S to build, and neither a copy nor a complex cast of it
-        # (16 bytes per entry) to push a state or apply the map
+        # the CSR arrays to build, and neither a copy of them nor a dense or
+        # complex cast (16 bytes per entry) to push a state or apply the map
         n = 1024
         S = np.random.default_rng(0).dirichlet(np.ones(n), size=n).T
         rho = random_state(mk_shape([1] * n), seed=1)
         unit = identity(mk_shape([1] * n))
+        markov_from_stochastic(np.eye(2))  # scipy.sparse imported outside the measurement
         tracemalloc.start()
         try:
             phi, build = _peak_bytes(lambda: markov_from_stochastic(S))
@@ -444,20 +463,75 @@ class TestMarkovMemory:
             _, act = _peak_bytes(lambda: apply(phi, unit))
         finally:
             tracemalloc.stop()
-        assert build <= 1.1 * S.nbytes
+        stored = _csr_bytes(phi.linear_action)
+        assert stored == S.size * (8 + 4) + (n + 1) * 4
+        assert build <= 1.1 * stored
         assert push < S.nbytes / 8
         assert act < S.nbytes / 8
 
     def test_automorphism_peaks_at_its_map(self):
-        # the band build writes into the map's own array, and the map keeps it
+        # the band build holds the band's CDFs, never an n x n array
         gm = gaussian_group_model(1024, -12.0, 12.0)
+        gm.automorphism_at((0.0, 1.0))  # scipy.sparse imported outside the measurement
         tracemalloc.start()
         try:
             phi, build = _peak_bytes(lambda: gm.automorphism_at((0.3, 1.1)))
         finally:
             tracemalloc.stop()
-        assert phi.linear_action.nbytes == 1024 * 1024 * 8
-        assert build <= 1.1 * phi.linear_action.nbytes
+        # an image spans about s + 1 bins, so 2 or 3 entries per column
+        assert 1024 < phi.linear_action.nnz <= 3 * 1024
+        assert build <= 16 * _csr_bytes(phi.linear_action)
+
+    def test_embedding_of_65536_points_holds_its_cells(self):
+        # O(nnz): a dense action would take 8 * 65536 bytes per cell
+        rng = np.random.default_rng(3)
+        part = np.repeat(np.arange(65536), rng.integers(1, 4, size=65536))
+        w = rng.random(part.size) + 0.1
+        w /= np.bincount(part, weights=w)[part]
+        congruent_embedding([0, 0], [0.5, 0.5])  # scipy.sparse imported outside the measurement
+        tracemalloc.start()
+        try:
+            emb, build = _peak_bytes(lambda: congruent_embedding(part, w))
+        finally:
+            tracemalloc.stop()
+        cells = part.size
+        assert emb.linear_action.shape == (65536, cells)
+        assert emb.linear_action.nnz == cells
+        assert _csr_bytes(emb.linear_action) == cells * (8 + 4) + (65536 + 1) * 4
+        assert build <= 80 * cells
+
+
+class TestMarkovBuildersRejectBadInput:
+    def test_complex_stochastic(self):
+        with pytest.raises(ChannelValidationError, match="not real"):
+            markov_from_stochastic([[0.5 + 0.3j, 0.5], [0.5 - 0.3j, 0.5]])
+        # a zero imaginary part is a real matrix
+        phi = markov_from_stochastic(np.full((2, 2), 0.5 + 0j))
+        assert np.array_equal(phi.linear_action.toarray(), np.full((2, 2), 0.5))
+
+    @pytest.mark.parametrize("S", [[["0.5", "0.5"]], [[0.5], [0.5, 0.5]], [[None, 1.0]]])
+    def test_stochastic_not_a_real_array(self, S):
+        with pytest.raises(ChannelValidationError):
+            markov_from_stochastic(S)
+
+    @pytest.mark.parametrize("partition", [[0, 0.7, 1.2], ["0", "1"], [True, False], [0.0, 1.0]])
+    def test_non_integer_partition(self, partition):
+        with pytest.raises(ChannelValidationError, match="integers"):
+            congruent_embedding(partition, [1.0] * len(partition))
+
+    @pytest.mark.parametrize("partition", [[], [[0], [1]], [[0], [1, 2]], 0])
+    def test_nested_or_empty_partition(self, partition):
+        with pytest.raises(ChannelValidationError):
+            congruent_embedding(partition, [1.0, 1.0])
+
+    @pytest.mark.parametrize("partition", [[0, 2], [-1, 0], [0, 2**40], np.array([0, 2**63], dtype=np.uint64)])
+    def test_partition_not_surjective(self, partition):
+        with pytest.raises(ChannelValidationError, match="surjective"):
+            congruent_embedding(partition, [1.0, 1.0])
+
+    def test_unsigned_partition(self):
+        emb = congruent_embedding(np.array([1, 0, 0], dtype=np.uint8), [1.0, 0.25, 0.75])
+        assert np.array_equal(emb.linear_action.toarray(), [[0.0, 0.25, 0.75], [1.0, 0.0, 0.0]])
 
 
 class TestNonFiniteRejected:

@@ -115,6 +115,18 @@ class TestCheckChannel:
         fields = {"schema", "command", "timestamp", "cp", "unital", "min_choi_eig", "tol"}
         assert set(rep) == fields
 
+    def test_stochastic_witness_from_the_csr_entries(self, tmp_path):
+        # within the -1e-12 floor of a Markov map, but below a zero tolerance:
+        # entry S[1, 0] is the 1 x 1 Choi block of source point 1 and target point 0
+        payload = {"stochastic": [[1.0 + 1e-13, 0.5], [-1e-13, 0.5]]}
+        path = write_json(tmp_path, "chan.json", payload)
+        code, rep = run_cli(["check-channel", "--channel", path, "--tol", "0"], tmp_path)
+        assert code == 1 and rep["cp"] is False and rep["unital"] is True
+        assert rep["min_choi_eig"] == -1e-13 / 2
+        assert rep["witness"] == {"source_block": 1, "target_block": 0}
+        code, rep = run_cli(["check-channel", "--channel", path], tmp_path)
+        assert code == 0 and rep["cp"] is True and "witness" not in rep
+
     def test_non_finite_stochastic_is_input_error(self, tmp_path):
         path = write_json(tmp_path, "chan.json", {"stochastic": [[float("nan"), 0.5], [0.5, 0.5]]})
         code, rep = run_cli(["check-channel", "--channel", path], tmp_path)

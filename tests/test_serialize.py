@@ -1,15 +1,26 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import depolarizing_kraus, random_element
 from ncplab.algebra import ShapeError, mk_shape
-from ncplab.channels import from_kraus, markov_from_stochastic, predual, transpose_map
+from ncplab.channels import (
+    congruent_embedding,
+    from_kraus,
+    left_inverse,
+    markov_from_stochastic,
+    predual,
+    transpose_map,
+)
+from ncplab.models import gaussian_group_model
 from ncplab.serialize import (
     SerializationError,
     cpumap_from_json,
     cpumap_to_json,
     element_from_json,
     element_to_json,
+    matrix_from_json,
     morphism_from_json,
     morphism_to_json,
     shape_from_json,
@@ -75,7 +86,41 @@ class TestInputForms:
     def test_stochastic_channel(self):
         phi = cpumap_from_json({"stochastic": [[0.5, 0.5], [0.5, 0.5]]})
         ref = markov_from_stochastic(np.full((2, 2), 0.5))
-        assert np.allclose(phi.linear_action, ref.linear_action, atol=1e-15)
+        assert_same_csr(phi.linear_action, ref.linear_action)
+        assert np.array_equal(phi.linear_action.toarray(), np.full((2, 2), 0.5))
+
+    def test_complex_entries_read_in_one_pass(self):
+        mat = [[{"re": 1.5, "im": -2.0}, 3], [{"re": -0.25}, {"re": 0, "im": 1e-300}]]
+        want = np.array([[1.5 - 2.0j, 3.0], [-0.25, 1e-300j]])
+        got = matrix_from_json(mat)
+        assert got.dtype == complex and np.array_equal(got, want)
+        assert np.array_equal(matrix_from_json([[1, 2.5]]), [[1.0, 2.5]])
+
+
+def assert_same_csr(a, b):
+    assert a.format == b.format == "csr" and a.shape == b.shape
+    for x, y in [(a.data, b.data), (a.indices, b.indices), (a.indptr, b.indptr)]:
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+class TestMarkovRoundtrips:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: markov_from_stochastic([[0.5, 1.0, 0.0], [0.5, 0.0, 0.25], [0.0, 0.0, 0.75]]),
+            lambda: congruent_embedding([0, 1, 0, 2], [0.3, 1.0, 0.7, 1.0]),
+            lambda: left_inverse(congruent_embedding([0, 1, 0, 2], [0.3, 1.0, 0.7, 1.0])),
+            lambda: gaussian_group_model(64, -4.0, 4.0).automorphism_at((0.3, 0.7)),
+        ],
+        ids=["markov_from_stochastic", "congruent_embedding", "left_inverse", "automorphism_at"],
+    )
+    def test_stochastic_payload_gives_the_same_csr_action(self, build):
+        phi = build()
+        payload = json.loads(json.dumps(cpumap_to_json(phi)))
+        assert set(payload) == {"stochastic"}
+        back = cpumap_from_json(payload)
+        assert back.source_shape == phi.source_shape and back.target_shape == phi.target_shape
+        assert_same_csr(back.linear_action, phi.linear_action)
 
 
 class TestErrors:
