@@ -62,7 +62,8 @@ class AlgebraShape:
         try:
             if not _BOOL_TYPES.isdisjoint(map(type, blocks)):
                 raise TypeError("booleans are not block sizes")
-            blocks = tuple(map(operator.index, blocks))
+            if set(map(type, blocks)) != {int}:  # keeps a tuple of ints as given
+                blocks = tuple(map(operator.index, blocks))
         except TypeError as exc:
             raise ShapeError(f"block dimensions must be integers, got {list(blocks)}") from exc
         if len(blocks) == 0:
@@ -139,6 +140,11 @@ class AlgebraShape:
 def mk_shape(dims: Sequence[int]) -> AlgebraShape:
     """Validated shape from a list of positive block dimensions."""
     return AlgebraShape(tuple(dims))
+
+
+def abelian_shape(k: int) -> AlgebraShape:
+    """The shape of k one-by-one blocks, held as the one tuple ``(1,) * k``."""
+    return AlgebraShape((1,) * k)
 
 
 @dataclass(frozen=True, eq=False)

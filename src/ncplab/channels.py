@@ -44,11 +44,11 @@ from .algebra import (
     _from_vec,
     _frozen,
     _wrap,
+    abelian_shape,
     basis,
     embed_full,
     identity,
     hs_norm,
-    mk_shape,
 )
 from .states import NormalState, StateValidationError, _state_from_vec, evaluate
 
@@ -556,7 +556,7 @@ def _markov_from_owned(data: np.ndarray, indices, indptr, width: int) -> CpuMap:
         (data, indices.astype(idx, copy=False), indptr.astype(idx, copy=False)),
         shape=(rows, width),
     )
-    return CpuMap(mk_shape([1] * width), mk_shape([1] * rows), _frozen_action(action))
+    return CpuMap(abelian_shape(width), abelian_shape(rows), _frozen_action(action))
 
 
 def congruent_embedding(partition, weights) -> CongruentEmbedding:

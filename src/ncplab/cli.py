@@ -27,7 +27,7 @@ from .algebra import InputError, mk_shape
 from .channels import _choi_test, is_unital
 from .covariance import kind_from_name, omf_catalog
 from .gns import build_gns
-from .serialize import cpumap_from_json, morphism_from_json, state_from_json
+from .serialize import _complex_to_json, cpumap_from_json, morphism_from_json, state_from_json
 
 SCHEMA_VERSION = 1
 
@@ -128,6 +128,8 @@ def _cmd_monotonicity(args) -> tuple[int, dict]:
         kind, morphism, n_samples=args.samples, seed=args.seed, tol=args.tol
     )
     report["pass"] = report.pop("passed")
+    if "witness" in report:
+        report["witness"]["vector"] = [_complex_to_json(z) for z in report["witness"]["vector"]]
     code = EXIT_PASS if report["pass"] else EXIT_PROPERTY_FAILURE
     return code, report
 
@@ -199,7 +201,9 @@ def _cmd_congruence_invariance(args) -> tuple[int, dict]:
     for _ in range(args.samples):
         fiber_sizes = rng.integers(1, 4, size=n)
         partition = np.repeat(np.arange(n), fiber_sizes)
-        weights = np.concatenate([rng.dirichlet(np.ones(sz)) for sz in fiber_sizes])
+        # flat Dirichlet weights per fiber: exponential draws over their fiber's sum
+        draws = rng.standard_exponential(partition.size)
+        weights = draws / np.add.reduceat(draws, np.cumsum(fiber_sizes) - fiber_sizes)[partition]
         emb = congruent_embedding(partition, weights)
         thetas = [model.interior(rng) for _ in range(3)]
         rep = models.congruence_invariance_check(model, emb, thetas, tol=args.tol)

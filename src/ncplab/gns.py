@@ -18,23 +18,27 @@ fixed so the first nonzero component is real positive.  The coordinate order
 does not depend on how blocks are grouped, and the result is reproducible run
 to run.
 
-The coordinate matrices are rebuilt from the groups by one index scatter on
-each access, never cached: the embedding E (``iso_matrix``), representatives
-R = E^dag / w (``rep_matrix``, w the Gram eigenvalues) and a unit-HS-norm
-basis N of the Gelfand ideal (``null_matrix``).  A morphism (A, rho) ->
+Nothing dense is built between two algebras.  A morphism (A, rho) ->
 (B, sigma) carried by phi: B -> A, with coordinate matrix L, induces the
 contraction H_sigma -> H_rho, [b] -> [phi(b)]: the matrix E_rho L R_sigma,
-well defined when the columns of E_rho L N_sigma vanish.
+where the embedding E multiplies row i of each block by U sqrt(w) (what
+:func:`embed` does to one element; U the kept eigenvectors, w their
+eigenvalues) and the representatives R = E^dag / w by conj(U) / sqrt(w).
+Both are blockwise transforms of the rows of L gathered by each group's
+positions, O(n^5) per M_n block.  The map is well defined when E_rho L
+N_sigma vanishes, N_sigma the unit-HS-norm basis of the Gelfand ideal
+(conj of a dropped eigenvector in one row of a block), transformed alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape, InputError, ShapeError, adjoint, multiply
-from .channels import NcpMorphism, _matmul, compose, identity_morphism
+from .channels import NcpMorphism, compose, identity_morphism
 from .channels import apply  # noqa: F401  (perfbench's binding test reads ncplab.gns.apply)
 from .states import NormalState, SUPPORT_RTOL, evaluate
 
@@ -103,17 +107,9 @@ class GnsSpace:
             ranks = np.sum(w > cutoff, axis=1)  # w descends, so kept ones lead
             for r in np.unique(ranks).tolist():
                 sel = np.flatnonzero(ranks == r)
+                parts = (w[sel, :r], w[sel, r:], v[sel, :, :r], v[sel, :, r:])
                 self._groups.append(
-                    _RankGroup(
-                        s.n,
-                        r,
-                        s.index[sel],
-                        s.pos[sel],
-                        np.ascontiguousarray(w[sel, :r]),
-                        np.ascontiguousarray(w[sel, r:]),
-                        np.ascontiguousarray(v[sel, :, :r]),
-                        np.ascontiguousarray(v[sel, :, r:]),
-                    )
+                    _RankGroup(s.n, r, s.index[sel], s.pos[sel], *map(np.ascontiguousarray, parts))
                 )
         # block k is self._groups[g].index[j] for (g, j) = self._where[k]
         where = np.empty((shape.num_blocks, 2), dtype=int)
@@ -128,27 +124,16 @@ class GnsSpace:
         # with r fastest.  Global coordinate order: descending eigenvalue,
         # then block, row, eigenvalue rank; ``_perm[q]`` is the raw position
         # of coordinate q.
-        eigs, blocks_idx, rows_idx, ranks_idx = [], [], [], []
+        keys = []  # (rank, row, block, eigenvalue) of each raw entry, group by group
         for grp in self._groups:
             j, i, r = np.indices((grp.index.size, grp.n, grp.rank)).reshape(3, -1)
-            eigs.append(grp.eigs[j, r])
-            blocks_idx.append(grp.index[j])
-            rows_idx.append(i)
-            ranks_idx.append(r)
-        eigs = np.concatenate(eigs)
-        order_keys = (
-            np.concatenate(ranks_idx),
-            np.concatenate(rows_idx),
-            np.concatenate(blocks_idx),
-            -eigs,
-        )
-        self._perm = np.lexsort(order_keys)
+            keys.append((r, i, grp.index[j], grp.eigs[j, r]))
+        *order_keys, eigs = map(np.concatenate, zip(*keys))
+        self._perm = np.lexsort((*order_keys, -eigs))
         self.dim = int(eigs.size)
         self._sorted_eigs = eigs[self._perm]
         # [1] in closed form: embed's (1 @ v) * sqrt(w) without building the unit
-        self.cyclic = np.concatenate(
-            [(g.vecs * np.sqrt(g.eigs)[:, None, :]).ravel() for g in self._groups]
-        )[self._perm]
+        self.cyclic = np.concatenate([_iso(g).ravel() for g in self._groups])[self._perm]
 
     @property
     def base(self) -> tuple[AlgebraShape, NormalState]:
@@ -159,41 +144,36 @@ class GnsSpace:
         """Kept Gram eigenvalues in coordinate order (descending)."""
         return self._sorted_eigs.copy()
 
-    def _scatter(self, values) -> np.ndarray:
-        """Rows, group by group, for each (block j, row i, column q) of the
-        (m, n, c) array ``values(group)``: its column q at row i of block j,
-        zero elsewhere, in element coordinates."""
-        vals = [values(g) for g in self._groups]
-        out = np.zeros((sum(v.size for v in vals), self.shape.element_dim), dtype=complex)
-        start = 0
-        for grp, v in zip(self._groups, vals):
-            m, n, c = v.shape
-            rows = start + np.arange(m * n * c).reshape(m, n, c, 1)
-            out[rows, grp.pos[:, :, None, :]] = v.transpose(0, 2, 1)[:, None, :, :]
-            start += m * n * c
-        return out
-
-    @property
-    def iso_matrix(self) -> np.ndarray:
-        """dim x element_dim matrix sending element coordinates to GNS coordinates."""
-        return self._scatter(lambda g: np.sqrt(g.eigs)[:, None, :] * g.vecs)[self._perm]
-
-    @property
-    def rep_matrix(self) -> np.ndarray:
-        """element_dim x dim: column q holds the coordinates of an element
-        whose class is the q-th orthonormal basis vector."""
-        return self._scatter(lambda g: g.vecs.conj() / np.sqrt(g.eigs)[:, None, :])[self._perm].T
-
-    @property
-    def null_matrix(self) -> np.ndarray:
-        """element_dim x (element_dim - dim): coordinates of a basis of the
-        numerically identified Gelfand ideal, one unit-HS-norm column each."""
-        return self._scatter(lambda g: g.null_vecs.conj()).T
-
 
 def build_gns(shape: AlgebraShape, state: NormalState, tol: float = SUPPORT_RTOL) -> GnsSpace:
     """GNS space of (shape, state) with relative quotient cutoff ``tol``."""
     return GnsSpace(shape, state, tol)
+
+
+def _iso(g: _RankGroup) -> np.ndarray:
+    return g.vecs * np.sqrt(g.eigs)[:, None, :]
+
+
+def _rep(g: _RankGroup) -> np.ndarray:
+    return g.vecs.conj() / np.sqrt(g.eigs)[:, None, :]
+
+
+def _transform(space: GnsSpace, x: np.ndarray, mats) -> np.ndarray:
+    """Rows (block j, row i, column q), group by group, of
+    sum_c x[pos[j, i, c]] * mats(g)[j, c, q] for the element-coordinate rows
+    of ``x`` (element_dim, s), in raw order: E x for ``_iso``, R^T x for ``_rep``."""
+    out = []
+    for g in space._groups:
+        t = mats(g).swapaxes(1, 2)[:, None] @ x[g.pos]  # (m, n, c, s)
+        out.append(t.reshape(t.shape[0] * t.shape[1] * t.shape[2], x.shape[1]))
+    return np.concatenate(out)
+
+
+def _top_gram_eig(m: np.ndarray) -> float:
+    """Largest eigenvalue of m^dag m, the squared operator norm of m."""
+    if m.size == 0:
+        return 0.0
+    return max(float(np.linalg.eigvalsh(m.conj().T @ m)[-1]), 0.0)
 
 
 def embed(space: GnsSpace, a: AlgebraElement) -> np.ndarray:
@@ -219,9 +199,7 @@ class GnsContraction:
 
     @property
     def operator_norm(self) -> float:
-        if self.matrix.size == 0:
-            return 0.0
-        return float(np.linalg.svd(self.matrix, compute_uv=False)[0])
+        return float(np.sqrt(_top_gram_eig(self.matrix)))
 
 
 def induced_contraction(
@@ -245,16 +223,19 @@ def induced_contraction(
         space_rho.state.vec, rho.vec
     ):
         raise ShapeError("GNS spaces were built for different states")
-    iso = space_rho.iso_matrix
     action = morphism.cpu.linear_action
-    leak = np.linalg.norm(iso @ _matmul(action, space_sigma.null_matrix), axis=0)
+    lt = (action if isinstance(action, np.ndarray) else action.toarray()).T
+    # E_rho L X as E_rho (X^T L^T)^T: sigma's transform of the columns of L, then rho's of the rows
+    null = _transform(space_sigma, lt, lambda g: g.null_vecs.conj())  # N_sigma^T L^T
+    leak = np.linalg.norm(_transform(space_rho, null.T, _iso), axis=0)
     worst = float(leak.max(initial=0.0))
     if not worst <= tol:
         raise GnsQuotientError(
             f"null element maps outside the target null space (largest norm {worst:.3e}); "
             "re-run with a tighter support tolerance"
         )
-    matrix = iso @ _matmul(action, space_sigma.rep_matrix)
+    raw = _transform(space_rho, _transform(space_sigma, lt, _rep).T, _iso)
+    matrix = raw[space_rho._perm][:, space_sigma._perm]
     return GnsContraction(space_sigma, space_rho, matrix)
 
 
@@ -267,39 +248,22 @@ def check_functor_laws(chains, tol: float = 1e-9) -> dict:
     product of the induced maps in reversed order; identities are checked at
     every object.  Returns a report dict with the worst deviations.
     """
-    max_id_dev = 0.0
-    max_comp_dev = 0.0
+    max_id_dev = max_comp_dev = 0.0
     n_chains = 0
     for chain in chains:
         n_chains += 1
         objs = [chain[0].source] + [m.target for m in chain]
         spaces = [build_gns(o[0], o[1]) for o in objs]
         for obj, sp in zip(objs, spaces):
-            ident = induced_contraction(identity_morphism(obj), sp, sp)
-            max_id_dev = max(
-                max_id_dev,
-                float(np.max(np.abs(ident.matrix - np.eye(sp.dim)))) if sp.dim else 0.0,
-            )
-        mats = [
-            induced_contraction(m, spaces[i + 1], spaces[i]).matrix
-            for i, m in enumerate(chain)
-        ]
-        # adjacent pairs
-        for i in range(len(chain) - 1):
-            comp = compose(chain[i + 1], chain[i])
-            direct = induced_contraction(comp, spaces[i + 2], spaces[i]).matrix
-            max_comp_dev = max(
-                max_comp_dev, float(np.max(np.abs(direct - mats[i] @ mats[i + 1])))
-            )
-        # full chain
-        if len(chain) > 1:
-            total = chain[0]
-            for m in chain[1:]:
-                total = compose(m, total)
-            direct = induced_contraction(total, spaces[-1], spaces[0]).matrix
-            prod = mats[0]
-            for m in mats[1:]:
-                prod = prod @ m
+            ident = induced_contraction(identity_morphism(obj), sp, sp).matrix
+            max_id_dev = max(max_id_dev, float(np.max(np.abs(ident - np.eye(sp.dim)))))
+        mats = [induced_contraction(m, b, a).matrix for m, b, a in zip(chain, spaces[1:], spaces)]
+        spans = [(i, i + 2) for i in range(len(chain) - 1)]  # adjacent pairs
+        spans += [(0, len(chain))] if len(chain) > 1 else []  # the full chain
+        for i, k in spans:
+            comp = reduce(lambda total, m: compose(m, total), chain[i:k])
+            direct = induced_contraction(comp, spaces[k], spaces[i]).matrix
+            prod = reduce(np.matmul, mats[i:k])
             max_comp_dev = max(max_comp_dev, float(np.max(np.abs(direct - prod))))
     return {
         "n_chains": n_chains,

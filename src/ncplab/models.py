@@ -37,6 +37,7 @@ from .algebra import (
     ShapeError,
     _from_vec,
     _wrap,
+    abelian_shape,
     hermitian_matrix_basis,
     mk_shape,
 )
@@ -174,7 +175,7 @@ def simplex_model(n: int) -> StatModel:
         raise ModelDomainError(
             f"simplex:{n} has {n + 1} outcomes, above the limit of {MAX_OUTCOMES}"
         )
-    shape = mk_shape([1] * (n + 1))
+    shape = abelian_shape(n + 1)
 
     def domain(theta):
         return bool(np.all(theta > 0.0) and float(np.sum(theta)) < 1.0)
@@ -290,7 +291,7 @@ def gaussian_model(n_bins: int, x_min: float, x_max: float) -> StatModel:
         raise ModelDomainError(f"{n_bins} bins is above the limit of {MAX_OUTCOMES}")
     if not (x_min < x_max and np.isfinite([x_min, x_max]).all()):
         raise ModelDomainError(f"bin range [{x_min}, {x_max}] is empty or not finite")
-    shape = mk_shape([1] * n_bins)
+    shape = abelian_shape(n_bins)
     edges = np.linspace(x_min, x_max, n_bins + 1)
 
     def contained(theta):

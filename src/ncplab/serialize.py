@@ -10,7 +10,7 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, InputError, mk_element, mk_shape
+from .algebra import AlgebraElement, AlgebraShape, InputError, abelian_shape, mk_element, mk_shape
 from .channels import (
     CpuMap,
     NcpMorphism,
@@ -137,7 +137,7 @@ def state_from_json(obj) -> NormalState:
     _object(obj, "state")
     if "prob" in obj:
         p = _real_matrix_from_json([obj["prob"]])[0]
-        return _state_from_vec(mk_shape([1] * len(p)), p)
+        return _state_from_vec(abelian_shape(len(p)), p)
     try:
         shape = shape_from_json(obj["shape"])
         mats = [matrix_from_json(d) for d in obj["densities"]]

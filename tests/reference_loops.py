@@ -6,7 +6,9 @@ These are the straightforward loops that the batched implementations in
 ``ncplab`` replace.  They are kept here, and only here, so the batched code
 can be checked against them: one eigendecomposition per block, one form and
 one least-squares solve per block, the covariance Gram assembled from the raw
-forms, the induced contraction one GNS coordinate at a time, the Kraus
+forms, the induced contraction one GNS coordinate at a time and as the
+product of the dense coordinate matrices, the monotonicity criterion as the
+generalized eigenproblem of the two dense Grams, the Kraus
 action one source basis element at a time, the dense (N_B N_A)^2 Choi
 matrix and its single eigensolve, the monotonicity samples one vector at a
 time, and evaluation, the predual, the blockwise transpose, the
@@ -22,11 +24,12 @@ congruent embedding and its left inverse filled one cell at a time.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
-from ncplab import algebra, states
-from ncplab.algebra import _wrap, hermitian_matrix_basis
+from ncplab import algebra, covariance, states
+from ncplab.algebra import _wrap, coords, hermitian_matrix_basis
 from ncplab.channels import apply
-from ncplab.gns import GnsQuotientError
+from ncplab.gns import GnsQuotientError, build_gns
 
 SUPPORT_RTOL = 1e-9
 HERMITIAN_TOL = 1e-10
@@ -199,6 +202,9 @@ class RefGnsSpace:
                     raw.append(_wrap(self.shape, mats))
         return [raw[p] for p in self.perm]
 
+    def rep_matrix(self):
+        """element_dim x dim: the coordinates of the representatives, one per column."""
+        return np.column_stack([coords(x) for x in self.rep_elements()])
 
     def null_elements(self):
         """Basis of the Gelfand ideal (unit HS norm): row i of block k is a
@@ -213,6 +219,11 @@ class RefGnsSpace:
                     out.append(_wrap(self.shape, mats))
         return out
 
+    def null_matrix(self):
+        """element_dim x (element_dim - dim): the null elements' coordinates, one per column."""
+        cols = [coords(x) for x in self.null_elements()]
+        return np.column_stack(cols) if cols else np.zeros((self.shape.element_dim, 0), complex)
+
 
 def induced_contraction(morphism, space_sigma, space_rho, tol=1e-8):
     """Contraction matrix built one GNS coordinate at a time: the carrier map
@@ -225,6 +236,35 @@ def induced_contraction(morphism, space_sigma, space_rho, tol=1e-8):
     return np.column_stack(
         [space_rho.embed(apply(morphism.cpu, rep)) for rep in space_sigma.rep_elements()]
     )
+
+
+def dense_contraction(morphism, space_sigma, space_rho, tol=1e-8):
+    """The contraction as the product of dense coordinate matrices,
+    E_rho (L R_sigma), after the well-definedness check on the columns of
+    E_rho L N_sigma."""
+    action = morphism.cpu.linear_action
+    action = action if isinstance(action, np.ndarray) else action.toarray()
+    iso = space_rho.iso_matrix()
+    leak = np.linalg.norm(iso @ (action @ space_sigma.null_matrix()), axis=0)
+    worst = float(leak.max(initial=0.0))
+    if not worst <= tol:
+        raise GnsQuotientError(f"null element maps outside the null space (norm {worst:.3e})")
+    return iso @ (action @ space_sigma.rep_matrix())
+
+
+def monotonicity_dense(kind, morphism):
+    """(exact_max_eig, pushed, g_sigma, contraction) of the dense route: the
+    contraction C from the dense coordinate matrices, the two covariance
+    Grams, pushed = C^dag G_rho C, and the top eigenvalue of the generalized
+    problem (pushed, G_sigma) from scipy.linalg.eigh."""
+    (shape_a, rho), (shape_b, sigma) = morphism.source, morphism.target
+    c = dense_contraction(morphism, RefGnsSpace(shape_b, sigma), RefGnsSpace(shape_a, rho))
+    g_rho = covariance.covariance_gram(kind, build_gns(shape_a, rho)).gram
+    g_sigma = covariance.covariance_gram(kind, build_gns(shape_b, sigma)).gram
+    pushed = c.conj().T @ g_rho @ c
+    pushed = (pushed + pushed.conj().T) / 2.0
+    exact = float(scipy.linalg.eigh(pushed, g_sigma, eigvals_only=True)[-1])
+    return exact, pushed, g_sigma, c
 
 
 def from_kraus_action(src, dst, kraus):

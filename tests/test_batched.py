@@ -31,7 +31,7 @@ from ncplab.covariance import (
     monotonicity_check,
     petz_kind,
 )
-from ncplab import channels
+from ncplab import channels, gns
 from ncplab.channels import (
     CpuMap,
     NcpMorphism,
@@ -185,13 +185,16 @@ class TestGnsAgainstLoops:
         loops = ref.RefGnsSpace(rho.shape, rho)
         assert space.dim == loops.dim
         assert np.array_equal(space.gram_eigenvalues, loops.gram_eigenvalues)
-        assert np.array_equal(space.iso_matrix, loops.iso_matrix())
+        # the blockwise transforms of the identity are the dense coordinate matrices
+        eye = np.eye(rho.shape.element_dim)
+        iso = gns._transform(space, eye, gns._iso)[space._perm]
+        assert np.array_equal(iso, loops.iso_matrix())
         assert np.array_equal(space.cyclic, loops.embed(identity(rho.shape)))
         for _ in range(3):
             a = random_element(rho.shape, rng)
             assert np.array_equal(embed(space, a), loops.embed(a))
-        reps = np.column_stack([coords(x) for x in loops.rep_elements()])
-        assert np.array_equal(space.rep_matrix, reps)
+        reps = gns._transform(space, eye, gns._rep)[space._perm].T
+        assert np.array_equal(reps, loops.rep_matrix())
 
     @SETTINGS
     @given(shapes, seeds, st.booleans())
@@ -327,6 +330,106 @@ class TestMonotonicitySamplesAgainstLoop:
         rep = monotonicity_check(kind, m, n_samples=40, seed=seed, tol=1e-9)
         assert rep["sample_violations"] == violations
         assert abs(rep["worst_ratio"] - worst) <= 1e-12 * worst
+
+
+def partial_transpose_map(shape):
+    """3/4 of the partial transpose of M_2 (x) M_2 plus 1/4 of the identity on
+    a leading M_4 block, identity on the other blocks.  On a product state the
+    pulled-back state is a product too, but with the second factor's
+    eigenbasis moved, so the map's worst vector is no single matrix unit of
+    either eigenbasis."""
+    action = np.eye(shape.element_dim)
+    action[:16, :16] /= 4.0
+    for i, a, j, b in np.ndindex(2, 2, 2, 2):
+        action[(2 * i + b) * 4 + 2 * j + a, (2 * i + a) * 4 + 2 * j + b] += 0.75
+    return from_linear(shape, shape, action)
+
+
+def monotonicity_morphism(blocks_a, blocks_b, seed, rank_deficient, family):
+    """A verified morphism whose carrier is a random CPU map with trace
+    mixing or a random automorphism; or, as negative controls (not CP), the
+    blockwise transpose of the source algebra, which breaks only the GNS
+    kind's monotonicity (the catalog kinds are symmetric) and can leak the
+    null space, or a partial transpose mixed with the identity on a leading
+    M_4 block holding a faithful product state, which breaks every kind's."""
+    if family in ("cpu", "automorphism"):
+        return random_morphism_on(blocks_a, blocks_b, seed, rank_deficient, family == "automorphism", 0.1)
+    if family == "transpose":
+        rho, _ = random_state_on(blocks_a, seed, rank_deficient)
+        t = transpose_map(rho.shape)
+    else:
+        mats = random_blocks([2, 2, *blocks_a], np.random.default_rng(seed), rank_deficient=False)
+        mats = [np.kron(mats[0], mats[1]), *mats[2:]]
+        rho = mk_state(mk_shape([4, *blocks_a]), [m / sum(np.trace(x).real for x in mats) for m in mats])
+        t = partial_transpose_map(rho.shape)
+    return NcpMorphism((rho.shape, rho), (rho.shape, predual(t, rho)), t)
+
+
+def verdict_or_error(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except GnsQuotientError as exc:
+        return type(exc)
+
+
+class TestMonotonicityAgainstDense:
+    # Rank-deficient states only for the GNS kind, the one defined there.
+    @SETTINGS
+    @given(
+        small_shapes,
+        small_shapes,
+        seeds,
+        st.sampled_from(range(5)),
+        st.booleans(),
+        st.sampled_from(["cpu", "automorphism", "transpose", "partial_transpose"]),
+    )
+    @example([3, 2], [2], 0, 0, True, "transpose")  # leaks the null space
+    @example([3, 2], [2], 0, 0, True, "automorphism")
+    def test_same_verdict_criterion_samples_and_contraction(
+        self, blocks_a, blocks_b, seed, kind_no, rank_deficient, family
+    ):
+        kind = kind_catalog()[kind_no]
+        m = monotonicity_morphism(blocks_a, blocks_b, seed, rank_deficient and kind.is_gns, family)
+        dense = verdict_or_error(ref.monotonicity_dense, kind, m)
+        rep = verdict_or_error(monotonicity_check, kind, m, n_samples=40, seed=seed, tol=1e-9)
+        if isinstance(dense, type):
+            assert rep is dense is GnsQuotientError
+            return
+        exact, pushed, g_sigma, c_ref = dense
+        assert rep["passed"] == (exact <= 1.0 + 1e-9)
+        assert abs(rep["exact_max_eig"] - exact) <= 1e-12 * exact
+        worst, violations = ref.monotonicity_samples(pushed, g_sigma, 40, seed, 1e-9)
+        assert rep["sample_violations"] == violations
+        assert abs(rep["worst_ratio"] - worst) <= 1e-12 * worst
+        (shape_a, rho), (shape_b, sigma) = m.source, m.target
+        c = induced_contraction(m, build_gns(shape_b, sigma), build_gns(shape_a, rho)).matrix
+        assert c.shape == c_ref.shape
+        assert np.max(np.abs(c - c_ref)) <= 1e-14 * max(1.0, np.max(np.abs(c_ref)))
+        assert ("witness" in rep) != rep["passed"]
+
+    @SETTINGS
+    @given(
+        small_shapes.filter(lambda b: max(b) > 1),
+        seeds,
+        st.sampled_from(range(5)),
+        st.sampled_from(["transpose", "partial_transpose"]),
+    )
+    def test_witness_attains_the_criterion(self, blocks, seed, kind_no, family):
+        kind = kind_catalog()[kind_no]
+        m = monotonicity_morphism(blocks, blocks, seed, False, family)
+        rep = monotonicity_check(kind, m, n_samples=0)
+        exact, pushed, g_sigma, _ = ref.monotonicity_dense(kind, m)
+        if rep["passed"]:
+            assert "witness" not in rep
+            return
+        xi, ratio = rep["witness"]["vector"], rep["witness"]["ratio"]
+        assert xi.shape == (build_gns(*m.target).dim,)
+        assert abs(np.linalg.norm(xi) - 1.0) <= 1e-14
+        first = xi[np.argmax(np.abs(xi) > 1e-12)]  # the GNS coordinates' phase convention
+        assert abs(first.imag) <= 1e-15 * first.real
+        rayleigh = (xi.conj() @ pushed @ xi).real / (xi.conj() @ g_sigma @ xi).real
+        assert abs(rayleigh - rep["exact_max_eig"]) <= 1e-12 * rep["exact_max_eig"]
+        assert abs(ratio - rep["exact_max_eig"]) <= 1e-12 * rep["exact_max_eig"]
 
 
 class TestKrausAgainstLoop:
@@ -516,7 +619,8 @@ class TestRealMarkovAgainstComplexTwin:
         if isinstance(want, type):
             assert got is want
         else:
-            iso, rep = space_rho.iso_matrix, space_sigma.rep_matrix
+            iso = ref.RefGnsSpace(dst, rho).iso_matrix()
+            rep = ref.RefGnsSpace(src, sigma).rep_matrix()
             bound = 4 * gamma(src.element_dim + dst.element_dim) * (np.abs(iso) @ np.abs(A) @ np.abs(rep))
             assert np.all(np.abs(got - want) <= bound)
 

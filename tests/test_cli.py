@@ -151,6 +151,7 @@ class TestMonotonicity:
         assert code == 0
         assert rep["pass"] is True
         assert rep["exact_max_eig"] <= 1.0 + 1e-9
+        assert "witness" not in rep
 
     def test_corrupted_map_fails_with_witness(self, tmp_path, transpose_morphism_file):
         code, rep = run_cli(
@@ -169,6 +170,10 @@ class TestMonotonicity:
         assert code == 1
         assert rep["pass"] is False
         assert abs(rep["exact_max_eig"] - 3.0) < 1e-9  # (3/4)/(1/4)
+        # the class of e_01, coordinate (row 0, eigenvalue 1/4), goes to that of e_10
+        vec = np.array([[z["re"], z["im"]] for z in rep["witness"]["vector"]])
+        assert np.allclose(vec, [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], rtol=0.0, atol=1e-12)
+        assert abs(rep["witness"]["ratio"] - 3.0) < 1e-9
 
     def test_unverified_morphism_is_input_error(self, tmp_path, transpose_morphism_file):
         code, rep = run_cli(

@@ -29,6 +29,7 @@ from ncplab.channels import (
     predual,
     transpose_map,
 )
+from ncplab import gns
 from ncplab.gns import (
     GnsQuotientError,
     build_gns,
@@ -88,7 +89,8 @@ class TestBuild:
         for seed, shape in enumerate(STANDARD_SHAPES):
             rho = random_state(shape, faithful=(seed % 2 == 0), seed=seed + 10)
             space = build_gns(shape, rho)
-            reps = [element_from_coords(shape, c) for c in space.rep_matrix.T]
+            rows = gns._transform(space, np.eye(shape.element_dim), gns._rep)[space._perm]
+            reps = [element_from_coords(shape, c) for c in rows]
             gram = np.array(
                 [[inner(space, a, b) for b in reps] for a in reps]
             )
@@ -127,15 +129,17 @@ class TestBuild:
 
         for _ in range(5):
             a = random_element(mk_shape([2, 3]), rng)
-            assert np.allclose(
-                space.iso_matrix @ coords(a), embed(space, a), atol=1e-12
-            )
+            iso = gns._transform(space, coords(a)[:, None], gns._iso)[space._perm, 0]
+            assert np.allclose(iso, embed(space, a), atol=1e-12)
 
     def test_deterministic_coordinates(self):
         rho = random_state(mk_shape([2, 3]), seed=14)
         s1 = build_gns(mk_shape([2, 3]), rho)
         s2 = build_gns(mk_shape([2, 3]), rho)
-        assert np.array_equal(s1.iso_matrix, s2.iso_matrix)
+        eye = np.eye(s1.shape.element_dim)
+        assert np.array_equal(
+            gns._transform(s1, eye, gns._iso)[s1._perm], gns._transform(s2, eye, gns._iso)[s2._perm]
+        )
         assert np.array_equal(s1.gram_eigenvalues, s2.gram_eigenvalues)
         assert np.all(np.diff(s1.gram_eigenvalues) <= 0)
 
