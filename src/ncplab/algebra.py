@@ -32,6 +32,32 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _phase_fix(vectors: np.ndarray) -> np.ndarray:
+    """Rotate each column of each matrix in a (K, n, n) stack of unit
+    eigenvectors so its first component above 1e-12 is real positive."""
+    first = np.argmax(np.abs(vectors) > 1e-12, axis=1)[:, None, :]
+    anchor = np.take_along_axis(vectors, first, axis=1)
+    return vectors * (anchor.conj() / np.abs(anchor))
+
+
+def _pd_with_shift(a: np.ndarray, shift: float) -> bool:
+    """Whether a + shift * I is positive definite, for a Hermitian matrix or
+    (..., n, n) stack: one ``np.linalg.cholesky`` call, which decides it at
+    a fraction of the cost of the spectrum (Higham 2002, ch. 10) and reads
+    only the lower triangle.  The diagonal of ``a`` is shifted in place for
+    the call and restored exactly, so no shifted copy is made."""
+    i = np.arange(a.shape[-1])
+    diag = a[..., i, i]
+    a[..., i, i] += shift
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        a[..., i, i] = diag
+    return True
+
+
 # bool is an int subclass, so operator.index would accept True as 1
 _BOOL_TYPES = frozenset((bool, np.bool_))
 
@@ -251,25 +277,9 @@ def scale(c, a: AlgebraElement) -> AlgebraElement:
     return _from_vec(a.shape, complex(c) * a.vec)
 
 
-def trace_functional(a: AlgebraElement) -> complex:
-    """Un-normalized trace, summed over blocks."""
-    return complex(sum(np.trace(x) for x in a.blocks))
-
-
 def hs_norm(a: AlgebraElement) -> float:
     """Hilbert-Schmidt norm sqrt(sum_k Tr(a_k^dag a_k))."""
     return float(np.sqrt(np.sum(np.abs(a.vec) ** 2)))
-
-
-def is_positive(a: AlgebraElement, tol: float = 1e-10) -> bool:
-    """True iff every block is Hermitian within tol with min eigenvalue >= -tol."""
-    for x in a.blocks:
-        if np.max(np.abs(x - x.conj().T)) > tol:
-            return False
-        h = (x + x.conj().T) / 2.0
-        if np.linalg.eigvalsh(h)[0] < -tol:
-            return False
-    return True
 
 
 def basis(shape: AlgebraShape) -> list[AlgebraElement]:
@@ -306,30 +316,9 @@ def hermitian_matrix_basis(n: int) -> list[np.ndarray]:
     return out
 
 
-def hermitian_basis(shape: AlgebraShape) -> list[AlgebraElement]:
-    """Real basis of self-adjoint elements, block-major."""
-    # row q holds the coordinates of basis element q; block k's n_k^2
-    # elements take the rows of its own coordinates
-    out = np.zeros((shape.element_dim, shape.element_dim), dtype=complex)
-    for n, _, pos in shape.size_positions:
-        at = pos.reshape(-1, n * n)
-        out[at[:, :, None], at[:, None, :]] = np.reshape(hermitian_matrix_basis(n), (n * n, n * n))
-    return [_from_vec(shape, e) for e in out]
-
-
 def coords(a: AlgebraElement) -> np.ndarray:
     """The element's read-only coordinate vector: blocks in order, entries row-major."""
     return a.vec
-
-
-def element_from_coords(shape: AlgebraShape, vec: np.ndarray) -> AlgebraElement:
-    """Inverse of :func:`coords`; the element keeps a copy of ``vec``."""
-    vec = np.array(vec, dtype=complex)
-    if vec.shape != (shape.element_dim,):
-        raise ShapeError(
-            f"coordinate vector must have length {shape.element_dim}, got {vec.shape}"
-        )
-    return _from_vec(shape, vec)
 
 
 def embed_full(a: AlgebraElement) -> np.ndarray:

@@ -22,10 +22,11 @@ vanishes unless i and j lie in one source block k and a and b in one target
 block l (Choi 1975), so C is a permutation of the direct sum of K_B*K_A
 blocks of size n_k*m_l, and the sizes add up to N_B*N_A.  The test therefore
 never forms C: :func:`choi` gathers the blocks, batched by (n_k, m_l), and
-their spectra together are the spectrum of C.  A failed test names the
-block pair (k, l) that holds the smallest eigenvalue.  A Markov map between
-abelian algebras, whose action is stored as CSR, has only 1 x 1 blocks,
-and its test reads them off the stored entries.
+one batched Cholesky factorization of each class's Hermitian part, shifted
+by the tolerance, certifies it; a class that fails is decomposed, and the
+test names the block pair (k, l) holding the smallest eigenvalue, with its
+eigenvector.  A Markov map between abelian algebras, whose action is
+stored as CSR, has only 1 x 1 blocks, read off the stored entries.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .algebra import (
     ShapeError,
     _from_vec,
     _frozen,
+    _pd_with_shift,
     _wrap,
     abelian_shape,
     basis,
@@ -291,32 +293,62 @@ def choi(phi: CpuMap) -> tuple[ChoiClass, ...]:
     return tuple(ChoiClass(pairs, flat[at]) for pairs, at in _choi_layout(src, dst))
 
 
-def _choi_test(phi: CpuMap, tol: float) -> tuple[bool, float, tuple[int, int]]:
-    """(CP verdict, min eigenvalue of the Hermitian part of the Choi matrix,
-    the block pair (k, l) holding it) from one :func:`choi` call and one
-    batched eigensolve per size class; tolerance scaled by the Choi trace.
+class ChoiVerdict(NamedTuple):
+    """The CP test of a map.  ``min_eig`` is the smallest eigenvalue of the
+    Hermitian part of the Choi matrix and ``pair`` the block pair (k, l)
+    holding it; ``vector`` is a unit eigenvector of that block at
+    ``min_eig``, rows ordered (i, a) as in :class:`ChoiClass`.  All three
+    are None when the verdict was certified without the spectrum."""
+
+    cp: bool
+    min_eig: float | None
+    pair: tuple[int, int] | None
+    vector: np.ndarray | None
+
+
+def _choi_verdict(phi: CpuMap, tol: float, spectrum: bool = True) -> ChoiVerdict:
+    """The CP test from one :func:`choi` call, tolerance scaled by the Choi
+    trace: phi is CP when the Choi matrix is Hermitian within tol * scale
+    and its smallest eigenvalue is at least -tol * scale.
 
     The blocks hold every entry of the Choi matrix, so its Hermiticity
-    deviation is read off them, and its (real) trace off their eigenvalues.
-    Of several pairs holding the minimum, the smallest (k, l) is named.
-    A CSR action is tested by :func:`_markov_choi_test`, on its entries.
+    deviation and its (real) trace are read off them.  Without ``spectrum``,
+    the Hermitian part of each size class, shifted by tol * scale, is
+    factorized by one batched Cholesky call, which certifies the class; only
+    a class that fails gets a batched ``eigh``.  Such a verdict differs from
+    the spectral one only within rounding of the threshold.  With
+    ``spectrum``, every class gets one.  Of several pairs holding the
+    minimum, the smallest (k, l) is named.  A CSR action is tested by
+    :func:`_markov_choi_test`, on its entries.
     """
     if not isinstance(phi.linear_action, np.ndarray):
-        return _markov_choi_test(phi, tol)
-    gaps, traces, pairs, mins = [], [], [], []
-    for cls in choi(phi):
-        adj = cls.blocks.conj().swapaxes(-1, -2)
-        eigs = np.linalg.eigvalsh((cls.blocks + adj) / 2.0)
-        gaps.append(np.abs(cls.blocks - adj).max())
-        traces.append(eigs.sum())
-        pairs.append(cls.pairs)
-        mins.append(eigs[:, 0])
-    pairs, mins = np.concatenate(pairs), np.concatenate(mins)
-    at = np.lexsort((pairs[:, 1], pairs[:, 0], mins))[0]
+        return ChoiVerdict(*_markov_choi_test(phi, tol), np.ones(1))
+    classes = choi(phi)
+    gap = max(float(np.abs(c.blocks - c.blocks.conj().swapaxes(-1, -2)).max()) for c in classes)
+    trace = sum(float(np.trace(c.blocks, axis1=1, axis2=2).real.sum()) for c in classes)
+    bound = tol * max(1.0, abs(trace))
+    found = []  # (pairs, minima, eigenvectors at them) of each decomposed class
+    for cls in classes:
+        herm = (cls.blocks + cls.blocks.conj().swapaxes(-1, -2)) / 2.0
+        if spectrum or not _pd_with_shift(herm, bound):
+            vals, vecs = np.linalg.eigh(herm)
+            found.append((cls.pairs, vals[:, 0], vecs[:, :, 0]))
+    if not found:
+        return ChoiVerdict(gap <= bound, None, None, None)
+    pairs, mins = (np.concatenate(part) for part in zip(*(f[:2] for f in found)))
+    at = int(np.lexsort((pairs[:, 1], pairs[:, 0], mins))[0])
+    ends = np.cumsum([f[1].size for f in found])
+    c = int(np.searchsorted(ends, at, side="right"))
+    vector = found[c][2][at - (ends[c - 1] if c else 0)]
     min_eig = float(mins[at])
-    herm_dev, scale = float(max(gaps)), max(1.0, abs(float(sum(traces))))
-    cp = herm_dev <= tol * scale and min_eig >= -tol * scale
-    return cp, min_eig, (int(pairs[at, 0]), int(pairs[at, 1]))
+    cp = gap <= bound and min_eig >= -bound
+    return ChoiVerdict(cp, min_eig, (int(pairs[at, 0]), int(pairs[at, 1])), vector)
+
+
+def _choi_test(phi: CpuMap, tol: float) -> tuple[bool, float, tuple[int, int]]:
+    """(CP verdict, min eigenvalue, block pair) of :func:`_choi_verdict`
+    with the spectrum."""
+    return tuple(_choi_verdict(phi, tol)[:3])
 
 
 def _markov_choi_test(phi: CpuMap, tol: float) -> tuple[bool, float, tuple[int, int]]:
@@ -352,8 +384,9 @@ def min_choi_eig(phi: CpuMap) -> float:
 
 
 def is_cp(phi: CpuMap, tol: float = CP_TOL) -> bool:
-    """Complete positivity via the Choi test, tolerance scaled by Choi trace."""
-    return _choi_test(phi, tol)[0]
+    """Complete positivity via the Choi test, tolerance scaled by Choi trace;
+    certified by Cholesky factors where it holds (:func:`_choi_verdict`)."""
+    return _choi_verdict(phi, tol, spectrum=False).cp
 
 
 def _unital_deviation(phi: CpuMap) -> float:
@@ -364,19 +397,11 @@ def is_unital(phi: CpuMap, tol: float = UNITAL_TOL) -> bool:
     return _unital_deviation(phi) <= tol
 
 
-def predual_apply(phi: CpuMap, density_blocks) -> list[np.ndarray]:
-    """Schroedinger-picture linear action on density-like block data.
-
-    Solves sum_k Tr(out_k b_k) = sum_k Tr(in_k phi(b)_k) for all b; no state
-    validation is performed, so this can push derivative data as well.
-    """
-    vec = np.concatenate(density_blocks, axis=None, dtype=complex)
-    return list(phi.source_shape.split(_predual_vec(phi, vec)))
-
-
 def _predual_vec(phi: CpuMap, vec: np.ndarray) -> np.ndarray:
-    """:func:`predual_apply` on coordinate vectors: the transpose of the
-    action, conjugated by the blockwise transposes of target and source."""
+    """The Schroedinger-picture action on a coordinate vector of density-like
+    data (no state validation, so it pushes derivative data as well): the
+    transpose of the action, conjugated by the blockwise transposes of
+    target and source."""
     return _matmul(phi._transposed_action, vec[phi.target_shape.transpose_perm])[
         phi.source_shape.transpose_perm
     ]
@@ -423,11 +448,11 @@ def mk_morphism(
     dev = _unital_deviation(phi)
     if not dev <= UNITAL_TOL:
         raise MorphismValidationError(f"carrier map is not unital (deviation {dev:.3e})")
-    cp, min_eig, (k, l) = _choi_test(phi, CP_TOL)
+    cp, min_eig, pair, _ = _choi_verdict(phi, CP_TOL, spectrum=False)
     if not cp:
         raise MorphismValidationError(
             f"carrier map is not completely positive (min Choi eigenvalue {min_eig:.3e} "
-            f"in the block of source block {k} and target block {l})"
+            f"in the block of source block {pair[0]} and target block {pair[1]})"
         )
     worst = 0.0
     for b in basis(shape_b):

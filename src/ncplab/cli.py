@@ -23,8 +23,9 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import covariance, models
-from .algebra import InputError, mk_shape
-from .channels import _choi_test, is_unital
+from . import __version__
+from .algebra import InputError, _phase_fix, mk_shape
+from .channels import _choi_verdict, is_unital
 from .covariance import kind_from_name, omf_catalog
 from .gns import build_gns
 from .serialize import _complex_to_json, cpumap_from_json, morphism_from_json, state_from_json
@@ -112,10 +113,15 @@ def _cmd_gns(args) -> tuple[int, dict]:
 
 def _cmd_check_channel(args) -> tuple[int, dict]:
     phi = cpumap_from_json(_load_json(args.channel))
-    (cp, min_eig, (k, l)), unital = _choi_test(phi, args.tol), is_unital(phi)
+    (cp, min_eig, pair, vector), unital = _choi_verdict(phi, args.tol), is_unital(phi)
     report = {"cp": cp, "unital": unital, "min_choi_eig": min_eig, "tol": args.tol}
     if not cp:
-        report["witness"] = {"source_block": k, "target_block": l}
+        vector = _phase_fix(vector[None, :, None])[0, :, 0]
+        report["witness"] = {
+            "source_block": pair[0],
+            "target_block": pair[1],
+            "vector": [_complex_to_json(z) for z in vector],
+        }
     return (EXIT_PASS if (cp and unital) else EXIT_PROPERTY_FAILURE), report
 
 
@@ -311,9 +317,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _provenance() -> dict:
+    """The versions that computed a report: part of its deterministic content."""
+    import scipy  # already loaded by the models module
+
+    return {"ncplab": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+
+
 def _stamped(command: str, body: dict) -> dict:
     stamp = datetime.now(timezone.utc).isoformat()
-    return {"schema": SCHEMA_VERSION, "command": command, **body, "timestamp": stamp}
+    return {
+        "schema": SCHEMA_VERSION,
+        "command": command,
+        **body,
+        "provenance": _provenance(),
+        "timestamp": stamp,
+    }
 
 
 def _emit(report: dict, out_path: str | None) -> bool:

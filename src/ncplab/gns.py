@@ -28,6 +28,10 @@ Both are blockwise transforms of the rows of L gathered by each group's
 positions, O(n^5) per M_n block.  The map is well defined when E_rho L
 N_sigma vanishes, N_sigma the unit-HS-norm basis of the Gelfand ideal
 (conj of a dropped eigenvector in one row of a block), transformed alike.
+A unital state-preserving map sends [1] to [1], and so does its adjoint,
+so the cyclic vector is a top singular vector of a contraction of norm 1:
+its operator norm is certified by one Cholesky factorization
+(:func:`_top_gram_eig`), with no eigensolve.
 """
 
 from __future__ import annotations
@@ -37,10 +41,10 @@ from functools import reduce
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, InputError, ShapeError, adjoint, multiply
+from .algebra import AlgebraElement, AlgebraShape, InputError, ShapeError, _pd_with_shift, _phase_fix
 from .channels import NcpMorphism, compose, identity_morphism
 from .channels import apply  # noqa: F401  (perfbench's binding test reads ncplab.gns.apply)
-from .states import NormalState, SUPPORT_RTOL, evaluate
+from .states import NormalState, SUPPORT_RTOL
 
 WELL_DEFINED_TOL = 1e-8
 
@@ -51,14 +55,6 @@ class GnsQuotientError(InputError):
     Usually a sign that a density eigenvalue straddles the support cutoff;
     re-run with a tighter tolerance.
     """
-
-
-def _phase_fix(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column of each matrix in a (K, n, n) stack of unit
-    eigenvectors so its first component above 1e-12 is real positive."""
-    first = np.argmax(np.abs(vectors) > 1e-12, axis=1)[:, None, :]
-    anchor = np.take_along_axis(vectors, first, axis=1)
-    return vectors * (anchor.conj() / np.abs(anchor))
 
 
 @dataclass(frozen=True)
@@ -169,11 +165,31 @@ def _transform(space: GnsSpace, x: np.ndarray, mats) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _top_gram_eig(m: np.ndarray) -> float:
-    """Largest eigenvalue of m^dag m, the squared operator norm of m."""
-    if m.size == 0:
-        return 0.0
-    return max(float(np.linalg.eigvalsh(m.conj().T @ m)[-1]), 0.0)
+def _top_gram_eig(h: np.ndarray, x: np.ndarray, vector: bool = False):
+    """(largest eigenvalue, a vector attaining it) of a Gram matrix
+    h = m^dag m, the squared operator norm of m, given a candidate top
+    eigenvector x.
+
+    The Rayleigh quotient r = x^dag h x / x^dag x is at most the top.  When
+    r (1 + delta) - h, delta = 8 n eps, has a Cholesky factor, the top is at
+    most r (1 + delta): r is returned, with x.  Otherwise one Hermitian
+    eigensolve decides; its top eigenvector comes with it when ``vector`` is
+    set (the vector is None otherwise).  ``h`` is negated in place for the
+    test and restored exactly.
+    """
+    n = h.shape[0]
+    if n == 0:
+        return 0.0, x
+    r = float(np.vdot(x, h @ x).real / np.vdot(x, x).real) if x.shape == (n,) else 0.0
+    np.negative(h, out=h)
+    certified = r > 0.0 and _pd_with_shift(h, r * (1.0 + 8 * n * np.finfo(float).eps))
+    np.negative(h, out=h)
+    if certified:
+        return r, x
+    if not vector:
+        return max(float(np.linalg.eigvalsh(h)[-1]), 0.0), None
+    vals, vecs = np.linalg.eigh(h)
+    return max(float(vals[-1]), 0.0), vecs[:, -1]
 
 
 def embed(space: GnsSpace, a: AlgebraElement) -> np.ndarray:
@@ -182,11 +198,6 @@ def embed(space: GnsSpace, a: AlgebraElement) -> np.ndarray:
         raise ShapeError(f"element shape {a.shape} != space shape {space.shape}")
     raw = [((a.vec[g.pos] @ g.vecs) * np.sqrt(g.eigs)[:, None, :]).ravel() for g in space._groups]
     return np.concatenate(raw)[space._perm]
-
-
-def inner(space: GnsSpace, a: AlgebraElement, b: AlgebraElement) -> complex:
-    """The pre-inner product <a|b> = rho(a^dag b)."""
-    return evaluate(space.state, multiply(adjoint(a), b))
 
 
 class GnsContraction:
@@ -199,7 +210,13 @@ class GnsContraction:
 
     @property
     def operator_norm(self) -> float:
-        return float(np.sqrt(_top_gram_eig(self.matrix)))
+        """Largest singular value of ``matrix``.  A contraction induced by a
+        morphism maps the class of the unit to the class of the unit, and so
+        does its adjoint, so ``source_space.cyclic`` is a top singular vector
+        when the norm is 1; one Cholesky factorization certifies that, and
+        any other matrix falls back to the spectrum (:func:`_top_gram_eig`)."""
+        m = self.matrix
+        return float(np.sqrt(_top_gram_eig(m.conj().T @ m, self.source_space.cyclic)[0]))
 
 
 def induced_contraction(

@@ -349,10 +349,6 @@ def gaussian_model(n_bins: int, x_min: float, x_max: float) -> StatModel:
 # ---------------------------------------------------------------------------
 
 
-def affine_identity() -> tuple[float, float]:
-    return (0.0, 1.0)
-
-
 def affine_compose(xi, xi2) -> tuple[float, float]:
     """Composition of x -> sigma x + mu maps: (mu, s) o (mu', s') = (mu + s mu', s s')."""
     mu, s = xi

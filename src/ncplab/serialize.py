@@ -10,7 +10,7 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, InputError, abelian_shape, mk_element, mk_shape
+from .algebra import AlgebraShape, InputError, abelian_shape, mk_shape
 from .channels import (
     CpuMap,
     NcpMorphism,
@@ -111,19 +111,6 @@ def shape_from_json(obj) -> AlgebraShape:
         return mk_shape(obj["blocks"])
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"bad shape payload {obj!r}: {exc}") from exc
-
-
-def element_to_json(a: AlgebraElement) -> dict:
-    return {"blocks": [matrix_to_json(b) for b in a.blocks]}
-
-
-def element_from_json(obj) -> AlgebraElement:
-    try:
-        mats = [matrix_from_json(b) for b in obj["blocks"]]
-    except (KeyError, TypeError) as exc:
-        raise SerializationError("bad element payload") from exc
-    shape = mk_shape([m.shape[0] for m in mats])
-    return mk_element(shape, mats)
 
 
 def state_to_json(state: NormalState) -> dict:

@@ -196,23 +196,6 @@ def is_faithful(rho: NormalState, tol: float = SUPPORT_RTOL) -> bool:
     return rho.spectrum.min_eig > tol * rho.spectrum.max_eig
 
 
-def is_tracial(rho: NormalState, tol: float = 1e-9) -> bool:
-    """rho(ab) == rho(ba) for all a, b, within ``tol``.
-
-    On two matrix units of one density block D the gap rho(ab) - rho(ba) is
-    D_ii - D_jj (for e_ij and e_ji) or an off-diagonal entry D_ab, and it is
-    zero across blocks, so the largest gap over all basis pairs is read off
-    each block's entries.
-    """
-    for n, _, pos in rho.shape.size_positions:
-        d = rho.vec[pos]
-        diag = np.diagonal(d, axis1=1, axis2=2)
-        gaps = np.maximum(np.abs(d), np.abs(diag[:, :, None] - diag[:, None, :]))
-        if np.max(gaps[:, ~np.eye(n, dtype=bool)], initial=0.0) > tol:
-            return False
-    return True
-
-
 def random_state(shape: AlgebraShape, faithful: bool = False, seed: int = 0) -> NormalState:
     """Deterministic Wishart-type random state.
 

@@ -19,6 +19,11 @@ affine map with its boundary bookkeeping and as a dense CDF difference, the
 trace-map Kraus operators
 appended one matrix unit at a time, and the stochastic matrices of a
 congruent embedding and its left inverse filled one cell at a time.
+
+The last section holds small oracles that the package no longer offers: the
+pre-inner product rho(a^dag b), the trace, a blockwise positivity test, the
+entrywise traciality test, the spectral calculus f(A), the covariance
+pairing of two elements, and an element from its coordinates.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import scipy.linalg
 from ncplab import algebra, covariance, states
 from ncplab.algebra import _wrap, coords, hermitian_matrix_basis
 from ncplab.channels import apply
-from ncplab.gns import GnsQuotientError, build_gns
+from ncplab.gns import GnsQuotientError, build_gns, embed
 
 SUPPORT_RTOL = 1e-9
 HERMITIAN_TOL = 1e-10
@@ -50,17 +55,6 @@ def basis(shape):
                 mats = [np.zeros((m, m), dtype=complex) for m in shape.blocks]
                 mats[k][i, j] = 1.0
                 out.append(mats)
-    return out
-
-
-def hermitian_basis(shape):
-    """Self-adjoint basis, block-major, as per-block matrix lists."""
-    out = []
-    for k, n in enumerate(shape.blocks):
-        for m in hermitian_matrix_basis(n):
-            mats = [np.zeros((p, p), dtype=complex) for p in shape.blocks]
-            mats[k] = m
-            out.append(mats)
     return out
 
 
@@ -457,3 +451,61 @@ def embedding_stochastic(partition, weights):
         S[i, j] = weights[i]
         L[j, i] = 1.0
     return S, L
+
+
+# ---------------------------------------------------------------------------
+# Oracles the package no longer offers
+# ---------------------------------------------------------------------------
+
+
+def element_from_coords(shape, vec):
+    """The element with coordinate vector ``vec`` (copied)."""
+    vec = np.array(vec, dtype=complex)
+    assert vec.shape == (shape.element_dim,)
+    return algebra._from_vec(shape, vec)
+
+
+def trace_functional(a):
+    """Un-normalized trace, summed over blocks."""
+    return complex(sum(np.trace(x) for x in a.blocks))
+
+
+def is_positive(a, tol=1e-10):
+    """True iff every block is Hermitian within tol with min eigenvalue >= -tol."""
+    for x in a.blocks:
+        if np.max(np.abs(x - x.conj().T)) > tol:
+            return False
+        if np.linalg.eigvalsh((x + x.conj().T) / 2.0)[0] < -tol:
+            return False
+    return True
+
+
+def is_tracial(rho, tol=1e-9):
+    """rho(ab) == rho(ba) within ``tol`` for all a, b, read off each block's
+    entries: on e_ij and e_ji of a density block D the gap is D_ii - D_jj,
+    on other pairs an off-diagonal entry or zero."""
+    for n, _, pos in rho.shape.size_positions:
+        d = rho.vec[pos]
+        diag = np.diagonal(d, axis1=1, axis2=2)
+        gaps = np.maximum(np.abs(d), np.abs(diag[:, :, None] - diag[:, None, :]))
+        if np.max(gaps[:, ~np.eye(n, dtype=bool)], initial=0.0) > tol:
+            return False
+    return True
+
+
+def inner(space, a, b):
+    """The GNS pre-inner product <a|b> = rho(a^dag b)."""
+    return states.evaluate(space.state, algebra.multiply(algebra.adjoint(a), b))
+
+
+def matrix_apply(f, a):
+    """Spectral calculus f(A) for a Hermitian matrix with positive spectrum."""
+    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    return v @ np.diag(f(w)) @ v.conj().T
+
+
+def covariance_eval(kind, space, x, y):
+    """Covariance pairing of two elements: their GNS coordinates paired
+    through the package's covariance Gram."""
+    gram = covariance.covariance_gram(kind, space).gram
+    return complex(embed(space, x).conj() @ gram @ embed(space, y))

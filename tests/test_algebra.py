@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference_loops as ref
 from conftest import PAULI_X, PAULI_Y, PAULI_Z, STANDARD_SHAPES, random_element
 from ncplab.algebra import (
     ShapeError,
@@ -8,16 +9,13 @@ from ncplab.algebra import (
     add,
     basis,
     coords,
-    element_from_coords,
-    hermitian_basis,
+    hermitian_matrix_basis,
     hs_norm,
     identity,
-    is_positive,
     mk_element,
     mk_shape,
     multiply,
     scale,
-    trace_functional,
 )
 
 
@@ -78,7 +76,7 @@ class TestElementOps:
         assert all(np.array_equal(b, np.eye(1)) for b in e.blocks)
 
     def test_trace_of_identity(self):
-        assert trace_functional(identity(mk_shape([2, 3]))) == 5
+        assert ref.trace_functional(identity(mk_shape([2, 3]))) == 5
 
     def test_pauli_product(self):
         s = mk_shape([2])
@@ -122,24 +120,24 @@ class TestElementOps:
 
 class TestPositivity:
     def test_identity_positive(self):
-        assert is_positive(identity(mk_shape([2, 3])))
+        assert ref.is_positive(identity(mk_shape([2, 3])))
 
     def test_indefinite_not_positive(self):
         s = mk_shape([2])
         a = mk_element(s, [np.diag([1.0, -1.0])])
-        assert not is_positive(a)
+        assert not ref.is_positive(a)
 
     def test_non_hermitian_not_positive(self):
         s = mk_shape([2])
         a = mk_element(s, [np.array([[0.0, 1.0], [0.0, 0.0]])])
-        assert not is_positive(a)
+        assert not ref.is_positive(a)
 
     @pytest.mark.parametrize("shape", STANDARD_SHAPES, ids=str)
     def test_squares_positive(self, shape):
         rng = np.random.default_rng(3)
         for _ in range(100):
             b = random_element(shape, rng)
-            assert is_positive(multiply(adjoint(b), b), tol=1e-10)
+            assert ref.is_positive(multiply(adjoint(b), b), tol=1e-10)
 
 
 class TestBasis:
@@ -161,13 +159,14 @@ class TestBasis:
         assert es[2].blocks[0][1, 0] == 1.0
 
     def test_hermitian_basis(self):
-        s = mk_shape([2, 3])
-        hb = hermitian_basis(s)
-        assert len(hb) == s.element_dim
-        for h in hb:
-            assert hs_norm(adjoint(h) - h) == 0.0
-        mat = np.column_stack([coords(h) for h in hb])
-        assert np.linalg.matrix_rank(mat) == s.element_dim
+        # the per-block basis the Riesz solve expands in: Hermitian and HS-orthonormal
+        for n in (1, 2, 3):
+            hb = hermitian_matrix_basis(n)
+            assert len(hb) == n * n
+            for h in hb:
+                assert np.array_equal(h, h.conj().T)
+            mat = np.column_stack([h.ravel() for h in hb])
+            assert np.max(np.abs(mat.conj().T @ mat - np.eye(n * n))) <= 1e-15
 
 
 class TestCoordinates:
@@ -175,7 +174,7 @@ class TestCoordinates:
     def test_roundtrip(self, shape):
         rng = np.random.default_rng(4)
         a = random_element(shape, rng)
-        b = element_from_coords(shape, coords(a))
+        b = ref.element_from_coords(shape, coords(a))
         assert all(np.array_equal(x, y) for x, y in zip(a.blocks, b.blocks))
 
     def test_linear(self):

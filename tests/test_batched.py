@@ -15,9 +15,7 @@ from ncplab.algebra import (
     adjoint,
     basis,
     coords,
-    element_from_coords,
     embed_full,
-    hermitian_basis,
     identity,
     mk_shape,
 )
@@ -45,7 +43,6 @@ from ncplab.channels import (
     markov_from_stochastic,
     mk_morphism,
     predual,
-    predual_apply,
     random_cpu_map,
     transpose_map,
 )
@@ -127,7 +124,7 @@ class TestVectorRepresentation:
         mats = _matrices(np.random.default_rng(seed), blocks)
         a = _wrap(mk_shape(blocks), mats)
         assert np.array_equal(a.vec, np.concatenate([m.ravel() for m in mats]))
-        back = element_from_coords(a.shape, coords(a))
+        back = ref.element_from_coords(a.shape, coords(a))
         assert back == a and back is not a
         for m, x, y in zip(mats, a.blocks, back.blocks):
             assert np.array_equal(x, m) and np.array_equal(y, m)
@@ -151,7 +148,8 @@ class TestVectorOpsAgainstLoops:
     def test_predual_apply(self, blocks_src, blocks_dst, seed):
         phi = random_cpu_map(mk_shape(blocks_src), mk_shape(blocks_dst), seed=seed)
         data = _matrices(np.random.default_rng(seed), blocks_dst)
-        out = predual_apply(phi, data)
+        vec = np.concatenate(data, axis=None, dtype=complex)
+        out = phi.source_shape.split(channels._predual_vec(phi, vec))
         expected = ref.predual_apply(phi, data)
         assert len(out) == len(expected)
         assert all(np.array_equal(x, y) for x, y in zip(out, expected))
@@ -169,11 +167,10 @@ class TestVectorOpsAgainstLoops:
     @given(shapes)
     def test_bases(self, blocks):
         shape = mk_shape(blocks)
-        pairs = ((basis(shape), ref.basis(shape)), (hermitian_basis(shape), ref.hermitian_basis(shape)))
-        for ours, loops in pairs:
-            assert len(ours) == len(loops) == shape.element_dim
-            for e, mats in zip(ours, loops):
-                assert np.array_equal(e.vec, np.concatenate([m.ravel() for m in mats]))
+        ours, loops = basis(shape), ref.basis(shape)
+        assert len(ours) == len(loops) == shape.element_dim
+        for e, mats in zip(ours, loops):
+            assert np.array_equal(e.vec, np.concatenate([m.ravel() for m in mats]))
 
 
 class TestGnsAgainstLoops:
@@ -496,6 +493,11 @@ class TestChoiBlocksAgainstDense:
         cp_ref, min_ref = ref.choi_test(phi, channels.CP_TOL)
         assert cp == cp_ref
         assert abs(min_eig - min_ref) <= 1e-13 * scale
+        # the Cholesky certificate: the same verdict, and a failure decomposed alike
+        certified = channels._choi_verdict(phi, channels.CP_TOL, spectrum=False)
+        assert certified.cp == cp
+        if not cp:
+            assert (certified.min_eig, certified.pair) == (min_eig, (k, l))
         # the witness holds the minimum
         at = rows[owner_src == k][:, owner_dst == l].ravel()
         witness = dense[np.ix_(at, at)]
@@ -825,3 +827,46 @@ class TestOneDecompositionPerState:
         rho.block_eigenvalues()
         build_gns(rho.shape, rho)
         assert eig_calls["n"] == 2
+
+
+class TestNoEigensolveOnPassingVerdicts:
+    """A passing verdict is certified by Cholesky factors, with no Hermitian
+    eigensolve; a failing one takes one decomposition, whose top or bottom
+    eigenvector is also its witness."""
+
+    @pytest.fixture
+    def kraus_morphism(self):
+        shape = mk_shape([6])
+        phi = random_cpu_map(shape, shape, seed=11)
+        rho = mk_state(shape, random_blocks([6], np.random.default_rng(11), False))
+        return (shape, rho), (shape, predual(phi, rho)), phi
+
+    def test_passing_verdicts(self, kraus_morphism, eig_calls):
+        source, target, phi = kraus_morphism
+        spaces = build_gns(*target), build_gns(*source)
+        eig_calls["n"] = 0
+        m = mk_morphism(source, target, phi)
+        for kind in kind_catalog():
+            assert monotonicity_check(kind, m, n_samples=10)["passed"]
+        assert induced_contraction(m, *spaces).operator_norm <= 1.0 + 1e-12
+        assert eig_calls["n"] == 0
+
+    def test_failing_verdicts(self, kraus_morphism, eig_calls):
+        (shape, rho), _, _ = kraus_morphism
+        t = transpose_map(shape)
+        target = (shape, predual(t, rho))
+        space = build_gns(shape, rho)
+        rng = np.random.default_rng(12)
+        wide = 2.0 * rng.standard_normal((space.dim, space.dim))
+        eig_calls["n"] = 0
+        with pytest.raises(channels.MorphismValidationError):
+            mk_morphism((shape, rho), target, t)
+        assert eig_calls["n"] == 1
+        # trusted as a morphism, the transpose fails the GNS criterion
+        eig_calls["n"] = 0
+        rep = monotonicity_check(gns_kind(), NcpMorphism((shape, rho), target, t), n_samples=0)
+        assert not rep["passed"] and "witness" in rep
+        assert eig_calls["n"] == 1
+        eig_calls["n"] = 0
+        assert gns.GnsContraction(space, space, wide).operator_norm > 1.0
+        assert eig_calls["n"] == 1

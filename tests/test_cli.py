@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,7 +92,13 @@ class TestCheckChannel:
         assert code == 1
         assert rep["cp"] is False
         assert abs(rep["min_choi_eig"] + 0.5) < 1e-12
-        assert rep["witness"] == {"source_block": 0, "target_block": 0}
+        witness = rep["witness"]
+        assert (witness["source_block"], witness["target_block"]) == (0, 0)
+        # the Choi eigenvector at the minimum, in the block's (i, a) order
+        v = np.array([complex(z["re"], z["im"]) for z in witness["vector"]])
+        (cls,) = channels.choi(transpose_map(mk_shape([2])))
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        assert abs(np.vdot(v, cls.blocks[0] @ v) + 0.5) < 1e-12
 
     def test_transpose_witness_names_the_matrix_block(self, tmp_path):
         path = write_json(
@@ -99,7 +106,9 @@ class TestCheckChannel:
         )
         code, rep = run_cli(["check-channel", "--channel", path], tmp_path)
         assert code == 1
-        assert rep["witness"] == {"source_block": 1, "target_block": 1}
+        witness = rep["witness"]
+        assert (witness["source_block"], witness["target_block"]) == (1, 1)
+        assert len(witness["vector"]) == 4
 
     def test_one_choi_matrix_per_verdict(self, tmp_path, monkeypatch):
         calls = []
@@ -112,7 +121,7 @@ class TestCheckChannel:
         assert code == 0 and rep["min_choi_eig"] >= -1e-12
         assert len(calls) == 1
         # a CP map's report carries no witness
-        fields = {"schema", "command", "timestamp", "cp", "unital", "min_choi_eig", "tol"}
+        fields = {"schema", "command", "timestamp", "provenance", "cp", "unital", "min_choi_eig", "tol"}
         assert set(rep) == fields
 
     def test_stochastic_witness_from_the_csr_entries(self, tmp_path):
@@ -123,7 +132,8 @@ class TestCheckChannel:
         code, rep = run_cli(["check-channel", "--channel", path, "--tol", "0"], tmp_path)
         assert code == 1 and rep["cp"] is False and rep["unital"] is True
         assert rep["min_choi_eig"] == -1e-13 / 2
-        assert rep["witness"] == {"source_block": 1, "target_block": 0}
+        one = {"re": 1.0, "im": 0.0}  # a 1 x 1 block's eigenvector
+        assert rep["witness"] == {"source_block": 1, "target_block": 0, "vector": [one]}
         code, rep = run_cli(["check-channel", "--channel", path], tmp_path)
         assert code == 0 and rep["cp"] is True and "witness" not in rep
 
@@ -464,7 +474,7 @@ class TestInternalError:
         assert code == 3
         assert rep["internal_error"] is True
         assert rep["error"] == "RuntimeError: boom"
-        assert set(rep) == {"schema", "command", "error", "internal_error", "timestamp"}
+        assert set(rep) == {"schema", "command", "error", "internal_error", "provenance", "timestamp"}
         assert "RuntimeError: boom" in capsys.readouterr().err
 
     def test_unexpected_exception_with_unwritable_out(self, tmp_path, monkeypatch, capsys):
@@ -513,12 +523,17 @@ def payload_files(tmp_path_factory):
     }
 
 
+PROVENANCE = {"ncplab": ncplab.__version__, "numpy": np.__version__, "scipy": scipy.__version__}
+
+
 def _contract_holds(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
     assert code in (0, 1, 2)
-    assert _strict_json(out.getvalue())["command"] == argv[0]
+    rep = _strict_json(out.getvalue())
+    assert rep["command"] == argv[0]
+    assert rep["provenance"] == PROVENANCE
 
 
 EXTREMES = [0.0, 5e-324, 1e-320, 1.0 - 2.0**-53, 1e300, float("nan"), float("inf"), -float("inf")]

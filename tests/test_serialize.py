@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import depolarizing_kraus, random_element
+from conftest import depolarizing_kraus
 from ncplab.algebra import ShapeError, mk_shape
 from ncplab.channels import (
     congruent_embedding,
@@ -18,8 +18,6 @@ from ncplab.serialize import (
     SerializationError,
     cpumap_from_json,
     cpumap_to_json,
-    element_from_json,
-    element_to_json,
     matrix_from_json,
     morphism_from_json,
     morphism_to_json,
@@ -35,12 +33,6 @@ class TestRoundtrips:
     def test_shape(self):
         s = mk_shape([2, 3, 1])
         assert shape_from_json(shape_to_json(s)) == s
-
-    def test_element(self):
-        rng = np.random.default_rng(0)
-        a = random_element(mk_shape([2, 1]), rng)
-        b = element_from_json(element_to_json(a))
-        assert all(np.allclose(x, y, atol=1e-15) for x, y in zip(a.blocks, b.blocks))
 
     def test_state(self):
         rho = random_state(mk_shape([2, 3]), seed=1)
@@ -148,4 +140,4 @@ class TestErrors:
 
     def test_bad_complex_entry(self):
         with pytest.raises(SerializationError):
-            element_from_json({"blocks": [[["x"]]]})
+            state_from_json({"shape": {"blocks": [1]}, "densities": [[["x"]]]})
