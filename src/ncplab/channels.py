@@ -296,9 +296,10 @@ def choi(phi: CpuMap) -> tuple[ChoiClass, ...]:
 class ChoiVerdict(NamedTuple):
     """The CP test of a map.  ``min_eig`` is the smallest eigenvalue of the
     Hermitian part of the Choi matrix and ``pair`` the block pair (k, l)
-    holding it; ``vector`` is a unit eigenvector of that block at
-    ``min_eig``, rows ordered (i, a) as in :class:`ChoiClass`.  All three
-    are None when the verdict was certified without the spectrum."""
+    holding it, both None when the verdict was certified without the
+    spectrum; ``vector``, for a failed verdict with the spectrum, is a unit
+    eigenvector of that block at ``min_eig``, rows ordered (i, a) as in
+    :class:`ChoiClass` ([1] for the 1 x 1 blocks of a Markov map)."""
 
     cp: bool
     min_eig: float | None
@@ -315,11 +316,12 @@ def _choi_verdict(phi: CpuMap, tol: float, spectrum: bool = True) -> ChoiVerdict
     deviation and its (real) trace are read off them.  Without ``spectrum``,
     the Hermitian part of each size class, shifted by tol * scale, is
     factorized by one batched Cholesky call, which certifies the class; only
-    a class that fails gets a batched ``eigh``.  Such a verdict differs from
-    the spectral one only within rounding of the threshold.  With
-    ``spectrum``, every class gets one.  Of several pairs holding the
-    minimum, the smallest (k, l) is named.  A CSR action is tested by
-    :func:`_markov_choi_test`, on its entries.
+    a class that fails gets a batched ``eigvalsh``.  Such a verdict differs
+    from the spectral one only within rounding of the threshold.  With
+    ``spectrum``, every class gets one, and a failed verdict one ``eigh`` of
+    its witness block.  Of several pairs holding the minimum, the smallest
+    (k, l) is named.  A CSR action is tested by :func:`_markov_choi_test`,
+    on its entries.
     """
     if not isinstance(phi.linear_action, np.ndarray):
         return ChoiVerdict(*_markov_choi_test(phi, tol), np.ones(1))
@@ -327,28 +329,27 @@ def _choi_verdict(phi: CpuMap, tol: float, spectrum: bool = True) -> ChoiVerdict
     gap = max(float(np.abs(c.blocks - c.blocks.conj().swapaxes(-1, -2)).max()) for c in classes)
     trace = sum(float(np.trace(c.blocks, axis1=1, axis2=2).real.sum()) for c in classes)
     bound = tol * max(1.0, abs(trace))
-    found = []  # (pairs, minima, eigenvectors at them) of each decomposed class
+    best = None  # (min eigenvalue, k, l, Hermitian block) over the decomposed classes
     for cls in classes:
         herm = (cls.blocks + cls.blocks.conj().swapaxes(-1, -2)) / 2.0
         if spectrum or not _pd_with_shift(herm, bound):
-            vals, vecs = np.linalg.eigh(herm)
-            found.append((cls.pairs, vals[:, 0], vecs[:, :, 0]))
-    if not found:
+            mins = np.linalg.eigvalsh(herm)[:, 0]
+            j = np.lexsort((cls.pairs[:, 1], cls.pairs[:, 0], mins))[0]
+            low = (float(mins[j]), int(cls.pairs[j, 0]), int(cls.pairs[j, 1]))
+            if best is None or low < best[:3]:
+                best = (*low, herm[j])
+    if best is None:
         return ChoiVerdict(gap <= bound, None, None, None)
-    pairs, mins = (np.concatenate(part) for part in zip(*(f[:2] for f in found)))
-    at = int(np.lexsort((pairs[:, 1], pairs[:, 0], mins))[0])
-    ends = np.cumsum([f[1].size for f in found])
-    c = int(np.searchsorted(ends, at, side="right"))
-    vector = found[c][2][at - (ends[c - 1] if c else 0)]
-    min_eig = float(mins[at])
+    min_eig, k, l, block = best
     cp = gap <= bound and min_eig >= -bound
-    return ChoiVerdict(cp, min_eig, (int(pairs[at, 0]), int(pairs[at, 1])), vector)
+    vector = np.linalg.eigh(block)[1][:, 0] if spectrum and not cp else None
+    return ChoiVerdict(cp, min_eig, (k, l), vector)
 
 
 def _choi_test(phi: CpuMap, tol: float) -> tuple[bool, float, tuple[int, int]]:
     """(CP verdict, min eigenvalue, block pair) of :func:`_choi_verdict`
     with the spectrum."""
-    return tuple(_choi_verdict(phi, tol)[:3])
+    return _choi_verdict(phi, tol)[:3]
 
 
 def _markov_choi_test(phi: CpuMap, tol: float) -> tuple[bool, float, tuple[int, int]]:

@@ -21,9 +21,9 @@ import traceback
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy
 
-from . import covariance, models
-from . import __version__
+from . import __version__, covariance, models
 from .algebra import InputError, _phase_fix, mk_shape
 from .channels import _choi_verdict, is_unital
 from .covariance import kind_from_name, omf_catalog
@@ -317,20 +317,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _provenance() -> dict:
-    """The versions that computed a report: part of its deterministic content."""
-    import scipy  # already loaded by the models module
-
-    return {"ncplab": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
-
-
 def _stamped(command: str, body: dict) -> dict:
     stamp = datetime.now(timezone.utc).isoformat()
     return {
         "schema": SCHEMA_VERSION,
         "command": command,
         **body,
-        "provenance": _provenance(),
+        # the versions that computed the report, part of its deterministic content
+        "provenance": {"ncplab": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
         "timestamp": stamp,
     }
 

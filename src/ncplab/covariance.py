@@ -281,7 +281,8 @@ def monotonicity_check(
     lhs, rhs, norms = (np.sum(np.abs(v) ** 2, axis=0) for v in (m @ eta, eta, xi))
     h = m_adj @ m
     del m_adj, m  # only the Gram is alive while it is factorized
-    # [1] whitened: M maps it to [1] whitened, and f(1) = 1 gives both norm^2 scale
+    # the whitened class of the unit: the map and its adjoint fix the unit's
+    # class, and so does each Gram (f(1) = 1), so M^dag M fixes this vector
     unit = _whiten(kind, space_sigma, space_sigma.cyclic[:, None])[:, 0]
     exact, top = _top_gram_eig(h, unit, vector=True)
     report = {
