@@ -45,6 +45,7 @@ from .algebra import (
     _from_vec,
     _frozen,
     _pd_with_shift,
+    _phase_fix,
     _wrap,
     abelian_shape,
     basis,
@@ -299,7 +300,8 @@ class ChoiVerdict(NamedTuple):
     holding it, both None when the verdict was certified without the
     spectrum; ``vector``, for a failed verdict with the spectrum, is a unit
     eigenvector of that block at ``min_eig``, rows ordered (i, a) as in
-    :class:`ChoiClass` ([1] for the 1 x 1 blocks of a Markov map)."""
+    :class:`ChoiClass`, its first entry above 1e-12 real positive ([1] for
+    the 1 x 1 blocks of a Markov map)."""
 
     cp: bool
     min_eig: float | None
@@ -342,7 +344,7 @@ def _choi_verdict(phi: CpuMap, tol: float, spectrum: bool = True) -> ChoiVerdict
         return ChoiVerdict(gap <= bound, None, None, None)
     min_eig, k, l, block = best
     cp = gap <= bound and min_eig >= -bound
-    vector = np.linalg.eigh(block)[1][:, 0] if spectrum and not cp else None
+    vector = _phase_fix(np.linalg.eigh(block)[1][None, :, :1])[0, :, 0] if spectrum and not cp else None
     return ChoiVerdict(cp, min_eig, (k, l), vector)
 
 

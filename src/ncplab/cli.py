@@ -24,7 +24,7 @@ import numpy as np
 import scipy
 
 from . import __version__, covariance, models
-from .algebra import InputError, _phase_fix, mk_shape
+from .algebra import InputError, mk_shape
 from .channels import _choi_verdict, is_unital
 from .covariance import kind_from_name, omf_catalog
 from .gns import build_gns
@@ -116,7 +116,6 @@ def _cmd_check_channel(args) -> tuple[int, dict]:
     (cp, min_eig, pair, vector), unital = _choi_verdict(phi, args.tol), is_unital(phi)
     report = {"cp": cp, "unital": unital, "min_choi_eig": min_eig, "tol": args.tol}
     if not cp:
-        vector = _phase_fix(vector[None, :, None])[0, :, 0]
         report["witness"] = {
             "source_block": pair[0],
             "target_block": pair[1],
