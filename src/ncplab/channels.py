@@ -320,8 +320,9 @@ def _choi_verdict(phi: CpuMap, tol: float, spectrum: bool = True) -> ChoiVerdict
     factorized by one batched Cholesky call, which certifies the class; only
     a class that fails gets a batched ``eigvalsh``.  Such a verdict differs
     from the spectral one only within rounding of the threshold.  With
-    ``spectrum``, every class gets one, and a failed verdict one ``eigh`` of
-    its witness block.  Of several pairs holding the minimum, the smallest
+    ``spectrum``, or when the Hermiticity check fails, every class gets one;
+    with ``spectrum``, a failed verdict also gets one ``eigh`` of its
+    witness block.  Of several pairs holding the minimum, the smallest
     (k, l) is named.  A CSR action is tested by :func:`_markov_choi_test`,
     on its entries.
     """
@@ -331,10 +332,12 @@ def _choi_verdict(phi: CpuMap, tol: float, spectrum: bool = True) -> ChoiVerdict
     gap = max(float(np.abs(c.blocks - c.blocks.conj().swapaxes(-1, -2)).max()) for c in classes)
     trace = sum(float(np.trace(c.blocks, axis1=1, axis2=2).real.sum()) for c in classes)
     bound = tol * max(1.0, abs(trace))
+    # a Hermiticity gap fails the verdict, which still names the spectral minimum
+    every = spectrum or not gap <= bound
     best = None  # (min eigenvalue, k, l, Hermitian block) over the decomposed classes
     for cls in classes:
         herm = (cls.blocks + cls.blocks.conj().swapaxes(-1, -2)) / 2.0
-        if spectrum or not _pd_with_shift(herm, bound):
+        if every or not _pd_with_shift(herm, bound):
             mins = np.linalg.eigvalsh(herm)[:, 0]
             j = np.lexsort((cls.pairs[:, 1], cls.pairs[:, 0], mins))[0]
             low = (float(mins[j]), int(cls.pairs[j, 0]), int(cls.pairs[j, 1]))

