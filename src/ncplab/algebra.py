@@ -175,8 +175,9 @@ def abelian_shape(k: int) -> AlgebraShape:
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
-    """An element of ``shape`` held as its read-only coordinate vector ``vec``.
-    Immutable; equal when shapes and coordinates are."""
+    """An element of ``shape`` held as its read-only coordinate vector ``vec``
+    (blocks in order, entries row-major).  Immutable; equal when shapes and
+    coordinates are."""
 
     shape: AlgebraShape
     vec: np.ndarray
@@ -248,10 +249,6 @@ def identity(shape: AlgebraShape) -> AlgebraElement:
     return _from_vec(shape, rows == cols)
 
 
-def zero(shape: AlgebraShape) -> AlgebraElement:
-    return _from_vec(shape, np.zeros(shape.element_dim))
-
-
 def _check_same_shape(a: AlgebraElement, b: AlgebraElement) -> None:
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
@@ -314,11 +311,6 @@ def hermitian_matrix_basis(n: int) -> list[np.ndarray]:
             m[b, a] = 1j * s
             out.append(m)
     return out
-
-
-def coords(a: AlgebraElement) -> np.ndarray:
-    """The element's read-only coordinate vector: blocks in order, entries row-major."""
-    return a.vec
 
 
 def embed_full(a: AlgebraElement) -> np.ndarray:

@@ -77,7 +77,7 @@ class CpuMap:
     """Linear map between algebras in element coordinates.
 
     ``linear_action`` has shape (target element_dim, source element_dim) and
-    satisfies coords(phi(b)) = linear_action @ coords(b).  ``kraus`` is kept
+    satisfies phi(b).vec = linear_action @ b.vec.  ``kraus`` is kept
     when the map was built from Kraus operators.
 
     The action is a dense complex array, except for Markov maps between
@@ -327,7 +327,7 @@ def _choi_verdict(phi: CpuMap, tol: float, spectrum: bool = True) -> ChoiVerdict
     on its entries.
     """
     if not isinstance(phi.linear_action, np.ndarray):
-        return ChoiVerdict(*_markov_choi_test(phi, tol), np.ones(1))
+        return _markov_choi_test(phi, tol)
     classes = choi(phi)
     gap = max(float(np.abs(c.blocks - c.blocks.conj().swapaxes(-1, -2)).max()) for c in classes)
     trace = sum(float(np.trace(c.blocks, axis1=1, axis2=2).real.sum()) for c in classes)
@@ -351,14 +351,8 @@ def _choi_verdict(phi: CpuMap, tol: float, spectrum: bool = True) -> ChoiVerdict
     return ChoiVerdict(cp, min_eig, (k, l), vector)
 
 
-def _choi_test(phi: CpuMap, tol: float) -> tuple[bool, float, tuple[int, int]]:
-    """(CP verdict, min eigenvalue, block pair) of :func:`_choi_verdict`
-    with the spectrum."""
-    return _choi_verdict(phi, tol)[:3]
-
-
-def _markov_choi_test(phi: CpuMap, tol: float) -> tuple[bool, float, tuple[int, int]]:
-    """:func:`_choi_test` of a map with a CSR action, between abelian
+def _markov_choi_test(phi: CpuMap, tol: float) -> ChoiVerdict:
+    """:func:`_choi_verdict` of a map with a CSR action, between abelian
     algebras.  There every Choi block is 1 x 1: the entry action[l, k] / N_B
     of source point k and target point l, real, so Hermitian.  The spectrum
     is these entries, an entry that is not stored counting as 0, and the
@@ -382,11 +376,11 @@ def _markov_choi_test(phi: CpuMap, tol: float) -> tuple[bool, float, tuple[int, 
         gaps = np.flatnonzero(ls != np.arange(ls.size))
         witnesses.append((k, int(gaps[0]) if gaps.size else ls.size))
     scale = max(1.0, abs(float(vals.sum())))
-    return low >= -tol * scale, low, min(witnesses)
+    return ChoiVerdict(low >= -tol * scale, low, min(witnesses), np.ones(1))
 
 
 def min_choi_eig(phi: CpuMap) -> float:
-    return _choi_test(phi, CP_TOL)[1]
+    return _choi_verdict(phi, CP_TOL).min_eig
 
 
 def is_cp(phi: CpuMap, tol: float = CP_TOL) -> bool:

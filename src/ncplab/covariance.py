@@ -163,21 +163,19 @@ def _require_faithful(kind: CovarianceKind, state: NormalState) -> None:
         )
 
 
-def _kernel(kind: CovarianceKind, group):
-    """The full spectrum of one rank group's densities, descending: eigenvalues
-    d (m, n), eigenvectors U (m, n, n), and F_ab = f(d_a / d_b) (m, n, n),
+def _kernel(kind: CovarianceKind, group) -> np.ndarray:
+    """F_ab = f(d_a / d_b) (m, n, n) on one rank group's full spectrum ``d``,
     with the ratio set to 1 where d_b <= 0."""
-    d = np.concatenate([group.eigs, group.null_eigs], axis=1)
-    u = np.concatenate([group.vecs, group.null_vecs], axis=2)
+    d = group.d
     ratio = np.divide(
-        d[:, :, None], d[:, None, :], out=np.ones(u.shape), where=d[:, None, :] > 0.0
+        d[:, :, None], d[:, None, :], out=np.ones(group.u.shape), where=d[:, None, :] > 0.0
     )
-    return d, u, kind.omf(ratio)
+    return kind.omf(ratio)
 
 
 def _group_forms(kind: CovarianceKind, group) -> np.ndarray:
     """Raw forms of every block in one rank group, stacked: (m, n^2, n^2)."""
-    d, u, f = _kernel(kind, group)
+    d, u, f = group.d, group.u, _kernel(kind, group)
     m, n = d.shape
     weights = (d[:, None, :] * f).reshape(m, n * n, 1)
     # rows (a, b) of the eigenbasis change: conj(U[i, a]) * U[j, b]
@@ -206,17 +204,6 @@ def block_form(kind: CovarianceKind, space: GnsSpace, k: int) -> np.ndarray:
     return forms[g][j]
 
 
-def _coordinate_groups(space: GnsSpace):
-    """Each rank group with the coordinates ``at`` (m, r, n) of its raw GNS
-    entries (block j, row i, kept q), as [j, q, i]."""
-    pos = np.argsort(space._perm)  # raw position -> coordinate
-    start = 0
-    for g in space._groups:
-        m, n, r = g.index.size, g.n, g.rank
-        yield g, pos[start : start + m * n * r].reshape(m, n, r).swapaxes(1, 2)
-        start += m * n * r
-
-
 def covariance_gram(kind: CovarianceKind, space: GnsSpace) -> CovarianceGram:
     """The covariance product in orthonormal GNS coordinates.
 
@@ -225,8 +212,8 @@ def covariance_gram(kind: CovarianceKind, space: GnsSpace) -> CovarianceGram:
     """
     _require_faithful(kind, space.state)
     gram = np.zeros((space.dim, space.dim), dtype=complex)
-    for g, at in _coordinate_groups(space):
-        _, u, f = _kernel(kind, g)
+    for g in space._groups:
+        u, f, at = g.u, _kernel(kind, g), g.at[:, :, : g.rank].swapaxes(1, 2)  # [j, q, i]
         dev = (f[:, :, : g.rank] - 1.0).swapaxes(1, 2)  # (m, r, n): kept q, all a
         blk = (u[:, None] * dev[:, :, None, :]) @ u.conj().swapaxes(-1, -2)[:, None]
         blk = (blk + blk.conj().swapaxes(-1, -2)) / 2.0 + np.eye(g.n)
@@ -239,8 +226,8 @@ def _whiten(kind: CovarianceKind, space: GnsSpace, x: np.ndarray, power=1, adjoi
     whitening Z of the kind's pairing, <y, y> = |Z y|^2: column q of a block's
     coordinate matrix y goes to w_q * (U^dag y_q), w_qa = sqrt(scale f(d_a / d_q))."""
     out = np.empty(x.shape, dtype=complex)
-    for g, at in _coordinate_groups(space):
-        _, u, f = _kernel(kind, g)
+    for g in space._groups:
+        u, f, at = g.u, _kernel(kind, g), g.at[:, :, : g.rank].swapaxes(1, 2)  # [j, q, i]
         w = np.sqrt(kind.scale * f[:, :, : g.rank]).swapaxes(1, 2)[..., None]  # (m, r, n, 1)
         z = w**power * u.conj().swapaxes(1, 2)[:, None]
         out[at] = (z.conj().swapaxes(-1, -2) if adjoint else z) @ x[at]

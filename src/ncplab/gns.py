@@ -11,12 +11,15 @@ D_k by dropping eigenvalues below a relative cutoff.  That decomposition is
 the one cached on the state (:class:`~ncplab.states.Spectrum`), so building a
 space decomposes nothing: the cutoff and the phase fix act on the per-size
 stacks, which are then split by kept rank into rectangular groups that
-:func:`embed` and the covariance block forms process one batched product at a
+:func:`embed` and the covariance kernels process one batched product at a
 time.  Coordinates are rescaled to be orthonormal, ordered by descending Gram
 eigenvalue (ties broken by block and position), and eigenvector phases are
 fixed so the first nonzero component is real positive.  The coordinate order
 does not depend on how blocks are grouped, and the result is reproducible run
-to run.
+to run.  It is laid out once, here: each group holds the place of each of its
+entries (block, row, eigenvector), the GNS coordinate of a kept one and a
+place after the ``dim`` coordinates for a dropped one, and every producer of
+coordinates writes its values straight into those places.
 
 Nothing dense is built between two algebras.  A morphism (A, rho) ->
 (B, sigma) carried by phi: B -> A, with coordinate matrix L, induces the
@@ -24,10 +27,11 @@ contraction H_sigma -> H_rho, [b] -> [phi(b)]: the matrix E_rho L R_sigma,
 where the embedding E multiplies row i of each block by U sqrt(w) (what
 :func:`embed` does to one element; U the kept eigenvectors, w their
 eigenvalues) and the representatives R = E^dag / w by conj(U) / sqrt(w).
-Both are blockwise transforms of the rows of L gathered by each group's
-positions, O(n^5) per M_n block.  The map is well defined when E_rho L
-N_sigma vanishes, N_sigma the unit-HS-norm basis of the Gelfand ideal
-(conj of a dropped eigenvector in one row of a block), transformed alike.
+The map is well defined when E_rho L N_sigma vanishes, N_sigma the
+unit-HS-norm basis of the Gelfand ideal (conj of a dropped eigenvector in one
+row of a block).  Both come from two blockwise transforms of L, O(n^5) per
+M_n block: sigma's over [R_sigma N_sigma] at once, whose first dim_sigma
+places are the representatives and the rest the null basis, then rho's E.
 A unital state-preserving map sends [1] to [1], and so does its adjoint,
 so the cyclic vector is a top singular vector of a contraction of norm 1:
 its operator norm is certified by one Cholesky factorization
@@ -62,20 +66,20 @@ class _RankGroup:
     """Blocks of one size n whose densities keep the same rank r.
 
     ``index`` holds the block numbers and ``pos`` the coordinates of their
-    entries (m, n, n); ``eigs`` (m, r) and ``null_eigs``
-    (m, n - r) the kept and dropped eigenvalues, descending; ``vecs``
-    (m, n, r) and ``null_vecs`` (m, n, n - r) the matching phase-fixed
-    eigenvectors.
+    entries (m, n, n); ``d`` (m, n) the eigenvalues, descending, and ``u``
+    (m, n, n) the matching phase-fixed eigenvectors, the first ``rank`` of
+    each kept.  ``at`` (m, n, n) is the place of entry (block j, row i,
+    eigenvector c): its GNS coordinate when c is kept, else a place after the
+    ``dim`` coordinates, the dropped entries numbered group by group.
     """
 
     n: int
     rank: int
     index: np.ndarray
     pos: np.ndarray
-    eigs: np.ndarray
-    null_eigs: np.ndarray
-    vecs: np.ndarray
-    null_vecs: np.ndarray
+    d: np.ndarray
+    u: np.ndarray
+    at: np.ndarray
 
 
 class GnsSpace:
@@ -93,47 +97,47 @@ class GnsSpace:
             raise ShapeError(f"shape {shape} does not match state shape {state.shape}")
         self.shape = shape
         self.state = state
-        self.tol = tol
 
         cutoff = tol * state.spectrum.max_eig
-        self._groups: list[_RankGroup] = []
+        # Coordinate order: descending eigenvalue, then block, row, eigenvalue
+        # rank.  One lexsort orders the kept entries, listed group by group
+        # with (block j, row i, kept c) c fastest; its inverse places them.
+        parts = []  # (n, rank, index, pos, d, u) of each rank group
+        keys = []  # (rank, row, block, eigenvalue) of each kept entry
         for s in state.spectrum.stacks:
             w = s.eigvals[:, ::-1]
             v = _phase_fix(s.eigvecs[:, :, ::-1])
             ranks = np.sum(w > cutoff, axis=1)  # w descends, so kept ones lead
             for r in np.unique(ranks).tolist():
                 sel = np.flatnonzero(ranks == r)
-                parts = (w[sel, :r], w[sel, r:], v[sel, :, :r], v[sel, :, r:])
-                self._groups.append(
-                    _RankGroup(s.n, r, s.index[sel], s.pos[sel], *map(np.ascontiguousarray, parts))
-                )
-        # block k is self._groups[g].index[j] for (g, j) = self._where[k]
+                index, d = s.index[sel], w[sel]
+                parts.append((s.n, r, index, s.pos[sel], d, v[sel]))
+                j, i, c = np.indices((sel.size, s.n, r)).reshape(3, -1)
+                keys.append((c, i, index[j], d[j, c]))
+        *order_keys, eigs = map(np.concatenate, zip(*keys))
+        order = np.lexsort((*order_keys, -eigs))
+        self.dim = int(eigs.size)
+        self._sorted_eigs = eigs[order]
+        place = np.empty_like(order)
+        place[order] = np.arange(self.dim)
+        self._groups: list[_RankGroup] = []
+        # block k is self._groups[g].index[j] for (g, j) = where[k]
         where = np.empty((shape.num_blocks, 2), dtype=int)
-        for g, grp in enumerate(self._groups):
-            where[grp.index, 0] = g
-            where[grp.index, 1] = np.arange(grp.index.size)
+        # [1] in closed form: embed's (1 @ v) * sqrt(w) without building the unit
+        self.cyclic = np.empty(self.dim, dtype=complex)
+        kept, dropped = 0, self.dim
+        for n, r, index, pos, d, u in parts:
+            m = index.size
+            at = np.empty((m, n, n), dtype=place.dtype)
+            at[:, :, :r] = place[kept : kept + m * n * r].reshape(m, n, r)
+            at[:, :, r:] = np.arange(dropped, dropped + m * n * (n - r)).reshape(m, n, n - r)
+            kept, dropped = kept + m * n * r, dropped + m * n * (n - r)
+            where[index, 0], where[index, 1] = len(self._groups), np.arange(m)
+            self._groups.append(_RankGroup(n, r, index, pos, d, u, at))
+            self.cyclic[at[:, :, :r]] = _iso(self._groups[-1])
         self._where = where.tolist()  # Python ints: block_form reads one per block
         #: per-kind block forms of each group, filled by covariance.block_form
         self._forms: dict = {}
-
-        # Raw layout: group by group, entries (block j, row i, kept rank r)
-        # with r fastest.  Global coordinate order: descending eigenvalue,
-        # then block, row, eigenvalue rank; ``_perm[q]`` is the raw position
-        # of coordinate q.
-        keys = []  # (rank, row, block, eigenvalue) of each raw entry, group by group
-        for grp in self._groups:
-            j, i, r = np.indices((grp.index.size, grp.n, grp.rank)).reshape(3, -1)
-            keys.append((r, i, grp.index[j], grp.eigs[j, r]))
-        *order_keys, eigs = map(np.concatenate, zip(*keys))
-        self._perm = np.lexsort((*order_keys, -eigs))
-        self.dim = int(eigs.size)
-        self._sorted_eigs = eigs[self._perm]
-        # [1] in closed form: embed's (1 @ v) * sqrt(w) without building the unit
-        self.cyclic = np.concatenate([_iso(g).ravel() for g in self._groups])[self._perm]
-
-    @property
-    def base(self) -> tuple[AlgebraShape, NormalState]:
-        return (self.shape, self.state)
 
     @property
     def gram_eigenvalues(self) -> np.ndarray:
@@ -147,22 +151,29 @@ def build_gns(shape: AlgebraShape, state: NormalState, tol: float = SUPPORT_RTOL
 
 
 def _iso(g: _RankGroup) -> np.ndarray:
-    return g.vecs * np.sqrt(g.eigs)[:, None, :]
+    return g.u[:, :, : g.rank] * np.sqrt(g.d[:, None, : g.rank])
 
 
 def _rep(g: _RankGroup) -> np.ndarray:
-    return g.vecs.conj() / np.sqrt(g.eigs)[:, None, :]
+    return g.u[:, :, : g.rank].conj() / np.sqrt(g.d[:, None, : g.rank])
+
+
+def _rep_null(g: _RankGroup) -> np.ndarray:
+    """``_rep`` followed by the conjugated dropped eigenvectors, unscaled."""
+    return np.concatenate([_rep(g), g.u[:, :, g.rank :].conj()], axis=2)
 
 
 def _transform(space: GnsSpace, x: np.ndarray, mats) -> np.ndarray:
-    """Rows (block j, row i, column q), group by group, of
-    sum_c x[pos[j, i, c]] * mats(g)[j, c, q] for the element-coordinate rows
-    of ``x`` (element_dim, s), in raw order: E x for ``_iso``, R^T x for ``_rep``."""
-    out = []
-    for g in space._groups:
-        t = mats(g).swapaxes(1, 2)[:, None] @ x[g.pos]  # (m, n, c, s)
-        out.append(t.reshape(t.shape[0] * t.shape[1] * t.shape[2], x.shape[1]))
-    return np.concatenate(out)
+    """Rows sum_c x[pos[j, i, c]] * mats(g)[j, c, q], for the element-coordinate
+    rows of ``x`` (element_dim, s), each written at ``at[j, i, q]``: E x for
+    ``_iso`` and R^T x for ``_rep`` (dim rows), [R N]^T x for ``_rep_null``
+    (element_dim rows, the null basis after the dim coordinates)."""
+    parts = [(g, mats(g)) for g in space._groups]
+    rows = space.dim + sum(k.shape[0] * g.n * (k.shape[2] - g.rank) for g, k in parts)
+    out = np.empty((rows, x.shape[1]), dtype=complex)
+    for g, k in parts:
+        out[g.at[:, :, : k.shape[2]]] = k.swapaxes(1, 2)[:, None] @ x[g.pos]
+    return out
 
 
 def _top_gram_eig(h: np.ndarray, x: np.ndarray, vector: bool = False):
@@ -196,8 +207,11 @@ def embed(space: GnsSpace, a: AlgebraElement) -> np.ndarray:
     """Coordinates of the class [a] in the orthonormal GNS basis."""
     if a.shape != space.shape:
         raise ShapeError(f"element shape {a.shape} != space shape {space.shape}")
-    raw = [((a.vec[g.pos] @ g.vecs) * np.sqrt(g.eigs)[:, None, :]).ravel() for g in space._groups]
-    return np.concatenate(raw)[space._perm]
+    out = np.empty(space.dim, dtype=complex)
+    for g in space._groups:
+        r = g.rank
+        out[g.at[:, :, :r]] = (a.vec[g.pos] @ g.u[:, :, :r]) * np.sqrt(g.d[:, None, :r])
+    return out
 
 
 class GnsContraction:
@@ -242,18 +256,16 @@ def induced_contraction(
         raise ShapeError("GNS spaces were built for different states")
     action = morphism.cpu.linear_action
     lt = (action if isinstance(action, np.ndarray) else action.toarray()).T
-    # E_rho L X as E_rho (X^T L^T)^T: sigma's transform of the columns of L, then rho's of the rows
-    null = _transform(space_sigma, lt, lambda g: g.null_vecs.conj())  # N_sigma^T L^T
-    leak = np.linalg.norm(_transform(space_rho, null.T, _iso), axis=0)
-    worst = float(leak.max(initial=0.0))
+    # E_rho L [R N] as E_rho ([R N]^T L^T)^T: sigma's transform of the columns
+    # of L, then rho's of the rows; the columns after dim_sigma are the null basis'
+    full = _transform(space_rho, _transform(space_sigma, lt, _rep_null).T, _iso)
+    worst = float(np.linalg.norm(full[:, space_sigma.dim :], axis=0).max(initial=0.0))
     if not worst <= tol:
         raise GnsQuotientError(
             f"null element maps outside the target null space (largest norm {worst:.3e}); "
             "re-run with a tighter support tolerance"
         )
-    raw = _transform(space_rho, _transform(space_sigma, lt, _rep).T, _iso)
-    matrix = raw[space_rho._perm][:, space_sigma._perm]
-    return GnsContraction(space_sigma, space_rho, matrix)
+    return GnsContraction(space_sigma, space_rho, np.ascontiguousarray(full[:, : space_sigma.dim]))
 
 
 def check_functor_laws(chains, tol: float = 1e-9) -> dict:

@@ -43,7 +43,7 @@ from .algebra import (
 )
 from .channels import CpuMap, _markov_from_owned, _predual_vec, predual
 from .covariance import CovarianceKind, block_form, gns_kind
-from .gns import build_gns, embed
+from .gns import _iso, _transform, build_gns
 from .states import NormalState, _state_from_vec
 
 
@@ -125,9 +125,9 @@ class StatModel:
         towards the side s that fits.
         """
         theta = np.asarray(theta, dtype=float)
+        self._check(theta)
         if self._deriv_fn is not None:
             return self._deriv_fn(theta)
-        self._check(theta)
         return [_from_vec(self.shape, self._difference(theta, i)) for i in range(self.param_dim)]
 
     def _difference(self, theta: np.ndarray, i: int) -> np.ndarray:
@@ -533,7 +533,7 @@ def riesz_score(model: StatModel, theta, kind: CovarianceKind | None = None) -> 
     vecs = np.zeros((model.shape.element_dim, model.param_dim), dtype=complex)
     for stack, _, scores in solved:
         vecs[stack.pos.reshape(-1, stack.n * stack.n)] = scores
-    return [embed(space, _from_vec(model.shape, v)) for v in vecs.T]
+    return list(np.ascontiguousarray(_transform(space, vecs, _iso).T))
 
 
 @np.errstate(all="ignore")
@@ -589,8 +589,9 @@ def pure_qubit_sphere_metric(theta: float, phi: float) -> np.ndarray:
 def embedded_model(model: StatModel, embedding: CpuMap) -> StatModel:
     """Compose an abelian model with the predual of a congruent embedding.
 
-    The chart is the base model's, and so are its domain message, its
-    reference metric (Cencov's invariance) and its interior points."""
+    Every field but the name, shape, states and derivatives is the base
+    model's: its chart, domain message, reference metric (Cencov's
+    invariance) and interior points."""
     if not model.shape.is_abelian:
         raise ShapeError("only abelian models can be congruently embedded")
     if embedding.target_shape != model.shape:
@@ -606,16 +607,8 @@ def embedded_model(model: StatModel, embedding: CpuMap) -> StatModel:
     def deriv_fn(theta):
         return [_from_vec(new_shape, _predual_vec(embedding, d.vec)) for d in model.derivatives(theta)]
 
-    return StatModel(
-        f"{model.name}+embedded",
-        new_shape,
-        model.param_dim,
-        model.domain,
-        state_fn,
-        deriv_fn,
-        model._domain_message,
-        reference=model.reference,
-        interior=model.interior,
+    return replace(
+        model, name=f"{model.name}+embedded", shape=new_shape, _state_fn=state_fn, _deriv_fn=deriv_fn
     )
 
 

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from ncplab import algebra, covariance, states
-from ncplab.algebra import _wrap, coords, hermitian_matrix_basis
+from ncplab.algebra import _wrap, hermitian_matrix_basis
 from ncplab.channels import apply
 from ncplab.gns import GnsQuotientError, build_gns, embed
 
@@ -198,7 +198,7 @@ class RefGnsSpace:
 
     def rep_matrix(self):
         """element_dim x dim: the coordinates of the representatives, one per column."""
-        return np.column_stack([coords(x) for x in self.rep_elements()])
+        return np.column_stack([x.vec for x in self.rep_elements()])
 
     def null_elements(self):
         """Basis of the Gelfand ideal (unit HS norm): row i of block k is a
@@ -215,7 +215,7 @@ class RefGnsSpace:
 
     def null_matrix(self):
         """element_dim x (element_dim - dim): the null elements' coordinates, one per column."""
-        cols = [coords(x) for x in self.null_elements()]
+        cols = [x.vec for x in self.null_elements()]
         return np.column_stack(cols) if cols else np.zeros((self.shape.element_dim, 0), complex)
 
 

@@ -8,7 +8,6 @@ from ncplab.algebra import (
     adjoint,
     add,
     basis,
-    coords,
     hermitian_matrix_basis,
     hs_norm,
     identity,
@@ -149,7 +148,7 @@ class TestBasis:
 
     def test_basis_independent_and_spanning(self):
         s = mk_shape([2, 1])
-        mat = np.column_stack([coords(e) for e in basis(s)])
+        mat = np.column_stack([e.vec for e in basis(s)])
         assert np.linalg.matrix_rank(mat) == s.element_dim
 
     def test_basis_order_is_row_major(self):
@@ -174,15 +173,15 @@ class TestCoordinates:
     def test_roundtrip(self, shape):
         rng = np.random.default_rng(4)
         a = random_element(shape, rng)
-        b = ref.element_from_coords(shape, coords(a))
+        b = ref.element_from_coords(shape, a.vec)
         assert all(np.array_equal(x, y) for x, y in zip(a.blocks, b.blocks))
 
     def test_linear(self):
         rng = np.random.default_rng(5)
         s = mk_shape([2, 3])
         a, b = random_element(s, rng), random_element(s, rng)
-        lhs = coords(add(scale(2.0 - 1j, a), b))
-        rhs = (2.0 - 1j) * coords(a) + coords(b)
+        lhs = add(scale(2.0 - 1j, a), b).vec
+        rhs = (2.0 - 1j) * a.vec + b.vec
         assert np.max(np.abs(lhs - rhs)) == 0.0
 
 

@@ -14,7 +14,6 @@ from ncplab.algebra import (
     _wrap,
     adjoint,
     basis,
-    coords,
     embed_full,
     identity,
     mk_shape,
@@ -124,7 +123,7 @@ class TestVectorRepresentation:
         mats = _matrices(np.random.default_rng(seed), blocks)
         a = _wrap(mk_shape(blocks), mats)
         assert np.array_equal(a.vec, np.concatenate([m.ravel() for m in mats]))
-        back = ref.element_from_coords(a.shape, coords(a))
+        back = ref.element_from_coords(a.shape, a.vec)
         assert back == a and back is not a
         for m, x, y in zip(mats, a.blocks, back.blocks):
             assert np.array_equal(x, m) and np.array_equal(y, m)
@@ -184,13 +183,13 @@ class TestGnsAgainstLoops:
         assert np.array_equal(space.gram_eigenvalues, loops.gram_eigenvalues)
         # the blockwise transforms of the identity are the dense coordinate matrices
         eye = np.eye(rho.shape.element_dim)
-        iso = gns._transform(space, eye, gns._iso)[space._perm]
+        iso = gns._transform(space, eye, gns._iso)
         assert np.array_equal(iso, loops.iso_matrix())
         assert np.array_equal(space.cyclic, loops.embed(identity(rho.shape)))
         for _ in range(3):
             a = random_element(rho.shape, rng)
             assert np.array_equal(embed(space, a), loops.embed(a))
-        reps = gns._transform(space, eye, gns._rep)[space._perm].T
+        reps = gns._transform(space, eye, gns._rep).T
         assert np.array_equal(reps, loops.rep_matrix())
 
     @SETTINGS
@@ -489,7 +488,7 @@ class TestChoiBlocksAgainstDense:
         assert spectra.size == src.total_dim * dst.total_dim
         assert np.max(np.abs(spectra - dense_spectrum)) <= 1e-12 * scale
 
-        cp, min_eig, (k, l) = channels._choi_test(phi, channels.CP_TOL)
+        cp, min_eig, (k, l) = channels._choi_verdict(phi, channels.CP_TOL)[:3]
         cp_ref, min_ref = ref.choi_test(phi, channels.CP_TOL)
         assert cp == cp_ref
         assert abs(min_eig - min_ref) <= 1e-13 * scale
@@ -626,8 +625,8 @@ class TestRealMarkovAgainstComplexTwin:
             bound = 4 * gamma(src.element_dim + dst.element_dim) * (np.abs(iso) @ np.abs(A) @ np.abs(rep))
             assert np.all(np.abs(got - want) <= bound)
 
-        cp, min_eig, witness = channels._choi_test(phi, channels.CP_TOL)
-        cp_ref, min_ref, witness_ref = channels._choi_test(twin, channels.CP_TOL)
+        cp, min_eig, witness = channels._choi_verdict(phi, channels.CP_TOL)[:3]
+        cp_ref, min_ref, witness_ref = channels._choi_verdict(twin, channels.CP_TOL)[:3]
         assert cp == cp_ref
         assert abs(min_eig - min_ref) <= 4 * gamma(1) * np.abs(A).max() / src.total_dim
         assert witness == witness_ref
@@ -664,8 +663,8 @@ class TestMarkovChoiAgainstDense:
     @example([[1.0, 0.5, 0.25], [0.5, None, -0.5]], channels.CP_TOL)
     def test_same_verdict_minimum_and_witness(self, grid, tol):
         phi = csr_map(grid)
-        got = channels._choi_test(phi, tol)
-        assert got == channels._choi_test(complex_twin(phi), tol)
+        got = channels._choi_verdict(phi, tol)[:3]
+        assert got == channels._choi_verdict(complex_twin(phi), tol)[:3]
         assert isinstance(got[1], float) and all(isinstance(x, int) for x in got[2])
 
 
@@ -811,6 +810,29 @@ def eig_calls(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return counts
+
+
+class TestTwoTransformsPerContraction:
+    """An induced contraction runs sigma's transform once, over the
+    representatives and the null basis together, and rho's once."""
+
+    @pytest.mark.parametrize("rank_deficient", [False, True])
+    def test_two_transforms(self, monkeypatch, rank_deficient):
+        calls = {"n": 0}
+        original = gns._transform
+
+        def counted(*args):
+            calls["n"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(gns, "_transform", counted)
+        m = random_morphism_on([2, 3], [2, 3], 1, rank_deficient, True, 0.0)
+        (shape_a, rho), (shape_b, sigma) = m.source, m.target
+        space_sigma, space_rho = build_gns(shape_b, sigma), build_gns(shape_a, rho)
+        assert (space_sigma.dim < shape_b.element_dim) == rank_deficient
+        c = induced_contraction(m, space_sigma, space_rho).matrix
+        assert calls["n"] == 2
+        assert c.shape == (space_rho.dim, space_sigma.dim)
 
 
 class TestOneDecompositionPerState:

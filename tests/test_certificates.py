@@ -113,7 +113,7 @@ class TestCpCertificate:
     )
     def test_rejected_with_the_spectral_minimum_and_pair(self, make):
         phi = make()
-        cp, min_eig, (k, l) = channels._choi_test(phi, CP_TOL)
+        cp, min_eig, (k, l) = channels._choi_verdict(phi, CP_TOL)[:3]
         assert not cp
         certified = channels._choi_verdict(phi, CP_TOL, spectrum=False)
         assert (certified.cp, certified.min_eig, certified.pair) == (cp, min_eig, (k, l))
@@ -127,7 +127,7 @@ class TestCpCertificate:
     def test_a_certified_verdict_skips_the_spectrum(self):
         phi = random_cpu_map(mk_shape([3, 2]), mk_shape([2, 2]), seed=6)
         assert tuple(channels._choi_verdict(phi, CP_TOL, spectrum=False)) == (True, None, None, None)
-        assert channels._choi_test(phi, CP_TOL)[0]
+        assert channels._choi_verdict(phi, CP_TOL)[0]
 
 
 class TestOperatorNormCertificate:

@@ -119,6 +119,13 @@ class TestQubitModels:
                 assert hs_norm(adjoint(d) - d) < 1e-12
                 assert abs(ref.trace_functional(d)) < 1e-12
 
+    @pytest.mark.parametrize("theta", [[2.0, 1.0, 1.0], [0.5, 1.0]], ids=["off-chart", "too-short"])
+    def test_analytic_derivatives_check_the_chart(self, theta):
+        # the analytic and the finite-difference routes refuse the same points
+        for model in (qubit_faithful_model(), finite_difference(qubit_faithful_model())):
+            with pytest.raises(ModelDomainError):
+                model.derivatives(theta)
+
 
 class TestGaussianModel:
     def test_two_bin_symmetry(self):
@@ -492,6 +499,7 @@ class TestCongruenceInvariance:
         emb = congruent_embedding(np.repeat(np.arange(64), 2), np.full(128, 0.5))
         refined = embedded_model(gauss, emb)
         assert refined.reference is gauss.reference and refined.interior is gauss.interior
+        assert refined._domain_message is gauss._domain_message and refined.domain is gauss.domain
         with pytest.raises(ModelDomainError, match="leaks outside"):
             refined.state_at([x_max, 1.0])
 
