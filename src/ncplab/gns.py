@@ -168,11 +168,15 @@ def _transform(space: GnsSpace, x: np.ndarray, mats) -> np.ndarray:
     rows of ``x`` (element_dim, s), each written at ``at[j, i, q]``: E x for
     ``_iso`` and R^T x for ``_rep`` (dim rows), [R N]^T x for ``_rep_null``
     (element_dim rows, the null basis after the dim coordinates)."""
-    parts = [(g, mats(g)) for g in space._groups]
-    rows = space.dim + sum(k.shape[0] * g.n * (k.shape[2] - g.rank) for g, k in parts)
-    out = np.empty((rows, x.shape[1]), dtype=complex)
-    for g, k in parts:
-        out[g.at[:, :, : k.shape[2]]] = k.swapaxes(1, 2)[:, None] @ x[g.pos]
+    # the products first: the output, allocated after them, then sits above
+    # them on the heap, and freeing them does not trim it (no page faults)
+    done = []
+    for g in space._groups:
+        k = mats(g)
+        done.append((g.at[:, :, : k.shape[2]], k.swapaxes(1, 2)[:, None] @ x[g.pos]))
+    out = np.empty((sum(at.size for at, _ in done), x.shape[1]), dtype=complex)
+    for at, t in done:
+        out[at] = t
     return out
 
 
