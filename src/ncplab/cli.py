@@ -64,7 +64,7 @@ def _check_flags(args) -> None:
     tol = getattr(args, "tol", 0.0)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise InputError(f"--tol must be finite and >= 0, got {tol}")
-    # a relative cutoff >= 1 drops every eigenvalue, the unit's class (norm 1) included
+    # build_gns refuses it too; refused here so that the error names the flag
     if args.command == "gns" and not tol < 1.0:
         raise InputError(f"--tol for gns must be < 1, got {tol}")
     least = MIN_SAMPLES.get(args.command)
@@ -231,18 +231,19 @@ def _cmd_omf_catalog(_args) -> tuple[int, dict]:
     entries = []
     ok = True
     for f in omf_catalog():
-        values = f(grid)
+        values, value_at_1 = f(grid), f(1.0)
         monotone = bool(np.all(np.diff(values) > -1e-12))
+        normalized = abs(value_at_1 - 1.0) <= 1e-12
         sym_dev = float(np.max(np.abs(values - grid * f(1.0 / grid))))
         entry = {
             "name": f.name,
-            "value_at_1": float(f(1.0)),
-            "normalized": f.normalized,
+            "value_at_1": value_at_1,
+            "normalized": normalized,
             "symmetric": f.symmetric,
             "monotone_on_grid": monotone,
             "symmetry_deviation": sym_dev,
         }
-        ok = ok and monotone and abs(entry["value_at_1"] - 1.0) <= 1e-12
+        ok = ok and monotone and normalized
         entries.append(entry)
     report = {"catalog": entries, "pass": ok}
     return (EXIT_PASS if ok else EXIT_PROPERTY_FAILURE), report

@@ -1,23 +1,26 @@
-"""Covariance products on GNS coordinates: the GNS product itself and a
-catalog of alternatives built from operator monotone functions.
+"""Covariance products on GNS coordinates, one per covariance kind.
+
+A kind is an operator monotone function f with f(1) = 1
+(:class:`OperatorMonotoneFunction`), and nothing more.  The GNS product
+rho(x^dag y) is the kind of the constant f == 1 (:data:`ONE`, returned by
+:func:`gns_kind`); any other function is a Petz kind (:func:`petz_kind`
+returns it as it is), which needs a faithful state.
 
 One kernel
 ----------
 Every product is one Hadamard kernel on the state's cached spectrum: for
 density eigenvalues d_a of a block, with eigenvectors U and x' = U^dag x U,
 
-    <x, y> = sum_ab W_ab conj(x'_ab) y'_ab,   W_ab = d_b * f(d_a / d_b),
+    <x, y> = sum_ab W_ab conj(x'_ab) y'_ab,   W_ab = d_b * f(d_a / d_b).
 
-where f is a normalized operator monotone function.  The GNS product
-rho(x^dag y) is the member f == 1 (:data:`ONE`); a kind other than f == 1
-needs a faithful state.  With the standard catalog this yields the familiar
-inverse kernels: f(t) = (1+t)/2 gives the anticommutator (SLD) pairing,
-(t-1)/log t the Kubo-Mori one, and so on.  In GNS coordinates, coordinate
+With the standard catalog this yields the familiar inverse kernels:
+f(t) = (1+t)/2 gives the anticommutator (SLD) pairing, (t-1)/log t the
+Kubo-Mori one, and so on.  In GNS coordinates, coordinate
 (i, q) of a block (row i, kept eigenvalue d_q) pairs only with (i', q) of the
 same block, through the n x n matrix I + U diag(f(d / d_q) - 1) U^dag; so
 f == 1 gives exactly the identity, and a block-scalar density exactly zero
 deviation from it.  Equivalently the pairing is |z|^2 for the whitened
-z_aq = sqrt(scale f(d_a / d_q)) (U^dag y)_aq of a block's coordinates y,
+z_aq = sqrt(f(d_a / d_q)) (U^dag y)_aq of a block's coordinates y,
 which solves the monotonicity criterion without any Gram, and since
 f(1) = 1 the whitened class of the unit is an eigenvector of the criterion
 with eigenvalue 1, which one Cholesky factorization certifies as the top
@@ -28,9 +31,9 @@ where d_b <= 0): a relative cutoff is not refinement invariant, and applying
 ``gaussian:384`` from 6e-15 to 5.1e-7 over 300 random refinements, against a
 tolerance of 1e-9.
 
-All products are normalized (f(1) = 1, so the pairing of the unit with itself
-is one); the residual freedom of an overall factor is exposed as the ``scale``
-field of :class:`CovarianceKind`, default 1.
+All products are normalized: f(1) = 1, so the unit pairs with itself to one.
+An overall factor c > 0 would multiply every Gram and every pulled-back
+metric by c and change no verdict, so a kind carries none.
 """
 
 from __future__ import annotations
@@ -52,7 +55,9 @@ class UnsupportedKindError(InputError):
 
 @dataclass(frozen=True, eq=False)
 class OperatorMonotoneFunction:
-    """Positive function on (0, inf), operator monotone, with f(1) = 1.
+    """Positive function on (0, inf), operator monotone, with f(1) = 1: a
+    covariance kind.  The constant f == 1 (:data:`ONE`) is the GNS kind, any
+    other function its Petz kind.
 
     ``symmetric`` flags the balance condition f(t) = t * f(1/t).  Instances
     compare and hash by identity, which keeps kinds cheap as cache keys.
@@ -60,13 +65,20 @@ class OperatorMonotoneFunction:
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
-    normalized: bool = True
     symmetric: bool = True
 
     def __call__(self, t):
         scalar = np.isscalar(t)
         out = self.fn(np.asarray(t, dtype=float))
         return float(out) if scalar else out
+
+    @property
+    def is_gns(self) -> bool:
+        return self is ONE
+
+    @property
+    def label(self) -> str:
+        return "gns" if self.is_gns else f"petz:{self.name}"
 
 
 def _sld_fn(t):
@@ -101,48 +113,27 @@ def omf_catalog() -> list[OperatorMonotoneFunction]:
     return [SLD, KMB, WY, RLD]
 
 
-#: The constant function f == 1, whose kind is the GNS product.  It is not
-#: part of :func:`omf_catalog`.
+#: The constant function f == 1: the GNS kind.  It is not part of
+#: :func:`omf_catalog`.
 ONE = OperatorMonotoneFunction("gns", np.ones_like, symmetric=False)
 
 
-@dataclass(frozen=True)
-class CovarianceKind:
-    """The product of one operator monotone function, times ``scale``;
-    f == 1 (:data:`ONE`) is the GNS product."""
-
-    omf: OperatorMonotoneFunction = ONE
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.scale < np.inf:
-            raise UnsupportedKindError(f"covariance scale must be finite and > 0, got {self.scale}")
-
-    @property
-    def is_gns(self) -> bool:
-        return self.omf is ONE
-
-    @property
-    def label(self) -> str:
-        return "gns" if self.is_gns else f"petz:{self.omf.name}"
+def gns_kind() -> OperatorMonotoneFunction:
+    return ONE
 
 
-def gns_kind(scale: float = 1.0) -> CovarianceKind:
-    return CovarianceKind(ONE, scale)
+def petz_kind(omf: OperatorMonotoneFunction) -> OperatorMonotoneFunction:
+    return omf
 
 
-def petz_kind(omf: OperatorMonotoneFunction, scale: float = 1.0) -> CovarianceKind:
-    return CovarianceKind(omf, scale)
-
-
-def kind_catalog(scale: float = 1.0) -> list[CovarianceKind]:
+def kind_catalog() -> list[OperatorMonotoneFunction]:
     """GNS plus the Petz kinds of the built-in catalog."""
-    return [CovarianceKind(f, scale) for f in (ONE, *omf_catalog())]
+    return [ONE, *omf_catalog()]
 
 
-def kind_from_name(name: str, scale: float = 1.0) -> CovarianceKind:
-    for kind in kind_catalog(scale):
-        if kind.omf.name == name.lower():
+def kind_from_name(name: str) -> OperatorMonotoneFunction:
+    for kind in kind_catalog():
+        if kind.name == name.lower():
             return kind
     raise UnsupportedKindError(f"unknown covariance kind {name!r}")
 
@@ -155,7 +146,7 @@ class CovarianceGram:
     gram: np.ndarray
 
 
-def _require_faithful(kind: CovarianceKind, state: NormalState) -> None:
+def _require_faithful(kind: OperatorMonotoneFunction, state: NormalState) -> None:
     if not kind.is_gns and not is_faithful(state):
         raise UnsupportedKindError(
             f"kind {kind.label} needs a faithful state; "
@@ -163,17 +154,17 @@ def _require_faithful(kind: CovarianceKind, state: NormalState) -> None:
         )
 
 
-def _kernel(kind: CovarianceKind, group) -> np.ndarray:
+def _kernel(kind: OperatorMonotoneFunction, group) -> np.ndarray:
     """F_ab = f(d_a / d_b) (m, n, n) on one rank group's full spectrum ``d``,
     with the ratio set to 1 where d_b <= 0."""
     d = group.d
     ratio = np.divide(
         d[:, :, None], d[:, None, :], out=np.ones(group.u.shape), where=d[:, None, :] > 0.0
     )
-    return kind.omf(ratio)
+    return kind(ratio)
 
 
-def _group_forms(kind: CovarianceKind, group) -> np.ndarray:
+def _group_forms(kind: OperatorMonotoneFunction, group) -> np.ndarray:
     """Raw forms of every block in one rank group, stacked: (m, n^2, n^2)."""
     d, u, f = group.d, group.u, _kernel(kind, group)
     m, n = d.shape
@@ -181,10 +172,10 @@ def _group_forms(kind: CovarianceKind, group) -> np.ndarray:
     # rows (a, b) of the eigenbasis change: conj(U[i, a]) * U[j, b]
     to_eig = np.einsum("kia,kjb->kabij", u.conj(), u).reshape(m, n * n, n * n)
     b = to_eig.conj().swapaxes(-1, -2) @ (weights * to_eig)
-    return kind.scale * (b + b.conj().swapaxes(-1, -2)) / 2.0
+    return (b + b.conj().swapaxes(-1, -2)) / 2.0
 
 
-def block_form(kind: CovarianceKind, space: GnsSpace, k: int) -> np.ndarray:
+def block_form(kind: OperatorMonotoneFunction, space: GnsSpace, k: int) -> np.ndarray:
     """Covariance pairing on raw coordinates of block k: a Hermitian
     (n_k^2 x n_k^2) matrix B with <x, y> = vec(x_k)^dag B vec(y_k) summed
     over blocks.
@@ -204,7 +195,7 @@ def block_form(kind: CovarianceKind, space: GnsSpace, k: int) -> np.ndarray:
     return forms[g][j]
 
 
-def covariance_gram(kind: CovarianceKind, space: GnsSpace) -> CovarianceGram:
+def covariance_gram(kind: OperatorMonotoneFunction, space: GnsSpace) -> CovarianceGram:
     """The covariance product in orthonormal GNS coordinates.
 
     Built block by block from ``I + U diag(f(d / d_q) - 1) U^dag`` (see the
@@ -217,25 +208,25 @@ def covariance_gram(kind: CovarianceKind, space: GnsSpace) -> CovarianceGram:
         dev = (f[:, :, : g.rank] - 1.0).swapaxes(1, 2)  # (m, r, n): kept q, all a
         blk = (u[:, None] * dev[:, :, None, :]) @ u.conj().swapaxes(-1, -2)[:, None]
         blk = (blk + blk.conj().swapaxes(-1, -2)) / 2.0 + np.eye(g.n)
-        gram[at[..., :, None], at[..., None, :]] = kind.scale * blk
+        gram[at[..., :, None], at[..., None, :]] = blk
     return CovarianceGram(space, gram)
 
 
-def _whiten(kind: CovarianceKind, space: GnsSpace, x: np.ndarray, power=1, adjoint=False):
+def _whiten(kind: OperatorMonotoneFunction, space: GnsSpace, x: np.ndarray, power=1, adjoint=False):
     """Z^power, or its adjoint, on the coordinate rows of x (dim, s), for the
     whitening Z of the kind's pairing, <y, y> = |Z y|^2: column q of a block's
-    coordinate matrix y goes to w_q * (U^dag y_q), w_qa = sqrt(scale f(d_a / d_q))."""
+    coordinate matrix y goes to w_q * (U^dag y_q), w_qa = sqrt(f(d_a / d_q))."""
     out = np.empty(x.shape, dtype=complex)
     for g in space._groups:
         u, f, at = g.u, _kernel(kind, g), g.at[:, :, : g.rank].swapaxes(1, 2)  # [j, q, i]
-        w = np.sqrt(kind.scale * f[:, :, : g.rank]).swapaxes(1, 2)[..., None]  # (m, r, n, 1)
+        w = np.sqrt(f[:, :, : g.rank]).swapaxes(1, 2)[..., None]  # (m, r, n, 1)
         z = w**power * u.conj().swapaxes(1, 2)[:, None]
         out[at] = (z.conj().swapaxes(-1, -2) if adjoint else z) @ x[at]
     return out
 
 
 def monotonicity_check(
-    kind: CovarianceKind,
+    kind: OperatorMonotoneFunction,
     morphism: NcpMorphism,
     n_samples: int = 100,
     seed: int = 0,

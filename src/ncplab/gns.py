@@ -95,6 +95,9 @@ class GnsSpace:
     def __init__(self, shape: AlgebraShape, state: NormalState, tol: float = SUPPORT_RTOL):
         if shape != state.shape:
             raise ShapeError(f"shape {shape} does not match state shape {state.shape}")
+        # a relative cutoff >= 1 drops every eigenvalue, the unit's class (norm 1) included
+        if not 0.0 <= tol < 1.0:
+            raise InputError(f"support tolerance must be in [0, 1), got {tol}")
         self.shape = shape
         self.state = state
 
@@ -146,7 +149,8 @@ class GnsSpace:
 
 
 def build_gns(shape: AlgebraShape, state: NormalState, tol: float = SUPPORT_RTOL) -> GnsSpace:
-    """GNS space of (shape, state) with relative quotient cutoff ``tol``."""
+    """GNS space of (shape, state) with relative quotient cutoff ``tol``,
+    0 <= tol < 1 (:class:`InputError` otherwise)."""
     return GnsSpace(shape, state, tol)
 
 
@@ -193,8 +197,6 @@ def _top_gram_eig(h: np.ndarray, x: np.ndarray, vector: bool = False):
     test and restored exactly.
     """
     n = h.shape[0]
-    if n == 0:
-        return 0.0, x
     r = float(np.vdot(x, h @ x).real / np.vdot(x, x).real) if x.shape == (n,) else 0.0
     np.negative(h, out=h)
     certified = r > 0.0 and _pd_with_shift(h, r * (1.0 + 8 * n * np.finfo(float).eps))
@@ -241,14 +243,13 @@ def induced_contraction(
     morphism: NcpMorphism,
     space_sigma: GnsSpace,
     space_rho: GnsSpace,
-    tol: float = WELL_DEFINED_TOL,
 ) -> GnsContraction:
     """The map [b] -> [phi(b)] for a verified morphism (A, rho) -> (B, sigma).
 
     ``space_sigma`` belongs to the morphism target (B, sigma) and is the
     domain of the contraction; ``space_rho`` belongs to the source (A, rho).
     Well-definedness on the quotient is checked: basis elements of the
-    sigma-null space must land in the rho-null space within ``tol``.
+    sigma-null space must land in the rho-null space within ``WELL_DEFINED_TOL``.
     """
     shape_a, rho = morphism.source
     shape_b, sigma = morphism.target
@@ -264,7 +265,7 @@ def induced_contraction(
     # of L, then rho's of the rows; the columns after dim_sigma are the null basis'
     full = _transform(space_rho, _transform(space_sigma, lt, _rep_null).T, _iso)
     worst = float(np.linalg.norm(full[:, space_sigma.dim :], axis=0).max(initial=0.0))
-    if not worst <= tol:
+    if not worst <= WELL_DEFINED_TOL:
         raise GnsQuotientError(
             f"null element maps outside the target null space (largest norm {worst:.3e}); "
             "re-run with a tighter support tolerance"

@@ -42,7 +42,7 @@ from .algebra import (
     mk_shape,
 )
 from .channels import CpuMap, _markov_from_owned, _predual_vec, predual
-from .covariance import CovarianceKind, block_form, gns_kind
+from .covariance import ONE, OperatorMonotoneFunction, block_form
 from .gns import _iso, _transform, build_gns
 from .states import NormalState, _state_from_vec
 
@@ -481,7 +481,7 @@ def gaussian_group_model(n_bins: int, x_min: float, x_max: float) -> GroupAction
 
 
 @np.errstate(all="ignore")
-def _riesz_solve(model: StatModel, theta, kind: CovarianceKind):
+def _riesz_solve(model: StatModel, theta, kind: OperatorMonotoneFunction):
     """Scores at theta, solved for all blocks of one size at once.
 
     Each block's Riesz system a c = t lives on the Hermitian basis, where
@@ -524,11 +524,10 @@ def _riesz_solve(model: StatModel, theta, kind: CovarianceKind):
     return space, solved
 
 
-def riesz_score(model: StatModel, theta, kind: CovarianceKind | None = None) -> list[np.ndarray]:
+def riesz_score(model: StatModel, theta, kind: OperatorMonotoneFunction = ONE) -> list[np.ndarray]:
     """GNS coordinates of the score vectors v_1..v_p at theta.  The quotient
     drops sub-cutoff bins that :func:`metric_pullback` keeps, so the Gram of
     these vectors differs from it (1.1e-7 relative on gaussian:4096 over +-20)."""
-    kind = kind if kind is not None else gns_kind()
     space, solved = _riesz_solve(model, theta, kind)
     vecs = np.zeros((model.shape.element_dim, model.param_dim), dtype=complex)
     for stack, _, scores in solved:
@@ -537,10 +536,9 @@ def riesz_score(model: StatModel, theta, kind: CovarianceKind | None = None) -> 
 
 
 @np.errstate(all="ignore")
-def metric_pullback(model: StatModel, theta, kind: CovarianceKind | None = None) -> np.ndarray:
+def metric_pullback(model: StatModel, theta, kind: OperatorMonotoneFunction = ONE) -> np.ndarray:
     """Metric matrix g_ij = Re <v_i, v_j> of the pulled-back covariance;
     :class:`ModelDomainError` where it is not finite."""
-    kind = kind if kind is not None else gns_kind()
     _, solved = _riesz_solve(model, theta, kind)
     g = sum(
         (scores.conj().swapaxes(-1, -2) @ b @ scores).real.sum(axis=0)
@@ -616,11 +614,10 @@ def congruence_invariance_check(
     model: StatModel,
     embedding: CpuMap,
     theta_samples,
-    kind: CovarianceKind | None = None,
+    kind: OperatorMonotoneFunction = ONE,
     tol: float = 1e-9,
 ) -> dict:
     """Pullback metric before and after a congruent embedding must agree."""
-    kind = kind if kind is not None else gns_kind()
     refined = embedded_model(model, embedding)
     samples = [np.asarray(t, dtype=float) for t in theta_samples]
     worst = 0.0

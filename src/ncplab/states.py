@@ -181,9 +181,9 @@ def evaluate(rho: NormalState, a: AlgebraElement) -> complex:
     return complex(rho.vec[rho.shape.transpose_perm] @ a.vec)
 
 
-def support(rho: NormalState, tol: float = SUPPORT_RTOL) -> AlgebraElement:
-    """Spectral projection onto eigenvalues above tol * (max eigenvalue)."""
-    cutoff = tol * rho.spectrum.max_eig
+def support(rho: NormalState) -> AlgebraElement:
+    """Spectral projection onto eigenvalues above SUPPORT_RTOL * (max eigenvalue)."""
+    cutoff = SUPPORT_RTOL * rho.spectrum.max_eig
     out = np.zeros(rho.shape.element_dim, dtype=complex)
     for s in rho.spectrum.stacks:
         keep = s.eigvecs * (s.eigvals > cutoff)[:, None, :]
@@ -191,9 +191,9 @@ def support(rho: NormalState, tol: float = SUPPORT_RTOL) -> AlgebraElement:
     return _from_vec(rho.shape, out)
 
 
-def is_faithful(rho: NormalState, tol: float = SUPPORT_RTOL) -> bool:
+def is_faithful(rho: NormalState) -> bool:
     """True iff every density block has full rank at the support cutoff."""
-    return rho.spectrum.min_eig > tol * rho.spectrum.max_eig
+    return rho.spectrum.min_eig > SUPPORT_RTOL * rho.spectrum.max_eig
 
 
 def random_state(shape: AlgebraShape, faithful: bool = False, seed: int = 0) -> NormalState:

@@ -322,11 +322,11 @@ def block_form(kind, space, k):
         b = np.kron(np.eye(n), space.state.densities[k].conj())
     else:
         w, v = space.block_eigs[k], space.block_vecs[k]
-        weights = (w[None, :] * kind.omf(np.outer(w, 1.0 / w))).ravel()
+        weights = (w[None, :] * kind(np.outer(w, 1.0 / w))).ravel()
         to_eig = np.kron(v.conj().T, v.T)
         b = to_eig.conj().T @ (weights[:, None] * to_eig)
     b = (b + b.conj().T) / 2.0
-    return kind.scale * b
+    return b
 
 
 def covariance_gram(kind, space):

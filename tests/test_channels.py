@@ -12,6 +12,7 @@ from conftest import (
     random_unitary,
 )
 from ncplab.algebra import (
+    ShapeError,
     adjoint,
     basis,
     hs_norm,
@@ -198,6 +199,11 @@ class TestPredual:
         sigma = predual(phi, rho)
         assert np.allclose(sigma.densities[0], np.eye(2) / 2.0, atol=1e-12)
 
+    def test_map_that_is_not_positive(self):
+        minus = from_linear(S2, S2, -np.eye(4))
+        with pytest.raises(ChannelValidationError, match="predual output is not a valid state"):
+            predual(minus, random_state(S2, seed=5))
+
     def test_composition_order(self):
         rng = np.random.default_rng(5)
         shape_a, shape_b, shape_c = mk_shape([2]), mk_shape([2, 1]), mk_shape([3])
@@ -254,6 +260,12 @@ class TestMorphisms:
         comp = compose(m2, m1)
         direct = conjugation_map(S2, [v @ u])
         assert np.allclose(comp.cpu.linear_action, direct.linear_action, atol=1e-12)
+
+    def test_compose_mismatched_middle_objects(self):
+        first = identity_morphism((S2, random_state(S2, seed=1)))
+        second = identity_morphism((S2, random_state(S2, seed=2)))
+        with pytest.raises(ShapeError, match="middle objects"):
+            compose(second, first)
 
     def test_associativity(self):
         shapes = [mk_shape([2]), mk_shape([2, 1]), mk_shape([3]), mk_shape([1, 1])]
@@ -530,6 +542,17 @@ class TestMarkovBuildersRejectBadInput:
     def test_partition_not_surjective(self, partition):
         with pytest.raises(ChannelValidationError, match="surjective"):
             congruent_embedding(partition, [1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "partition, weights, says",
+        [
+            ([0, 0, 1], [0.5, 0.5], "equal length"),
+            ([0, 2, 2], [1.0, 0.5, 0.5], "surjective"),
+        ],
+    )
+    def test_partition_and_weights_disagree(self, partition, weights, says):
+        with pytest.raises(ChannelValidationError, match=says):
+            congruent_embedding(partition, weights)
 
     def test_unsigned_partition(self):
         emb = congruent_embedding(np.array([1, 0, 0], dtype=np.uint8), [1.0, 0.25, 0.75])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import depolarizing_kraus
 from ncplab.algebra import mk_shape
-from ncplab.channels import from_kraus, identity_map, mk_morphism, predual, transpose_map
+from ncplab.channels import from_kraus, identity_map, identity_morphism, mk_morphism, predual, transpose_map
 import ncplab
 from ncplab import algebra, channels, cli, covariance, gns, models, serialize, states
 from ncplab.cli import main
@@ -274,6 +274,27 @@ class TestExtremeParametersAreInputErrors:
         assert capsys.readouterr().err == ""
 
 
+class TestUnusableArgumentsAreInputErrors:
+    @pytest.mark.parametrize(
+        "args, says",
+        [
+            (["pullback", "--model", "simplex:2", "--theta", "0.2,0.3", "--kind", "foo"], "unknown covariance kind 'foo'"),
+            (["monotonicity", "--morphism", "MORPHISM", "--kind", "foo"], "unknown covariance kind 'foo'"),
+            (["pullback", "--model", "simplex:2", "--theta", "0.2;0.3"], "bad --theta '0.2;0.3'"),
+            (["pullback", "--model", "gaussian:16", "--theta", "0,-1"], "sigma must be positive, got -1.0"),
+            (["pullback", "--model", "gaussian:16", "--theta", "0,0"], "sigma must be positive, got 0.0"),
+            (["congruence-invariance", "--model", "qubit-faithful"], "applies to abelian models only"),
+        ],
+    )
+    def test_names_the_fault(self, tmp_path, capsys, args, says):
+        obj = (mk_shape([2]), mk_state(mk_shape([2]), [np.diag([0.75, 0.25])]))
+        morphism = write_json(tmp_path, "m.json", morphism_to_json(identity_morphism(obj)))
+        code, rep = run_cli([morphism if a == "MORPHISM" else a for a in args], tmp_path)
+        assert code == 2
+        assert says in rep["error"] and "internal_error" not in rep
+        assert capsys.readouterr().err == ""
+
+
 class TestOversizedModelsAreInputErrors:
     @pytest.mark.parametrize(
         "args",
@@ -402,6 +423,7 @@ class TestContract:
 
 QUBIT_STATE = {"shape": {"blocks": [2]}, "densities": [[[0.75, 0.0], [0.0, 0.25]]]}
 QUBIT_IDENTITY = {"source": {"blocks": [2]}, "target": {"blocks": [2]}, "kraus": [[[1, 0], [0, 1]]]}
+QUBIT_SHAPES = {"source": {"blocks": [2]}, "target": {"blocks": [2]}}
 
 
 class TestMalformedPayloads:
@@ -425,6 +447,40 @@ class TestMalformedPayloads:
         code, rep = run_cli([command, flag, write_json(tmp_path, "p.json", payload)], tmp_path)
         assert code == 2
         assert rep["error"] and "internal_error" not in rep
+
+    @pytest.mark.parametrize(
+        "command, payload, says",
+        [
+            ("gns", {"prob": [{"re": 0.5, "im": 0.1}, 0.5]}, "entries must be real numbers"),
+            ("check-channel", {"stochastic": [[{"re": 1.0, "im": -0.5}]]}, "entries must be real numbers"),
+            ("check-channel", {"source": {"blocks": [2]}, "kraus": [[[1, 0], [0, 1]]]}, "needs 'source' and 'target'"),
+            ("check-channel", {"source": {"blocks": [2]}, "target": {"blocks": [2]}, "kraus": []}, "empty Kraus list"),
+            ("monotonicity", {"source": QUBIT_STATE, "target": QUBIT_STATE}, "needs 'source', 'target', 'cpu'"),
+            (
+                "monotonicity",
+                {"source": QUBIT_STATE, "target": QUBIT_STATE, "cpu": {**QUBIT_SHAPES, "linear": (0.5 * np.eye(4)).tolist()}},
+                "carrier map is not unital",
+            ),
+        ],
+    )
+    def test_names_the_fault(self, tmp_path, capsys, command, payload, says):
+        flag = {"gns": "--state", "check-channel": "--channel", "monotonicity": "--morphism"}[command]
+        code, rep = run_cli([command, flag, write_json(tmp_path, "p.json", payload)], tmp_path)
+        assert code == 2
+        assert says in rep["error"] and "internal_error" not in rep
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("gns", {"prob": [{"re": 0.25, "im": 0}, {"re": 0.75, "im": -0.0}]}),
+            ("check-channel", {"stochastic": [[{"re": 0.5, "im": 0.0}, 1], [{"re": 0.5}, 0]]}),
+        ],
+    )
+    def test_real_entries_given_as_pairs_are_accepted(self, tmp_path, command, payload):
+        flag = "--state" if command == "gns" else "--channel"
+        code, rep = run_cli([command, flag, write_json(tmp_path, "p.json", payload)], tmp_path)
+        assert code == 0 and "error" not in rep
 
 
 class TestBadFlagValues:

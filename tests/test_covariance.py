@@ -5,6 +5,8 @@ import reference_loops as ref
 from conftest import STANDARD_SHAPES, depolarizing_kraus, random_element, random_morphism
 from ncplab.algebra import basis, identity, mk_shape
 from ncplab.channels import from_kraus, identity_morphism, mk_morphism, predual
+import ncplab
+from ncplab import covariance
 from ncplab.covariance import (
     KMB,
     RLD,
@@ -15,6 +17,7 @@ from ncplab.covariance import (
     covariance_gram,
     gns_kind,
     kind_catalog,
+    kind_from_name,
     monotonicity_check,
     omf_catalog,
     petz_kind,
@@ -72,6 +75,26 @@ class TestOperatorMonotoneCatalog:
                 assert np.linalg.eigvalsh((gap + gap.conj().T) / 2.0)[0] >= -1e-8
 
 
+class TestKinds:
+    def test_a_kind_is_its_function(self):
+        assert ncplab.petz_kind(ncplab.SLD) is ncplab.SLD
+        assert ncplab.kind_from_name("gns") is ncplab.gns_kind() is ncplab.ONE
+        assert [kind_from_name(f.name) for f in omf_catalog()] == omf_catalog()
+        assert petz_kind(FLAT) is FLAT
+
+    def test_labels(self):
+        assert [k.label for k in kind_catalog()] == ["gns", "petz:sld", "petz:kmb", "petz:wy", "petz:rld"]
+        assert [k.is_gns for k in kind_catalog()] == [True, False, False, False, False]
+        # a function equal to 1 is a Petz kind all the same: only ONE is GNS
+        assert FLAT.label == "petz:flat" and not FLAT.is_gns
+
+    def test_kind_cache_is_shared_by_every_spelling(self):
+        space = build_gns(S2, random_state(S2, faithful=True, seed=4))
+        covariance.block_form(petz_kind(SLD), space, 0)
+        covariance.block_form(kind_from_name("SLD"), space, 0)
+        assert list(space._forms) == [SLD]
+
+
 class TestCovarianceGram:
     def test_gns_gram_is_exact_identity(self):
         for seed, shape in enumerate(STANDARD_SHAPES):
@@ -114,19 +137,6 @@ class TestCovarianceGram:
         space = build_gns(S2, rho)
         with pytest.raises(UnsupportedKindError):
             covariance_gram(petz_kind(SLD), space)
-
-    def test_scale_freedom(self):
-        rho = random_state(S2, faithful=True, seed=3)
-        space = build_gns(S2, rho)
-        g1 = covariance_gram(petz_kind(SLD), space).gram
-        g2 = covariance_gram(petz_kind(SLD, scale=2.5), space).gram
-        assert np.max(np.abs(2.5 * g1 - g2)) < 1e-12
-
-    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf, 0.0, -1.0])
-    def test_scale_must_be_finite_and_positive(self, scale):
-        for make in (gns_kind, lambda scale: petz_kind(SLD, scale=scale), kind_catalog):
-            with pytest.raises(UnsupportedKindError, match="scale must be finite and > 0"):
-                make(scale)
 
 
 class TestCovarianceEval:

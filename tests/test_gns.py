@@ -12,6 +12,8 @@ from conftest import (
     random_unitary,
 )
 from ncplab.algebra import (
+    InputError,
+    ShapeError,
     adjoint,
     basis,
     hs_norm,
@@ -25,6 +27,7 @@ from ncplab.channels import (
     NcpMorphism,
     conjugation_map,
     from_kraus,
+    identity_morphism,
     mk_morphism,
     predual,
     transpose_map,
@@ -77,6 +80,18 @@ class TestBuild:
         y = mk_element(shape, [np.array([[2.0]]), np.array([[1.0 + 1j]])])
         expected = 0.5 * 1.0 * 2.0 + 0.5 * (-1.0) * (1.0 + 1j)
         assert abs(ref.inner(space, x, y) - expected) < 1e-12
+
+    @pytest.mark.parametrize("tol", [1.0, 2.0, np.nan, np.inf, -1e-9])
+    def test_cutoff_outside_the_unit_interval_is_input_error(self, tol):
+        # 1 or more would drop the unit's class; below 0 would keep null directions
+        pure = mk_state(S2, [np.diag([1.0, 0.0])])
+        with pytest.raises(InputError, match="support tolerance must be in"):
+            build_gns(S2, pure, tol)
+
+    def test_zero_cutoff_keeps_every_positive_eigenvalue(self):
+        rho = mk_state(S2, [np.diag([1.0 - 1e-12, 1e-12])])
+        assert build_gns(S2, rho).dim == 2
+        assert build_gns(S2, rho, 0.0).dim == 4
 
     def test_cyclic_vector_norm(self):
         for seed, shape in enumerate(STANDARD_SHAPES):
@@ -137,6 +152,28 @@ class TestBuild:
         assert np.array_equal(gns._transform(s1, eye, gns._iso), gns._transform(s2, eye, gns._iso))
         assert np.array_equal(s1.gram_eigenvalues, s2.gram_eigenvalues)
         assert np.all(np.diff(s1.gram_eigenvalues) <= 0)
+
+
+class TestShapeMismatches:
+    def test_state_of_another_shape(self):
+        with pytest.raises(ShapeError, match="does not match state shape"):
+            build_gns(mk_shape([1, 1]), random_state(S2, seed=0))
+
+    def test_element_of_another_shape(self):
+        with pytest.raises(ShapeError, match="element shape"):
+            embed(build_gns(S2, random_state(S2, seed=0)), identity(mk_shape([3])))
+
+    def test_contraction_between_other_objects(self):
+        m = identity_morphism((S2, random_state(S2, seed=0)))
+        other = build_gns(mk_shape([3]), random_state(mk_shape([3]), seed=0))
+        with pytest.raises(ShapeError, match="do not match the morphism objects"):
+            induced_contraction(m, other, other)
+
+    def test_contraction_between_other_states(self):
+        m = identity_morphism((S2, random_state(S2, seed=0)))
+        other = build_gns(S2, random_state(S2, seed=1))
+        with pytest.raises(ShapeError, match="built for different states"):
+            induced_contraction(m, other, other)
 
 
 class TestEmbedInner:

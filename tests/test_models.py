@@ -5,7 +5,7 @@ import pytest
 
 import reference_loops as ref
 from conftest import PAULI_Z
-from ncplab.algebra import adjoint, hs_norm, mk_element, mk_shape
+from ncplab.algebra import ShapeError, adjoint, hs_norm, mk_element, mk_shape
 from ncplab.channels import congruent_embedding
 from ncplab.covariance import SLD, gns_kind, petz_kind
 from ncplab.gns import build_gns, embed
@@ -244,6 +244,10 @@ class TestModelInputErrors:
     def test_bad_arguments(self, call):
         with pytest.raises(ModelDomainError):
             call()
+
+    def test_only_abelian_models_embed(self):
+        with pytest.raises(ShapeError, match="only abelian models"):
+            embedded_model(qubit_faithful_model(), congruent_embedding([0, 0], [0.5, 0.5]))
 
     def test_size_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(models, "MAX_OUTCOMES", 8)
