@@ -423,7 +423,6 @@ class TestContract:
 
 QUBIT_STATE = {"shape": {"blocks": [2]}, "densities": [[[0.75, 0.0], [0.0, 0.25]]]}
 QUBIT_IDENTITY = {"source": {"blocks": [2]}, "target": {"blocks": [2]}, "kraus": [[[1, 0], [0, 1]]]}
-QUBIT_SHAPES = {"source": {"blocks": [2]}, "target": {"blocks": [2]}}
 
 
 class TestMalformedPayloads:
@@ -458,7 +457,11 @@ class TestMalformedPayloads:
             ("monotonicity", {"source": QUBIT_STATE, "target": QUBIT_STATE}, "needs 'source', 'target', 'cpu'"),
             (
                 "monotonicity",
-                {"source": QUBIT_STATE, "target": QUBIT_STATE, "cpu": {**QUBIT_SHAPES, "linear": (0.5 * np.eye(4)).tolist()}},
+                {
+                    "source": QUBIT_STATE,
+                    "target": QUBIT_STATE,
+                    "cpu": {"source": {"blocks": [2]}, "target": {"blocks": [2]}, "linear": (0.5 * np.eye(4)).tolist()},
+                },
                 "carrier map is not unital",
             ),
         ],
