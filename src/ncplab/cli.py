@@ -234,14 +234,14 @@ def _cmd_omf_catalog(_args) -> tuple[int, dict]:
         values, value_at_1 = f(grid), f(1.0)
         monotone = bool(np.all(np.diff(values) > -1e-12))
         normalized = abs(value_at_1 - 1.0) <= 1e-12
-        sym_dev = float(np.max(np.abs(values - grid * f(1.0 / grid))))
+        sym_gap = np.abs(values - grid * f(1.0 / grid))
         entry = {
             "name": f.name,
             "value_at_1": value_at_1,
             "normalized": normalized,
-            "symmetric": f.symmetric,
+            "symmetric": bool(np.max(sym_gap / values) <= 1e-12),
             "monotone_on_grid": monotone,
-            "symmetry_deviation": sym_dev,
+            "symmetry_deviation": float(np.max(sym_gap)),
         }
         ok = ok and monotone and normalized
         entries.append(entry)

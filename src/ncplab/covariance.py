@@ -2,9 +2,9 @@
 
 A kind is an operator monotone function f with f(1) = 1
 (:class:`OperatorMonotoneFunction`), and nothing more.  The GNS product
-rho(x^dag y) is the kind of the constant f == 1 (:data:`ONE`, returned by
-:func:`gns_kind`); any other function is a Petz kind (:func:`petz_kind`
-returns it as it is), which needs a faithful state.
+rho(x^dag y) is the kind of the constant f == 1 (:data:`ONE`); any other
+function is a Petz kind (:func:`petz_kind` returns it as it is), which needs
+a faithful state.
 
 One kernel
 ----------
@@ -25,11 +25,8 @@ which solves the monotonicity criterion without any Gram, and since
 f(1) = 1 the whitened class of the unit is an eigenvector of the criterion
 with eigenvalue 1, which one Cholesky factorization certifies as the top
 when the verdict passes.  The raw forms of
-the Riesz solve use all eigenvalues, with no support cutoff (the ratio is 1
-where d_b <= 0): a relative cutoff is not refinement invariant, and applying
-1e-9 in the abelian pullback moved the congruence deviation of
-``gaussian:384`` from 6e-15 to 5.1e-7 over 300 random refinements, against a
-tolerance of 1e-9.
+the Riesz solve use every eigenvalue of a block, dropped ones included (the
+ratio is 1 where d_b <= 0).
 
 All products are normalized: f(1) = 1, so the unit pairs with itself to one.
 An overall factor c > 0 would multiply every Gram and every pulled-back
@@ -59,13 +56,12 @@ class OperatorMonotoneFunction:
     covariance kind.  The constant f == 1 (:data:`ONE`) is the GNS kind, any
     other function its Petz kind.
 
-    ``symmetric`` flags the balance condition f(t) = t * f(1/t).  Instances
-    compare and hash by identity, which keeps kinds cheap as cache keys.
+    Instances compare and hash by identity, which keeps kinds cheap as cache
+    keys.
     """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
-    symmetric: bool = True
 
     def __call__(self, t):
         scalar = np.isscalar(t)
@@ -115,11 +111,7 @@ def omf_catalog() -> list[OperatorMonotoneFunction]:
 
 #: The constant function f == 1: the GNS kind.  It is not part of
 #: :func:`omf_catalog`.
-ONE = OperatorMonotoneFunction("gns", np.ones_like, symmetric=False)
-
-
-def gns_kind() -> OperatorMonotoneFunction:
-    return ONE
+ONE = OperatorMonotoneFunction("gns", np.ones_like)
 
 
 def petz_kind(omf: OperatorMonotoneFunction) -> OperatorMonotoneFunction:

@@ -7,7 +7,8 @@ For a state rho with density blocks D_k, the pre-inner product
 <x|y> = rho(x^dag y) has, in the matrix-unit coordinates of this package, the
 exact block form ``G = (+)_k I_{n_k} (x) conj(D_k)``.  Its null space is the
 Gelfand ideal, so the quotient is obtained from the eigendecomposition of each
-D_k by dropping eigenvalues below a relative cutoff.  That decomposition is
+D_k by dropping the eigenvalues at or below ``tol`` times their block's
+largest (:func:`~ncplab.states._in_support`).  That decomposition is
 the one cached on the state (:class:`~ncplab.states.Spectrum`), so building a
 space decomposes nothing: the cutoff and the phase fix act on the per-size
 stacks, which are then split by kept rank into rectangular groups that
@@ -48,17 +49,16 @@ import numpy as np
 from .algebra import AlgebraElement, AlgebraShape, InputError, ShapeError, _pd_with_shift, _phase_fix
 from .channels import NcpMorphism, compose, identity_morphism
 from .channels import apply  # noqa: F401  (perfbench's binding test reads ncplab.gns.apply)
-from .states import NormalState, SUPPORT_RTOL
+from .states import NormalState, SUPPORT_RTOL, _in_support
 
 WELL_DEFINED_TOL = 1e-8
 
 
 class GnsQuotientError(InputError):
-    """An induced map does not respect the numerically identified quotient.
-
-    Usually a sign that a density eigenvalue straddles the support cutoff;
-    re-run with a tighter tolerance.
-    """
+    """A sigma-null element maps outside the rho-null space; the message
+    names the worst one (block, row, dropped eigenvector) and its norm.  A
+    CPU carrier with rho o phi = sigma cannot do this (Kadison-Schwarz), so
+    the carrier does not preserve the states."""
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,6 @@ class GnsSpace:
         self.shape = shape
         self.state = state
 
-        cutoff = tol * state.spectrum.max_eig
         # Coordinate order: descending eigenvalue, then block, row, eigenvalue
         # rank.  One lexsort orders the kept entries, listed group by group
         # with (block j, row i, kept c) c fastest; its inverse places them.
@@ -110,7 +109,7 @@ class GnsSpace:
         for s in state.spectrum.stacks:
             w = s.eigvals[:, ::-1]
             v = _phase_fix(s.eigvecs[:, :, ::-1])
-            ranks = np.sum(w > cutoff, axis=1)  # w descends, so kept ones lead
+            ranks = np.sum(_in_support(w, tol), axis=1)  # w descends, so kept ones lead
             for r in np.unique(ranks).tolist():
                 sel = np.flatnonzero(ranks == r)
                 index, d = s.index[sel], w[sel]
@@ -149,8 +148,8 @@ class GnsSpace:
 
 
 def build_gns(shape: AlgebraShape, state: NormalState, tol: float = SUPPORT_RTOL) -> GnsSpace:
-    """GNS space of (shape, state) with relative quotient cutoff ``tol``,
-    0 <= tol < 1 (:class:`InputError` otherwise)."""
+    """GNS space of (shape, state) with quotient cutoff ``tol`` relative to
+    each block's largest eigenvalue, 0 <= tol < 1 (else :class:`InputError`)."""
     return GnsSpace(shape, state, tol)
 
 
@@ -264,11 +263,16 @@ def induced_contraction(
     # E_rho L [R N] as E_rho ([R N]^T L^T)^T: sigma's transform of the columns
     # of L, then rho's of the rows; the columns after dim_sigma are the null basis'
     full = _transform(space_rho, _transform(space_sigma, lt, _rep_null).T, _iso)
-    worst = float(np.linalg.norm(full[:, space_sigma.dim :], axis=0).max(initial=0.0))
+    leaks = np.linalg.norm(full[:, space_sigma.dim :], axis=0)
+    worst = float(leaks.max(initial=0.0))
     if not worst <= WELL_DEFINED_TOL:
+        place = space_sigma.dim + int(np.argmax(leaks))
+        g = next(g for g in space_sigma._groups if place in g.at)
+        j, i, c = np.argwhere(g.at == place)[0]
         raise GnsQuotientError(
-            f"null element maps outside the target null space (largest norm {worst:.3e}); "
-            "re-run with a tighter support tolerance"
+            f"the sigma-null element of block {g.index[j]}, row {i}, dropped eigenvector {c} (eigenvalue "
+            f"{g.d[j, c]:.3e}) maps outside the rho-null space with norm {worst:.3e} > {WELL_DEFINED_TOL:.0e}; "
+            "a carrier that preserves the states cannot do this, so check rho o phi = sigma"
         )
     return GnsContraction(space_sigma, space_rho, np.ascontiguousarray(full[:, : space_sigma.dim]))
 

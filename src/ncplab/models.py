@@ -525,9 +525,8 @@ def _riesz_solve(model: StatModel, theta, kind: OperatorMonotoneFunction):
 
 
 def riesz_score(model: StatModel, theta, kind: OperatorMonotoneFunction = ONE) -> list[np.ndarray]:
-    """GNS coordinates of the score vectors v_1..v_p at theta.  The quotient
-    drops sub-cutoff bins that :func:`metric_pullback` keeps, so the Gram of
-    these vectors differs from it (1.1e-7 relative on gaussian:4096 over +-20)."""
+    """GNS coordinates of the score vectors v_1..v_p at theta; for the GNS
+    kind their Gram is :func:`metric_pullback`."""
     space, solved = _riesz_solve(model, theta, kind)
     vecs = np.zeros((model.shape.element_dim, model.param_dim), dtype=complex)
     for stack, _, scores in solved:

@@ -16,9 +16,11 @@ Validation decomposes each state once and caches the result on it as a
 vector in block order into one (K_n, n, n) array by the shape's per-size
 positions, symmetrized, and diagonalized by a single ``np.linalg.eigh``
 call; each stack keeps its block numbers and positions as the map back to
-the vector.  Validation, :func:`is_faithful`, :func:`support`,
+the vector.  Validation, :func:`support`,
 :meth:`NormalState.block_eigenvalues` and the GNS construction all read this
 cache, so a state on thousands of 1x1 blocks costs one eigensolver call.
+Validation also applies the support rule (:func:`_in_support`) once and
+stores the verdict of :func:`is_faithful`.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 
 #: Relative eigenvalue cutoff separating genuine rank deficiency from
-#: floating-point noise: eigenvalues <= SUPPORT_RTOL * (max eigenvalue)
-#: count as zero.
+#: floating-point noise: an eigenvalue of a density block counts as zero
+#: when it is <= SUPPORT_RTOL times that block's own largest eigenvalue
+#: (:func:`_in_support`).
 SUPPORT_RTOL = 1e-9
 
 
@@ -82,11 +85,11 @@ class Spectrum:
 
     ``stacks`` holds one :class:`SizeStack` per block size, in ascending
     size; a stack's ``index`` maps its positions back to block numbers.
+    ``faithful`` is True when the support rule keeps every eigenvalue.
     """
 
     stacks: tuple[SizeStack, ...]
-    min_eig: float
-    max_eig: float
+    faithful: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,12 +169,8 @@ def _state_from_vec(shape: AlgebraShape, vec) -> NormalState:
         )
     if not abs(total - 1.0) <= TRACE_TOL:
         raise StateValidationError(f"total trace is {total!r}, expected 1")
-    spectrum = Spectrum(
-        tuple(stacks),
-        min(float(s.eigvals[:, 0].min()) for s in stacks),
-        max(float(s.eigvals[:, -1].max()) for s in stacks),
-    )
-    return NormalState(shape, vec, spectrum)
+    faithful = all(_in_support(s.eigvals).all() for s in stacks)
+    return NormalState(shape, vec, Spectrum(tuple(stacks), faithful))
 
 
 def evaluate(rho: NormalState, a: AlgebraElement) -> complex:
@@ -181,19 +180,26 @@ def evaluate(rho: NormalState, a: AlgebraElement) -> complex:
     return complex(rho.vec[rho.shape.transpose_perm] @ a.vec)
 
 
+def _in_support(eigvals: np.ndarray, tol: float = SUPPORT_RTOL) -> np.ndarray:
+    """The package's one support rule, on the eigenvalues (K, n) of K blocks:
+    True where one is above ``tol`` times its own block's largest.  No other
+    block enters, so a 1x1 block keeps all but an exact zero and a congruent
+    refinement changes nothing."""
+    return eigvals > tol * eigvals.max(axis=1, keepdims=True)
+
+
 def support(rho: NormalState) -> AlgebraElement:
-    """Spectral projection onto eigenvalues above SUPPORT_RTOL * (max eigenvalue)."""
-    cutoff = SUPPORT_RTOL * rho.spectrum.max_eig
+    """Spectral projection onto the eigenvalues kept by :func:`_in_support`."""
     out = np.zeros(rho.shape.element_dim, dtype=complex)
     for s in rho.spectrum.stacks:
-        keep = s.eigvecs * (s.eigvals > cutoff)[:, None, :]
+        keep = s.eigvecs * _in_support(s.eigvals)[:, None, :]
         out[s.pos] = keep @ keep.conj().swapaxes(-1, -2)
     return _from_vec(rho.shape, out)
 
 
 def is_faithful(rho: NormalState) -> bool:
-    """True iff every density block has full rank at the support cutoff."""
-    return rho.spectrum.min_eig > SUPPORT_RTOL * rho.spectrum.max_eig
+    """True iff the support rule keeps every eigenvalue (decided at validation)."""
+    return rho.spectrum.faithful
 
 
 def random_state(shape: AlgebraShape, faithful: bool = False, seed: int = 0) -> NormalState:
@@ -210,7 +216,7 @@ def random_state(shape: AlgebraShape, faithful: bool = False, seed: int = 0) -> 
     total = sum(np.trace(m).real for m in mats)
     state = mk_state(shape, [m / total for m in mats])
     floor = 1e-3
-    min_eig = state.spectrum.min_eig
+    min_eig = min(float(s.eigvals[:, 0].min()) for s in state.spectrum.stacks)
     if not faithful or min_eig >= floor:
         return state
     N = shape.total_dim

@@ -137,10 +137,9 @@ class RefGnsSpace:
                 w, v = np.linalg.eigh((d + d.conj().T) / 2.0)
                 w, v = w[::-1], _phase_fix(v[:, ::-1])
             eig_blocks.append((w, v))
-        cutoff = tol * max(float(w[0]) for w, _ in eig_blocks)
         self.block_eigs, self.block_vecs, self.block_null_vecs = [], [], []
         for w, v in eig_blocks:
-            keep = w > cutoff
+            keep = w > tol * float(w[0])  # each block against its own largest eigenvalue
             self.block_eigs.append(np.ascontiguousarray(w[keep], dtype=float))
             self.block_vecs.append(np.ascontiguousarray(v[:, keep]))
             self.block_null_vecs.append(np.ascontiguousarray(v[:, ~keep]))

@@ -19,10 +19,10 @@ from ncplab.algebra import (
     mk_shape,
 )
 from ncplab.covariance import (
+    ONE,
     SLD,
     UnsupportedKindError,
     covariance_gram,
-    gns_kind,
     kind_catalog,
     kind_from_name,
     monotonicity_check,
@@ -201,10 +201,10 @@ class TestGnsAgainstLoops:
         ]
         for w, (w_ref, _) in zip(rho.block_eigenvalues(), per_block):
             assert np.array_equal(w, w_ref)
-        cutoff = 1e-9 * max(float(w[-1]) for w, _ in per_block)
-        assert is_faithful(rho) == all(float(w[0]) > cutoff for w, _ in per_block)
+        # the support rule: each block against its own largest eigenvalue
+        assert is_faithful(rho) == all(float(w[0]) > 1e-9 * float(w[-1]) for w, _ in per_block)
         for p, (w, v) in zip(support(rho).blocks, per_block):
-            keep = v[:, w > cutoff]
+            keep = v[:, w > 1e-9 * float(w[-1])]
             assert np.allclose(p, keep @ keep.conj().T, rtol=0.0, atol=1e-14)
 
 
@@ -247,7 +247,7 @@ class TestKernelGramAgainstForms:
     def test_gns_gram_exact_identity_on_rank_deficient(self, blocks, seed):
         rho, _ = random_state_on(blocks, seed, rank_deficient=True)
         space = build_gns(rho.shape, rho)
-        assert np.array_equal(covariance_gram(gns_kind(), space).gram, np.eye(space.dim))
+        assert np.array_equal(covariance_gram(ONE, space).gram, np.eye(space.dim))
 
     @SETTINGS
     @given(shapes, seeds)
@@ -886,7 +886,7 @@ class TestNoEigensolveOnPassingVerdicts:
         assert eig_calls["n"] == 1
         # trusted as a morphism, the transpose fails the GNS criterion
         eig_calls["n"] = 0
-        rep = monotonicity_check(gns_kind(), NcpMorphism((shape, rho), target, t), n_samples=0)
+        rep = monotonicity_check(ONE, NcpMorphism((shape, rho), target, t), n_samples=0)
         assert not rep["passed"] and "witness" in rep
         assert eig_calls["n"] == 1
         eig_calls["n"] = 0

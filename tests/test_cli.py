@@ -185,6 +185,26 @@ class TestMonotonicity:
         assert np.allclose(vec, [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]], rtol=0.0, atol=1e-12)
         assert abs(rep["witness"]["ratio"] - 3.0) < 1e-9
 
+    def test_carrier_off_the_states_names_the_leaking_null_element(self, tmp_path):
+        # the identity carrier with rho = diag(0.6, 0.4) and sigma = diag(1, 0)
+        # is unital and CP but does not preserve the states: sigma's null
+        # element e_01 (row 0 of sigma's dropped eigenvector e_1) has norm
+        # sqrt(0.4) under rho
+        shape = mk_shape([2])
+        payload = {
+            "source": state_to_json(mk_state(shape, [np.diag([0.6, 0.4])])),
+            "target": state_to_json(mk_state(shape, [np.diag([1.0, 0.0])])),
+            "cpu": cpumap_to_json(identity_map(shape)),
+        }
+        path = write_json(tmp_path, "m.json", payload)
+        code, rep = run_cli(["monotonicity", "--kind", "gns", "--morphism", path, "--assume-verified"], tmp_path)
+        assert code == 2
+        assert rep["error"] == (
+            "the sigma-null element of block 0, row 0, dropped eigenvector 1 (eigenvalue 0.000e+00) "
+            "maps outside the rho-null space with norm 6.325e-01 > 1e-08; a carrier that preserves "
+            "the states cannot do this, so check rho o phi = sigma"
+        )
+
     def test_unverified_morphism_is_input_error(self, tmp_path, transpose_morphism_file):
         code, rep = run_cli(
             ["monotonicity", "--kind", "gns", "--morphism", transpose_morphism_file],
@@ -366,6 +386,15 @@ class TestOmfCatalog:
         names = [e["name"] for e in rep["catalog"]]
         assert names == ["sld", "kmb", "wy", "rld"]
         assert all(e["monotone_on_grid"] for e in rep["catalog"])
+        assert all(e["symmetric"] for e in rep["catalog"])
+
+    def test_symmetric_is_computed(self, tmp_path, monkeypatch):
+        # t^0.3 is normalized and operator monotone, but t * (1/t)^0.3 = t^0.7
+        power = covariance.OperatorMonotoneFunction("pow0.3", lambda t: t**0.3)
+        monkeypatch.setattr(cli, "omf_catalog", lambda: [covariance.SLD, power])
+        code, rep = run_cli(["omf-catalog"], tmp_path)
+        assert code == 0
+        assert [e["symmetric"] for e in rep["catalog"]] == [True, False]
 
 
 class TestContract:

@@ -13,9 +13,9 @@ from ncplab.covariance import (
     SLD,
     WY,
     OperatorMonotoneFunction,
+    ONE,
     UnsupportedKindError,
     covariance_gram,
-    gns_kind,
     kind_catalog,
     kind_from_name,
     monotonicity_check,
@@ -78,7 +78,7 @@ class TestOperatorMonotoneCatalog:
 class TestKinds:
     def test_a_kind_is_its_function(self):
         assert ncplab.petz_kind(ncplab.SLD) is ncplab.SLD
-        assert ncplab.kind_from_name("gns") is ncplab.gns_kind() is ncplab.ONE
+        assert ncplab.kind_from_name("gns") is ncplab.ONE
         assert [kind_from_name(f.name) for f in omf_catalog()] == omf_catalog()
         assert petz_kind(FLAT) is FLAT
 
@@ -100,7 +100,7 @@ class TestCovarianceGram:
         for seed, shape in enumerate(STANDARD_SHAPES):
             rho = random_state(shape, seed=seed)
             space = build_gns(shape, rho)
-            gram = covariance_gram(gns_kind(), space).gram
+            gram = covariance_gram(ONE, space).gram
             assert np.array_equal(gram, np.eye(space.dim))
 
     def test_flat_function_reproduces_gns(self):
@@ -149,7 +149,7 @@ class TestCovarianceEval:
         es = basis(shape)
         for i in range(3):
             for j in range(3):
-                val = ref.covariance_eval(gns_kind(), space, es[i], es[j])
+                val = ref.covariance_eval(ONE, space, es[i], es[j])
                 assert abs(val - (p[i] if i == j else 0.0)) < 1e-12
 
     def test_unit_pairing_is_one(self):
@@ -176,7 +176,7 @@ class TestCovarianceEval:
             rho = random_state(shape, seed=seed + 50)
             space = build_gns(shape, rho)
             x, y = random_element(shape, rng), random_element(shape, rng)
-            val = ref.covariance_eval(gns_kind(), space, x, y)
+            val = ref.covariance_eval(ONE, space, x, y)
             assert abs(val - evaluate(rho, multiply(adjoint(x), y))) < 1e-9
 
     def test_eval_agrees_with_embed_then_gram(self):
@@ -237,7 +237,7 @@ class TestMonotonicity:
                 STANDARD_SHAPES[(trial + 1) % len(STANDARD_SHAPES)],
                 seed=trial + 60,
             )
-            rep = monotonicity_check(gns_kind(), m, n_samples=10, seed=trial)
+            rep = monotonicity_check(ONE, m, n_samples=10, seed=trial)
             con = induced_contraction(m, build_gns(*m.target), build_gns(*m.source))
             assert abs(rep["exact_max_eig"] - con.operator_norm**2) < 1e-9
 
@@ -262,7 +262,7 @@ class TestMonotonicity:
 
     def test_report_carries_tolerance(self):
         m = identity_morphism((S2, random_state(S2, faithful=True, seed=11)))
-        rep = monotonicity_check(gns_kind(), m, n_samples=5, seed=0, tol=1e-7)
+        rep = monotonicity_check(ONE, m, n_samples=5, seed=0, tol=1e-7)
         assert rep["tol"] == 1e-7
 
 

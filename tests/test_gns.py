@@ -33,6 +33,7 @@ from ncplab.channels import (
     transpose_map,
 )
 from ncplab import gns
+from ncplab.covariance import kind_catalog, monotonicity_check
 from ncplab.gns import (
     GnsQuotientError,
     build_gns,
@@ -46,13 +47,20 @@ S2 = mk_shape([2])
 
 
 def full_gram_rank(shape, state, rtol=1e-9):
-    """Independent quotient dimension: rank of the full basis Gram matrix."""
+    """Independent quotient dimension: rank of the full basis Gram matrix,
+    each block's diagonal part against its own largest eigenvalue (the
+    Gram is block diagonal: rho(a^dag b) = 0 for a, b in different blocks)."""
     es = basis(shape)
     g = np.array(
         [[evaluate(state, multiply(adjoint(a), b)) for b in es] for a in es]
     )
-    w = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
-    return int(np.sum(w > rtol * w[-1]))
+    owner = np.repeat(np.arange(shape.num_blocks), [n * n for n in shape.blocks])
+    rank = 0
+    for k in range(shape.num_blocks):
+        gk = g[np.ix_(owner == k, owner == k)]
+        w = np.linalg.eigvalsh((gk + gk.conj().T) / 2.0)
+        rank += int(np.sum(w > rtol * w[-1]))
+    return rank
 
 
 class TestBuild:
@@ -127,10 +135,8 @@ class TestBuild:
             else:
                 rho = random_state(shape, seed=trial)
             space = build_gns(shape, rho)
-            ranks = [
-                int(np.sum(w > 1e-9 * max(float(v[-1]) for v in rho.block_eigenvalues())))
-                for w in rho.block_eigenvalues()
-            ]
+            # the support rule: each block against its own largest eigenvalue
+            ranks = [int(np.sum(w > 1e-9 * float(w[-1]))) for w in rho.block_eigenvalues()]
             formula = sum(n * r for n, r in zip(shape.blocks, ranks))
             assert space.dim == formula
             assert space.dim == full_gram_rank(shape, rho)
@@ -274,8 +280,36 @@ class TestInducedContraction:
         rho = mk_state(S2, [np.diag([1.0, 0.0])])
         bad = NcpMorphism((S2, rho), (S2, rho), transpose_map(S2))
         space = build_gns(S2, rho)
-        with pytest.raises(GnsQuotientError):
+        with pytest.raises(GnsQuotientError, match=r"block 0, row 0, dropped eigenvector 1 .* norm 1\.000e\+00"):
             induced_contraction(bad, space, space)
+
+    def test_rounding_level_target_block_is_kept(self):
+        # b -> (b_1, b_1) on [2, 2], its Kraus operators passed through a
+        # random unitary and back, so sigma's second block is rounding: its
+        # eigenvalues are near 1e-31.  The per-block rule keeps them (a cutoff
+        # against the whole state's largest eigenvalue dropped the block, GNS
+        # dimension 4); the contraction stays one of norm 1 + O(eps).
+        shape = mk_shape([2, 2])
+        r = np.linalg.qr(random_unitary(4, np.random.default_rng(0)))[0]
+        kraus = []
+        for rows in (slice(0, 2), slice(2, 4)):
+            p = np.zeros((4, 4), dtype=complex)
+            p[:2, rows] = np.eye(2)
+            kraus.append(r @ (r.conj().T @ p))
+        phi = from_kraus(shape, shape, kraus)
+        rho = random_state(shape, faithful=True, seed=0)
+        sigma = predual(phi, rho)
+        tiny = sigma.block_eigenvalues()[1]
+        assert 0.0 < tiny[0] and tiny[1] < 1e-30
+        m = mk_morphism((shape, rho), (shape, sigma), phi)
+        space_sigma = build_gns(shape, sigma)
+        assert space_sigma.dim == 8
+        con = induced_contraction(m, space_sigma, build_gns(shape, rho))
+        assert abs(con.operator_norm - 1.0) <= 1e-12
+        for kind in kind_catalog():
+            exact = monotonicity_check(kind, m, n_samples=0)["exact_max_eig"]
+            assert abs(exact - 1.0) <= 1e-12
+            assert abs(exact - ref.monotonicity_dense(kind, m)[0]) <= 1e-12
 
 
 class TestFunctorLaws:

@@ -7,7 +7,7 @@ import reference_loops as ref
 from conftest import PAULI_Z
 from ncplab.algebra import ShapeError, adjoint, hs_norm, mk_element, mk_shape
 from ncplab.channels import congruent_embedding
-from ncplab.covariance import SLD, gns_kind, petz_kind
+from ncplab.covariance import ONE, SLD, kind_catalog, petz_kind
 from ncplab.gns import build_gns, embed
 from ncplab import models
 from ncplab.models import (
@@ -285,7 +285,7 @@ class TestRieszScore:
         theta = np.array([0.5, 1.0 / 3.0])
         state = m.state_at(theta)
         p = np.array([d[0, 0].real for d in state.densities])
-        scores = riesz_score(m, theta, gns_kind())
+        scores = riesz_score(m, theta, ONE)
         space = build_gns(m.shape, state)
         for i, d in enumerate(m.derivatives(theta)):
             dp = np.array([b[0, 0].real for b in d.blocks])
@@ -297,15 +297,28 @@ class TestRieszScore:
         theta = np.array([0.55, 1.2, 0.8])
         state = m.state_at(theta)
         space = build_gns(m.shape, state)
-        scores = riesz_score(m, theta, gns_kind())
+        scores = riesz_score(m, theta, ONE)
         for i, d in enumerate(m.derivatives(theta)):
             l = sld_via_lyapunov(state.densities[0], d.blocks[0])
             oracle = mk_element(m.shape, [l])
             assert np.max(np.abs(scores[i] - embed(space, oracle))) < 1e-8
 
+    def test_score_gram_is_the_pullback_on_wide_tails(self):
+        # the tail bins of gaussian:4096 over +-20 fall to 2e-40 of the
+        # largest, then underflow to exact zeros; the quotient keeps every
+        # nonzero bin, as the pullback's forms do
+        m = gaussian_model(4096, -20.0, 20.0)
+        theta = np.array([0.3, 1.5])
+        v = np.array(riesz_score(m, theta))
+        gram = (v.conj() @ v.T).real
+        g = metric_pullback(m, theta)
+        state = m.state_at(theta)
+        assert build_gns(m.shape, state).dim == np.count_nonzero(state.vec)
+        assert np.max(np.abs(gram - g)) <= 1e-12 * np.max(np.abs(g))
+
     def test_pure_qubit_north_pole_theta_score(self):
         m = qubit_pure_model()
-        v = riesz_score(m, np.array([0.0, 0.0]), gns_kind())[0]
+        v = riesz_score(m, np.array([0.0, 0.0]), ONE)[0]
         mags = np.sort(np.abs(v))
         assert v.size == 2
         assert mags[0] < 1e-10
@@ -330,7 +343,7 @@ class TestRieszScore:
             state_fn, deriv_fn,
         )
         with pytest.raises(ScoreNotRepresentableError) as err:
-            riesz_score(model, np.array([0.0]), gns_kind())
+            riesz_score(model, np.array([0.0]), ONE)
         assert err.value.param_index == 0
 
 
@@ -338,12 +351,12 @@ class TestMetricPullback:
     def test_simplex_against_brute_force(self):
         m = simplex_model(2)
         theta = np.array([0.5, 1.0 / 3.0])
-        g = metric_pullback(m, theta, gns_kind())
+        g = metric_pullback(m, theta, ONE)
         assert np.max(np.abs(g - brute_fisher_rao(m, theta))) < 1e-10
 
     def test_simplex_uniform_frozen(self):
         m = simplex_model(2)
-        g = metric_pullback(m, np.array([1 / 3, 1 / 3]), gns_kind())
+        g = metric_pullback(m, np.array([1 / 3, 1 / 3]), ONE)
         assert np.allclose(g, [[6.0, 3.0], [3.0, 6.0]], atol=1e-9)
 
     def test_simplex_matches_closed_form(self):
@@ -354,7 +367,7 @@ class TestMetricPullback:
                 p = rng.dirichlet(np.ones(n + 1))
                 p = 0.85 * p + 0.15 / (n + 1)
                 theta = p[:-1]
-                g = metric_pullback(m, theta, gns_kind())
+                g = metric_pullback(m, theta, ONE)
                 assert np.max(np.abs(g - fisher_rao_simplex_metric(theta))) < 1e-9
 
     def test_radial_direction_frozen_value(self):
@@ -374,7 +387,7 @@ class TestMetricPullback:
         model = StatModel(
             "radial", shape, 1, lambda th: bool(0.0 < th[0] < 1.0), state_fn, deriv_fn
         )
-        g = metric_pullback(model, np.array([0.5]), gns_kind())
+        g = metric_pullback(model, np.array([0.5]), ONE)
         assert abs(g[0, 0] - 4.0 / 3.0) < 1e-10
 
     def test_qubit_qfi_recovery(self):
@@ -384,7 +397,7 @@ class TestMetricPullback:
             theta = np.array(
                 [rng.uniform(0.05, 0.95), rng.uniform(0.2, np.pi - 0.2), rng.uniform(0, 2 * np.pi)]
             )
-            g = metric_pullback(m, theta, gns_kind())
+            g = metric_pullback(m, theta, ONE)
             assert np.max(np.abs(g - qubit_qfi_metric(*theta))) < 1e-8
 
     def test_pure_qubit_sphere(self):
@@ -392,7 +405,7 @@ class TestMetricPullback:
         rng = np.random.default_rng(3)
         for _ in range(25):
             theta = np.array([rng.uniform(0.1, np.pi - 0.1), rng.uniform(0, 2 * np.pi)])
-            g = metric_pullback(m, theta, gns_kind())
+            g = metric_pullback(m, theta, ONE)
             assert np.max(np.abs(g - pure_qubit_sphere_metric(*theta))) < 1e-8
 
     def test_gaussian_converges(self):
@@ -402,7 +415,7 @@ class TestMetricPullback:
         errs = []
         for bins in (128, 512):
             m = gaussian_model(bins, -15.0, 15.0)
-            g = metric_pullback(m, theta, gns_kind())
+            g = metric_pullback(m, theta, ONE)
             errs.append(float(np.max(np.abs(g - oracle) / denom)))
         assert errs[1] < errs[0]
         assert errs[1] < 0.01
@@ -412,8 +425,8 @@ class TestMetricPullback:
             (simplex_model(2), np.array([0.4, 0.25])),
             (qubit_faithful_model(), np.array([0.5, 1.2, 0.7])),
         ]:
-            g_fd = metric_pullback(finite_difference(model_an), theta, gns_kind())
-            g_an = metric_pullback(model_an, theta, gns_kind())
+            g_fd = metric_pullback(finite_difference(model_an), theta, ONE)
+            g_an = metric_pullback(model_an, theta, ONE)
             assert np.max(np.abs(g_fd - g_an)) < 1e-6
 
     def test_fd_without_room_names_the_given_point(self):
@@ -480,6 +493,18 @@ class TestCongruenceInvariance:
             m, emb, [np.array([0.1, 1.2])], tol=1e-9
         )
         assert rep["max_metric_deviation"] < 1e-9
+
+    @pytest.mark.parametrize("kind", kind_catalog(), ids=lambda k: k.name)
+    def test_refinement_keeps_a_faithful_model_faithful(self, kind):
+        # the smallest bin is 1.8e-8 of the largest, and a 0.999 / 0.001 split
+        # of every bin puts the smallest cell at 1.8e-11 of the largest: a
+        # cutoff against the largest eigenvalue of the whole state read the
+        # refined state as rank deficient and refused every Petz kind
+        m = gaussian_model(208, -6.0, 6.0)
+        emb = congruent_embedding(np.repeat(np.arange(208), 2), np.tile([0.999, 0.001], 208))
+        assert is_faithful(embedded_model(m, emb).state_at([0.0, 1.0]))
+        rep = congruence_invariance_check(m, emb, [[0.0, 1.0]], kind)
+        assert rep["passed"] and rep["max_metric_deviation"] <= 1e-9
 
     def test_k_axis_16384_bins(self):
         # 16384 points refined into about 32,800 cells: a dense action would

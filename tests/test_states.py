@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_loops as ref
 from conftest import PAULI_Z, STANDARD_SHAPES, random_element
 from ncplab.algebra import adjoint, basis, hs_norm, identity, mk_element, mk_shape, multiply
+from ncplab.channels import congruent_embedding, predual
+from ncplab.gns import build_gns
 from ncplab.states import (
     StateValidationError,
     evaluate,
@@ -184,3 +188,34 @@ class TestRandomStates:
         rho = random_tracial_state(mk_shape([2, 3]), seed=1)
         assert ref.is_tracial(rho, 1e-10)
         assert is_faithful(rho)
+
+
+class TestSupportRuleUnderRefinement:
+    """A congruent embedding splits each 1x1 block into cells; the support
+    rule, each block against its own largest eigenvalue, must not notice."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.floats(-14.0, 0.0), min_size=1, max_size=40),
+        st.floats(0.0, 2.0),
+        st.integers(0, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_faithfulness_and_gns_dim_are_unchanged(self, exponents, extra, zeros, seed):
+        # probabilities spanning at least 12 decades, the first ``zeros`` of
+        # the free ones exact zeros
+        p = 10.0 ** np.array([0.0, -12.0 - extra, *exponents])
+        p[2 : 2 + zeros] = 0.0
+        p /= p.sum()
+        rng = np.random.default_rng(seed)
+        sizes = rng.integers(1, 4, size=p.size)
+        partition = np.repeat(np.arange(p.size), sizes)
+        # per-fiber weights down to 1e-6 of each other
+        w = 10.0 ** rng.uniform(-6.0, 0.0, size=partition.size)
+        w /= np.bincount(partition, weights=w)[partition]
+        base = mk_state(mk_shape([1] * p.size), [np.array([[x]]) for x in p])
+        refined = predual(congruent_embedding(partition, w), base)
+        assert is_faithful(base) == is_faithful(refined) == bool(np.all(p > 0.0))
+        # every bin kept in the base keeps all of its cells
+        assert build_gns(base.shape, base).dim == np.count_nonzero(p)
+        assert build_gns(refined.shape, refined).dim == np.count_nonzero(p[partition])
