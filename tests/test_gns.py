@@ -290,7 +290,7 @@ class TestInducedContraction:
         # against the whole state's largest eigenvalue dropped the block, GNS
         # dimension 4); the contraction stays one of norm 1 + O(eps).
         shape = mk_shape([2, 2])
-        r = np.linalg.qr(random_unitary(4, np.random.default_rng(0)))[0]
+        r = random_unitary(4, np.random.default_rng(0))
         kraus = []
         for rows in (slice(0, 2), slice(2, 4)):
             p = np.zeros((4, 4), dtype=complex)
