@@ -434,9 +434,9 @@ def mk_morphism(
 ) -> NcpMorphism:
     """Verified morphism (A, rho) -> (B, sigma) carried by phi: B -> A.
 
-    Checks unitality, complete positivity, and state preservation
-    rho o phi = sigma on the full source basis; the error message carries the
-    worst deviation.
+    Checks unitality, complete positivity, and rho o phi = sigma on the full
+    source basis, per block of B within ``tol`` times sigma's largest
+    eigenvalue there (the support rule's scale); errors name the first block.
     """
     shape_a, rho = source_obj
     shape_b, sigma = target_obj
@@ -454,14 +454,14 @@ def mk_morphism(
             f"carrier map is not completely positive (min Choi eigenvalue {min_eig:.3e} "
             f"in the block of source block {pair[0]} and target block {pair[1]})"
         )
-    worst = 0.0
-    for b in basis(shape_b):
-        dev = abs(evaluate(rho, apply(phi, b)) - evaluate(sigma, b))
-        worst = max(worst, dev)
-    if worst > tol:
+    dev = [abs(evaluate(rho, apply(phi, b)) - evaluate(sigma, b)) for b in basis(shape_b)]
+    dev = np.maximum.reduceat(dev, shape_b.block_offsets()[:-1])
+    scale = np.array([w[-1] for w in sigma.block_eigenvalues()])
+    k = int(np.argmax(~(dev <= tol * scale)))
+    if not dev[k] <= tol * scale[k]:
         raise MorphismValidationError(
-            f"state preservation fails: max |rho(phi(b)) - sigma(b)| = {worst:.3e} "
-            f"> {tol:.1e}"
+            f"state preservation fails in block {k}: max |rho(phi(b)) - sigma(b)| = {dev[k]:.3e} "
+            f"> {tol:.1e} times sigma's largest eigenvalue there, {scale[k]:.3e}"
         )
     return NcpMorphism((shape_a, rho), (shape_b, sigma), phi)
 

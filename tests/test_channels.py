@@ -237,6 +237,22 @@ class TestMorphisms:
             mk_morphism((S2, rho), (S2, rho), phi)
         assert "preservation" in str(err.value)
 
+    def test_preservation_is_checked_per_block_relative_to_sigma(self):
+        # twelve decades of tails, each bin split 0.999 : 0.001; the pushed
+        # state is verified, and a relative error of 1e-6 in the smallest
+        # bin (1e-22 absolute) is rejected in that block
+        p = 10.0 ** -np.arange(13.0)
+        rho = mk_state(mk_shape([1] * 13), list((p / p.sum()).reshape(-1, 1, 1)))
+        emb = congruent_embedding(np.repeat(np.arange(13), 2), np.tile([0.999, 0.001], 13))
+        sigma = predual(emb, rho)
+        mk_morphism((rho.shape, rho), (sigma.shape, sigma), emb)
+        q = sigma.vec.real.copy()
+        q[0] += 1e-6 * q[-1]
+        q[-1] -= 1e-6 * q[-1]
+        off = mk_state(sigma.shape, list(q.reshape(-1, 1, 1)))
+        with pytest.raises(MorphismValidationError, match="in block 25: .* times sigma's largest eigenvalue there"):
+            mk_morphism((rho.shape, rho), (off.shape, off), emb)
+
     def test_non_cp_rejected(self):
         rho = mk_state(S2, [np.diag([0.75, 0.25])])
         with pytest.raises(MorphismValidationError) as err:

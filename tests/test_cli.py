@@ -205,6 +205,27 @@ class TestMonotonicity:
             "the states cannot do this, so check rho o phi = sigma"
         )
 
+    @pytest.mark.parametrize("tail", [0.0, 1e-18])
+    def test_sub_tolerance_tail_mismatch_is_input_error(self, tmp_path, tail):
+        # rho = (1 - 1e-12, 1e-12) and sigma = (1 - tail, tail) on two bins
+        # differ by 1e-12, far below the tolerance in absolute terms, but
+        # the second bin of sigma is empty or 1e6 times smaller: the support
+        # rule keeps every nonzero bin, so the GNS verdict would rest on the
+        # mismatch (a quotient leak of 1e-6, or a norm of 1e6)
+        shape = mk_shape([1, 1])
+        payload = {
+            "source": state_to_json(mk_state(shape, [np.array([[1.0 - 1e-12]]), np.array([[1e-12]])])),
+            "target": state_to_json(mk_state(shape, [np.array([[1.0 - tail]]), np.array([[tail]])])),
+            "cpu": cpumap_to_json(identity_map(shape)),
+        }
+        path = write_json(tmp_path, "m.json", payload)
+        code, rep = run_cli(["monotonicity", "--kind", "gns", "--morphism", path], tmp_path)
+        assert code == 2
+        assert rep["error"] == (
+            "state preservation fails in block 1: max |rho(phi(b)) - sigma(b)| = 1.000e-12 "
+            f"> 1.0e-09 times sigma's largest eigenvalue there, {tail:.3e}"
+        )
+
     def test_unverified_morphism_is_input_error(self, tmp_path, transpose_morphism_file):
         code, rep = run_cli(
             ["monotonicity", "--kind", "gns", "--morphism", transpose_morphism_file],
