@@ -183,8 +183,7 @@ def block_form(kind: OperatorMonotoneFunction, space: GnsSpace, k: int) -> np.nd
         for f in forms:
             f.flags.writeable = False
         space._forms[kind] = forms
-    g, j = space._where[k]
-    return forms[g][j]
+    return forms[space._group_of[k]][space._slot_of[k]]
 
 
 def covariance_gram(kind: OperatorMonotoneFunction, space: GnsSpace) -> CovarianceGram:
@@ -195,8 +194,8 @@ def covariance_gram(kind: OperatorMonotoneFunction, space: GnsSpace) -> Covarian
     """
     _require_faithful(kind, space.state)
     gram = np.zeros((space.dim, space.dim), dtype=complex)
-    for g in space._groups:
-        u, f, at = g.u, _kernel(kind, g), g.at[:, :, : g.rank].swapaxes(1, 2)  # [j, q, i]
+    for g, at in zip(space._groups, space._layout.at):
+        u, f, at = g.u, _kernel(kind, g), at[:, :, : g.rank].swapaxes(1, 2)  # [j, q, i]
         dev = (f[:, :, : g.rank] - 1.0).swapaxes(1, 2)  # (m, r, n): kept q, all a
         blk = (u[:, None] * dev[:, :, None, :]) @ u.conj().swapaxes(-1, -2)[:, None]
         blk = (blk + blk.conj().swapaxes(-1, -2)) / 2.0 + np.eye(g.n)
@@ -209,8 +208,8 @@ def _whiten(kind: OperatorMonotoneFunction, space: GnsSpace, x: np.ndarray, powe
     whitening Z of the kind's pairing, <y, y> = |Z y|^2: column q of a block's
     coordinate matrix y goes to w_q * (U^dag y_q), w_qa = sqrt(f(d_a / d_q))."""
     out = np.empty(x.shape, dtype=complex)
-    for g in space._groups:
-        u, f, at = g.u, _kernel(kind, g), g.at[:, :, : g.rank].swapaxes(1, 2)  # [j, q, i]
+    for g, at in zip(space._groups, space._layout.at):
+        u, f, at = g.u, _kernel(kind, g), at[:, :, : g.rank].swapaxes(1, 2)  # [j, q, i]
         w = np.sqrt(f[:, :, : g.rank]).swapaxes(1, 2)[..., None]  # (m, r, n, 1)
         z = w**power * u.conj().swapaxes(1, 2)[:, None]
         out[at] = (z.conj().swapaxes(-1, -2) if adjoint else z) @ x[at]

@@ -17,10 +17,17 @@ time.  Coordinates are rescaled to be orthonormal, ordered by descending Gram
 eigenvalue (ties broken by block and position), and eigenvector phases are
 fixed so the first nonzero component is real positive.  The coordinate order
 does not depend on how blocks are grouped, and the result is reproducible run
-to run.  It is laid out once, here: each group holds the place of each of its
-entries (block, row, eigenvector), the GNS coordinate of a kept one and a
-place after the ``dim`` coordinates for a dropped one, and every producer of
-coordinates writes its values straight into those places.
+to run.
+
+A space is built in two parts.  The rank groups, ``dim`` and the map from
+blocks to groups are built with it, because every verdict reads them.  The
+coordinate layout is placed by :class:`GnsSpace` alone, once, on first read:
+the place of each entry (block, row, eigenvector) of each group, the GNS
+coordinate of a kept one and a place after the ``dim`` coordinates for a
+dropped one, with the class of the unit and the sorted Gram eigenvalues.
+Every producer of coordinates writes its values straight into those places.
+A metric pullback reads only the groups and their forms, so it never places
+a layout.
 
 Nothing dense is built between two algebras.  A morphism (A, rho) ->
 (B, sigma) carried by phi: B -> A, with coordinate matrix L, induces the
@@ -42,7 +49,8 @@ its operator norm is certified by one Cholesky factorization
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,9 +76,7 @@ class _RankGroup:
     ``index`` holds the block numbers and ``pos`` the coordinates of their
     entries (m, n, n); ``d`` (m, n) the eigenvalues, descending, and ``u``
     (m, n, n) the matching phase-fixed eigenvectors, the first ``rank`` of
-    each kept.  ``at`` (m, n, n) is the place of entry (block j, row i,
-    eigenvector c): its GNS coordinate when c is kept, else a place after the
-    ``dim`` coordinates, the dropped entries numbered group by group.
+    each kept.
     """
 
     n: int
@@ -79,11 +85,27 @@ class _RankGroup:
     pos: np.ndarray
     d: np.ndarray
     u: np.ndarray
-    at: np.ndarray
+
+
+class _Layout(NamedTuple):
+    """Where a space's coordinates go.  ``at[g]`` (m, n, n) is the place of
+    entry (block j, row i, eigenvector c) of rank group g: its GNS coordinate
+    when c is kept, else a place after the ``dim`` coordinates, the dropped
+    entries numbered group by group.  ``cyclic`` is the class of the unit and
+    ``eigs`` the kept Gram eigenvalues, both in coordinate order."""
+
+    at: tuple[np.ndarray, ...]
+    cyclic: np.ndarray
+    eigs: np.ndarray
 
 
 class GnsSpace:
     """Orthonormalized quotient of an algebra by the Gelfand ideal of a state.
+
+    Building one keeps what every verdict reads: the rank groups and the map
+    from blocks to them.  The coordinate layout (:class:`_Layout`) is placed
+    by the space itself, once, on first read, so a metric pullback, which
+    reads only the groups and their forms, never places it.
 
     Attributes
     ----------
@@ -100,51 +122,61 @@ class GnsSpace:
             raise InputError(f"support tolerance must be in [0, 1), got {tol}")
         self.shape = shape
         self.state = state
-
-        # Coordinate order: descending eigenvalue, then block, row, eigenvalue
-        # rank.  One lexsort orders the kept entries, listed group by group
-        # with (block j, row i, kept c) c fastest; its inverse places them.
-        parts = []  # (n, rank, index, pos, d, u) of each rank group
-        keys = []  # (rank, row, block, eigenvalue) of each kept entry
+        self._groups: list[_RankGroup] = []
+        # block k is self._groups[g].index[j] for g, j = _group_of[k], _slot_of[k]
+        group_of = np.empty(shape.num_blocks, dtype=int)
+        slot_of = np.empty(shape.num_blocks, dtype=int)
+        self.dim = 0
         for s in state.spectrum.stacks:
             w = s.eigvals[:, ::-1]
             v = _phase_fix(s.eigvecs[:, :, ::-1])
             ranks = np.sum(_in_support(w, tol), axis=1)  # w descends, so kept ones lead
-            for r in np.unique(ranks).tolist():
+            for r in np.flatnonzero(np.bincount(ranks)).tolist():  # the ranks present, ascending
                 sel = np.flatnonzero(ranks == r)
-                index, d = s.index[sel], w[sel]
-                parts.append((s.n, r, index, s.pos[sel], d, v[sel]))
-                j, i, c = np.indices((sel.size, s.n, r)).reshape(3, -1)
-                keys.append((c, i, index[j], d[j, c]))
+                index = s.index[sel]
+                group_of[index], slot_of[index] = len(self._groups), np.arange(sel.size)
+                self._groups.append(_RankGroup(s.n, r, index, s.pos[sel], w[sel], v[sel]))
+                self.dim += sel.size * s.n * r
+        # Python ints: block_form reads one pair per block
+        self._group_of, self._slot_of = group_of.tolist(), slot_of.tolist()
+        #: per-kind block forms of each group, filled by covariance.block_form
+        self._forms: dict = {}
+
+    @cached_property
+    def _layout(self) -> _Layout:
+        """Coordinate order: descending eigenvalue, then block, row, eigenvalue
+        rank.  One lexsort orders the kept entries, listed group by group
+        with (block j, row i, kept c) c fastest; its inverse places them."""
+        keys = []  # (rank, row, block, eigenvalue) of each kept entry
+        for g in self._groups:
+            j, i, c = np.indices((g.index.size, g.n, g.rank)).reshape(3, -1)
+            keys.append((c, i, g.index[j], g.d[j, c]))
         *order_keys, eigs = map(np.concatenate, zip(*keys))
         order = np.lexsort((*order_keys, -eigs))
-        self.dim = int(eigs.size)
-        self._sorted_eigs = eigs[order]
         place = np.empty_like(order)
         place[order] = np.arange(self.dim)
-        self._groups: list[_RankGroup] = []
-        # block k is self._groups[g].index[j] for (g, j) = where[k]
-        where = np.empty((shape.num_blocks, 2), dtype=int)
+        ats = []
         # [1] in closed form: embed's (1 @ v) * sqrt(w) without building the unit
-        self.cyclic = np.empty(self.dim, dtype=complex)
+        cyclic = np.empty(self.dim, dtype=complex)
         kept, dropped = 0, self.dim
-        for n, r, index, pos, d, u in parts:
-            m = index.size
+        for g in self._groups:
+            m, n, r = g.index.size, g.n, g.rank
             at = np.empty((m, n, n), dtype=place.dtype)
             at[:, :, :r] = place[kept : kept + m * n * r].reshape(m, n, r)
             at[:, :, r:] = np.arange(dropped, dropped + m * n * (n - r)).reshape(m, n, n - r)
             kept, dropped = kept + m * n * r, dropped + m * n * (n - r)
-            where[index, 0], where[index, 1] = len(self._groups), np.arange(m)
-            self._groups.append(_RankGroup(n, r, index, pos, d, u, at))
-            self.cyclic[at[:, :, :r]] = _iso(self._groups[-1])
-        self._where = where.tolist()  # Python ints: block_form reads one per block
-        #: per-kind block forms of each group, filled by covariance.block_form
-        self._forms: dict = {}
+            ats.append(at)
+            cyclic[at[:, :, :r]] = _iso(g)
+        return _Layout(tuple(ats), cyclic, eigs[order])
+
+    @property
+    def cyclic(self) -> np.ndarray:
+        return self._layout.cyclic
 
     @property
     def gram_eigenvalues(self) -> np.ndarray:
         """Kept Gram eigenvalues in coordinate order (descending)."""
-        return self._sorted_eigs.copy()
+        return self._layout.eigs.copy()
 
 
 def build_gns(shape: AlgebraShape, state: NormalState, tol: float = SUPPORT_RTOL) -> GnsSpace:
@@ -174,9 +206,9 @@ def _transform(space: GnsSpace, x: np.ndarray, mats) -> np.ndarray:
     # the products first: the output, allocated after them, then sits above
     # them on the heap, and freeing them does not trim it (no page faults)
     done = []
-    for g in space._groups:
+    for g, at in zip(space._groups, space._layout.at):
         k = mats(g)
-        done.append((g.at[:, :, : k.shape[2]], k.swapaxes(1, 2)[:, None] @ x[g.pos]))
+        done.append((at[:, :, : k.shape[2]], k.swapaxes(1, 2)[:, None] @ x[g.pos]))
     out = np.empty((sum(at.size for at, _ in done), x.shape[1]), dtype=complex)
     for at, t in done:
         out[at] = t
@@ -213,9 +245,9 @@ def embed(space: GnsSpace, a: AlgebraElement) -> np.ndarray:
     if a.shape != space.shape:
         raise ShapeError(f"element shape {a.shape} != space shape {space.shape}")
     out = np.empty(space.dim, dtype=complex)
-    for g in space._groups:
+    for g, at in zip(space._groups, space._layout.at):
         r = g.rank
-        out[g.at[:, :, :r]] = (a.vec[g.pos] @ g.u[:, :, :r]) * np.sqrt(g.d[:, None, :r])
+        out[at[:, :, :r]] = (a.vec[g.pos] @ g.u[:, :, :r]) * np.sqrt(g.d[:, None, :r])
     return out
 
 
@@ -267,8 +299,9 @@ def induced_contraction(
     worst = float(leaks.max(initial=0.0))
     if not worst <= WELL_DEFINED_TOL:
         place = space_sigma.dim + int(np.argmax(leaks))
-        g = next(g for g in space_sigma._groups if place in g.at)
-        j, i, c = np.argwhere(g.at == place)[0]
+        groups = zip(space_sigma._groups, space_sigma._layout.at)
+        g, at = next((g, at) for g, at in groups if place in at)
+        j, i, c = np.argwhere(at == place)[0]
         raise GnsQuotientError(
             f"the sigma-null element of block {g.index[j]}, row {i}, dropped eigenvector {c} (eigenvalue "
             f"{g.d[j, c]:.3e}) maps outside the rho-null space with norm {worst:.3e} > {WELL_DEFINED_TOL:.0e}; "

@@ -502,7 +502,7 @@ def _riesz_solve(model: StatModel, theta, kind: OperatorMonotoneFunction):
     t_scale = 1.0
     for stack in state.spectrum.stacks:
         m, n2 = stack.index.size, stack.n * stack.n
-        b = np.array([block_form(kind, space, k) for k in stack.index.tolist()])
+        b = np.concatenate([block_form(kind, space, k) for k in stack.index.tolist()]).reshape(m, n2, n2)
         h = np.column_stack([x.ravel() for x in hermitian_matrix_basis(stack.n)])
         a = (h.conj().T @ b @ h).real
         d = derivs[stack.pos.reshape(m, n2)]

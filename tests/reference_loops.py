@@ -18,7 +18,9 @@ sweep over all pairs of basis elements, the bin-overlap Markov matrix of an
 affine map with its boundary bookkeeping and as a dense CDF difference, the
 trace-map Kraus operators
 appended one matrix unit at a time, and the stochastic matrices of a
-congruent embedding and its left inverse filled one cell at a time.
+congruent embedding and its left inverse filled one cell at a time.  And
+the GNS coordinate layout built eagerly, in one pass with the rank groups,
+as the space did before it placed the layout on first read.
 
 The last section holds small oracles that the package no longer offers: the
 pre-inner product rho(a^dag b), the trace, a blockwise positivity test, the
@@ -216,6 +218,43 @@ class RefGnsSpace:
         """element_dim x (element_dim - dim): the null elements' coordinates, one per column."""
         cols = [x.vec for x in self.null_elements()]
         return np.column_stack(cols) if cols else np.zeros((self.shape.element_dim, 0), complex)
+
+
+def eager_gns_layout(shape, state, tol=SUPPORT_RTOL):
+    """The GNS coordinate layout as the space once built it, in the same pass
+    as its rank groups: (groups, cyclic, gram_eigenvalues), each group
+    (n, rank, block numbers, places ``at`` (m, n, n)).  One lexsort orders
+    the kept entries (descending eigenvalue, then block, row, eigenvalue
+    rank), its inverse places them, and the dropped entries follow the
+    ``dim`` coordinates, numbered group by group."""
+    parts, keys = [], []
+    for s in state.spectrum.stacks:
+        w = s.eigvals[:, ::-1]
+        v = algebra._phase_fix(s.eigvecs[:, :, ::-1])
+        ranks = np.sum(states._in_support(w, tol), axis=1)
+        for r in np.unique(ranks).tolist():
+            sel = np.flatnonzero(ranks == r)
+            index, d = s.index[sel], w[sel]
+            parts.append((s.n, r, index, d, v[sel]))
+            j, i, c = np.indices((sel.size, s.n, r)).reshape(3, -1)
+            keys.append((c, i, index[j], d[j, c]))
+    *order_keys, eigs = map(np.concatenate, zip(*keys))
+    order = np.lexsort((*order_keys, -eigs))
+    dim = int(eigs.size)
+    place = np.empty_like(order)
+    place[order] = np.arange(dim)
+    groups = []
+    cyclic = np.empty(dim, dtype=complex)
+    kept, dropped = 0, dim
+    for n, r, index, d, u in parts:
+        m = index.size
+        at = np.empty((m, n, n), dtype=place.dtype)
+        at[:, :, :r] = place[kept: kept + m * n * r].reshape(m, n, r)
+        at[:, :, r:] = np.arange(dropped, dropped + m * n * (n - r)).reshape(m, n, n - r)
+        kept, dropped = kept + m * n * r, dropped + m * n * (n - r)
+        groups.append((n, r, index, at))
+        cyclic[at[:, :, :r]] = u[:, :, :r] * np.sqrt(d[:, None, :r])
+    return groups, cyclic, eigs[order]
 
 
 def induced_contraction(morphism, space_sigma, space_rho, tol=1e-8):
