@@ -280,7 +280,9 @@ MASS_LEAK_TOL = 1e-6
 def gaussian_model(n_bins: int, x_min: float, x_max: float) -> StatModel:
     """Normal densities binned on a uniform grid, parameters (mu, sigma).
 
-    Bin masses are exact CDF differences, renormalized; the chart requires at
+    Bin masses are exact differences of the CDF left of the mean and of the
+    survival function right of it, so neither tail rounds to zero, and they
+    are renormalized; the chart requires at
     least 1 - 1e-6 of the mass inside [x_min, x_max].  Interior points have
     mu near the centre of the range and sigma near a twentieth of its width.
     ``n_bins`` runs from 2 to ``MAX_OUTCOMES``.
@@ -313,8 +315,13 @@ def gaussian_model(n_bins: int, x_min: float, x_max: float) -> StatModel:
         )
 
     def raw_probs(theta):
+        # right of the mean the CDF rounds to 1, which would zero every bin
+        # past about 8.3 sigma; there the survival function ndtr(-z) keeps
+        # the tail, and the bin that straddles the mean takes the CDF
         mu, sig = theta
-        return np.diff(ndtr((edges - mu) / sig))
+        z = (edges - mu) / sig
+        k = int(np.searchsorted(z, 0.0))  # edges from k on lie at or right of the mean
+        return np.concatenate([np.diff(ndtr(z[: k + 1])), -np.diff(ndtr(-z[k:]))])
 
     def state_fn(theta):
         p = raw_probs(theta)

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import reference_loops as ref
 from conftest import PAULI_Z
@@ -155,6 +156,23 @@ class TestGaussianModel:
         with pytest.raises(ModelDomainError) as err:
             m.state_at([0.0, 2.0])
         assert "leak" in str(err.value)
+
+    def test_right_tail_keeps_its_mass(self):
+        # as CDF differences every bin past about 8.3 sigma right of the mean
+        # rounded to exactly 0, though the left tail kept masses near 1e-43
+        m = gaussian_model(4096, -20.0, 20.0)
+        theta = [0.3, 1.5]
+        state = m.state_at(theta)
+        assert is_faithful(state) and float(state.vec.real.min()) > 0.0
+        g_gns, g_sld = metric_pullback(m, theta), metric_pullback(m, theta, SLD)
+        assert np.max(np.abs(g_sld - g_gns)) <= 1e-12 * np.max(np.abs(g_gns))
+
+    def test_bulk_masses_are_cdf_differences(self):
+        edges = np.linspace(-6.0, 6.0, 49)
+        p = gaussian_model(48, -6.0, 6.0).state_at([0.4, 1.0]).vec.real
+        q = np.diff(ndtr(edges - 0.4))
+        bulk = q > 1e-3  # where the CDF difference loses no digits to rounding
+        assert np.allclose(p[bulk], (q / q.sum())[bulk], rtol=1e-12, atol=0.0)
 
     def test_derivatives_sum_to_zero(self):
         m = gaussian_model(64, -10.0, 10.0)
