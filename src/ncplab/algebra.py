@@ -75,8 +75,9 @@ class ShapeError(InputError):
 class AlgebraShape:
     """Block dimensions (n_1, ..., n_K) of a direct sum of matrix algebras.
 
-    The index maps between coordinates and blocks are computed on first use
-    and cached as read-only integer arrays.
+    The sizes (``element_dim``, ``total_dim``, ``is_abelian``) and the index
+    maps between coordinates and blocks are computed on first use and cached,
+    the maps as read-only integer arrays.
     """
 
     blocks: tuple[int, ...]
@@ -102,17 +103,17 @@ class AlgebraShape:
     def num_blocks(self) -> int:
         return len(self.blocks)
 
-    @property
+    @cached_property
     def element_dim(self) -> int:
         """Complex dimension of the algebra: sum of n_k**2."""
         return sum(n * n for n in self.blocks)
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
         """Size of the enveloping full matrix algebra: sum of n_k."""
         return sum(self.blocks)
 
-    @property
+    @cached_property
     def is_abelian(self) -> bool:
         return all(n == 1 for n in self.blocks)
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_loops as ref
 from conftest import PAULI_X, PAULI_Y, PAULI_Z, STANDARD_SHAPES, random_element
@@ -63,6 +65,18 @@ class TestShape:
         s = mk_shape(dims)
         assert s.blocks == (1,) * 6143 + (2,)
         assert all(type(n) is int for n in s.blocks)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=40), st.booleans())
+def test_shape_sizes_are_the_sums(dims, numpy_ints):
+    s = mk_shape([np.int64(n) for n in dims] if numpy_ints else dims)
+    for _ in range(2):  # the first read computes, the second reads the cache
+        assert s.element_dim == sum(n * n for n in dims) and type(s.element_dim) is int
+        assert s.total_dim == sum(dims) and type(s.total_dim) is int
+        assert s.is_abelian is all(n == 1 for n in dims)
+    # a shape that has computed its sizes still equals and hashes as a fresh one
+    assert s == mk_shape(dims) and hash(s) == hash(mk_shape(dims))
 
 
 class TestElementOps:
