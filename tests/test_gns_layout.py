@@ -24,7 +24,7 @@ from ncplab.models import (
     riesz_score,
     simplex_model,
 )
-from ncplab.states import mk_state, random_state
+from ncplab.states import mk_state
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
 
@@ -163,10 +163,3 @@ def test_placed_layout_equals_the_eager_one(state, tol):
     assert space.cyclic.tobytes() == cyclic.tobytes()
     assert space.gram_eigenvalues.tobytes() == eigs.tobytes()
 
-
-def test_placed_layout_equals_the_eager_one_on_a_faithful_qubit():
-    rho = random_state(mk_shape([2]), faithful=True, seed=3)
-    space = build_gns(rho.shape, rho)
-    _, cyclic, eigs = ref.eager_gns_layout(rho.shape, rho)
-    assert space.cyclic.tobytes() == cyclic.tobytes()
-    assert space.gram_eigenvalues.tobytes() == eigs.tobytes()
