@@ -281,10 +281,10 @@ def gaussian_model(n_bins: int, x_min: float, x_max: float) -> StatModel:
     """Normal densities binned on a uniform grid, parameters (mu, sigma).
 
     Bin masses are exact differences of the CDF left of the mean and of the
-    survival function right of it, so neither tail rounds to zero, and they
-    are renormalized; the chart requires at
-    least 1 - 1e-6 of the mass inside [x_min, x_max].  Interior points have
-    mu near the centre of the range and sigma near a twentieth of its width.
+    survival function right of it, so neither tail rounds to zero,
+    renormalized; the chart requires at least 1 - 1e-6 of the mass inside
+    [x_min, x_max].  Interior points have mu near the centre of the range
+    and sigma near a twentieth of its width.
     ``n_bins`` runs from 2 to ``MAX_OUTCOMES``.
     """
     if n_bins < 2:

@@ -1,7 +1,7 @@
 """Import-time cost: ``import ncplab`` and ``import ncplab.cli`` load only
 what every command needs.  scipy.sparse (about 15 ms and 1.6 MB) is
 imported where a Markov map is built, on the first such map; scipy.linalg
-(40-55 ms and about 6 MB of peak resident memory) is not imported by the
+(36-53 ms and about 6.3 MB of peak resident memory) is not imported by the
 package at all, not even by a verdict."""
 
 import os
