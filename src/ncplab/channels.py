@@ -159,10 +159,20 @@ def _frozen_action(a):
 
 
 def apply(phi: CpuMap, b: AlgebraElement) -> AlgebraElement:
-    """Evaluate phi on an element of its source algebra."""
+    """Evaluate phi on an element of its source algebra.
+
+    A dense action is read only in the columns of b's nonzero coordinates,
+    gathered and multiplied by those coordinates: a matrix unit costs one
+    column, O(target element_dim), and the zero element gives exact zeros.
+    A dense element pays one gather of the whole action on top of the
+    product.  A CSR action is multiplied as stored, without a copy."""
     if b.shape != phi.source_shape:
         raise ShapeError(f"element shape {b.shape} != map source {phi.source_shape}")
-    return _from_vec(phi.target_shape, _matmul(phi.linear_action, b.vec))
+    a = phi.linear_action
+    if isinstance(a, np.ndarray):
+        nz = b.vec.nonzero()[0]
+        return _from_vec(phi.target_shape, _matmul(a.take(nz, axis=1), b.vec.take(nz)))
+    return _from_vec(phi.target_shape, _matmul(a, b.vec))
 
 
 def from_linear(src: AlgebraShape, dst: AlgebraShape, matrix) -> CpuMap:

@@ -13,7 +13,9 @@ action one source basis element at a time, the dense (N_B N_A)^2 Choi
 matrix and its single eigensolve, the monotonicity samples one vector at a
 time, and evaluation, the predual, the blockwise transpose, the
 block-diagonal embedding and the bases one block (or one basis element of K
-zero matrices) at a time.  Also the traciality
+zero matrices) at a time.  A map is applied as the full dense product of
+its action with the element's coordinates, so the reference Choi matrix and
+contraction never run through ``channels.apply``.  Also the traciality
 sweep over all pairs of basis elements, the bin-overlap Markov matrix of an
 affine map with its boundary bookkeeping and as a dense CDF difference, the
 trace-map Kraus operators
@@ -35,7 +37,6 @@ import scipy.linalg
 
 from ncplab import algebra, covariance, states
 from ncplab.algebra import _wrap, hermitian_matrix_basis
-from ncplab.channels import apply
 from ncplab.gns import GnsQuotientError, build_gns, embed
 
 SUPPORT_RTOL = 1e-9
@@ -86,6 +87,14 @@ def transpose_action(shape):
 def evaluate(densities, blocks):
     """sum_k Tr(D_k a_k), one block at a time."""
     return complex(sum(np.trace(d @ x) for d, x in zip(densities, blocks)))
+
+
+def apply(phi, b):
+    """phi(b) as the dense product of the whole action with b's coordinates,
+    a CSR action made dense first."""
+    action = phi.linear_action
+    action = action if isinstance(action, np.ndarray) else action.toarray()
+    return algebra._from_vec(phi.target_shape, action @ b.vec)
 
 
 def predual_apply(phi, density_blocks):

@@ -467,9 +467,16 @@ def random_map(blocks_src, blocks_dst, seed, family):
 class TestChoiBlocksAgainstDense:
     @SETTINGS
     @given(choi_shapes, choi_shapes, seeds, st.sampled_from([0.0, 0.1, "transpose", "linear"]))
+    @example([2, 3], [2, 1], 5, 0.0)
+    @example([12, 4], [12, 4], 6, 0.0)
     def test_blocks_match_dense(self, blocks_src, blocks_dst, seed, family):
         phi = random_map(blocks_src, blocks_dst, seed, family)
         src, dst = phi.source_shape, phi.target_shape
+        # the blocks are the action read at the layout's places
+        flat = phi.linear_action.ravel()
+        for cls, (pairs, at) in zip(channels.choi(phi), channels._choi_layout(src, dst)):
+            assert np.array_equal(cls.pairs, pairs)
+            assert np.array_equal(cls.blocks, flat[at] / src.total_dim)
         dense = ref.choi(phi)
         scale = max(1.0, abs(float(np.trace(dense).real)))
         # rows (i, a) of the dense matrix, by source block of i and target block of a

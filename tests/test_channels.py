@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     PAULI_X,
@@ -623,3 +625,38 @@ class TestRandomChannelProperties:
             lhs = evaluate(rho, multiply(adjoint(apply(phi, b)), apply(phi, b))).real
             rhs = evaluate(rho, apply(phi, multiply(adjoint(b), b))).real
             assert lhs <= rhs + 1e-9
+
+
+def _random_stochastic(m: int, n: int, rng) -> np.ndarray:
+    """An m x n column-stochastic matrix with about half its entries 0."""
+    S = rng.random((m, n)) * (rng.random((m, n)) < 0.5)
+    S[rng.integers(m, size=n), np.arange(n)] += 0.1
+    return S / S.sum(axis=0)
+
+
+class TestApplyAgainstDenseProduct:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        st.integers(0, 2**16),
+        st.booleans(),
+    )
+    def test_matches_dense_product(self, blocks_src, blocks_dst, seed, markov):
+        rng = np.random.default_rng(seed)
+        if markov:
+            phi = markov_from_stochastic(_random_stochastic(sum(blocks_dst), sum(blocks_src), rng))
+            action = phi.linear_action.toarray()
+        else:
+            phi = random_cpu_map(mk_shape(blocks_src), mk_shape(blocks_dst), seed=seed)
+            action = phi.linear_action
+        shape = phi.source_shape
+        zero = apply(phi, mk_element(shape, [np.zeros((n, n)) for n in shape.blocks]))
+        assert zero.vec.shape == (action.shape[0],) and not zero.vec.any()
+        # a matrix unit reads exactly one column of the action
+        q = seed % shape.element_dim
+        assert np.array_equal(apply(phi, basis(shape)[q]).vec, action[:, q])
+        for b in (identity(shape), random_element(shape, rng)):
+            dense = action @ b.vec
+            out = apply(phi, b).vec
+            assert np.max(np.abs(out - dense)) <= 1e-14 * max(1.0, np.max(np.abs(dense)))
