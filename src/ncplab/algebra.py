@@ -289,31 +289,6 @@ def basis(shape: AlgebraShape) -> list[AlgebraElement]:
     return [_from_vec(shape, e) for e in np.eye(shape.element_dim, dtype=complex)]
 
 
-def hermitian_matrix_basis(n: int) -> list[np.ndarray]:
-    """Real basis of the Hermitian n x n matrices, HS-orthonormal.
-
-    Order: diagonal units E_aa, then for each a<b the symmetric and
-    antisymmetric combinations (E_ab + E_ba)/sqrt(2), i(E_ba - E_ab)/sqrt(2).
-    """
-    out = []
-    for a in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        m[a, a] = 1.0
-        out.append(m)
-    s = 1.0 / np.sqrt(2.0)
-    for a in range(n):
-        for b in range(a + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[a, b] = s
-            m[b, a] = s
-            out.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[a, b] = -1j * s
-            m[b, a] = 1j * s
-            out.append(m)
-    return out
-
-
 def embed_full(a: AlgebraElement) -> np.ndarray:
     """Element as a block-diagonal matrix inside the enveloping M_N."""
     N = a.shape.total_dim

@@ -24,9 +24,10 @@ z_aq = sqrt(f(d_a / d_q)) (U^dag y)_aq of a block's coordinates y,
 which solves the monotonicity criterion without any Gram, and since
 f(1) = 1 the whitened class of the unit is an eigenvector of the criterion
 with eigenvalue 1, which one Cholesky factorization certifies as the top
-when the verdict passes.  The raw forms of
-the Riesz solve use every eigenvalue of a block, dropped ones included (the
-ratio is 1 where d_b <= 0).
+when the verdict passes.  The Riesz solve reads the symmetrized kernel
+W^s = (W + W^T)/2, the only part of W the real part of the pairing sees on
+Hermitian elements, on every eigenvalue of a block, dropped ones included
+(the ratio is 1 where d_b <= 0).
 
 All products are normalized: f(1) = 1, so the unit pairs with itself to one.
 An overall factor c > 0 would multiply every Gram and every pulled-back
@@ -156,30 +157,26 @@ def _kernel(kind: OperatorMonotoneFunction, group) -> np.ndarray:
     return kind(ratio)
 
 
-def _group_forms(kind: OperatorMonotoneFunction, group) -> np.ndarray:
-    """Raw forms of every block in one rank group, stacked: (m, n^2, n^2)."""
-    d, u, f = group.d, group.u, _kernel(kind, group)
-    m, n = d.shape
-    weights = (d[:, None, :] * f).reshape(m, n * n, 1)
-    # rows (a, b) of the eigenbasis change: conj(U[i, a]) * U[j, b]
-    to_eig = np.einsum("kia,kjb->kabij", u.conj(), u).reshape(m, n * n, n * n)
-    b = to_eig.conj().swapaxes(-1, -2) @ (weights * to_eig)
-    return (b + b.conj().swapaxes(-1, -2)) / 2.0
+def _group_kernel(kind: OperatorMonotoneFunction, group) -> np.ndarray:
+    """W^s = (W + W^T)/2, W_ab = d_b f(d_a / d_b), of every block in one rank group: (m, n, n)."""
+    w = group.d[:, None, :] * _kernel(kind, group)
+    return (w + w.swapaxes(1, 2)) / 2.0
 
 
 def block_form(kind: OperatorMonotoneFunction, space: GnsSpace, k: int) -> np.ndarray:
-    """Covariance pairing on raw coordinates of block k: a Hermitian
-    (n_k^2 x n_k^2) matrix B with <x, y> = vec(x_k)^dag B vec(y_k) summed
-    over blocks.
+    """Covariance pairing of block k in its density eigenbasis: the real
+    symmetric (n_k x n_k) kernel W^s with Re <x, y> = Re sum_ab W^s_ab
+    conj(x'_ab) y'_ab for Hermitian x, y, x' = U^dag x_k U, summed over blocks
+    (U and the descending eigenvalue order of the block's rank group).
 
-    The first call for a kind computes the forms of all blocks of the space,
-    one batched product per rank group, and caches them on the space; every
-    call returns a read-only view of that cache.
+    The first call for a kind computes the kernels of all blocks of the
+    space, one batched product per rank group, and caches them on the space;
+    every call returns a read-only view of that cache.
     """
     _require_faithful(kind, space.state)
     forms = space._forms.get(kind)
     if forms is None:
-        forms = [_group_forms(kind, g) for g in space._groups]
+        forms = [_group_kernel(kind, g) for g in space._groups]
         for f in forms:
             f.flags.writeable = False
         space._forms[kind] = forms

@@ -26,8 +26,8 @@ the place of each entry (block, row, eigenvector) of each group, the GNS
 coordinate of a kept one and a place after the ``dim`` coordinates for a
 dropped one, with the class of the unit and the sorted Gram eigenvalues.
 Every producer of coordinates writes its values straight into those places.
-A metric pullback reads only the groups and their forms, so it never places
-a layout.
+A metric pullback reads only the groups and their covariance kernels, so it
+never places a layout.
 
 Nothing dense is built between two algebras.  A morphism (A, rho) ->
 (B, sigma) carried by phi: B -> A, with coordinate matrix L, induces the
@@ -105,7 +105,7 @@ class GnsSpace:
     Building one keeps what every verdict reads: the rank groups and the map
     from blocks to them.  The coordinate layout (:class:`_Layout`) is placed
     by the space itself, once, on first read, so a metric pullback, which
-    reads only the groups and their forms, never places it.
+    reads only the groups and their covariance kernels, never places it.
 
     Attributes
     ----------
@@ -139,7 +139,7 @@ class GnsSpace:
                 self.dim += sel.size * s.n * r
         # Python ints: block_form reads one pair per block
         self._group_of, self._slot_of = group_of.tolist(), slot_of.tolist()
-        #: per-kind block forms of each group, filled by covariance.block_form
+        #: per-kind covariance kernels of each group, filled by covariance.block_form
         self._forms: dict = {}
 
     @cached_property

@@ -15,11 +15,13 @@ Normalization: the quantum Fisher information convention is used throughout
 (no 1/4), so the pure-qubit family below carries the round unit-sphere metric,
 i.e. four times the Fubini-Study metric.
 
-The covariance pairing and the Riesz systems decompose block by block; the
-systems of all blocks of one size are solved together as one stack, so
-pullbacks stay cheap even for finely discretized abelian models.  A returned
-metric is always finite: where it overflows, an error names theta, so the
-solve and the metrics run with numpy's floating-point warnings off.
+The covariance pairing decomposes block by block, and in each block's density
+eigenbasis it is diagonal: the Riesz score is the differential divided
+entrywise by the kind's kernel, one batched change of basis per rank group,
+so pullbacks stay cheap for finely discretized abelian models and large
+matrix blocks alike.  A returned metric is always finite: where it overflows,
+an error names theta, so the solve and the metrics run with numpy's
+floating-point warnings off.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .algebra import (
     _from_vec,
     _wrap,
     abelian_shape,
-    hermitian_matrix_basis,
     mk_shape,
 )
 from .channels import CpuMap, _markov_from_owned, _predual_vec, predual
@@ -489,45 +490,48 @@ def gaussian_group_model(n_bins: int, x_min: float, x_max: float) -> GroupAction
 
 @np.errstate(all="ignore")
 def _riesz_solve(model: StatModel, theta, kind: OperatorMonotoneFunction):
-    """Scores at theta, solved for all blocks of one size at once.
+    """Scores at theta in each block's density eigenbasis, one batched change
+    of basis per rank group.
 
-    Each block's Riesz system a c = t lives on the Hermitian basis, where
-    a = Re(h^H B h) is real symmetric.  It is solved by the pseudo-inverse of
-    (a + a^T)/2 through one batched ``eigh`` per size stack (the singular
-    values are the eigenvalues' moduli, cut off as ``lstsq`` does): a
-    batched SVD of thousands of 1 x 1 forms costs about 15 times as much.
+    There dD is X' = U^dag dD U and its score v' = X' / W^s, for the kernel
+    W^s of :func:`~ncplab.covariance.block_form`: the minimum-norm
+    least-squares solution of the form's system, whose singular values are
+    the |W^s_ab|, with ``lstsq``'s cutoff (v'_ab = 0 where |W^s_ab| <= n^2 eps
+    times its block's largest).  A differential is not representable where
+    X'_ab is not zero there, or where its score is not finite.
 
-    Returns the GNS space and, per block size, the state's size stack, the
-    block forms (K_n, n^2, n^2) and the raw score coordinates (K_n, n^2, p).
+    Returns the space and, per rank group, the group, its kernels (m, n, n)
+    and the scores v' (m, p, n, n).
     """
     state = model.state_at(theta)
     space = build_gns(model.shape, state)
     derivs = np.column_stack([x.vec for x in model.derivatives(theta)])
-    p = model.param_dim
-    solved = []
-    worst_resid = np.zeros(p)
-    t_scale = 1.0
-    for stack in state.spectrum.stacks:
-        m, n2 = stack.index.size, stack.n * stack.n
-        b = np.concatenate([block_form(kind, space, k) for k in stack.index.tolist()]).reshape(m, n2, n2)
-        h = np.column_stack([x.ravel() for x in hermitian_matrix_basis(stack.n)])
-        a = (h.conj().T @ b @ h).real
-        d = derivs[stack.pos.reshape(m, n2)]
-        t = (h.T @ d.conj()).real
-        t_scale = max(t_scale, float(np.max(np.abs(t))))
-        # minimum-norm least squares, with lstsq's default singular value cutoff
-        c = np.linalg.pinv((a + a.swapaxes(-1, -2)) / 2.0, rtol=None, hermitian=True) @ t
-        resid = np.max(np.abs(a @ c - t), axis=(0, 1))
-        worst_resid = np.maximum(worst_resid, resid)
-        solved.append((stack, b, h @ c))
-    for i in range(p):
-        if worst_resid[i] > RESIDUAL_TOL * t_scale:
-            raise ScoreNotRepresentableError(
-                f"{model.name}: differential {i} is not representable at "
-                f"theta={np.asarray(theta).tolist()} "
-                f"(residual {worst_resid[i]:.3e})",
-                param_index=i,
-            )
+    solved, xs = [], []
+    x_max = np.zeros(model.param_dim)
+    for g in space._groups:
+        ws = np.concatenate([block_form(kind, space, k) for k in g.index.tolist()]).reshape(g.u.shape)
+        u = g.u[:, None]
+        x = u.conj().swapaxes(-1, -2) @ np.moveaxis(derivs[g.pos], -1, 1) @ u
+        x_max = np.maximum(x_max, np.max(np.abs(x), axis=(0, 2, 3)))
+        w = np.abs(ws)
+        keep = w > g.n * g.n * np.finfo(float).eps * w.max(axis=(1, 2), keepdims=True)
+        v = np.divide(x, ws[:, None], out=np.zeros(x.shape, dtype=complex), where=keep[:, None])
+        solved.append((g, ws, v))
+        xs.append(x)
+    tol = RESIDUAL_TOL * max(1.0, float(np.max(x_max)))
+    for i in range(model.param_dim):
+        for (g, ws, v), x in zip(solved, xs):
+            resid = np.abs(ws * v[:, i] - x[:, i])
+            j, a, b = np.unravel_index(np.argmax(resid), resid.shape)  # the first NaN, if any
+            if not resid[j, a, b] <= tol:
+                raise ScoreNotRepresentableError(
+                    f"{model.name}: differential {i} is not representable at "
+                    f"theta={np.asarray(theta).tolist()} (residual {resid[j, a, b]:.3e}): "
+                    f"in block {g.index[j]}, entry ({a}, {b}) of the density eigenbasis "
+                    f"(eigenvalues descending) is {abs(x[j, i, a, b]) / x_max[i]:.3e} of "
+                    "the differential's largest entry",
+                    param_index=i,
+                )
     return space, solved
 
 
@@ -536,20 +540,18 @@ def riesz_score(model: StatModel, theta, kind: OperatorMonotoneFunction = ONE) -
     kind their Gram is :func:`metric_pullback`."""
     space, solved = _riesz_solve(model, theta, kind)
     vecs = np.zeros((model.shape.element_dim, model.param_dim), dtype=complex)
-    for stack, _, scores in solved:
-        vecs[stack.pos.reshape(-1, stack.n * stack.n)] = scores
+    for g, _, v in solved:
+        u = g.u[:, None]
+        vecs[g.pos] = np.moveaxis(u @ v @ u.conj().swapaxes(-1, -2), 1, -1)
     return list(np.ascontiguousarray(_transform(space, vecs, _iso).T))
 
 
 @np.errstate(all="ignore")
 def metric_pullback(model: StatModel, theta, kind: OperatorMonotoneFunction = ONE) -> np.ndarray:
-    """Metric matrix g_ij = Re <v_i, v_j> of the pulled-back covariance;
-    :class:`ModelDomainError` where it is not finite."""
+    """Metric matrix g_ij = Re <v_i, v_j> = Re sum_ab conj(v'_i,ab) W^s_ab v'_j,ab
+    of the pulled-back covariance; :class:`ModelDomainError` where it is not finite."""
     _, solved = _riesz_solve(model, theta, kind)
-    g = sum(
-        (scores.conj().swapaxes(-1, -2) @ b @ scores).real.sum(axis=0)
-        for _, b, scores in solved
-    )
+    g = sum(np.einsum("kiab,kab,kjab->ij", v.conj(), ws, v, optimize=True).real for _, ws, v in solved)
     return _finite(model, theta, f"{kind.label} metric", (g + g.T) / 2.0)
 
 

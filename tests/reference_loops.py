@@ -27,7 +27,8 @@ as the space did before it placed the layout on first read.
 The last section holds small oracles that the package no longer offers: the
 pre-inner product rho(a^dag b), the trace, a blockwise positivity test, the
 entrywise traciality test, the spectral calculus f(A), the covariance
-pairing of two elements, and an element from its coordinates.
+pairing of two elements, an element from its coordinates, and the Hermitian
+matrix basis the per-block least-squares solve expands in.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 import scipy.linalg
 
 from ncplab import algebra, covariance, states
-from ncplab.algebra import _wrap, hermitian_matrix_basis
+from ncplab.algebra import _wrap
 from ncplab.gns import GnsQuotientError, build_gns, embed
 
 SUPPORT_RTOL = 1e-9
@@ -556,3 +557,28 @@ def covariance_eval(kind, space, x, y):
     through the package's covariance Gram."""
     gram = covariance.covariance_gram(kind, space).gram
     return complex(embed(space, x).conj() @ gram @ embed(space, y))
+
+
+def hermitian_matrix_basis(n):
+    """Real basis of the Hermitian n x n matrices, HS-orthonormal.
+
+    Order: diagonal units E_aa, then for each a<b the symmetric and
+    antisymmetric combinations (E_ab + E_ba)/sqrt(2), i(E_ba - E_ab)/sqrt(2).
+    """
+    out = []
+    for a in range(n):
+        m = np.zeros((n, n), dtype=complex)
+        m[a, a] = 1.0
+        out.append(m)
+    s = 1.0 / np.sqrt(2.0)
+    for a in range(n):
+        for b in range(a + 1, n):
+            m = np.zeros((n, n), dtype=complex)
+            m[a, b] = s
+            m[b, a] = s
+            out.append(m)
+            m = np.zeros((n, n), dtype=complex)
+            m[a, b] = -1j * s
+            m[b, a] = 1j * s
+            out.append(m)
+    return out

@@ -10,7 +10,6 @@ from ncplab.algebra import (
     adjoint,
     add,
     basis,
-    hermitian_matrix_basis,
     hs_norm,
     identity,
     mk_element,
@@ -170,16 +169,6 @@ class TestBasis:
         es = basis(s)
         assert es[1].blocks[0][0, 1] == 1.0
         assert es[2].blocks[0][1, 0] == 1.0
-
-    def test_hermitian_basis(self):
-        # the per-block basis the Riesz solve expands in: Hermitian and HS-orthonormal
-        for n in (1, 2, 3):
-            hb = hermitian_matrix_basis(n)
-            assert len(hb) == n * n
-            for h in hb:
-                assert np.array_equal(h, h.conj().T)
-            mat = np.column_stack([h.ravel() for h in hb])
-            assert np.max(np.abs(mat.conj().T @ mat - np.eye(n * n))) <= 1e-15
 
 
 class TestCoordinates:

@@ -772,7 +772,7 @@ def _pullback_error_and_bound(blocks, seed, rank_deficient, representable, kind_
         assert err.value.param_index == exc.args[0]
         return None
     g = metric_pullback(model, theta, kind)
-    # The batched pseudo-inverse and the per-block lstsq round differently,
+    # The closed-form solve and the per-block lstsq round differently,
     # by up to about cond * eps relative (at most 4e-16 * cond over 3000
     # random cases), where cond is the spread of the kept density
     # spectrum: the bound is 1e-12 up to cond = 100 and grows with it.
@@ -786,6 +786,16 @@ pullback_cases = (shapes, seeds, st.booleans(), st.booleans(), st.sampled_from(r
 
 
 class TestPullbackAgainstLoops:
+    def test_hermitian_basis(self):
+        # the per-block basis the reference solve expands in: Hermitian and HS-orthonormal
+        for n in (1, 2, 3):
+            hb = ref.hermitian_matrix_basis(n)
+            assert len(hb) == n * n
+            for h in hb:
+                assert np.array_equal(h, h.conj().T)
+            mat = np.column_stack([h.ravel() for h in hb])
+            assert np.max(np.abs(mat.conj().T @ mat - np.eye(n * n))) <= 1e-15
+
     @SETTINGS
     @given(*pullback_cases)
     def test_metric_matches(self, blocks, seed, rank_deficient, representable, kind_no):
@@ -793,9 +803,10 @@ class TestPullbackAgainstLoops:
         assert error_bound is None or error_bound[0] <= error_bound[1]
 
     # The same bound over 3000 cases (``pytest -m slow``).  The worst
-    # error/bound ratio is 0.064 with the eigh pseudo-inverse of the
-    # symmetrized form; it was 0.024 with the SVD pseudo-inverse, and 0.053
-    # with eigh on the form as assembled, unsymmetrized.
+    # error/bound ratio is 0.021 with the closed-form solve; it was 0.064
+    # with the eigh pseudo-inverse of the symmetrized form, 0.024 with the
+    # SVD pseudo-inverse, and 0.053 with eigh on the form as assembled,
+    # unsymmetrized.
     @pytest.mark.slow
     @settings(max_examples=3000, deadline=None, derandomize=True)
     @given(*pullback_cases)

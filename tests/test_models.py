@@ -1,14 +1,16 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import ndtr
 
 import reference_loops as ref
 from conftest import PAULI_Z
-from ncplab.algebra import ShapeError, adjoint, hs_norm, mk_element, mk_shape
+from ncplab.algebra import ShapeError, _wrap, adjoint, hs_norm, mk_element, mk_shape
 from ncplab.channels import congruent_embedding
-from ncplab.covariance import ONE, SLD, kind_catalog, petz_kind
+from ncplab.covariance import ONE, RLD, SLD, WY, kind_catalog, petz_kind
 from ncplab.gns import build_gns, embed
 from ncplab import models
 from ncplab.models import (
@@ -32,7 +34,7 @@ from ncplab.models import (
     riesz_score,
     simplex_model,
 )
-from ncplab.states import is_faithful
+from ncplab.states import is_faithful, mk_state, random_state
 
 
 def brute_fisher_rao(model, theta):
@@ -47,6 +49,20 @@ def brute_fisher_rao(model, theta):
         for j in range(model.param_dim):
             g[i, j] = float(np.sum(derivs[i] * derivs[j] / p))
     return g
+
+
+def fixed_matrix_model(n, seed, p=3):
+    """p-parameter chart on M_n whose state is a seeded faithful rho at every
+    theta, with seeded Hermitian trace-zero differentials."""
+    shape = mk_shape([n])
+    rho = random_state(shape, faithful=True, seed=seed)
+    rng = np.random.default_rng(seed)
+    derivs = []
+    for _ in range(p):
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = (a + a.conj().T) / 2.0
+        derivs.append(_wrap(shape, [a - np.trace(a).real * np.eye(n) / n]))
+    return StatModel(f"M{n}", shape, p, lambda theta: True, lambda theta: rho, lambda theta: derivs)
 
 
 def sld_via_lyapunov(density, direction):
@@ -342,6 +358,20 @@ class TestRieszScore:
         assert mags[0] < 1e-10
         assert abs(mags[1] - 1.0) < 1e-10
 
+    def test_unrepresentable_names_block_and_entry(self):
+        # block 1 is diag(1/2, 0): its (1, 1) eigenbasis entry pairs with
+        # nothing, and differential 1 puts 0.25 there, half its largest entry
+        shape = mk_shape([1, 2])
+        rho = mk_state(shape, [np.array([[0.5]]), np.diag([0.5, 0.0])])
+        derivs = [
+            mk_element(shape, [np.array([[-0.5]]), np.diag([0.5, 0.0])]),
+            mk_element(shape, [np.array([[-0.5]]), np.array([[0.25, 0.1], [0.1, 0.25]])]),
+        ]
+        model = StatModel("leak", shape, 2, lambda th: True, lambda th: rho, lambda th: derivs)
+        with pytest.raises(ScoreNotRepresentableError, match=r"in block 1, entry \(1, 1\) .* 5\.000e-01 of") as err:
+            riesz_score(model, [0.0, 0.0])
+        assert err.value.param_index == 1
+
     def test_rank_changing_direction_rejected(self):
         # at a pure state the direction diag(-1, 1) pairs nontrivially with
         # the Gelfand ideal, so no representative exists
@@ -426,6 +456,19 @@ class TestMetricPullback:
             g = metric_pullback(m, theta, ONE)
             assert np.max(np.abs(g - pure_qubit_sphere_metric(*theta))) < 1e-8
 
+    def test_matrix_pullback_memory(self):
+        # the closed form holds n x n arrays per block, never the n^2 x n^2
+        # form: 34.6 MB of peak allocations at M_24 through the form
+        model = fixed_matrix_model(24, seed=7)
+        metric_pullback(model, [0.0] * 3, SLD)
+        tracemalloc.start()
+        try:
+            metric_pullback(model, [0.0] * 3, SLD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_gaussian_converges(self):
         theta = np.array([0.0, 1.5])
         oracle = gaussian_fisher_rao_metric(*theta)
@@ -475,6 +518,29 @@ class TestOracles:
     def test_simplex_uniform(self):
         g = fisher_rao_simplex_metric(np.array([1 / 3, 1 / 3]))
         assert np.allclose(g, [[6.0, 3.0], [3.0, 6.0]], atol=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("kind", [ONE, SLD, RLD, WY], ids=lambda k: k.name)
+    def test_matrix_metric_without_the_kernel(self, n, kind):
+        # each oracle solves its own operator equation on the density,
+        # never reading the kernel W_ab: GNS and SLD through
+        # rho L + L rho = 2 d rho, RLD through rho^-1, WY through
+        # sqrt(rho) Y + Y sqrt(rho) = d rho
+        model = fixed_matrix_model(n, seed=n)
+        rho = model.state_at([0.0] * 3).densities[0]
+        dr = [d.blocks[0] for d in model.derivatives([0.0] * 3)]
+        if kind is RLD:
+            pair = [[np.trace(a @ np.linalg.solve(rho, b)) for b in dr] for a in dr]
+        elif kind is WY:
+            root = scipy.linalg.sqrtm(rho)
+            ys = [scipy.linalg.solve_sylvester(root, root, b) for b in dr]
+            pair = [[4.0 * np.trace(a @ b) for b in ys] for a in ys]
+        else:
+            ls = [scipy.linalg.solve_continuous_lyapunov(rho, 2.0 * b) for b in dr]
+            pair = [[np.trace(a @ b) for b in ls] for a in dr]
+        oracle = np.real(pair)
+        g = metric_pullback(model, [0.0] * 3, kind)
+        assert np.max(np.abs(g - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
     def test_reference_bundle(self):
         for m, theta, oracle in [
