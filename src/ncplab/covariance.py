@@ -174,13 +174,13 @@ def block_form(kind: OperatorMonotoneFunction, space: GnsSpace, k: int) -> np.nd
     every call returns a read-only view of that cache.
     """
     _require_faithful(kind, space.state)
-    forms = space._forms.get(kind)
-    if forms is None:
-        forms = [_group_kernel(kind, g) for g in space._groups]
-        for f in forms:
-            f.flags.writeable = False
-        space._forms[kind] = forms
-    return forms[space._group_of[k]][space._slot_of[k]]
+    kernels = space._forms.get(kind)
+    if kernels is None:
+        kernels = [_group_kernel(kind, g) for g in space._groups]
+        for w in kernels:
+            w.flags.writeable = False
+        space._forms[kind] = kernels
+    return kernels[space._group_of[k]][space._slot_of[k]]
 
 
 def covariance_gram(kind: OperatorMonotoneFunction, space: GnsSpace) -> CovarianceGram:

@@ -501,7 +501,7 @@ def _riesz_solve(model: StatModel, theta, kind: OperatorMonotoneFunction):
     X'_ab is not zero there, or where its score is not finite.
 
     Returns the space and, per rank group, the group, its kernels (m, n, n)
-    and the scores v' (m, p, n, n).
+    and the scores v' (p, m, n, n).
     """
     state = model.state_at(theta)
     space = build_gns(model.shape, state)
@@ -510,25 +510,24 @@ def _riesz_solve(model: StatModel, theta, kind: OperatorMonotoneFunction):
     x_max = np.zeros(model.param_dim)
     for g in space._groups:
         ws = np.concatenate([block_form(kind, space, k) for k in g.index.tolist()]).reshape(g.u.shape)
-        u = g.u[:, None]
-        x = u.conj().swapaxes(-1, -2) @ np.moveaxis(derivs[g.pos], -1, 1) @ u
-        x_max = np.maximum(x_max, np.max(np.abs(x), axis=(0, 2, 3)))
+        x = g.u.conj().swapaxes(-1, -2) @ np.moveaxis(derivs[g.pos], -1, 0) @ g.u
+        x_max = np.maximum(x_max, np.max(np.abs(x), axis=(1, 2, 3)))
         w = np.abs(ws)
         keep = w > g.n * g.n * np.finfo(float).eps * w.max(axis=(1, 2), keepdims=True)
-        v = np.divide(x, ws[:, None], out=np.zeros(x.shape, dtype=complex), where=keep[:, None])
+        v = np.divide(x, ws, out=np.zeros(x.shape, dtype=complex), where=keep)
         solved.append((g, ws, v))
         xs.append(x)
     tol = RESIDUAL_TOL * max(1.0, float(np.max(x_max)))
     for i in range(model.param_dim):
         for (g, ws, v), x in zip(solved, xs):
-            resid = np.abs(ws * v[:, i] - x[:, i])
+            resid = np.abs(ws * v[i] - x[i])
             j, a, b = np.unravel_index(np.argmax(resid), resid.shape)  # the first NaN, if any
             if not resid[j, a, b] <= tol:
                 raise ScoreNotRepresentableError(
                     f"{model.name}: differential {i} is not representable at "
                     f"theta={np.asarray(theta).tolist()} (residual {resid[j, a, b]:.3e}): "
                     f"in block {g.index[j]}, entry ({a}, {b}) of the density eigenbasis "
-                    f"(eigenvalues descending) is {abs(x[j, i, a, b]) / x_max[i]:.3e} of "
+                    f"(eigenvalues descending) is {abs(x[i, j, a, b]) / x_max[i]:.3e} of "
                     "the differential's largest entry",
                     param_index=i,
                 )
@@ -541,8 +540,7 @@ def riesz_score(model: StatModel, theta, kind: OperatorMonotoneFunction = ONE) -
     space, solved = _riesz_solve(model, theta, kind)
     vecs = np.zeros((model.shape.element_dim, model.param_dim), dtype=complex)
     for g, _, v in solved:
-        u = g.u[:, None]
-        vecs[g.pos] = np.moveaxis(u @ v @ u.conj().swapaxes(-1, -2), 1, -1)
+        vecs[g.pos] = np.moveaxis(g.u @ v @ g.u.conj().swapaxes(-1, -2), 0, -1)
     return list(np.ascontiguousarray(_transform(space, vecs, _iso).T))
 
 
@@ -551,7 +549,8 @@ def metric_pullback(model: StatModel, theta, kind: OperatorMonotoneFunction = ON
     """Metric matrix g_ij = Re <v_i, v_j> = Re sum_ab conj(v'_i,ab) W^s_ab v'_j,ab
     of the pulled-back covariance; :class:`ModelDomainError` where it is not finite."""
     _, solved = _riesz_solve(model, theta, kind)
-    g = sum(np.einsum("kiab,kab,kjab->ij", v.conj(), ws, v, optimize=True).real for _, ws, v in solved)
+    p = model.param_dim
+    g = sum((v.reshape(p, -1).conj() @ (ws * v).reshape(p, -1).T).real for _, ws, v in solved)
     return _finite(model, theta, f"{kind.label} metric", (g + g.T) / 2.0)
 
 
