@@ -53,7 +53,7 @@ from .algebra import (
     identity,
     hs_norm,
 )
-from .states import NormalState, StateValidationError, _state_from_vec, evaluate
+from .states import NormalState, StateValidationError, _state_from_vec
 
 if TYPE_CHECKING:
     from scipy.sparse import csr_array
@@ -216,8 +216,14 @@ def from_kraus(src: AlgebraShape, dst: AlgebraShape, kraus_list) -> CpuMap:
             f"Kraus family is not unital: ||sum K^dag K - 1|| = {dev:.3e}"
         )
     (si, sj), (da, db) = src.full_positions, dst.full_positions
-    action = sum(k[si][:, da].conj() * k[sj][:, db] for k in ks).T
-    return CpuMap(src, dst, _frozen(action), tuple(_frozen(k.copy()) for k in ks))
+    # conjugated before the column gather, while it is small; summed in place,
+    # in the gathers' Fortran order, so that the action is C-contiguous
+    total = np.zeros((src.element_dim, dst.element_dim), dtype=complex, order="F")
+    for k in ks:
+        term = k[si].conj()[:, da]
+        term *= k[sj][:, db]
+        total += term
+    return CpuMap(src, dst, _frozen(total.T), tuple(_frozen(k.copy()) for k in ks))
 
 
 def identity_map(shape: AlgebraShape) -> CpuMap:
@@ -464,7 +470,16 @@ def mk_morphism(
             f"carrier map is not completely positive (min Choi eigenvalue {min_eig:.3e} "
             f"in the block of source block {pair[0]} and target block {pair[1]})"
         )
-    dev = [abs(evaluate(rho, apply(phi, b)) - evaluate(sigma, b)) for b in basis(shape_b)]
+    for state, shape in ((rho, shape_a), (sigma, shape_b)):
+        if state.shape != shape:
+            raise ShapeError(f"shape mismatch: {state.shape} vs {shape}")
+    # rho(a) is the dot product of a's coordinates with rho's transposed ones,
+    # so sigma(b) of matrix unit q is entry q of sigma's
+    rho_t, sigma_t = rho.vec[shape_a.transpose_perm], sigma.vec[shape_b.transpose_perm]
+    dev = [
+        abs(complex(rho_t @ apply(phi, b).vec) - complex(sigma_t[q]))
+        for q, b in enumerate(basis(shape_b))
+    ]
     dev = np.maximum.reduceat(dev, shape_b.block_offsets()[:-1])
     scale = np.array([w[-1] for w in sigma.block_eigenvalues()])
     k = int(np.argmax(~(dev <= tol * scale)))

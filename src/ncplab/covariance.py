@@ -20,11 +20,16 @@ Kubo-Mori one, and so on.  In GNS coordinates, coordinate
 same block, through the n x n matrix I + U diag(f(d / d_q) - 1) U^dag; so
 f == 1 gives exactly the identity, and a block-scalar density exactly zero
 deviation from it.  Equivalently the pairing is |z|^2 for the whitened
-z_aq = sqrt(f(d_a / d_q)) (U^dag y)_aq of a block's coordinates y,
-which solves the monotonicity criterion without any Gram, and since
-f(1) = 1 the whitened class of the unit is an eigenvector of the criterion
-with eigenvalue 1, which one Cholesky factorization certifies as the top
-when the verdict passes.  The Riesz solve reads the symmetrized kernel
+z_aq = sqrt(W_aq) x'_aq = sqrt(f(d_a / d_q)) (U^dag y)_aq of a block's
+coordinates y.  So the monotonicity criterion needs no Gram and no
+contraction: its matrix M = Z_rho C Z_sigma^-1 maps sigma's whitened unit
+at (b, p) to rho's whitened image of U_sigma e_bp U_sigma^dag / sqrt(W_bp),
+which one right and one left product per rank group read off the action;
+only the samples, and a failed verdict's witness, pass through the
+whitening.  Since f(1) = 1 the whitened class of
+the unit, sqrt(d_q) at each (q, q), is an eigenvector of M^dag M with
+eigenvalue 1, which one Cholesky factorization certifies as the top when
+the verdict passes.  The Riesz solve reads the symmetrized kernel
 W^s = (W + W^T)/2, the only part of W the real part of the pairing sees on
 Hermitian elements, on every eigenvalue of a block, dropped ones included
 (the ratio is 1 where d_b <= 0).
@@ -43,7 +48,7 @@ import numpy as np
 
 from .algebra import InputError, _phase_fix
 from .channels import NcpMorphism
-from .gns import GnsSpace, _top_gram_eig, build_gns, induced_contraction
+from .gns import GnsSpace, _check_null_images, _top_gram_eig, build_gns
 from .states import NormalState, is_faithful, random_tracial_state
 
 
@@ -200,17 +205,85 @@ def covariance_gram(kind: OperatorMonotoneFunction, space: GnsSpace) -> Covarian
     return CovarianceGram(space, gram)
 
 
-def _whiten(kind: OperatorMonotoneFunction, space: GnsSpace, x: np.ndarray, power=1, adjoint=False):
-    """Z^power, or its adjoint, on the coordinate rows of x (dim, s), for the
-    whitening Z of the kind's pairing, <y, y> = |Z y|^2: column q of a block's
-    coordinate matrix y goes to w_q * (U^dag y_q), w_qa = sqrt(f(d_a / d_q))."""
+def _whiten(kind: OperatorMonotoneFunction, space: GnsSpace, x: np.ndarray, inverse=False):
+    """Z x for the whitening Z of the kind's pairing, <y, y> = |Z y|^2, on
+    coordinate rows x (dim, s): column q of a block's coordinate matrix y
+    goes to w_q * (U^dag y_q), w_qa = sqrt(f(d_a / d_q)), and the rows of
+    Z x are in rank-group order, (block j, row a, kept q) with q fastest,
+    the order of :func:`_criterion`.  With ``inverse``, Z^-1 from that order
+    back to coordinates."""
     out = np.empty(x.shape, dtype=complex)
+    start = 0
     for g, at in zip(space._groups, space._layout.at):
-        u, f, at = g.u, _kernel(kind, g), at[:, :, : g.rank].swapaxes(1, 2)  # [j, q, i]
-        w = np.sqrt(f[:, :, : g.rank]).swapaxes(1, 2)[..., None]  # (m, r, n, 1)
-        z = w**power * u.conj().swapaxes(1, 2)[:, None]
-        out[at] = (z.conj().swapaxes(-1, -2) if adjoint else z) @ x[at]
+        m, n, r = g.index.size, g.n, g.rank
+        at = at[:, :, :r].swapaxes(1, 2)  # [j, q, i]
+        w = np.sqrt(_kernel(kind, g)[:, :, :r]).swapaxes(1, 2)[..., None]  # (m, r, n, 1)
+        rows = slice(start, start + at.size)
+        start += at.size
+        if inverse:
+            z = x[rows].reshape(m, n, r, x.shape[1]).swapaxes(1, 2)  # [j, q, a]
+            out[at] = (g.u[:, None] / w.swapaxes(-1, -2)) @ z
+        else:
+            z = (w * g.u.conj().swapaxes(1, 2)[:, None]) @ x[at]  # [j, q, a]
+            out[rows] = z.swapaxes(1, 2).reshape(at.size, x.shape[1])
     return out
+
+
+def _sandwich(g, x: np.ndarray, right: np.ndarray, left: np.ndarray, scale: np.ndarray):
+    """Rows sum_ic left[j, i, a] x[pos[j, i, c]] right[j, c, q] * scale[j, a, q]
+    of one rank group, (m * n * q, s) for element-coordinate rows x (dim, s),
+    and the right products alone (m * n * c', s) of the c' columns of
+    ``right`` past the q of ``scale``, which ``left`` and ``scale`` skip
+    (None when there are none)."""
+    t = right.swapaxes(1, 2)[:, None] @ x[g.pos]
+    m, n, _, s = t.shape
+    q = scale.shape[2]
+    out = (left.swapaxes(1, 2) @ t[:, :, :q].reshape(m, n, q * s)).reshape(m, n, q, s)
+    out *= scale[..., None]
+    return out.reshape(-1, s), t[:, :, q:].reshape(-1, s) if q < t.shape[2] else None
+
+
+def _stacked(rows: list) -> np.ndarray:
+    """The rows stacked, without a copy of a single block's."""
+    return rows[0] if len(rows) == 1 else np.concatenate(rows)
+
+
+def _kept_kernel(kind: OperatorMonotoneFunction, group) -> np.ndarray:
+    """W_aq = d_q f(d_a / d_q) (m, n, r) of one rank group, on its kept q."""
+    return group.d[:, None, : group.rank] * _kernel(kind, group)[:, :, : group.rank]
+
+
+def _criterion(kind: OperatorMonotoneFunction, morphism: NcpMorphism, space_sigma, space_rho):
+    """M = Z_rho C Z_sigma^-1 of the criterion, straight from the action L,
+    rows and columns in rank-group order (:func:`_whiten`).
+
+    The entry of rho's (a, q) and sigma's (b, p) is sqrt(W^rho_aq)
+    (U_rho^dag phi(U_sigma e_bp U_sigma^dag) U_rho)_aq / sqrt(W^sigma_bp)
+    (:func:`_kept_kernel`, U each density eigenbasis): one transform of the
+    action per space, a right and a left batched product per rank group
+    (:func:`_sandwich`).  Sigma's right product also carries its null
+    basis; rho's transform of those columns is checked
+    (:func:`~ncplab.gns._check_null_images`) and dropped."""
+    action = morphism.cpu.linear_action
+    lt = (action if isinstance(action, np.ndarray) else action.toarray()).T
+    kept, null = [], []
+    for g in space_sigma._groups:
+        rows, t = _sandwich(g, lt, g.u.conj(), g.u, 1.0 / np.sqrt(_kept_kernel(kind, g)))
+        kept.append(rows)
+        if t is not None:
+            null.append(t)
+    del lt
+    x = _stacked(kept + null).T
+    del kept, null
+    rows = [
+        _sandwich(g, x, g.u[:, :, : g.rank], g.u.conj(), np.sqrt(_kept_kernel(kind, g)))[0]
+        for g in space_rho._groups
+    ]
+    del x
+    m = _stacked(rows)
+    del rows
+    _check_null_images(space_sigma, m[:, space_sigma.dim :])
+    return m[:, : space_sigma.dim]
 
 
 def monotonicity_check(
@@ -222,22 +295,22 @@ def monotonicity_check(
 ) -> dict:
     """Verify that the induced GNS map contracts the covariance pairing.
 
-    With Z the kind's whitening (:func:`_whiten`), the pushed pairing is
-    |Z_rho C xi|^2 and the domain's |Z_sigma xi|^2, so the exact criterion
-    (it decides: samples can miss thin violating cones) is the top eigenvalue
-    of M^dag M, M = Z_rho C Z_sigma^-1, with no Gram built.  A failed verdict
-    carries ``witness``: the top eigenvector in sigma's orthonormal GNS
-    coordinates (unit norm, phase fixed as theirs) and its ratio."""
+    With Z the kind's whitening (:func:`_whiten`) and C the contraction, the
+    pushed pairing is |Z_rho C xi|^2 and the domain's |Z_sigma xi|^2, so the
+    exact criterion (it decides: samples can miss thin violating cones) is
+    the top eigenvalue of M^dag M, M = Z_rho C Z_sigma^-1, with no Gram
+    built.  M is read off the action in the density eigenbases
+    (:func:`_criterion`), without C, so only the samples and the witness
+    are whitened.  A failed verdict carries ``witness``: the top eigenvector
+    in sigma's orthonormal GNS coordinates (unit norm, phase fixed as
+    theirs) and its ratio."""
     shape_a, rho = morphism.source
     shape_b, sigma = morphism.target
     _require_faithful(kind, rho)
     _require_faithful(kind, sigma)
     space_rho = build_gns(shape_a, rho)
     space_sigma = build_gns(shape_b, sigma)
-    c = induced_contraction(morphism, space_sigma, space_rho).matrix
-    m_adj = _whiten(kind, space_sigma, _whiten(kind, space_rho, c).conj().T, power=-1)
-    del c
-    m = m_adj.conj().T
+    m = _criterion(kind, morphism, space_sigma, space_rho)
 
     # the same numbers, in the same order, as drawing the real and then the
     # imaginary part of one sample at a time
@@ -245,11 +318,15 @@ def monotonicity_check(
     xi = (draws[:, 0] + 1j * draws[:, 1]).T  # d x n_samples
     eta = _whiten(kind, space_sigma, xi)
     lhs, rhs, norms = (np.sum(np.abs(v) ** 2, axis=0) for v in (m @ eta, eta, xi))
-    h = m_adj @ m
-    del m_adj, m  # only the Gram is alive while it is factorized
-    # the whitened class of the unit: the map and its adjoint fix the unit's
-    # class, and so does each Gram (f(1) = 1), so M^dag M fixes this vector
-    unit = _whiten(kind, space_sigma, space_sigma.cyclic[:, None])[:, 0]
+    del draws, xi, eta
+    h = m.conj().T @ m
+    del m  # only the Gram is alive while it is factorized
+    # the whitened class of the unit, sqrt(d_q) at (j, q, q) of each group:
+    # the map and its adjoint fix the unit's class, and so does each Gram
+    # (f(1) = 1), so M^dag M fixes this vector
+    unit = np.concatenate(
+        [(np.eye(g.n, g.rank) * np.sqrt(g.d[:, None, : g.rank])).ravel() for g in space_sigma._groups]
+    )
     exact, top = _top_gram_eig(h, unit, vector=True)
     report = {
         "kind": kind.label,
@@ -261,7 +338,7 @@ def monotonicity_check(
         "passed": exact <= 1.0 + tol,
     }
     if not report["passed"]:
-        vec = _whiten(kind, space_sigma, top[:, None], power=-1, adjoint=True)
+        vec = _whiten(kind, space_sigma, top[:, None], inverse=True)
         vec = _phase_fix(vec[None] / np.linalg.norm(vec))[0, :, 0]
         report["witness"] = {"vector": vec, "ratio": exact}
     return report

@@ -40,6 +40,11 @@ unit-HS-norm basis of the Gelfand ideal (conj of a dropped eigenvector in one
 row of a block).  Both come from two blockwise transforms of L, O(n^5) per
 M_n block: sigma's over [R_sigma N_sigma] at once, whose first dim_sigma
 places are the representatives and the rest the null basis, then rho's E.
+The covariance monotonicity criterion reads its matrix off L in the density
+eigenbases instead (:func:`ncplab.covariance.monotonicity_check`), with no
+contraction built; it carries the same null basis, and both run one
+well-definedness test (:func:`_check_null_images`), which reads the same
+norms because the GNS whitening after E_rho is unitary.
 A unital state-preserving map sends [1] to [1], and so does its adjoint,
 so the cyclic vector is a top singular vector of a contraction of norm 1:
 its operator norm is certified by one Cholesky factorization
@@ -295,19 +300,36 @@ def induced_contraction(
     # E_rho L [R N] as E_rho ([R N]^T L^T)^T: sigma's transform of the columns
     # of L, then rho's of the rows; the columns after dim_sigma are the null basis'
     full = _transform(space_rho, _transform(space_sigma, lt, _rep_null).T, _iso)
-    leaks = np.linalg.norm(full[:, space_sigma.dim :], axis=0)
-    worst = float(leaks.max(initial=0.0))
-    if not worst <= WELL_DEFINED_TOL:
-        place = space_sigma.dim + int(np.argmax(leaks))
-        groups = zip(space_sigma._groups, space_sigma._layout.at)
-        g, at = next((g, at) for g, at in groups if place in at)
-        j, i, c = np.argwhere(at == place)[0]
-        raise GnsQuotientError(
-            f"the sigma-null element of block {g.index[j]}, row {i}, dropped eigenvector {c} (eigenvalue "
-            f"{g.d[j, c]:.3e}) maps outside the rho-null space with norm {worst:.3e} > {WELL_DEFINED_TOL:.0e}; "
-            "a carrier that preserves the states cannot do this, so check rho o phi = sigma"
-        )
+    _check_null_images(space_sigma, full[:, space_sigma.dim :])
     return GnsContraction(space_sigma, space_rho, np.ascontiguousarray(full[:, : space_sigma.dim]))
+
+
+def _check_null_images(space_sigma: GnsSpace, images: np.ndarray) -> None:
+    """The well-definedness test of a contraction out of ``space_sigma``.
+
+    Column t of ``images`` is the image under rho's embedding, or under a
+    unitary after it, of sigma's null basis element t: the conjugate of a
+    dropped eigenvector in one row of a block, numbered group by group as
+    (block j, row i, dropped eigenvector c), c fastest.  The worst column
+    above ``WELL_DEFINED_TOL`` raises :class:`GnsQuotientError`, naming that
+    element and its norm."""
+    leaks = np.linalg.norm(images, axis=0)
+    worst = float(leaks.max(initial=0.0))
+    if worst <= WELL_DEFINED_TOL:
+        return
+    place = int(np.argmax(leaks))
+    for g in space_sigma._groups:
+        count = g.index.size * g.n * (g.n - g.rank)
+        if place < count:
+            break
+        place -= count
+    j, i, c = np.unravel_index(place, (g.index.size, g.n, g.n - g.rank))
+    c += g.rank
+    raise GnsQuotientError(
+        f"the sigma-null element of block {g.index[j]}, row {i}, dropped eigenvector {c} (eigenvalue "
+        f"{g.d[j, c]:.3e}) maps outside the rho-null space with norm {worst:.3e} > {WELL_DEFINED_TOL:.0e}; "
+        "a carrier that preserves the states cannot do this, so check rho o phi = sigma"
+    )
 
 
 def check_functor_laws(chains, tol: float = 1e-9) -> dict:

@@ -403,6 +403,16 @@ class TestMonotonicityAgainstDense:
         assert np.max(np.abs(c - c_ref)) <= 1e-14 * max(1.0, np.max(np.abs(c_ref)))
         assert ("witness" in rep) != rep["passed"]
 
+    def test_leak_named_alike_by_the_contraction_and_the_criterion(self):
+        # the [3, 2] -> [2] transpose example above: one null-space check
+        m = monotonicity_morphism([3, 2], [2], 0, True, "transpose")
+        with pytest.raises(GnsQuotientError) as contraction:
+            induced_contraction(m, build_gns(*m.target), build_gns(*m.source))
+        with pytest.raises(GnsQuotientError) as criterion:
+            monotonicity_check(ONE, m)
+        assert "maps outside the rho-null space" in str(contraction.value)
+        assert str(criterion.value) == str(contraction.value)
+
     @SETTINGS
     @given(
         small_shapes.filter(lambda b: max(b) > 1),

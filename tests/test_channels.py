@@ -255,6 +255,17 @@ class TestMorphisms:
         with pytest.raises(MorphismValidationError, match="in block 25: .* times sigma's largest eigenvalue there"):
             mk_morphism((rho.shape, rho), (off.shape, off), emb)
 
+    def test_state_of_another_shape_rejected(self):
+        # the preservation check reads each state's coordinates once, so it
+        # must refuse a state whose shape is not its object's
+        phi = from_kraus(S2, S2, depolarizing_kraus(0.5))
+        mixed = mk_state(S2, [np.eye(2) / 2.0])
+        other = mk_state(mk_shape([1, 1]), [np.eye(1) / 2.0] * 2)
+        with pytest.raises(ShapeError, match=r"shape mismatch: AlgebraShape\[1, 1\] vs AlgebraShape\[2\]"):
+            mk_morphism((S2, other), (S2, mixed), phi)
+        with pytest.raises(ShapeError, match=r"shape mismatch: AlgebraShape\[1, 1\] vs AlgebraShape\[2\]"):
+            mk_morphism((S2, mixed), (S2, other), phi)
+
     def test_non_cp_rejected(self):
         rho = mk_state(S2, [np.diag([0.75, 0.25])])
         with pytest.raises(MorphismValidationError) as err:

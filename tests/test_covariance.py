@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import reference_loops as ref
 from conftest import STANDARD_SHAPES, depolarizing_kraus, random_element, random_morphism
 from ncplab.algebra import basis, identity, mk_shape
-from ncplab.channels import from_kraus, identity_morphism, mk_morphism, predual
+from ncplab.channels import from_kraus, identity_morphism, mk_morphism, predual, random_cpu_map
 import ncplab
 from ncplab import covariance
 from ncplab.covariance import (
@@ -259,6 +261,33 @@ class TestMonotonicity:
             for kind in kind_catalog():
                 rep = monotonicity_check(kind, m, n_samples=20, seed=trial)
                 assert rep["exact_max_eig"] <= 1.0 + 1e-8, (kind.label, trial)
+
+    def test_working_set_of_a_matrix_verdict(self, monkeypatch):
+        # the criterion is read off the action, so besides it at most three
+        # 256 x 256 complex arrays (1 MB each) are alive at once: 5.1-5.4 MB
+        # when the contraction was built and whitened on both sides; and
+        # only the samples and the witness are whitened, never a matrix
+        shape = mk_shape([16])
+        phi = random_cpu_map(shape, shape, seed=5, n_kraus=3)
+        rho = random_state(shape, faithful=True, seed=6)
+        m = mk_morphism((shape, rho), (shape, predual(phi, rho)), phi)
+        whitened, whiten = [], covariance._whiten
+
+        def recorded(kind, space, x, inverse=False):
+            whitened.append(x.shape)
+            return whiten(kind, space, x, inverse)
+
+        monkeypatch.setattr(covariance, "_whiten", recorded)
+        monotonicity_check(SLD, m, n_samples=100)
+        tracemalloc.start()
+        try:
+            rep = monotonicity_check(SLD, m, n_samples=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep["passed"]
+        assert peak <= 4.5e6
+        assert whitened == [(256, 100), (256, 100)]
 
     def test_report_carries_tolerance(self):
         m = identity_morphism((S2, random_state(S2, faithful=True, seed=11)))
