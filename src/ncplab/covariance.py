@@ -26,10 +26,10 @@ contraction: its matrix M = Z_rho C Z_sigma^-1 maps sigma's whitened unit
 at (b, p) to rho's whitened image of U_sigma e_bp U_sigma^dag / sqrt(W_bp),
 which one right and one left product per rank group read off the action;
 only the samples, and a failed verdict's witness, pass through the
-whitening.  Since f(1) = 1 the whitened class of
-the unit, sqrt(d_q) at each (q, q), is an eigenvector of M^dag M with
-eigenvalue 1, which one Cholesky factorization certifies as the top when
-the verdict passes.  The Riesz solve reads the symmetrized kernel
+whitening.  Since f(1) = 1 the whitened class of the unit, sqrt(d_q) at
+each (q, q), is an eigenvector of M^dag M with eigenvalue 1, which one
+Cholesky factorization certifies as the top when the verdict passes.  The
+Riesz solve reads the symmetrized kernel
 W^s = (W + W^T)/2, the only part of W the real part of the pairing sees on
 Hermitian elements, on every eigenvalue of a block, dropped ones included
 (the ratio is 1 where d_b <= 0).
