@@ -48,7 +48,6 @@ from .algebra import (
     _phase_fix,
     _wrap,
     abelian_shape,
-    basis,
     embed_full,
     identity,
     hs_norm,
@@ -247,6 +246,17 @@ def transpose_map(shape: AlgebraShape) -> CpuMap:
     return from_linear(shape, shape, np.eye(shape.element_dim)[shape.transpose_perm])
 
 
+def _unit_images(phi: CpuMap):
+    """phi(e_q) for each source matrix unit e_q, in coordinate order (the
+    order of :func:`ncplab.algebra.basis`): one :func:`apply` per unit, and
+    only one unit alive at a time."""
+    src = phi.source_shape
+    for q in range(src.element_dim):
+        unit = np.zeros(src.element_dim, dtype=complex)
+        unit[q] = 1.0
+        yield apply(phi, _from_vec(src, unit))
+
+
 class ChoiClass(NamedTuple):
     """The Choi blocks of one size class: every pair of a source block of
     size n and a target block of size m.
@@ -299,13 +309,10 @@ def choi(phi: CpuMap) -> tuple[ChoiClass, ...]:
     with the positions of :attr:`AlgebraShape.size_positions`.
     """
     src, dst = phi.source_shape, phi.target_shape
-    width = src.element_dim
-    # column q holds the coordinates of phi applied to source matrix unit q
-    images = np.empty((dst.element_dim, width), dtype=complex)
-    for q in range(width):
-        unit = np.zeros(width, dtype=complex)
-        unit[q] = 1.0
-        images[:, q] = apply(phi, _from_vec(src, unit)).vec
+    # column q holds phi(e_q), filled in the one pass over the source's matrix units
+    images = np.empty((dst.element_dim, src.element_dim), dtype=complex)
+    for q, image in enumerate(_unit_images(phi)):
+        images[:, q] = image.vec
     flat = images.ravel() / src.total_dim
     return tuple(ChoiClass(pairs, flat[at]) for pairs, at in _choi_layout(src, dst))
 
@@ -450,9 +457,10 @@ def mk_morphism(
 ) -> NcpMorphism:
     """Verified morphism (A, rho) -> (B, sigma) carried by phi: B -> A.
 
-    Checks unitality, complete positivity, and rho o phi = sigma on the full
-    source basis, per block of B within ``tol`` times sigma's largest
-    eigenvalue there (the support rule's scale); errors name the first block.
+    Checks unitality, complete positivity, and rho o phi = sigma in one pass
+    over the matrix units of B, one image alive at a time, per block of B
+    within ``tol`` times sigma's largest eigenvalue there (the support
+    rule's scale); errors name the first block.
     """
     shape_a, rho = source_obj
     shape_b, sigma = target_obj
@@ -477,8 +485,8 @@ def mk_morphism(
     # so sigma(b) of matrix unit q is entry q of sigma's
     rho_t, sigma_t = rho.vec[shape_a.transpose_perm], sigma.vec[shape_b.transpose_perm]
     dev = [
-        abs(complex(rho_t @ apply(phi, b).vec) - complex(sigma_t[q]))
-        for q, b in enumerate(basis(shape_b))
+        abs(complex(rho_t @ image.vec) - complex(sigma_t[q]))
+        for q, image in enumerate(_unit_images(phi))
     ]
     dev = np.maximum.reduceat(dev, shape_b.block_offsets()[:-1])
     scale = np.array([w[-1] for w in sigma.block_eigenvalues()])

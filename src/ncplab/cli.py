@@ -39,6 +39,8 @@ EXIT_INTERNAL_ERROR = 3
 
 # least --samples per subcommand: monotonicity's verdict is the exact criterion
 MIN_SAMPLES = {"monotonicity": 0, "tracial-uniqueness": 1, "congruence-invariance": 1}
+# most --samples for each of them, refused before anything is drawn
+MAX_SAMPLES = 10**6
 
 # exit code 2: every error a caller's input can cause is an InputError or an OSError
 INPUT_ERRORS = (InputError, OSError)
@@ -68,8 +70,8 @@ def _check_flags(args) -> None:
     if args.command == "gns" and not tol < 1.0:
         raise InputError(f"--tol for gns must be < 1, got {tol}")
     least = MIN_SAMPLES.get(args.command)
-    if least is not None and args.samples < least:
-        raise InputError(f"--samples must be >= {least}, got {args.samples}")
+    if least is not None and not least <= args.samples <= MAX_SAMPLES:
+        raise InputError(f"--samples must be from {least} to {MAX_SAMPLES}, got {args.samples}")
     if getattr(args, "seed", 0) < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
 

@@ -115,6 +115,13 @@ def omf_catalog() -> list[OperatorMonotoneFunction]:
     return [SLD, KMB, WY, RLD]
 
 
+#: Most sample coordinates (samples times sigma's GNS dimension) that
+#: :func:`monotonicity_check` draws: 2**24 complex coordinates are 256 MiB per
+#: array.  Checked before anything is drawn, so a sample count far beyond
+#: memory is an input error, not a failed allocation.
+MAX_SAMPLE_ENTRIES = 2**24
+
+
 #: The constant function f == 1: the GNS kind.  It is not part of
 #: :func:`omf_catalog`.
 ONE = OperatorMonotoneFunction("gns", np.ones_like)
@@ -308,8 +315,13 @@ def monotonicity_check(
     shape_b, sigma = morphism.target
     _require_faithful(kind, rho)
     _require_faithful(kind, sigma)
-    space_rho = build_gns(shape_a, rho)
     space_sigma = build_gns(shape_b, sigma)
+    if n_samples * space_sigma.dim > MAX_SAMPLE_ENTRIES:
+        raise InputError(
+            f"{n_samples} samples in sigma's {space_sigma.dim} GNS dimensions exceed "
+            f"the limit of {MAX_SAMPLE_ENTRIES} sample coordinates"
+        )
+    space_rho = build_gns(shape_a, rho)
     m = _criterion(kind, morphism, space_sigma, space_rho)
 
     # the same numbers, in the same order, as drawing the real and then the

@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .algebra import (
     AlgebraElement,
@@ -294,6 +293,10 @@ def gaussian_model(n_bins: int, x_min: float, x_max: float) -> StatModel:
         raise ModelDomainError(f"{n_bins} bins is above the limit of {MAX_OUTCOMES}")
     if not (x_min < x_max and np.isfinite([x_min, x_max]).all()):
         raise ModelDomainError(f"bin range [{x_min}, {x_max}] is empty or not finite")
+    # imported here, on the first binned model, so that importing the
+    # package does not load scipy.special
+    from scipy.special import ndtr
+
     shape = abelian_shape(n_bins)
     edges = np.linspace(x_min, x_max, n_bins + 1)
 
@@ -434,30 +437,27 @@ def _affine_bin_overlap_map(edges: np.ndarray, mu: float, s: float) -> CpuMap:
     consecutive target edges, of the uniform CDF of each image, with the
     outer edges moved to -+inf.
 
-    Built from its band.  Column i's CDF is exactly 0 up to row ``first[i]``,
-    the last target edge at or below the image's left end, and once it
-    reaches exactly 1 it stays there: the CDF is monotone in the edge even
-    after rounding.  So only the rows from ``first[i]`` on are evaluated,
-    with the dense formula, and the band widens until every column's last
-    evaluated value is exactly 1 (or the band reaches the last edge).  The
+    Built from its band, sized in closed form.  Column i's CDF is exactly 0
+    up to row ``first[i]``, the last target edge at or below the image's
+    left end ``lo``, and exactly 1 from the first edge at or above its right
+    end ``hi`` on: there ``at - lo >= hi - lo``, and rounded subtraction and
+    division are monotone, so fl(fl(at - lo) / width) >= 1 with ``width`` =
+    fl(hi - lo).  So the band runs from ``first[i]`` over the widest such
+    span, ``rows``, evaluated with the dense formula; its rows past a
+    column's last edge give zero differences, which are not stored.  The
     nonzero differences of column i, at rows ``r``, are row i of the CSR
     action, entry for entry the matrix the dense formula gives.
     """
     n = edges.size - 1
     lo = s * edges[:-1] + mu
-    width = s * edges[1:] + mu - lo
+    hi = s * edges[1:] + mu
+    width = hi - lo
     at = np.concatenate([[-np.inf], edges[1:-1], [np.inf]])
     first = np.searchsorted(at, lo, side="right") - 1
-    # start from the widest image in narrowest target bins; an image that
-    # starts inside a bin reaches one row further, found by widening
-    rows = max(1, int(np.ceil(float(np.max(width)) / float(np.min(np.diff(edges))))))
-    while True:
-        rows = min(rows, n)
-        r = np.minimum(first + np.arange(rows + 1)[:, None], n)
-        cdf = np.clip((at[r] - lo) / width, 0.0, 1.0)
-        if rows == n or np.all(cdf[-1] == 1.0):
-            break
-        rows *= 2
+    # at least one row: an image that rounds to a point fills its bin
+    rows = max(1, int(np.max(np.searchsorted(at, hi) - first)))
+    r = np.minimum(first + np.arange(rows + 1)[:, None], n)
+    cdf = np.clip((at[r] - lo) / width, 0.0, 1.0)
     d = np.diff(cdf, axis=0).T
     keep = (r[:-1].T < n) & (d != 0.0)
     indptr = np.zeros(n + 1, dtype=np.int64)

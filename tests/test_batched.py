@@ -720,6 +720,10 @@ class TestAffineBandAgainstDenseCdf:
     @example(64, -1.0, 2.0, 100.0, 1.0)
     @example(64, -1.0, 2.0, -100.0, 1.0)
     @example(256, -8.0, 16.0, 0.25, 1.0)
+    # images 1.1 bins wide starting inside a bin span three rows
+    @example(64, -1.0, 2.0, 0.01, 1.1)
+    # an aligned shift: the images end exactly on target edges
+    @example(64, -1.0, 2.0, 0.09375, 1.0)
     def test_bit_identical(self, n, x_min, span, mu, s):
         edges = np.linspace(x_min, x_min + span, n + 1)
         action = _affine_bin_overlap_map(edges, mu, s).linear_action

@@ -544,6 +544,22 @@ class TestMarkovMemory:
         assert build <= 80 * cells
 
 
+    def test_morphism_check_holds_one_unit_image_at_a_time(self):
+        # the preservation pass holds one source matrix unit and its image,
+        # never the 2048 x 2048 complex identity (64 MiB) of the source basis
+        rng = np.random.default_rng(5)
+        emb = congruent_embedding(np.repeat(np.arange(1024), 2), np.full(2048, 0.5))
+        rho = mk_state(mk_shape([1] * 1024), list(rng.dirichlet(np.ones(1024)).reshape(-1, 1, 1)))
+        sigma = predual(emb, rho)
+        tracemalloc.start()
+        try:
+            m, peak = _peak_bytes(lambda: mk_morphism((rho.shape, rho), (sigma.shape, sigma), emb))
+        finally:
+            tracemalloc.stop()
+        assert m.cpu is emb
+        assert peak <= 2 * 2**20
+
+
 class TestMarkovBuildersRejectBadInput:
     def test_complex_stochastic(self):
         with pytest.raises(ChannelValidationError, match="not real"):

@@ -573,6 +573,20 @@ class TestBadFlagValues:
         assert rep["n_samples"] == 0 and rep["pass"] is True
 
 
+    @pytest.mark.parametrize("command", ["monotonicity", "tracial-uniqueness", "congruence-invariance"])
+    def test_samples_above_the_limit_refused_before_drawing(self, tmp_path, command):
+        # 10^12 samples would ask for terabytes; refused, not a failed allocation
+        args = [command, "--samples", "1000000000000"]
+        if command == "monotonicity":
+            shape = mk_shape([2])
+            rho = mk_state(shape, [np.diag([0.75, 0.25])])
+            m = mk_morphism((shape, rho), (shape, rho), identity_map(shape))
+            args += ["--morphism", write_json(tmp_path, "m.json", morphism_to_json(m))]
+        code, rep = run_cli(args, tmp_path)
+        assert code == 2
+        assert rep["error"].startswith("--samples") and str(cli.MAX_SAMPLES) in rep["error"]
+
+
 class TestInternalError:
     def test_unexpected_exception_is_reported(self, tmp_path, monkeypatch, capsys):
         def broken(_args):

@@ -289,6 +289,16 @@ class TestMonotonicity:
         assert peak <= 4.5e6
         assert whitened == [(256, 100), (256, 100)]
 
+    def test_samples_beyond_the_limit_refused_before_drawing(self):
+        # sigma on M_2 has GNS dimension 4, so 2**22 + 1 samples are one row
+        # of four coordinates too many
+        m = identity_morphism((S2, random_state(S2, faithful=True, seed=11)))
+        limit = covariance.MAX_SAMPLE_ENTRIES
+        with pytest.raises(ncplab.InputError, match=rf"{limit // 4 + 1} samples in sigma's 4 GNS dimensions .* {limit}"):
+            monotonicity_check(ONE, m, n_samples=limit // 4 + 1)
+        with pytest.raises(ncplab.InputError, match="limit"):
+            monotonicity_check(ONE, m, n_samples=10**12)
+
     def test_report_carries_tolerance(self):
         m = identity_morphism((S2, random_state(S2, faithful=True, seed=11)))
         rep = monotonicity_check(ONE, m, n_samples=5, seed=0, tol=1e-7)

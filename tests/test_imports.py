@@ -1,8 +1,10 @@
 """Import-time cost: ``import ncplab`` and ``import ncplab.cli`` load only
 what every command needs.  scipy.sparse (about 15 ms and 1.6 MB) is
-imported where a Markov map is built, on the first such map; scipy.linalg
-(36-53 ms and about 6.3 MB of peak resident memory) is not imported by the
-package at all, not even by a verdict."""
+imported where a Markov map is built, on the first such map; scipy.special
+(about 200 ms, with numpy.testing and unittest behind it) where a binned
+Gaussian model is built; scipy.linalg (36-53 ms and about 6.3 MB of peak
+resident memory) is not imported by the package at all, not even by a
+verdict."""
 
 import os
 import subprocess
@@ -27,6 +29,17 @@ def test_scipy_sparse_not_loaded_by_import():
         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
         "ncplab.congruent_embedding([0, 0], [0.5, 0.5])\n"
         "print('scipy.sparse' in sys.modules)\n"
+    )
+    assert out[0] == "[]"
+    assert out[1] == "True"
+
+
+def test_scipy_special_not_loaded_by_import():
+    out = _fresh(
+        "import sys, ncplab, ncplab.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.special', 'unittest'))))\n"
+        "ncplab.gaussian_model(8, -1.0, 1.0)\n"
+        "print('scipy.special' in sys.modules)\n"
     )
     assert out[0] == "[]"
     assert out[1] == "True"
