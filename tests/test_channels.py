@@ -543,7 +543,6 @@ class TestMarkovMemory:
         assert _csr_bytes(emb.linear_action) == cells * (8 + 4) + (65536 + 1) * 4
         assert build <= 80 * cells
 
-
     def test_morphism_check_holds_one_unit_image_at_a_time(self):
         # the preservation pass holds one source matrix unit and its image,
         # never the 2048 x 2048 complex identity (64 MiB) of the source basis

@@ -572,7 +572,6 @@ class TestBadFlagValues:
         assert code == 0
         assert rep["n_samples"] == 0 and rep["pass"] is True
 
-
     @pytest.mark.parametrize("command", ["monotonicity", "tracial-uniqueness", "congruence-invariance"])
     def test_samples_above_the_limit_refused_before_drawing(self, tmp_path, command):
         # 10^12 samples would ask for terabytes; refused, not a failed allocation
