@@ -86,9 +86,9 @@ class CpuMap:
     maps), whose action is the transpose of their real stochastic matrix
     stored as a read-only ``scipy.sparse`` CSR float64 array of its nonzero
     entries: the package's own Markov maps hold about s + 2 entries per
-    column, where a dense m x n array would hold m.  Every product with an
-    action goes through :func:`_matmul`, so a real action is never cast to
-    complex, and the CP test reads a CSR action's entries directly.
+    column, where a dense m x n array would hold m.  Every product with a
+    CSR action goes through :func:`_matmul`, so a real action is never cast
+    to complex, and the CP test reads a CSR action's entries directly.
     """
 
     source_shape: AlgebraShape
@@ -161,16 +161,17 @@ def apply(phi: CpuMap, b: AlgebraElement) -> AlgebraElement:
     """Evaluate phi on an element of its source algebra.
 
     A dense action is read only in the columns of b's nonzero coordinates,
-    gathered and multiplied by those coordinates: a matrix unit costs one
-    column, O(target element_dim), and the zero element gives exact zeros.
+    gathered and multiplied by those coordinates in one ``np.dot``: a matrix
+    unit costs one column, O(target element_dim), and the zero element gives
+    exact zeros.
     A dense element pays one gather of the whole action on top of the
     product.  A CSR action is multiplied as stored, without a copy."""
     if b.shape != phi.source_shape:
         raise ShapeError(f"element shape {b.shape} != map source {phi.source_shape}")
     a = phi.linear_action
     if isinstance(a, np.ndarray):
-        nz = b.vec.nonzero()[0]
-        return _from_vec(phi.target_shape, _matmul(a.take(nz, axis=1), b.vec.take(nz)))
+        nz = (b.vec != 0).nonzero()[0]
+        return _from_vec(phi.target_shape, np.dot(a.take(nz, axis=1), b.vec.take(nz)))
     return _from_vec(phi.target_shape, _matmul(a, b.vec))
 
 
@@ -249,12 +250,12 @@ def transpose_map(shape: AlgebraShape) -> CpuMap:
 def _unit_images(phi: CpuMap):
     """phi(e_q) for each source matrix unit e_q, in coordinate order (the
     order of :func:`ncplab.algebra.basis`): one :func:`apply` per unit, and
-    only one unit alive at a time."""
+    only one unit alive at a time, a fresh complex vector wrapped as it is."""
     src = phi.source_shape
     for q in range(src.element_dim):
         unit = np.zeros(src.element_dim, dtype=complex)
         unit[q] = 1.0
-        yield apply(phi, _from_vec(src, unit))
+        yield apply(phi, AlgebraElement(src, _frozen(unit)))
 
 
 class ChoiClass(NamedTuple):
@@ -313,7 +314,8 @@ def choi(phi: CpuMap) -> tuple[ChoiClass, ...]:
     images = np.empty((dst.element_dim, src.element_dim), dtype=complex)
     for q, image in enumerate(_unit_images(phi)):
         images[:, q] = image.vec
-    flat = images.ravel() / src.total_dim
+    images /= src.total_dim
+    flat = images.ravel()
     return tuple(ChoiClass(pairs, flat[at]) for pairs, at in _choi_layout(src, dst))
 
 
@@ -352,14 +354,17 @@ def _choi_verdict(phi: CpuMap, tol: float, spectrum: bool = True) -> ChoiVerdict
     if not isinstance(phi.linear_action, np.ndarray):
         return _markov_choi_test(phi, tol)
     classes = choi(phi)
-    gap = max(float(np.abs(c.blocks - c.blocks.conj().swapaxes(-1, -2)).max()) for c in classes)
+    gap = max(_hermiticity_gap(c.blocks) for c in classes)
     trace = sum(float(np.trace(c.blocks, axis1=1, axis2=2).real.sum()) for c in classes)
     bound = tol * max(1.0, abs(trace))
     # a Hermiticity gap fails the verdict, which still names the spectral minimum
     every = spectrum or not gap <= bound
     best = None  # (min eigenvalue, k, l, Hermitian block) over the decomposed classes
     for cls in classes:
-        herm = (cls.blocks + cls.blocks.conj().swapaxes(-1, -2)) / 2.0
+        # (B^dag + B) / 2, which is (B + B^dag) / 2 bit for bit, in one buffer
+        herm = cls.blocks.conj().swapaxes(-1, -2)
+        herm += cls.blocks
+        herm /= 2.0
         if every or not _pd_with_shift(herm, bound):
             mins = np.linalg.eigvalsh(herm)[:, 0]
             j = np.lexsort((cls.pairs[:, 1], cls.pairs[:, 0], mins))[0]
@@ -372,6 +377,14 @@ def _choi_verdict(phi: CpuMap, tol: float, spectrum: bool = True) -> ChoiVerdict
     cp = gap <= bound and min_eig >= -bound
     vector = _phase_fix(np.linalg.eigh(block)[1][None, :, :1])[0, :, 0] if spectrum and not cp else None
     return ChoiVerdict(cp, min_eig, (k, l), vector)
+
+
+def _hermiticity_gap(blocks: np.ndarray) -> float:
+    """max |B - B^dag| over a stack of blocks, B - B^dag subtracted in place
+    in the buffer of the conjugate transpose, which is freed on return,
+    before the Hermitian part is formed."""
+    diff = blocks.conj().swapaxes(-1, -2)
+    return float(np.abs(np.subtract(blocks, diff, out=diff)).max())
 
 
 def _markov_choi_test(phi: CpuMap, tol: float) -> ChoiVerdict:

@@ -48,7 +48,7 @@ import numpy as np
 
 from .algebra import InputError, _phase_fix
 from .channels import NcpMorphism
-from .gns import GnsSpace, _check_null_images, _top_gram_eig, build_gns
+from .gns import GnsSpace, _check_null_images, _gram, _top_gram_eig, build_gns
 from .states import NormalState, is_faithful, random_tracial_state
 
 
@@ -120,6 +120,12 @@ def omf_catalog() -> list[OperatorMonotoneFunction]:
 #: array.  Checked before anything is drawn, so a sample count far beyond
 #: memory is an input error, not a failed allocation.
 MAX_SAMPLE_ENTRIES = 2**24
+
+
+#: Most states that :func:`tracial_collapse_check` draws, the CLI's
+#: ``--samples`` limit: ``SeedSequence.spawn`` holds a child per state, so a
+#: count far beyond memory is refused before any is spawned.
+MAX_TRACIAL_STATES = 10**6
 
 
 #: The constant function f == 1: the GNS kind.  It is not part of
@@ -305,8 +311,9 @@ def monotonicity_check(
     With Z the kind's whitening (:func:`_whiten`) and C the contraction, the
     pushed pairing is |Z_rho C xi|^2 and the domain's |Z_sigma xi|^2, so the
     exact criterion (it decides: samples can miss thin violating cones) is
-    the top eigenvalue of M^dag M, M = Z_rho C Z_sigma^-1, with no Gram
-    built.  M is read off the action in the density eigenbases
+    the top eigenvalue of M^dag M, M = Z_rho C Z_sigma^-1, with no
+    covariance Gram built; M^dag M is formed once, from real products
+    (:func:`~ncplab.gns._gram`).  M is read off the action in the density eigenbases
     (:func:`_criterion`), without C, so only the samples and the witness
     are whitened.  A failed verdict carries ``witness``: the top eigenvector
     in sigma's orthonormal GNS coordinates (unit norm, phase fixed as
@@ -331,7 +338,7 @@ def monotonicity_check(
     eta = _whiten(kind, space_sigma, xi)
     lhs, rhs, norms = (np.sum(np.abs(v) ** 2, axis=0) for v in (m @ eta, eta, xi))
     del draws, xi, eta
-    h = m.conj().T @ m
+    h = _gram(m)
     del m  # only the Gram is alive while it is factorized
     # the whitened class of the unit, sqrt(d_q) at (j, q, q) of each group:
     # the map and its adjoint fix the unit's class, and so does each Gram
@@ -362,8 +369,11 @@ def tracial_collapse_check(
     """On tracial states every catalog Petz product collapses onto the GNS one.
 
     Draws random block-scalar states on the given shapes and reports the
-    largest deviation of any Petz Gram from the identity.
+    largest deviation of any Petz Gram from the identity.  More than
+    ``MAX_TRACIAL_STATES`` states is an :class:`InputError`.
     """
+    if n_states > MAX_TRACIAL_STATES:
+        raise InputError(f"{n_states} states exceed the limit of {MAX_TRACIAL_STATES} tracial states")
     shapes = list(shapes)
     per_shape: dict[str, float] = {}
     max_dev = 0.0

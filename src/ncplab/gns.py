@@ -48,7 +48,10 @@ norms because the GNS whitening after E_rho is unitary.
 A unital state-preserving map sends [1] to [1], and so does its adjoint,
 so the cyclic vector is a top singular vector of a contraction of norm 1:
 its operator norm is certified by one Cholesky factorization
-(:func:`_top_gram_eig`), with no eigensolve.
+(:func:`_top_gram_eig`), with no eigensolve.  That factorization, and the
+covariance criterion's, reads the Gram M^dag M, which one helper
+(:func:`_gram`) forms from real products at half the flops of a complex
+one, exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -220,17 +223,41 @@ def _transform(space: GnsSpace, x: np.ndarray, mats) -> np.ndarray:
     return out
 
 
+def _gram(m: np.ndarray) -> np.ndarray:
+    """m^dag m of an (r, n) matrix m = a + ib, from real products: the real
+    part is s^T s for the stacked copy s = [a; b], one symmetric rank-k
+    update (numpy's ``dsyrk``), and the imaginary part a^T b - (a^T b)^T,
+    both read off the contiguous halves of s.  That is 2 n^2 r real
+    multiply-adds, half of a complex product's, and the result is exactly
+    Hermitian.  s is freed before the result is allocated, and the real
+    part before the imaginary one is written, so the peak above m is
+    32 r n + 16 n^2 bytes for r >= n, that of ``m.conj().T @ m`` (the
+    conjugate copy and the product), and 16 r n + 32 n^2 for r < n."""
+    r = m.shape[0]
+    s = np.empty((2 * r, m.shape[1]))
+    s[:r], s[r:] = m.real, m.imag
+    re, ab = s.T @ s, s[:r].T @ s[r:]
+    del s
+    h = np.empty(re.shape, dtype=complex)
+    h.real = re
+    del re
+    np.subtract(ab, ab.T, out=h.imag)
+    return h
+
+
 def _top_gram_eig(h: np.ndarray, x: np.ndarray, vector: bool = False):
     """(largest eigenvalue, a vector attaining it) of a Gram matrix
-    h = m^dag m, the squared operator norm of m, given a candidate top
-    eigenvector x.
+    h = m^dag m (:func:`_gram`), the squared operator norm of m, given a
+    candidate top eigenvector x.
 
     The Rayleigh quotient r = x^dag h x / x^dag x is at most the top.  When
     r (1 + delta) - h, delta = 8 n eps, has a Cholesky factor, the top is at
     most r (1 + delta): r is returned, with x.  Otherwise one Hermitian
     eigensolve decides; its top eigenvector comes with it when ``vector`` is
     set (the vector is None otherwise).  ``h`` is negated in place for the
-    test and restored exactly.
+    test and restored exactly.  The quotient reads all of h and the
+    factorization its lower triangle, the same matrix because :func:`_gram`
+    makes h exactly Hermitian.
     """
     n = h.shape[0]
     r = float(np.vdot(x, h @ x).real / np.vdot(x, x).real) if x.shape == (n,) else 0.0
@@ -269,10 +296,10 @@ class GnsContraction:
         """Largest singular value of ``matrix``.  A contraction induced by a
         morphism maps the class of the unit to the class of the unit, and so
         does its adjoint, so ``source_space.cyclic`` is a top singular vector
-        when the norm is 1; one Cholesky factorization certifies that, and
-        any other matrix falls back to the spectrum (:func:`_top_gram_eig`)."""
-        m = self.matrix
-        return float(np.sqrt(_top_gram_eig(m.conj().T @ m, self.source_space.cyclic)[0]))
+        when the norm is 1; one Cholesky factorization of the Gram, formed
+        from real products (:func:`_gram`), certifies that, and any other
+        matrix falls back to the spectrum (:func:`_top_gram_eig`)."""
+        return float(np.sqrt(_top_gram_eig(_gram(self.matrix), self.source_space.cyclic)[0]))
 
 
 def induced_contraction(

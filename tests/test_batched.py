@@ -154,6 +154,14 @@ class TestVectorOpsAgainstLoops:
         assert all(np.array_equal(x, y) for x, y in zip(out, expected))
 
     @SETTINGS
+    @given(small_shapes, small_shapes, seeds, st.sampled_from([0.0, 0.1, "transpose", "linear"]))
+    def test_unit_images_are_the_action_columns(self, blocks_src, blocks_dst, seed, family):
+        phi = random_map(blocks_src, blocks_dst, seed, family)
+        images = [image.vec for image in channels._unit_images(phi)]
+        assert all(not v.flags.writeable for v in images)
+        assert np.array_equal(np.stack(images, axis=1), phi.linear_action)
+
+    @SETTINGS
     @given(shapes, seeds)
     def test_blockwise_transpose_and_embedding(self, blocks, seed):
         shape = mk_shape(blocks)
@@ -170,6 +178,45 @@ class TestVectorOpsAgainstLoops:
         assert len(ours) == len(loops) == shape.element_dim
         for e, mats in zip(ours, loops):
             assert np.array_equal(e.vec, np.concatenate([m.ravel() for m in mats]))
+
+
+class TestGramAgainstComplexProduct:
+    """``gns._gram`` against ``m.conj().T @ m``: exactly Hermitian, and within
+    rounding of the complex product, entry by entry."""
+
+    @SETTINGS
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.integers(0, 3),
+        seeds,
+        st.sampled_from(["complex", "real", "imaginary", "zero", "real dtype"]),
+        st.integers(-150, 150),
+    )
+    @example(400, 400, 0, 0, "complex", 0)
+    def test_hermitian_and_within_rounding(self, r, n, extra, seed, part, exponent):
+        rng = np.random.default_rng(seed)
+        # m[:, :n] of a wider matrix, as the criterion passes it when sigma
+        # has null columns
+        wide = 2.0**exponent * (rng.standard_normal((r, n + extra)) + 1j * rng.standard_normal((r, n + extra)))
+        wide = {
+            "complex": wide,
+            "real": wide.real + 0j,
+            "imaginary": 1j * wide.imag,
+            "zero": np.zeros_like(wide),
+            "real dtype": wide.real,
+        }[part]
+        m = wide[:, :n]
+        h = gns._gram(m)
+        want = m.conj().T @ m
+        assert h.shape == (n, n) and h.dtype == complex
+        assert np.array_equal(h, h.conj().T)
+        if part in ("real", "imaginary", "real dtype"):
+            assert not np.any(h.imag)
+        col = np.linalg.norm(m, axis=0)
+        assert np.all(np.abs(h - want) <= 4 * r * np.finfo(float).eps * np.outer(col, col))
+        if part == "zero":
+            assert not np.any(h)
 
 
 class TestGnsAgainstLoops:

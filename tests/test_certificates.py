@@ -9,13 +9,16 @@ controls a failing verdict must carry a witness and agree with the dense
 generalized eigenproblem, and a passing one must still pass.  The CP test
 and the operator norm get the same treatment: non-CP carriers are rejected
 with the spectral minimum and block pair, and a non-contraction gets the
-norm of its spectrum."""
+norm of its spectrum.  The allocation peaks of the three matrix verdicts
+are pinned."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import reference_loops as ref
-from ncplab import channels
+from ncplab import channels, gns
 from ncplab.algebra import mk_shape
 from ncplab.channels import (
     CP_TOL,
@@ -27,7 +30,7 @@ from ncplab.channels import (
     random_cpu_map,
     transpose_map,
 )
-from ncplab.covariance import OperatorMonotoneFunction, monotonicity_check, petz_kind
+from ncplab.covariance import SLD, OperatorMonotoneFunction, monotonicity_check, petz_kind
 from ncplab.gns import GnsContraction, build_gns, induced_contraction
 from ncplab.states import random_state
 
@@ -138,7 +141,11 @@ class TestOperatorNormCertificate:
         m = 1.5 * (rng.standard_normal((space.dim, space.dim)) + 1j * rng.standard_normal((space.dim, space.dim)))
         norm = GnsContraction(space, space, m).operator_norm
         assert norm > 1.0
-        assert norm == np.sqrt(np.linalg.eigvalsh(m.conj().T @ m)[-1])
+        # the spectrum of the package's own Gram, exactly; the complex product
+        # rounds differently, within a few units in the last place
+        assert norm == np.sqrt(np.linalg.eigvalsh(gns._gram(m))[-1])
+        spectral = np.sqrt(np.linalg.eigvalsh(m.conj().T @ m)[-1])
+        assert abs(norm - spectral) <= 1e-14 * spectral
 
     def test_certified_norm_of_a_morphism(self):
         shape = mk_shape([6])
@@ -150,3 +157,48 @@ class TestOperatorNormCertificate:
         spectral = np.sqrt(np.linalg.eigvalsh(c.matrix.conj().T @ c.matrix)[-1])
         assert abs(c.operator_norm - spectral) <= 1e-12
         assert abs(c.operator_norm - 1.0) <= 1e-12
+
+
+def _peak_above_start(fn) -> int:
+    """Bytes traced at the peak of fn(), above what was traced when it started;
+    tracemalloc must be running."""
+    tracemalloc.reset_peak()
+    start = tracemalloc.get_traced_memory()[0]
+    fn()
+    return tracemalloc.get_traced_memory()[1] - start
+
+
+class TestAllocationPeaks:
+    """The traced peaks of the three matrix verdicts on a 3-Kraus [16]
+    morphism, in units of one 256 x 256 complex array (16 dim^2 bytes, dim =
+    256 element and GNS coordinates).  Forming the Gram from real products
+    and the Choi Hermitian part in one buffer may raise none of them: with
+    the Gram as one complex product and the Hermitian part from full-size
+    temporaries they were 3.128 (mk_morphism: the unit images, a scaled
+    copy and the Choi blocks), 3.148 (monotonicity_check) and 2.007
+    (operator_norm: a conjugate copy and the Gram); mk_morphism's is now
+    3.008, the Choi blocks, their Hermitian part and its Cholesky factor."""
+
+    def test_no_higher_than_with_the_complex_gram(self):
+        shape = mk_shape([16])
+        phi = random_cpu_map(shape, shape, seed=3, n_kraus=3)
+        rho = random_state(shape, faithful=True, seed=3)
+        sigma = predual(phi, rho)
+        m = mk_morphism((shape, rho), (shape, sigma), phi)
+        c = induced_contraction(m, build_gns(shape, sigma), build_gns(shape, rho))
+        calls = {
+            "mk_morphism": (lambda: mk_morphism((shape, rho), (shape, sigma), phi), 3.13),
+            "monotonicity_check": (lambda: monotonicity_check(SLD, m, n_samples=100), 3.15),
+            "operator_norm": (lambda: c.operator_norm, 2.01),
+        }
+        unit = 16 * shape.element_dim**2
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for name, (fn, _) in calls.items():
+                fn()  # caches filled: the states' spectra, the Choi layout
+                peaks[name] = _peak_above_start(fn) / unit
+        finally:
+            tracemalloc.stop()
+        for name, (_, pin) in calls.items():
+            assert peaks[name] <= pin, (name, peaks[name])

@@ -8,7 +8,7 @@ from conftest import STANDARD_SHAPES, depolarizing_kraus, random_element, random
 from ncplab.algebra import basis, identity, mk_shape
 from ncplab.channels import from_kraus, identity_morphism, mk_morphism, predual, random_cpu_map
 import ncplab
-from ncplab import covariance
+from ncplab import cli, covariance
 from ncplab.covariance import (
     KMB,
     RLD,
@@ -318,3 +318,11 @@ class TestTracialCollapse:
     def test_block_scalar_direct_sum(self):
         rep = tracial_collapse_check([mk_shape([2, 3])], n_states=5, seed=2)
         assert rep["max_deviation"] < 1e-10
+
+    def test_state_count_beyond_the_limit_refused_before_spawning(self):
+        # SeedSequence.spawn(10**12) would hold a child per state
+        limit = covariance.MAX_TRACIAL_STATES
+        assert limit == cli.MAX_SAMPLES
+        for n_states in (limit + 1, 10**12):
+            with pytest.raises(ncplab.InputError, match=rf"{n_states} states exceed the limit of {limit}"):
+                tracial_collapse_check([S2], n_states=n_states)
