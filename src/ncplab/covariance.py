@@ -313,9 +313,9 @@ def monotonicity_check(
     exact criterion (it decides: samples can miss thin violating cones) is
     the top eigenvalue of M^dag M, M = Z_rho C Z_sigma^-1, with no
     covariance Gram built; M^dag M is formed once, from real products
-    (:func:`~ncplab.gns._gram`).  M is read off the action in the density eigenbases
-    (:func:`_criterion`), without C, so only the samples and the witness
-    are whitened.  A failed verdict carries ``witness``: the top eigenvector
+    (:func:`~ncplab.gns._gram`).  M is read off the action in the density
+    eigenbases (:func:`_criterion`), without C, so only the samples and the
+    witness are whitened.  A failed verdict carries ``witness``: the top eigenvector
     in sigma's orthonormal GNS coordinates (unit norm, phase fixed as
     theirs) and its ratio."""
     shape_a, rho = morphism.source
