@@ -353,22 +353,30 @@ def _choi_verdict(phi: CpuMap, tol: float, spectrum: bool = True) -> ChoiVerdict
     """
     if not isinstance(phi.linear_action, np.ndarray):
         return _markov_choi_test(phi, tol)
-    classes = choi(phi)
-    gap = max(_hermiticity_gap(c.blocks) for c in classes)
-    trace = sum(float(np.trace(c.blocks, axis1=1, axis2=2).real.sum()) for c in classes)
+    # each class's blocks are replaced by their Hermitian part once its gap
+    # and trace are read, so no block outlives it into the factorization
+    classes, gaps, traces = list(choi(phi)), [], []
+    for c, (pairs, blocks) in enumerate(classes):
+        gaps.append(_hermiticity_gap(blocks))
+        traces.append(float(np.trace(blocks, axis1=1, axis2=2).real.sum()))
+        # (B^dag + B) / 2, which is (B + B^dag) / 2 bit for bit, in one buffer
+        # laid out like B, so that no ufunc below needs a buffer of its own
+        herm = blocks.swapaxes(-1, -2).copy()
+        np.conj(herm, out=herm)
+        herm += blocks
+        herm /= 2.0
+        classes[c] = pairs, herm
+        del blocks
+    gap, trace = max(gaps), sum(traces)
     bound = tol * max(1.0, abs(trace))
     # a Hermiticity gap fails the verdict, which still names the spectral minimum
     every = spectrum or not gap <= bound
     best = None  # (min eigenvalue, k, l, Hermitian block) over the decomposed classes
-    for cls in classes:
-        # (B^dag + B) / 2, which is (B + B^dag) / 2 bit for bit, in one buffer
-        herm = cls.blocks.conj().swapaxes(-1, -2)
-        herm += cls.blocks
-        herm /= 2.0
+    for pairs, herm in classes:
         if every or not _pd_with_shift(herm, bound):
             mins = np.linalg.eigvalsh(herm)[:, 0]
-            j = np.lexsort((cls.pairs[:, 1], cls.pairs[:, 0], mins))[0]
-            low = (float(mins[j]), int(cls.pairs[j, 0]), int(cls.pairs[j, 1]))
+            j = np.lexsort((pairs[:, 1], pairs[:, 0], mins))[0]
+            low = (float(mins[j]), int(pairs[j, 0]), int(pairs[j, 1]))
             if best is None or low < best[:3]:
                 best = (*low, herm[j])
     if best is None:
@@ -380,11 +388,15 @@ def _choi_verdict(phi: CpuMap, tol: float, spectrum: bool = True) -> ChoiVerdict
 
 
 def _hermiticity_gap(blocks: np.ndarray) -> float:
-    """max |B - B^dag| over a stack of blocks, B - B^dag subtracted in place
-    in the buffer of the conjugate transpose, which is freed on return,
-    before the Hermitian part is formed."""
-    diff = blocks.conj().swapaxes(-1, -2)
-    return float(np.abs(np.subtract(blocks, diff, out=diff)).max())
+    """max |B - B^dag| over a stack of blocks, read a slab of rows of every
+    block at a time (about ``_SLAB`` entries), so that no full-size
+    difference is formed."""
+    k, n = blocks.shape[0], blocks.shape[-1]
+    step = max(1, _SLAB // (k * n))
+    return float(np.max([
+        np.abs(blocks[:, i : i + step] - blocks[:, :, i : i + step].conj().swapaxes(-1, -2)).max()
+        for i in range(0, n, step)
+    ]))
 
 
 def _markov_choi_test(phi: CpuMap, tol: float) -> ChoiVerdict:

@@ -211,15 +211,10 @@ def _transform(space: GnsSpace, x: np.ndarray, mats) -> np.ndarray:
     rows of ``x`` (element_dim, s), each written at ``at[j, i, q]``: E x for
     ``_iso`` and R^T x for ``_rep`` (dim rows), [R N]^T x for ``_rep_null``
     (element_dim rows, the null basis after the dim coordinates)."""
-    # the products first: the output, allocated after them, then sits above
-    # them on the heap, and freeing them does not trim it (no page faults)
-    done = []
-    for g, at in zip(space._groups, space._layout.at):
-        k = mats(g)
-        done.append((at[:, :, : k.shape[2]], k.swapaxes(1, 2)[:, None] @ x[g.pos]))
-    out = np.empty((sum(at.size for at, _ in done), x.shape[1]), dtype=complex)
-    for at, t in done:
-        out[at] = t
+    ks = [mats(g) for g in space._groups]  # (blocks, n, c): one output row per entry
+    out = np.empty((sum(k.size for k in ks), x.shape[1]), dtype=complex)
+    for g, at, k in zip(space._groups, space._layout.at, ks):
+        out[at[:, :, : k.shape[2]]] = k.swapaxes(1, 2)[:, None] @ x[g.pos]
     return out
 
 

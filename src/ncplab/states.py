@@ -206,7 +206,9 @@ def random_state(shape: AlgebraShape, faithful: bool = False, seed: int = 0) -> 
     """Deterministic Wishart-type random state.
 
     With ``faithful=True`` the state is mixed toward the normalized identity
-    until its smallest eigenvalue is at least 1e-3.
+    until its smallest eigenvalue is at least min(1e-3, 1/(2N)), N the
+    enveloping dimension: the eigenvalues of a state average 1/N, so no state
+    on more than 1,000 dimensions reaches 1e-3.
     """
     rng = np.random.default_rng(seed)
     mats = []
@@ -215,11 +217,11 @@ def random_state(shape: AlgebraShape, faithful: bool = False, seed: int = 0) -> 
         mats.append(g @ g.conj().T)
     total = sum(np.trace(m).real for m in mats)
     state = mk_state(shape, [m / total for m in mats])
-    floor = 1e-3
+    N = shape.total_dim
+    floor = min(1e-3, 0.5 / N)
     min_eig = min(float(s.eigvals[:, 0].min()) for s in state.spectrum.stacks)
     if not faithful or min_eig >= floor:
         return state
-    N = shape.total_dim
     # mixing weight t gives min eigenvalue >= (1-t)*min_eig + t/N
     t = (floor - min_eig) / (1.0 / N - min_eig)
     return _state_from_vec(shape, (1.0 - t) * state.vec + t * identity(shape).vec / N)

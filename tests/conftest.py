@@ -1,10 +1,16 @@
 """Shared builders for the test suite: random elements, random verified
-morphisms, and the standard qubit channels."""
+morphisms, the standard qubit channels, and fresh interpreter processes."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import ncplab
 from ncplab.algebra import AlgebraElement, AlgebraShape, mk_element, mk_shape
 from ncplab.channels import (
     NcpMorphism,
@@ -13,6 +19,22 @@ from ncplab.channels import (
     random_cpu_map,
 )
 from ncplab.states import mk_state, random_state
+
+SRC = Path(ncplab.__file__).resolve().parents[1]
+
+
+def fresh(code: str, env: dict[str, str] | None = None) -> list[str]:
+    """Standard output lines of ``python -c code`` in a fresh interpreter that
+    imports ncplab from this tree, with ``env`` added to the environment."""
+    env = {
+        **os.environ,
+        **(env or {}),
+        "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]),
+    }
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split("\n")
+
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)

@@ -6,25 +6,11 @@ Gaussian model is built; scipy.linalg (36-53 ms and about 6.3 MB of peak
 resident memory) is not imported by the package at all, not even by a
 verdict."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import ncplab
-
-SRC = Path(ncplab.__file__).resolve().parents[1]
-
-
-def _fresh(code: str) -> list[str]:
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout.split("\n")
+from conftest import fresh
 
 
 def test_scipy_sparse_not_loaded_by_import():
-    out = _fresh(
+    out = fresh(
         "import sys, ncplab, ncplab.cli\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n"
         "ncplab.congruent_embedding([0, 0], [0.5, 0.5])\n"
@@ -35,7 +21,7 @@ def test_scipy_sparse_not_loaded_by_import():
 
 
 def test_scipy_special_not_loaded_by_import():
-    out = _fresh(
+    out = fresh(
         "import sys, ncplab, ncplab.cli\n"
         "print(sorted(m for m in sys.modules if m.startswith(('scipy.special', 'unittest'))))\n"
         "ncplab.gaussian_model(8, -1.0, 1.0)\n"
@@ -46,7 +32,7 @@ def test_scipy_special_not_loaded_by_import():
 
 
 def test_scipy_linalg_not_loaded_by_import():
-    out = _fresh(
+    out = fresh(
         "import sys, ncplab, ncplab.cli\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
     )
@@ -56,7 +42,7 @@ def test_scipy_linalg_not_loaded_by_import():
 def test_scipy_linalg_not_loaded_by_verdicts():
     # a matrix monotonicity verdict (its Cholesky certificate and whitening)
     # and a Markov CP test run on numpy and scipy.sparse alone
-    out = _fresh(
+    out = fresh(
         "import sys, ncplab, ncplab.cli\n"
         "shape = ncplab.mk_shape([2, 3])\n"
         "phi = ncplab.random_cpu_map(shape, shape, seed=1, mix_trace=0.1)\n"

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import reference_loops as ref
 from conftest import PAULI_Z, STANDARD_SHAPES, random_element
-from ncplab.algebra import adjoint, basis, hs_norm, identity, mk_element, mk_shape, multiply
+from ncplab.algebra import abelian_shape, adjoint, basis, hs_norm, identity, mk_element, mk_shape, multiply
 from ncplab.channels import congruent_embedding, predual
 from ncplab.gns import build_gns
 from ncplab.states import (
@@ -118,6 +118,20 @@ class TestSupport:
         rho = mk_state(mk_shape([3]), [np.diag([0.75, 0.25, 0.0])])
         p = support(rho)
         assert np.allclose(p.blocks[0], np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+
+
+class TestRandomState:
+    @pytest.mark.parametrize("n", [1024, 2048, 4096])
+    def test_faithful_floor_beyond_a_thousand_dimensions(self, n):
+        # eigenvalues average 1/N, so the floor is 1/(2N) there, not 1e-3;
+        # the mixture meets it in exact arithmetic, and eigh's rounding
+        # (about eps times the largest eigenvalue) may leave it an ulp short
+        shape = abelian_shape(n)
+        for seed in (1, 2, 3):
+            rho = random_state(shape, faithful=True, seed=seed)
+            assert is_faithful(rho)
+            low = min(float(s.eigvals[:, 0].min()) for s in rho.spectrum.stacks)
+            assert low >= 0.5 / n * (1 - 1e-12)
 
     def test_projection_properties(self):
         for seed in range(10):
