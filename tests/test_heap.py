@@ -4,7 +4,7 @@ temporaries back in.  Each run is a fresh interpreter with one BLAS thread
 that loops a 3-Kraus [16] morphism job (two states, the Kraus map, the
 morphism, an SLD monotonicity check, two GNS spaces, the induced contraction
 and its norm): two passes to warm up, then five counted by the process's own
-minor page faults.  Without the policy the job took 3,902 faults a pass;
+minor page faults.  Without the policy the job took 3,902 minor faults;
 with it, 0 or 1."""
 
 import os
