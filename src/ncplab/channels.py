@@ -21,16 +21,21 @@ Choi matrix is normalized by the source dimension:
 vanishes unless i and j lie in one source block k and a and b in one target
 block l (Choi 1975), so C is a permutation of the direct sum of K_B*K_A
 blocks of size n_k*m_l, and the sizes add up to N_B*N_A.  The test therefore
-never forms C: :func:`choi` gathers the blocks, batched by (n_k, m_l), and
-one batched Cholesky factorization of each class's Hermitian part, shifted
-by the tolerance, certifies it; a class that fails is decomposed, and the
-test names the block pair (k, l) holding the smallest eigenvalue, with its
+never forms C: :func:`choi` gathers the blocks from the action, batched by
+(n_k, m_l).  A map built from Kraus operators carries one factor per block,
+V with V V^dag / N_B the block (Choi 1975), and is certified by the small
+residual of the blocks against it (Weyl's inequality), with no
+factorization.  Any other map, or one whose residual does not certify it,
+gets one batched Cholesky factorization of each class's Hermitian part,
+shifted by the tolerance; a class that fails is decomposed, and the test
+names the block pair (k, l) holding the smallest eigenvalue, with its
 eigenvector.  A Markov map between abelian algebras, whose action is
 stored as CSR, has only 1 x 1 blocks, read off the stored entries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, NamedTuple
@@ -192,9 +197,12 @@ def from_kraus(src: AlgebraShape, dst: AlgebraShape, kraus_list) -> CpuMap:
     Each K_k is an N_B x N_A matrix between the enveloping algebras of source
     and target; unitality requires sum_k K_k^dag K_k = 1 within 1e-10.  When
     the raw output of the Kraus action is not block-diagonal for ``dst`` it is
-    pinched onto the blocks, which keeps the map CPU.  The action is read off
-    entrywise: for a source matrix unit e_ij and a target position (a, b) of
-    the enveloping algebras, phi(e_ij)_ab = sum_k conj(K_k[i, a]) K_k[j, b].
+    pinched onto the blocks, which keeps the map CPU.  For a source matrix
+    unit e_ij and a target position (a, b) of the enveloping algebras,
+    phi(e_ij)_ab = sum_k conj(K_k[i, a]) K_k[j, b], which is N_B times entry
+    [(i,a), (j,b)] of the Choi matrix: the action is built as the products
+    V V^dag of the factors of :func:`_kraus_factors`, a slab of each Choi
+    class at a time, scattered through :func:`_choi_layout`.
     """
     NB, NA = src.total_dim, dst.total_dim
     ks = []
@@ -215,15 +223,13 @@ def from_kraus(src: AlgebraShape, dst: AlgebraShape, kraus_list) -> CpuMap:
         raise ChannelValidationError(
             f"Kraus family is not unital: ||sum K^dag K - 1|| = {dev:.3e}"
         )
-    (si, sj), (da, db) = src.full_positions, dst.full_positions
-    # conjugated before the column gather, while it is small; summed in place,
-    # in the gathers' Fortran order, so that the action is C-contiguous
-    total = np.zeros((src.element_dim, dst.element_dim), dtype=complex, order="F")
-    for k in ks:
-        term = k[si].conj()[:, da]
-        term *= k[sj][:, db]
-        total += term
-    return CpuMap(src, dst, _frozen(total.T), tuple(_frozen(k.copy()) for k in ks))
+    # every action entry lands in exactly one Choi block, so all are written
+    action = np.empty((dst.element_dim, src.element_dim), dtype=complex)
+    flat = action.reshape(-1)
+    for (_, at), v in zip(_choi_layout(src, dst), _kraus_factors(src, dst, ks)):
+        for rows, product in _factor_products(v):
+            flat[at[:, rows]] = product
+    return CpuMap(src, dst, _frozen(action), tuple(_frozen(k.copy()) for k in ks))
 
 
 def identity_map(shape: AlgebraShape) -> CpuMap:
@@ -319,6 +325,47 @@ def choi(phi: CpuMap) -> tuple[ChoiClass, ...]:
     return tuple(ChoiClass(pairs, flat[at]) for pairs, at in _choi_layout(src, dst))
 
 
+def _kraus_factors(src: AlgebraShape, dst: AlgebraShape, kraus) -> list[np.ndarray]:
+    """The Choi factors of a Kraus family of N_B x N_A operators, one
+    (K_n*K_m, n*m, kappa) stack per class of :func:`_choi_layout`:
+    V[p, (i, a), k] = conj(K_k[i, a]), with i in the source block and a in
+    the target block of pair p, rows in :class:`ChoiClass`'s (i, a) order,
+    so that Choi block p is V_p V_p^dag / N_B.  Every Kraus entry lands in
+    exactly one row, gathered at :func:`_factor_positions`."""
+    entries = np.reshape(kraus, (len(kraus), -1)).T  # (N_B*N_A, kappa)
+    factors = []
+    for at in _factor_positions(src, dst):
+        v = entries[at]
+        factors.append(np.conjugate(v, out=v))
+    return factors
+
+
+@lru_cache(maxsize=16)
+def _factor_positions(src: AlgebraShape, dst: AlgebraShape) -> tuple[np.ndarray, ...]:
+    """Per class of :func:`_choi_layout`, the (K_n*K_m, n*m) positions of
+    the rows (i, a) of its factors in a flattened N_B x N_A Kraus operator,
+    read off the diagonal of the class's action positions: entry
+    [(i,a), (i,a)] sits in the action's row of target coordinate (a, a) and
+    column of source coordinate (i, i).  Cached like the layout."""
+    width, NA = src.element_dim, dst.total_dim
+    (rows_b, _), (rows_a, _) = src.full_positions, dst.full_positions
+    out = []
+    for _, at in _choi_layout(src, dst):
+        diag = np.diagonal(at, axis1=1, axis2=2)
+        out.append(_frozen(rows_b[diag % width] * NA + rows_a[diag // width]))
+    return tuple(out)
+
+
+def _factor_products(v: np.ndarray):
+    """V V^dag for a stack of factors V, a slab of rows of every product at
+    a time (about ``_SLAB`` entries): yields each slab's rows and a fresh
+    array of its entries, so that no full-size product is formed."""
+    vh = v.conj().swapaxes(-1, -2)
+    step = max(1, _SLAB // (v.shape[0] * v.shape[1]))
+    for i in range(0, v.shape[1], step):
+        yield slice(i, i + step), v[:, i : i + step] @ vh
+
+
 class ChoiVerdict(NamedTuple):
     """The CP test of a map.  ``min_eig`` is the smallest eigenvalue of the
     Hermitian part of the Choi matrix and ``pair`` the block pair (k, l)
@@ -341,24 +388,31 @@ def _choi_verdict(phi: CpuMap, tol: float, spectrum: bool = True) -> ChoiVerdict
 
     The blocks hold every entry of the Choi matrix, so its Hermiticity
     deviation and its (real) trace are read off them.  Without ``spectrum``,
-    the Hermitian part of each size class, shifted by tol * scale, is
-    factorized by one batched Cholesky call, which certifies the class; only
-    a class that fails gets a batched ``eigvalsh``.  Such a verdict differs
-    from the spectral one only within rounding of the threshold.  With
-    ``spectrum``, or when the Hermiticity check fails, every class gets one;
-    with ``spectrum``, a failed verdict also gets one ``eigh`` of its
+    a map that carries ``kraus`` is first tried by :func:`_kraus_certifies`,
+    which compares the blocks read off the action with the Kraus factors and
+    certifies the whole map without a Hermitian part or a factorization.
+    Otherwise the Hermitian part of each size class, shifted by tol * scale,
+    is factorized by one batched Cholesky call, which certifies the class;
+    only a class that fails gets a batched ``eigvalsh``.  Such a verdict
+    differs from the spectral one only within rounding of the threshold.
+    With ``spectrum``, or when the Hermiticity check fails, every class gets
+    one; with ``spectrum``, a failed verdict also gets one ``eigh`` of its
     witness block.  Of several pairs holding the minimum, the smallest
     (k, l) is named.  A CSR action is tested by :func:`_markov_choi_test`,
     on its entries.
     """
     if not isinstance(phi.linear_action, np.ndarray):
         return _markov_choi_test(phi, tol)
+    classes = list(choi(phi))
+    trace = sum(float(np.trace(blocks, axis1=1, axis2=2).real.sum()) for _, blocks in classes)
+    bound = tol * max(1.0, abs(trace))
+    if not spectrum and _kraus_certifies(phi, classes, bound):
+        return ChoiVerdict(True, None, None, None)
     # each class's blocks are replaced by their Hermitian part once its gap
-    # and trace are read, so no block outlives it into the factorization
-    classes, gaps, traces = list(choi(phi)), [], []
+    # is read, so no block outlives it into the factorization
+    gaps = []
     for c, (pairs, blocks) in enumerate(classes):
         gaps.append(_hermiticity_gap(blocks))
-        traces.append(float(np.trace(blocks, axis1=1, axis2=2).real.sum()))
         # (B^dag + B) / 2, which is (B + B^dag) / 2 bit for bit, in one buffer
         # laid out like B, so that no ufunc below needs a buffer of its own
         herm = blocks.swapaxes(-1, -2).copy()
@@ -367,8 +421,7 @@ def _choi_verdict(phi: CpuMap, tol: float, spectrum: bool = True) -> ChoiVerdict
         herm /= 2.0
         classes[c] = pairs, herm
         del blocks
-    gap, trace = max(gaps), sum(traces)
-    bound = tol * max(1.0, abs(trace))
+    gap = max(gaps)
     # a Hermiticity gap fails the verdict, which still names the spectral minimum
     every = spectrum or not gap <= bound
     best = None  # (min eigenvalue, k, l, Hermitian block) over the decomposed classes
@@ -385,6 +438,41 @@ def _choi_verdict(phi: CpuMap, tol: float, spectrum: bool = True) -> ChoiVerdict
     cp = gap <= bound and min_eig >= -bound
     vector = _phase_fix(np.linalg.eigh(block)[1][None, :, :1])[0, :, 0] if spectrum and not cp else None
     return ChoiVerdict(cp, min_eig, (k, l), vector)
+
+
+def _kraus_certifies(phi: CpuMap, classes: list[ChoiClass], bound: float) -> bool:
+    """Whether phi's Kraus family certifies its Choi ``classes``, read off
+    the action, as Hermitian within ``bound`` with spectrum >= -bound.
+
+    With the factors V of :func:`_kraus_factors`, each block is
+    B = V V^dag / N_B + D, and V V^dag is positive semidefinite, so
+    max |B - B^dag| <= 2 ||D||_F and, by Weyl's inequality,
+    lambda_min((B + B^dag) / 2) >= -||D||_F.  The residual D is computed a
+    slab of rows of every block at a time, leaving the blocks as they are;
+    the computed one differs from D by at most gamma ||V||_F^2 / N_B, with
+    gamma = (kappa + 3) eps / (1 - (kappa + 3) eps), which covers the
+    complex rounding of V V^dag (Higham 2002, sec. 3.6: sqrt(2) gamma_{kappa+2}
+    in units of eps / 2) and of its scaling.  Every class must then have
+    2 ||D||_F + 2 gamma ||V||_F^2 / N_B <= bound.  The cost is that of
+    building the action from the family, O(kappa sum (nm)^2).  A map
+    without a family, or whose family is not N_B x N_A, is not certified;
+    nor is one whose family does not match its action.
+    """
+    src, dst, kraus = phi.source_shape, phi.target_shape, phi.kraus
+    NB = src.total_dim
+    if not kraus or any(np.shape(k) != (NB, dst.total_dim) for k in kraus):
+        return False
+    u = (len(kraus) + 3) * np.finfo(float).eps
+    gamma = u / (1.0 - u)
+    for (_, blocks), v in zip(classes, _kraus_factors(src, dst, kraus)):
+        square = 0.0
+        for rows, d in _factor_products(v):
+            d /= NB
+            np.subtract(blocks[:, rows], d, out=d)
+            square += float(np.vdot(d, d).real)
+        if not 2.0 * math.sqrt(square) + 2.0 * gamma * float(np.vdot(v, v).real) / NB <= bound:
+            return False
+    return True
 
 
 def _hermiticity_gap(blocks: np.ndarray) -> float:
@@ -431,9 +519,18 @@ def min_choi_eig(phi: CpuMap) -> float:
     return _choi_verdict(phi, CP_TOL).min_eig
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance that is not finite and >= 0: an infinite one would
+    pass every map, and a NaN one fail every map."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InputError(f"tol must be finite and >= 0, got {tol}")
+
+
 def is_cp(phi: CpuMap, tol: float = CP_TOL) -> bool:
     """Complete positivity via the Choi test, tolerance scaled by Choi trace;
-    certified by Cholesky factors where it holds (:func:`_choi_verdict`)."""
+    certified by the Kraus factors or by Cholesky factors where it holds
+    (:func:`_choi_verdict`)."""
+    _check_tol(tol)
     return _choi_verdict(phi, tol, spectrum=False).cp
 
 
@@ -442,6 +539,7 @@ def _unital_deviation(phi: CpuMap) -> float:
 
 
 def is_unital(phi: CpuMap, tol: float = UNITAL_TOL) -> bool:
+    _check_tol(tol)
     return _unital_deviation(phi) <= tol
 
 
@@ -483,10 +581,12 @@ def mk_morphism(
     """Verified morphism (A, rho) -> (B, sigma) carried by phi: B -> A.
 
     Checks unitality, complete positivity, and rho o phi = sigma in one pass
-    over the matrix units of B, one image alive at a time, per block of B
-    within ``tol`` times sigma's largest eigenvalue there (the support
-    rule's scale); errors name the first block.
+    over the matrix units of B, a slab of unit images at a time, per block
+    of B within ``tol`` times sigma's largest eigenvalue there (the support
+    rule's scale); errors name the first block.  ``tol`` must be finite and
+    >= 0.
     """
+    _check_tol(tol)
     shape_a, rho = source_obj
     shape_b, sigma = target_obj
     if phi.source_shape != shape_b or phi.target_shape != shape_a:
@@ -507,12 +607,19 @@ def mk_morphism(
         if state.shape != shape:
             raise ShapeError(f"shape mismatch: {state.shape} vs {shape}")
     # rho(a) is the dot product of a's coordinates with rho's transposed ones,
-    # so sigma(b) of matrix unit q is entry q of sigma's
+    # so sigma(b) of matrix unit q is entry q of sigma's; the unit images
+    # fill the columns of one slab, and each slab takes one product
     rho_t, sigma_t = rho.vec[shape_a.transpose_perm], sigma.vec[shape_b.transpose_perm]
-    dev = [
-        abs(complex(rho_t @ image.vec) - complex(sigma_t[q]))
-        for q, image in enumerate(_unit_images(phi))
-    ]
+    rows, cols = shape_a.element_dim, shape_b.element_dim
+    step = max(1, _SLAB // rows)
+    slab = np.empty((rows, min(step, cols)), dtype=complex, order="F")
+    dev = np.empty(cols)
+    images = _unit_images(phi)
+    for q0 in range(0, cols, step):
+        width = min(step, cols - q0)
+        for j in range(width):
+            slab[:, j] = next(images).vec
+        dev[q0 : q0 + width] = np.abs(rho_t @ slab[:, :width] - sigma_t[q0 : q0 + width])
     dev = np.maximum.reduceat(dev, shape_b.block_offsets()[:-1])
     scale = np.array([w[-1] for w in sigma.block_eigenvalues()])
     k = int(np.argmax(~(dev <= tol * scale)))
@@ -569,7 +676,8 @@ def markov_from_stochastic(S) -> CpuMap:
     return _markov_from_owned(*_csr_of_transpose(S), S.shape[0])
 
 
-# entries of a dense stochastic matrix read per slab while converting it to CSR
+# entries of a dense array read per slab: a stochastic matrix converted to
+# CSR, Choi blocks and their factor products, and unit images
 _SLAB = 1 << 14
 
 

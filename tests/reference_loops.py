@@ -9,7 +9,8 @@ one least-squares solve per block, the covariance Gram assembled from the raw
 forms, the induced contraction one GNS coordinate at a time and as the
 product of the dense coordinate matrices, the monotonicity criterion as the
 generalized eigenproblem of the two dense Grams, the Kraus
-action one source basis element at a time, the dense (N_B N_A)^2 Choi
+action one source basis element at a time and entrywise over the whole
+family, the dense (N_B N_A)^2 Choi
 matrix and its single eigensolve, the monotonicity samples one vector at a
 time, and evaluation, the predual, the blockwise transpose, the
 block-diagonal embedding and the bases one block (or one basis element of K
@@ -319,6 +320,20 @@ def from_kraus_action(src, dst, kraus):
         out = sum(k.conj().T @ full @ k for k in kraus)
         cols.append(np.concatenate([out[p: p + n, p: p + n].ravel() for p, n in zip(starts, dst.blocks)]))
     return np.column_stack(cols)
+
+
+def from_kraus_entrywise(src, dst, kraus):
+    """The Kraus action read off entrywise: for a source matrix unit e_ij
+    and a target position (a, b) of the enveloping algebras,
+    phi(e_ij)_ab = sum_k conj(K_k[i, a]) K_k[j, b], gathered for every pair
+    of coordinates at once and summed over the family in order."""
+    (si, sj), (da, db) = src.full_positions, dst.full_positions
+    total = np.zeros((src.element_dim, dst.element_dim), dtype=complex, order="F")
+    for k in kraus:
+        term = k[si].conj()[:, da]
+        term *= k[sj][:, db]
+        total += term
+    return total.T
 
 
 def choi(phi):

@@ -38,6 +38,7 @@ from ncplab.channels import (
     conjugation_map,
     from_kraus,
     from_linear,
+    identity_map,
     left_inverse,
     markov_from_stochastic,
     mk_morphism,
@@ -504,6 +505,25 @@ class TestKrausAgainstLoop:
         assert len(phi.kraus) == len(kraus)
         assert all(np.array_equal(a, b) for a, b in zip(phi.kraus, kraus))
         assert np.array_equal(phi.linear_action, from_kraus(src, dst, kraus).linear_action)
+
+    @SETTINGS
+    @given(small_shapes, small_shapes, seeds, st.sampled_from([0.0, 0.3]))
+    @example([3], [1, 2], 1, 0.0)
+    @example([2, 2], [2, 1, 1], 2, 0.3)
+    def test_factor_built_action_matches_the_entrywise_formula(self, blocks_src, blocks_dst, seed, mix):
+        # a target of several blocks cuts off the Kraus operators' parts
+        # between its blocks: the pinching
+        src, dst = mk_shape(blocks_src), mk_shape(blocks_dst)
+        phi = random_cpu_map(src, dst, seed=seed, mix_trace=mix)
+        action = ref.from_kraus_entrywise(src, dst, phi.kraus)
+        assert np.max(np.abs(phi.linear_action - action)) <= 1e-15
+
+    @pytest.mark.parametrize("blocks", [[1], [3], [2, 3, 1], [1] * 5, [8]])
+    def test_identity_map_is_bit_identical_to_the_entrywise_formula(self, blocks):
+        shape = mk_shape(blocks)
+        phi = identity_map(shape)
+        action = np.ascontiguousarray(ref.from_kraus_entrywise(shape, shape, phi.kraus))
+        assert phi.linear_action.tobytes() == action.tobytes()
 
 
 choi_shapes = st.lists(st.integers(1, 3), min_size=1, max_size=3)

@@ -9,22 +9,30 @@ controls a failing verdict must carry a witness and agree with the dense
 generalized eigenproblem, and a passing one must still pass.  The CP test
 and the operator norm get the same treatment: non-CP carriers are rejected
 with the spectral minimum and block pair, and a non-contraction gets the
-norm of its spectrum.  The allocation peaks of the three matrix verdicts
-are pinned."""
+norm of its spectrum.  A Kraus carrier is certified CP by its factor
+residual; that certificate agrees with the spectral verdict on random
+families, and a Kraus family that does not match its action is caught.
+The allocation peaks of the three matrix verdicts are pinned."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_loops as ref
 from ncplab import channels, gns
 from ncplab.algebra import mk_shape
 from ncplab.channels import (
     CP_TOL,
+    CpuMap,
     MorphismValidationError,
+    choi,
     from_kraus,
     from_linear,
+    identity_map,
+    is_cp,
     mk_morphism,
     predual,
     random_cpu_map,
@@ -131,6 +139,92 @@ class TestCpCertificate:
         phi = random_cpu_map(mk_shape([3, 2]), mk_shape([2, 2]), seed=6)
         assert tuple(channels._choi_verdict(phi, CP_TOL, spectrum=False)) == (True, None, None, None)
         assert channels._choi_verdict(phi, CP_TOL)[0]
+
+
+def lowered(phi, pair, row, by):
+    """phi's action with the diagonal entry ``row`` of its Choi block
+    ``pair`` lowered by ``by`` (in Choi units), still carrying phi's Kraus
+    family: a family that no longer matches its action."""
+    action = phi.linear_action.copy()
+    for pairs, at in channels._choi_layout(phi.source_shape, phi.target_shape):
+        hit = np.flatnonzero((pairs == pair).all(axis=1))
+        if hit.size:
+            action.reshape(-1)[at[hit[0], row, row]] -= by * phi.source_shape.total_dim
+    return CpuMap(phi.source_shape, phi.target_shape, action, phi.kraus)
+
+
+class TestKrausCertificate:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["kraus", "mixed", "damaged"]),
+        st.data(),
+    )
+    def test_agrees_with_the_spectral_verdict(self, blocks_src, blocks_dst, seed, family, data):
+        src, dst = mk_shape(blocks_src), mk_shape(blocks_dst)
+        NB, NA = src.total_dim, dst.total_dim
+        # from one operator (where N_B >= N_A allows it) to beyond N_B * N_A;
+        # the trace mix adds N_B * N_A more
+        n_kraus = data.draw(st.integers(-(-NA // NB), NB * NA + 2), label="n_kraus")
+        phi = random_cpu_map(src, dst, seed=seed, n_kraus=n_kraus, mix_trace=0.3 if family == "mixed" else 0.0)
+        if family == "damaged":
+            # a Choi diagonal entry driven to -1e-3, far below -tol * trace
+            layout = channels._choi_layout(src, dst)
+            pairs, at = layout[data.draw(st.integers(0, len(layout) - 1), label="class")]
+            j = data.draw(st.integers(0, len(pairs) - 1), label="pair")
+            row = data.draw(st.integers(0, at.shape[1] - 1), label="row")
+            entry = phi.linear_action.reshape(-1)[at[j, row, row]] / NB
+            phi = lowered(phi, pairs[j], row, 1e-3 + float(entry.real))
+        spectral = channels._choi_verdict(phi, CP_TOL, spectrum=True)
+        assert spectral.cp == (family != "damaged")
+        assert is_cp(phi) == spectral.cp
+        classes = list(choi(phi))
+        trace = sum(float(np.trace(b, axis1=1, axis2=2).real.sum()) for _, b in classes)
+        certified = channels._kraus_certifies(phi, classes, CP_TOL * max(1.0, abs(trace)))
+        assert certified == spectral.cp
+
+    def test_transpose_action_with_the_identity_family_is_rejected(self):
+        shape = mk_shape([3])
+        plain = transpose_map(shape)
+        phi = CpuMap(shape, shape, plain.linear_action, identity_map(shape).kraus)
+        verdict = channels._choi_verdict(phi, CP_TOL, spectrum=False)
+        assert not verdict.cp and verdict.pair == (0, 0)
+        assert verdict.min_eig == pytest.approx(-1.0 / 3.0, abs=1e-12)
+        assert verdict[:3] == channels._choi_verdict(plain, CP_TOL, spectrum=False)[:3]
+        assert not is_cp(phi)
+
+    def test_a_diagonal_entry_lowered_by_20_tol_is_rejected(self):
+        # the identity on [1, 3]: entry ((0, 1), (0, 1)) of its Choi block
+        # (1, 1) is 0, and so is the rest of its row and column
+        shape = mk_shape([1, 3])
+        phi = lowered(identity_map(shape), (1, 1), 1, 20 * CP_TOL)
+        plain = from_linear(shape, shape, phi.linear_action)
+        verdict = channels._choi_verdict(phi, CP_TOL, spectrum=False)
+        assert not verdict.cp and verdict.pair == (1, 1)
+        assert verdict.min_eig == pytest.approx(-20 * CP_TOL, rel=1e-9)
+        assert verdict[:3] == channels._choi_verdict(plain, CP_TOL, spectrum=False)[:3]
+        spectral, unfactored = channels._choi_verdict(phi, CP_TOL), channels._choi_verdict(plain, CP_TOL)
+        assert spectral[:3] == unfactored[:3] and np.array_equal(spectral.vector, unfactored.vector)
+        assert not is_cp(phi)
+
+    def test_a_kraus_carrier_is_not_factorized(self, monkeypatch):
+        shape = mk_shape([6])
+        phi = random_cpu_map(shape, shape, seed=11, n_kraus=3)
+        rho = random_state(shape, faithful=True, seed=11)
+        sigma = predual(phi, rho)
+        sizes, cholesky = [], np.linalg.cholesky
+
+        def counted(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        mk_morphism((shape, rho), (shape, sigma), phi)
+        assert 36 not in sizes
+        mk_morphism((shape, rho), (shape, sigma), from_linear(shape, shape, phi.linear_action))
+        assert sizes.count(36) == 1
 
 
 class TestOperatorNormCertificate:

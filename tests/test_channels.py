@@ -14,6 +14,7 @@ from conftest import (
     random_unitary,
 )
 from ncplab.algebra import (
+    InputError,
     ShapeError,
     adjoint,
     basis,
@@ -627,6 +628,31 @@ class TestNonFiniteRejected:
         mat[1, 2] = bad
         with pytest.raises(ChannelValidationError, match="not finite"):
             from_linear(mk_shape([2]), mk_shape([2]), mat)
+
+
+class TestToleranceRejected:
+    """A tolerance that is not finite and >= 0 is refused, as the command
+    line refuses --tol: an infinite one would pass the transpose as CP and
+    skip the preservation check, and a NaN one would fail every map."""
+
+    BAD = pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0], ids=["inf", "nan", "negative"])
+    SAYS = "tol must be finite and >= 0"
+
+    @BAD
+    def test_is_cp(self, tol):
+        with pytest.raises(InputError, match=self.SAYS):
+            is_cp(transpose_map(mk_shape([3])), tol=tol)
+
+    @BAD
+    def test_is_unital(self, tol):
+        with pytest.raises(InputError, match=self.SAYS):
+            is_unital(identity_map(S2), tol=tol)
+
+    @BAD
+    def test_mk_morphism(self, tol):
+        rho = random_state(S2, faithful=True, seed=1)
+        with pytest.raises(InputError, match=self.SAYS):
+            mk_morphism((S2, rho), (S2, rho), identity_map(S2), tol=tol)
 
 
 class TestRandomChannelProperties:
