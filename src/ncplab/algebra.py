@@ -19,6 +19,7 @@ value.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,8 +36,9 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def _phase_fix(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column of each matrix in a (K, n, n) stack of unit
     eigenvectors so its first component above 1e-12 is real positive."""
-    first = np.argmax(np.abs(vectors) > 1e-12, axis=1)[:, None, :]
-    anchor = np.take_along_axis(vectors, first, axis=1)
+    first = np.argmax(np.abs(vectors) > 1e-12, axis=1)
+    k, n = first.shape
+    anchor = vectors[np.arange(k)[:, None], first, np.arange(n)][:, None, :]
     return vectors * (anchor.conj() / np.abs(anchor))
 
 
@@ -65,6 +67,27 @@ _BOOL_TYPES = frozenset((bool, np.bool_))
 class InputError(ValueError):
     """Root of every error that a caller's input can cause (shapes, states, maps,
     kinds, model parameters, payloads, flags): exit code 2 on the command line."""
+
+
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance that is not finite and >= 0: an infinite one would
+    pass every verdict, and a NaN one fail every verdict."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InputError(f"tol must be finite and >= 0, got {tol}")
+
+
+def _check_count(name: str, value) -> int:
+    """``value`` as an int when it is an integer >= 0 (a sample count or a
+    seed), else :class:`InputError`; booleans are refused."""
+    try:
+        if type(value) in _BOOL_TYPES:
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise InputError(f"{name} must be an integer >= 0, got {value!r}") from None
+    if value < 0:
+        raise InputError(f"{name} must be an integer >= 0, got {value}")
+    return value
 
 
 class ShapeError(InputError):

@@ -47,6 +47,7 @@ from .algebra import (
     AlgebraShape,
     InputError,
     ShapeError,
+    _check_tol,
     _from_vec,
     _frozen,
     _pd_with_shift,
@@ -517,13 +518,6 @@ def _markov_choi_test(phi: CpuMap, tol: float) -> ChoiVerdict:
 
 def min_choi_eig(phi: CpuMap) -> float:
     return _choi_verdict(phi, CP_TOL).min_eig
-
-
-def _check_tol(tol: float) -> None:
-    """Refuse a tolerance that is not finite and >= 0: an infinite one would
-    pass every map, and a NaN one fail every map."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise InputError(f"tol must be finite and >= 0, got {tol}")
 
 
 def is_cp(phi: CpuMap, tol: float = CP_TOL) -> bool:

@@ -28,11 +28,18 @@ which one right and one left product per rank group read off the action;
 only the samples, and a failed verdict's witness, pass through the
 whitening.  Since f(1) = 1 the whitened class of the unit, sqrt(d_q) at
 each (q, q), is an eigenvector of M^dag M with eigenvalue 1, which one
-Cholesky factorization certifies as the top when the verdict passes.  The
-Riesz solve reads the symmetrized kernel
-W^s = (W + W^T)/2, the only part of W the real part of the pairing sees on
-Hermitian elements, on every eigenvalue of a block, dropped ones included
-(the ratio is 1 where d_b <= 0).
+Cholesky factorization certifies as the top when the verdict passes.  Where
+the kernel is symmetric, W_aq = W_qa, whitening maps Hermitian elements to
+Hermitian grids; a carrier commutes with x -> x^dag, so in the Hermitian
+basis e_aa, (e_aq + e_qa)/sqrt(2), i (e_aq - e_qa)/sqrt(2) of each grid M is
+a real matrix, and the criterion is certified with one real Gram and one
+real factorization.  A function with f(t) = t f(1/t), as every kind of the
+catalog is (Petz 1996), has a symmetric kernel, and every kind has one on a
+block-tracial state; the GNS kind on any other state, and states that are
+not faithful, keep the complex route.  The Riesz solve reads the
+symmetrized kernel W^s = (W + W^T)/2, the only part of W the real part of
+the pairing sees on Hermitian elements, on every eigenvalue of a block,
+dropped ones included (the ratio is 1 where d_b <= 0).
 
 All products are normalized: f(1) = 1, so the unit pairs with itself to one.
 An overall factor c > 0 would multiply every Gram and every pulled-back
@@ -41,12 +48,14 @@ metric by c and change no verdict, so a kind carries none.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .algebra import InputError, _phase_fix
+from .algebra import InputError, _check_count, _check_tol, _frozen, _phase_fix
 from .channels import NcpMorphism
 from .gns import GnsSpace, _check_null_images, _gram, _top_gram_eig, build_gns
 from .states import NormalState, is_faithful, random_tracial_state
@@ -169,10 +178,21 @@ def _kernel(kind: OperatorMonotoneFunction, group) -> np.ndarray:
     """F_ab = f(d_a / d_b) (m, n, n) on one rank group's full spectrum ``d``,
     with the ratio set to 1 where d_b <= 0."""
     d = group.d
+    if group.rank == group.n:  # every d_b is kept, so above 0
+        return kind(d[:, :, None] / d[:, None, :])
     ratio = np.divide(
         d[:, :, None], d[:, None, :], out=np.ones(group.u.shape), where=d[:, None, :] > 0.0
     )
     return kind(ratio)
+
+
+def _ratios(kind: OperatorMonotoneFunction, space: GnsSpace) -> list:
+    """:func:`_kernel` of every rank group of the space, computed once per
+    kind and kept on the space."""
+    out = space._ratios.get(kind)
+    if out is None:
+        out = space._ratios[kind] = [_kernel(kind, g) for g in space._groups]
+    return out
 
 
 def _group_kernel(kind: OperatorMonotoneFunction, group) -> np.ndarray:
@@ -227,10 +247,10 @@ def _whiten(kind: OperatorMonotoneFunction, space: GnsSpace, x: np.ndarray, inve
     back to coordinates."""
     out = np.empty(x.shape, dtype=complex)
     start = 0
-    for g, at in zip(space._groups, space._layout.at):
+    for g, at, f in zip(space._groups, space._layout.at, _ratios(kind, space)):
         m, n, r = g.index.size, g.n, g.rank
         at = at[:, :, :r].swapaxes(1, 2)  # [j, q, i]
-        w = np.sqrt(_kernel(kind, g)[:, :, :r]).swapaxes(1, 2)[..., None]  # (m, r, n, 1)
+        w = np.sqrt(f[:, :, :r]).swapaxes(1, 2)[..., None]  # (m, r, n, 1)
         rows = slice(start, start + at.size)
         start += at.size
         if inverse:
@@ -242,18 +262,70 @@ def _whiten(kind: OperatorMonotoneFunction, space: GnsSpace, x: np.ndarray, inve
     return out
 
 
-def _sandwich(g, x: np.ndarray, right: np.ndarray, left: np.ndarray, scale: np.ndarray):
-    """Rows sum_ic left[j, i, a] x[pos[j, i, c]] right[j, c, q] * scale[j, a, q]
-    of one rank group, (m * n * q, s) for element-coordinate rows x (dim, s),
-    and the right products alone (m * n * c', s) of the c' columns of
-    ``right`` past the q of ``scale``, which ``left`` and ``scale`` skip
-    (None when there are none)."""
-    t = right.swapaxes(1, 2)[:, None] @ x[g.pos]
+def _sandwich(t: np.ndarray, left: np.ndarray, scale: np.ndarray, phase=None):
+    """Rows sum_i left[j, i, a] t[j, i, c, s] * scale[j, a, c] of one rank
+    group, (m * n * q, s) for the right products t (m, n, c, s) of its
+    element-coordinate rows, over the first q = scale.shape[2] columns c,
+    and the right products alone (m * n * c', s) of the c' columns past
+    them, which ``left`` and ``scale`` skip (None when there are none).
+    With a ``phase``, the (a, c) grid of the rows is then folded into the
+    Hermitian basis (:func:`_fold`)."""
     m, n, _, s = t.shape
     q = scale.shape[2]
     out = (left.swapaxes(1, 2) @ t[:, :, :q].reshape(m, n, q * s)).reshape(m, n, q, s)
     out *= scale[..., None]
+    if phase is not None:
+        _fold(out, phase)
     return out.reshape(-1, s), t[:, :, q:].reshape(-1, s) if q < t.shape[2] else None
+
+
+@lru_cache(maxsize=None)
+def _fold_scale(n: int) -> np.ndarray:
+    """(n, n), read-only: 1 on the diagonal and 1/sqrt(2) off it, the weight
+    of each grid entry in the Hermitian basis vectors through it."""
+    out = np.full((n, n), math.sqrt(0.5))
+    np.fill_diagonal(out, 1.0)
+    return _frozen(out)
+
+
+def _fold(grid: np.ndarray, phase: complex, inverse: bool = False) -> None:
+    """The Hermitian basis of the (b, p) axes of an (m, n, n, s) grid, in
+    place, the entries already weighted by :func:`_fold_scale`: for b < p,
+    entry (b, p) becomes x_bp + x_pb and entry (p, b) phase * (x_bp - x_pb);
+    the diagonal stays.  With phase 1j the grid's rows are columns of M and
+    come out as the columns of M P, P the basis e_bb, (e_bp + e_pb)/sqrt(2),
+    i (e_bp - e_pb)/sqrt(2) at (b, p) and (p, b); with -1j they are rows of
+    M and come out as those of P^dag M.  With ``inverse``, the map back,
+    whose result is then weighted.  One pair of runs of the long last axis
+    per row b, so no entry is gathered."""
+    for b in range(grid.shape[1] - 1):
+        u, l = grid[:, b, b + 1 :], grid[:, b + 1 :, b]
+        if inverse:
+            d = l * np.conj(phase)
+            np.subtract(u, d, out=l)
+            u += d
+        else:
+            d = u - l
+            u += l
+            np.multiply(d, phase, out=l)
+
+
+def _hermitian_rows(space: GnsSpace, x: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """P^dag x in place, or P x with ``inverse``, for complex rows x (dim, s)
+    in rank-group order (:func:`_whiten`) of a space whose rank groups are
+    all full rank: the coordinates of whitened classes in the Hermitian
+    basis of :func:`_fold`, and back."""
+    start = 0
+    for g in space._groups:
+        grid = x[start : start + g.pos.size].reshape(g.index.size, g.n, g.n, -1)
+        start += g.pos.size
+        weight = _fold_scale(g.n)[..., None]
+        if not inverse:
+            grid *= weight
+        _fold(grid, -1j, inverse)
+        if inverse:
+            grid *= weight
+    return x
 
 
 def _stacked(rows: list) -> np.ndarray:
@@ -261,42 +333,122 @@ def _stacked(rows: list) -> np.ndarray:
     return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
-def _kept_kernel(kind: OperatorMonotoneFunction, group) -> np.ndarray:
-    """W_aq = d_q f(d_a / d_q) (m, n, r) of one rank group, on its kept q."""
-    return group.d[:, None, : group.rank] * _kernel(kind, group)[:, :, : group.rank]
+def _kept_kernels(kind: OperatorMonotoneFunction, space: GnsSpace) -> list:
+    """W_aq = d_q f(d_a / d_q) (m, n, r) of each rank group, on its kept q."""
+    return [g.d[:, None, : g.rank] * f[:, :, : g.rank] for g, f in zip(space._groups, _ratios(kind, space))]
 
 
-def _criterion(kind: OperatorMonotoneFunction, morphism: NcpMorphism, space_sigma, space_rho):
+def _criterion(morphism: NcpMorphism, space_sigma, space_rho, kernels, hermitian: bool = False):
     """M = Z_rho C Z_sigma^-1 of the criterion, straight from the action L,
     rows and columns in rank-group order (:func:`_whiten`).
 
     The entry of rho's (a, q) and sigma's (b, p) is sqrt(W^rho_aq)
-    (U_rho^dag phi(U_sigma e_bp U_sigma^dag) U_rho)_aq / sqrt(W^sigma_bp)
-    (:func:`_kept_kernel`, U each density eigenbasis): one transform of the
+    (U_rho^dag phi(U_sigma e_bp U_sigma^dag) U_rho)_aq / sqrt(W^sigma_bp),
+    ``kernels`` the kept kernels W (:func:`_kept_kernels`) of sigma's rank
+    groups and then rho's, and U each density eigenbasis: one transform of the
     action per space, a right and a left batched product per rank group
     (:func:`_sandwich`).  Sigma's right product also carries its null
     basis; rho's transform of those columns is checked
-    (:func:`~ncplab.gns._check_null_images`) and dropped."""
+    (:func:`~ncplab.gns._check_null_images`) and dropped.
+
+    With ``hermitian`` (every rank group of both spaces full rank), each
+    sandwich folds its (a, q) grid as it scales it (:func:`_fold`), so the
+    result is P_rho^dag M P_sigma, still complex: real when both kernels are
+    symmetric and the carrier commutes with x -> x^dag, and otherwise off
+    the real matrix by an imaginary remainder."""
     action = morphism.cpu.linear_action
     lt = (action if isinstance(action, np.ndarray) else action.toarray()).T
+    kernels = iter(kernels)
     kept, null = [], []
     for g in space_sigma._groups:
-        rows, t = _sandwich(g, lt, g.u.conj(), g.u, 1.0 / np.sqrt(_kept_kernel(kind, g)))
+        scale = 1.0 / np.sqrt(next(kernels))
+        if hermitian:
+            scale *= _fold_scale(g.n)
+        t = g.u.swapaxes(1, 2).conj()[:, None] @ lt[g.pos]
+        rows, t = _sandwich(t, g.u, scale, 1j if hermitian else None)
         kept.append(rows)
         if t is not None:
             null.append(t)
-    del lt
+    del lt, t
     x = _stacked(kept + null).T
     del kept, null
-    rows = [
-        _sandwich(g, x, g.u[:, :, : g.rank], g.u.conj(), np.sqrt(_kept_kernel(kind, g)))[0]
-        for g in space_rho._groups
-    ]
-    del x
+    rows = []
+    for g in space_rho._groups:
+        scale = np.sqrt(next(kernels))
+        if hermitian:
+            scale *= _fold_scale(g.n)
+        t = x[g.pos]
+        if g is space_rho._groups[-1]:
+            del x  # the last gather holds all that is still read
+        t = g.u[:, :, : g.rank].swapaxes(1, 2)[:, None] @ t
+        rows.append(_sandwich(t, g.u.conj(), scale, -1j if hermitian else None)[0])
+    del t
     m = _stacked(rows)
     del rows
     _check_null_images(space_sigma, m[:, space_sigma.dim :])
     return m[:, : space_sigma.dim]
+
+
+_EPS = float(np.finfo(float).eps)
+
+#: Largest relative gap |W_qa / W_aq - 1| of a kernel that counts as
+#: symmetric: the rounding of d_q f(d_a / d_q) against d_a f(d_q / d_a) is
+#: under 4 units in the last place for the catalog kinds.  It only picks the
+#: route; the remainder test of :func:`_real_criterion` keeps it sound.
+_SYMMETRY_RTOL = 16 * _EPS
+
+
+@lru_cache(maxsize=None)
+def _transposer(shapes: tuple) -> np.ndarray:
+    """For kernels of these (m, n, n) shapes raveled one after another, the
+    place of each entry's transpose; read-only."""
+    out, start = [], 0
+    for m, n, _ in shapes:
+        out.append(start + np.arange(m * n * n).reshape(m, n, n).swapaxes(1, 2).ravel())
+        start += m * n * n
+    return _frozen(np.concatenate(out))
+
+
+def _symmetric(kernels) -> bool:
+    """Whether every (m, n, n) kernel is symmetric to rounding
+    (:data:`_SYMMETRY_RTOL`), in one pass over all of them."""
+    flat = np.concatenate([w.ravel() for w in kernels])
+    gap = flat[_transposer(tuple(w.shape for w in kernels))] / flat - 1.0
+    return bool(np.abs(gap).max() <= _SYMMETRY_RTOL)
+
+
+def _real_criterion(morphism: NcpMorphism, space_sigma, space_rho, kernels, unit):
+    """The criterion as the real matrix R = Re(P_rho^dag M P_sigma) in the
+    Hermitian bases of :func:`_fold`, or None where that reading does not
+    hold; ``kernels`` as for :func:`_criterion`.
+
+    It is tried when every rank group of both spaces is full rank and every
+    kept kernel is symmetric to rounding (:data:`_SYMMETRY_RTOL`): then M
+    maps whitened Hermitian classes to whitened Hermitian classes when the
+    carrier commutes with x -> x^dag, as a CPU map does, so P_rho^dag M
+    P_sigma = R + iE with E only rounding.  Every catalog kind qualifies,
+    and every kind on block-tracial states.  With delta = 8 d eps (d sigma's
+    GNS dimension) and r the Rayleigh quotient of R^T R at ``unit``, R is
+    returned only when |E|_F + 3 eps |R + iE|_F (the rounding of the two
+    folds) is at most sqrt(r) (sqrt(1 + delta) - sqrt(1 + delta / 2)): then
+    a Cholesky certificate that |R|^2 <= r (1 + delta / 2) puts the top of
+    M^dag M in [r, r (1 + delta)], the complex route's guarantee."""
+    if any(g.rank < g.n for g in space_sigma._groups + space_rho._groups) or not _symmetric(kernels):
+        return None
+    y = _criterion(morphism, space_sigma, space_rho, kernels, hermitian=True)
+    real = np.ascontiguousarray(y.real)
+    rem = math.sqrt(np.einsum("ij,ij->", y.imag, y.imag))
+    del y
+    # each fold rounds a folded entry by at most 1.5 eps relative beyond
+    # the complex route's scaling (the weight 1/sqrt(2) and the sum); 1 x 1
+    # blocks fold nothing
+    folds = any(g.n > 1 for g in space_sigma._groups + space_rho._groups)
+    rounding = 3 * _EPS * math.sqrt(np.vdot(real, real) + rem * rem) if folds else 0.0
+    ru = real @ unit
+    r = float(ru @ ru / (unit @ unit))
+    delta = 8 * space_sigma.dim * _EPS
+    slack = math.sqrt(r) * (delta / 2.0) / (math.sqrt(1.0 + delta) + math.sqrt(1.0 + delta / 2.0))
+    return real if rem + rounding <= slack else None
 
 
 def monotonicity_check(
@@ -312,12 +464,25 @@ def monotonicity_check(
     pushed pairing is |Z_rho C xi|^2 and the domain's |Z_sigma xi|^2, so the
     exact criterion (it decides: samples can miss thin violating cones) is
     the top eigenvalue of M^dag M, M = Z_rho C Z_sigma^-1, with no
-    covariance Gram built; M^dag M is formed once, from real products
-    (:func:`~ncplab.gns._gram`).  M is read off the action in the density
+    covariance Gram built.  M is read off the action in the density
     eigenbases (:func:`_criterion`), without C, so only the samples and the
-    witness are whitened.  A failed verdict carries ``witness``: the top eigenvector
-    in sigma's orthonormal GNS coordinates (unit norm, phase fixed as
-    theirs) and its ratio."""
+    witness are whitened.  Where the kernels are symmetric and the states
+    faithful (every catalog kind), M is real in the Hermitian bases of the two
+    grids, and the criterion is read as that real matrix R
+    (:func:`_real_criterion`): one real Gram R^T R and one real Cholesky
+    factorization certify it, the samples are one real product, and a
+    failed certificate takes one real eigensolve.  Otherwise, or when R's
+    imaginary remainder does not fit the margin, M^dag M is formed from
+    real products (:func:`~ncplab.gns._gram`) and factorized as a complex
+    matrix.  A failed verdict carries ``witness``: the top eigenvector in
+    sigma's orthonormal GNS coordinates (unit norm, phase fixed as theirs)
+    and its ratio.
+
+    ``tol`` must be finite and >= 0, and ``n_samples`` and ``seed``
+    integers >= 0 (else :class:`InputError`)."""
+    _check_tol(tol)
+    n_samples = _check_count("n_samples", n_samples)
+    seed = _check_count("seed", seed)
     shape_a, rho = morphism.source
     shape_b, sigma = morphism.target
     _require_faithful(kind, rho)
@@ -329,24 +494,44 @@ def monotonicity_check(
             f"the limit of {MAX_SAMPLE_ENTRIES} sample coordinates"
         )
     space_rho = build_gns(shape_a, rho)
-    m = _criterion(kind, morphism, space_sigma, space_rho)
+    # the whitened class of the unit, sqrt(d_q) at (j, q, q) of each group:
+    # the map and its adjoint fix the unit's class, and so does each Gram
+    # (f(1) = 1), so M^dag M fixes this vector; it lies on the grids'
+    # diagonals, which the Hermitian basis keeps
+    unit = np.concatenate(
+        [(np.eye(g.n, g.rank) * np.sqrt(g.d[:, None, : g.rank])).ravel() for g in space_sigma._groups]
+    )
+    kernels = _kept_kernels(kind, space_sigma) + _kept_kernels(kind, space_rho)
+    real = _real_criterion(morphism, space_sigma, space_rho, kernels, unit)
+    folded = real is not None
+    m = None if folded else _criterion(morphism, space_sigma, space_rho, kernels)
 
     # the same numbers, in the same order, as drawing the real and then the
     # imaginary part of one sample at a time
     draws = np.random.default_rng(seed).standard_normal((n_samples, 2, space_sigma.dim))
     xi = (draws[:, 0] + 1j * draws[:, 1]).T  # d x n_samples
+    del draws
     eta = _whiten(kind, space_sigma, xi)
-    lhs, rhs, norms = (np.sum(np.abs(v) ** 2, axis=0) for v in (m @ eta, eta, xi))
-    del draws, xi, eta
-    h = _gram(m)
-    del m  # only the Gram is alive while it is factorized
-    # the whitened class of the unit, sqrt(d_q) at (j, q, q) of each group:
-    # the map and its adjoint fix the unit's class, and so does each Gram
-    # (f(1) = 1), so M^dag M fixes this vector
-    unit = np.concatenate(
-        [(np.eye(g.n, g.rank) * np.sqrt(g.d[:, None, : g.rank])).ravel() for g in space_sigma._groups]
-    )
-    exact, top = _top_gram_eig(h, unit, vector=True)
+    rhs, norms = (np.sum(np.abs(v) ** 2, axis=0) for v in (eta, xi))
+    del xi
+    if folded:
+        # |M eta| = |R P_sigma^dag eta|: one real product of the stacked parts
+        eta = _hermitian_rows(space_sigma, eta)
+        parts = np.concatenate([eta.real, eta.imag], axis=1)
+        del eta
+        pushed = np.sum((real @ parts) ** 2, axis=0)
+        del parts
+        lhs = pushed[:n_samples] + pushed[n_samples:]
+        h = real.T @ real
+        del real
+        margin = 4 * space_sigma.dim * _EPS
+    else:
+        lhs = np.sum(np.abs(m @ eta) ** 2, axis=0)
+        del eta
+        h = _gram(m)
+        del m  # only the Gram is alive while it is factorized
+        margin = None
+    exact, top = _top_gram_eig(h, unit, vector=True, margin=margin)
     report = {
         "kind": kind.label,
         "n_samples": n_samples,
@@ -357,6 +542,8 @@ def monotonicity_check(
         "passed": exact <= 1.0 + tol,
     }
     if not report["passed"]:
+        if folded:
+            top = _hermitian_rows(space_sigma, top.astype(complex)[:, None], inverse=True)[:, 0]
         vec = _whiten(kind, space_sigma, top[:, None], inverse=True)
         vec = _phase_fix(vec[None] / np.linalg.norm(vec))[0, :, 0]
         report["witness"] = {"vector": vec, "ratio": exact}
@@ -369,9 +556,13 @@ def tracial_collapse_check(
     """On tracial states every catalog Petz product collapses onto the GNS one.
 
     Draws random block-scalar states on the given shapes and reports the
-    largest deviation of any Petz Gram from the identity.  More than
-    ``MAX_TRACIAL_STATES`` states is an :class:`InputError`.
+    largest deviation of any Petz Gram from the identity.  ``n_states`` and
+    ``seed`` must be integers >= 0 and ``tol`` finite and >= 0, and more than
+    ``MAX_TRACIAL_STATES`` states is an :class:`InputError` too.
     """
+    _check_tol(tol)
+    n_states = _check_count("n_states", n_states)
+    seed = _check_count("seed", seed)
     if n_states > MAX_TRACIAL_STATES:
         raise InputError(f"{n_states} states exceed the limit of {MAX_TRACIAL_STATES} tracial states")
     shapes = list(shapes)

@@ -49,9 +49,9 @@ A unital state-preserving map sends [1] to [1], and so does its adjoint,
 so the cyclic vector is a top singular vector of a contraction of norm 1:
 its operator norm is certified by one Cholesky factorization
 (:func:`_top_gram_eig`), with no eigensolve.  That factorization, and the
-covariance criterion's, reads the Gram M^dag M, which one helper
-(:func:`_gram`) forms from real products at half the flops of a complex
-one, exactly Hermitian.
+covariance criterion's where it stays complex, reads the Gram M^dag M,
+which one helper (:func:`_gram`) forms from real products at half the flops
+of a complex one, exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -139,16 +139,22 @@ class GnsSpace:
             w = s.eigvals[:, ::-1]
             v = _phase_fix(s.eigvecs[:, :, ::-1])
             ranks = np.sum(_in_support(w, tol), axis=1)  # w descends, so kept ones lead
-            for r in np.flatnonzero(np.bincount(ranks)).tolist():  # the ranks present, ascending
-                sel = np.flatnonzero(ranks == r)
-                index = s.index[sel]
-                group_of[index], slot_of[index] = len(self._groups), np.arange(sel.size)
-                self._groups.append(_RankGroup(s.n, r, index, s.pos[sel], w[sel], v[sel]))
-                self.dim += sel.size * s.n * r
+            present = np.flatnonzero(np.bincount(ranks)).tolist()  # the ranks present, ascending
+            for r in present:
+                if len(present) == 1:  # one rank: the whole stack, with no gather
+                    index, pos, d, u = s.index, s.pos, w, v
+                else:
+                    sel = np.flatnonzero(ranks == r)
+                    index, pos, d, u = s.index[sel], s.pos[sel], w[sel], v[sel]
+                group_of[index], slot_of[index] = len(self._groups), np.arange(index.size)
+                self._groups.append(_RankGroup(s.n, r, index, pos, d, u))
+                self.dim += index.size * s.n * r
         # Python ints: block_form reads one pair per block
         self._group_of, self._slot_of = group_of.tolist(), slot_of.tolist()
         #: per-kind covariance kernels of each group, filled by covariance.block_form
         self._forms: dict = {}
+        #: per-kind ratios f(d_a / d_b) of each group, filled by covariance._ratios
+        self._ratios: dict = {}
 
     @cached_property
     def _layout(self) -> _Layout:
@@ -240,24 +246,27 @@ def _gram(m: np.ndarray) -> np.ndarray:
     return h
 
 
-def _top_gram_eig(h: np.ndarray, x: np.ndarray, vector: bool = False):
+def _top_gram_eig(h: np.ndarray, x: np.ndarray, vector: bool = False, margin: float | None = None):
     """(largest eigenvalue, a vector attaining it) of a Gram matrix
     h = m^dag m (:func:`_gram`), the squared operator norm of m, given a
     candidate top eigenvector x.
 
     The Rayleigh quotient r = x^dag h x / x^dag x is at most the top.  When
-    r (1 + delta) - h, delta = 8 n eps, has a Cholesky factor, the top is at
-    most r (1 + delta): r is returned, with x.  Otherwise one Hermitian
-    eigensolve decides; its top eigenvector comes with it when ``vector`` is
-    set (the vector is None otherwise).  ``h`` is negated in place for the
+    r (1 + delta) - h, delta = ``margin`` (8 n eps by default), has a
+    Cholesky factor, the top is at most r (1 + delta): r is returned, with
+    x.  Otherwise one Hermitian eigensolve decides; its top eigenvector
+    comes with it when ``vector`` is set (the vector is None otherwise).
+    ``h`` (complex Hermitian, or real symmetric) is negated in place for the
     test and restored exactly.  The quotient reads all of h and the
     factorization its lower triangle, the same matrix because :func:`_gram`
     makes h exactly Hermitian.
     """
     n = h.shape[0]
     r = float(np.vdot(x, h @ x).real / np.vdot(x, x).real) if x.shape == (n,) else 0.0
+    if margin is None:
+        margin = 8 * n * np.finfo(float).eps
     np.negative(h, out=h)
-    certified = r > 0.0 and _pd_with_shift(h, r * (1.0 + 8 * n * np.finfo(float).eps))
+    certified = r > 0.0 and _pd_with_shift(h, r * (1.0 + margin))
     np.negative(h, out=h)
     if certified:
         return r, x

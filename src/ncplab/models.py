@@ -36,6 +36,7 @@ from .algebra import (
     AlgebraShape,
     InputError,
     ShapeError,
+    _check_tol,
     _from_vec,
     _wrap,
     abelian_shape,
@@ -624,7 +625,9 @@ def congruence_invariance_check(
     kind: OperatorMonotoneFunction = ONE,
     tol: float = 1e-9,
 ) -> dict:
-    """Pullback metric before and after a congruent embedding must agree."""
+    """Pullback metric before and after a congruent embedding must agree;
+    ``tol`` must be finite and >= 0 (else :class:`InputError`)."""
+    _check_tol(tol)
     refined = embedded_model(model, embedding)
     samples = [np.asarray(t, dtype=float) for t in theta_samples]
     worst = 0.0
