@@ -31,6 +31,7 @@ from .channels import (
     ChannelValidationError,
     CongruentEmbedding,
     CpuMap,
+    KrausMap,
     MorphismValidationError,
     NcpMorphism,
     apply,

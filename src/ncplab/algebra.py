@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -34,12 +34,21 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _phase_fix(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column of each matrix in a (K, n, n) stack of unit
-    eigenvectors so its first component above 1e-12 is real positive."""
+    """Rotate each column of each matrix in a (K, m, n) stack of unit
+    vectors so its first component above 1e-12 is real positive.  The
+    anchors are read with one ``take`` at their flat positions, offset from
+    the cached top of each column (:func:`_column_tops`)."""
+    k, m, n = vectors.shape
     first = np.argmax(np.abs(vectors) > 1e-12, axis=1)
-    k, n = first.shape
-    anchor = vectors[np.arange(k)[:, None], first, np.arange(n)][:, None, :]
+    anchor = vectors.reshape(-1).take(first * n + _column_tops(k, m, n))[:, None, :]
     return vectors * (anchor.conj() / np.abs(anchor))
+
+
+@lru_cache(maxsize=64)
+def _column_tops(k: int, m: int, n: int) -> np.ndarray:
+    """(k, n), read-only: the flat position of the top entry of each column
+    of a C-ordered (k, m, n) stack."""
+    return _frozen(np.arange(0, k * m * n, m * n)[:, None] + np.arange(n))
 
 
 def _pd_with_shift(a: np.ndarray, shift: float) -> bool:
@@ -147,6 +156,11 @@ class AlgebraShape:
     @cached_property
     def _offsets(self) -> np.ndarray:
         return _frozen(np.concatenate([[0], np.cumsum(np.asarray(self.blocks) ** 2)]))
+
+    @cached_property
+    def _starts(self) -> np.ndarray:
+        """Start row of each block inside the enveloping M_N."""
+        return _frozen(np.cumsum((0,) + self.blocks[:-1]))
 
     @cached_property
     def size_positions(self) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:

@@ -24,7 +24,9 @@ z_aq = sqrt(W_aq) x'_aq = sqrt(f(d_a / d_q)) (U^dag y)_aq of a block's
 coordinates y.  So the monotonicity criterion needs no Gram and no
 contraction: its matrix M = Z_rho C Z_sigma^-1 maps sigma's whitened unit
 at (b, p) to rho's whitened image of U_sigma e_bp U_sigma^dag / sqrt(W_bp),
-which one right and one left product per rank group read off the action;
+which one right and one left product per rank group read off the action,
+or, for a carrier that :func:`~ncplab.channels.from_kraus` built, one
+product of inner size kappa per pair of rank groups off its Kraus family;
 only the samples, and a failed verdict's witness, pass through the
 whitening.  Since f(1) = 1 the whitened class of the unit, sqrt(d_q) at
 each (q, q), is an eigenvector of M^dag M with eigenvalue 1, which one
@@ -56,8 +58,18 @@ from typing import Callable
 import numpy as np
 
 from .algebra import InputError, _check_count, _check_tol, _frozen, _phase_fix
-from .channels import NcpMorphism
-from .gns import GnsSpace, _check_null_images, _gram, _top_gram_eig, build_gns
+from .channels import KrausMap, NcpMorphism
+from .gns import (
+    GnsSpace,
+    _check_null_images,
+    _gram,
+    _kraus_blocks,
+    _spans,
+    _stacked,
+    _top_gram_eig,
+    _whitened_unit,
+    build_gns,
+)
 from .states import NormalState, is_faithful, random_tracial_state
 
 
@@ -328,11 +340,6 @@ def _hermitian_rows(space: GnsSpace, x: np.ndarray, inverse: bool = False) -> np
     return x
 
 
-def _stacked(rows: list) -> np.ndarray:
-    """The rows stacked, without a copy of a single block's."""
-    return rows[0] if len(rows) == 1 else np.concatenate(rows)
-
-
 def _kept_kernels(kind: OperatorMonotoneFunction, space: GnsSpace) -> list:
     """W_aq = d_q f(d_a / d_q) (m, n, r) of each rank group, on its kept q."""
     return [g.d[:, None, : g.rank] * f[:, :, : g.rank] for g, f in zip(space._groups, _ratios(kind, space))]
@@ -355,7 +362,12 @@ def _criterion(morphism: NcpMorphism, space_sigma, space_rho, kernels, hermitian
     sandwich folds its (a, q) grid as it scales it (:func:`_fold`), so the
     result is P_rho^dag M P_sigma, still complex: real when both kernels are
     symmetric and the carrier commutes with x -> x^dag, and otherwise off
-    the real matrix by an imaginary remainder."""
+    the real matrix by an imaginary remainder.
+
+    A carrier built from Kraus operators (:class:`~ncplab.channels.KrausMap`)
+    is read through its family instead (:func:`_kraus_criterion`)."""
+    if isinstance(morphism.cpu, KrausMap):
+        return _kraus_criterion(morphism.cpu, space_sigma, space_rho, kernels, hermitian)
     action = morphism.cpu.linear_action
     lt = (action if isinstance(action, np.ndarray) else action.toarray()).T
     kernels = iter(kernels)
@@ -387,6 +399,87 @@ def _criterion(morphism: NcpMorphism, space_sigma, space_rho, kernels, hermitian
     del rows
     _check_null_images(space_sigma, m[:, space_sigma.dim :])
     return m[:, : space_sigma.dim]
+
+
+def _kraus_criterion(phi: KrausMap, space_sigma, space_rho, kernels, hermitian: bool):
+    """:func:`_criterion` from the Kraus family of ``phi``, with no sandwich
+    of the action.
+
+    With A_k = U_sigma^dag K_k U_rho per pair of blocks
+    (:func:`~ncplab.gns._kraus_blocks`), U_rho^dag phi(U_sigma e_bp
+    U_sigma^dag) U_rho = sum_k A_k^dag e_bp A_k, so the entry of rho's
+    (a, q) and sigma's (b, p) is sqrt(W^rho_aq) sum_k conj(A_k[b, a])
+    A_k[p, q] / sqrt(W^sigma_bp): one product of inner size kappa per
+    entry block and pair of rank groups (:func:`_kraus_grid`), then the
+    scales.  Sigma's null basis element e_i u_c^dag (c dropped) maps to
+    sum_k conj(B_k[i, a]) A_k[c, q], B_k = K_k U_rho, in the same product
+    form; its images are checked (:func:`~ncplab.gns._check_null_images`).
+    With ``hermitian`` (every group full rank, so no null basis) the grid is
+    formed as M^T, whose rows, sigma's, are folded (:func:`_fold`), then
+    copied into M, whose rows, rho's, are folded: every fold runs along
+    contiguous rows."""
+    gs, hs = space_sigma._groups, space_rho._groups
+    cols = _spans(g.index.size * g.n * g.rank for g in gs)
+    nulls = _spans(g.index.size * g.n * (g.n - g.rank) for g in gs)
+    rows = _spans(h.index.size * h.n * h.rank for h in hs)
+    m = np.empty((space_sigma.dim, space_rho.dim) if hermitian else (space_rho.dim, space_sigma.dim), dtype=complex)
+    null = np.empty((space_rho.dim, nulls[-1][1]), dtype=complex)
+    for g, pairs, (c0, c1), (z0, z1) in zip(gs, _kraus_blocks(phi, space_sigma, space_rho), cols, nulls):
+        for h, (a, b), (r0, r1) in zip(hs, pairs, rows):
+            out = m[c0:c1, r0:r1] if hermitian else m[r0:r1, c0:c1]
+            _kraus_grid(out, a, a[:, :, : g.rank, :, : h.rank], hermitian)
+            if b is not None:
+                _kraus_grid(null[r0:r1, z0:z1], b, a[:, :, g.rank :, :, : h.rank])
+    # 1 / sqrt(W) of sigma's groups and sqrt(W) of rho's, times the folds'
+    # weights, each in rank-group order
+    scales = [1.0 / np.sqrt(w) for w in kernels[: len(gs)]] + [np.sqrt(w) for w in kernels[len(gs) :]]
+    if hermitian:
+        for scale, g in zip(scales, gs + hs):
+            scale *= _fold_scale(g.n)
+    flat = [scale.reshape(-1) for scale in scales]
+    sigma_scale, rho_scale = _stacked(flat[: len(gs)]), _stacked(flat[len(gs) :])
+    if hermitian:
+        m *= sigma_scale[:, None]
+        m *= rho_scale
+        for g, (c0, c1) in zip(gs, cols):
+            _fold(m[c0:c1].reshape(g.index.size, g.n, g.n, -1), 1j)
+        transposed, m = m, np.empty((space_rho.dim, space_sigma.dim), dtype=complex)
+        np.copyto(m, transposed.T)
+        del transposed
+        for h, (r0, r1) in zip(hs, rows):
+            _fold(m[r0:r1].reshape(h.index.size, h.n, h.n, -1), -1j)
+        return m
+    m *= sigma_scale
+    m *= rho_scale[:, None]
+    if null.shape[1]:
+        null *= rho_scale[:, None]
+        _check_null_images(space_sigma, null)
+    return m
+
+
+def _kraus_grid(out, left, right, transposed: bool = False) -> None:
+    """out[(i, a, q), (j, b, p)] = sum_k conj(left[k, j, b, i, a])
+    right[k, j, p, i, q], for left (kappa, m_j, n_j, m_i, n_i) and right
+    (kappa, m_j, p, m_i, q): one product of inner size kappa per
+    (i, a, q, j), written in place, so no grid is formed beside ``out``.
+    With ``transposed``, out[(j, b, p), (i, a, q)], one product per
+    (j, b, p, i)."""
+    kappa, mj, nj, mi, ni = left.shape
+    p, q = right.shape[2], right.shape[4]
+    if transposed:
+        # [j, b, 1, i, a, k] @ [j, 1, p, i, k, q] -> [j, b, p, i, a, q]
+        np.matmul(
+            np.conj(left).transpose(1, 2, 3, 4, 0)[:, :, None],
+            right.transpose(1, 2, 3, 0, 4)[:, None],
+            out=out.reshape(mj, nj, p, mi, ni, q, copy=False),
+        )
+        return
+    # [i, a, 1, j, b, k] @ [i, 1, q, j, k, p] -> [i, a, q, j, b, p]
+    np.matmul(
+        np.conj(left).transpose(3, 4, 1, 2, 0)[:, :, None],
+        right.transpose(3, 4, 1, 0, 2)[:, None],
+        out=out.reshape(mi, ni, q, mj, nj, p, copy=False),
+    )
 
 
 _EPS = float(np.finfo(float).eps)
@@ -465,8 +558,9 @@ def monotonicity_check(
     exact criterion (it decides: samples can miss thin violating cones) is
     the top eigenvalue of M^dag M, M = Z_rho C Z_sigma^-1, with no
     covariance Gram built.  M is read off the action in the density
-    eigenbases (:func:`_criterion`), without C, so only the samples and the
-    witness are whitened.  Where the kernels are symmetric and the states
+    eigenbases (:func:`_criterion`), or off the Kraus family of a carrier
+    that :func:`~ncplab.channels.from_kraus` built, without C, so only the
+    samples and the witness are whitened.  Where the kernels are symmetric and the states
     faithful (every catalog kind), M is real in the Hermitian bases of the two
     grids, and the criterion is read as that real matrix R
     (:func:`_real_criterion`): one real Gram R^T R and one real Cholesky
@@ -498,9 +592,7 @@ def monotonicity_check(
     # the map and its adjoint fix the unit's class, and so does each Gram
     # (f(1) = 1), so M^dag M fixes this vector; it lies on the grids'
     # diagonals, which the Hermitian basis keeps
-    unit = np.concatenate(
-        [(np.eye(g.n, g.rank) * np.sqrt(g.d[:, None, : g.rank])).ravel() for g in space_sigma._groups]
-    )
+    unit = _whitened_unit(space_sigma)
     kernels = _kept_kernels(kind, space_sigma) + _kept_kernels(kind, space_rho)
     real = _real_criterion(morphism, space_sigma, space_rho, kernels, unit)
     folded = real is not None

@@ -24,10 +24,11 @@ blocks to groups are built with it, because every verdict reads them.  The
 coordinate layout is placed by :class:`GnsSpace` alone, once, on first read:
 the place of each entry (block, row, eigenvector) of each group, the GNS
 coordinate of a kept one and a place after the ``dim`` coordinates for a
-dropped one, with the class of the unit and the sorted Gram eigenvalues.
-Every producer of coordinates writes its values straight into those places.
-A metric pullback reads only the groups and their covariance kernels, so it
-never places a layout.
+dropped one.  The class of the unit and the sorted Gram eigenvalues are
+formed from the layout only when they are read.  Every producer of
+coordinates writes its values straight into those places.  A metric
+pullback reads only the groups and their covariance kernels, so it never
+places a layout.
 
 Nothing dense is built between two algebras.  A morphism (A, rho) ->
 (B, sigma) carried by phi: B -> A, with coordinate matrix L, induces the
@@ -51,7 +52,12 @@ its operator norm is certified by one Cholesky factorization
 (:func:`_top_gram_eig`), with no eigensolve.  That factorization, and the
 covariance criterion's where it stays complex, reads the Gram M^dag M,
 which one helper (:func:`_gram`) forms from real products at half the flops
-of a complex one, exactly Hermitian.
+of a complex one, exactly Hermitian.  For a carrier built from Kraus
+operators (:class:`~ncplab.channels.KrausMap`) the family is read instead,
+in the density eigenbases (:func:`_kraus_blocks`): the contraction's Gram
+is a sum of kappa^2 Kronecker products per block of rho
+(:func:`_kraus_gram`), taken where that is fewer multiply-adds, and the
+covariance criterion is one product of inner size kappa per entry block.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape, InputError, ShapeError, _pd_with_shift, _phase_fix
-from .channels import NcpMorphism, compose, identity_morphism
+from .channels import CpuMap, KrausMap, NcpMorphism, compose, identity_morphism
 from .channels import apply  # noqa: F401  (perfbench's binding test reads ncplab.gns.apply)
 from .states import NormalState, SUPPORT_RTOL, _in_support
 
@@ -99,12 +105,13 @@ class _Layout(NamedTuple):
     """Where a space's coordinates go.  ``at[g]`` (m, n, n) is the place of
     entry (block j, row i, eigenvector c) of rank group g: its GNS coordinate
     when c is kept, else a place after the ``dim`` coordinates, the dropped
-    entries numbered group by group.  ``cyclic`` is the class of the unit and
-    ``eigs`` the kept Gram eigenvalues, both in coordinate order."""
+    entries numbered group by group.  ``eigs`` are the kept Gram eigenvalues
+    listed group by group and ``order`` the coordinate order of that list,
+    so that ``eigs[order]`` are the eigenvalues in coordinate order."""
 
     at: tuple[np.ndarray, ...]
-    cyclic: np.ndarray
     eigs: np.ndarray
+    order: np.ndarray
 
 
 class GnsSpace:
@@ -170,8 +177,6 @@ class GnsSpace:
         place = np.empty_like(order)
         place[order] = np.arange(self.dim)
         ats = []
-        # [1] in closed form: embed's (1 @ v) * sqrt(w) without building the unit
-        cyclic = np.empty(self.dim, dtype=complex)
         kept, dropped = 0, self.dim
         for g in self._groups:
             m, n, r = g.index.size, g.n, g.rank
@@ -180,17 +185,21 @@ class GnsSpace:
             at[:, :, r:] = np.arange(dropped, dropped + m * n * (n - r)).reshape(m, n, n - r)
             kept, dropped = kept + m * n * r, dropped + m * n * (n - r)
             ats.append(at)
-            cyclic[at[:, :, :r]] = _iso(g)
-        return _Layout(tuple(ats), cyclic, eigs[order])
+        return _Layout(tuple(ats), eigs, order)
 
-    @property
+    @cached_property
     def cyclic(self) -> np.ndarray:
-        return self._layout.cyclic
+        """The class of the unit in coordinates, placed on first read:
+        :func:`embed`'s (1 @ v) * sqrt(w) without building the unit."""
+        out = np.empty(self.dim, dtype=complex)
+        for g, at in zip(self._groups, self._layout.at):
+            out[at[:, :, : g.rank]] = _iso(g)
+        return out
 
     @property
     def gram_eigenvalues(self) -> np.ndarray:
         """Kept Gram eigenvalues in coordinate order (descending)."""
-        return self._layout.eigs.copy()
+        return self._layout.eigs[self._layout.order]
 
 
 def build_gns(shape: AlgebraShape, state: NormalState, tol: float = SUPPORT_RTOL) -> GnsSpace:
@@ -217,10 +226,12 @@ def _transform(space: GnsSpace, x: np.ndarray, mats) -> np.ndarray:
     rows of ``x`` (element_dim, s), each written at ``at[j, i, q]``: E x for
     ``_iso`` and R^T x for ``_rep`` (dim rows), [R N]^T x for ``_rep_null``
     (element_dim rows, the null basis after the dim coordinates)."""
-    ks = [mats(g) for g in space._groups]  # (blocks, n, c): one output row per entry
-    out = np.empty((sum(k.size for k in ks), x.shape[1]), dtype=complex)
-    for g, at, k in zip(space._groups, space._layout.at, ks):
-        out[at[:, :, : k.shape[2]]] = k.swapaxes(1, 2)[:, None] @ x[g.pos]
+    # the products first, each gather freed once multiplied, then the output:
+    # a gather, a product and the output are never alive at once
+    prods = [mats(g).swapaxes(1, 2)[:, None] @ x[g.pos] for g in space._groups]
+    out = np.empty((sum(p.shape[0] * p.shape[1] * p.shape[2] for p in prods), x.shape[1]), dtype=complex)
+    for at, p in zip(space._layout.at, prods):
+        out[at[:, :, : p.shape[2]]] = p
     return out
 
 
@@ -288,22 +299,201 @@ def embed(space: GnsSpace, a: AlgebraElement) -> np.ndarray:
 
 
 class GnsContraction:
-    """Induced linear map H_sigma -> H_rho in orthonormal coordinates."""
+    """Induced linear map H_sigma -> H_rho in orthonormal coordinates;
+    ``carrier`` is the CPU map that induced it, if any."""
 
-    def __init__(self, source_space: GnsSpace, target_space: GnsSpace, matrix: np.ndarray):
+    def __init__(
+        self, source_space: GnsSpace, target_space: GnsSpace, matrix: np.ndarray, carrier: CpuMap | None = None
+    ):
         self.source_space = source_space
         self.target_space = target_space
         self.matrix = matrix
+        self.carrier = carrier
 
     @property
     def operator_norm(self) -> float:
         """Largest singular value of ``matrix``.  A contraction induced by a
         morphism maps the class of the unit to the class of the unit, and so
         does its adjoint, so ``source_space.cyclic`` is a top singular vector
-        when the norm is 1; one Cholesky factorization of the Gram, formed
-        from real products (:func:`_gram`), certifies that, and any other
-        matrix falls back to the spectrum (:func:`_top_gram_eig`)."""
-        return float(np.sqrt(_top_gram_eig(_gram(self.matrix), self.source_space.cyclic)[0]))
+        when the norm is 1; one Cholesky factorization of the Gram certifies
+        that, and any other matrix falls back to the spectrum
+        (:func:`_top_gram_eig`).  The Gram is formed from real products
+        (:func:`_gram`), or, for a carrier built from Kraus operators where
+        that takes fewer multiply-adds, from the family
+        (:func:`_kraus_gram`), in the whitened coordinates of the GNS kind,
+        where the unit's class is :func:`_whitened_unit`."""
+        phi = self.carrier
+        if isinstance(phi, KrausMap) and _kraus_gram_pays(phi, self.target_space):
+            h, unit = _kraus_gram(phi, self.source_space, self.target_space), _whitened_unit(self.source_space)
+        else:
+            h, unit = _gram(self.matrix), self.source_space.cyclic
+        return float(np.sqrt(_top_gram_eig(h, unit)[0]))
+
+
+def _whitened_unit(space: GnsSpace) -> np.ndarray:
+    """The class of the unit in rank-group order (block j, eigenvector b,
+    kept p), p fastest, after U^dag: sqrt(d_p) at b = p.  Every kind's
+    whitening (``covariance._whiten``) keeps it, since f(1) = 1."""
+    return np.concatenate(
+        [(np.eye(g.n, g.rank) * np.sqrt(g.d[:, None, : g.rank])).ravel() for g in space._groups]
+    )
+
+
+def _kraus_blocks(phi: KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> list:
+    """The Kraus family of ``phi`` between the density eigenbases, per pair
+    of rank groups: for sigma's group g and rho's group h, the pair (a, b)
+    of (kappa, m_g, n_g, m_h, n_h) views with a[k, j, :, i] = U_j^dag
+    K_k[j, i] U_i, K_k[j, i] the part of K_k between block j of g (rows)
+    and block i of h (columns) and U the phase-fixed eigenvectors of each
+    group, and b[k, j, :, i] = K_k[j, i] U_i where g has dropped eigenvectors
+    (else None).  One list per g, one pair per h: each U_i turns its
+    group's columns once, with the columns then laid out group by group, and
+    each U_j^dag its group's rows once, so a pair is a slice."""
+    kraus = np.stack(phi.kraus)
+    kappa, nb = kraus.shape[:2]
+    # [k, x, i, a] -> [k, i, x, a] @ U_i -> [k, x, (i, a)]
+    turned = _stacked(
+        [
+            (kraus.take(_enveloping_rows(space_rho.shape, h), axis=2).swapaxes(1, 2) @ h.u)
+            .swapaxes(1, 2)
+            .reshape(kappa, nb, -1)
+            for h in space_rho._groups
+        ],
+        axis=2,
+    )
+    spans = _spans(h.index.size * h.n for h in space_rho._groups)
+    out = []
+    for g in space_sigma._groups:
+        kg = turned.take(_enveloping_rows(space_sigma.shape, g), axis=1)  # (kappa, m_g, n_g, N_A)
+        ag = g.u.conj().swapaxes(1, 2) @ kg
+        out.append(
+            [
+                (
+                    ag[..., c0:c1].reshape(kappa, g.index.size, g.n, h.index.size, h.n),
+                    kg[..., c0:c1].reshape(kappa, g.index.size, g.n, h.index.size, h.n) if g.rank < g.n else None,
+                )
+                for h, (c0, c1) in zip(space_rho._groups, spans)
+            ]
+        )
+    return out
+
+
+def _enveloping_rows(shape: AlgebraShape, g: _RankGroup) -> np.ndarray:
+    """(m, n): the rows of the enveloping M_N that each block of g spans."""
+    return shape._starts[g.index][:, None] + np.arange(g.n)
+
+
+def _kraus_gram_pays(phi: KrausMap, space_rho: GnsSpace) -> bool:
+    """Whether :func:`_kraus_gram` takes fewer multiply-adds than
+    :func:`_gram` of the contraction: K_rho kappa^2 complex (4 real) ones per
+    Gram entry, K_rho the blocks of rho's algebra, against 2 dim_rho real
+    ones.  A family as long as a trace mixture's (kappa >= N_B N_A) never
+    does, a few operators on large blocks always."""
+    return 2 * space_rho.shape.num_blocks * len(phi.kraus) ** 2 < space_rho.dim
+
+
+def _kraus_gram(phi: KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> np.ndarray:
+    """The Gram M^dag M of the contraction in the GNS kind's whitened
+    coordinates of sigma (rank-group order, :func:`_whitened_unit`), from
+    the Kraus family (:func:`_kraus_blocks`), exactly Hermitian.
+
+    There M = Z_rho C Z_sigma^-1 with Z unitary, and M's entry of rho's
+    (a, q) and sigma's (b, p) is sqrt(d_q / d_p) sum_k conj(A_k[b, a])
+    A_k[p, q], so for sigma's blocks j, j' and rho's block i
+
+        (M^dag M)[(j, b, p), (j', b', p')] = sum_{i, k, l} X[b, b'] Y[p, p'],
+        X = A_k A_l'^dag,  Y = conj(A_k) D_i A_l'^T / sqrt(d_p d_p'),
+
+    A_k = A_k[j, i] and A_l' = A_l[j', i] on kept p, q: one product R of
+    inner size K_rho kappa^2 per pair of sigma's groups, realigned into its
+    place.  Y carries a factor 1/2, and the Gram is G + G^dag, its adjoint
+    formed in the memory of the R's: two arrays of the Gram's size at
+    most."""
+    groups, kappa = space_sigma._groups, len(phi.kraus)
+    # per g, per h: x (m_h, kappa m_g n_g, n_h) and y (m_h, kappa m_g r_g, r_h)
+    factors = [
+        [_gram_factors(a, g, h) for h, (a, _) in zip(space_rho._groups, pairs)]
+        for g, pairs in zip(groups, _kraus_blocks(phi, space_sigma, space_rho))
+    ]
+    # one buffer holds every R, and later the Gram's adjoint
+    spans = _spans(g.index.size * g.n * g.rank for g in groups)
+    buffer, at = np.empty(space_sigma.dim**2, dtype=complex), 0
+    products = {}
+    for s, (r0, r1) in enumerate(spans):
+        for t, (c0, c1) in enumerate(spans):
+            size = (r1 - r0) * (c1 - c0)
+            products[s, t] = _gram_product(groups[s], factors[s], groups[t], factors[t], kappa, buffer[at : at + size])
+            at += size
+    del factors
+    # G: each R realigned into its place; then G^dag in the memory of the
+    # R's, and G + G^dag: copies read through transposed views, and the
+    # ufuncs run on contiguous arrays only, so none of them buffers
+    gram = np.empty((space_sigma.dim, space_sigma.dim), dtype=complex)
+    for (s, t), prod in products.items():
+        g, g2 = groups[s], groups[t]
+        block = gram[spans[s][0] : spans[s][1], spans[t][0] : spans[t][1]]
+        np.copyto(
+            block.reshape(g.index.size, g.n, g.rank, g2.index.size, g2.n, g2.rank, copy=False),
+            prod.transpose(0, 2, 4, 1, 3, 5),
+        )
+    del products
+    adjoint = buffer.reshape(gram.shape)
+    np.copyto(adjoint, gram.T)
+    np.conjugate(adjoint, out=adjoint)
+    gram += adjoint
+    return gram
+
+
+def _gram_factors(a: np.ndarray, g: _RankGroup, h: _RankGroup):
+    """The factors of :func:`_kraus_gram` for one pair of groups: a as
+    (m_h, kappa m_g n_g, n_h) for X, and a on kept p, q times
+    sqrt(d_q / (2 d_p)), as (m_h, kappa m_g r_g, r_h), for Y."""
+    kappa, m, _, mh, _ = a.shape
+    y = a[:, :, : g.rank, :, : h.rank] * np.sqrt(h.d[:, : h.rank] / 2.0)
+    y /= np.sqrt(g.d[:, : g.rank, None, None])
+    # [k, j, b, i, a] -> [i, (k, j, b), a]
+    x = a.transpose(3, 0, 1, 2, 4).reshape(mh, kappa * m * g.n, h.n)
+    return x, y.transpose(3, 0, 1, 2, 4).reshape(mh, kappa * m * g.rank, h.rank)
+
+
+def _gram_product(g: _RankGroup, fg: list, g2: _RankGroup, fg2: list, kappa: int, out: np.ndarray) -> np.ndarray:
+    """R[j, j', b, b', p, p'] = sum_{i, k, l} X[b, b'] Y[p, p'] of
+    :func:`_kraus_gram` for sigma's groups g and g2, written into ``out``
+    (flat, of R's size) and returned as a view of it."""
+    m, m2 = g.index.size, g2.index.size
+    xr, yr = [], []
+    for (x, y), (x2, y2) in zip(fg, fg2):
+        mh = x.shape[0]
+        # [i, k, j, b, l, j', b'] -> [j, j', (b, b'), (i, k, l)]
+        xr.append(
+            (x @ x2.conj().swapaxes(1, 2))
+            .reshape(mh, kappa, m, g.n, kappa, m2, g2.n)
+            .transpose(2, 5, 3, 6, 0, 1, 4)
+            .reshape(m, m2, g.n * g2.n, mh * kappa**2)
+        )
+        yr.append(
+            (y.conj() @ y2.swapaxes(1, 2))
+            .reshape(mh, kappa, m, g.rank, kappa, m2, g2.rank)
+            .transpose(2, 5, 0, 1, 4, 3, 6)
+            .reshape(m, m2, mh * kappa**2, g.rank * g2.rank)
+        )
+    prod = out.reshape(m, m2, g.n * g2.n, g.rank * g2.rank)
+    np.matmul(_stacked(xr, axis=3), _stacked(yr, axis=2), out=prod)
+    return prod.reshape(m, m2, g.n, g2.n, g.rank, g2.rank)
+
+
+def _spans(sizes) -> list[tuple[int, int]]:
+    """(start, end) of consecutive runs of the given sizes."""
+    out, start = [], 0
+    for size in sizes:
+        out.append((start, start + size))
+        start += size
+    return out
+
+
+def _stacked(parts: list, axis: int = 0) -> np.ndarray:
+    """The parts joined along ``axis``, without a copy of a single part."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
 def induced_contraction(
@@ -332,7 +522,13 @@ def induced_contraction(
     # of L, then rho's of the rows; the columns after dim_sigma are the null basis'
     full = _transform(space_rho, _transform(space_sigma, lt, _rep_null).T, _iso)
     _check_null_images(space_sigma, full[:, space_sigma.dim :])
-    return GnsContraction(space_sigma, space_rho, np.ascontiguousarray(full[:, : space_sigma.dim]))
+    return GnsContraction(space_sigma, space_rho, np.ascontiguousarray(full[:, : space_sigma.dim]), morphism.cpu)
+
+
+#: Relative gap below which two null images count as equally bad
+#: (:func:`_check_null_images`): far above the rounding of their norms, far
+#: below the three digits a message prints.
+_TIE_RTOL = 1e-12
 
 
 def _check_null_images(space_sigma: GnsSpace, images: np.ndarray) -> None:
@@ -343,12 +539,14 @@ def _check_null_images(space_sigma: GnsSpace, images: np.ndarray) -> None:
     dropped eigenvector in one row of a block, numbered group by group as
     (block j, row i, dropped eigenvector c), c fastest.  The worst column
     above ``WELL_DEFINED_TOL`` raises :class:`GnsQuotientError`, naming that
-    element and its norm."""
+    element and its norm.  Of columns tied with the worst within
+    ``_TIE_RTOL`` (a unitary carrier gives every row of a block the same
+    norm), the first is named, so rounding does not pick it."""
     leaks = np.linalg.norm(images, axis=0)
     worst = float(leaks.max(initial=0.0))
     if worst <= WELL_DEFINED_TOL:
         return
-    place = int(np.argmax(leaks))
+    place = int(np.argmax(leaks >= worst * (1.0 - _TIE_RTOL)))
     for g in space_sigma._groups:
         count = g.index.size * g.n * (g.n - g.rank)
         if place < count:
