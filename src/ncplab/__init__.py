@@ -31,7 +31,6 @@ from .channels import (
     ChannelValidationError,
     CongruentEmbedding,
     CpuMap,
-    KrausMap,
     MorphismValidationError,
     NcpMorphism,
     apply,

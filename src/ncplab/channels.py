@@ -32,12 +32,13 @@ names the block pair (k, l) holding the smallest eigenvalue, with its
 eigenvector.  A Markov map between abelian algebras, whose action is
 stored as CSR, has only 1 x 1 blocks, read off the stored entries.
 
-:func:`from_kraus` returns a :class:`KrausMap`: its action is built from
-its family there, so the two agree by construction, and the matrix verdicts
-read the family in place of the n^2 x n^2 action (the monotonicity
-criterion, the Gram behind a contraction's operator norm).  A
-:class:`CpuMap` handed a family by hand keeps the dense route: nothing ties
-that family to its action, which the CP test's factor residual checks.
+:func:`from_kraus` returns a private :class:`_KrausMap`, which only it
+builds: its action is built from its family there, so the two agree by
+construction, and the matrix verdicts may read the family in place of the
+n^2 x n^2 action (the monotonicity criterion, the Gram behind a
+contraction's operator norm) where that is faster.  A :class:`CpuMap`
+handed a family by hand keeps the dense route: nothing ties that family to
+its action, which the CP test's factor residual checks.
 """
 
 from __future__ import annotations
@@ -143,15 +144,16 @@ class CongruentEmbedding(CpuMap):
 
 
 @dataclass(frozen=True)
-class KrausMap(CpuMap):
+class _KrausMap(CpuMap):
     """CPU map whose action :func:`from_kraus` built from ``kraus``.
 
-    The two agree by construction, so the matrix verdicts read the family
-    in place of the action: the monotonicity criterion
+    The two agree by construction, so the matrix verdicts may read the
+    family in place of the action: the monotonicity criterion
     (:func:`ncplab.covariance._criterion`) and the Gram of the GNS
-    contraction (:attr:`ncplab.gns.GnsContraction.operator_norm`).  A plain
-    :class:`CpuMap` that carries a family keeps the dense route, since
-    nothing ties that family to its action.
+    contraction (:attr:`ncplab.gns.GnsContraction.operator_norm`).  Only
+    :func:`from_kraus` builds one; constructing it directly is unsupported,
+    since nothing else ties the family to the action.  A plain
+    :class:`CpuMap` that carries a family keeps the dense route.
     """
 
 
@@ -212,7 +214,7 @@ def from_linear(src: AlgebraShape, dst: AlgebraShape, matrix) -> CpuMap:
     return CpuMap(src, dst, _frozen(mat.copy()))
 
 
-def from_kraus(src: AlgebraShape, dst: AlgebraShape, kraus_list) -> KrausMap:
+def from_kraus(src: AlgebraShape, dst: AlgebraShape, kraus_list) -> _KrausMap:
     """CPU map phi(b) = sum_k K_k^dag b K_k, compressed onto dst blocks.
 
     Each K_k is an N_B x N_A matrix between the enveloping algebras of source
@@ -224,7 +226,7 @@ def from_kraus(src: AlgebraShape, dst: AlgebraShape, kraus_list) -> KrausMap:
     [(i,a), (j,b)] of the Choi matrix: the action is built as the products
     V V^dag of the factors of :func:`_kraus_factors`, a slab of each Choi
     class at a time, scattered through :func:`_choi_layout`.  The result is
-    a :class:`KrausMap`, whose verdicts read the family.
+    a :class:`_KrausMap`, whose verdicts may read the family.
     """
     NB, NA = src.total_dim, dst.total_dim
     ks = []
@@ -251,7 +253,7 @@ def from_kraus(src: AlgebraShape, dst: AlgebraShape, kraus_list) -> KrausMap:
     for (_, at), v in zip(_choi_layout(src, dst), _kraus_factors(src, dst, ks)):
         for rows, product in _factor_products(v):
             flat[at[:, rows]] = product
-    return KrausMap(src, dst, _frozen(action), tuple(_frozen(k.copy()) for k in ks))
+    return _KrausMap(src, dst, _frozen(action), tuple(_frozen(k.copy()) for k in ks))
 
 
 def identity_map(shape: AlgebraShape) -> CpuMap:

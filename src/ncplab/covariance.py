@@ -25,9 +25,9 @@ coordinates y.  So the monotonicity criterion needs no Gram and no
 contraction: its matrix M = Z_rho C Z_sigma^-1 maps sigma's whitened unit
 at (b, p) to rho's whitened image of U_sigma e_bp U_sigma^dag / sqrt(W_bp),
 which one right and one left product per rank group read off the action,
-or, for a carrier that :func:`~ncplab.channels.from_kraus` built, one
-product of inner size kappa per pair of rank groups off its Kraus family;
-only the samples, and a failed verdict's witness, pass through the
+or, for a carrier that :func:`~ncplab.channels.from_kraus` built, where
+it is faster (:func:`_kraus_criterion_pays`), one product of inner size
+kappa per pair of rank groups off its Kraus family; only the samples, and a failed verdict's witness, pass through the
 whitening.  Since f(1) = 1 the whitened class of the unit, sqrt(d_q) at
 each (q, q), is an eigenvector of M^dag M with eigenvalue 1, which one
 Cholesky factorization certifies as the top when the verdict passes.  Where
@@ -58,7 +58,7 @@ from typing import Callable
 import numpy as np
 
 from .algebra import InputError, _check_count, _check_tol, _frozen, _phase_fix
-from .channels import KrausMap, NcpMorphism
+from .channels import NcpMorphism, _KrausMap
 from .gns import (
     GnsSpace,
     _check_null_images,
@@ -364,11 +364,13 @@ def _criterion(morphism: NcpMorphism, space_sigma, space_rho, kernels, hermitian
     symmetric and the carrier commutes with x -> x^dag, and otherwise off
     the real matrix by an imaginary remainder.
 
-    A carrier built from Kraus operators (:class:`~ncplab.channels.KrausMap`)
-    is read through its family instead (:func:`_kraus_criterion`)."""
-    if isinstance(morphism.cpu, KrausMap):
-        return _kraus_criterion(morphism.cpu, space_sigma, space_rho, kernels, hermitian)
-    action = morphism.cpu.linear_action
+    A carrier built from Kraus operators (:class:`~ncplab.channels._KrausMap`)
+    is read through its family instead (:func:`_kraus_criterion`) where
+    that is faster (:func:`_kraus_criterion_pays`)."""
+    phi = morphism.cpu
+    if isinstance(phi, _KrausMap) and _kraus_criterion_pays(phi, space_sigma, space_rho):
+        return _kraus_criterion(phi, space_sigma, space_rho, kernels, hermitian)
+    action = phi.linear_action
     lt = (action if isinstance(action, np.ndarray) else action.toarray()).T
     kernels = iter(kernels)
     kept, null = [], []
@@ -401,7 +403,36 @@ def _criterion(morphism: NcpMorphism, space_sigma, space_rho, kernels, hermitian
     return m[:, : space_sigma.dim]
 
 
-def _kraus_criterion(phi: KrausMap, space_sigma, space_rho, kernels, hermitian: bool):
+#: Entries of M per pair of rank groups (one of sigma's, one of rho's) at or
+#: below which :func:`_kraus_criterion`'s fixed cost, a slice, a product
+#: and a scaling per pair, each a numpy call of some microseconds, outweighs
+#: what it saves.  Measured on one BLAS thread (BENCH_26.json): with one
+#: group a side and three operators it ties the two transforms of the
+#: action at n = 8 (64^2 entries), loses by 1.1-1.3x below and wins by
+#: 1.2-1.4x at n = 9; on the four pairs of a [2, 3] -> [2, 1] carrier it
+#: loses by 1.5x, on those of [12, 4], 6,400 entries each, it wins by 1.4x.
+_CRITERION_ENTRIES_PER_PAIR = 4096
+
+
+def _kraus_criterion_pays(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> bool:
+    """Whether :func:`_kraus_criterion` is faster than the two transforms of
+    the action: it takes fewer multiply-adds, kappa per entry of M and of
+    sigma's null images against about 2 (n_sigma + n_rho) for one pair of
+    blocks, and M has more than :data:`_CRITERION_ENTRIES_PER_PAIR` entries
+    per pair of rank groups."""
+    gs, hs = space_sigma._groups, space_rho._groups
+    e_sigma, e_rho = space_sigma.shape.element_dim, space_rho.shape.element_dim
+    # sigma's right and left products over e_rho columns, rho's over e_sigma
+    dense = 2 * e_rho * sum(g.index.size * g.n**3 for g in gs) + 2 * e_sigma * sum(
+        h.index.size * h.n**2 * h.rank for h in hs
+    )
+    return (
+        len(phi.kraus) * e_sigma * space_rho.dim < dense
+        and space_sigma.dim * space_rho.dim > _CRITERION_ENTRIES_PER_PAIR * len(gs) * len(hs)
+    )
+
+
+def _kraus_criterion(phi: _KrausMap, space_sigma, space_rho, kernels, hermitian: bool):
     """:func:`_criterion` from the Kraus family of ``phi``, with no sandwich
     of the action.
 
@@ -559,7 +590,8 @@ def monotonicity_check(
     the top eigenvalue of M^dag M, M = Z_rho C Z_sigma^-1, with no
     covariance Gram built.  M is read off the action in the density
     eigenbases (:func:`_criterion`), or off the Kraus family of a carrier
-    that :func:`~ncplab.channels.from_kraus` built, without C, so only the
+    that :func:`~ncplab.channels.from_kraus` built where that is faster,
+    without C, so only the
     samples and the witness are whitened.  Where the kernels are symmetric and the states
     faithful (every catalog kind), M is real in the Hermitian bases of the two
     grids, and the criterion is read as that real matrix R

@@ -53,11 +53,15 @@ its operator norm is certified by one Cholesky factorization
 covariance criterion's where it stays complex, reads the Gram M^dag M,
 which one helper (:func:`_gram`) forms from real products at half the flops
 of a complex one, exactly Hermitian.  For a carrier built from Kraus
-operators (:class:`~ncplab.channels.KrausMap`) the family is read instead,
+operators (:class:`~ncplab.channels._KrausMap`) the family is read instead,
 in the density eigenbases (:func:`_kraus_blocks`): the contraction's Gram
 is a sum of kappa^2 Kronecker products per block of rho
-(:func:`_kraus_gram`), taken where that is fewer multiply-adds, and the
-covariance criterion is one product of inner size kappa per entry block.
+(:func:`_kraus_gram`), and the covariance criterion is one product of inner
+size kappa per entry block.  Each is taken where a cost rule measured
+against the dense route says it is faster (:func:`_kraus_gram_pays`,
+:func:`ncplab.covariance._kraus_criterion_pays`): its fixed cost per step
+of its loop over rank groups outweighs its saving on small or finely split
+carriers, and a long family's kappa^2 products outweigh it on any.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape, InputError, ShapeError, _pd_with_shift, _phase_fix
-from .channels import CpuMap, KrausMap, NcpMorphism, compose, identity_morphism
+from .channels import CpuMap, NcpMorphism, _KrausMap, compose, identity_morphism
 from .channels import apply  # noqa: F401  (perfbench's binding test reads ncplab.gns.apply)
 from .states import NormalState, SUPPORT_RTOL, _in_support
 
@@ -226,12 +230,20 @@ def _transform(space: GnsSpace, x: np.ndarray, mats) -> np.ndarray:
     rows of ``x`` (element_dim, s), each written at ``at[j, i, q]``: E x for
     ``_iso`` and R^T x for ``_rep`` (dim rows), [R N]^T x for ``_rep_null``
     (element_dim rows, the null basis after the dim coordinates)."""
-    # the products first, each gather freed once multiplied, then the output:
-    # a gather, a product and the output are never alive at once
-    prods = [mats(g).swapaxes(1, 2)[:, None] @ x[g.pos] for g in space._groups]
-    out = np.empty((sum(p.shape[0] * p.shape[1] * p.shape[2] for p in prods), x.shape[1]), dtype=complex)
-    for at, p in zip(space._layout.at, prods):
-        out[at[:, :, : p.shape[2]]] = p
+    ks = [mats(g) for g in space._groups]  # (blocks, n, c): one output row per entry
+    sizes = [k.size for k in ks]
+    # the largest group's product before the output, every other one after
+    # it, each written and freed at once: the output and the largest product
+    # are alive together, and beside the output at most one gather and one
+    # product otherwise
+    largest = sizes.index(max(sizes))
+    out = None
+    for t in [largest] + [t for t in range(len(ks)) if t != largest]:
+        prod = ks[t].swapaxes(1, 2)[:, None] @ x[space._groups[t].pos]
+        if out is None:
+            out = np.empty((sum(sizes), x.shape[1]), dtype=complex)
+        out[space._layout.at[t][:, :, : ks[t].shape[2]]] = prod
+        del prod
     return out
 
 
@@ -319,11 +331,11 @@ class GnsContraction:
         that, and any other matrix falls back to the spectrum
         (:func:`_top_gram_eig`).  The Gram is formed from real products
         (:func:`_gram`), or, for a carrier built from Kraus operators where
-        that takes fewer multiply-adds, from the family
+        that is faster (:func:`_kraus_gram_pays`), from the family
         (:func:`_kraus_gram`), in the whitened coordinates of the GNS kind,
         where the unit's class is :func:`_whitened_unit`."""
         phi = self.carrier
-        if isinstance(phi, KrausMap) and _kraus_gram_pays(phi, self.target_space):
+        if isinstance(phi, _KrausMap) and _kraus_gram_pays(phi, self.source_space, self.target_space):
             h, unit = _kraus_gram(phi, self.source_space, self.target_space), _whitened_unit(self.source_space)
         else:
             h, unit = _gram(self.matrix), self.source_space.cyclic
@@ -339,7 +351,7 @@ def _whitened_unit(space: GnsSpace) -> np.ndarray:
     )
 
 
-def _kraus_blocks(phi: KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> list:
+def _kraus_blocks(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> list:
     """The Kraus family of ``phi`` between the density eigenbases, per pair
     of rank groups: for sigma's group g and rho's group h, the pair (a, b)
     of (kappa, m_g, n_g, m_h, n_h) views with a[k, j, :, i] = U_j^dag
@@ -383,16 +395,36 @@ def _enveloping_rows(shape: AlgebraShape, g: _RankGroup) -> np.ndarray:
     return shape._starts[g.index][:, None] + np.arange(g.n)
 
 
-def _kraus_gram_pays(phi: KrausMap, space_rho: GnsSpace) -> bool:
-    """Whether :func:`_kraus_gram` takes fewer multiply-adds than
-    :func:`_gram` of the contraction: K_rho kappa^2 complex (4 real) ones per
-    Gram entry, K_rho the blocks of rho's algebra, against 2 dim_rho real
-    ones.  A family as long as a trace mixture's (kappa >= N_B N_A) never
-    does, a few operators on large blocks always."""
-    return 2 * space_rho.shape.num_blocks * len(phi.kraus) ** 2 < space_rho.dim
+#: The fixed cost of one step of :func:`_kraus_gram`'s loop over rank
+#: groups (a few numpy calls, and its share of two realigning copies of the
+#: Gram), in units of :func:`_gram`'s time per Gram entry and coordinate of
+#: rho (:func:`_kraus_gram_pays`).  Measured on one BLAS thread
+#: (BENCH_26.json), where a unit is 0.13-0.19 ns: the factor Gram ties
+#: :func:`_gram` at one 10 x 10 block and three operators (640,000 units
+#: saved), loses by 1.5x at n = 9 with two (426,000) and wins by 1.5x at
+#: n = 11 with three (1,240,000); on [12, 4], 2,250,000 units over eight
+#: steps, it loses by 1.2x, on [16, 4], 14,800,000, it wins by 1.8x.
+_GRAM_STEP_COST = 800_000
 
 
-def _kraus_gram(phi: KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> np.ndarray:
+def _kraus_gram_pays(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> bool:
+    """Whether :func:`_kraus_gram` is faster than :func:`_gram` of the
+    contraction.  In units of :func:`_gram`'s time per Gram entry and
+    coordinate of rho, :func:`_gram` takes dim_sigma^2 dim_rho and the
+    factor products dim_sigma^2 4 K_rho kappa^2, K_rho the blocks of rho's
+    algebra: their K_rho kappa^2 complex multiply-adds per entry run at
+    about a quarter of that rate (measured: 0.55 ns against 0.13-0.19 ns).
+    What that saves must exceed :data:`_GRAM_STEP_COST` per step of the
+    loop, one per pair of sigma's groups and group of rho.  A few operators
+    on large blocks pay, a family as long as a trace mixture's (kappa >=
+    N_B N_A) never does."""
+    groups = len(space_sigma._groups)
+    steps = groups * groups * len(space_rho._groups)
+    saved = space_sigma.dim**2 * (space_rho.dim - 4 * space_rho.shape.num_blocks * len(phi.kraus) ** 2)
+    return saved > _GRAM_STEP_COST * steps
+
+
+def _kraus_gram(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> np.ndarray:
     """The Gram M^dag M of the contraction in the GNS kind's whitened
     coordinates of sigma (rank-group order, :func:`_whitened_unit`), from
     the Kraus family (:func:`_kraus_blocks`), exactly Hermitian.

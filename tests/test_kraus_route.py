@@ -1,14 +1,17 @@
 """Verdicts of carriers built from Kraus operators read the family.
 
-``from_kraus`` returns a :class:`~ncplab.channels.KrausMap`, and for it the
+``from_kraus`` returns a :class:`~ncplab.channels._KrausMap`, and for it the
 monotonicity criterion and the Gram behind the contraction's operator norm
-are formed from the Kraus factors instead of the dense action.  Every other
-carrier, including a plain ``CpuMap`` handed a family, keeps the dense route.
-These tests hold the factor route to its twin, the same action wrapped by
-``from_linear``, on random shapes: rectangular and multi-block ones with 1 x 1
-blocks, and rank-deficient states for the GNS kind.  They also pin the
-design: the factor route runs no sandwich of the action and no Gram of the
-contraction, and the dense route runs no factor product."""
+are formed from the Kraus factors instead of the dense action, each where
+its cost rule says that is faster (``covariance._kraus_criterion_pays``,
+``gns._kraus_gram_pays``).  Every other carrier, including a plain
+``CpuMap`` handed a family, keeps the dense route.  These tests hold the
+factor route, forced on, to its twin, the same action wrapped by
+``from_linear``, on random shapes: rectangular and multi-block ones with
+1 x 1 blocks, and rank-deficient states for the GNS kind.  They also pin
+the design: the factor route runs no sandwich of the action and no Gram of
+the contraction, the dense route runs no factor product, and the cost
+rules pick the measured faster route on the benchmark's shapes."""
 
 from contextlib import contextmanager
 from unittest import mock
@@ -22,7 +25,7 @@ from ncplab import covariance, gns
 from ncplab.algebra import mk_shape
 from ncplab.channels import (
     CpuMap,
-    KrausMap,
+    _KrausMap,
     NcpMorphism,
     compose,
     conjugation_map,
@@ -34,7 +37,7 @@ from ncplab.channels import (
     random_cpu_map,
     transpose_map,
 )
-from ncplab.covariance import ONE, kind_catalog, monotonicity_check
+from ncplab.covariance import ONE, SLD, kind_catalog, monotonicity_check
 from ncplab.gns import GnsQuotientError, build_gns, induced_contraction
 from ncplab.states import mk_state, random_state
 from test_batched import random_blocks
@@ -73,9 +76,20 @@ def counted(*names):
             p.stop()
 
 
+@contextmanager
+def factor_route():
+    """The factor routes taken wherever the carrier qualifies, whatever
+    their cost rules say."""
+    with mock.patch.object(covariance, "_kraus_criterion_pays", lambda *args: True):
+        with mock.patch.object(gns, "_kraus_gram_pays", lambda *args: True):
+            yield
+
+
 def same_report(kind, m, n_samples=20, seed=0):
     """The factor route's report on m agrees with the dense route's."""
-    got = monotonicity_check(kind, m, n_samples=n_samples, seed=seed)
+    with factor_route(), counted("_kraus_blocks") as calls:
+        got = monotonicity_check(kind, m, n_samples=n_samples, seed=seed)
+    assert calls["_kraus_blocks"] >= 1  # twice where the real route is tried and declined
     want = monotonicity_check(kind, twin(m), n_samples=n_samples, seed=seed)
     assert got["passed"] == want["passed"]
     assert got["sample_violations"] == want["sample_violations"]
@@ -92,7 +106,8 @@ def same_quotient_verdict(kind, m):
     messages = []
     for carrier in (m, twin(m)):
         try:
-            monotonicity_check(kind, carrier, n_samples=5)
+            with factor_route():
+                monotonicity_check(kind, carrier, n_samples=5)
             messages.append(None)
         except GnsQuotientError as exc:
             messages.append(str(exc))
@@ -105,7 +120,9 @@ def same_norm(m, tol=1e-13):
     the factors is exactly Hermitian and equals the criterion's Gram."""
     (shape_a, rho), (shape_b, sigma) = m.source, m.target
     spaces = build_gns(shape_b, sigma), build_gns(shape_a, rho)
-    got = induced_contraction(m, *spaces).operator_norm
+    with factor_route(), counted("_kraus_gram") as calls:
+        got = induced_contraction(m, *spaces).operator_norm
+    assert calls["_kraus_gram"] == 1
     want = induced_contraction(twin(m), *spaces).operator_norm
     assert abs(got - want) <= tol
     # the Gram from the factors equals the Gram of the GNS kind's criterion
@@ -142,12 +159,12 @@ def random_kraus_morphism(blocks_a, blocks_b, seed, n_kraus, rank_deficient=Fals
 class TestOnlyFromKrausQualifies:
     def test_from_kraus_returns_a_kraus_map(self):
         shape = mk_shape([2, 1])
-        assert isinstance(random_cpu_map(shape, shape, seed=1), KrausMap)
-        assert isinstance(identity_map(shape), KrausMap)
-        assert not isinstance(from_linear(shape, shape, np.eye(shape.element_dim)), KrausMap)
-        assert not isinstance(markov_from_stochastic(np.eye(3)), KrausMap)
+        assert isinstance(random_cpu_map(shape, shape, seed=1), _KrausMap)
+        assert isinstance(identity_map(shape), _KrausMap)
+        assert not isinstance(from_linear(shape, shape, np.eye(shape.element_dim)), _KrausMap)
+        assert not isinstance(markov_from_stochastic(np.eye(3)), _KrausMap)
         m = random_kraus_morphism([2, 1], [2, 1], 1, 2)
-        assert not isinstance(compose(m, mk_morphism(m.source, m.source, identity_map(m.source[0]))).cpu, KrausMap)
+        assert not isinstance(compose(m, mk_morphism(m.source, m.source, identity_map(m.source[0]))).cpu, _KrausMap)
 
     def test_a_family_given_by_hand_keeps_the_dense_route(self):
         # the transpose's action with the identity's family: the family
@@ -157,13 +174,13 @@ class TestOnlyFromKrausQualifies:
         phi = CpuMap(shape, shape, plain.linear_action, identity_map(shape).kraus)
         rho = random_state(shape, faithful=True, seed=2)
         m = NcpMorphism((shape, rho), (shape, predual(plain, rho)), phi)
-        with counted("_kraus_blocks", "_sandwich") as calls:
+        with factor_route(), counted("_kraus_blocks", "_sandwich") as calls:
             rep = monotonicity_check(ONE, m, n_samples=10)
         assert calls["_kraus_blocks"] == 0 and calls["_sandwich"] > 0
         want = monotonicity_check(ONE, NcpMorphism(m.source, m.target, plain), n_samples=10)
         assert not rep["passed"] and rep["exact_max_eig"] == want["exact_max_eig"]
         spaces = build_gns(shape, m.target[1]), build_gns(shape, rho)
-        with counted("_kraus_blocks", "_gram") as calls:
+        with factor_route(), counted("_kraus_blocks", "_gram") as calls:
             norm = induced_contraction(m, *spaces).operator_norm
         assert calls == {"_kraus_blocks": 0, "_gram": 1}
         assert norm == induced_contraction(NcpMorphism(m.source, m.target, plain), *spaces).operator_norm
@@ -174,7 +191,7 @@ class TestOnlyFromKrausQualifies:
         rho = random_state(shape, faithful=True, seed=3)
         lowered_phi = lowered(phi, (1, 1), 1, 1e-3)
         m = NcpMorphism((shape, rho), (shape, rho), lowered_phi)
-        with counted("_kraus_blocks") as calls:
+        with factor_route(), counted("_kraus_blocks") as calls:
             got = monotonicity_check(ONE, m, n_samples=10)
         assert calls["_kraus_blocks"] == 0
         want = monotonicity_check(ONE, twin(m), n_samples=10)
@@ -184,8 +201,9 @@ class TestOnlyFromKrausQualifies:
 class TestDesignPins:
     @pytest.fixture
     def morphism(self):
-        shape = mk_shape([6])
-        phi = random_cpu_map(shape, shape, seed=4, n_kraus=2)
+        # above both routes' measured crossovers
+        shape = mk_shape([12])
+        phi = random_cpu_map(shape, shape, seed=4, n_kraus=3)
         rho = random_state(shape, faithful=True, seed=4)
         return mk_morphism((shape, rho), (shape, predual(phi, rho)), phi)
 
@@ -205,18 +223,55 @@ class TestDesignPins:
             assert abs(c.operator_norm - 1.0) <= 1e-12
         assert calls == {"_gram": 0, "_kraus_gram": 1}
 
-    def test_a_long_family_keeps_the_gram_of_the_contraction(self):
-        # a trace mixture holds N_B N_A + 3 operators: the Kronecker form
-        # would take K_rho kappa^2 products per entry, far above dim_rho
-        shape = mk_shape([3])
+    def test_a_long_family_keeps_the_dense_routes(self):
+        # a trace mixture holds N_B N_A + 3 = 147 operators: the factor
+        # criterion would take 147 products per entry against the dense
+        # route's 48, the Kronecker form of the Gram K_rho kappa^2 per entry,
+        # far above dim_rho
+        shape = mk_shape([12])
         phi = random_cpu_map(shape, shape, seed=5, n_kraus=3, mix_trace=0.2)
         rho = random_state(shape, faithful=True, seed=5)
         m = mk_morphism((shape, rho), (shape, predual(phi, rho)), phi)
         spaces = build_gns(shape, m.target[1]), build_gns(shape, rho)
+        with counted("_kraus_blocks", "_sandwich") as calls:
+            monotonicity_check(SLD, m, n_samples=10)
+        assert calls["_kraus_blocks"] == 0 and calls["_sandwich"] > 0
         with counted("_gram", "_kraus_gram") as calls:
             induced_contraction(m, *spaces).operator_norm
         assert calls == {"_gram": 1, "_kraus_gram": 0}
-        same_norm(m)
+
+
+class TestRouteChoice:
+    """Where the cost rules send the benchmark's carriers: three Gaussian
+    operators between equal shapes, and small-batch's [2, 3] -> [2, 1]
+    morphism.  Measured on one BLAS thread (BENCH_26.json), the dense routes
+    are the faster ones on the small shapes and on [8], where the factor
+    criterion ties; the factor criterion wins from [9] on, also on
+    [12, 4], where the factor Gram still loses, and both factor routes win
+    on [16] and [20]."""
+
+    @pytest.mark.parametrize(
+        "blocks_b, blocks_a, criterion, gram",
+        [
+            ([2, 3], [2, 1], "dense", "dense"),
+            ([8], [8], "dense", "dense"),
+            ([12, 4], [12, 4], "factor", "dense"),
+            ([16], [16], "factor", "factor"),
+        ],
+    )
+    def test_routes(self, blocks_b, blocks_a, criterion, gram):
+        shape_b, shape_a = mk_shape(blocks_b), mk_shape(blocks_a)
+        phi = random_cpu_map(shape_b, shape_a, seed=6, n_kraus=3)
+        rho = random_state(shape_a, faithful=True, seed=6)
+        m = mk_morphism((shape_a, rho), (shape_b, predual(phi, rho)), phi)
+        spaces = build_gns(shape_b, m.target[1]), build_gns(shape_a, rho)
+        with counted("_kraus_blocks", "_sandwich") as calls:
+            assert monotonicity_check(SLD, m, n_samples=10)["passed"]
+        taken = "factor" if calls["_kraus_blocks"] else "dense"
+        assert taken == criterion and (calls["_sandwich"] == 0) == (taken == "factor")
+        with counted("_gram", "_kraus_gram") as calls:
+            assert abs(induced_contraction(m, *spaces).operator_norm - 1.0) <= 1e-12
+        assert calls == ({"_gram": 0, "_kraus_gram": 1} if gram == "factor" else {"_gram": 1, "_kraus_gram": 0})
 
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
