@@ -408,9 +408,10 @@ def _criterion(morphism: NcpMorphism, space_sigma, space_rho, kernels, hermitian
 #: and a scaling per pair, each a numpy call of some microseconds, outweighs
 #: what it saves.  Measured on one BLAS thread (BENCH_26.json): with one
 #: group a side and three operators it ties the two transforms of the
-#: action at n = 8 (64^2 entries), loses by 1.1-1.3x below and wins by
-#: 1.2-1.4x at n = 9; on the four pairs of a [2, 3] -> [2, 1] carrier it
-#: loses by 1.5x, on those of [12, 4], 6,400 entries each, it wins by 1.4x.
+#: action at n = 7 and 8 (0.95-1.09 of their time across runs), loses by
+#: up to 1.5x below and wins by 1.2-1.4x at n = 9; it loses by 1.4-1.6x on
+#: the four pairs of a [2, 3] -> [2, 1] carrier and wins by 1.35-1.8x on
+#: those of [12, 4], 6,400 entries each.
 _CRITERION_ENTRIES_PER_PAIR = 4096
 
 

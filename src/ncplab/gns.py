@@ -399,11 +399,12 @@ def _enveloping_rows(shape: AlgebraShape, g: _RankGroup) -> np.ndarray:
 #: groups (a few numpy calls, and its share of two realigning copies of the
 #: Gram), in units of :func:`_gram`'s time per Gram entry and coordinate of
 #: rho (:func:`_kraus_gram_pays`).  Measured on one BLAS thread
-#: (BENCH_26.json), where a unit is 0.13-0.19 ns: the factor Gram ties
-#: :func:`_gram` at one 10 x 10 block and three operators (640,000 units
-#: saved), loses by 1.5x at n = 9 with two (426,000) and wins by 1.5x at
-#: n = 11 with three (1,240,000); on [12, 4], 2,250,000 units over eight
-#: steps, it loses by 1.2x, on [16, 4], 14,800,000, it wins by 1.8x.
+#: (BENCH_26.json), where a unit is 0.13-0.19 ns: with one 10 x 10 block
+#: and three operators (640,000 units saved) the factor Gram takes 1.0-1.2
+#: times :func:`_gram`'s time, at n = 9 with two (426,000) 1.2-1.5 times,
+#: and at n = 11 with three (1,240,000) 0.64-0.66 times; on [12, 4]
+#: (2,250,000 units over eight steps) 1.0-1.2 times, on [16, 4]
+#: (14,800,000) 0.5-0.55 times.
 _GRAM_STEP_COST = 800_000
 
 

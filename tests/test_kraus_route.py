@@ -247,8 +247,8 @@ class TestRouteChoice:
     morphism.  Measured on one BLAS thread (BENCH_26.json), the dense routes
     are the faster ones on the small shapes and on [8], where the factor
     criterion ties; the factor criterion wins from [9] on, also on
-    [12, 4], where the factor Gram still loses, and both factor routes win
-    on [16] and [20]."""
+    [12, 4], where the factor Gram ties or loses, and both factor routes
+    win on [16] and [20]."""
 
     @pytest.mark.parametrize(
         "blocks_b, blocks_a, criterion, gram",
