@@ -44,6 +44,7 @@ its action, which the CP test's factor residual checks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, NamedTuple
@@ -55,6 +56,7 @@ from .algebra import (
     AlgebraShape,
     InputError,
     ShapeError,
+    _check_count,
     _check_tol,
     _from_vec,
     _frozen,
@@ -832,7 +834,21 @@ def random_cpu_map(
 
     ``mix_trace`` blends in the full trace map, which bounds the predual
     output away from the boundary (useful to keep pushed states faithful).
+    ``seed`` must be an integer >= 0, ``n_kraus`` one >= 1 and ``mix_trace`` a
+    real number in [0, 1], else :class:`ChannelValidationError` names the
+    argument.
     """
+    try:
+        seed = _check_count("seed", seed)
+    except InputError as exc:
+        raise ChannelValidationError(str(exc)) from None
+    try:
+        if n_kraus is not None and _check_count("n_kraus", n_kraus) < 1:
+            raise InputError
+    except InputError:
+        raise ChannelValidationError(f"n_kraus must be an integer >= 1, got {n_kraus!r}") from None
+    if not (isinstance(mix_trace, numbers.Real) and 0.0 <= mix_trace <= 1.0):
+        raise ChannelValidationError(f"mix_trace must be a real number in [0, 1], got {mix_trace!r}")
     rng = np.random.default_rng(seed)
     NB, NA = src.total_dim, dst.total_dim
     if n_kraus is None:

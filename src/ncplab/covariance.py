@@ -23,22 +23,27 @@ deviation from it.  Equivalently the pairing is |z|^2 for the whitened
 z_aq = sqrt(W_aq) x'_aq = sqrt(f(d_a / d_q)) (U^dag y)_aq of a block's
 coordinates y.  So the monotonicity criterion needs no Gram and no
 contraction: its matrix M = Z_rho C Z_sigma^-1 maps sigma's whitened unit
-at (b, p) to rho's whitened image of U_sigma e_bp U_sigma^dag / sqrt(W_bp),
-which one right and one left product per rank group read off the action,
-or, for a carrier that :func:`~ncplab.channels.from_kraus` built, where
-it is faster (:func:`_kraus_criterion_pays`), one product of inner size
-kappa per pair of rank groups off its Kraus family; only the samples, and a failed verdict's witness, pass through the
-whitening.  Since f(1) = 1 the whitened class of the unit, sqrt(d_q) at
-each (q, q), is an eigenvector of M^dag M with eigenvalue 1, which one
-Cholesky factorization certifies as the top when the verdict passes.  Where
-the kernel is symmetric, W_aq = W_qa, whitening maps Hermitian elements to
-Hermitian grids; a carrier commutes with x -> x^dag, so in the Hermitian
-basis e_aa, (e_aq + e_qa)/sqrt(2), i (e_aq - e_qa)/sqrt(2) of each grid M is
-a real matrix, and the criterion is certified with one real Gram and one
-real factorization.  A function with f(t) = t f(1/t), as every kind of the
-catalog is (Petz 1996), has a symmetric kernel, and every kind has one on a
-block-tracial state; the GNS kind on any other state, and states that are
-not faithful, keep the complex route.  The Riesz solve reads the
+at (b, p) to rho's whitened image of U_sigma e_bp U_sigma^dag / sqrt(W_bp).
+It is formed once, in two parts.  The carrier gives the images U_rho^dag
+phi(U_sigma e_bp U_sigma^dag) U_rho: one right and one left product per
+rank group off its action, or, for a carrier that
+:func:`~ncplab.channels.from_kraus` built, where it is faster
+(:func:`_kraus_criterion_pays`), one product of inner size kappa per pair
+of rank groups off its Kraus family.  One tail scales them by sqrt(W^rho)
+and 1/sqrt(W^sigma); only the samples, and a failed verdict's witness, pass
+through the whitening.  Since f(1) = 1 the whitened class of the unit,
+sqrt(d_q) at each (q, q), is an eigenvector of M^dag M with eigenvalue 1,
+which one Cholesky factorization certifies as the top when the verdict
+passes.  Where the kernel is symmetric, W_aq = W_qa, whitening maps
+Hermitian elements to Hermitian grids; a carrier commutes with x -> x^dag,
+so in the Hermitian basis e_aa, (e_aq + e_qa)/sqrt(2), i (e_aq -
+e_qa)/sqrt(2) of each grid M is a real matrix: the tail folds M into that
+basis, and one real Gram and one real factorization certify it, or, where
+rounding leaves too large an imaginary remainder, the same folded matrix is
+certified on the complex route.  A function with f(t) = t f(1/t), as every
+kind of the catalog is (Petz 1996), has a symmetric kernel, and every kind
+has one on a block-tracial state; the GNS kind on any other state, and
+states that are not faithful, keep the complex route.  The Riesz solve reads the
 symmetrized kernel W^s = (W + W^T)/2, the only part of W the real part of
 the pairing sees on Hermitian elements, on every eigenvalue of a block,
 dropped ones included (the ratio is 1 where d_b <= 0).
@@ -274,23 +279,6 @@ def _whiten(kind: OperatorMonotoneFunction, space: GnsSpace, x: np.ndarray, inve
     return out
 
 
-def _sandwich(t: np.ndarray, left: np.ndarray, scale: np.ndarray, phase=None):
-    """Rows sum_i left[j, i, a] t[j, i, c, s] * scale[j, a, c] of one rank
-    group, (m * n * q, s) for the right products t (m, n, c, s) of its
-    element-coordinate rows, over the first q = scale.shape[2] columns c,
-    and the right products alone (m * n * c', s) of the c' columns past
-    them, which ``left`` and ``scale`` skip (None when there are none).
-    With a ``phase``, the (a, c) grid of the rows is then folded into the
-    Hermitian basis (:func:`_fold`)."""
-    m, n, _, s = t.shape
-    q = scale.shape[2]
-    out = (left.swapaxes(1, 2) @ t[:, :, :q].reshape(m, n, q * s)).reshape(m, n, q, s)
-    out *= scale[..., None]
-    if phase is not None:
-        _fold(out, phase)
-    return out.reshape(-1, s), t[:, :, q:].reshape(-1, s) if q < t.shape[2] else None
-
-
 @lru_cache(maxsize=None)
 def _fold_scale(n: int) -> np.ndarray:
     """(n, n), read-only: 1 on the diagonal and 1/sqrt(2) off it, the weight
@@ -345,78 +333,96 @@ def _kept_kernels(kind: OperatorMonotoneFunction, space: GnsSpace) -> list:
     return [g.d[:, None, : g.rank] * f[:, :, : g.rank] for g, f in zip(space._groups, _ratios(kind, space))]
 
 
-def _criterion(morphism: NcpMorphism, space_sigma, space_rho, kernels, hermitian: bool = False):
-    """M = Z_rho C Z_sigma^-1 of the criterion, straight from the action L,
-    rows and columns in rank-group order (:func:`_whiten`).
-
-    The entry of rho's (a, q) and sigma's (b, p) is sqrt(W^rho_aq)
-    (U_rho^dag phi(U_sigma e_bp U_sigma^dag) U_rho)_aq / sqrt(W^sigma_bp),
-    ``kernels`` the kept kernels W (:func:`_kept_kernels`) of sigma's rank
-    groups and then rho's, and U each density eigenbasis: one transform of the
-    action per space, a right and a left batched product per rank group
-    (:func:`_sandwich`).  Sigma's right product also carries its null
-    basis; rho's transform of those columns is checked
-    (:func:`~ncplab.gns._check_null_images`) and dropped.
-
-    With ``hermitian`` (every rank group of both spaces full rank), each
-    sandwich folds its (a, q) grid as it scales it (:func:`_fold`), so the
-    result is P_rho^dag M P_sigma, still complex: real when both kernels are
-    symmetric and the carrier commutes with x -> x^dag, and otherwise off
-    the real matrix by an imaginary remainder.
-
-    A carrier built from Kraus operators (:class:`~ncplab.channels._KrausMap`)
-    is read through its family instead (:func:`_kraus_criterion`) where
+def _images(morphism: NcpMorphism, space_sigma: GnsSpace, space_rho: GnsSpace) -> np.ndarray:
+    """The carrier's part of the criterion: the images U_rho^dag phi(U_sigma
+    e_bp U_sigma^dag) U_rho, unscaled, U each density eigenbasis, at rho's
+    (a, q) and sigma's (b, p) in rank-group order (:func:`_whiten`), then
+    sigma's null basis elements e_i u_c^dag (c dropped) as further columns,
+    in the order :func:`~ncplab.gns._check_null_images` reads.  Read off the
+    action, per rank group of sigma a right product by U (its dropped
+    columns are the null basis) and a left one, then per group of rho a
+    right and a left one; or off the Kraus family of a carrier that
+    :func:`~ncplab.channels.from_kraus` built (:func:`_kraus_images`) where
     that is faster (:func:`_kraus_criterion_pays`)."""
     phi = morphism.cpu
     if isinstance(phi, _KrausMap) and _kraus_criterion_pays(phi, space_sigma, space_rho):
-        return _kraus_criterion(phi, space_sigma, space_rho, kernels, hermitian)
+        return _kraus_images(phi, space_sigma, space_rho)
     action = phi.linear_action
     lt = (action if isinstance(action, np.ndarray) else action.toarray()).T
-    kernels = iter(kernels)
     kept, null = [], []
     for g in space_sigma._groups:
-        scale = 1.0 / np.sqrt(next(kernels))
-        if hermitian:
-            scale *= _fold_scale(g.n)
-        t = g.u.swapaxes(1, 2).conj()[:, None] @ lt[g.pos]
-        rows, t = _sandwich(t, g.u, scale, 1j if hermitian else None)
-        kept.append(rows)
-        if t is not None:
-            null.append(t)
+        m, n, r = g.index.size, g.n, g.rank
+        t = g.u.swapaxes(1, 2).conj()[:, None] @ lt[g.pos]  # phi(e_i u_c^dag) at [j, i, c]
+        kept.append((g.u.swapaxes(1, 2) @ t[:, :, :r].reshape(m, n, r * lt.shape[1])).reshape(-1, lt.shape[1]))
+        if r < n:
+            null.append(t[:, :, r:].reshape(-1, lt.shape[1]))
     del lt, t
     x = _stacked(kept + null).T
     del kept, null
     rows = []
-    for g in space_rho._groups:
-        scale = np.sqrt(next(kernels))
-        if hermitian:
-            scale *= _fold_scale(g.n)
-        t = x[g.pos]
-        if g is space_rho._groups[-1]:
+    for h in space_rho._groups:
+        m, n, r = h.index.size, h.n, h.rank
+        t = x[h.pos]
+        if h is space_rho._groups[-1]:
             del x  # the last gather holds all that is still read
-        t = g.u[:, :, : g.rank].swapaxes(1, 2)[:, None] @ t
-        rows.append(_sandwich(t, g.u.conj(), scale, -1j if hermitian else None)[0])
+        t = h.u[:, :, :r].swapaxes(1, 2)[:, None] @ t  # [j, i, q] of (X U)
+        rows.append((h.u.conj().swapaxes(1, 2) @ t.reshape(m, n, r * t.shape[3])).reshape(-1, t.shape[3]))
     del t
-    m = _stacked(rows)
-    del rows
+    return _stacked(rows)
+
+
+def _criterion(morphism: NcpMorphism, space_sigma, space_rho, kernels, hermitian: bool = False):
+    """M = Z_rho C Z_sigma^-1 of the criterion in rank-group order: the
+    carrier's images (:func:`_images`) at rho's (a, q) and sigma's (b, p)
+    scaled by sqrt(W^rho_aq) / sqrt(W^sigma_bp), ``kernels`` the kept
+    kernels W (:func:`_kept_kernels`) of sigma's rank groups and then rho's.
+    Sigma's null images, scaled on rho's side alike, are checked
+    (:func:`~ncplab.gns._check_null_images`) and dropped.  With
+    ``hermitian`` (every rank group of both spaces full rank) each grid is
+    also folded into the Hermitian basis (:func:`_fold`), so the result is
+    P_rho^dag M P_sigma, still complex: real when both kernels are symmetric
+    and the carrier commutes with x -> x^dag, and otherwise off the real
+    matrix by an imaginary remainder."""
+    m = _images(morphism, space_sigma, space_rho)
+    gs, hs = space_sigma._groups, space_rho._groups
+    # 1 / sqrt(W) of sigma's groups and sqrt(W) of rho's, times the folds'
+    # weights, each in rank-group order
+    scales = [1.0 / np.sqrt(w) for w in kernels[: len(gs)]] + [np.sqrt(w) for w in kernels[len(gs) :]]
+    if hermitian:
+        for scale, g in zip(scales, gs + hs):
+            scale *= _fold_scale(g.n)
+    sigma_scale = _stacked([scale.ravel() for scale in scales[: len(gs)]])
+    rho_scale = _stacked([scale.ravel() for scale in scales[len(gs) :]])
+    m *= rho_scale[:, None]
     _check_null_images(space_sigma, m[:, space_sigma.dim :])
-    return m[:, : space_sigma.dim]
+    m = m[:, : space_sigma.dim]
+    if not hermitian:
+        m *= sigma_scale
+        return m
+    for h, (r0, r1) in zip(hs, _spans(h.pos.size for h in hs)):
+        _fold(m[r0:r1].reshape(h.index.size, h.n, h.n, -1), -1j)
+    # sigma's columns copied into rows, so its fold too runs along contiguous rows
+    y = np.empty(m.shape[::-1], dtype=complex)
+    np.copyto(y, m.T)
+    del m
+    y *= sigma_scale[:, None]
+    for g, (c0, c1) in zip(gs, _spans(g.pos.size for g in gs)):
+        _fold(y[c0:c1].reshape(g.index.size, g.n, g.n, -1), 1j)
+    return y.T
 
 
 #: Entries of M per pair of rank groups (one of sigma's, one of rho's) at or
-#: below which :func:`_kraus_criterion`'s fixed cost, a slice, a product
-#: and a scaling per pair, each a numpy call of some microseconds, outweighs
-#: what it saves.  Measured on one BLAS thread (BENCH_26.json): with one
-#: group a side and three operators it ties the two transforms of the
-#: action at n = 7 and 8 (0.95-1.09 of their time across runs), loses by
-#: up to 1.5x below and wins by 1.2-1.4x at n = 9; it loses by 1.4-1.6x on
-#: the four pairs of a [2, 3] -> [2, 1] carrier and wins by 1.35-1.8x on
-#: those of [12, 4], 6,400 entries each.
+#: below which the action is read, not the Kraus family (:func:`_kraus_images`,
+#: whose slice and product per pair cost some microseconds each).  Measured
+#: with one tail for both (BENCH_27.json, one BLAS thread, three operators):
+#: the family loses by 1.1-1.6x at n <= 6, on [6, 2], [4, 4, 4] and the four
+#: pairs of [2, 3] -> [2, 1], ties at n = 7, wins by 1.04-1.15x at n = 8
+#: (4,096 entries, under 2% of a verdict) and by 1.2x and more from n = 9.
 _CRITERION_ENTRIES_PER_PAIR = 4096
 
 
 def _kraus_criterion_pays(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> bool:
-    """Whether :func:`_kraus_criterion` is faster than the two transforms of
+    """Whether :func:`_kraus_images` is faster than the two transforms of
     the action: it takes fewer multiply-adds, kappa per entry of M and of
     sigma's null images against about 2 (n_sigma + n_rho) for one pair of
     blocks, and M has more than :data:`_CRITERION_ENTRIES_PER_PAIR` entries
@@ -433,79 +439,36 @@ def _kraus_criterion_pays(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsS
     )
 
 
-def _kraus_criterion(phi: _KrausMap, space_sigma, space_rho, kernels, hermitian: bool):
-    """:func:`_criterion` from the Kraus family of ``phi``, with no sandwich
-    of the action.
+def _kraus_images(phi: _KrausMap, space_sigma, space_rho) -> np.ndarray:
+    """:func:`_images` from the Kraus family of ``phi``.
 
     With A_k = U_sigma^dag K_k U_rho per pair of blocks
     (:func:`~ncplab.gns._kraus_blocks`), U_rho^dag phi(U_sigma e_bp
-    U_sigma^dag) U_rho = sum_k A_k^dag e_bp A_k, so the entry of rho's
-    (a, q) and sigma's (b, p) is sqrt(W^rho_aq) sum_k conj(A_k[b, a])
-    A_k[p, q] / sqrt(W^sigma_bp): one product of inner size kappa per
-    entry block and pair of rank groups (:func:`_kraus_grid`), then the
-    scales.  Sigma's null basis element e_i u_c^dag (c dropped) maps to
-    sum_k conj(B_k[i, a]) A_k[c, q], B_k = K_k U_rho, in the same product
-    form; its images are checked (:func:`~ncplab.gns._check_null_images`).
-    With ``hermitian`` (every group full rank, so no null basis) the grid is
-    formed as M^T, whose rows, sigma's, are folded (:func:`_fold`), then
-    copied into M, whose rows, rho's, are folded: every fold runs along
-    contiguous rows."""
+    U_sigma^dag) U_rho = sum_k A_k^dag e_bp A_k, so the image of sigma's
+    (b, p) at rho's (a, q) is sum_k conj(A_k[b, a]) A_k[p, q]: one product
+    of inner size kappa per entry block and pair of rank groups
+    (:func:`_kraus_grid`).  Sigma's null basis element e_i u_c^dag (c
+    dropped) maps to sum_k conj(B_k[i, a]) A_k[c, q], B_k = K_k U_rho, in
+    the same product form."""
     gs, hs = space_sigma._groups, space_rho._groups
-    cols = _spans(g.index.size * g.n * g.rank for g in gs)
-    nulls = _spans(g.index.size * g.n * (g.n - g.rank) for g in gs)
+    spans = _spans([g.index.size * g.n * g.rank for g in gs] + [g.index.size * g.n * (g.n - g.rank) for g in gs])
     rows = _spans(h.index.size * h.n * h.rank for h in hs)
-    m = np.empty((space_sigma.dim, space_rho.dim) if hermitian else (space_rho.dim, space_sigma.dim), dtype=complex)
-    null = np.empty((space_rho.dim, nulls[-1][1]), dtype=complex)
-    for g, pairs, (c0, c1), (z0, z1) in zip(gs, _kraus_blocks(phi, space_sigma, space_rho), cols, nulls):
+    out = np.empty((space_rho.dim, spans[-1][1]), dtype=complex)
+    for g, pairs, (c0, c1), (z0, z1) in zip(gs, _kraus_blocks(phi, space_sigma, space_rho), spans, spans[len(gs) :]):
         for h, (a, b), (r0, r1) in zip(hs, pairs, rows):
-            out = m[c0:c1, r0:r1] if hermitian else m[r0:r1, c0:c1]
-            _kraus_grid(out, a, a[:, :, : g.rank, :, : h.rank], hermitian)
+            _kraus_grid(out[r0:r1, c0:c1], a, a[:, :, : g.rank, :, : h.rank])
             if b is not None:
-                _kraus_grid(null[r0:r1, z0:z1], b, a[:, :, g.rank :, :, : h.rank])
-    # 1 / sqrt(W) of sigma's groups and sqrt(W) of rho's, times the folds'
-    # weights, each in rank-group order
-    scales = [1.0 / np.sqrt(w) for w in kernels[: len(gs)]] + [np.sqrt(w) for w in kernels[len(gs) :]]
-    if hermitian:
-        for scale, g in zip(scales, gs + hs):
-            scale *= _fold_scale(g.n)
-    flat = [scale.reshape(-1) for scale in scales]
-    sigma_scale, rho_scale = _stacked(flat[: len(gs)]), _stacked(flat[len(gs) :])
-    if hermitian:
-        m *= sigma_scale[:, None]
-        m *= rho_scale
-        for g, (c0, c1) in zip(gs, cols):
-            _fold(m[c0:c1].reshape(g.index.size, g.n, g.n, -1), 1j)
-        transposed, m = m, np.empty((space_rho.dim, space_sigma.dim), dtype=complex)
-        np.copyto(m, transposed.T)
-        del transposed
-        for h, (r0, r1) in zip(hs, rows):
-            _fold(m[r0:r1].reshape(h.index.size, h.n, h.n, -1), -1j)
-        return m
-    m *= sigma_scale
-    m *= rho_scale[:, None]
-    if null.shape[1]:
-        null *= rho_scale[:, None]
-        _check_null_images(space_sigma, null)
-    return m
+                _kraus_grid(out[r0:r1, z0:z1], b, a[:, :, g.rank :, :, : h.rank])
+    return out
 
 
-def _kraus_grid(out, left, right, transposed: bool = False) -> None:
+def _kraus_grid(out, left, right) -> None:
     """out[(i, a, q), (j, b, p)] = sum_k conj(left[k, j, b, i, a])
     right[k, j, p, i, q], for left (kappa, m_j, n_j, m_i, n_i) and right
     (kappa, m_j, p, m_i, q): one product of inner size kappa per
-    (i, a, q, j), written in place, so no grid is formed beside ``out``.
-    With ``transposed``, out[(j, b, p), (i, a, q)], one product per
-    (j, b, p, i)."""
+    (i, a, q, j), written in place, so no grid is formed beside ``out``."""
     kappa, mj, nj, mi, ni = left.shape
     p, q = right.shape[2], right.shape[4]
-    if transposed:
-        # [j, b, 1, i, a, k] @ [j, 1, p, i, k, q] -> [j, b, p, i, a, q]
-        np.matmul(
-            np.conj(left).transpose(1, 2, 3, 4, 0)[:, :, None],
-            right.transpose(1, 2, 3, 0, 4)[:, None],
-            out=out.reshape(mj, nj, p, mi, ni, q, copy=False),
-        )
-        return
     # [i, a, 1, j, b, k] @ [i, 1, q, j, k, p] -> [i, a, q, j, b, p]
     np.matmul(
         np.conj(left).transpose(3, 4, 1, 2, 0)[:, :, None],
@@ -542,33 +505,26 @@ def _symmetric(kernels) -> bool:
     return bool(np.abs(gap).max() <= _SYMMETRY_RTOL)
 
 
-def _real_criterion(morphism: NcpMorphism, space_sigma, space_rho, kernels, unit):
-    """The criterion as the real matrix R = Re(P_rho^dag M P_sigma) in the
-    Hermitian bases of :func:`_fold`, or None where that reading does not
-    hold; ``kernels`` as for :func:`_criterion`.
+def _real_criterion(y: np.ndarray, space_sigma: GnsSpace, space_rho: GnsSpace, unit: np.ndarray):
+    """The gate of the real route: the real part R of the folded criterion
+    y = P_rho^dag M P_sigma (:func:`_criterion` with ``hermitian``), or None.
 
-    It is tried when every rank group of both spaces is full rank and every
-    kept kernel is symmetric to rounding (:data:`_SYMMETRY_RTOL`): then M
+    With every kept kernel symmetric to rounding (:data:`_SYMMETRY_RTOL`), M
     maps whitened Hermitian classes to whitened Hermitian classes when the
-    carrier commutes with x -> x^dag, as a CPU map does, so P_rho^dag M
-    P_sigma = R + iE with E only rounding.  Every catalog kind qualifies,
-    and every kind on block-tracial states.  With delta = 8 d eps (d sigma's
-    GNS dimension) and r the Rayleigh quotient of R^T R at ``unit``, R is
-    returned only when |E|_F + 3 eps |R + iE|_F (the rounding of the two
-    folds) is at most sqrt(r) (sqrt(1 + delta) - sqrt(1 + delta / 2)): then
-    a Cholesky certificate that |R|^2 <= r (1 + delta / 2) puts the top of
-    M^dag M in [r, r (1 + delta)], the complex route's guarantee."""
-    if any(g.rank < g.n for g in space_sigma._groups + space_rho._groups) or not _symmetric(kernels):
-        return None
-    y = _criterion(morphism, space_sigma, space_rho, kernels, hermitian=True)
-    real = np.ascontiguousarray(y.real)
+    carrier commutes with x -> x^dag, as a CPU map does, so y = R + iE with
+    E only rounding.  With delta = 8 d eps (d sigma's GNS dimension) and r
+    the Rayleigh quotient of R^T R at ``unit``, R is returned only when
+    |E|_F + 3 eps |y|_F (the rounding of the two folds) is at most sqrt(r)
+    (sqrt(1 + delta) - sqrt(1 + delta / 2)): then a Cholesky certificate
+    that |R|^2 <= r (1 + delta / 2) puts the top of M^dag M in [r, r (1 +
+    delta)], the complex route's guarantee."""
+    real = y.real.copy(order="K")
     rem = math.sqrt(np.einsum("ij,ij->", y.imag, y.imag))
-    del y
     # each fold rounds a folded entry by at most 1.5 eps relative beyond
     # the complex route's scaling (the weight 1/sqrt(2) and the sum); 1 x 1
     # blocks fold nothing
     folds = any(g.n > 1 for g in space_sigma._groups + space_rho._groups)
-    rounding = 3 * _EPS * math.sqrt(np.vdot(real, real) + rem * rem) if folds else 0.0
+    rounding = 3 * _EPS * math.sqrt(np.einsum("ij,ij->", real, real) + rem * rem) if folds else 0.0
     ru = real @ unit
     r = float(ru @ ru / (unit @ unit))
     delta = 8 * space_sigma.dim * _EPS
@@ -589,21 +545,21 @@ def monotonicity_check(
     pushed pairing is |Z_rho C xi|^2 and the domain's |Z_sigma xi|^2, so the
     exact criterion (it decides: samples can miss thin violating cones) is
     the top eigenvalue of M^dag M, M = Z_rho C Z_sigma^-1, with no
-    covariance Gram built.  M is read off the action in the density
-    eigenbases (:func:`_criterion`), or off the Kraus family of a carrier
-    that :func:`~ncplab.channels.from_kraus` built where that is faster,
-    without C, so only the
-    samples and the witness are whitened.  Where the kernels are symmetric and the states
-    faithful (every catalog kind), M is real in the Hermitian bases of the two
-    grids, and the criterion is read as that real matrix R
-    (:func:`_real_criterion`): one real Gram R^T R and one real Cholesky
-    factorization certify it, the samples are one real product, and a
-    failed certificate takes one real eigensolve.  Otherwise, or when R's
-    imaginary remainder does not fit the margin, M^dag M is formed from
-    real products (:func:`~ncplab.gns._gram`) and factorized as a complex
-    matrix.  A failed verdict carries ``witness``: the top eigenvector in
-    sigma's orthonormal GNS coordinates (unit norm, phase fixed as theirs)
-    and its ratio.
+    covariance Gram built.  M is formed once (:func:`_criterion`): the
+    carrier gives its images in the density eigenbases (:func:`_images`) and
+    one tail scales them, so only the samples and the witness are whitened.
+    Where the kernels are symmetric and the states faithful (every catalog
+    kind), decided before M is formed, the tail also folds M into the
+    Hermitian bases of the two grids, where it is real, and the gate
+    (:func:`_real_criterion`) reads it as that real matrix R: one real Gram
+    R^T R and one real Cholesky factorization certify it, the samples are
+    one real product, and a failed certificate takes one real eigensolve.
+    Otherwise M^dag M is formed from real products (:func:`~ncplab.gns._gram`)
+    and factorized as a complex matrix, the folded M too where the gate
+    declines it, with the samples and the witness taken through the unitary
+    fold (:func:`_hermitian_rows`).  A failed verdict carries ``witness``:
+    the top eigenvector in sigma's orthonormal GNS coordinates (unit norm,
+    phase fixed as theirs) and its ratio.
 
     ``tol`` must be finite and >= 0, and ``n_samples`` and ``seed``
     integers >= 0 (else :class:`InputError`)."""
@@ -627,9 +583,11 @@ def monotonicity_check(
     # diagonals, which the Hermitian basis keeps
     unit = _whitened_unit(space_sigma)
     kernels = _kept_kernels(kind, space_sigma) + _kept_kernels(kind, space_rho)
-    real = _real_criterion(morphism, space_sigma, space_rho, kernels, unit)
-    folded = real is not None
-    m = None if folded else _criterion(morphism, space_sigma, space_rho, kernels)
+    folded = all(g.rank == g.n for g in space_sigma._groups + space_rho._groups) and _symmetric(kernels)
+    m = _criterion(morphism, space_sigma, space_rho, kernels, hermitian=folded)
+    real = _real_criterion(m, space_sigma, space_rho, unit) if folded else None
+    if real is not None:
+        del m
 
     # the same numbers, in the same order, as drawing the real and then the
     # imaginary part of one sample at a time
@@ -640,8 +598,10 @@ def monotonicity_check(
     rhs, norms = (np.sum(np.abs(v) ** 2, axis=0) for v in (eta, xi))
     del xi
     if folded:
-        # |M eta| = |R P_sigma^dag eta|: one real product of the stacked parts
+        # |M eta| = |y P_sigma^dag eta| for the folded y = P_rho^dag M P_sigma
         eta = _hermitian_rows(space_sigma, eta)
+    if real is not None:
+        # one real product of the stacked parts
         parts = np.concatenate([eta.real, eta.imag], axis=1)
         del eta
         pushed = np.sum((real @ parts) ** 2, axis=0)

@@ -41,9 +41,9 @@ unit-HS-norm basis of the Gelfand ideal (conj of a dropped eigenvector in one
 row of a block).  Both come from two blockwise transforms of L, O(n^5) per
 M_n block: sigma's over [R_sigma N_sigma] at once, whose first dim_sigma
 places are the representatives and the rest the null basis, then rho's E.
-The covariance monotonicity criterion reads its matrix off L in the density
-eigenbases instead (:func:`ncplab.covariance.monotonicity_check`), with no
-contraction built; it carries the same null basis, and both run one
+The covariance monotonicity criterion reads the images of its basis off L in
+the density eigenbases instead (:func:`ncplab.covariance.monotonicity_check`),
+with no contraction built; it carries the same null basis, and both run one
 well-definedness test (:func:`_check_null_images`), which reads the same
 norms because the GNS whitening after E_rho is unitary.
 A unital state-preserving map sends [1] to [1], and so does its adjoint,
@@ -56,8 +56,9 @@ of a complex one, exactly Hermitian.  For a carrier built from Kraus
 operators (:class:`~ncplab.channels._KrausMap`) the family is read instead,
 in the density eigenbases (:func:`_kraus_blocks`): the contraction's Gram
 is a sum of kappa^2 Kronecker products per block of rho
-(:func:`_kraus_gram`), and the covariance criterion is one product of inner
-size kappa per entry block.  Each is taken where a cost rule measured
+(:func:`_kraus_gram`), and the covariance criterion's images are one product
+of inner size kappa per entry block, which the criterion's one tail scales,
+folds and checks as it does the images read off L.  Each is taken where a cost rule measured
 against the dense route says it is faster (:func:`_kraus_gram_pays`,
 :func:`ncplab.covariance._kraus_criterion_pays`): its fixed cost per step
 of its loop over rank groups outweighs its saving on small or finely split

@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -677,6 +679,38 @@ class TestRandomChannelProperties:
             lhs = evaluate(rho, multiply(adjoint(apply(phi, b)), apply(phi, b))).real
             rhs = evaluate(rho, apply(phi, multiply(adjoint(b), b))).real
             assert lhs <= rhs + 1e-9
+
+    @pytest.mark.parametrize(
+        "kwargs, says",
+        [
+            ({"mix_trace": float("nan")}, "mix_trace"),
+            ({"mix_trace": -0.5}, "mix_trace"),
+            ({"mix_trace": 1.5}, "mix_trace"),
+            ({"mix_trace": float("inf")}, "mix_trace"),
+            ({"mix_trace": 0.5j}, "mix_trace"),
+            ({"n_kraus": 0}, "n_kraus must be an integer >= 1, got 0"),
+            ({"n_kraus": -1}, "n_kraus must be an integer >= 1, got -1"),
+            ({"n_kraus": 1.5}, "n_kraus must be an integer >= 1, got 1.5"),
+            ({"n_kraus": True}, "n_kraus"),
+            ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+            ({"seed": 0.5}, "seed"),
+        ],
+    )
+    def test_bad_arguments_refused(self, kwargs, says):
+        # each one raised a RuntimeWarning, numpy's LinAlgError, a TypeError or
+        # a ValueError, or was silently ignored (a NaN or negative mix_trace)
+        # or read as a count (True)
+        shape = mk_shape([2, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ChannelValidationError, match=re.escape(says)):
+                random_cpu_map(shape, shape, **kwargs)
+
+    def test_the_ends_of_the_ranges_are_kept(self):
+        shape = mk_shape([2, 1])
+        one = random_cpu_map(shape, shape, seed=np.int64(3), n_kraus=np.int32(1), mix_trace=1.0)
+        assert len(one.kraus) == 1 + shape.total_dim**2 and is_unital(one, tol=1e-12)
+        assert len(random_cpu_map(shape, shape, seed=0, n_kraus=1, mix_trace=0.0).kraus) == 1
 
 
 def _random_stochastic(m: int, n: int, rng) -> np.ndarray:

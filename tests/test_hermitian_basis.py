@@ -94,15 +94,21 @@ def morphism(family, shapes, seed):
 
 @contextmanager
 def route():
-    """Record whether each ``monotonicity_check`` took the real route."""
-    taken, real_criterion = [], covariance._real_criterion
+    """Record, for each criterion ``monotonicity_check`` forms, whether the
+    verdict took the real route: False where the criterion was not folded
+    into the Hermitian basis or the real-route gate declined it."""
+    taken, criterion, real_criterion = [], covariance._criterion, covariance._real_criterion
 
-    def recorded(*args):
+    def formed(*args, **kwargs):
+        taken.append(False)
+        return criterion(*args, **kwargs)
+
+    def gated(*args):
         out = real_criterion(*args)
-        taken.append(out is not None)
+        taken[-1] = out is not None
         return out
 
-    with mock.patch.object(covariance, "_real_criterion", recorded):
+    with mock.patch.object(covariance, "_criterion", formed), mock.patch.object(covariance, "_real_criterion", gated):
         yield taken
 
 
@@ -228,12 +234,76 @@ class TestFactorizations:
         assert taken == [False]
         assert seen and {dtype for dtype, _ in seen} == {np.dtype(complex)}
         # the complex route alone gives the same report, bit for bit
-        with mock.patch.object(covariance, "_real_criterion", lambda *args: None):
-            plain = monotonicity_check(SLD, m, n_samples=50, seed=3)
-        assert rep.keys() == plain.keys()
-        for key in rep:
-            if key == "witness":
-                assert rep[key]["ratio"] == plain[key]["ratio"]
-                assert np.array_equal(rep[key]["vector"], plain[key]["vector"])
-            else:
-                assert rep[key] == plain[key]
+        assert_same_report(rep, forced_complex(SLD, m, n_samples=50, seed=3))
+
+
+def forced_complex(kind, m, **kwargs):
+    """The report with the real-route gate declining every criterion."""
+    with mock.patch.object(covariance, "_real_criterion", lambda *args: None):
+        return monotonicity_check(kind, m, **kwargs)
+
+
+def assert_same_report(rep, plain):
+    """The two reports are equal bit for bit."""
+    assert rep.keys() == plain.keys()
+    for key in rep:
+        if key == "witness":
+            assert rep[key]["ratio"] == plain[key]["ratio"]
+            assert np.array_equal(rep[key]["vector"], plain[key]["vector"])
+        else:
+            assert rep[key] == plain[key]
+
+
+@contextmanager
+def formations():
+    """The carrier's part of the criterion (``covariance._images``) and the
+    real-route gate, each still run, with their calls counted."""
+    with mock.patch.object(covariance, "_images", wraps=covariance._images) as images:
+        with mock.patch.object(covariance, "_real_criterion", wraps=covariance._real_criterion) as gate:
+            yield images, gate
+
+
+class TestOneFormation:
+    """Each verdict forms its criterion once: the basis is chosen from the
+    ranks and the kernels before anything is formed, and a verdict whose
+    real-route gate declines certifies the same folded matrix on the
+    complex route."""
+
+    @staticmethod
+    def verdict(kind, m, gated):
+        """The report, after asserting one formation and whether the gate
+        was consulted (only a criterion folded into the Hermitian basis is)."""
+        with route() as taken, formations() as (images, gate):
+            rep = monotonicity_check(kind, m, n_samples=50, seed=3)
+        assert images.call_count == 1
+        assert gate.call_count == int(gated)
+        return rep, taken
+
+    def test_a_real_route_verdict(self):
+        m, _ = morphism("cpu", SHAPES[0], 5)
+        rep, taken = self.verdict(SLD, m, True)
+        assert taken == [True] and rep["passed"]
+
+    def test_a_complex_route_verdict_of_the_gns_kind(self):
+        m, tracial = morphism("cpu", SHAPES[3], 5)
+        assert not tracial
+        rep, taken = self.verdict(ONE, m, False)
+        assert taken == [False] and rep["passed"]
+
+    @pytest.mark.parametrize("case", ["skewed_depolarizing", "transpose"])
+    def test_a_declined_verdict_is_the_forced_complex_one(self, case):
+        if case == "skewed_depolarizing":
+            phi = skewed_depolarizing()
+            shape = phi.source_shape
+            sigma = random_state(shape, faithful=True, seed=14)
+            m, kind = NcpMorphism((shape, random_state(shape, faithful=True, seed=13)), (shape, sigma), phi), SLD
+        else:
+            # the remainder test's narrowest margin seen: the transpose on
+            # [2, 1], a target of five GNS dimensions
+            m, kind = morphism("transpose", SHAPES[0], 320573)[0], KINDS["pow0.5"][0]
+        rep, taken = self.verdict(kind, m, True)
+        assert taken == [False]
+        with formations() as (images, _):
+            plain = forced_complex(kind, m, n_samples=50, seed=3)
+        assert images.call_count == 1
+        assert_same_report(rep, plain)
