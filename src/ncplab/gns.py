@@ -58,11 +58,12 @@ in the density eigenbases (:func:`_kraus_blocks`): the contraction's Gram
 is a sum of kappa^2 Kronecker products per block of rho
 (:func:`_kraus_gram`), and the covariance criterion's images are one product
 of inner size kappa per entry block, which the criterion's one tail scales,
-folds and checks as it does the images read off L.  Each is taken where a cost rule measured
-against the dense route says it is faster (:func:`_kraus_gram_pays`,
-:func:`ncplab.covariance._kraus_criterion_pays`): its fixed cost per step
-of its loop over rank groups outweighs its saving on small or finely split
-carriers, and a long family's kappa^2 products outweigh it on any.
+folds and checks as it does the images read off L.  Each is taken where a
+cost rule measured against the dense route says it is faster
+(:func:`_kraus_gram_pays`, :func:`ncplab.covariance._kraus_criterion_pays`):
+its fixed cost per step of its loop over rank groups outweighs its saving
+on small or finely split carriers, and a long family's kappa^2 products
+outweigh it on any.
 """
 
 from __future__ import annotations
