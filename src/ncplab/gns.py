@@ -577,6 +577,8 @@ def _check_null_images(space_sigma: GnsSpace, images: np.ndarray) -> None:
     element and its norm.  Of columns tied with the worst within
     ``_TIE_RTOL`` (a unitary carrier gives every row of a block the same
     norm), the first is named, so rounding does not pick it."""
+    if not images.shape[1]:  # a faithful sigma has no null basis
+        return
     leaks = np.linalg.norm(images, axis=0)
     worst = float(leaks.max(initial=0.0))
     if worst <= WELL_DEFINED_TOL:
