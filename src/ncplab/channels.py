@@ -56,6 +56,7 @@ from .algebra import (
     AlgebraShape,
     InputError,
     ShapeError,
+    _BOOL_TYPES,
     _check_count,
     _check_tol,
     _from_vec,
@@ -840,14 +841,15 @@ def random_cpu_map(
     """
     try:
         seed = _check_count("seed", seed)
+        if n_kraus is not None:
+            n_kraus = _check_count("n_kraus", n_kraus)
     except InputError as exc:
         raise ChannelValidationError(str(exc)) from None
-    try:
-        if n_kraus is not None and _check_count("n_kraus", n_kraus) < 1:
-            raise InputError
-    except InputError:
-        raise ChannelValidationError(f"n_kraus must be an integer >= 1, got {n_kraus!r}") from None
-    if not (isinstance(mix_trace, numbers.Real) and 0.0 <= mix_trace <= 1.0):
+    if n_kraus == 0:
+        raise ChannelValidationError("n_kraus must be an integer >= 1, got 0")
+    if not (
+        type(mix_trace) not in _BOOL_TYPES and isinstance(mix_trace, numbers.Real) and 0.0 <= mix_trace <= 1.0
+    ):
         raise ChannelValidationError(f"mix_trace must be a real number in [0, 1], got {mix_trace!r}")
     rng = np.random.default_rng(seed)
     NB, NA = src.total_dim, dst.total_dim

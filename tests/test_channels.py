@@ -688,9 +688,10 @@ class TestRandomChannelProperties:
             ({"mix_trace": 1.5}, "mix_trace"),
             ({"mix_trace": float("inf")}, "mix_trace"),
             ({"mix_trace": 0.5j}, "mix_trace"),
+            ({"mix_trace": True}, "mix_trace"),
             ({"n_kraus": 0}, "n_kraus must be an integer >= 1, got 0"),
-            ({"n_kraus": -1}, "n_kraus must be an integer >= 1, got -1"),
-            ({"n_kraus": 1.5}, "n_kraus must be an integer >= 1, got 1.5"),
+            ({"n_kraus": -1}, "n_kraus must be an integer >= 0, got -1"),
+            ({"n_kraus": 1.5}, "n_kraus must be an integer >= 0, got 1.5"),
             ({"n_kraus": True}, "n_kraus"),
             ({"seed": -1}, "seed must be an integer >= 0, got -1"),
             ({"seed": 0.5}, "seed"),
@@ -699,7 +700,7 @@ class TestRandomChannelProperties:
     def test_bad_arguments_refused(self, kwargs, says):
         # each one raised a RuntimeWarning, numpy's LinAlgError, a TypeError or
         # a ValueError, or was silently ignored (a NaN or negative mix_trace)
-        # or read as a count (True)
+        # or read as a number (True)
         shape = mk_shape([2, 1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -8,7 +8,7 @@ Gram and one real Cholesky factorization.  These tests hold that route to the
 dense generalized eigenproblem on every kind it takes and every kind it
 declines, count the factorizations of each route, and show that a carrier
 which does not commute with x -> x^dag is declined by the remainder test and
-gets the complex route's report unchanged."""
+gets the report of the complex route on the unfolded criterion."""
 
 from contextlib import contextmanager
 from unittest import mock
@@ -233,25 +233,32 @@ class TestFactorizations:
             rep = monotonicity_check(SLD, m, n_samples=50, seed=3)
         assert taken == [False]
         assert seen and {dtype for dtype, _ in seen} == {np.dtype(complex)}
-        # the complex route alone gives the same report, bit for bit
+        assert not rep["passed"]
+        # the unfolded complex route gives the same report, and so does the
+        # dense generalized eigenproblem
         assert_same_report(rep, forced_complex(SLD, m, n_samples=50, seed=3))
+        assert not matches_dense(SLD, m, False, seed=3)
 
 
 def forced_complex(kind, m, **kwargs):
-    """The report with the real-route gate declining every criterion."""
-    with mock.patch.object(covariance, "_real_criterion", lambda *args: None):
+    """The report of the complex route on the unfolded criterion: every
+    kernel read as not symmetric, so M is neither folded nor gated."""
+    with mock.patch.object(covariance, "_symmetric", lambda kernels: False):
         return monotonicity_check(kind, m, **kwargs)
 
 
 def assert_same_report(rep, plain):
-    """The two reports are equal bit for bit."""
+    """The two reports agree: the same keys, verdict and violation count, the
+    eigenvalue, worst ratio and witness ratio within 1e-12 relative, and the
+    witness vectors (unit norm, phase fixed alike) within 1e-12."""
     assert rep.keys() == plain.keys()
-    for key in rep:
-        if key == "witness":
-            assert rep[key]["ratio"] == plain[key]["ratio"]
-            assert np.array_equal(rep[key]["vector"], plain[key]["vector"])
-        else:
-            assert rep[key] == plain[key]
+    for key in ("kind", "n_samples", "sample_violations", "tol", "passed"):
+        assert rep[key] == plain[key]
+    for key in ("exact_max_eig", "worst_ratio"):
+        assert abs(rep[key] - plain[key]) <= 1e-12 * plain[key]
+    if "witness" in rep:
+        assert abs(rep["witness"]["ratio"] - plain["witness"]["ratio"]) <= 1e-12 * plain["witness"]["ratio"]
+        assert np.abs(rep["witness"]["vector"] - plain["witness"]["vector"]).max() <= 1e-12
 
 
 @contextmanager
@@ -290,20 +297,31 @@ class TestOneFormation:
         rep, taken = self.verdict(ONE, m, False)
         assert taken == [False] and rep["passed"]
 
-    @pytest.mark.parametrize("case", ["skewed_depolarizing", "transpose"])
-    def test_a_declined_verdict_is_the_forced_complex_one(self, case):
+    @pytest.mark.parametrize("case", ["skewed_depolarizing", "skewed_cpu", "transpose"])
+    def test_a_declined_verdict_matches_the_unfolded_complex_route(self, case):
         if case == "skewed_depolarizing":
             phi = skewed_depolarizing()
             shape = phi.source_shape
             sigma = random_state(shape, faithful=True, seed=14)
             m, kind = NcpMorphism((shape, random_state(shape, faithful=True, seed=13)), (shape, sigma), phi), SLD
+        elif case == "skewed_cpu":
+            # a random CPU map on [2, 3] -> [2, 1] with 1e-3 i added to one
+            # entry of its action, between states it does not link: it
+            # fails, so its complex witness is taken back through the fold
+            src, dst = mk_shape([2, 3]), mk_shape([2, 1])
+            action = random_cpu_map(src, dst, seed=4, n_kraus=3, mix_trace=0.1).linear_action.copy()
+            action[0, 1] += 1e-3j
+            rho, sigma = random_state(dst, faithful=True, seed=4), random_state(src, faithful=True, seed=5)
+            m, kind = NcpMorphism((dst, rho), (src, sigma), from_linear(src, dst, action)), SLD
         else:
             # the remainder test's narrowest margin seen: the transpose on
             # [2, 1], a target of five GNS dimensions
             m, kind = morphism("transpose", SHAPES[0], 320573)[0], KINDS["pow0.5"][0]
         rep, taken = self.verdict(kind, m, True)
         assert taken == [False]
-        with formations() as (images, _):
+        assert rep["passed"] == (case == "transpose")
+        with formations() as (images, gate):
             plain = forced_complex(kind, m, n_samples=50, seed=3)
-        assert images.call_count == 1
+        assert images.call_count == 1 and gate.call_count == 0
         assert_same_report(rep, plain)
+        assert matches_dense(kind, m, False, seed=3) == rep["passed"]
