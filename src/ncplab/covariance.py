@@ -66,6 +66,7 @@ from .algebra import InputError, _check_count, _check_tol, _frozen, _phase_fix
 from .channels import NcpMorphism, _KrausMap
 from .gns import (
     GnsSpace,
+    _action_t,
     _check_null_images,
     _gram,
     _kraus_blocks,
@@ -344,8 +345,7 @@ def _images(morphism: NcpMorphism, space_sigma: GnsSpace, space_rho: GnsSpace):
     phi = morphism.cpu
     if isinstance(phi, _KrausMap) and _kraus_criterion_pays(phi, space_sigma, space_rho):
         return _kraus_images(phi, space_sigma, space_rho)
-    action = phi.linear_action
-    lt = (action if isinstance(action, np.ndarray) else action.toarray()).T
+    lt = _action_t(phi)
     kept, null = [], []
     for g in space_sigma._groups:
         m, n, r = g.index.size, g.n, g.rank
@@ -413,11 +413,13 @@ def _criterion(morphism: NcpMorphism, space_sigma, space_rho, kernels, hermitian
 #: Entries of M per pair of rank groups (one of sigma's, one of rho's) at or
 #: below which the action is read, not the Kraus family (:func:`_kraus_images`,
 #: whose slice and product per pair cost some microseconds each).  Measured
-#: with one tail for both (BENCH_27.json, one BLAS thread, three operators):
-#: the family loses by 1.1-1.6x at n <= 6, on [6, 2], [4, 4, 4] and the four
-#: pairs of [2, 3] -> [2, 1], ties at n = 7, wins by 1.04-1.15x at n = 8
-#: (4,096 entries, under 2% of a verdict) and by 1.2x and more from n = 9.
-_CRITERION_ENTRIES_PER_PAIR = 4096
+#: with one tail for both (BENCH_28.json ``route_rules``, one BLAS thread,
+#: minimum of 60 calls, three processes): the family loses by 1.1-1.5x at
+#: n = 6 and on [6, 2], ties or loses by up to 11% at n = 7 (2,401 entries,
+#: two to four operators), and wins by 4-10% on the real route and 12-17% on
+#: the complex one at n = 8 (4,096 entries) and by 1.15x and more from n = 9;
+#: on [4, 4, 4] (2,304) and [2, 3] -> [2, 1] it loses (BENCH_27.json).
+_CRITERION_ENTRIES_PER_PAIR = 2401
 
 
 def _kraus_criterion_pays(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> bool:

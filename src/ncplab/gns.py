@@ -38,9 +38,13 @@ where the embedding E multiplies row i of each block by U sqrt(w) (what
 eigenvalues) and the representatives R = E^dag / w by conj(U) / sqrt(w).
 The map is well defined when E_rho L N_sigma vanishes, N_sigma the
 unit-HS-norm basis of the Gelfand ideal (conj of a dropped eigenvector in one
-row of a block).  Both come from two blockwise transforms of L, O(n^5) per
-M_n block: sigma's over [R_sigma N_sigma] at once, whose first dim_sigma
-places are the representatives and the rest the null basis, then rho's E.
+row of a block).  That check runs when the contraction is built, on sigma's
+null basis alone: one blockwise product of L's columns by the dropped
+eigenvectors, then rho's transform E; a faithful sigma has no null basis,
+so nothing is formed.  The contraction itself is placed on the first read
+of :attr:`GnsContraction.matrix`, by two blockwise transforms of L, O(n^5)
+per M_n block: sigma's R, then rho's E.  A verdict that does not read it
+(an operator norm from the Kraus family) never forms it.
 The covariance monotonicity criterion reads the images of its basis off L in
 the density eigenbases instead (:func:`ncplab.covariance.monotonicity_check`),
 with no contraction built; it carries the same null basis, and both run one
@@ -74,7 +78,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, InputError, ShapeError, _pd_with_shift, _phase_fix
+from .algebra import AlgebraElement, AlgebraShape, InputError, ShapeError, _check_tol, _pd_with_shift, _phase_fix
 from .channels import CpuMap, NcpMorphism, _KrausMap, compose, identity_morphism
 from .channels import apply  # noqa: F401  (perfbench's binding test reads ncplab.gns.apply)
 from .states import NormalState, SUPPORT_RTOL, _in_support
@@ -222,16 +226,10 @@ def _rep(g: _RankGroup) -> np.ndarray:
     return g.u[:, :, : g.rank].conj() / np.sqrt(g.d[:, None, : g.rank])
 
 
-def _rep_null(g: _RankGroup) -> np.ndarray:
-    """``_rep`` followed by the conjugated dropped eigenvectors, unscaled."""
-    return np.concatenate([_rep(g), g.u[:, :, g.rank :].conj()], axis=2)
-
-
 def _transform(space: GnsSpace, x: np.ndarray, mats) -> np.ndarray:
     """Rows sum_c x[pos[j, i, c]] * mats(g)[j, c, q], for the element-coordinate
     rows of ``x`` (element_dim, s), each written at ``at[j, i, q]``: E x for
-    ``_iso`` and R^T x for ``_rep`` (dim rows), [R N]^T x for ``_rep_null``
-    (element_dim rows, the null basis after the dim coordinates)."""
+    ``_iso`` and R^T x for ``_rep``, dim rows."""
     ks = [mats(g) for g in space._groups]  # (blocks, n, c): one output row per entry
     sizes = [k.size for k in ks]
     # the largest group's product before the output, every other one after
@@ -314,15 +312,43 @@ def embed(space: GnsSpace, a: AlgebraElement) -> np.ndarray:
 
 class GnsContraction:
     """Induced linear map H_sigma -> H_rho in orthonormal coordinates;
-    ``carrier`` is the CPU map that induced it, if any."""
+    ``carrier`` is the CPU map that induced it, if any.
+
+    A ``matrix`` given here must be (target_space.dim, source_space.dim)
+    (else :class:`ShapeError`) and finite (else :class:`InputError`).  A
+    contraction built by :func:`induced_contraction` is given none: its
+    matrix is placed from the carrier on first read and kept."""
 
     def __init__(
         self, source_space: GnsSpace, target_space: GnsSpace, matrix: np.ndarray, carrier: CpuMap | None = None
     ):
+        matrix = np.asarray(matrix)
+        if matrix.shape != (target_space.dim, source_space.dim):
+            raise ShapeError(
+                f"contraction matrix has shape {matrix.shape}, expected "
+                f"(target dim, source dim) = ({target_space.dim}, {source_space.dim})"
+            )
+        if not np.all(np.isfinite(matrix)):
+            raise InputError("contraction matrix has entries that are not finite")
         self.source_space = source_space
         self.target_space = target_space
         self.matrix = matrix
         self.carrier = carrier
+
+    @classmethod
+    def _induced(cls, source_space: GnsSpace, target_space: GnsSpace, carrier: CpuMap) -> GnsContraction:
+        """The contraction of ``carrier``, its matrix not yet placed."""
+        out = cls.__new__(cls)
+        out.source_space, out.target_space, out.carrier = source_space, target_space, carrier
+        return out
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """E_rho L R_sigma, placed from the carrier's action L on first read:
+        E_rho (R_sigma^T L^T)^T, sigma's transform of the columns of L, then
+        rho's of the rows (:func:`_transform`).  Shadowed by the matrix given
+        to the constructor, if any."""
+        return _transform(self.target_space, _transform(self.source_space, _action_t(self.carrier), _rep).T, _iso)
 
     @property
     def operator_norm(self) -> float:
@@ -335,13 +361,20 @@ class GnsContraction:
         (:func:`_gram`), or, for a carrier built from Kraus operators where
         that is faster (:func:`_kraus_gram_pays`), from the family
         (:func:`_kraus_gram`), in the whitened coordinates of the GNS kind,
-        where the unit's class is :func:`_whitened_unit`."""
+        where the unit's class is :func:`_whitened_unit`; ``matrix`` is then
+        never placed."""
         phi = self.carrier
         if isinstance(phi, _KrausMap) and _kraus_gram_pays(phi, self.source_space, self.target_space):
             h, unit = _kraus_gram(phi, self.source_space, self.target_space), _whitened_unit(self.source_space)
         else:
             h, unit = _gram(self.matrix), self.source_space.cyclic
         return float(np.sqrt(_top_gram_eig(h, unit)[0]))
+
+
+def _action_t(phi: CpuMap) -> np.ndarray:
+    """L^T, the carrier's action transposed, dense."""
+    action = phi.linear_action
+    return (action if isinstance(action, np.ndarray) else action.toarray()).T
 
 
 def _whitened_unit(space: GnsSpace) -> np.ndarray:
@@ -399,32 +432,46 @@ def _enveloping_rows(shape: AlgebraShape, g: _RankGroup) -> np.ndarray:
 
 #: The fixed cost of one step of :func:`_kraus_gram`'s loop over rank
 #: groups (a few numpy calls, and its share of two realigning copies of the
-#: Gram), in units of :func:`_gram`'s time per Gram entry and coordinate of
-#: rho (:func:`_kraus_gram_pays`).  Measured on one BLAS thread
-#: (BENCH_26.json), where a unit is 0.13-0.19 ns: with one 10 x 10 block
-#: and three operators (640,000 units saved) the factor Gram takes 1.0-1.2
-#: times :func:`_gram`'s time, at n = 9 with two (426,000) 1.2-1.5 times,
-#: and at n = 11 with three (1,240,000) 0.64-0.66 times; on [12, 4]
-#: (2,250,000 units over eight steps) 1.0-1.2 times, on [16, 4]
-#: (14,800,000) 0.5-0.55 times.
-_GRAM_STEP_COST = 800_000
+#: Gram), less the dense route's own fixed cost, in units of :func:`_gram`'s
+#: time per Gram entry and coordinate of rho (:func:`_kraus_gram_pays`).
+#: Measured on one BLAS thread against the placement of the contraction and
+#: its :func:`_gram` (BENCH_28.json ``route_rules``, minimum of 60 calls,
+#: three processes), where a unit is 0.08-0.11 ns: with one 6 x 6 block and
+#: three operators (62,000 units saved) the factor Gram takes 1.11-1.13
+#: times the dense route's time, with two (88,000) 0.99-1.05 times, at n = 7
+#: with three (166,000) 0.91-0.93 times and at n = 8 (377,000) 0.71-0.73
+#: times; on [12, 4] (568,000 per step over eight steps) 0.55-0.57 times,
+#: on [6, 2] (3,000) 2.6-2.9 times.
+_GRAM_STEP_COST = 120_000
 
 
 def _kraus_gram_pays(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> bool:
-    """Whether :func:`_kraus_gram` is faster than :func:`_gram` of the
-    contraction.  In units of :func:`_gram`'s time per Gram entry and
-    coordinate of rho, :func:`_gram` takes dim_sigma^2 dim_rho and the
-    factor products dim_sigma^2 4 K_rho kappa^2, K_rho the blocks of rho's
-    algebra: their K_rho kappa^2 complex multiply-adds per entry run at
-    about a quarter of that rate (measured: 0.55 ns against 0.13-0.19 ns).
-    What that saves must exceed :data:`_GRAM_STEP_COST` per step of the
-    loop, one per pair of sigma's groups and group of rho.  A few operators
-    on large blocks pay, a family as long as a trace mixture's (kappa >=
-    N_B N_A) never does."""
+    """Whether :func:`_kraus_gram` is faster than the dense route, the
+    placement of the contraction (:attr:`GnsContraction.matrix`, two
+    transforms) and its :func:`_gram`.  In units of :func:`_gram`'s time per
+    Gram entry and coordinate of rho, :func:`_gram` takes dim_sigma^2
+    dim_rho, the factor products dim_sigma^2 4 K_rho kappa^2, K_rho the
+    blocks of rho's algebra, and the transforms 4 (e_rho sum m n^2 r over
+    sigma's groups + dim_sigma sum m n^2 r over rho's), e_rho the element
+    dimension of rho's algebra: complex multiply-adds, in the products and
+    the transforms alike, run at about a quarter of :func:`_gram`'s rate
+    (measured: 0.45-0.55 ns against 0.08-0.19 ns).  What the factor route
+    saves must exceed :data:`_GRAM_STEP_COST` per step of its loop, one per
+    pair of sigma's groups and group of rho.  A few operators on blocks from
+    n = 7 on pay, a family as long as a trace mixture's (kappa >= N_B N_A)
+    never does."""
     groups = len(space_sigma._groups)
     steps = groups * groups * len(space_rho._groups)
-    saved = space_sigma.dim**2 * (space_rho.dim - 4 * space_rho.shape.num_blocks * len(phi.kraus) ** 2)
+    transforms = space_rho.shape.element_dim * _rank_work(space_sigma) + space_sigma.dim * _rank_work(space_rho)
+    products = space_sigma.dim**2 * 4 * space_rho.shape.num_blocks * len(phi.kraus) ** 2
+    saved = space_sigma.dim**2 * space_rho.dim + 4 * transforms - products
     return saved > _GRAM_STEP_COST * steps
+
+
+def _rank_work(space: GnsSpace) -> int:
+    """sum m n^2 r over the rank groups: a transform's multiply-adds per
+    column (:func:`_transform`)."""
+    return sum(g.index.size * g.n**2 * g.rank for g in space._groups)
 
 
 def _kraus_gram(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> np.ndarray:
@@ -540,8 +587,11 @@ def induced_contraction(
 
     ``space_sigma`` belongs to the morphism target (B, sigma) and is the
     domain of the contraction; ``space_rho`` belongs to the source (A, rho).
-    Well-definedness on the quotient is checked: basis elements of the
-    sigma-null space must land in the rho-null space within ``WELL_DEFINED_TOL``.
+    Well-definedness on the quotient is checked here, on sigma's null basis
+    alone: its elements must land in the rho-null space within
+    ``WELL_DEFINED_TOL`` (else :class:`GnsQuotientError`).  The contraction's
+    matrix is placed on its first read (:attr:`GnsContraction.matrix`), so an
+    operator norm read off the Kraus family never forms it.
     """
     shape_a, rho = morphism.source
     shape_b, sigma = morphism.target
@@ -551,13 +601,18 @@ def induced_contraction(
         space_rho.state.vec, rho.vec
     ):
         raise ShapeError("GNS spaces were built for different states")
-    action = morphism.cpu.linear_action
-    lt = (action if isinstance(action, np.ndarray) else action.toarray()).T
-    # E_rho L [R N] as E_rho ([R N]^T L^T)^T: sigma's transform of the columns
-    # of L, then rho's of the rows; the columns after dim_sigma are the null basis'
-    full = _transform(space_rho, _transform(space_sigma, lt, _rep_null).T, _iso)
-    _check_null_images(space_sigma, full[:, space_sigma.dim :])
-    return GnsContraction(space_sigma, space_rho, np.ascontiguousarray(full[:, : space_sigma.dim]), morphism.cpu)
+    nulls = [g for g in space_sigma._groups if g.rank < g.n]
+    if nulls:  # a faithful sigma has no null basis
+        lt = _action_t(morphism.cpu)
+        # E_rho L N_sigma as E_rho (N_sigma^T L^T)^T: the columns of L turned
+        # by the dropped eigenvectors, each null element's at [j, i, c] in
+        # the order of _check_null_images, then rho's transform of the rows
+        null = [
+            (g.u[:, :, g.rank :].conj().swapaxes(1, 2)[:, None] @ lt[g.pos]).reshape(-1, lt.shape[1]) for g in nulls
+        ]
+        del lt
+        _check_null_images(space_sigma, _transform(space_rho, _stacked(null).T, _iso))
+    return GnsContraction._induced(space_sigma, space_rho, morphism.cpu)
 
 
 #: Relative gap below which two null images count as equally bad
@@ -606,7 +661,9 @@ def check_functor_laws(chains, tol: float = 1e-9) -> dict:
     full chain the induced map of the composite is compared against the
     product of the induced maps in reversed order; identities are checked at
     every object.  Returns a report dict with the worst deviations.
+    ``tol`` must be finite and >= 0 (else :class:`InputError`).
     """
+    _check_tol(tol)
     max_id_dev = max_comp_dev = 0.0
     n_chains = 0
     for chain in chains:

@@ -912,8 +912,10 @@ def eig_calls(monkeypatch):
 
 
 class TestTwoTransformsPerContraction:
-    """An induced contraction runs sigma's transform once, over the
-    representatives and the null basis together, and rho's once."""
+    """Building an induced contraction runs rho's transform once over
+    sigma's null images, and none for a faithful sigma; the first read of
+    its matrix runs two, sigma's over the representatives and rho's, and a
+    second read none."""
 
     @pytest.mark.parametrize("rank_deficient", [False, True])
     def test_two_transforms(self, monkeypatch, rank_deficient):
@@ -929,8 +931,12 @@ class TestTwoTransformsPerContraction:
         (shape_a, rho), (shape_b, sigma) = m.source, m.target
         space_sigma, space_rho = build_gns(shape_b, sigma), build_gns(shape_a, rho)
         assert (space_sigma.dim < shape_b.element_dim) == rank_deficient
-        c = induced_contraction(m, space_sigma, space_rho).matrix
-        assert calls["n"] == 2
+        contraction = induced_contraction(m, space_sigma, space_rho)
+        assert calls["n"] == int(rank_deficient)
+        c = contraction.matrix
+        assert calls["n"] == int(rank_deficient) + 2
+        assert contraction.matrix is c
+        assert calls["n"] == int(rank_deficient) + 2
         assert c.shape == (space_rho.dim, space_sigma.dim)
 
 

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import reference_loops as ref
 from ncplab import channels, gns
-from ncplab.algebra import mk_shape
+from ncplab.algebra import InputError, ShapeError, mk_shape
 from ncplab.channels import (
     CP_TOL,
     CpuMap,
@@ -242,6 +242,28 @@ class TestOperatorNormCertificate:
         spectral = np.sqrt(np.linalg.eigvalsh(m.conj().T @ m)[-1])
         assert abs(norm - spectral) <= 1e-14 * spectral
 
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (4, 4, 1), (16,)], ids=["rows", "cols", "3d", "flat"])
+    def test_a_matrix_of_another_shape_is_refused(self, shape):
+        # on M_2 (4 dimensions) a 3 x 4 matrix once reported a norm of 3.46
+        space = build_gns(M2, random_state(M2, faithful=True, seed=8))
+        with pytest.raises(ShapeError, match=r"expected \(target dim, source dim\) = \(4, 4\)"):
+            GnsContraction(space, space, np.ones(shape))
+
+    def test_a_rectangular_matrix_takes_target_rows_and_source_columns(self):
+        small = build_gns(M2, random_state(M2, faithful=True, seed=8))
+        large = build_gns(M4, random_state(M4, faithful=True, seed=8))
+        assert GnsContraction(small, large, np.ones((16, 4))).matrix.shape == (16, 4)
+        with pytest.raises(ShapeError):
+            GnsContraction(small, large, np.ones((4, 16)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)], ids=["nan", "inf", "imag-inf"])
+    def test_a_matrix_that_is_not_finite_is_refused(self, bad):
+        space = build_gns(M2, random_state(M2, faithful=True, seed=8))
+        m = np.eye(4, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(InputError, match="not finite"):
+            GnsContraction(space, space, m)
+
     def test_certified_norm_of_a_morphism(self):
         shape = mk_shape([6])
         phi = random_cpu_map(shape, shape, seed=9)
@@ -325,13 +347,32 @@ class TestAllocationPeaks:
         sigma = predual(phi, rho)
         m = mk_morphism((shape, rho), (shape, sigma), phi)
         spaces = build_gns(shape, sigma), build_gns(shape, rho)
+        # the matrix is placed on first read, so each call reads it
         tracemalloc.start()
         try:
-            induced_contraction(m, *spaces)  # caches filled: the layouts
-            peak = _peak_above_start(lambda: induced_contraction(m, *spaces))
+            induced_contraction(m, *spaces).matrix  # caches filled: the layouts
+            peak = _peak_above_start(lambda: induced_contraction(m, *spaces).matrix)
         finally:
             tracemalloc.stop()
         assert peak / (16 * shape.element_dim**2) <= pin
+
+    def test_the_family_operator_norm_places_no_contraction(self):
+        # a 3-Kraus [16] carrier, whose Gram the family gives: 2.009 units,
+        # the Gram and its factors; with the contraction placed as well, as
+        # when it was formed at construction, 3.010
+        shape = mk_shape([16])
+        phi = random_cpu_map(shape, shape, seed=3, n_kraus=3)
+        rho = random_state(shape, faithful=True, seed=3)
+        sigma = predual(phi, rho)
+        m = mk_morphism((shape, rho), (shape, sigma), phi)
+        spaces = build_gns(shape, sigma), build_gns(shape, rho)
+        tracemalloc.start()
+        try:
+            induced_contraction(m, *spaces).operator_norm  # caches filled
+            peak = _peak_above_start(lambda: induced_contraction(m, *spaces).operator_norm)
+        finally:
+            tracemalloc.stop()
+        assert peak / (16 * shape.element_dim**2) <= 2.05
 
     def test_a_rank_deficient_sigma_drops_its_null_images_before_the_gram(self):
         # a unitary conjugation of [16] read off its Kraus family, rho of

@@ -373,6 +373,76 @@ class TestInputErrorRoot:
         assert cli.INPUT_ERRORS == (ncplab.InputError, OSError)
 
 
+def _tol_callers() -> dict:
+    """One call per public callable with a ``tol`` parameter, valid in every
+    argument but ``tol``."""
+    shape = mk_shape([2])
+    rho = random_state(shape, faithful=True, seed=0)
+    obj = (shape, rho)
+    emb = channels.congruent_embedding([0, 1, 2], [1.0, 1.0, 1.0])
+    return {
+        "channels.is_cp": lambda tol: channels.is_cp(identity_map(shape), tol=tol),
+        "channels.is_unital": lambda tol: channels.is_unital(identity_map(shape), tol=tol),
+        "channels.mk_morphism": lambda tol: mk_morphism(obj, obj, identity_map(shape), tol=tol),
+        "covariance.monotonicity_check": lambda tol: covariance.monotonicity_check(
+            covariance.ONE, identity_morphism(obj), n_samples=0, tol=tol
+        ),
+        "covariance.tracial_collapse_check": lambda tol: covariance.tracial_collapse_check(
+            [shape], n_states=2, tol=tol
+        ),
+        "gns.GnsSpace": lambda tol: gns.GnsSpace(shape, rho, tol=tol),
+        "gns.build_gns": lambda tol: gns.build_gns(shape, rho, tol=tol),
+        "gns.check_functor_laws": lambda tol: gns.check_functor_laws([[identity_morphism(obj)]], tol=tol),
+        "models.congruence_invariance_check": lambda tol: models.congruence_invariance_check(
+            models.simplex_model(2), emb, [np.array([0.3, 0.4])], tol=tol
+        ),
+        "serialize.morphism_from_json": lambda tol: serialize.morphism_from_json(
+            morphism_to_json(identity_morphism(obj)), tol=tol
+        ),
+    }
+
+
+def _public_tol_callables() -> set:
+    """Every public function, class and public method of a class defined in
+    the package that takes a parameter named ``tol``."""
+    import inspect
+
+    found = set()
+    for mod in (algebra, states, channels, gns, covariance, models, serialize, cli):
+        for name, value in vars(mod).items():
+            if name.startswith("_") or getattr(value, "__module__", None) != mod.__name__:
+                continue
+            members = [(name, value)]
+            if inspect.isclass(value):
+                members += [(f"{name}.{k}", v) for k, v in vars(value).items() if not k.startswith("_")]
+            for label, member in members:
+                try:
+                    params = inspect.signature(member).parameters
+                except (TypeError, ValueError):
+                    continue
+                if "tol" in params:
+                    found.add(f"{mod.__name__.split('.')[-1]}.{label}")
+    return found
+
+
+class TestTolContract:
+    """Every public callable with a ``tol`` refuses one that is infinite
+    (it would pass every verdict), NaN (it would fail every one) or
+    negative with an InputError, so a new one cannot drift out of the
+    contract unnoticed."""
+
+    def test_every_callable_with_a_tol_is_listed(self):
+        assert _public_tol_callables() == set(_tol_callers())
+
+    @pytest.mark.parametrize("name", sorted(_tol_callers()))
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0], ids=["inf", "nan", "negative"])
+    def test_refused(self, name, tol):
+        call = _tol_callers()[name]
+        call(1e-9)  # the other arguments are valid
+        with pytest.raises(ncplab.InputError):
+            call(tol)
+
+
 class TestTracialUniqueness:
     def test_runs_clean(self, tmp_path):
         code, rep = run_cli(

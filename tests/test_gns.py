@@ -312,6 +312,83 @@ class TestInducedContraction:
             assert abs(exact - ref.monotonicity_dense(kind, m)[0]) <= 1e-12
 
 
+def eager_contraction(m, space_sigma, space_rho):
+    """The contraction as it was once formed when built, as the reference
+    for the one placed on read: sigma's transform over the representatives
+    and the null basis at once, then rho's.  Returns the matrix and the
+    null images."""
+
+    def rep_null(g):
+        return np.concatenate([gns._rep(g), g.u[:, :, g.rank :].conj()], axis=2)
+
+    full = gns._transform(space_rho, gns._transform(space_sigma, m.cpu.linear_action.T, rep_null).T, gns._iso)
+    return np.ascontiguousarray(full[:, : space_sigma.dim]), full[:, space_sigma.dim :]
+
+
+def conjugation_morphism(blocks, seed, leaking=False):
+    """A random unitary conjugation of a rank-deficient state rho, as a
+    morphism to its predual, which is rank deficient too; or, ``leaking``,
+    unchecked to rho itself, whose Gelfand ideal it maps partly off."""
+    rng = np.random.default_rng(seed)
+    shape = mk_shape(blocks)
+    rho = random_rank_deficient_state(shape, rng)
+    phi = conjugation_map(shape, [random_unitary(n, rng) for n in blocks])
+    if leaking:
+        return NcpMorphism((shape, rho), (shape, rho), phi)
+    return mk_morphism((shape, rho), (shape, predual(phi, rho)), phi)
+
+
+class TestContractionPlacedOnRead:
+    """An induced contraction checks sigma's null basis when built and
+    places its matrix on first read, with the numbers of the contraction
+    formed eagerly."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_faithful_sigma_bit_for_bit(self, seed):
+        from test_batched import random_morphism_on
+
+        m = random_morphism_on([3, 2], [2, 2], seed, False, False, 0.0)
+        spaces = build_gns(*m.target), build_gns(*m.source)
+        assert spaces[0].dim == m.target[0].element_dim
+        c = induced_contraction(m, *spaces)
+        assert "matrix" not in vars(c)
+        want, null = eager_contraction(m, *spaces)
+        assert null.shape[1] == 0
+        assert np.array_equal(c.matrix, want)
+        assert c.matrix.flags.c_contiguous
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rank_deficient_sigma(self, seed):
+        m = conjugation_morphism([3, 2], seed)
+        spaces = build_gns(*m.target), build_gns(*m.source)
+        assert spaces[0].dim < m.target[0].element_dim
+        c = induced_contraction(m, *spaces)
+        want, _ = eager_contraction(m, *spaces)
+        assert np.max(np.abs(c.matrix - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("blocks, seed", [([3], 0), ([3], 1), ([2, 3], 2), ([3, 3], 3)])
+    def test_a_leak_is_raised_when_built(self, monkeypatch, blocks, seed):
+        m = conjugation_morphism(blocks, seed, leaking=True)
+        space = build_gns(*m.source)
+        _, null = eager_contraction(m, space, space)
+        with pytest.raises(GnsQuotientError) as want:
+            gns._check_null_images(space, null)
+        calls = {"n": 0}
+        original = gns._transform
+
+        def counted(*args):
+            calls["n"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(gns, "_transform", counted)
+        with pytest.raises(GnsQuotientError) as got:
+            induced_contraction(m, space, space)
+        # rho's transform of the null images only: no contraction was placed
+        assert calls["n"] == 1
+        assert str(got.value) == str(want.value)
+        assert "maps outside the rho-null space" in str(got.value)
+
+
 class TestFunctorLaws:
     def test_identity_law_exact(self):
         from ncplab.channels import identity_morphism

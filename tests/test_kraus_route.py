@@ -9,8 +9,8 @@ its cost rule says that is faster (``covariance._kraus_criterion_pays``,
 factor route, forced on, to its twin, the same action wrapped by
 ``from_linear``, on random shapes: rectangular and multi-block ones with
 1 x 1 blocks, and rank-deficient states for the GNS kind.  They also pin
-the design: the factor route reads no action and forms no Gram of the
-contraction, the dense route runs no factor product, each verdict forms its
+the design: the factor route reads no action, and forms no Gram of the
+contraction nor the contraction itself, the dense route runs no factor product, each verdict forms its
 criterion once, and the cost rules pick the measured routes on the
 benchmark's shapes."""
 
@@ -233,6 +233,23 @@ class TestDesignPins:
             assert abs(c.operator_norm - 1.0) <= 1e-12
         assert calls == {"_gram": 0, "_kraus_gram": 1}
 
+    def test_the_family_operator_norm_places_no_contraction(self):
+        # a 3-Kraus [16] carrier: the operator norm reads the family, so no
+        # transform of the action runs, and the matrix is placed only when read
+        shape = mk_shape([16])
+        phi = random_cpu_map(shape, shape, seed=4, n_kraus=3)
+        rho = random_state(shape, faithful=True, seed=4)
+        m = mk_morphism((shape, rho), (shape, predual(phi, rho)), phi)
+        spaces = build_gns(shape, m.target[1]), build_gns(shape, rho)
+        with counted("_transform", "_gram", "_kraus_gram") as calls:
+            c = induced_contraction(m, *spaces)
+            assert abs(c.operator_norm - 1.0) <= 1e-12
+        assert calls == {"_transform": 0, "_gram": 0, "_kraus_gram": 1}
+        assert "matrix" not in vars(c)
+        with counted("_transform") as calls:
+            assert c.matrix.shape == (256, 256)
+        assert calls == {"_transform": 2}
+
     def test_a_long_family_keeps_the_dense_routes(self):
         # a trace mixture holds N_B N_A + 3 = 147 operators: the factor
         # criterion would take 147 products per entry against the dense
@@ -254,19 +271,17 @@ class TestDesignPins:
 class TestRouteChoice:
     """Where the cost rules send the benchmark's carriers: three Gaussian
     operators between equal shapes, and small-batch's [2, 3] -> [2, 1]
-    morphism.  Measured on one BLAS thread (BENCH_26.json, BENCH_27.json),
-    the dense routes are the faster ones on the small shapes; [8] keeps
-    them, though with one tail for both criteria the factor criterion is
-    4-13% faster there, under 2% of a verdict; the factor criterion wins
-    from [9] on, also on [12, 4], where the factor Gram ties or loses, and
-    both factor routes win on [16] and [20]."""
+    morphism.  Measured on one BLAS thread (BENCH_26.json, BENCH_27.json,
+    BENCH_28.json), the dense routes are the faster ones on the small
+    multi-block shape; from [8] on both factor routes win, the Gram's once
+    the dense route pays for placing the contraction as well as its Gram."""
 
     @pytest.mark.parametrize(
         "blocks_b, blocks_a, criterion, gram",
         [
             ([2, 3], [2, 1], "dense", "dense"),
-            ([8], [8], "dense", "dense"),
-            ([12, 4], [12, 4], "factor", "dense"),
+            ([8], [8], "factor", "factor"),
+            ([12, 4], [12, 4], "factor", "factor"),
             ([16], [16], "factor", "factor"),
         ],
     )
