@@ -414,11 +414,11 @@ def _criterion(morphism: NcpMorphism, space_sigma, space_rho, kernels, hermitian
 #: below which the action is read, not the Kraus family (:func:`_kraus_images`,
 #: whose slice and product per pair cost some microseconds each).  Measured
 #: with one tail for both (BENCH_28.json ``route_rules``, one BLAS thread,
-#: minimum of 60 calls, three processes): the family loses by 1.1-1.5x at
-#: n = 6 and on [6, 2], ties or loses by up to 11% at n = 7 (2,401 entries,
-#: two to four operators), and wins by 4-10% on the real route and 12-17% on
-#: the complex one at n = 8 (4,096 entries) and by 1.15x and more from n = 9;
-#: on [4, 4, 4] (2,304) and [2, 3] -> [2, 1] it loses (BENCH_27.json).
+#: minimum of 60 calls, six processes, family time over action time): 1.04-1.22
+#: at n = 6 and 1.19-1.52 on [6, 2]; 0.93-1.11 at n = 7 (2,401 entries, two
+#: to four operators), a tie; 0.85-1.00 on the real route and 0.81-1.00 on
+#: the complex one at n = 8 (4,096 entries), and 0.68-0.92 at n = 9.  On
+#: [4, 4, 4] (2,304) and [2, 3] -> [2, 1] the family loses (BENCH_27.json).
 _CRITERION_ENTRIES_PER_PAIR = 2401
 
 

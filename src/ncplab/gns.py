@@ -39,12 +39,13 @@ eigenvalues) and the representatives R = E^dag / w by conj(U) / sqrt(w).
 The map is well defined when E_rho L N_sigma vanishes, N_sigma the
 unit-HS-norm basis of the Gelfand ideal (conj of a dropped eigenvector in one
 row of a block).  That check runs when the contraction is built, on sigma's
-null basis alone: one blockwise product of L's columns by the dropped
-eigenvectors, then rho's transform E; a faithful sigma has no null basis,
-so nothing is formed.  The contraction itself is placed on the first read
-of :attr:`GnsContraction.matrix`, by two blockwise transforms of L, O(n^5)
-per M_n block: sigma's R, then rho's E.  A verdict that does not read it
-(an operator norm from the Kraus family) never forms it.
+null basis alone: one blockwise product of L's columns in the blocks with
+dropped eigenvectors by those eigenvectors, then rho's transform E; a
+faithful sigma has no null basis, so nothing is formed.  The contraction
+itself is placed on the first read of :attr:`GnsContraction.matrix`, by two
+blockwise transforms of L, O(n^5) per M_n block: sigma's R, then rho's E.
+A verdict that does not read it (an operator norm from the Kraus family)
+never forms it.
 The covariance monotonicity criterion reads the images of its basis off L in
 the density eigenbases instead (:func:`ncplab.covariance.monotonicity_check`),
 with no contraction built; it carries the same null basis, and both run one
@@ -371,9 +372,11 @@ class GnsContraction:
         return float(np.sqrt(_top_gram_eig(h, unit)[0]))
 
 
-def _action_t(phi: CpuMap) -> np.ndarray:
-    """L^T, the carrier's action transposed, dense."""
-    action = phi.linear_action
+def _action_t(phi: CpuMap, cols: np.ndarray | None = None) -> np.ndarray:
+    """L^T, the carrier's action transposed, dense; with ``cols``, only the
+    rows of L^T at those element coordinates of the carrier's source, so a
+    sparse action densifies no other."""
+    action = phi.linear_action if cols is None else phi.linear_action[:, cols]
     return (action if isinstance(action, np.ndarray) else action.toarray()).T
 
 
@@ -436,11 +439,11 @@ def _enveloping_rows(shape: AlgebraShape, g: _RankGroup) -> np.ndarray:
 #: time per Gram entry and coordinate of rho (:func:`_kraus_gram_pays`).
 #: Measured on one BLAS thread against the placement of the contraction and
 #: its :func:`_gram` (BENCH_28.json ``route_rules``, minimum of 60 calls,
-#: three processes), where a unit is 0.08-0.11 ns: with one 6 x 6 block and
-#: three operators (62,000 units saved) the factor Gram takes 1.11-1.13
-#: times the dense route's time, with two (88,000) 0.99-1.05 times, at n = 7
-#: with three (166,000) 0.91-0.93 times and at n = 8 (377,000) 0.71-0.73
-#: times; on [12, 4] (568,000 per step over eight steps) 0.55-0.57 times,
+#: six processes), where a unit is 0.08-0.11 ns: with one 6 x 6 block and
+#: three operators (62,000 units saved) the factor Gram takes 1.06-1.13
+#: times the dense route's time, with two (88,000) 0.99-1.16 times, at n = 7
+#: with three (166,000) 0.91-0.95 times and at n = 8 (377,000) 0.63-0.76
+#: times; on [12, 4] (568,000 per step over eight steps) 0.54-0.57 times,
 #: on [6, 2] (3,000) 2.6-2.9 times.
 _GRAM_STEP_COST = 120_000
 
@@ -603,12 +606,16 @@ def induced_contraction(
         raise ShapeError("GNS spaces were built for different states")
     nulls = [g for g in space_sigma._groups if g.rank < g.n]
     if nulls:  # a faithful sigma has no null basis
-        lt = _action_t(morphism.cpu)
-        # E_rho L N_sigma as E_rho (N_sigma^T L^T)^T: the columns of L turned
-        # by the dropped eigenvectors, each null element's at [j, i, c] in
-        # the order of _check_null_images, then rho's transform of the rows
+        # E_rho L N_sigma as E_rho (N_sigma^T L^T)^T: the rows of L^T in the
+        # null groups' blocks turned by the dropped eigenvectors, each null
+        # element's at [j, i, c] in the order of _check_null_images, then
+        # rho's transform of the rows
+        lt = _action_t(morphism.cpu, np.concatenate([g.pos.ravel() for g in nulls]))
         null = [
-            (g.u[:, :, g.rank :].conj().swapaxes(1, 2)[:, None] @ lt[g.pos]).reshape(-1, lt.shape[1]) for g in nulls
+            (g.u[:, :, g.rank :].conj().swapaxes(1, 2)[:, None] @ lt[r0:r1].reshape(*g.pos.shape, -1)).reshape(
+                -1, lt.shape[1]
+            )
+            for g, (r0, r1) in zip(nulls, _spans(g.pos.size for g in nulls))
         ]
         del lt
         _check_null_images(space_sigma, _transform(space_rho, _stacked(null).T, _iso))

@@ -10,7 +10,7 @@ from itertools import chain
 
 import numpy as np
 
-from .algebra import AlgebraShape, InputError, abelian_shape, mk_shape
+from .algebra import AlgebraShape, InputError, _check_tol, abelian_shape, mk_shape
 from .channels import (
     CpuMap,
     NcpMorphism,
@@ -173,7 +173,9 @@ def morphism_to_json(m: NcpMorphism) -> dict:
 
 
 def morphism_from_json(obj, tol: float = 1e-9, verify: bool = True) -> NcpMorphism:
-    """Load a morphism; with ``verify=False`` the carrier map is trusted."""
+    """Load a morphism; with ``verify=False`` the carrier map is trusted.
+    ``tol`` must be finite and >= 0 either way (else :class:`InputError`)."""
+    _check_tol(tol)
     _object(obj, "morphism")
     try:
         rho = state_from_json(obj["source"])

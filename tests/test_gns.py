@@ -28,6 +28,7 @@ from ncplab.channels import (
     conjugation_map,
     from_kraus,
     identity_morphism,
+    markov_from_stochastic,
     mk_morphism,
     predual,
     transpose_map,
@@ -321,7 +322,9 @@ def eager_contraction(m, space_sigma, space_rho):
     def rep_null(g):
         return np.concatenate([gns._rep(g), g.u[:, :, g.rank :].conj()], axis=2)
 
-    full = gns._transform(space_rho, gns._transform(space_sigma, m.cpu.linear_action.T, rep_null).T, gns._iso)
+    action = m.cpu.linear_action
+    lt = (action if isinstance(action, np.ndarray) else action.toarray()).T
+    full = gns._transform(space_rho, gns._transform(space_sigma, lt, rep_null).T, gns._iso)
     return np.ascontiguousarray(full[:, : space_sigma.dim]), full[:, space_sigma.dim :]
 
 
@@ -365,6 +368,33 @@ class TestContractionPlacedOnRead:
         c = induced_contraction(m, *spaces)
         want, _ = eager_contraction(m, *spaces)
         assert np.max(np.abs(c.matrix - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_a_sparse_carrier_densifies_only_the_null_columns_when_built(self, monkeypatch):
+        # a Markov map from 12 cells onto 6, sigma zero on two cells: the
+        # check reads the action's two null columns, the matrix all of it
+        rng = np.random.default_rng(4)
+        s = np.zeros((6, 12))
+        s[np.arange(12) % 6, np.arange(12)] = 1.0
+        phi = markov_from_stochastic(s)
+        p = rng.random(12)
+        p[[3, 9]] = 0.0
+        rho = mk_state(phi.target_shape, [np.array([[x]]) for x in p / p.sum()])
+        m = mk_morphism((phi.target_shape, rho), (phi.source_shape, predual(phi, rho)), phi)
+        spaces = build_gns(*m.target), build_gns(*m.source)
+        assert spaces[0].dim == 5
+        shapes = []
+        original = type(phi.linear_action).toarray
+
+        def recorded(self, *args, **kwargs):
+            shapes.append(self.shape)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(type(phi.linear_action), "toarray", recorded)
+        c = induced_contraction(m, *spaces)
+        assert shapes == [(12, 1)]
+        want, _ = eager_contraction(m, *spaces)
+        assert np.max(np.abs(c.matrix - want)) <= 1e-14 * np.max(np.abs(want))
+        assert shapes[1:] == [(12, 6), (12, 6)]  # the matrix read, then the reference
 
     @pytest.mark.parametrize("blocks, seed", [([3], 0), ([3], 1), ([2, 3], 2), ([3, 3], 3)])
     def test_a_leak_is_raised_when_built(self, monkeypatch, blocks, seed):
