@@ -151,9 +151,9 @@ class _KrausMap(CpuMap):
     """CPU map whose action :func:`from_kraus` built from ``kraus``.
 
     The two agree by construction, so the matrix verdicts may read the
-    family in place of the action: the monotonicity criterion
-    (:func:`ncplab.covariance._criterion`) and the Gram of the GNS
-    contraction (:attr:`ncplab.gns.GnsContraction.operator_norm`).  Only
+    family in place of the action: the carrier's images in the density
+    eigenbases (:func:`ncplab.gns._images`) and the Gram of the GNS
+    contraction (:func:`ncplab.gns._contraction_gram`).  Only
     :func:`from_kraus` builds one; constructing it directly is unsupported,
     since nothing else ties the family to the action.  A plain
     :class:`CpuMap` that carries a family keeps the dense route.
@@ -234,7 +234,10 @@ def from_kraus(src: AlgebraShape, dst: AlgebraShape, kraus_list) -> _KrausMap:
     NB, NA = src.total_dim, dst.total_dim
     ks = []
     for i, k in enumerate(kraus_list):
-        arr = np.asarray(k, dtype=complex)
+        try:
+            arr = np.asarray(k, dtype=complex)
+        except (TypeError, ValueError) as exc:  # entries that are not numbers, or ragged rows
+            raise ChannelValidationError(f"Kraus operator {i} is not a matrix of numbers ({exc})") from exc
         if arr.shape != (NB, NA):
             raise ShapeError(
                 f"Kraus operator {i} must be {NB}x{NA}, got {arr.shape}"
@@ -592,6 +595,16 @@ def predual(phi: CpuMap, rho: NormalState) -> NormalState:
         ) from exc
 
 
+def _check_carrier(phi: CpuMap, shape_b: AlgebraShape, shape_a: AlgebraShape) -> None:
+    """The shape check of a morphism (A, rho) -> (B, sigma): its carrier
+    must map B -> A (else :class:`ShapeError`)."""
+    if phi.source_shape != shape_b or phi.target_shape != shape_a:
+        raise ShapeError(
+            f"carrier must map {shape_b} -> {shape_a}, got "
+            f"{phi.source_shape} -> {phi.target_shape}"
+        )
+
+
 def mk_morphism(
     source_obj: tuple[AlgebraShape, NormalState],
     target_obj: tuple[AlgebraShape, NormalState],
@@ -609,11 +622,7 @@ def mk_morphism(
     _check_tol(tol)
     shape_a, rho = source_obj
     shape_b, sigma = target_obj
-    if phi.source_shape != shape_b or phi.target_shape != shape_a:
-        raise ShapeError(
-            f"carrier must map {shape_b} -> {shape_a}, got "
-            f"{phi.source_shape} -> {phi.target_shape}"
-        )
+    _check_carrier(phi, shape_b, shape_a)
     dev = _unital_deviation(phi)
     if not dev <= UNITAL_TOL:
         raise MorphismValidationError(f"carrier map is not unital (deviation {dev:.3e})")
@@ -817,6 +826,8 @@ def congruent_embedding(partition, weights) -> CongruentEmbedding:
 def left_inverse(embedding: CongruentEmbedding) -> CpuMap:
     """Fiber-summing Markov map undoing a congruent embedding on states: one
     entry 1 per row, in the column of the cell's source point."""
+    if not isinstance(embedding, CongruentEmbedding):
+        raise ChannelValidationError(f"left_inverse needs a congruent embedding, got {type(embedding).__name__}")
     part = embedding.partition
     m = part.size
     return _markov_from_owned(

@@ -21,32 +21,30 @@ same block, through the n x n matrix I + U diag(f(d / d_q) - 1) U^dag; so
 f == 1 gives exactly the identity, and a block-scalar density exactly zero
 deviation from it.  Equivalently the pairing is |z|^2 for the whitened
 z_aq = sqrt(W_aq) x'_aq = sqrt(f(d_a / d_q)) (U^dag y)_aq of a block's
-coordinates y.  So the monotonicity criterion needs no Gram and no
-contraction: its matrix M = Z_rho C Z_sigma^-1 maps sigma's whitened unit
-at (b, p) to rho's whitened image of U_sigma e_bp U_sigma^dag / sqrt(W_bp).
-It is formed once, in two parts.  The carrier gives the images U_rho^dag
-phi(U_sigma e_bp U_sigma^dag) U_rho: one right and one left product per
-rank group off its action, or, for a carrier that
-:func:`~ncplab.channels.from_kraus` built, where it is faster
-(:func:`_kraus_criterion_pays`), one product of inner size kappa per pair
-of rank groups off its Kraus family.  One tail scales them by sqrt(W^rho)
-and 1/sqrt(W^sigma); only the samples, and a failed verdict's witness, pass
-through the whitening.  Since f(1) = 1 the whitened class of the unit,
-sqrt(d_q) at each (q, q), is an eigenvector of M^dag M with eigenvalue 1,
-which one Cholesky factorization certifies as the top when the verdict
-passes.  Where the kernel is symmetric, W_aq = W_qa, whitening maps
-Hermitian elements to Hermitian grids; a carrier commutes with x -> x^dag,
-so in the Hermitian basis e_aa, (e_aq + e_qa)/sqrt(2), i (e_aq -
-e_qa)/sqrt(2) of each grid M is a real matrix: the tail folds M into that
-basis, and one real Gram and one real factorization certify it, or, where
-rounding leaves too large an imaginary remainder, the same folded matrix is
-certified on the complex route.  A function with f(t) = t f(1/t), as every
-kind of the catalog is (Petz 1996), has a symmetric kernel, and every kind
-has one on a block-tracial state; the GNS kind on any other state, and
-states that are not faithful, keep the complex route.  The Riesz solve reads the
-symmetrized kernel W^s = (W + W^T)/2, the only part of W the real part of
-the pairing sees on Hermitian elements, on every eigenvalue of a block,
-dropped ones included (the ratio is 1 where d_b <= 0).
+coordinates y.  So the monotonicity criterion needs no covariance Gram: it
+is the top of H = M^dag M, M = Z_rho C Z_sigma^-1, which maps sigma's
+whitened unit at (b, p) to rho's whitened image of U_sigma e_bp U_sigma^dag
+/ sqrt(W_bp), and since f(1) = 1 the whitened class of the unit, sqrt(d_q)
+at each (q, q), is an eigenvector of H with eigenvalue 1, which one
+Cholesky factorization certifies as the top when the verdict passes.  For
+the GNS kind Z is unitary, and H is the contraction's Gram
+(:func:`~ncplab.gns._contraction_gram`), the one its operator norm reads.
+A Petz kind's M is formed once: the carrier gives its images in the
+density eigenbases (:func:`~ncplab.gns._images`), and one tail scales them
+by sqrt(W^rho) and 1/sqrt(W^sigma) and folds them into the Hermitian basis
+e_aa, (e_aq + e_qa)/sqrt(2), i (e_aq - e_qa)/sqrt(2) of each grid.  Where
+the kernel is symmetric, W_aq = W_qa, as for every kind of the catalog
+(f(t) = t f(1/t), Petz 1996) and every kind on a block-tracial state,
+whitening maps Hermitian elements to Hermitian grids, and a carrier
+commutes with x -> x^dag, so the folded M is real: one real Gram and one
+real factorization certify it.  A remainder gate decides that on the
+folded matrix itself, and where rounding leaves too large an imaginary
+part the same matrix is certified on the complex route.  Only the samples,
+and a failed verdict's witness, pass through the whitening.  The Riesz
+solve reads the symmetrized kernel W^s = (W + W^T)/2, the only part of W
+the real part of the pairing sees on Hermitian elements, on every
+eigenvalue of a block, dropped ones included (the ratio is 1 where d_b <=
+0).
 
 All products are normalized: f(1) = 1, so the unit pairs with itself to one.
 An overall factor c > 0 would multiply every Gram and every pulled-back
@@ -63,18 +61,18 @@ from typing import Callable
 import numpy as np
 
 from .algebra import InputError, _check_count, _check_tol, _frozen, _phase_fix
-from .channels import NcpMorphism, _KrausMap
+from .channels import NcpMorphism
 from .gns import (
     GnsSpace,
-    _action_t,
-    _check_null_images,
+    _contraction_gram,
     _gram,
-    _kraus_blocks,
+    _images,
     _spans,
     _stacked,
     _top_gram_eig,
     _whitened_unit,
     build_gns,
+    induced_contraction,
 )
 from .states import NormalState, is_faithful, random_tracial_state
 
@@ -171,7 +169,7 @@ def kind_catalog() -> list[OperatorMonotoneFunction]:
 
 def kind_from_name(name: str) -> OperatorMonotoneFunction:
     for kind in kind_catalog():
-        if kind.name == name.lower():
+        if isinstance(name, str) and kind.name == name.lower():
             return kind
     raise UnsupportedKindError(f"unknown covariance kind {name!r}")
 
@@ -334,70 +332,22 @@ def _kept_kernels(kind: OperatorMonotoneFunction, space: GnsSpace) -> list:
     return [g.d[:, None, : g.rank] * f[:, :, : g.rank] for g, f in zip(space._groups, _ratios(kind, space))]
 
 
-def _images(morphism: NcpMorphism, space_sigma: GnsSpace, space_rho: GnsSpace):
-    """The carrier's part of the criterion: the unscaled images U_rho^dag
-    phi(U_sigma e_bp U_sigma^dag) U_rho, U each density eigenbasis, at rho's
-    (a, q) and sigma's (b, p) in rank-group order (:func:`_whiten`), and apart
-    those of sigma's null basis e_i u_c^dag (c dropped) in the order of
-    :func:`~ncplab.gns._check_null_images`.  Off the action, a right and a
-    left product by U per rank group of each space; off the Kraus family
-    (:func:`_kraus_images`) where that is faster (:func:`_kraus_criterion_pays`)."""
-    phi = morphism.cpu
-    if isinstance(phi, _KrausMap) and _kraus_criterion_pays(phi, space_sigma, space_rho):
-        return _kraus_images(phi, space_sigma, space_rho)
-    lt = _action_t(phi)
-    kept, null = [], []
-    for g in space_sigma._groups:
-        m, n, r = g.index.size, g.n, g.rank
-        t = g.u.swapaxes(1, 2).conj()[:, None] @ lt[g.pos]  # phi(e_i u_c^dag) at [j, i, c]
-        kept.append((g.u.swapaxes(1, 2) @ t[:, :, :r].reshape(m, n, r * lt.shape[1])).reshape(-1, lt.shape[1]))
-        if r < n:
-            null.append(t[:, :, r:].reshape(-1, lt.shape[1]))
-    del lt, t
-    # the null images apart from the kept ones, so they are freed once checked
-    xs, out = [_stacked(kept).T] + ([_stacked(null).T] if null else []), []
-    del kept, null
-    while xs:
-        x, rows = xs.pop(0), []
-        for h in space_rho._groups:
-            m, n, r = h.index.size, h.n, h.rank
-            t = x[h.pos]
-            if h is space_rho._groups[-1]:
-                del x  # the last gather holds all that is still read
-            t = h.u[:, :, :r].swapaxes(1, 2)[:, None] @ t  # [j, i, q] of (X U)
-            rows.append((h.u.conj().swapaxes(1, 2) @ t.reshape(m, n, r * t.shape[3])).reshape(-1, t.shape[3]))
-        del t
-        out.append(_stacked(rows))
-        del rows
-    return out if len(out) == 2 else [out[0], np.empty((space_rho.dim, 0), dtype=complex)]
-
-
-def _criterion(morphism: NcpMorphism, space_sigma, space_rho, kernels, hermitian: bool = False):
-    """M = Z_rho C Z_sigma^-1 of the criterion in rank-group order: the
-    carrier's images (:func:`_images`) scaled by sqrt(W^rho_aq) /
-    sqrt(W^sigma_bp), ``kernels`` the kept kernels W (:func:`_kept_kernels`)
-    of sigma's rank groups and then rho's; sigma's null images, scaled on
-    rho's side alike, are checked (:func:`~ncplab.gns._check_null_images`).
-    With ``hermitian`` (every rank group full rank) each grid is also folded
-    (:func:`_fold`) into P_rho^dag M P_sigma, still complex: real when both
-    kernels are symmetric and the carrier commutes with x -> x^dag."""
-    m, null = _images(morphism, space_sigma, space_rho)
+def _criterion(phi, space_sigma: GnsSpace, space_rho: GnsSpace, kernels) -> np.ndarray:
+    """The criterion of a Petz kind folded into the Hermitian bases of the
+    grids, P_rho^dag M P_sigma with M = Z_rho C Z_sigma^-1 in rank-group
+    order: the carrier's images (:func:`~ncplab.gns._images`) scaled by
+    sqrt(W^rho_aq) / sqrt(W^sigma_bp), ``kernels`` the kept kernels W
+    (:func:`_kept_kernels`) of sigma's rank groups and then rho's, and each
+    grid folded (:func:`_fold`).  Still complex: real when both kernels are
+    symmetric and the carrier commutes with x -> x^dag.  Both states are
+    faithful, so every grid is square."""
+    m = _images(phi, space_sigma, space_rho)
     gs, hs = space_sigma._groups, space_rho._groups
     # 1 / sqrt(W) of sigma's groups and sqrt(W) of rho's, times the folds'
     # weights, each in rank-group order
-    scales = [1.0 / np.sqrt(w) for w in kernels[: len(gs)]] + [np.sqrt(w) for w in kernels[len(gs) :]]
-    if hermitian:
-        for scale, g in zip(scales, gs + hs):
-            scale *= _fold_scale(g.n)
-    sigma_scale = _stacked([scale.ravel() for scale in scales[: len(gs)]])
-    rho_scale = _stacked([scale.ravel() for scale in scales[len(gs) :]])
+    sigma_scale = _stacked([(1.0 / np.sqrt(w) * _fold_scale(g.n)).ravel() for g, w in zip(gs, kernels[: len(gs)])])
+    rho_scale = _stacked([(np.sqrt(w) * _fold_scale(h.n)).ravel() for h, w in zip(hs, kernels[len(gs) :])])
     m *= rho_scale[:, None]
-    null *= rho_scale[:, None]
-    _check_null_images(space_sigma, null)
-    del null
-    if not hermitian:
-        m *= sigma_scale
-        return m
     for h, (r0, r1) in zip(hs, _spans(h.pos.size for h in hs)):
         _fold(m[r0:r1].reshape(h.index.size, h.n, h.n, -1), -1j)
     # sigma's columns copied into rows, so its fold too runs along contiguous rows
@@ -410,116 +360,23 @@ def _criterion(morphism: NcpMorphism, space_sigma, space_rho, kernels, hermitian
     return y.T
 
 
-#: Entries of M per pair of rank groups (one of sigma's, one of rho's) at or
-#: below which the action is read, not the Kraus family (:func:`_kraus_images`,
-#: whose slice and product per pair cost some microseconds each).  Measured
-#: with one tail for both (BENCH_28.json ``route_rules``, one BLAS thread,
-#: minimum of 60 calls, six processes, family time over action time): 1.04-1.22
-#: at n = 6 and 1.19-1.52 on [6, 2]; 0.93-1.11 at n = 7 (2,401 entries, two
-#: to four operators), a tie; 0.85-1.00 on the real route and 0.81-1.00 on
-#: the complex one at n = 8 (4,096 entries), and 0.68-0.92 at n = 9.  On
-#: [4, 4, 4] (2,304) and [2, 3] -> [2, 1] the family loses (BENCH_27.json).
-_CRITERION_ENTRIES_PER_PAIR = 2401
-
-
-def _kraus_criterion_pays(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> bool:
-    """Whether :func:`_kraus_images` is faster than the two transforms of
-    the action: it takes fewer multiply-adds, kappa per entry of M and of
-    sigma's null images against about 2 (n_sigma + n_rho) for one pair of
-    blocks, and M has more than :data:`_CRITERION_ENTRIES_PER_PAIR` entries
-    per pair of rank groups."""
-    gs, hs = space_sigma._groups, space_rho._groups
-    e_sigma, e_rho = space_sigma.shape.element_dim, space_rho.shape.element_dim
-    # sigma's right and left products over e_rho columns, rho's over e_sigma
-    dense = 2 * e_rho * sum(g.index.size * g.n**3 for g in gs) + 2 * e_sigma * sum(
-        h.index.size * h.n**2 * h.rank for h in hs
-    )
-    return (
-        len(phi.kraus) * e_sigma * space_rho.dim < dense
-        and space_sigma.dim * space_rho.dim > _CRITERION_ENTRIES_PER_PAIR * len(gs) * len(hs)
-    )
-
-
-def _kraus_images(phi: _KrausMap, space_sigma, space_rho):
-    """:func:`_images` from the Kraus family of ``phi``: with A_k = U_sigma^dag
-    K_k U_rho per pair of blocks (:func:`~ncplab.gns._kraus_blocks`), U_rho^dag
-    phi(U_sigma e_bp U_sigma^dag) U_rho = sum_k A_k^dag e_bp A_k, so the image
-    of sigma's (b, p) at rho's (a, q) is sum_k conj(A_k[b, a]) A_k[p, q], one
-    product of inner size kappa per entry block and pair of rank groups
-    (:func:`_kraus_grid`), and that of sigma's null element e_i u_c^dag (c
-    dropped) is sum_k conj(B_k[i, a]) A_k[c, q], B_k = K_k U_rho."""
-    gs, hs = space_sigma._groups, space_rho._groups
-    cols = _spans(g.index.size * g.n * g.rank for g in gs)
-    nulls = _spans(g.index.size * g.n * (g.n - g.rank) for g in gs)
-    rows = _spans(h.index.size * h.n * h.rank for h in hs)
-    out = np.empty((space_rho.dim, space_sigma.dim), dtype=complex)
-    null = np.empty((space_rho.dim, nulls[-1][1]), dtype=complex)
-    for g, pairs, (c0, c1), (z0, z1) in zip(gs, _kraus_blocks(phi, space_sigma, space_rho), cols, nulls):
-        for h, (a, b), (r0, r1) in zip(hs, pairs, rows):
-            _kraus_grid(out[r0:r1, c0:c1], a, a[:, :, : g.rank, :, : h.rank])
-            if b is not None:
-                _kraus_grid(null[r0:r1, z0:z1], b, a[:, :, g.rank :, :, : h.rank])
-    return out, null
-
-
-def _kraus_grid(out, left, right) -> None:
-    """out[(i, a, q), (j, b, p)] = sum_k conj(left[k, j, b, i, a])
-    right[k, j, p, i, q], for left (kappa, m_j, n_j, m_i, n_i) and right
-    (kappa, m_j, p, m_i, q): one product of inner size kappa per
-    (i, a, q, j), written in place, so no grid is formed beside ``out``.
-    The factors are copied in the product's order first, so each product
-    reads unit-stride runs (8-16% faster at n = 16-24 than the strided views)."""
-    kappa, mj, nj, mi, ni = left.shape
-    p, q = right.shape[2], right.shape[4]
-    # [i, a, 1, j, b, k] @ [i, 1, q, j, k, p] -> [i, a, q, j, b, p]
-    np.matmul(
-        np.conj(left.transpose(3, 4, 1, 2, 0), order="C")[:, :, None],
-        np.ascontiguousarray(right.transpose(3, 4, 1, 0, 2))[:, None],
-        out=out.reshape(mi, ni, q, mj, nj, p, copy=False),
-    )
-
-
 _EPS = float(np.finfo(float).eps)
-
-#: Largest relative gap |W_qa / W_aq - 1| of a kernel that counts as
-#: symmetric: the rounding of d_q f(d_a / d_q) against d_a f(d_q / d_a) is
-#: under 4 units in the last place for the catalog kinds.  It only picks the
-#: route; the remainder test of :func:`_real_criterion` keeps it sound.
-_SYMMETRY_RTOL = 16 * _EPS
-
-
-@lru_cache(maxsize=None)
-def _transposer(shapes: tuple) -> np.ndarray:
-    """For kernels of these (m, n, n) shapes raveled one after another, the
-    place of each entry's transpose; read-only."""
-    out, start = [], 0
-    for m, n, _ in shapes:
-        out.append(start + np.arange(m * n * n).reshape(m, n, n).swapaxes(1, 2).ravel())
-        start += m * n * n
-    return _frozen(np.concatenate(out))
-
-
-def _symmetric(kernels) -> bool:
-    """Whether every (m, n, n) kernel is symmetric to rounding
-    (:data:`_SYMMETRY_RTOL`), in one pass over all of them."""
-    flat = np.concatenate([w.ravel() for w in kernels])
-    gap = flat[_transposer(tuple(w.shape for w in kernels))] / flat - 1.0
-    return bool(np.abs(gap).max() <= _SYMMETRY_RTOL)
 
 
 def _real_criterion(y: np.ndarray, space_sigma: GnsSpace, space_rho: GnsSpace, unit: np.ndarray):
     """The gate of the real route: the real part R of the folded criterion
-    y = P_rho^dag M P_sigma (:func:`_criterion` with ``hermitian``), or None.
+    y = P_rho^dag M P_sigma (:func:`_criterion`), or None.
 
-    With every kept kernel symmetric to rounding (:data:`_SYMMETRY_RTOL`), M
-    maps whitened Hermitian classes to whitened Hermitian classes when the
-    carrier commutes with x -> x^dag, as a CPU map does, so y = R + iE with
-    E only rounding.  With delta = 8 d eps (d sigma's GNS dimension) and r
-    the Rayleigh quotient of R^T R at ``unit``, R is returned only when
-    |E|_F + 3 eps |y|_F (the rounding of the two folds) is at most sqrt(r)
-    (sqrt(1 + delta) - sqrt(1 + delta / 2)): then a Cholesky certificate
-    that |R|^2 <= r (1 + delta / 2) puts the top of M^dag M in [r, r (1 +
-    delta)], the complex route's guarantee."""
+    Where both kernels are symmetric, M maps whitened Hermitian classes to
+    whitened Hermitian classes when the carrier commutes with x -> x^dag, as
+    a CPU map does, so y = R + iE with E only rounding; elsewhere E is not
+    small, and the gate declines.  With delta = 8 d eps (d sigma's GNS
+    dimension) and r the Rayleigh quotient of R^T R at ``unit``, R is
+    returned only when |E|_F + 3 eps |y|_F (the rounding of the two folds)
+    is at most sqrt(r) (sqrt(1 + delta) - sqrt(1 + delta / 2)): then a
+    Cholesky certificate that |R|^2 <= r (1 + delta / 2) puts the top of
+    M^dag M in [r, r (1 + delta)], the complex route's guarantee, whatever
+    the kernels."""
     real = y.real.copy(order="K")
     rem = math.sqrt(np.einsum("ij,ij->", y.imag, y.imag))
     # each fold rounds a folded entry by at most 1.5 eps relative beyond
@@ -546,22 +403,21 @@ def monotonicity_check(
     With Z the kind's whitening (:func:`_whiten`) and C the contraction, the
     pushed pairing is |Z_rho C xi|^2 and the domain's |Z_sigma xi|^2, so the
     exact criterion (it decides: samples can miss thin violating cones) is
-    the top eigenvalue of M^dag M, M = Z_rho C Z_sigma^-1, with no
-    covariance Gram built.  M is formed once (:func:`_criterion`): the
-    carrier gives its images in the density eigenbases (:func:`_images`) and
-    one tail scales them, so only the samples and the witness are whitened.
-    Where the kernels are symmetric and the states faithful (every catalog
-    kind), decided before M is formed, the tail also folds M into the
-    Hermitian bases of the two grids, where it is real, and the gate
-    (:func:`_real_criterion`) reads it as that real matrix R: one real Gram
-    R^T R and one real Cholesky factorization certify it, the samples are
-    one real product, and a failed certificate takes one real eigensolve.
-    Otherwise M^dag M is formed from real products (:func:`~ncplab.gns._gram`)
-    and factorized as a complex matrix, the folded M too where the gate
-    declines it, with the samples and the witness taken through the unitary
-    fold (:func:`_hermitian_rows`).  A failed verdict carries ``witness``:
-    the top eigenvector in sigma's orthonormal GNS coordinates (unit norm,
-    phase fixed as theirs) and its ratio.
+    the top eigenvalue of the Gram H = M^dag M, M = Z_rho C Z_sigma^-1, with
+    no covariance Gram built.  For the GNS kind Z is unitary and H is the
+    contraction's Gram (:func:`~ncplab.gns._contraction_gram`, which its
+    operator norm reads too), formed after :func:`~ncplab.gns.induced_contraction`
+    has checked sigma's null basis.  A Petz kind needs faithful states; its
+    M is formed once (:func:`_criterion`), folded into the Hermitian bases
+    of the two grids, and the gate (:func:`_real_criterion`) reads it as a
+    real matrix R where the imaginary remainder is rounding (every catalog
+    kind): H = R^T R is real, and one real Cholesky factorization certifies
+    it.  Otherwise H is formed from real products (:func:`~ncplab.gns._gram`)
+    and factorized as a complex matrix.  The samples are one quadratic form
+    of H, taken through the unitary fold (:func:`_hermitian_rows`) for a
+    Petz kind, and so is a failed verdict's ``witness``: the top eigenvector
+    in sigma's orthonormal GNS coordinates (unit norm, phase fixed as
+    theirs) and its ratio.
 
     ``tol`` must be finite and >= 0, and ``n_samples`` and ``seed``
     integers >= 0 (else :class:`InputError`)."""
@@ -584,12 +440,17 @@ def monotonicity_check(
     # (f(1) = 1), so M^dag M fixes this vector; it lies on the grids'
     # diagonals, which the Hermitian basis keeps
     unit = _whitened_unit(space_sigma)
-    kernels = _kept_kernels(kind, space_sigma) + _kept_kernels(kind, space_rho)
-    folded = all(g.rank == g.n for g in space_sigma._groups + space_rho._groups) and _symmetric(kernels)
-    m = _criterion(morphism, space_sigma, space_rho, kernels, hermitian=folded)
-    real = _real_criterion(m, space_sigma, space_rho, unit) if folded else None
-    if real is not None:
-        del m
+    real = False
+    if kind.is_gns:
+        induced_contraction(morphism, space_sigma, space_rho)  # sigma's null basis checked
+        h = _contraction_gram(morphism.cpu, space_sigma, space_rho)
+    else:
+        kernels = _kept_kernels(kind, space_sigma) + _kept_kernels(kind, space_rho)
+        y = _criterion(morphism.cpu, space_sigma, space_rho, kernels)
+        r = _real_criterion(y, space_sigma, space_rho, unit)
+        real = r is not None
+        h = r.T @ r if real else _gram(y)
+        del y, r
 
     # the same numbers, in the same order, as drawing the real and then the
     # imaginary part of one sample at a time
@@ -599,26 +460,16 @@ def monotonicity_check(
     eta = _whiten(kind, space_sigma, xi)
     rhs, norms = (np.sum(np.abs(v) ** 2, axis=0) for v in (eta, xi))
     del xi
-    if folded:
-        # |M eta| = |y P_sigma^dag eta| for the folded y = P_rho^dag M P_sigma
+    if not kind.is_gns:
+        # |M eta|^2 = eta^dag P_sigma H P_sigma^dag eta for H of the folded M
         eta = _hermitian_rows(space_sigma, eta)
-    if real is not None:
-        # one real product of the stacked parts
-        parts = np.concatenate([eta.real, eta.imag], axis=1)
-        del eta
-        pushed = np.sum((real @ parts) ** 2, axis=0)
-        del parts
-        lhs = pushed[:n_samples] + pushed[n_samples:]
-        h = real.T @ real
-        del real
-        margin = 4 * space_sigma.dim * _EPS
-    else:
-        lhs = np.sum(np.abs(m @ eta) ** 2, axis=0)
-        del eta
-        h = _gram(m)
-        del m  # only the Gram is alive while it is factorized
-        margin = None
-    exact, top = _top_gram_eig(h, unit, vector=True, margin=margin)
+    if real:
+        eta = np.concatenate([eta.real, eta.imag], axis=1)  # the parts stacked: one real product
+    lhs = np.einsum("ij,ij->j", eta.conj(), h @ eta).real
+    del eta
+    if real:
+        lhs = lhs[:n_samples] + lhs[n_samples:]
+    exact, top = _top_gram_eig(h, unit, vector=True, margin=4 * space_sigma.dim * _EPS if real else None)
     report = {
         "kind": kind.label,
         "n_samples": n_samples,
@@ -629,7 +480,7 @@ def monotonicity_check(
         "passed": exact <= 1.0 + tol,
     }
     if not report["passed"]:
-        if folded:
+        if not kind.is_gns:
             top = _hermitian_rows(space_sigma, top.astype(complex)[:, None], inverse=True)[:, 0]
         vec = _whiten(kind, space_sigma, top[:, None], inverse=True)
         vec = _phase_fix(vec[None] / np.linalg.norm(vec))[0, :, 0]
@@ -653,6 +504,8 @@ def tracial_collapse_check(
     if n_states > MAX_TRACIAL_STATES:
         raise InputError(f"{n_states} states exceed the limit of {MAX_TRACIAL_STATES} tracial states")
     shapes = list(shapes)
+    if not shapes:
+        raise InputError("tracial_collapse_check needs at least one shape")
     per_shape: dict[str, float] = {}
     max_dev = 0.0
     for idx, ss in enumerate(np.random.SeedSequence(seed).spawn(n_states)):

@@ -38,37 +38,36 @@ where the embedding E multiplies row i of each block by U sqrt(w) (what
 eigenvalues) and the representatives R = E^dag / w by conj(U) / sqrt(w).
 The map is well defined when E_rho L N_sigma vanishes, N_sigma the
 unit-HS-norm basis of the Gelfand ideal (conj of a dropped eigenvector in one
-row of a block).  That check runs when the contraction is built, on sigma's
-null basis alone: one blockwise product of L's columns in the blocks with
-dropped eigenvectors by those eigenvectors, then rho's transform E; a
-faithful sigma has no null basis, so nothing is formed.  The contraction
+row of a block).  That check runs when the contraction is built, as the GNS
+kind's criterion does first, on sigma's null basis alone: one blockwise
+product of L's columns in the blocks with dropped eigenvectors by those
+eigenvectors, then rho's transform E; a faithful sigma has no null basis,
+so nothing is formed.  The contraction
 itself is placed on the first read of :attr:`GnsContraction.matrix`, by two
 blockwise transforms of L, O(n^5) per M_n block: sigma's R, then rho's E.
-A verdict that does not read it (an operator norm from the Kraus family)
-never forms it.
-The covariance monotonicity criterion reads the images of its basis off L in
-the density eigenbases instead (:func:`ncplab.covariance.monotonicity_check`),
-with no contraction built; it carries the same null basis, and both run one
-well-definedness test (:func:`_check_null_images`), which reads the same
-norms because the GNS whitening after E_rho is unitary.
-A unital state-preserving map sends [1] to [1], and so does its adjoint,
-so the cyclic vector is a top singular vector of a contraction of norm 1:
-its operator norm is certified by one Cholesky factorization
-(:func:`_top_gram_eig`), with no eigensolve.  That factorization, and the
-covariance criterion's where it stays complex, reads the Gram M^dag M,
-which one helper (:func:`_gram`) forms from real products at half the flops
-of a complex one, exactly Hermitian.  For a carrier built from Kraus
-operators (:class:`~ncplab.channels._KrausMap`) the family is read instead,
-in the density eigenbases (:func:`_kraus_blocks`): the contraction's Gram
-is a sum of kappa^2 Kronecker products per block of rho
-(:func:`_kraus_gram`), and the covariance criterion's images are one product
-of inner size kappa per entry block, which the criterion's one tail scales,
-folds and checks as it does the images read off L.  Each is taken where a
-cost rule measured against the dense route says it is faster
-(:func:`_kraus_gram_pays`, :func:`ncplab.covariance._kraus_criterion_pays`):
-its fixed cost per step of its loop over rank groups outweighs its saving
-on small or finely split carriers, and a long family's kappa^2 products
-outweigh it on any.
+Its operator norm never places it, nor a coordinate layout.  With U each
+density eigenbasis, the carrier's images U_rho^dag phi(U_sigma e_bp
+U_sigma^dag) U_rho, scaled by sqrt(d_q) / sqrt(d_p), are the contraction in
+the GNS kind's whitened coordinates, a unitary change of both bases
+(:func:`_images`: one right and one left product per rank group off L, or,
+for a carrier built from Kraus operators (:class:`~ncplab.channels._KrausMap`),
+one product of inner size kappa per entry block off the family in the
+density eigenbases, :func:`_kraus_blocks`).  Their Gram M^dag M
+(:func:`_contraction_gram`) is the one the operator norm and the GNS kind's
+monotonicity criterion both read; it is formed from real products
+(:func:`_gram`) at half the flops of a complex one, exactly Hermitian, or,
+for a Kraus carrier, as a sum of kappa^2 Kronecker products per block of
+rho (:func:`_kraus_gram`).  A Petz kind's criterion
+(:func:`ncplab.covariance.monotonicity_check`) scales and folds the same
+images.  A unital state-preserving map sends [1] to [1], and so does its
+adjoint, so the unit's class is a top singular vector of a contraction of
+norm 1: the norm is certified by one Cholesky factorization
+(:func:`_top_gram_eig`), with no eigensolve.  Each family route is taken
+where a cost rule measured against the dense route says it is faster
+(:func:`_kraus_gram_pays`, :func:`_kraus_criterion_pays`): its fixed cost
+per step of its loop over rank groups outweighs its saving on small or
+finely split carriers, and a long family's kappa^2 products outweigh it on
+any.
 """
 
 from __future__ import annotations
@@ -335,12 +334,13 @@ class GnsContraction:
         self.target_space = target_space
         self.matrix = matrix
         self.carrier = carrier
+        self._given = True
 
     @classmethod
     def _induced(cls, source_space: GnsSpace, target_space: GnsSpace, carrier: CpuMap) -> GnsContraction:
         """The contraction of ``carrier``, its matrix not yet placed."""
         out = cls.__new__(cls)
-        out.source_space, out.target_space, out.carrier = source_space, target_space, carrier
+        out.source_space, out.target_space, out.carrier, out._given = source_space, target_space, carrier, False
         return out
 
     @cached_property
@@ -355,20 +355,20 @@ class GnsContraction:
     def operator_norm(self) -> float:
         """Largest singular value of ``matrix``.  A contraction induced by a
         morphism maps the class of the unit to the class of the unit, and so
-        does its adjoint, so ``source_space.cyclic`` is a top singular vector
-        when the norm is 1; one Cholesky factorization of the Gram certifies
+        does its adjoint, so the unit's class is a top singular vector when
+        the norm is 1; one Cholesky factorization of the Gram certifies
         that, and any other matrix falls back to the spectrum
-        (:func:`_top_gram_eig`).  The Gram is formed from real products
-        (:func:`_gram`), or, for a carrier built from Kraus operators where
-        that is faster (:func:`_kraus_gram_pays`), from the family
-        (:func:`_kraus_gram`), in the whitened coordinates of the GNS kind,
-        where the unit's class is :func:`_whitened_unit`; ``matrix`` is then
-        never placed."""
-        phi = self.carrier
-        if isinstance(phi, _KrausMap) and _kraus_gram_pays(phi, self.source_space, self.target_space):
-            h, unit = _kraus_gram(phi, self.source_space, self.target_space), _whitened_unit(self.source_space)
-        else:
+        (:func:`_top_gram_eig`).  The Gram of an induced contraction is the
+        GNS kind's criterion Gram (:func:`_contraction_gram`), read off the
+        carrier in the density eigenbases with the unit's class at
+        :func:`_whitened_unit`, so neither ``matrix`` nor a coordinate
+        layout is placed; only a given matrix has its :func:`_gram` formed,
+        at ``source_space.cyclic``."""
+        if self._given:
             h, unit = _gram(self.matrix), self.source_space.cyclic
+        else:
+            h = _contraction_gram(self.carrier, self.source_space, self.target_space)
+            unit = _whitened_unit(self.source_space)
         return float(np.sqrt(_top_gram_eig(h, unit)[0]))
 
 
@@ -391,14 +391,13 @@ def _whitened_unit(space: GnsSpace) -> np.ndarray:
 
 def _kraus_blocks(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> list:
     """The Kraus family of ``phi`` between the density eigenbases, per pair
-    of rank groups: for sigma's group g and rho's group h, the pair (a, b)
-    of (kappa, m_g, n_g, m_h, n_h) views with a[k, j, :, i] = U_j^dag
-    K_k[j, i] U_i, K_k[j, i] the part of K_k between block j of g (rows)
-    and block i of h (columns) and U the phase-fixed eigenvectors of each
-    group, and b[k, j, :, i] = K_k[j, i] U_i where g has dropped eigenvectors
-    (else None).  One list per g, one pair per h: each U_i turns its
-    group's columns once, with the columns then laid out group by group, and
-    each U_j^dag its group's rows once, so a pair is a slice."""
+    of rank groups: for sigma's group g and rho's group h, a (kappa, m_g,
+    n_g, m_h, n_h) view a with a[k, j, :, i] = U_j^dag K_k[j, i] U_i, K_k[j, i]
+    the part of K_k between block j of g (rows) and block i of h (columns)
+    and U the phase-fixed eigenvectors of each group.  One list per g, one
+    view per h: each U_i turns its group's columns once, with the columns
+    then laid out group by group, and each U_j^dag its group's rows once, so
+    a view is a slice."""
     kraus = np.stack(phi.kraus)
     kappa, nb = kraus.shape[:2]
     # [k, x, i, a] -> [k, i, x, a] @ U_i -> [k, x, (i, a)]
@@ -414,14 +413,10 @@ def _kraus_blocks(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) ->
     spans = _spans(h.index.size * h.n for h in space_rho._groups)
     out = []
     for g in space_sigma._groups:
-        kg = turned.take(_enveloping_rows(space_sigma.shape, g), axis=1)  # (kappa, m_g, n_g, N_A)
-        ag = g.u.conj().swapaxes(1, 2) @ kg
+        ag = g.u.conj().swapaxes(1, 2) @ turned.take(_enveloping_rows(space_sigma.shape, g), axis=1)
         out.append(
             [
-                (
-                    ag[..., c0:c1].reshape(kappa, g.index.size, g.n, h.index.size, h.n),
-                    kg[..., c0:c1].reshape(kappa, g.index.size, g.n, h.index.size, h.n) if g.rank < g.n else None,
-                )
+                ag[..., c0:c1].reshape(kappa, g.index.size, g.n, h.index.size, h.n)
                 for h, (c0, c1) in zip(space_rho._groups, spans)
             ]
         )
@@ -433,48 +428,160 @@ def _enveloping_rows(shape: AlgebraShape, g: _RankGroup) -> np.ndarray:
     return shape._starts[g.index][:, None] + np.arange(g.n)
 
 
+def _images(phi: CpuMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> np.ndarray:
+    """The carrier in the density eigenbases: the images U_rho^dag
+    phi(U_sigma e_bp U_sigma^dag) U_rho, U each phase-fixed eigenbasis, at
+    rho's (i, a, q) in rows and sigma's (j, b, p) in columns, q and p kept,
+    each in rank-group order (:func:`_whitened_unit`).  Off the action, a
+    right and a left product by U per rank group of each space; off the
+    Kraus family (:func:`_kraus_images`) where that is faster
+    (:func:`_kraus_criterion_pays`)."""
+    if isinstance(phi, _KrausMap) and _kraus_criterion_pays(phi, space_sigma, space_rho):
+        return _kraus_images(phi, space_sigma, space_rho)
+    lt = _action_t(phi)
+    cols = []
+    for g in space_sigma._groups:
+        m, n, r = g.index.size, g.n, g.rank
+        t = g.u[:, :, :r].swapaxes(1, 2).conj()[:, None] @ lt[g.pos]  # phi(e_i u_c^dag) at [j, i, c]
+        cols.append((g.u.swapaxes(1, 2) @ t.reshape(m, n, r * lt.shape[1])).reshape(-1, lt.shape[1]))
+    del lt, t
+    x, rows = _stacked(cols).T, []
+    del cols
+    for h in space_rho._groups:
+        m, n, r = h.index.size, h.n, h.rank
+        t = x[h.pos]
+        if h is space_rho._groups[-1]:
+            del x  # the last gather holds all that is still read
+        t = h.u[:, :, :r].swapaxes(1, 2)[:, None] @ t  # [j, i, q] of (X U)
+        rows.append((h.u.conj().swapaxes(1, 2) @ t.reshape(m, n, r * t.shape[3])).reshape(-1, t.shape[3]))
+    del t
+    return _stacked(rows)
+
+
+def _image_work(space_sigma: GnsSpace, space_rho: GnsSpace) -> int:
+    """Complex multiply-adds of :func:`_images` off the action: 2 n^2 r per
+    column and block of a rank group, over rho's element coordinates for
+    sigma's groups and over sigma's GNS coordinates for rho's."""
+    sigma = sum(g.index.size * g.n**2 * g.rank for g in space_sigma._groups)
+    rho = sum(h.index.size * h.n**2 * h.rank for h in space_rho._groups)
+    return 2 * (space_rho.shape.element_dim * sigma + space_sigma.dim * rho)
+
+
+#: Entries of M per pair of rank groups (one of sigma's, one of rho's) at or
+#: below which the action is read, not the Kraus family (:func:`_kraus_images`,
+#: whose slice and product per pair cost some microseconds each).  Measured
+#: with one tail for both (BENCH_28.json ``route_rules``, one BLAS thread,
+#: minimum of 60 calls, six processes, family time over action time): 1.04-1.22
+#: at n = 6 and 1.19-1.52 on [6, 2]; 0.93-1.11 at n = 7 (2,401 entries, two
+#: to four operators), a tie; 0.85-1.00 on the real route and 0.81-1.00 on
+#: the complex one at n = 8 (4,096 entries), and 0.68-0.92 at n = 9.  On
+#: [4, 4, 4] (2,304) and [2, 3] -> [2, 1] the family loses (BENCH_27.json).
+_CRITERION_ENTRIES_PER_PAIR = 2401
+
+
+def _kraus_criterion_pays(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> bool:
+    """Whether :func:`_kraus_images` is faster than the images off the
+    action: it takes fewer multiply-adds, kappa per entry against
+    :func:`_image_work`, and M has more than
+    :data:`_CRITERION_ENTRIES_PER_PAIR` entries per pair of rank groups."""
+    entries = space_sigma.dim * space_rho.dim
+    return (
+        len(phi.kraus) * entries < _image_work(space_sigma, space_rho)
+        and entries > _CRITERION_ENTRIES_PER_PAIR * len(space_sigma._groups) * len(space_rho._groups)
+    )
+
+
+def _kraus_images(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> np.ndarray:
+    """:func:`_images` from the Kraus family of ``phi``: with A_k = U_sigma^dag
+    K_k U_rho per pair of blocks (:func:`_kraus_blocks`), U_rho^dag
+    phi(U_sigma e_bp U_sigma^dag) U_rho = sum_k A_k^dag e_bp A_k, so the image
+    of sigma's (b, p) at rho's (a, q) is sum_k conj(A_k[b, a]) A_k[p, q], one
+    product of inner size kappa per entry block and pair of rank groups
+    (:func:`_kraus_grid`)."""
+    gs, hs = space_sigma._groups, space_rho._groups
+    cols = _spans(g.index.size * g.n * g.rank for g in gs)
+    rows = _spans(h.index.size * h.n * h.rank for h in hs)
+    out = np.empty((space_rho.dim, space_sigma.dim), dtype=complex)
+    for g, pairs, (c0, c1) in zip(gs, _kraus_blocks(phi, space_sigma, space_rho), cols):
+        for h, a, (r0, r1) in zip(hs, pairs, rows):
+            _kraus_grid(out[r0:r1, c0:c1], a, a[:, :, : g.rank, :, : h.rank])
+    return out
+
+
+def _kraus_grid(out, left, right) -> None:
+    """out[(i, a, q), (j, b, p)] = sum_k conj(left[k, j, b, i, a])
+    right[k, j, p, i, q], for left (kappa, m_j, n_j, m_i, n_i) and right
+    (kappa, m_j, p, m_i, q): one product of inner size kappa per
+    (i, a, q, j), written in place, so no grid is formed beside ``out``.
+    The factors are copied in the product's order first, so each product
+    reads unit-stride runs (8-16% faster at n = 16-24 than the strided views)."""
+    kappa, mj, nj, mi, ni = left.shape
+    p, q = right.shape[2], right.shape[4]
+    # [i, a, 1, j, b, k] @ [i, 1, q, j, k, p] -> [i, a, q, j, b, p]
+    np.matmul(
+        np.conj(left.transpose(3, 4, 1, 2, 0), order="C")[:, :, None],
+        np.ascontiguousarray(right.transpose(3, 4, 1, 0, 2))[:, None],
+        out=out.reshape(mi, ni, q, mj, nj, p, copy=False),
+    )
+
+
+def _root_weights(space: GnsSpace) -> np.ndarray:
+    """sqrt(d_q) at each (block j, row a, kept q) of rank-group order: the
+    GNS kind's whitening weights."""
+    return _stacked([np.repeat(np.sqrt(g.d[:, None, : g.rank]), g.n, axis=1).ravel() for g in space._groups])
+
+
+def _contraction_gram(phi: CpuMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> np.ndarray:
+    """M^dag M of the contraction C induced by ``phi`` in the GNS kind's
+    whitened coordinates, exactly Hermitian: M = Z_rho C Z_sigma^-1, Z the
+    unitary that takes GNS coordinates to rank-group order in the density
+    eigenbases (:func:`_whitened_unit`), so M^dag M has C's spectrum.  Read
+    off the Kraus family (:func:`_kraus_gram`) where that is faster
+    (:func:`_kraus_gram_pays`), else the :func:`_gram` of the carrier's
+    images (:func:`_images`), row (i, a, q) scaled by sqrt(d_q) and column
+    (j, b, p) by 1 / sqrt(d_p).  Neither route places a coordinate layout."""
+    if isinstance(phi, _KrausMap) and _kraus_gram_pays(phi, space_sigma, space_rho):
+        return _kraus_gram(phi, space_sigma, space_rho)
+    m = _images(phi, space_sigma, space_rho)
+    m *= _root_weights(space_rho)[:, None]
+    m *= 1.0 / _root_weights(space_sigma)
+    return _gram(m)
+
+
 #: The fixed cost of one step of :func:`_kraus_gram`'s loop over rank
 #: groups (a few numpy calls, and its share of two realigning copies of the
 #: Gram), less the dense route's own fixed cost, in units of :func:`_gram`'s
 #: time per Gram entry and coordinate of rho (:func:`_kraus_gram_pays`).
-#: Measured on one BLAS thread against the placement of the contraction and
-#: its :func:`_gram` (BENCH_28.json ``route_rules``, minimum of 60 calls,
-#: six processes), where a unit is 0.08-0.11 ns: with one 6 x 6 block and
-#: three operators (62,000 units saved) the factor Gram takes 1.06-1.13
-#: times the dense route's time, with two (88,000) 0.99-1.16 times, at n = 7
-#: with three (166,000) 0.91-0.95 times and at n = 8 (377,000) 0.63-0.76
-#: times; on [12, 4] (568,000 per step over eight steps) 0.54-0.57 times,
-#: on [6, 2] (3,000) 2.6-2.9 times.
+#: Measured on one BLAS thread against the carrier's images and their
+#: :func:`_gram` (BENCH_29.json ``route_rules``, minimum of 60 calls, six
+#: processes, spaces built once): with one 4 x 4 block and three operators
+#: (11,000 units saved) the factor Gram takes 1.11-1.30 times the dense
+#: route's time, at n = 5 (43,000) 1.02-1.79 times, at n = 6 with three
+#: (124,000) 0.71-0.94 times (1.00-1.03 on fresh spaces) and with two
+#: (150,000) 0.82-0.89 times, at n = 8 (639,000) 0.45-0.64 times; on [12, 4]
+#: (855,000 per step over eight steps) 0.58-0.80 times, on [6, 2] (11,500)
+#: 2.1-3.7 times.
 _GRAM_STEP_COST = 120_000
 
 
 def _kraus_gram_pays(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> bool:
-    """Whether :func:`_kraus_gram` is faster than the dense route, the
-    placement of the contraction (:attr:`GnsContraction.matrix`, two
-    transforms) and its :func:`_gram`.  In units of :func:`_gram`'s time per
-    Gram entry and coordinate of rho, :func:`_gram` takes dim_sigma^2
-    dim_rho, the factor products dim_sigma^2 4 K_rho kappa^2, K_rho the
-    blocks of rho's algebra, and the transforms 4 (e_rho sum m n^2 r over
-    sigma's groups + dim_sigma sum m n^2 r over rho's), e_rho the element
-    dimension of rho's algebra: complex multiply-adds, in the products and
-    the transforms alike, run at about a quarter of :func:`_gram`'s rate
-    (measured: 0.45-0.55 ns against 0.08-0.19 ns).  What the factor route
-    saves must exceed :data:`_GRAM_STEP_COST` per step of its loop, one per
-    pair of sigma's groups and group of rho.  A few operators on blocks from
-    n = 7 on pay, a family as long as a trace mixture's (kappa >= N_B N_A)
-    never does."""
+    """Whether :func:`_kraus_gram` is faster than the dense route of
+    :func:`_contraction_gram`, the carrier's images and their :func:`_gram`.
+    In units of :func:`_gram`'s time per Gram entry and coordinate of rho,
+    :func:`_gram` takes dim_sigma^2 dim_rho, the factor products dim_sigma^2
+    4 K_rho kappa^2, K_rho the blocks of rho's algebra, and the images 4
+    :func:`_image_work`: complex multiply-adds, in the products and the
+    images alike, run at about a quarter of :func:`_gram`'s rate (measured:
+    0.45-0.55 ns against 0.08-0.19 ns).  What the factor route saves must
+    exceed :data:`_GRAM_STEP_COST` per step of its loop, one per pair of
+    sigma's groups and group of rho.  A few operators on blocks from n = 6
+    on pay, a family as long as a trace mixture's (kappa >= N_B N_A) never
+    does."""
     groups = len(space_sigma._groups)
     steps = groups * groups * len(space_rho._groups)
-    transforms = space_rho.shape.element_dim * _rank_work(space_sigma) + space_sigma.dim * _rank_work(space_rho)
     products = space_sigma.dim**2 * 4 * space_rho.shape.num_blocks * len(phi.kraus) ** 2
-    saved = space_sigma.dim**2 * space_rho.dim + 4 * transforms - products
+    saved = space_sigma.dim**2 * space_rho.dim + 4 * _image_work(space_sigma, space_rho) - products
     return saved > _GRAM_STEP_COST * steps
-
-
-def _rank_work(space: GnsSpace) -> int:
-    """sum m n^2 r over the rank groups: a transform's multiply-adds per
-    column (:func:`_transform`)."""
-    return sum(g.index.size * g.n**2 * g.rank for g in space._groups)
 
 
 def _kraus_gram(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> np.ndarray:
@@ -497,7 +604,7 @@ def _kraus_gram(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> n
     groups, kappa = space_sigma._groups, len(phi.kraus)
     # per g, per h: x (m_h, kappa m_g n_g, n_h) and y (m_h, kappa m_g r_g, r_h)
     factors = [
-        [_gram_factors(a, g, h) for h, (a, _) in zip(space_rho._groups, pairs)]
+        [_gram_factors(a, g, h) for h, a in zip(space_rho._groups, pairs)]
         for g, pairs in zip(groups, _kraus_blocks(phi, space_sigma, space_rho))
     ]
     # one buffer holds every R, and later the Gram's adjoint
@@ -631,10 +738,10 @@ _TIE_RTOL = 1e-12
 def _check_null_images(space_sigma: GnsSpace, images: np.ndarray) -> None:
     """The well-definedness test of a contraction out of ``space_sigma``.
 
-    Column t of ``images`` is the image under rho's embedding, or under a
-    unitary after it, of sigma's null basis element t: the conjugate of a
-    dropped eigenvector in one row of a block, numbered group by group as
-    (block j, row i, dropped eigenvector c), c fastest.  The worst column
+    Column t of ``images`` is the image under rho's embedding of sigma's
+    null basis element t: the conjugate of a dropped eigenvector in one row
+    of a block, numbered group by group as (block j, row i, dropped
+    eigenvector c), c fastest.  The worst column
     above ``WELL_DEFINED_TOL`` raises :class:`GnsQuotientError`, naming that
     element and its norm.  Of columns tied with the worst within
     ``_TIE_RTOL`` (a unitary carrier gives every row of a block the same
@@ -674,6 +781,8 @@ def check_functor_laws(chains, tol: float = 1e-9) -> dict:
     max_id_dev = max_comp_dev = 0.0
     n_chains = 0
     for chain in chains:
+        if not isinstance(chain, (list, tuple)) or not chain or not all(isinstance(m, NcpMorphism) for m in chain):
+            raise InputError("each chain must be a nonempty list of morphisms")
         n_chains += 1
         objs = [chain[0].source] + [m.target for m in chain]
         spaces = [build_gns(o[0], o[1]) for o in objs]

@@ -36,6 +36,7 @@ from .algebra import (
     AlgebraShape,
     InputError,
     ShapeError,
+    _check_count,
     _check_tol,
     _from_vec,
     _wrap,
@@ -170,6 +171,7 @@ def finite_difference(model: StatModel) -> StatModel:
 def simplex_model(n: int) -> StatModel:
     """Open probability simplex on n+1 outcomes, coordinates p_1..p_n;
     at most ``MAX_OUTCOMES`` outcomes."""
+    n = _check_count("n", n)
     if n < 1:
         raise ModelDomainError("simplex needs at least one free coordinate")
     if n + 1 > MAX_OUTCOMES:
@@ -286,8 +288,9 @@ def gaussian_model(n_bins: int, x_min: float, x_max: float) -> StatModel:
     renormalized; the chart requires at least 1 - 1e-6 of the mass inside
     [x_min, x_max].  Interior points have mu near the centre of the range
     and sigma near a twentieth of its width.
-    ``n_bins`` runs from 2 to ``MAX_OUTCOMES``.
+    ``n_bins`` is an integer from 2 to ``MAX_OUTCOMES``.
     """
+    n_bins = _check_count("n_bins", n_bins)
     if n_bins < 2:
         raise ModelDomainError("need at least two bins")
     if n_bins > MAX_OUTCOMES:

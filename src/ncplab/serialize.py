@@ -14,6 +14,7 @@ from .algebra import AlgebraShape, InputError, _check_tol, abelian_shape, mk_sha
 from .channels import (
     CpuMap,
     NcpMorphism,
+    _check_carrier,
     from_kraus,
     from_linear,
     markov_from_stochastic,
@@ -158,6 +159,8 @@ def cpumap_from_json(obj) -> CpuMap:
     except KeyError as exc:
         raise SerializationError("channel payload needs 'source' and 'target' shapes") from exc
     if "kraus" in obj:
+        if not isinstance(obj["kraus"], list):
+            raise SerializationError(f"'kraus' must be a list of matrices, got {type(obj['kraus']).__name__}")
         return from_kraus(src, dst, [matrix_from_json(k) for k in obj["kraus"]])
     if "linear" in obj:
         return from_linear(src, dst, matrix_from_json(obj["linear"]))
@@ -173,7 +176,8 @@ def morphism_to_json(m: NcpMorphism) -> dict:
 
 
 def morphism_from_json(obj, tol: float = 1e-9, verify: bool = True) -> NcpMorphism:
-    """Load a morphism; with ``verify=False`` the carrier map is trusted.
+    """Load a morphism; with ``verify=False`` the carrier map is trusted, but
+    its shapes are still checked (:class:`~ncplab.algebra.ShapeError`).
     ``tol`` must be finite and >= 0 either way (else :class:`InputError`)."""
     _check_tol(tol)
     _object(obj, "morphism")
@@ -185,4 +189,5 @@ def morphism_from_json(obj, tol: float = 1e-9, verify: bool = True) -> NcpMorphi
         raise SerializationError("morphism payload needs 'source', 'target', 'cpu'") from exc
     if verify:
         return mk_morphism((rho.shape, rho), (sigma.shape, sigma), cpu, tol=tol)
+    _check_carrier(cpu, sigma.shape, rho.shape)
     return NcpMorphism((rho.shape, rho), (sigma.shape, sigma), cpu)

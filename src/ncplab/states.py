@@ -35,6 +35,7 @@ from .algebra import (
     AlgebraShape,
     InputError,
     ShapeError,
+    _check_count,
     _checked_vec,
     _from_vec,
     _frozen,
@@ -208,9 +209,10 @@ def random_state(shape: AlgebraShape, faithful: bool = False, seed: int = 0) -> 
     With ``faithful=True`` the state is mixed toward the normalized identity
     until its smallest eigenvalue is at least min(1e-3, 1/(2N)), N the
     enveloping dimension: the eigenvalues of a state average 1/N, so no state
-    on more than 1,000 dimensions reaches 1e-3.
+    on more than 1,000 dimensions reaches 1e-3.  ``seed`` must be an
+    integer >= 0 (else :class:`InputError`).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_count("seed", seed))
     mats = []
     for n in shape.blocks:
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -228,7 +230,10 @@ def random_state(shape: AlgebraShape, faithful: bool = False, seed: int = 0) -> 
 
 
 def random_tracial_state(shape: AlgebraShape, seed: int = 0) -> NormalState:
-    """Random block-scalar (hence tracial) faithful state."""
+    """Random block-scalar (hence tracial) faithful state.  ``seed`` is an
+    integer >= 0 (else :class:`InputError`) or a numpy ``SeedSequence``."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = _check_count("seed", seed)
     rng = np.random.default_rng(seed)
     weights = rng.dirichlet(np.ones(shape.num_blocks))
     weights = 0.9 * weights + 0.1 / shape.num_blocks  # keep all blocks charged

@@ -8,7 +8,8 @@ can be checked against them: one eigendecomposition per block, one form and
 one least-squares solve per block, the covariance Gram assembled from the raw
 forms, the induced contraction one GNS coordinate at a time and as the
 product of the dense coordinate matrices, the monotonicity criterion as the
-generalized eigenproblem of the two dense Grams, the Kraus
+generalized eigenproblem of the two dense Grams and as the complex route
+of its unfolded matrix, the Kraus
 action one source basis element at a time and entrywise over the whole
 family, the dense (N_B N_A)^2 Choi
 matrix and its single eigensolve, the monotonicity samples one vector at a
@@ -37,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from ncplab import algebra, covariance, states
+from ncplab import algebra, covariance, gns, states
 from ncplab.algebra import _wrap
 from ncplab.gns import GnsQuotientError, build_gns, embed
 
@@ -377,6 +378,44 @@ def monotonicity_samples(pushed, g_sigma, n_samples, seed, tol):
         if lhs > rhs + tol * float((xi.conj() @ xi).real):
             violations += 1
     return worst, violations
+
+
+def monotonicity_unfolded(kind, morphism, n_samples, seed, tol=1e-9):
+    """``covariance.monotonicity_check``'s report on the complex route of the
+    unfolded criterion, the route it took for a kernel that is not symmetric
+    before it folded every Petz kind's criterion: M = Z_rho C Z_sigma^-1 as
+    the carrier's images scaled by sqrt(W^rho_aq) / sqrt(W^sigma_bp), the
+    samples |M eta|^2, one complex Gram M^dag M, and the witness taken back
+    through the whitening alone."""
+    (shape_a, rho), (shape_b, sigma) = morphism.source, morphism.target
+    space_sigma, space_rho = build_gns(shape_b, sigma), build_gns(shape_a, rho)
+    m = gns._images(morphism.cpu, space_sigma, space_rho)
+    scale_sigma, scale_rho = (
+        np.concatenate([np.sqrt(w).ravel() for w in covariance._kept_kernels(kind, space)])
+        for space in (space_sigma, space_rho)
+    )
+    m *= scale_rho[:, None]
+    m *= 1.0 / scale_sigma
+    draws = np.random.default_rng(seed).standard_normal((n_samples, 2, space_sigma.dim))
+    xi = (draws[:, 0] + 1j * draws[:, 1]).T
+    eta = covariance._whiten(kind, space_sigma, xi)
+    rhs, norms = (np.sum(np.abs(v) ** 2, axis=0) for v in (eta, xi))
+    lhs = np.sum(np.abs(m @ eta) ** 2, axis=0)
+    exact, top = gns._top_gram_eig(gns._gram(m), gns._whitened_unit(space_sigma), vector=True)
+    report = {
+        "kind": kind.label,
+        "n_samples": n_samples,
+        "worst_ratio": float(np.max(lhs / rhs, initial=0.0)),
+        "exact_max_eig": exact,
+        "sample_violations": int(np.count_nonzero(lhs > rhs + tol * norms)),
+        "tol": tol,
+        "passed": exact <= 1.0 + tol,
+    }
+    if not report["passed"]:
+        vec = covariance._whiten(kind, space_sigma, top[:, None], inverse=True)
+        vec = algebra._phase_fix(vec[None] / np.linalg.norm(vec))[0, :, 0]
+        report["witness"] = {"vector": vec, "ratio": exact}
+    return report
 
 
 def block_form(kind, space, k):

@@ -403,9 +403,9 @@ def _tol_callers() -> dict:
     }
 
 
-def _public_tol_callables() -> set:
+def _public_callables_with(param: str) -> set:
     """Every public function, class and public method of a class defined in
-    the package that takes a parameter named ``tol``."""
+    the package that takes a parameter named ``param``."""
     import inspect
 
     found = set()
@@ -421,7 +421,7 @@ def _public_tol_callables() -> set:
                     params = inspect.signature(member).parameters
                 except (TypeError, ValueError):
                     continue
-                if "tol" in params:
+                if param in params:
                     found.add(f"{mod.__name__.split('.')[-1]}.{label}")
     return found
 
@@ -433,7 +433,7 @@ class TestTolContract:
     contract unnoticed."""
 
     def test_every_callable_with_a_tol_is_listed(self):
-        assert _public_tol_callables() == set(_tol_callers())
+        assert _public_callables_with("tol") == set(_tol_callers())
 
     @pytest.mark.parametrize("name", sorted(_tol_callers()))
     @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0], ids=["inf", "nan", "negative"])
@@ -442,6 +442,65 @@ class TestTolContract:
         call(1e-9)  # the other arguments are valid
         with pytest.raises(ncplab.InputError):
             call(tol)
+
+
+def _seed_callers() -> dict:
+    """One call per public callable with a ``seed`` parameter, valid in
+    every argument but ``seed``."""
+    shape = mk_shape([2])
+    obj = (shape, random_state(shape, faithful=True, seed=0))
+    return {
+        "channels.random_cpu_map": lambda seed: channels.random_cpu_map(shape, shape, seed=seed),
+        "covariance.monotonicity_check": lambda seed: covariance.monotonicity_check(
+            covariance.ONE, identity_morphism(obj), n_samples=1, seed=seed
+        ),
+        "covariance.tracial_collapse_check": lambda seed: covariance.tracial_collapse_check(
+            [shape], n_states=1, seed=seed
+        ),
+        "states.random_state": lambda seed: states.random_state(shape, seed=seed),
+        "states.random_tracial_state": lambda seed: states.random_tracial_state(shape, seed=seed),
+    }
+
+
+class TestSeedContract:
+    """Every public callable with a ``seed`` refuses one that is negative,
+    not an integer, or a boolean with an InputError, as ``n_samples`` and
+    the other counts are refused."""
+
+    def test_every_callable_with_a_seed_is_listed(self):
+        assert _public_callables_with("seed") == set(_seed_callers())
+
+    @pytest.mark.parametrize("name", sorted(_seed_callers()))
+    @pytest.mark.parametrize("seed", [-1, 1.5, True], ids=["negative", "float", "bool"])
+    def test_refused(self, name, seed):
+        call = _seed_callers()[name]
+        call(3)  # the other arguments are valid
+        with pytest.raises(ncplab.InputError):
+            call(seed)
+
+
+def _public_calls_with_bad_arguments() -> dict:
+    """Public calls given an argument of the wrong kind, each of which once
+    raised an error that is not an InputError."""
+    shape = mk_shape([2])
+    m = identity_morphism((shape, random_state(shape, faithful=True, seed=0)))
+    return {
+        "check_functor_laws-empty-chain": lambda: gns.check_functor_laws([[]]),
+        "check_functor_laws-bare-morphism": lambda: gns.check_functor_laws([m]),
+        "tracial_collapse_check-no-shapes": lambda: covariance.tracial_collapse_check([]),
+        "kind_from_name-number": lambda: covariance.kind_from_name(3),
+        "left_inverse-not-an-embedding": lambda: channels.left_inverse(identity_map(shape)),
+        "simplex_model-float": lambda: models.simplex_model(1.5),
+        "simplex_model-bool": lambda: models.simplex_model(True),
+        "gaussian_model-float-bins": lambda: models.gaussian_model(2.5, -1, 1),
+        "from_kraus-strings": lambda: from_kraus(shape, shape, [[["a", "b"], ["c", "d"]]]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_public_calls_with_bad_arguments()))
+def test_a_bad_argument_is_an_input_error(name):
+    with pytest.raises(ncplab.InputError):
+        _public_calls_with_bad_arguments()[name]()
 
 
 class TestTracialUniqueness:
@@ -585,11 +644,19 @@ class TestMalformedPayloads:
                 },
                 "carrier map is not unital",
             ),
+            (
+                "monotonicity --kind gns --assume-verified",
+                {"source": {"prob": [0.5, 0.5]}, "target": {"prob": [1.0]}, "cpu": {"stochastic": [[1]]}},
+                "carrier must map",
+            ),
+            ("check-channel", {"source": {"blocks": [2]}, "target": {"blocks": [2]}, "kraus": None}, "'kraus' must be a list"),
+            ("check-channel", {"source": {"blocks": [2]}, "target": {"blocks": [2]}, "kraus": 5}, "'kraus' must be a list"),
         ],
     )
     def test_names_the_fault(self, tmp_path, capsys, command, payload, says):
+        command, *flags = command.split()
         flag = {"gns": "--state", "check-channel": "--channel", "monotonicity": "--morphism"}[command]
-        code, rep = run_cli([command, flag, write_json(tmp_path, "p.json", payload)], tmp_path)
+        code, rep = run_cli([command, *flags, flag, write_json(tmp_path, "p.json", payload)], tmp_path)
         assert code == 2
         assert says in rep["error"] and "internal_error" not in rep
         assert capsys.readouterr().err == ""

@@ -1,14 +1,16 @@
 """The monotonicity criterion read as a real matrix in a Hermitian basis.
 
-Where both kernels W_aq = d_q f(d_a / d_q) are symmetric and both states
-faithful, a carrier that commutes with x -> x^dag gives a criterion matrix M
-that is real in the basis e_bb, (e_bp + e_pb)/sqrt(2), i (e_bp - e_pb)/sqrt(2)
-of each block's grid, and ``monotonicity_check`` certifies it with one real
-Gram and one real Cholesky factorization.  These tests hold that route to the
-dense generalized eigenproblem on every kind it takes and every kind it
-declines, count the factorizations of each route, and show that a carrier
-which does not commute with x -> x^dag is declined by the remainder test and
-gets the report of the complex route on the unfolded criterion."""
+A Petz kind's criterion matrix M is always folded into the basis e_bb,
+(e_bp + e_pb)/sqrt(2), i (e_bp - e_pb)/sqrt(2) of each block's grid.  Where
+both kernels W_aq = d_q f(d_a / d_q) are symmetric, a carrier that commutes
+with x -> x^dag makes it real there, and ``monotonicity_check`` certifies it
+with one real Gram and one real Cholesky factorization; elsewhere the
+remainder test declines it, and the folded matrix takes the complex route.
+The GNS kind reads the contraction's Gram instead.  These tests hold every
+route to the dense generalized eigenproblem on every kind, count the
+factorizations of each route, and show that a declined verdict gets the
+report of the complex route on the unfolded criterion
+(``reference_loops.monotonicity_unfolded``)."""
 
 from contextlib import contextmanager
 from unittest import mock
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
-from ncplab import covariance
+from ncplab import covariance, gns
 from ncplab.algebra import mk_shape
 from ncplab.channels import (
     NcpMorphism,
@@ -36,7 +38,8 @@ from test_certificates import partial_trace, pinching, power_mean, skewed_depola
 
 AFFINE = OperatorMonotoneFunction("affine", lambda t: (1.0 + 2.0 * t) / 3.0)
 
-#: name -> (kind, symmetric kernel on every state)
+#: name -> (kind, symmetric kernel on every state); the GNS kind takes the
+#: contraction's route on every state
 KINDS = {
     "gns": (ONE, False),
     "sld": (SLD, True),
@@ -94,31 +97,38 @@ def morphism(family, shapes, seed):
 
 @contextmanager
 def route():
-    """Record, for each criterion ``monotonicity_check`` forms, whether the
-    verdict took the real route: False where the criterion was not folded
-    into the Hermitian basis or the real-route gate declined it."""
-    taken, criterion, real_criterion = [], covariance._criterion, covariance._real_criterion
+    """Record the route of each verdict ``monotonicity_check`` takes:
+    "contraction" for the GNS kind's Gram, else "real" where the real-route
+    gate takes the folded criterion and "complex" where it declines it."""
+    taken, gram, real_criterion = [], covariance._contraction_gram, covariance._real_criterion
 
-    def formed(*args, **kwargs):
-        taken.append(False)
-        return criterion(*args, **kwargs)
+    def contraction(*args):
+        taken.append("contraction")
+        return gram(*args)
 
     def gated(*args):
         out = real_criterion(*args)
-        taken[-1] = out is not None
+        taken.append("complex" if out is None else "real")
         return out
 
-    with mock.patch.object(covariance, "_criterion", formed), mock.patch.object(covariance, "_real_criterion", gated):
-        yield taken
+    with mock.patch.object(covariance, "_contraction_gram", contraction):
+        with mock.patch.object(covariance, "_real_criterion", gated):
+            yield taken
 
 
-def matches_dense(kind, m, real, seed=0):
+def expected_route(kind, symmetric):
+    """The route a verdict must take: "contraction" for the GNS kind, None
+    (either, the remainder test decides) for a symmetric kernel, else
+    "complex"."""
+    return "contraction" if kind is ONE else None if symmetric else "complex"
+
+
+def matches_dense(kind, m, want, seed=0):
     """The verdict on m agrees with the dense generalized eigenproblem, and
-    takes the real route if ``real`` is True and never if it is False (None:
-    either, the remainder test decides); returns ``passed``."""
+    takes the route ``want`` unless that is None; returns ``passed``."""
     with route() as taken:
         rep = monotonicity_check(kind, m, n_samples=20, seed=seed)
-    assert real is None or taken == [real]
+    assert len(taken) == 1 and want in (None, taken[0])
     exact, pushed, g_sigma, _ = ref.monotonicity_dense(kind, m)
     assert abs(rep["exact_max_eig"] - exact) <= 1e-12 * exact
     assert rep["passed"] == (exact <= 1.0 + 1e-9)
@@ -142,7 +152,7 @@ def check_against_dense(family, shapes, seed, name):
     # remainder test, which may send an eligible verdict to the complex route
     kind, symmetric = KINDS[name]
     m, tracial = morphism(family, shapes, seed)
-    matches_dense(kind, m, None if symmetric or tracial else False, seed)
+    matches_dense(kind, m, expected_route(kind, symmetric or tracial), seed)
 
 
 def stretch(shape):
@@ -170,21 +180,22 @@ class TestAgainstTheDenseCriterion:
         for shapes in ([[2, 3], [2, 1]], [[3], [3]], [[12, 4], [12, 4]]):
             for seed in range(2):
                 m, tracial = morphism(family, shapes, seed)
-                matches_dense(kind, m, symmetric or tracial, seed)
+                want = expected_route(kind, symmetric or tracial)
+                matches_dense(kind, m, "real" if want is None else want, seed)
 
     @pytest.mark.parametrize("name", ["pow2", "pow-2"])
     def test_violations_get_a_witness_of_the_real_route(self, name):
         # p = +-2 break monotonicity on the partial trace (test_certificates)
         kind, _ = KINDS[name]
-        passed = [matches_dense(kind, morphism("partial_trace", None, seed)[0], True) for seed in range(8)]
+        passed = [matches_dense(kind, morphism("partial_trace", None, seed)[0], "real") for seed in range(8)]
         assert not all(passed)
 
-    def test_the_gns_kind_on_tracial_states_gets_a_witness_of_the_real_route(self):
+    def test_the_gns_kind_on_tracial_states_gets_a_witness_of_the_contraction_route(self):
         shape = mk_shape([3])
         rho = random_tracial_state(shape, seed=1)
         phi = stretch(shape)
         m = NcpMorphism((shape, rho), (shape, predual(phi, rho)), phi)
-        assert not matches_dense(ONE, m, True)
+        assert not matches_dense(ONE, m, "contraction")
 
 
 @pytest.mark.slow
@@ -231,20 +242,13 @@ class TestFactorizations:
         seen = factorizations(monkeypatch)
         with route() as taken:
             rep = monotonicity_check(SLD, m, n_samples=50, seed=3)
-        assert taken == [False]
+        assert taken == ["complex"]
         assert seen and {dtype for dtype, _ in seen} == {np.dtype(complex)}
         assert not rep["passed"]
         # the unfolded complex route gives the same report, and so does the
         # dense generalized eigenproblem
-        assert_same_report(rep, forced_complex(SLD, m, n_samples=50, seed=3))
-        assert not matches_dense(SLD, m, False, seed=3)
-
-
-def forced_complex(kind, m, **kwargs):
-    """The report of the complex route on the unfolded criterion: every
-    kernel read as not symmetric, so M is neither folded nor gated."""
-    with mock.patch.object(covariance, "_symmetric", lambda kernels: False):
-        return monotonicity_check(kind, m, **kwargs)
+        assert_same_report(rep, ref.monotonicity_unfolded(SLD, m, n_samples=50, seed=3))
+        assert not matches_dense(SLD, m, "complex", seed=3)
 
 
 def assert_same_report(rep, plain):
@@ -263,39 +267,44 @@ def assert_same_report(rep, plain):
 
 @contextmanager
 def formations():
-    """The carrier's part of the criterion (``covariance._images``) and the
-    real-route gate, each still run, with their calls counted."""
-    with mock.patch.object(covariance, "_images", wraps=covariance._images) as images:
+    """The carrier's images (``gns._images``, read by a Petz kind's
+    criterion and by the GNS kind's Gram) and the real-route gate, each
+    still run, with their calls counted."""
+    images = mock.Mock(wraps=gns._images)
+    with mock.patch.object(covariance, "_images", images), mock.patch.object(gns, "_images", images):
         with mock.patch.object(covariance, "_real_criterion", wraps=covariance._real_criterion) as gate:
             yield images, gate
 
 
 class TestOneFormation:
-    """Each verdict forms its criterion once: the basis is chosen from the
-    ranks and the kernels before anything is formed, and a verdict whose
-    real-route gate declines certifies the same folded matrix on the
-    complex route."""
+    """Each verdict forms its criterion once: a Petz kind's is folded into
+    the Hermitian basis as it is formed, and a verdict whose real-route gate
+    declines certifies the same folded matrix on the complex route; the GNS
+    kind forms the contraction's Gram, with no gate."""
 
     @staticmethod
-    def verdict(kind, m, gated):
-        """The report, after asserting one formation and whether the gate
-        was consulted (only a criterion folded into the Hermitian basis is)."""
-        with route() as taken, formations() as (images, gate):
+    def verdict(kind, m, images):
+        """The report and the route taken, after asserting how often the
+        carrier's images were formed, and that the gate was consulted once
+        for a Petz kind and never for the GNS kind."""
+        with route() as taken, formations() as (formed, gate):
             rep = monotonicity_check(kind, m, n_samples=50, seed=3)
-        assert images.call_count == 1
-        assert gate.call_count == int(gated)
+        assert formed.call_count == images
+        assert gate.call_count == int(kind is not ONE)
         return rep, taken
 
     def test_a_real_route_verdict(self):
         m, _ = morphism("cpu", SHAPES[0], 5)
-        rep, taken = self.verdict(SLD, m, True)
-        assert taken == [True] and rep["passed"]
+        rep, taken = self.verdict(SLD, m, 1)
+        assert taken == ["real"] and rep["passed"]
 
-    def test_a_complex_route_verdict_of_the_gns_kind(self):
+    def test_a_contraction_route_verdict_of_the_gns_kind(self):
+        # [12, 4] with a trace mixture: the family is too long for the Kraus
+        # Gram, so the contraction's Gram is that of the images, formed once
         m, tracial = morphism("cpu", SHAPES[3], 5)
         assert not tracial
-        rep, taken = self.verdict(ONE, m, False)
-        assert taken == [False] and rep["passed"]
+        rep, taken = self.verdict(ONE, m, 1)
+        assert taken == ["contraction"] and rep["passed"]
 
     @pytest.mark.parametrize("case", ["skewed_depolarizing", "skewed_cpu", "transpose"])
     def test_a_declined_verdict_matches_the_unfolded_complex_route(self, case):
@@ -317,11 +326,19 @@ class TestOneFormation:
             # the remainder test's narrowest margin seen: the transpose on
             # [2, 1], a target of five GNS dimensions
             m, kind = morphism("transpose", SHAPES[0], 320573)[0], KINDS["pow0.5"][0]
-        rep, taken = self.verdict(kind, m, True)
-        assert taken == [False]
+        rep, taken = self.verdict(kind, m, 1)
+        assert taken == ["complex"]
         assert rep["passed"] == (case == "transpose")
-        with formations() as (images, gate):
-            plain = forced_complex(kind, m, n_samples=50, seed=3)
-        assert images.call_count == 1 and gate.call_count == 0
-        assert_same_report(rep, plain)
-        assert matches_dense(kind, m, False, seed=3) == rep["passed"]
+        assert_same_report(rep, ref.monotonicity_unfolded(kind, m, n_samples=50, seed=3))
+        assert matches_dense(kind, m, "complex", seed=3) == rep["passed"]
+
+    @pytest.mark.parametrize("name", ["affine", "pow2"])
+    def test_a_kernel_that_is_not_symmetric_is_declined(self, name):
+        # the affine kind's kernel is not symmetric: its folded criterion
+        # keeps an imaginary part, which the gate alone declines
+        kind, symmetric = KINDS[name]
+        m, _ = morphism("cpu", SHAPES[2], 7)
+        rep, taken = self.verdict(kind, m, 1)
+        assert taken == (["real"] if symmetric else ["complex"])
+        if not symmetric:
+            assert_same_report(rep, ref.monotonicity_unfolded(kind, m, n_samples=50, seed=3))

@@ -1,18 +1,20 @@
 """Verdicts of carriers built from Kraus operators read the family.
 
 ``from_kraus`` returns a :class:`~ncplab.channels._KrausMap`, and for it the
-monotonicity criterion and the Gram behind the contraction's operator norm
-are formed from the Kraus factors instead of the dense action, each where
-its cost rule says that is faster (``covariance._kraus_criterion_pays``,
+carrier's images behind a Petz kind's criterion and the GNS kind's Gram,
+which both the GNS kind's criterion and the contraction's operator norm
+read, are formed from the Kraus factors instead of the dense action, each
+where its cost rule says that is faster (``gns._kraus_criterion_pays``,
 ``gns._kraus_gram_pays``).  Every other carrier, including a plain
 ``CpuMap`` handed a family, keeps the dense route.  These tests hold the
 factor route, forced on, to its twin, the same action wrapped by
 ``from_linear``, on random shapes: rectangular and multi-block ones with
 1 x 1 blocks, and rank-deficient states for the GNS kind.  They also pin
 the design: the factor route reads no action, and forms no Gram of the
-contraction nor the contraction itself, the dense route runs no factor product, each verdict forms its
-criterion once, and the cost rules pick the measured routes on the
-benchmark's shapes."""
+contraction nor the contraction itself, the dense route runs no factor
+product, each verdict forms its criterion once, both GNS verdicts read one
+Gram, and the cost rules pick the measured routes on the benchmark's
+shapes."""
 
 from contextlib import contextmanager
 from unittest import mock
@@ -77,20 +79,22 @@ def counted(*names):
             p.stop()
 
 
-#: The carrier's part of the criterion (``covariance._images``), which reads
-#: the action unless it hands the carrier to the factor route
-#: (``covariance._kraus_images``, which turns the family with ``_kraus_blocks``)
+#: The carrier's images (``gns._images``), which read the action unless they
+#: hand the carrier to the factor route (``gns._kraus_images``, which turns
+#: the family with ``_kraus_blocks``, as the family Gram ``gns._kraus_gram`` does)
 CARRIER_PARTS = ("_images", "_kraus_images", "_kraus_blocks")
-#: One criterion formed from the action, and one from the Kraus factors
+#: Images from the action, images from the Kraus factors, and the GNS
+#: kind's Gram from the Kraus factors, with no images
 DENSE = {"_images": 1, "_kraus_images": 0, "_kraus_blocks": 0}
 FACTOR = {"_images": 1, "_kraus_images": 1, "_kraus_blocks": 1}
+FAMILY_GRAM = {"_images": 0, "_kraus_images": 0, "_kraus_blocks": 1}
 
 
 @contextmanager
 def factor_route():
     """The factor routes taken wherever the carrier qualifies, whatever
     their cost rules say."""
-    with mock.patch.object(covariance, "_kraus_criterion_pays", lambda *args: True):
+    with mock.patch.object(gns, "_kraus_criterion_pays", lambda *args: True):
         with mock.patch.object(gns, "_kraus_gram_pays", lambda *args: True):
             yield
 
@@ -127,7 +131,7 @@ def same_quotient_verdict(kind, m):
 
 def same_norm(m, tol=1e-13):
     """Both routes give the operator norm within ``tol``, and the Gram from
-    the factors is exactly Hermitian and equals the criterion's Gram."""
+    the factors is exactly Hermitian and equals the one from the images."""
     (shape_a, rho), (shape_b, sigma) = m.source, m.target
     spaces = build_gns(shape_b, sigma), build_gns(shape_a, rho)
     with factor_route(), counted("_kraus_gram") as calls:
@@ -135,9 +139,8 @@ def same_norm(m, tol=1e-13):
     assert calls["_kraus_gram"] == 1
     want = induced_contraction(twin(m), *spaces).operator_norm
     assert abs(got - want) <= tol
-    # the Gram from the factors equals the Gram of the GNS kind's criterion
-    kernels = covariance._kept_kernels(ONE, spaces[0]) + covariance._kept_kernels(ONE, spaces[1])
-    dense = gns._gram(covariance._criterion(twin(m), *spaces, kernels))
+    # the Gram from the factors equals the one from the action's images
+    dense = gns._contraction_gram(twin(m).cpu, *spaces)
     factor = gns._kraus_gram(m.cpu, *spaces)
     assert np.array_equal(factor, factor.conj().T)
     assert np.abs(factor - dense).max() <= 1e-13 * max(1.0, np.abs(dense).max())
@@ -221,7 +224,7 @@ class TestDesignPins:
     def test_the_criterion_reads_no_action(self, morphism, kind):
         with counted(*CARRIER_PARTS) as calls:
             assert monotonicity_check(kind, morphism, n_samples=10)["passed"]
-        assert calls == FACTOR
+        assert calls == (FAMILY_GRAM if kind is ONE else FACTOR)
         with counted(*CARRIER_PARTS) as calls:
             monotonicity_check(kind, twin(morphism), n_samples=10)
         assert calls == DENSE
@@ -271,10 +274,10 @@ class TestDesignPins:
 class TestRouteChoice:
     """Where the cost rules send the benchmark's carriers: three Gaussian
     operators between equal shapes, and small-batch's [2, 3] -> [2, 1]
-    morphism.  Measured on one BLAS thread (BENCH_26.json, BENCH_27.json,
-    BENCH_28.json), the dense routes are the faster ones on the small
-    multi-block shape; from [8] on both factor routes win, the Gram's once
-    the dense route pays for placing the contraction as well as its Gram."""
+    morphism.  Measured on one BLAS thread (BENCH_26.json to BENCH_29.json),
+    the dense routes are the faster ones on the small multi-block shape;
+    from [8] on both factor routes win, the Gram's against the carrier's
+    images and their Gram."""
 
     @pytest.mark.parametrize(
         "blocks_b, blocks_a, criterion, gram",
@@ -346,6 +349,89 @@ class TestTwins:
             m = mk_morphism((phi.target_shape, rho), (phi.source_shape, predual(phi, rho)), phi)
             failed += not same_report(power_mean(p), m, seed=seed)["passed"]
         assert failed
+
+
+def gns_morphism(carrier, blocks_a, blocks_b, seed, rank_deficient):
+    """A verified morphism with a Kraus carrier, the same action wrapped by
+    ``from_linear``, or a Markov carrier between abelian algebras of
+    sum(blocks) points each."""
+    if carrier != "markov":
+        m = random_kraus_morphism(blocks_a, blocks_b, seed, 2, rank_deficient=rank_deficient)
+        return m if carrier == "kraus" else twin(m)
+    rng = np.random.default_rng(seed)
+    na, nb = sum(blocks_a), sum(blocks_b)
+    phi = markov_from_stochastic(rng.dirichlet(np.ones(nb), size=na).T)
+    rho = mk_state(phi.target_shape, random_blocks([1] * na, rng, rank_deficient))
+    return mk_morphism((phi.target_shape, rho), (phi.source_shape, predual(phi, rho)), phi)
+
+
+def gns_verdicts(m):
+    """(the GNS kind's exact_max_eig, the contraction's operator norm), or
+    the two GnsQuotientError messages."""
+    out = []
+    for verdict in (
+        lambda: monotonicity_check(ONE, m, n_samples=5)["exact_max_eig"],
+        lambda: induced_contraction(m, build_gns(*m.target), build_gns(*m.source)).operator_norm,
+    ):
+        try:
+            out.append(verdict())
+        except GnsQuotientError as exc:
+            out.append(str(exc))
+    return out
+
+
+class TestOneGnsGram:
+    """The GNS kind's criterion and the contraction's operator norm read one
+    Gram (``gns._contraction_gram``): the same number from both, the same
+    quotient error, and no coordinate layout placed for the norm."""
+
+    @SETTINGS
+    @given(st.sampled_from(["kraus", "linear", "markov"]), blocks, blocks, seeds, st.booleans(), st.booleans())
+    def test_the_criterion_is_the_squared_norm(self, carrier, blocks_a, blocks_b, seed, rank_deficient, leak):
+        m = gns_morphism(carrier, blocks_a, blocks_b, seed, rank_deficient)
+        if leak:
+            # a rank-deficient sigma that need not be rho o phi
+            shape_b = m.target[0]
+            wrong = mk_state(shape_b, random_blocks(list(shape_b.blocks), np.random.default_rng(seed + 1), True))
+            m = NcpMorphism(m.source, (shape_b, wrong), m.cpu)
+        exact, norm = gns_verdicts(m)
+        if isinstance(norm, str):
+            assert exact == norm and "maps outside the rho-null space" in norm
+        else:
+            assert abs(exact - norm**2) <= 1e-12 * norm**2
+
+    def test_a_leak_is_named_alike(self):
+        # a conjugation of [3] that does not keep the rank-2 state, read off
+        # its family and off its action
+        shape = mk_shape([3])
+        u = np.linalg.qr(np.arange(9.0).reshape(3, 3) + 1j * np.eye(3))[0]
+        rho = mk_state(shape, [np.diag([0.5, 0.5, 0.0])])
+        phi = conjugation_map(shape, [u])
+        for carrier in (phi, from_linear(shape, shape, phi.linear_action)):
+            exact, norm = gns_verdicts(NcpMorphism((shape, rho), (shape, rho), carrier))
+            assert exact == norm and "maps outside the rho-null space" in norm
+
+    def test_a_gns_check_forms_the_family_gram_once(self):
+        shape = mk_shape([16])
+        phi = random_cpu_map(shape, shape, seed=4, n_kraus=3)
+        rho = random_state(shape, faithful=True, seed=4)
+        m = mk_morphism((shape, rho), (shape, predual(phi, rho)), phi)
+        with counted("_kraus_gram", "_gram") as calls:
+            assert monotonicity_check(ONE, m, n_samples=10)["passed"]
+        assert calls == {"_kraus_gram": 1, "_gram": 0}
+
+    def test_the_operator_norm_places_no_layout(self):
+        # a from_linear [6] carrier on fresh spaces: the dense Gram reads the
+        # images in the density eigenbases, which need no coordinate layout
+        shape = mk_shape([6])
+        phi = random_cpu_map(shape, shape, seed=4, n_kraus=3)
+        rho = random_state(shape, faithful=True, seed=4)
+        m = twin(mk_morphism((shape, rho), (shape, predual(phi, rho)), phi))
+        spaces = build_gns(shape, m.target[1]), build_gns(shape, rho)
+        with counted("_gram") as calls:
+            assert abs(induced_contraction(m, *spaces).operator_norm - 1.0) <= 1e-12
+        assert calls == {"_gram": 1}
+        assert not any("_layout" in vars(space) for space in spaces)
 
 
 @pytest.mark.slow
