@@ -27,24 +27,22 @@ whitened unit at (b, p) to rho's whitened image of U_sigma e_bp U_sigma^dag
 / sqrt(W_bp), and since f(1) = 1 the whitened class of the unit, sqrt(d_q)
 at each (q, q), is an eigenvector of H with eigenvalue 1, which one
 Cholesky factorization certifies as the top when the verdict passes.  For
-the GNS kind Z is unitary, and H is the contraction's Gram
-(:func:`~ncplab.gns._contraction_gram`), the one its operator norm reads.
-A Petz kind's M is formed once: the carrier gives its images in the
-density eigenbases (:func:`~ncplab.gns._images`), and one tail scales them
-by sqrt(W^rho) and 1/sqrt(W^sigma) and folds them into the Hermitian basis
-e_aa, (e_aq + e_qa)/sqrt(2), i (e_aq - e_qa)/sqrt(2) of each grid.  Where
-the kernel is symmetric, W_aq = W_qa, as for every kind of the catalog
-(f(t) = t f(1/t), Petz 1996) and every kind on a block-tracial state,
-whitening maps Hermitian elements to Hermitian grids, and a carrier
-commutes with x -> x^dag, so the folded M is real: one real Gram and one
-real factorization certify it.  A remainder gate decides that on the
-folded matrix itself, and where rounding leaves too large an imaginary
-part the same matrix is certified on the complex route.  Only the samples,
-and a failed verdict's witness, pass through the whitening.  The Riesz
-solve reads the symmetrized kernel W^s = (W + W^T)/2, the only part of W
-the real part of the pairing sees on Hermitian elements, on every
-eigenvalue of a block, dropped ones included (the ratio is 1 where d_b <=
-0).
+the GNS kind Z is unitary, and but for block-scalar states H is the
+contraction's Gram (:func:`~ncplab.gns._contraction_gram`), off the carrier's
+images in the density eigenbases (:func:`~ncplab.gns._images`) or its Kraus
+family.  Every other criterion scales those images by sqrt(W^rho) and
+1/sqrt(W^sigma), and folds them into the Hermitian basis e_aa,
+(e_aq+e_qa)/sqrt(2), i (e_aq-e_qa)/sqrt(2) of each grid.  Where the kernel is
+symmetric, W_aq = W_qa, as for every kind of the catalog (f(t) = t f(1/t),
+Petz 1996) and every kind on a block-scalar state, the GNS kind included, and
+the carrier commutes with x -> x^dag, the folded M is real: one real Gram and
+one real factorization certify it.  A remainder gate decides that on the
+folded matrix itself, and where rounding leaves too large an imaginary part
+the same matrix is certified on the complex route.  Only the samples, and a
+failed verdict's witness, pass through the whitening.  The Riesz solve reads
+the symmetrized kernel W^s = (W + W^T)/2, the only part of W the real part of
+the pairing sees on Hermitian elements, on every eigenvalue of a block,
+dropped ones included (the ratio is 1 where d_b <= 0).
 
 All products are normalized: f(1) = 1, so the unit pairs with itself to one.
 An overall factor c > 0 would multiply every Gram and every pulled-back
@@ -64,9 +62,10 @@ from .algebra import InputError, _check_count, _check_tol, _frozen, _phase_fix
 from .channels import NcpMorphism
 from .gns import (
     GnsSpace,
-    _contraction_gram,
+    _contraction_images,
     _gram,
     _images,
+    _kraus_gram,
     _spans,
     _stacked,
     _top_gram_eig,
@@ -327,26 +326,22 @@ def _hermitian_rows(space: GnsSpace, x: np.ndarray, inverse: bool = False) -> np
     return x
 
 
-def _kept_kernels(kind: OperatorMonotoneFunction, space: GnsSpace) -> list:
-    """W_aq = d_q f(d_a / d_q) (m, n, r) of each rank group, on its kept q."""
-    return [g.d[:, None, : g.rank] * f[:, :, : g.rank] for g, f in zip(space._groups, _ratios(kind, space))]
-
-
-def _criterion(phi, space_sigma: GnsSpace, space_rho: GnsSpace, kernels) -> np.ndarray:
-    """The criterion of a Petz kind folded into the Hermitian bases of the
-    grids, P_rho^dag M P_sigma with M = Z_rho C Z_sigma^-1 in rank-group
-    order: the carrier's images (:func:`~ncplab.gns._images`) scaled by
-    sqrt(W^rho_aq) / sqrt(W^sigma_bp), ``kernels`` the kept kernels W
-    (:func:`_kept_kernels`) of sigma's rank groups and then rho's, and each
+def _criterion(kind: OperatorMonotoneFunction, phi, space_sigma: GnsSpace, space_rho: GnsSpace) -> np.ndarray:
+    """The criterion folded into the Hermitian bases of the grids,
+    P_rho^dag M P_sigma with M = Z_rho C Z_sigma^-1 in rank-group order: the
+    carrier's images (:func:`~ncplab.gns._images`) scaled by sqrt(W^rho_aq)
+    / sqrt(W^sigma_bp), W_aq = d_q f(d_a / d_q) (:func:`_ratios`), and each
     grid folded (:func:`_fold`).  Still complex: real when both kernels are
     symmetric and the carrier commutes with x -> x^dag.  Both states are
-    faithful, so every grid is square."""
+    faithful (a Petz kind's, or block-scalar ones), so every grid is
+    square."""
     m = _images(phi, space_sigma, space_rho)
     gs, hs = space_sigma._groups, space_rho._groups
     # 1 / sqrt(W) of sigma's groups and sqrt(W) of rho's, times the folds'
     # weights, each in rank-group order
-    sigma_scale = _stacked([(1.0 / np.sqrt(w) * _fold_scale(g.n)).ravel() for g, w in zip(gs, kernels[: len(gs)])])
-    rho_scale = _stacked([(np.sqrt(w) * _fold_scale(h.n)).ravel() for h, w in zip(hs, kernels[len(gs) :])])
+    kernels = [[g.d[:, None] * f for g, f in zip(s._groups, _ratios(kind, s))] for s in (space_sigma, space_rho)]
+    sigma_scale = _stacked([(_fold_scale(g.n) / np.sqrt(w)).ravel() for g, w in zip(gs, kernels[0])])
+    rho_scale = _stacked([(_fold_scale(h.n) * np.sqrt(w)).ravel() for h, w in zip(hs, kernels[1])])
     m *= rho_scale[:, None]
     for h, (r0, r1) in zip(hs, _spans(h.pos.size for h in hs)):
         _fold(m[r0:r1].reshape(h.index.size, h.n, h.n, -1), -1j)
@@ -363,9 +358,10 @@ def _criterion(phi, space_sigma: GnsSpace, space_rho: GnsSpace, kernels) -> np.n
 _EPS = float(np.finfo(float).eps)
 
 
-def _real_criterion(y: np.ndarray, space_sigma: GnsSpace, space_rho: GnsSpace, unit: np.ndarray):
+def _real_criterion(y: np.ndarray, space_sigma: GnsSpace, space_rho: GnsSpace, unit: np.ndarray) -> np.ndarray:
     """The gate of the real route: the real part R of the folded criterion
-    y = P_rho^dag M P_sigma (:func:`_criterion`), or None.
+    y = P_rho^dag M P_sigma (:func:`_criterion`), or y itself where it
+    declines.
 
     Where both kernels are symmetric, M maps whitened Hermitian classes to
     whitened Hermitian classes when the carrier commutes with x -> x^dag, as
@@ -388,7 +384,7 @@ def _real_criterion(y: np.ndarray, space_sigma: GnsSpace, space_rho: GnsSpace, u
     r = float(ru @ ru / (unit @ unit))
     delta = 8 * space_sigma.dim * _EPS
     slack = math.sqrt(r) * (delta / 2.0) / (math.sqrt(1.0 + delta) + math.sqrt(1.0 + delta / 2.0))
-    return real if rem + rounding <= slack else None
+    return real if rem + rounding <= slack else y
 
 
 def monotonicity_check(
@@ -402,22 +398,23 @@ def monotonicity_check(
 
     With Z the kind's whitening (:func:`_whiten`) and C the contraction, the
     pushed pairing is |Z_rho C xi|^2 and the domain's |Z_sigma xi|^2, so the
-    exact criterion (it decides: samples can miss thin violating cones) is
-    the top eigenvalue of the Gram H = M^dag M, M = Z_rho C Z_sigma^-1, with
-    no covariance Gram built.  For the GNS kind Z is unitary and H is the
-    contraction's Gram (:func:`~ncplab.gns._contraction_gram`, which its
-    operator norm reads too), formed after :func:`~ncplab.gns.induced_contraction`
-    has checked sigma's null basis.  A Petz kind needs faithful states; its
-    M is formed once (:func:`_criterion`), folded into the Hermitian bases
-    of the two grids, and the gate (:func:`_real_criterion`) reads it as a
+    exact criterion (it decides: samples can miss thin violating cones) is the
+    top eigenvalue of the Gram H = M^dag M, M = Z_rho C Z_sigma^-1, with no
+    covariance Gram built.  For the GNS kind Z is unitary, and unless both
+    states are faithful and block-scalar H is the contraction's Gram
+    (:func:`~ncplab.gns._contraction_gram`, which its operator norm reads too),
+    formed after :func:`~ncplab.gns.induced_contraction` has checked sigma's
+    null basis.  Every other criterion (a Petz kind's, or the GNS kind's on
+    those states) is formed once (:func:`_criterion`), folded into the Hermitian
+    bases of the two grids, and the gate (:func:`_real_criterion`) reads it as a
     real matrix R where the imaginary remainder is rounding (every catalog
-    kind): H = R^T R is real, and one real Cholesky factorization certifies
-    it.  Otherwise H is formed from real products (:func:`~ncplab.gns._gram`)
-    and factorized as a complex matrix.  The samples are one quadratic form
-    of H, taken through the unitary fold (:func:`_hermitian_rows`) for a
-    Petz kind, and so is a failed verdict's ``witness``: the top eigenvector
-    in sigma's orthonormal GNS coordinates (unit norm, phase fixed as
-    theirs) and its ratio.
+    kind): H = R^T R is real, and one real Cholesky factorization certifies it.
+    Otherwise H is formed from real products (:func:`~ncplab.gns._gram`) and
+    factorized as a complex matrix.  The samples are taken through M (the
+    unitary fold, :func:`_hermitian_rows`, where M is folded) before H is
+    formed, or as a quadratic form of the Kraus family's H; a failed verdict's
+    ``witness`` is the top eigenvector in sigma's orthonormal GNS coordinates
+    (unit norm, phase fixed as theirs) and its ratio.
 
     ``tol`` must be finite and >= 0, and ``n_samples`` and ``seed``
     integers >= 0 (else :class:`InputError`)."""
@@ -440,17 +437,20 @@ def monotonicity_check(
     # (f(1) = 1), so M^dag M fixes this vector; it lies on the grids'
     # diagonals, which the Hermitian basis keeps
     unit = _whitened_unit(space_sigma)
-    real = False
-    if kind.is_gns:
-        induced_contraction(morphism, space_sigma, space_rho)  # sigma's null basis checked
-        h = _contraction_gram(morphism.cpu, space_sigma, space_rho)
+    # the GNS kernel W_aq = d_q is symmetric to the real route's delta where
+    # every density block is full rank and scalar (every abelian state):
+    # there it is folded, as a Petz kind's is, and takes the faster real route
+    delta, groups = 8 * space_sigma.dim * _EPS, space_sigma._groups + space_rho._groups
+    folded = not kind.is_gns or all(g.rank == g.n and np.all(g.d[:, -1] >= g.d[:, 0] * (1 - delta)) for g in groups)
+    h = None
+    if folded:
+        m = _real_criterion(_criterion(kind, morphism.cpu, space_sigma, space_rho), space_sigma, space_rho, unit)
     else:
-        kernels = _kept_kernels(kind, space_sigma) + _kept_kernels(kind, space_rho)
-        y = _criterion(morphism.cpu, space_sigma, space_rho, kernels)
-        r = _real_criterion(y, space_sigma, space_rho, unit)
-        real = r is not None
-        h = r.T @ r if real else _gram(y)
-        del y, r
+        induced_contraction(morphism, space_sigma, space_rho)  # sigma's null basis checked
+        m = _contraction_images(morphism.cpu, space_sigma, space_rho)
+        if m is None:  # the Kraus family's Gram, with no matrix beside it
+            h = _kraus_gram(morphism.cpu, space_sigma, space_rho)
+    real = m is not None and m.dtype == float
 
     # the same numbers, in the same order, as drawing the real and then the
     # imaginary part of one sample at a time
@@ -460,13 +460,16 @@ def monotonicity_check(
     eta = _whiten(kind, space_sigma, xi)
     rhs, norms = (np.sum(np.abs(v) ** 2, axis=0) for v in (eta, xi))
     del xi
-    if not kind.is_gns:
-        # |M eta|^2 = eta^dag P_sigma H P_sigma^dag eta for H of the folded M
+    if folded:
+        # |M eta| = |y P_sigma^dag eta| for the folded y = P_rho^dag M P_sigma
         eta = _hermitian_rows(space_sigma, eta)
     if real:
         eta = np.concatenate([eta.real, eta.imag], axis=1)  # the parts stacked: one real product
-    lhs = np.einsum("ij,ij->j", eta.conj(), h @ eta).real
+    # through the criterion's matrix where there is one, which then gives the Gram
+    lhs = np.sum(np.abs(m @ eta) ** 2, axis=0) if h is None else np.einsum("ij,ij->j", eta.conj(), h @ eta).real
     del eta
+    if h is None:
+        h, m = (m.T @ m if real else _gram(m)), None
     if real:
         lhs = lhs[:n_samples] + lhs[n_samples:]
     exact, top = _top_gram_eig(h, unit, vector=True, margin=4 * space_sigma.dim * _EPS if real else None)
@@ -480,7 +483,7 @@ def monotonicity_check(
         "passed": exact <= 1.0 + tol,
     }
     if not report["passed"]:
-        if not kind.is_gns:
+        if folded:
             top = _hermitian_rows(space_sigma, top.astype(complex)[:, None], inverse=True)[:, 0]
         vec = _whiten(kind, space_sigma, top[:, None], inverse=True)
         vec = _phase_fix(vec[None] / np.linalg.norm(vec))[0, :, 0]

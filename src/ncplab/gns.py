@@ -42,32 +42,23 @@ row of a block).  That check runs when the contraction is built, as the GNS
 kind's criterion does first, on sigma's null basis alone: one blockwise
 product of L's columns in the blocks with dropped eigenvectors by those
 eigenvectors, then rho's transform E; a faithful sigma has no null basis,
-so nothing is formed.  The contraction
-itself is placed on the first read of :attr:`GnsContraction.matrix`, by two
-blockwise transforms of L, O(n^5) per M_n block: sigma's R, then rho's E.
-Its operator norm never places it, nor a coordinate layout.  With U each
-density eigenbasis, the carrier's images U_rho^dag phi(U_sigma e_bp
-U_sigma^dag) U_rho, scaled by sqrt(d_q) / sqrt(d_p), are the contraction in
-the GNS kind's whitened coordinates, a unitary change of both bases
-(:func:`_images`: one right and one left product per rank group off L, or,
-for a carrier built from Kraus operators (:class:`~ncplab.channels._KrausMap`),
-one product of inner size kappa per entry block off the family in the
-density eigenbases, :func:`_kraus_blocks`).  Their Gram M^dag M
-(:func:`_contraction_gram`) is the one the operator norm and the GNS kind's
-monotonicity criterion both read; it is formed from real products
-(:func:`_gram`) at half the flops of a complex one, exactly Hermitian, or,
-for a Kraus carrier, as a sum of kappa^2 Kronecker products per block of
-rho (:func:`_kraus_gram`).  A Petz kind's criterion
-(:func:`ncplab.covariance.monotonicity_check`) scales and folds the same
-images.  A unital state-preserving map sends [1] to [1], and so does its
-adjoint, so the unit's class is a top singular vector of a contraction of
-norm 1: the norm is certified by one Cholesky factorization
-(:func:`_top_gram_eig`), with no eigensolve.  Each family route is taken
-where a cost rule measured against the dense route says it is faster
-(:func:`_kraus_gram_pays`, :func:`_kraus_criterion_pays`): its fixed cost
-per step of its loop over rank groups outweighs its saving on small or
-finely split carriers, and a long family's kappa^2 products outweigh it on
-any.
+so nothing is formed.  The contraction itself is placed on the first read
+of :attr:`GnsContraction.matrix`, by two blockwise transforms of L, O(n^5)
+per M_n block: sigma's R, then rho's E.  Its operator norm places neither
+it nor a coordinate layout: with U each density eigenbasis, the carrier's
+images U_rho^dag phi(U_sigma e_bp U_sigma^dag) U_rho (:func:`_images`, off
+L or, for a carrier built from Kraus operators, off the family in the
+density eigenbases, :func:`_kraus_blocks`), scaled by sqrt(d_q) / sqrt(d_p),
+are the contraction in the GNS kind's whitened coordinates, up to unitaries
+that its Gram (:func:`_contraction_gram`) does not see.  That Gram, which
+the GNS kind's monotonicity criterion reads on states that are not
+block-scalar, is formed from real products (:func:`_gram`), or for a Kraus
+carrier as a sum of kappa^2 Kronecker products per block of rho
+(:func:`_kraus_gram`); every other criterion scales and folds the images.
+The unit's class is a top singular vector of a contraction of norm 1, so
+one Cholesky factorization certifies the norm (:func:`_top_gram_eig`).
+Each family route is taken where a cost rule measured against the dense
+route says it is faster (:func:`_kraus_gram_pays`, :func:`_kraus_criterion_pays`).
 """
 
 from __future__ import annotations
@@ -428,43 +419,54 @@ def _enveloping_rows(shape: AlgebraShape, g: _RankGroup) -> np.ndarray:
     return shape._starts[g.index][:, None] + np.arange(g.n)
 
 
-def _images(phi: CpuMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> np.ndarray:
+def _images(phi: CpuMap, space_sigma: GnsSpace, space_rho: GnsSpace, contraction: bool = False) -> np.ndarray:
     """The carrier in the density eigenbases: the images U_rho^dag
     phi(U_sigma e_bp U_sigma^dag) U_rho, U each phase-fixed eigenbasis, at
     rho's (i, a, q) in rows and sigma's (j, b, p) in columns, q and p kept,
     each in rank-group order (:func:`_whitened_unit`).  Off the action, a
     right and a left product by U per rank group of each space; off the
     Kraus family (:func:`_kraus_images`) where that is faster
-    (:func:`_kraus_criterion_pays`)."""
+    (:func:`_kraus_criterion_pays`).  With ``contraction``, the images
+    times sqrt(d_q) / sqrt(d_p), the GNS kind's whitening folded into the
+    right products (:func:`_rep`, :func:`_iso`), and off the action with no
+    left product for rho's groups, whose row a is then the block's own: a
+    unitary of each block's rows, which a Gram does not see.  A Petz kind's
+    criterion scales the plain images once by its kernels instead, which
+    keeps its real-route gate's remainder at one rounding of each weight."""
     if isinstance(phi, _KrausMap) and _kraus_criterion_pays(phi, space_sigma, space_rho):
-        return _kraus_images(phi, space_sigma, space_rho)
+        return _kraus_images(phi, space_sigma, space_rho, contraction)
     lt = _action_t(phi)
     cols = []
     for g in space_sigma._groups:
         m, n, r = g.index.size, g.n, g.rank
-        t = g.u[:, :, :r].swapaxes(1, 2).conj()[:, None] @ lt[g.pos]  # phi(e_i u_c^dag) at [j, i, c]
+        right = _rep(g) if contraction else g.u[:, :, :r].conj()
+        t = right.swapaxes(1, 2)[:, None] @ lt[g.pos]  # phi(e_i u_c^dag) at [j, i, c]
         cols.append((g.u.swapaxes(1, 2) @ t.reshape(m, n, r * lt.shape[1])).reshape(-1, lt.shape[1]))
     del lt, t
-    x, rows = _stacked(cols).T, []
+    x, out = _stacked(cols).T, []
     del cols
+    s = x.shape[1]
     for h in space_rho._groups:
         m, n, r = h.index.size, h.n, h.rank
         t = x[h.pos]
         if h is space_rho._groups[-1]:
             del x  # the last gather holds all that is still read
-        t = h.u[:, :, :r].swapaxes(1, 2)[:, None] @ t  # [j, i, q] of (X U)
-        rows.append((h.u.conj().swapaxes(1, 2) @ t.reshape(m, n, r * t.shape[3])).reshape(-1, t.shape[3]))
+        t = (_iso(h) if contraction else h.u[:, :, :r]).swapaxes(1, 2)[:, None] @ t  # [j, i, q] of (X U)
+        if not contraction:
+            t = h.u.conj().swapaxes(1, 2) @ t.reshape(m, n, r * s)
+        out.append(t.reshape(-1, s))
     del t
-    return _stacked(rows)
+    return _stacked(out)
 
 
-def _image_work(space_sigma: GnsSpace, space_rho: GnsSpace) -> int:
-    """Complex multiply-adds of :func:`_images` off the action: 2 n^2 r per
-    column and block of a rank group, over rho's element coordinates for
-    sigma's groups and over sigma's GNS coordinates for rho's."""
+def _image_work(space_sigma: GnsSpace, space_rho: GnsSpace, contraction: bool = False) -> int:
+    """Complex multiply-adds of :func:`_images` off the action: n^2 r per
+    column, block of a rank group and product, two products over rho's
+    element coordinates for sigma's groups and two over sigma's GNS
+    coordinates for rho's, or one with ``contraction``."""
     sigma = sum(g.index.size * g.n**2 * g.rank for g in space_sigma._groups)
     rho = sum(h.index.size * h.n**2 * h.rank for h in space_rho._groups)
-    return 2 * (space_rho.shape.element_dim * sigma + space_sigma.dim * rho)
+    return 2 * space_rho.shape.element_dim * sigma + (1 if contraction else 2) * space_sigma.dim * rho
 
 
 #: Entries of M per pair of rank groups (one of sigma's, one of rho's) at or
@@ -491,20 +493,23 @@ def _kraus_criterion_pays(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsS
     )
 
 
-def _kraus_images(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> np.ndarray:
+def _kraus_images(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace, contraction: bool) -> np.ndarray:
     """:func:`_images` from the Kraus family of ``phi``: with A_k = U_sigma^dag
     K_k U_rho per pair of blocks (:func:`_kraus_blocks`), U_rho^dag
     phi(U_sigma e_bp U_sigma^dag) U_rho = sum_k A_k^dag e_bp A_k, so the image
-    of sigma's (b, p) at rho's (a, q) is sum_k conj(A_k[b, a]) A_k[p, q], one
-    product of inner size kappa per entry block and pair of rank groups
-    (:func:`_kraus_grid`)."""
+    of sigma's (b, p) at rho's (a, q) is sum_k conj(A_k[b, a]) A_k[p, q],
+    times sqrt(d_q) / sqrt(d_p) with ``contraction``, one product of inner
+    size kappa per entry block and pair of rank groups (:func:`_kraus_grid`)."""
     gs, hs = space_sigma._groups, space_rho._groups
     cols = _spans(g.index.size * g.n * g.rank for g in gs)
     rows = _spans(h.index.size * h.n * h.rank for h in hs)
     out = np.empty((space_rho.dim, space_sigma.dim), dtype=complex)
     for g, pairs, (c0, c1) in zip(gs, _kraus_blocks(phi, space_sigma, space_rho), cols):
         for h, a, (r0, r1) in zip(hs, pairs, rows):
-            _kraus_grid(out[r0:r1, c0:c1], a, a[:, :, : g.rank, :, : h.rank])
+            right = a[:, :, : g.rank, :, : h.rank]
+            if contraction:
+                right = right * (np.sqrt(h.d[:, : h.rank]) / np.sqrt(g.d[:, : g.rank, None, None]))  # [j, p, i, q]
+            _kraus_grid(out[r0:r1, c0:c1], a, right)
     return out
 
 
@@ -525,62 +530,54 @@ def _kraus_grid(out, left, right) -> None:
     )
 
 
-def _root_weights(space: GnsSpace) -> np.ndarray:
-    """sqrt(d_q) at each (block j, row a, kept q) of rank-group order: the
-    GNS kind's whitening weights."""
-    return _stacked([np.repeat(np.sqrt(g.d[:, None, : g.rank]), g.n, axis=1).ravel() for g in space._groups])
+def _contraction_images(phi: CpuMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> np.ndarray | None:
+    """The contraction C induced by ``phi`` in the GNS kind's whitened
+    coordinates (:func:`_whitened_unit`), up to a unitary of each of rho's
+    row blocks, so that its Gram has C's spectrum: the carrier's images
+    (:func:`_images` of the contraction).  None where the Kraus family's
+    Gram (:func:`_kraus_gram`) is faster (:func:`_kraus_gram_pays`)."""
+    if isinstance(phi, _KrausMap) and _kraus_gram_pays(phi, space_sigma, space_rho):
+        return None
+    return _images(phi, space_sigma, space_rho, contraction=True)
 
 
 def _contraction_gram(phi: CpuMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> np.ndarray:
-    """M^dag M of the contraction C induced by ``phi`` in the GNS kind's
-    whitened coordinates, exactly Hermitian: M = Z_rho C Z_sigma^-1, Z the
-    unitary that takes GNS coordinates to rank-group order in the density
-    eigenbases (:func:`_whitened_unit`), so M^dag M has C's spectrum.  Read
-    off the Kraus family (:func:`_kraus_gram`) where that is faster
-    (:func:`_kraus_gram_pays`), else the :func:`_gram` of the carrier's
-    images (:func:`_images`), row (i, a, q) scaled by sqrt(d_q) and column
-    (j, b, p) by 1 / sqrt(d_p).  Neither route places a coordinate layout."""
-    if isinstance(phi, _KrausMap) and _kraus_gram_pays(phi, space_sigma, space_rho):
-        return _kraus_gram(phi, space_sigma, space_rho)
-    m = _images(phi, space_sigma, space_rho)
-    m *= _root_weights(space_rho)[:, None]
-    m *= 1.0 / _root_weights(space_sigma)
-    return _gram(m)
+    """The Gram of :func:`_contraction_images`, exactly Hermitian: its
+    :func:`_gram`, or :func:`_kraus_gram` where that is faster."""
+    m = _contraction_images(phi, space_sigma, space_rho)
+    return _kraus_gram(phi, space_sigma, space_rho) if m is None else _gram(m)
 
 
 #: The fixed cost of one step of :func:`_kraus_gram`'s loop over rank
-#: groups (a few numpy calls, and its share of two realigning copies of the
-#: Gram), less the dense route's own fixed cost, in units of :func:`_gram`'s
-#: time per Gram entry and coordinate of rho (:func:`_kraus_gram_pays`).
-#: Measured on one BLAS thread against the carrier's images and their
-#: :func:`_gram` (BENCH_29.json ``route_rules``, minimum of 60 calls, six
-#: processes, spaces built once): with one 4 x 4 block and three operators
-#: (11,000 units saved) the factor Gram takes 1.11-1.30 times the dense
-#: route's time, at n = 5 (43,000) 1.02-1.79 times, at n = 6 with three
-#: (124,000) 0.71-0.94 times (1.00-1.03 on fresh spaces) and with two
-#: (150,000) 0.82-0.89 times, at n = 8 (639,000) 0.45-0.64 times; on [12, 4]
-#: (855,000 per step over eight steps) 0.58-0.80 times, on [6, 2] (11,500)
-#: 2.1-3.7 times.
-_GRAM_STEP_COST = 120_000
+#: groups, less the dense route's, in units of :func:`_gram`'s time per Gram
+#: entry and coordinate of rho (:func:`_kraus_gram_pays`).  Measured on one
+#: BLAS thread (BENCH_29.json ``route_rules``, minimum of 60 calls, six
+#: processes): the dense route wins at n = 6 with two operators (119,000
+#: units saved, the family 1.06-1.61 times its time on warm spaces), n = 5
+#: (31,000; 1.29-1.34) and [6, 2] (7,000; 1.8-3.1), ties at n = 6 with three
+#: (93,000; 0.71-1.18), and the family wins from n = 7 with three (233,000;
+#: 0.92-0.96, 0.66-1.09 on fresh spaces) on every larger carrier of a few
+#: operators.
+_GRAM_STEP_COST = 160_000
 
 
 def _kraus_gram_pays(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> bool:
     """Whether :func:`_kraus_gram` is faster than the dense route of
-    :func:`_contraction_gram`, the carrier's images and their :func:`_gram`.
-    In units of :func:`_gram`'s time per Gram entry and coordinate of rho,
-    :func:`_gram` takes dim_sigma^2 dim_rho, the factor products dim_sigma^2
-    4 K_rho kappa^2, K_rho the blocks of rho's algebra, and the images 4
-    :func:`_image_work`: complex multiply-adds, in the products and the
-    images alike, run at about a quarter of :func:`_gram`'s rate (measured:
-    0.45-0.55 ns against 0.08-0.19 ns).  What the factor route saves must
-    exceed :data:`_GRAM_STEP_COST` per step of its loop, one per pair of
-    sigma's groups and group of rho.  A few operators on blocks from n = 6
-    on pay, a family as long as a trace mixture's (kappa >= N_B N_A) never
-    does."""
+    :func:`_contraction_gram`, :func:`_contraction_images` and their
+    :func:`_gram`.  In units of :func:`_gram`'s time per Gram entry and
+    coordinate of rho, :func:`_gram` takes dim_sigma^2 dim_rho, the factor
+    products dim_sigma^2 4 K_rho kappa^2, K_rho the blocks of rho's algebra,
+    and the contraction's images 4 :func:`_image_work`: complex
+    multiply-adds, in the products and the images alike, run at about a
+    quarter of :func:`_gram`'s rate (measured: 0.45-0.55 ns against
+    0.08-0.19 ns).  What the factor route saves must exceed
+    :data:`_GRAM_STEP_COST` per step of its loop, one per pair of sigma's
+    groups and group of rho.  A few operators on blocks from n = 7 on pay,
+    a family as long as a trace mixture's (kappa >= N_B N_A) never does."""
     groups = len(space_sigma._groups)
     steps = groups * groups * len(space_rho._groups)
     products = space_sigma.dim**2 * 4 * space_rho.shape.num_blocks * len(phi.kraus) ** 2
-    saved = space_sigma.dim**2 * space_rho.dim + 4 * _image_work(space_sigma, space_rho) - products
+    saved = space_sigma.dim**2 * space_rho.dim + 4 * _image_work(space_sigma, space_rho, contraction=True) - products
     return saved > _GRAM_STEP_COST * steps
 
 

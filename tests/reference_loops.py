@@ -391,7 +391,7 @@ def monotonicity_unfolded(kind, morphism, n_samples, seed, tol=1e-9):
     space_sigma, space_rho = build_gns(shape_b, sigma), build_gns(shape_a, rho)
     m = gns._images(morphism.cpu, space_sigma, space_rho)
     scale_sigma, scale_rho = (
-        np.concatenate([np.sqrt(w).ravel() for w in covariance._kept_kernels(kind, space)])
+        np.concatenate([np.sqrt(g.d[:, None] * f).ravel() for g, f in zip(space._groups, covariance._ratios(kind, space))])
         for space in (space_sigma, space_rho)
     )
     m *= scale_rho[:, None]

@@ -6,7 +6,8 @@ both kernels W_aq = d_q f(d_a / d_q) are symmetric, a carrier that commutes
 with x -> x^dag makes it real there, and ``monotonicity_check`` certifies it
 with one real Gram and one real Cholesky factorization; elsewhere the
 remainder test declines it, and the folded matrix takes the complex route.
-The GNS kind reads the contraction's Gram instead.  These tests hold every
+The GNS kind does too on block-scalar states, and reads the contraction's
+Gram on all others.  These tests hold every
 route to the dense generalized eigenproblem on every kind, count the
 factorizations of each route, and show that a declined verdict gets the
 report of the complex route on the unfolded criterion
@@ -27,19 +28,20 @@ from ncplab.channels import (
     NcpMorphism,
     from_kraus,
     from_linear,
+    markov_from_stochastic,
     mk_morphism,
     predual,
     random_cpu_map,
     transpose_map,
 )
 from ncplab.covariance import KMB, ONE, RLD, SLD, WY, OperatorMonotoneFunction, monotonicity_check
-from ncplab.states import random_state, random_tracial_state
+from ncplab.states import mk_state, random_state, random_tracial_state
 from test_certificates import partial_trace, pinching, power_mean, skewed_depolarizing
 
 AFFINE = OperatorMonotoneFunction("affine", lambda t: (1.0 + 2.0 * t) / 3.0)
 
-#: name -> (kind, symmetric kernel on every state); the GNS kind takes the
-#: contraction's route on every state
+#: name -> (kind, symmetric kernel on every state); on states that are not
+#: block-scalar the GNS kind takes the contraction's route
 KINDS = {
     "gns": (ONE, False),
     "sld": (SLD, True),
@@ -98,29 +100,30 @@ def morphism(family, shapes, seed):
 @contextmanager
 def route():
     """Record the route of each verdict ``monotonicity_check`` takes:
-    "contraction" for the GNS kind's Gram, else "real" where the real-route
-    gate takes the folded criterion and "complex" where it declines it."""
-    taken, gram, real_criterion = [], covariance._contraction_gram, covariance._real_criterion
+    "contraction" for the GNS kind's contraction, else "real" where the
+    real-route gate takes the folded criterion and "complex" where it
+    declines it."""
+    taken, images, real_criterion = [], covariance._contraction_images, covariance._real_criterion
 
     def contraction(*args):
         taken.append("contraction")
-        return gram(*args)
+        return images(*args)
 
     def gated(*args):
         out = real_criterion(*args)
-        taken.append("complex" if out is None else "real")
+        taken.append("real" if out.dtype == float else "complex")
         return out
 
-    with mock.patch.object(covariance, "_contraction_gram", contraction):
+    with mock.patch.object(covariance, "_contraction_images", contraction):
         with mock.patch.object(covariance, "_real_criterion", gated):
             yield taken
 
 
 def expected_route(kind, symmetric):
-    """The route a verdict must take: "contraction" for the GNS kind, None
-    (either, the remainder test decides) for a symmetric kernel, else
-    "complex"."""
-    return "contraction" if kind is ONE else None if symmetric else "complex"
+    """The route a verdict must take: None (either, the remainder test
+    decides) for a symmetric kernel, else "contraction" for the GNS kind and
+    "complex" for a Petz kind."""
+    return None if symmetric else "contraction" if kind is ONE else "complex"
 
 
 def matches_dense(kind, m, want, seed=0):
@@ -190,12 +193,21 @@ class TestAgainstTheDenseCriterion:
         passed = [matches_dense(kind, morphism("partial_trace", None, seed)[0], "real") for seed in range(8)]
         assert not all(passed)
 
-    def test_the_gns_kind_on_tracial_states_gets_a_witness_of_the_contraction_route(self):
+    def test_the_gns_kind_on_tracial_states_gets_a_witness_of_the_real_route(self):
         shape = mk_shape([3])
         rho = random_tracial_state(shape, seed=1)
         phi = stretch(shape)
         m = NcpMorphism((shape, rho), (shape, predual(phi, rho)), phi)
-        assert not matches_dense(ONE, m, "contraction")
+        assert not matches_dense(ONE, m, "real")
+
+    def test_the_gns_kind_on_abelian_states_takes_the_real_route(self):
+        # a Markov map on 40 cells: every density block is 1 x 1, so scalar
+        rng = np.random.default_rng(3)
+        stochastic = rng.dirichlet(np.ones(40), size=40).T
+        shape = mk_shape([1] * 40)
+        rho = mk_state(shape, [np.array([[p]]) for p in rng.dirichlet(np.ones(40))])
+        phi = markov_from_stochastic(stochastic)
+        assert matches_dense(ONE, mk_morphism((shape, rho), (shape, predual(phi, rho)), phi), "real")
 
 
 @pytest.mark.slow
@@ -286,11 +298,11 @@ class TestOneFormation:
     def verdict(kind, m, images):
         """The report and the route taken, after asserting how often the
         carrier's images were formed, and that the gate was consulted once
-        for a Petz kind and never for the GNS kind."""
+        for a folded criterion and never for the contraction."""
         with route() as taken, formations() as (formed, gate):
             rep = monotonicity_check(kind, m, n_samples=50, seed=3)
         assert formed.call_count == images
-        assert gate.call_count == int(kind is not ONE)
+        assert gate.call_count == int(taken != ["contraction"])
         return rep, taken
 
     def test_a_real_route_verdict(self):
