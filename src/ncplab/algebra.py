@@ -20,6 +20,7 @@ value.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -78,11 +79,13 @@ class InputError(ValueError):
     kinds, model parameters, payloads, flags): exit code 2 on the command line."""
 
 
-def _check_tol(tol: float) -> None:
-    """Refuse a tolerance that is not finite and >= 0: an infinite one would
-    pass every verdict, and a NaN one fail every verdict."""
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise InputError(f"tol must be finite and >= 0, got {tol}")
+def _check_tol(tol: float, below: float = math.inf, says: str = "tol must be finite and >= 0") -> None:
+    """Refuse, with the message ``says``, a tolerance that is not a real
+    number (booleans included) or not finite, >= 0 and below ``below``: an
+    infinite one would pass every verdict, and a NaN one fail every verdict."""
+    real = type(tol) not in _BOOL_TYPES and isinstance(tol, numbers.Real)
+    if not (real and math.isfinite(tol) and 0.0 <= tol < below):
+        raise InputError(f"{says}, got {tol!r}")
 
 
 def _check_count(name: str, value) -> int:

@@ -650,7 +650,9 @@ def mk_morphism(
             slab[:, j] = next(images).vec
         dev[q0 : q0 + width] = np.abs(rho_t @ slab[:, :width] - sigma_t[q0 : q0 + width])
     dev = np.maximum.reduceat(dev, shape_b.block_offsets()[:-1])
-    scale = np.array([w[-1] for w in sigma.block_eigenvalues()])
+    scale = np.empty(shape_b.num_blocks)
+    for g in sigma.groups:
+        scale[g.index] = g.d[:, 0]
     k = int(np.argmax(~(dev <= tol * scale)))
     if not dev[k] <= tol * scale[k]:
         raise MorphismValidationError(
@@ -846,7 +848,8 @@ def random_cpu_map(
 
     ``mix_trace`` blends in the full trace map, which bounds the predual
     output away from the boundary (useful to keep pushed states faithful).
-    ``seed`` must be an integer >= 0, ``n_kraus`` one >= 1 and ``mix_trace`` a
+    ``seed`` must be an integer >= 0, ``n_kraus`` one >= N_A / N_B (sum
+    K^dag K, of rank at most n_kraus N_B, is inverted) and ``mix_trace`` a
     real number in [0, 1], else :class:`ChannelValidationError` names the
     argument.
     """
@@ -858,12 +861,14 @@ def random_cpu_map(
         raise ChannelValidationError(str(exc)) from None
     if n_kraus == 0:
         raise ChannelValidationError("n_kraus must be an integer >= 1, got 0")
+    NB, NA = src.total_dim, dst.total_dim
+    if n_kraus is not None and n_kraus * NB < NA:
+        raise ChannelValidationError(f"n_kraus must be at least ceil(N_A / N_B) = {-(-NA // NB)}, got {n_kraus}")
     if not (
         type(mix_trace) not in _BOOL_TYPES and isinstance(mix_trace, numbers.Real) and 0.0 <= mix_trace <= 1.0
     ):
         raise ChannelValidationError(f"mix_trace must be a real number in [0, 1], got {mix_trace!r}")
     rng = np.random.default_rng(seed)
-    NB, NA = src.total_dim, dst.total_dim
     if n_kraus is None:
         # sum K^dag K must reach full rank NA, each term has rank <= NB
         n_kraus = max(2, -(-NA // NB) + 1)

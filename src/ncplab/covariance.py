@@ -196,7 +196,7 @@ def _kernel(kind: OperatorMonotoneFunction, group) -> np.ndarray:
     if group.rank == group.n:  # every d_b is kept, so above 0
         return kind(d[:, :, None] / d[:, None, :])
     ratio = np.divide(
-        d[:, :, None], d[:, None, :], out=np.ones(group.u.shape), where=d[:, None, :] > 0.0
+        d[:, :, None], d[:, None, :], out=np.ones(group.v.shape), where=d[:, None, :] > 0.0
     )
     return kind(ratio)
 

@@ -8,19 +8,21 @@ For a state rho with density blocks D_k, the pre-inner product
 exact block form ``G = (+)_k I_{n_k} (x) conj(D_k)``.  Its null space is the
 Gelfand ideal, so the quotient is obtained from the eigendecomposition of each
 D_k by dropping the eigenvalues at or below ``tol`` times their block's
-largest (:func:`~ncplab.states._in_support`).  That decomposition is
-the one cached on the state (:class:`~ncplab.states.Spectrum`), so building a
-space decomposes nothing: the cutoff and the phase fix act on the per-size
-stacks, which are then split by kept rank into rectangular groups that
+largest (:func:`~ncplab.states._in_support`).  That decomposition is the
+state's own: its rank groups (:class:`~ncplab.states.RankGroup`), split by
+kept rank and phase-fixed once per state, are rectangular groups that
 :func:`embed` and the covariance kernels process one batched product at a
-time.  Coordinates are rescaled to be orthonormal, ordered by descending Gram
+time.  A space at the default cutoff holds them themselves, so building it
+decomposes, reverses and phase-fixes nothing; at another cutoff each group
+is split again by the rank kept there (:func:`~ncplab.states._split`).
+Coordinates are rescaled to be orthonormal, ordered by descending Gram
 eigenvalue (ties broken by block and position), and eigenvector phases are
 fixed so the first nonzero component is real positive.  The coordinate order
 does not depend on how blocks are grouped, and the result is reproducible run
 to run.
 
-A space is built in two parts.  The rank groups, ``dim`` and the map from
-blocks to groups are built with it, because every verdict reads them.  The
+A space is built in two parts.  The map from blocks to rank groups and
+``dim`` are built with it, because every verdict reads them.  The
 coordinate layout is placed by :class:`GnsSpace` alone, once, on first read:
 the place of each entry (block, row, eigenvector) of each group, the GNS
 coordinate of a kept one and a place after the ``dim`` coordinates for a
@@ -63,16 +65,15 @@ route says it is faster (:func:`_kraus_gram_pays`, :func:`_kraus_criterion_pays`
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraShape, InputError, ShapeError, _check_tol, _pd_with_shift, _phase_fix
+from .algebra import AlgebraElement, AlgebraShape, InputError, ShapeError, _check_tol, _pd_with_shift
 from .channels import CpuMap, NcpMorphism, _KrausMap, compose, identity_morphism
 from .channels import apply  # noqa: F401  (perfbench's binding test reads ncplab.gns.apply)
-from .states import NormalState, SUPPORT_RTOL, _in_support
+from .states import SUPPORT_RTOL, NormalState, RankGroup, _split
 
 WELL_DEFINED_TOL = 1e-8
 
@@ -82,24 +83,6 @@ class GnsQuotientError(InputError):
     names the worst one (block, row, dropped eigenvector) and its norm.  A
     CPU carrier with rho o phi = sigma cannot do this (Kadison-Schwarz), so
     the carrier does not preserve the states."""
-
-
-@dataclass(frozen=True)
-class _RankGroup:
-    """Blocks of one size n whose densities keep the same rank r.
-
-    ``index`` holds the block numbers and ``pos`` the coordinates of their
-    entries (m, n, n); ``d`` (m, n) the eigenvalues, descending, and ``u``
-    (m, n, n) the matching phase-fixed eigenvectors, the first ``rank`` of
-    each kept.
-    """
-
-    n: int
-    rank: int
-    index: np.ndarray
-    pos: np.ndarray
-    d: np.ndarray
-    u: np.ndarray
 
 
 class _Layout(NamedTuple):
@@ -118,8 +101,9 @@ class _Layout(NamedTuple):
 class GnsSpace:
     """Orthonormalized quotient of an algebra by the Gelfand ideal of a state.
 
-    Building one keeps what every verdict reads: the rank groups and the map
-    from blocks to them.  The coordinate layout (:class:`_Layout`) is placed
+    Building one keeps what every verdict reads: the state's rank groups
+    (split again at a cutoff other than the default) and the map from
+    blocks to them.  The coordinate layout (:class:`_Layout`) is placed
     by the space itself, once, on first read, so a metric pullback, which
     reads only the groups and their covariance kernels, never places it.
 
@@ -134,29 +118,17 @@ class GnsSpace:
         if shape != state.shape:
             raise ShapeError(f"shape {shape} does not match state shape {state.shape}")
         # a relative cutoff >= 1 drops every eigenvalue, the unit's class (norm 1) included
-        if not 0.0 <= tol < 1.0:
-            raise InputError(f"support tolerance must be in [0, 1), got {tol}")
+        _check_tol(tol, below=1.0, says="support tolerance must be in [0, 1)")
         self.shape = shape
         self.state = state
-        self._groups: list[_RankGroup] = []
+        # the state's own groups at its cutoff, else each split by the rank kept at tol
+        self._groups = state.groups if tol == SUPPORT_RTOL else tuple(h for g in state.groups for h in _split(g, tol))
         # block k is self._groups[g].index[j] for g, j = _group_of[k], _slot_of[k]
         group_of = np.empty(shape.num_blocks, dtype=int)
         slot_of = np.empty(shape.num_blocks, dtype=int)
-        self.dim = 0
-        for s in state.spectrum.stacks:
-            w = s.eigvals[:, ::-1]
-            v = _phase_fix(s.eigvecs[:, :, ::-1])
-            ranks = np.sum(_in_support(w, tol), axis=1)  # w descends, so kept ones lead
-            present = np.flatnonzero(np.bincount(ranks)).tolist()  # the ranks present, ascending
-            for r in present:
-                if len(present) == 1:  # one rank: the whole stack, with no gather
-                    index, pos, d, u = s.index, s.pos, w, v
-                else:
-                    sel = np.flatnonzero(ranks == r)
-                    index, pos, d, u = s.index[sel], s.pos[sel], w[sel], v[sel]
-                group_of[index], slot_of[index] = len(self._groups), np.arange(index.size)
-                self._groups.append(_RankGroup(s.n, r, index, pos, d, u))
-                self.dim += index.size * s.n * r
+        for t, g in enumerate(self._groups):
+            group_of[g.index], slot_of[g.index] = t, np.arange(g.index.size)
+        self.dim = sum(g.index.size * g.n * g.rank for g in self._groups)
         # Python ints: block_form reads one pair per block
         self._group_of, self._slot_of = group_of.tolist(), slot_of.tolist()
         #: per-kind covariance kernels of each group, filled by covariance.block_form
@@ -209,11 +181,11 @@ def build_gns(shape: AlgebraShape, state: NormalState, tol: float = SUPPORT_RTOL
     return GnsSpace(shape, state, tol)
 
 
-def _iso(g: _RankGroup) -> np.ndarray:
+def _iso(g: RankGroup) -> np.ndarray:
     return g.u[:, :, : g.rank] * np.sqrt(g.d[:, None, : g.rank])
 
 
-def _rep(g: _RankGroup) -> np.ndarray:
+def _rep(g: RankGroup) -> np.ndarray:
     return g.u[:, :, : g.rank].conj() / np.sqrt(g.d[:, None, : g.rank])
 
 
@@ -414,7 +386,7 @@ def _kraus_blocks(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) ->
     return out
 
 
-def _enveloping_rows(shape: AlgebraShape, g: _RankGroup) -> np.ndarray:
+def _enveloping_rows(shape: AlgebraShape, g: RankGroup) -> np.ndarray:
     """(m, n): the rows of the enveloping M_N that each block of g spans."""
     return shape._starts[g.index][:, None] + np.arange(g.n)
 
@@ -633,7 +605,7 @@ def _kraus_gram(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> n
     return gram
 
 
-def _gram_factors(a: np.ndarray, g: _RankGroup, h: _RankGroup):
+def _gram_factors(a: np.ndarray, g: RankGroup, h: RankGroup):
     """The factors of :func:`_kraus_gram` for one pair of groups: a as
     (m_h, kappa m_g n_g, n_h) for X, and a on kept p, q times
     sqrt(d_q / (2 d_p)), as (m_h, kappa m_g r_g, r_h), for Y."""
@@ -645,7 +617,7 @@ def _gram_factors(a: np.ndarray, g: _RankGroup, h: _RankGroup):
     return x, y.transpose(3, 0, 1, 2, 4).reshape(mh, kappa * m * g.rank, h.rank)
 
 
-def _gram_product(g: _RankGroup, fg: list, g2: _RankGroup, fg2: list, kappa: int, out: np.ndarray) -> np.ndarray:
+def _gram_product(g: RankGroup, fg: list, g2: RankGroup, fg2: list, kappa: int, out: np.ndarray) -> np.ndarray:
     """R[j, j', b, b', p, p'] = sum_{i, k, l} X[b, b'] Y[p, p'] of
     :func:`_kraus_gram` for sigma's groups g and g2, written into ``out``
     (flat, of R's size) and returned as a view of it."""

@@ -11,21 +11,22 @@ across threads.
 
 Spectral decomposition
 ----------------------
-Validation decomposes each state once and caches the result on it as a
-:class:`Spectrum`.  The densities of each block size n are gathered from the
-vector in block order into one (K_n, n, n) array by the shape's per-size
-positions, symmetrized, and diagonalized by a single ``np.linalg.eigh``
-call; each stack keeps its block numbers and positions as the map back to
-the vector.  Validation, :func:`support`,
-:meth:`NormalState.block_eigenvalues` and the GNS construction all read this
-cache, so a state on thousands of 1x1 blocks costs one eigensolver call.
-Validation also applies the support rule (:func:`_in_support`) once and
-stores the verdict of :func:`is_faithful`.
+Validation decomposes each state once and keeps the result on it as its
+rank groups (:class:`RankGroup`).  The densities of each block size n are
+gathered from the vector in block order into one (K_n, n, n) array by the
+shape's per-size positions, symmetrized, and diagonalized by a single
+``np.linalg.eigh`` call; the eigenpairs are turned to descending order and
+split by the rank the support rule (:func:`_in_support`) keeps in each
+block (:func:`_split`).  A group keeps its block numbers and positions as
+the map back to the vector, and phase-fixes its eigenvectors once, on first
+read.  :func:`is_faithful`, :func:`support`,
+:meth:`NormalState.block_eigenvalues` and every GNS space read the groups,
+so a state on thousands of 1x1 blocks costs one eigensolver call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -39,6 +40,7 @@ from .algebra import (
     _checked_vec,
     _from_vec,
     _frozen,
+    _phase_fix,
     identity,
 )
 
@@ -62,35 +64,48 @@ class StateValidationError(InputError):
         self.block = block
 
 
-@dataclass(frozen=True)
-class SizeStack:
-    """The density blocks of one size n, stacked in block order.
+@dataclass(frozen=True, eq=False)
+class RankGroup:
+    """Blocks of one size n whose densities keep the same rank r.
 
-    ``index`` holds their block numbers (ascending) and ``pos`` the
-    coordinates of their entries (K_n, n, n), both from the shape's
-    ``size_positions``; ``eigvals`` the ascending eigenvalues of the
-    symmetrized densities (K_n, n) and ``eigvecs`` the matching eigenvectors
-    as columns (K_n, n, n).
+    ``index`` holds the block numbers (ascending) and ``pos`` the
+    coordinates of their entries (m, n, n), both from the shape's
+    ``size_positions``; ``d`` (m, n) the eigenvalues of the symmetrized
+    densities, descending, the first ``rank`` of each kept, and ``v``
+    (m, n, n) the matching eigenvectors as columns.  ``u`` is ``v``
+    phase-fixed, so each column's first nonzero component is real positive.
     """
 
     n: int
+    rank: int
     index: np.ndarray
     pos: np.ndarray
-    eigvals: np.ndarray
-    eigvecs: np.ndarray
+    d: np.ndarray
+    v: np.ndarray
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        """``v`` phase-fixed, on first read, once per group."""
+        return _phase_fix(self.v)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of every density block, batched by block size.
-
-    ``stacks`` holds one :class:`SizeStack` per block size, in ascending
-    size; a stack's ``index`` maps its positions back to block numbers.
-    ``faithful`` is True when the support rule keeps every eigenvalue.
-    """
-
-    stacks: tuple[SizeStack, ...]
-    faithful: bool
+def _split(g: RankGroup, tol: float) -> tuple[RankGroup, ...]:
+    """The blocks of ``g`` grouped by the rank that :func:`_in_support`
+    keeps at ``tol``, ranks ascending: ``(g,)`` itself when every block
+    keeps ``g.rank``, and no gather when every block keeps one rank."""
+    # d descends, so kept ones lead; methods, not numpy's wrappers, which
+    # cost more than the work on a few blocks
+    ranks = _in_support(g.d, tol).sum(axis=1)
+    if (ranks == g.rank).all():
+        return (g,)
+    present = np.bincount(ranks).nonzero()[0].tolist()  # the ranks present, ascending
+    if len(present) == 1:
+        return (replace(g, rank=present[0]),)
+    out = []
+    for r in present:
+        sel = (ranks == r).nonzero()[0]
+        out.append(RankGroup(g.n, r, *(a.take(sel, axis=0) for a in (g.index, g.pos, g.d, g.v))))
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,12 +113,15 @@ class NormalState:
     """Densities D_k, each Hermitian PSD with sum_k Tr(D_k) = 1, held as their
     read-only coordinate vector ``vec``; equal when shapes and vectors are.
 
-    Build with :func:`mk_state`, which also fills ``spectrum``.
+    Build with :func:`mk_state`, which also fills ``groups``, the spectrum
+    (:class:`RankGroup` by ascending size, then rank), and ``faithful``, True
+    when every group has full rank.
     """
 
     shape: AlgebraShape
     vec: np.ndarray
-    spectrum: Spectrum = field(repr=False)
+    groups: tuple[RankGroup, ...] = field(repr=False)
+    faithful: bool = field(repr=False)
 
     def __eq__(self, other) -> bool:
         same = isinstance(other, NormalState) and self.shape == other.shape
@@ -119,8 +137,8 @@ class NormalState:
         sizes = np.asarray(self.shape.blocks)
         ends = np.cumsum(sizes)
         out = np.empty(self.shape.total_dim)
-        for s in self.spectrum.stacks:
-            out[(ends - sizes)[s.index][:, None] + np.arange(s.n)] = s.eigvals
+        for g in self.groups:
+            out[(ends - sizes)[g.index][:, None] + np.arange(g.n)] = g.d[:, ::-1]
         return np.split(out, ends[:-1])
 
 
@@ -144,7 +162,7 @@ def _state_from_vec(shape: AlgebraShape, vec) -> NormalState:
         k = int(np.searchsorted(shape.block_offsets(), finite.argmin(), side="right")) - 1
         raise StateValidationError(f"density block {k} is not finite", block=k)
 
-    stacks, failures, total = [], [], 0.0
+    groups, failures, total = [], [], 0.0
     for n, index, pos in shape.size_positions:
         d = vec[pos]
         d_h = d.conj().swapaxes(-1, -2)
@@ -156,7 +174,7 @@ def _state_from_vec(shape: AlgebraShape, vec) -> NormalState:
             j = int(fail.argmax())
             failures.append((int(index[j]), float(herm_dev[j]), float(w[j, 0])))
         total += float(d.trace(axis1=1, axis2=2).real.sum())
-        stacks.append(SizeStack(n, index, pos, w, v))
+        groups += _split(RankGroup(n, n, index, pos, w[:, ::-1], v[:, :, ::-1]), SUPPORT_RTOL)
     if failures:
         k, herm_dev, min_eig = min(failures)
         if not herm_dev <= HERMITIAN_TOL:
@@ -170,8 +188,7 @@ def _state_from_vec(shape: AlgebraShape, vec) -> NormalState:
         )
     if not abs(total - 1.0) <= TRACE_TOL:
         raise StateValidationError(f"total trace is {total!r}, expected 1")
-    faithful = all(_in_support(s.eigvals).all() for s in stacks)
-    return NormalState(shape, vec, Spectrum(tuple(stacks), faithful))
+    return NormalState(shape, vec, tuple(groups), all(g.rank == g.n for g in groups))
 
 
 def evaluate(rho: NormalState, a: AlgebraElement) -> complex:
@@ -192,15 +209,15 @@ def _in_support(eigvals: np.ndarray, tol: float = SUPPORT_RTOL) -> np.ndarray:
 def support(rho: NormalState) -> AlgebraElement:
     """Spectral projection onto the eigenvalues kept by :func:`_in_support`."""
     out = np.zeros(rho.shape.element_dim, dtype=complex)
-    for s in rho.spectrum.stacks:
-        keep = s.eigvecs * _in_support(s.eigvals)[:, None, :]
-        out[s.pos] = keep @ keep.conj().swapaxes(-1, -2)
+    for g in rho.groups:
+        keep = g.v[:, :, : g.rank]
+        out[g.pos] = keep @ keep.conj().swapaxes(-1, -2)
     return _from_vec(rho.shape, out)
 
 
 def is_faithful(rho: NormalState) -> bool:
     """True iff the support rule keeps every eigenvalue (decided at validation)."""
-    return rho.spectrum.faithful
+    return rho.faithful
 
 
 def random_state(shape: AlgebraShape, faithful: bool = False, seed: int = 0) -> NormalState:
@@ -221,7 +238,7 @@ def random_state(shape: AlgebraShape, faithful: bool = False, seed: int = 0) -> 
     state = mk_state(shape, [m / total for m in mats])
     N = shape.total_dim
     floor = min(1e-3, 0.5 / N)
-    min_eig = min(float(s.eigvals[:, 0].min()) for s in state.spectrum.stacks)
+    min_eig = min(float(g.d[:, -1].min()) for g in state.groups)
     if not faithful or min_eig >= floor:
         return state
     # mixing weight t gives min eigenvalue >= (1-t)*min_eig + t/N

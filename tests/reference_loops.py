@@ -23,8 +23,8 @@ affine map with its boundary bookkeeping and as a dense CDF difference, the
 trace-map Kraus operators
 appended one matrix unit at a time, and the stochastic matrices of a
 congruent embedding and its left inverse filled one cell at a time.  And
-the GNS coordinate layout built eagerly, in one pass with the rank groups,
-as the space did before it placed the layout on first read.
+the GNS coordinate layout built eagerly, block by block, from a fresh
+decomposition of the densities.
 
 The last section holds small oracles that the package no longer offers: the
 pre-inner product rho(a^dag b), the trace, a blockwise positivity test, the
@@ -233,40 +233,38 @@ class RefGnsSpace:
 
 
 def eager_gns_layout(shape, state, tol=SUPPORT_RTOL):
-    """The GNS coordinate layout as the space once built it, in the same pass
-    as its rank groups: (groups, cyclic, gram_eigenvalues), each group
-    (n, rank, block numbers, places ``at`` (m, n, n)).  One lexsort orders
-    the kept entries (descending eigenvalue, then block, row, eigenvalue
-    rank), its inverse places them, and the dropped entries follow the
-    ``dim`` coordinates, numbered group by group."""
+    """The GNS coordinate layout built eagerly from the densities:
+    (blocks, cyclic, gram_eigenvalues), ``blocks[k]`` = (n, rank, kept
+    places (n, rank)) of block k.  The densities of each size are stacked in
+    block order and decomposed by one ``eigh`` call, as validation does, so
+    the eigenpairs match the state's bit for bit without reading them off
+    it.  One lexsort orders the kept entries (descending eigenvalue, then
+    block, row, eigenvalue rank) and its inverse places them."""
     parts, keys = [], []
-    for s in state.spectrum.stacks:
-        w = s.eigvals[:, ::-1]
-        v = algebra._phase_fix(s.eigvecs[:, :, ::-1])
-        ranks = np.sum(states._in_support(w, tol), axis=1)
-        for r in np.unique(ranks).tolist():
-            sel = np.flatnonzero(ranks == r)
-            index, d = s.index[sel], w[sel]
-            parts.append((s.n, r, index, d, v[sel]))
-            j, i, c = np.indices((sel.size, s.n, r)).reshape(3, -1)
-            keys.append((c, i, index[j], d[j, c]))
+    for n in sorted(set(shape.blocks)):
+        index = np.array([k for k, b in enumerate(shape.blocks) if b == n])
+        d = np.stack([state.densities[k] for k in index])
+        w, v = np.linalg.eigh((d + d.conj().swapaxes(-1, -2)) / 2.0)
+        w, v = w[:, ::-1], algebra._phase_fix(v[:, :, ::-1])
+        ranks = np.sum(w > tol * w[:, :1], axis=1)
+        for k, r, wk, vk in zip(index.tolist(), ranks.tolist(), w, v):
+            parts.append((k, n, r, wk, vk))
+            i, c = np.indices((n, r)).reshape(2, -1)
+            keys.append((c, i, np.full(c.size, k), wk[c]))
     *order_keys, eigs = map(np.concatenate, zip(*keys))
     order = np.lexsort((*order_keys, -eigs))
     dim = int(eigs.size)
     place = np.empty_like(order)
     place[order] = np.arange(dim)
-    groups = []
+    blocks = [None] * shape.num_blocks
     cyclic = np.empty(dim, dtype=complex)
-    kept, dropped = 0, dim
-    for n, r, index, d, u in parts:
-        m = index.size
-        at = np.empty((m, n, n), dtype=place.dtype)
-        at[:, :, :r] = place[kept: kept + m * n * r].reshape(m, n, r)
-        at[:, :, r:] = np.arange(dropped, dropped + m * n * (n - r)).reshape(m, n, n - r)
-        kept, dropped = kept + m * n * r, dropped + m * n * (n - r)
-        groups.append((n, r, index, at))
-        cyclic[at[:, :, :r]] = u[:, :, :r] * np.sqrt(d[:, None, :r])
-    return groups, cyclic, eigs[order]
+    kept = 0
+    for k, n, r, w, v in parts:
+        at = place[kept: kept + n * r].reshape(n, r)
+        kept += n * r
+        blocks[k] = (n, r, at)
+        cyclic[at] = v[:, :r] * np.sqrt(w[None, :r])
+    return blocks, cyclic, eigs[order]
 
 
 def induced_contraction(morphism, space_sigma, space_rho, tol=1e-8):

@@ -633,11 +633,15 @@ class TestNonFiniteRejected:
 
 
 class TestToleranceRejected:
-    """A tolerance that is not finite and >= 0 is refused, as the command
+    """A tolerance that is not a finite real number >= 0 is refused, as the command
     line refuses --tol: an infinite one would pass the transpose as CP and
     skip the preservation check, and a NaN one would fail every map."""
 
-    BAD = pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0], ids=["inf", "nan", "negative"])
+    BAD = pytest.mark.parametrize(
+        "tol",
+        [float("inf"), float("nan"), -1.0, "x", None, True],
+        ids=["inf", "nan", "negative", "str", "none", "bool"],
+    )
     SAYS = "tol must be finite and >= 0"
 
     @BAD
@@ -706,6 +710,20 @@ class TestRandomChannelProperties:
             warnings.simplefilter("error")
             with pytest.raises(ChannelValidationError, match=re.escape(says)):
                 random_cpu_map(shape, shape, **kwargs)
+
+    @pytest.mark.parametrize(
+        "src, dst, n_kraus, least", [([1], [3], 1, 3), ([1], [3], 2, 3), ([2], [4], 1, 2), ([1], [2], 1, 2)]
+    )
+    def test_too_few_operators_refused(self, src, dst, n_kraus, least):
+        # sum K^dag K has rank at most n_kraus N_B < N_A: the normalization
+        # divided by a zero eigenvalue (numpy's sqrt warning, then operators
+        # that are not finite) or built a family that is not unital
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            says = f"n_kraus must be at least ceil(N_A / N_B) = {least}, got {n_kraus}"
+            with pytest.raises(ChannelValidationError, match=re.escape(says)):
+                random_cpu_map(mk_shape(src), mk_shape(dst), n_kraus=n_kraus)
+            assert is_unital(random_cpu_map(mk_shape(src), mk_shape(dst), n_kraus=least))
 
     def test_the_ends_of_the_ranges_are_kept(self):
         shape = mk_shape([2, 1])

@@ -428,15 +428,19 @@ def _public_callables_with(param: str) -> set:
 
 class TestTolContract:
     """Every public callable with a ``tol`` refuses one that is infinite
-    (it would pass every verdict), NaN (it would fail every one) or
-    negative with an InputError, so a new one cannot drift out of the
-    contract unnoticed."""
+    (it would pass every verdict), NaN (it would fail every one), negative,
+    or not a real number (a string, None or a boolean) with an InputError,
+    so a new one cannot drift out of the contract unnoticed."""
 
     def test_every_callable_with_a_tol_is_listed(self):
         assert _public_callables_with("tol") == set(_tol_callers())
 
     @pytest.mark.parametrize("name", sorted(_tol_callers()))
-    @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0], ids=["inf", "nan", "negative"])
+    @pytest.mark.parametrize(
+        "tol",
+        [float("inf"), float("nan"), -1.0, "x", None, True],
+        ids=["inf", "nan", "negative", "str", "none", "bool"],
+    )
     def test_refused(self, name, tol):
         call = _tol_callers()[name]
         call(1e-9)  # the other arguments are valid

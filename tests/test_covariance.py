@@ -332,11 +332,13 @@ class TestTracialCollapse:
 
 
 class TestVerdictInputsRefused:
-    """The library verdicts refuse a tolerance that is not finite and >= 0
-    (an infinite one passes every map, a NaN one fails every map) and sample
+    """The library verdicts refuse a tolerance that is not a finite real
+    number >= 0 (an infinite one passes every map, a NaN one fails every
+    map; a string, None or a boolean is no tolerance) and sample
     counts and seeds that are not integers >= 0, each with an InputError."""
 
-    BAD_TOLS = [float("inf"), float("nan"), -1.0]
+    BAD_TOLS = [float("inf"), float("nan"), -1.0, "x", None, True]
+    BAD_IDS = ["inf", "nan", "negative", "str", "none", "bool"]
 
     @pytest.fixture
     def violation(self):
@@ -350,17 +352,17 @@ class TestVerdictInputsRefused:
         assert not monotonicity_check(kind, m, n_samples=0)["passed"]
         return kind, m
 
-    @pytest.mark.parametrize("tol", BAD_TOLS, ids=["inf", "nan", "negative"])
+    @pytest.mark.parametrize("tol", BAD_TOLS, ids=BAD_IDS)
     def test_monotonicity_tol(self, violation, tol):
         with pytest.raises(ncplab.InputError, match="tol must be finite and >= 0"):
             monotonicity_check(*violation, n_samples=0, tol=tol)
 
-    @pytest.mark.parametrize("tol", BAD_TOLS, ids=["inf", "nan", "negative"])
+    @pytest.mark.parametrize("tol", BAD_TOLS, ids=BAD_IDS)
     def test_tracial_collapse_tol(self, tol):
         with pytest.raises(ncplab.InputError, match="tol must be finite and >= 0"):
             tracial_collapse_check([S2], n_states=2, tol=tol)
 
-    @pytest.mark.parametrize("tol", BAD_TOLS, ids=["inf", "nan", "negative"])
+    @pytest.mark.parametrize("tol", BAD_TOLS, ids=BAD_IDS)
     def test_congruence_invariance_tol(self, tol):
         from ncplab.channels import congruent_embedding
         from ncplab.models import congruence_invariance_check, simplex_model

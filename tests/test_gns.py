@@ -90,7 +90,7 @@ class TestBuild:
         expected = 0.5 * 1.0 * 2.0 + 0.5 * (-1.0) * (1.0 + 1j)
         assert abs(ref.inner(space, x, y) - expected) < 1e-12
 
-    @pytest.mark.parametrize("tol", [1.0, 2.0, np.nan, np.inf, -1e-9])
+    @pytest.mark.parametrize("tol", [1.0, 2.0, np.nan, np.inf, -1e-9, "x", None, True])
     def test_cutoff_outside_the_unit_interval_is_input_error(self, tol):
         # 1 or more would drop the unit's class; below 0 would keep null directions
         pure = mk_state(S2, [np.diag([1.0, 0.0])])

@@ -1,7 +1,9 @@
 """The GNS coordinate layout (places, the class of the unit, the sorted Gram
 eigenvalues) is placed by the space on first read, at most once, and never
-by a metric pullback; once placed it equals the layout the space used to
-build eagerly, bit for bit."""
+by a metric pullback; once placed it equals a layout built eagerly, block by
+block, from a fresh decomposition of the densities, bit for bit.  A space at
+the default cutoff holds the state's own rank groups, and each group is
+phase-fixed at most once, however many spaces and verdicts read it."""
 
 from functools import cached_property
 
@@ -24,7 +26,8 @@ from ncplab.models import (
     riesz_score,
     simplex_model,
 )
-from ncplab.states import mk_state
+from ncplab import states
+from ncplab.states import SUPPORT_RTOL, _split, mk_state
 
 SETTINGS = settings(max_examples=120, deadline=None, derandomize=True)
 
@@ -58,6 +61,21 @@ def placements(monkeypatch):
     prop.__set_name__(GnsSpace, "_layout")
     monkeypatch.setattr(GnsSpace, "_layout", prop)
     return placed
+
+
+@pytest.fixture
+def phase_fixes(monkeypatch):
+    """The eigenvectors ``v`` of each rank group phase-fixed, once per call;
+    the list keeps them alive, so their ids stay distinct."""
+    fixed = []
+    fix = states._phase_fix
+
+    def counting(v):
+        fixed.append(v)
+        return fix(v)
+
+    monkeypatch.setattr(states, "_phase_fix", counting)
+    return fixed
 
 
 def _at_most_once(placed) -> bool:
@@ -152,14 +170,72 @@ def _abelian_state(masses):
 @SETTINGS
 @given(_states(), st.sampled_from([1e-9, 0.0, 0.3]))
 def test_placed_layout_equals_the_eager_one(state, tol):
+    # per block: at a cutoff other than the default a state group may split
+    # into groups that share (n, rank) with another, so groups are not compared
     space = build_gns(state.shape, state, tol)
-    groups, cyclic, eigs = ref.eager_gns_layout(state.shape, state, tol)
+    blocks, cyclic, eigs = ref.eager_gns_layout(state.shape, state, tol)
     layout = space._layout
-    assert len(space._groups) == len(layout.at) == len(groups)
-    for g, at, (n, r, index, at_ref) in zip(space._groups, layout.at, groups):
-        assert (g.n, g.rank) == (n, r) and np.array_equal(g.index, index)
-        assert at.dtype == at_ref.dtype and np.array_equal(at, at_ref)
+    assert len(space._groups) == len(layout.at)
+    seen, dropped = [], []
+    for g, at in zip(space._groups, layout.at):
+        for j, k in enumerate(g.index.tolist()):
+            n, r, at_ref = blocks[k]
+            assert (g.n, g.rank) == (n, r)
+            assert at.dtype == at_ref.dtype and np.array_equal(at[j, :, :r], at_ref)
+            seen.append(k)
+        dropped.append(at[:, :, g.rank :].ravel())
+    assert sorted(seen) == list(range(state.shape.num_blocks))
+    assert np.array_equal(np.sort(np.concatenate(dropped)), np.arange(space.dim, state.shape.element_dim))
     assert space.dim == cyclic.size
     assert space.cyclic.tobytes() == cyclic.tobytes()
     assert space.gram_eigenvalues.tobytes() == eigs.tobytes()
 
+
+def _ids_of(groups) -> list:
+    return sorted(id(g.v) for g in groups)
+
+
+def test_a_default_cutoff_space_holds_the_state_groups():
+    state = _mixed_state([1, 2, 2, 3, 3, 3], seed=5)
+    assert len(state.groups) > 3  # sizes split by rank
+    for _ in range(2):
+        assert build_gns(state.shape, state)._groups is state.groups
+    assert all(_split(g, SUPPORT_RTOL) == (g,) for g in state.groups)
+
+
+def test_another_cutoff_splits_the_state_groups():
+    # 1e-12 is dropped at the default cutoff and kept at 0, so the group of
+    # rank 1 splits into ranks 1 and 2, the latter beside the state's group
+    # of rank 2
+    diagonals = [[1.0, 1e-12, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]
+    state = mk_state(mk_shape([3] * 4), [np.diag(x) / 7.0 for x in diagonals])
+    assert [(g.rank, g.index.tolist()) for g in state.groups] == [(1, [0, 1]), (2, [2]), (3, [3])]
+    space = build_gns(state.shape, state, 0.0)
+    assert [(g.rank, g.index.tolist()) for g in space._groups] == [(1, [1]), (2, [0]), (2, [2]), (3, [3])]
+    assert space.dim == 3 * (1 + 2 + 2 + 3)
+    assert space._groups[2] is state.groups[1]
+
+
+def test_two_default_cutoff_spaces_phase_fix_each_group_once(phase_fixes):
+    state = _mixed_state([1, 2, 2, 3, 3, 3], seed=5)
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        space = build_gns(state.shape, state)
+        assert np.linalg.norm(space.cyclic) == pytest.approx(1.0)
+        embed(space, random_element(state.shape, rng))
+    assert sorted(map(id, phase_fixes)) == _ids_of(state.groups)
+
+
+def test_monotonicity_checks_phase_fix_each_group_once(phase_fixes):
+    m = random_morphism(mk_shape([2, 3]), mk_shape([3, 1]), seed=4, mix_trace=0.1)
+    for kind in kind_catalog():
+        assert monotonicity_check(kind, m, n_samples=8)["passed"]
+    (_, rho), (_, sigma) = m.source, m.target
+    assert sorted(map(id, phase_fixes)) == _ids_of(rho.groups + sigma.groups)
+
+
+@pytest.mark.parametrize("model, theta", MODELS, ids=lambda m: getattr(m, "name", ""))
+def test_a_pullback_phase_fixes_each_group_once(phase_fixes, model, theta):
+    metric_pullback(model, theta)
+    assert _at_most_once(phase_fixes)
+    assert len(phase_fixes) == len(model.state_at(theta).groups)
