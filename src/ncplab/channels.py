@@ -153,7 +153,7 @@ class _KrausMap(CpuMap):
     The two agree by construction, so the matrix verdicts may read the
     family in place of the action: the carrier's images in the density
     eigenbases (:func:`ncplab.gns._images`) and the Gram of the GNS
-    contraction (:func:`ncplab.gns._contraction_gram`).  Only
+    contraction's criterion (:func:`ncplab.gns._contraction_criterion`).  Only
     :func:`from_kraus` builds one; constructing it directly is unsupported,
     since nothing else ties the family to the action.  A plain
     :class:`CpuMap` that carries a family keeps the dense route.

@@ -27,12 +27,13 @@ whitened unit at (b, p) to rho's whitened image of U_sigma e_bp U_sigma^dag
 / sqrt(W_bp), and since f(1) = 1 the whitened class of the unit, sqrt(d_q)
 at each (q, q), is an eigenvector of H with eigenvalue 1, which one
 Cholesky factorization certifies as the top when the verdict passes.  For
-the GNS kind Z is unitary, and but for block-scalar states H is the
-contraction's Gram (:func:`~ncplab.gns._contraction_gram`), off the carrier's
-images in the density eigenbases (:func:`~ncplab.gns._images`) or its Kraus
-family.  Every other criterion scales those images by sqrt(W^rho) and
-1/sqrt(W^sigma), and folds them into the Hermitian basis e_aa,
-(e_aq+e_qa)/sqrt(2), i (e_aq-e_qa)/sqrt(2) of each grid.  Where the kernel is
+the GNS kind Z is unitary, and but for faithful block-scalar states the
+verdict reads the criterion of the contraction it builds, as the
+contraction's operator norm does (:func:`~ncplab.gns._contraction_criterion`):
+the carrier's images in the density eigenbases (:func:`~ncplab.gns._images`),
+or the Gram of its Kraus family.  Every other criterion scales those images
+by sqrt(W^rho) and 1/sqrt(W^sigma), and folds them into the Hermitian basis
+e_aa, (e_aq+e_qa)/sqrt(2), i (e_aq-e_qa)/sqrt(2) of each grid.  Where the kernel is
 symmetric, W_aq = W_qa, as for every kind of the catalog (f(t) = t f(1/t),
 Petz 1996) and every kind on a block-scalar state, the GNS kind included, and
 the carrier commutes with x -> x^dag, the folded M is real: one real Gram and
@@ -62,10 +63,9 @@ from .algebra import InputError, _check_count, _check_tol, _frozen, _phase_fix
 from .channels import NcpMorphism
 from .gns import (
     GnsSpace,
-    _contraction_images,
+    _contraction_criterion,
     _gram,
     _images,
-    _kraus_gram,
     _spans,
     _stacked,
     _top_gram_eig,
@@ -201,15 +201,6 @@ def _kernel(kind: OperatorMonotoneFunction, group) -> np.ndarray:
     return kind(ratio)
 
 
-def _ratios(kind: OperatorMonotoneFunction, space: GnsSpace) -> list:
-    """:func:`_kernel` of every rank group of the space, computed once per
-    kind and kept on the space."""
-    out = space._ratios.get(kind)
-    if out is None:
-        out = space._ratios[kind] = [_kernel(kind, g) for g in space._groups]
-    return out
-
-
 def _group_kernel(kind: OperatorMonotoneFunction, group) -> np.ndarray:
     """W^s = (W + W^T)/2, W_ab = d_b f(d_a / d_b), of every block in one rank group: (m, n, n)."""
     w = group.d[:, None, :] * _kernel(kind, group)
@@ -253,16 +244,17 @@ def covariance_gram(kind: OperatorMonotoneFunction, space: GnsSpace) -> Covarian
     return CovarianceGram(space, gram)
 
 
-def _whiten(kind: OperatorMonotoneFunction, space: GnsSpace, x: np.ndarray, inverse=False):
-    """Z x for the whitening Z of the kind's pairing, <y, y> = |Z y|^2, on
-    coordinate rows x (dim, s): column q of a block's coordinate matrix y
+def _whiten(kernels: list, space: GnsSpace, x: np.ndarray, inverse=False):
+    """Z x for the whitening Z of a kind's pairing, <y, y> = |Z y|^2, on
+    coordinate rows x (dim, s), given the kind's :func:`_kernel` of each
+    rank group of the space: column q of a block's coordinate matrix y
     goes to w_q * (U^dag y_q), w_qa = sqrt(f(d_a / d_q)), and the rows of
     Z x are in rank-group order, (block j, row a, kept q) with q fastest,
     the order of :func:`_criterion`.  With ``inverse``, Z^-1 from that order
     back to coordinates."""
     out = np.empty(x.shape, dtype=complex)
     start = 0
-    for g, at, f in zip(space._groups, space._layout.at, _ratios(kind, space)):
+    for g, at, f in zip(space._groups, space._layout.at, kernels):
         m, n, r = g.index.size, g.n, g.rank
         at = at[:, :, :r].swapaxes(1, 2)  # [j, q, i]
         w = np.sqrt(f[:, :, :r]).swapaxes(1, 2)[..., None]  # (m, r, n, 1)
@@ -326,12 +318,13 @@ def _hermitian_rows(space: GnsSpace, x: np.ndarray, inverse: bool = False) -> np
     return x
 
 
-def _criterion(kind: OperatorMonotoneFunction, phi, space_sigma: GnsSpace, space_rho: GnsSpace) -> np.ndarray:
+def _criterion(kernels: tuple, phi, space_sigma: GnsSpace, space_rho: GnsSpace) -> np.ndarray:
     """The criterion folded into the Hermitian bases of the grids,
     P_rho^dag M P_sigma with M = Z_rho C Z_sigma^-1 in rank-group order: the
     carrier's images (:func:`~ncplab.gns._images`) scaled by sqrt(W^rho_aq)
-    / sqrt(W^sigma_bp), W_aq = d_q f(d_a / d_q) (:func:`_ratios`), and each
-    grid folded (:func:`_fold`).  Still complex: real when both kernels are
+    / sqrt(W^sigma_bp), W_aq = d_q f(d_a / d_q), given the kind's
+    :func:`_kernel` of each rank group of sigma and of rho, and each grid
+    folded (:func:`_fold`).  Still complex: real when both kernels are
     symmetric and the carrier commutes with x -> x^dag.  Both states are
     faithful (a Petz kind's, or block-scalar ones), so every grid is
     square."""
@@ -339,9 +332,8 @@ def _criterion(kind: OperatorMonotoneFunction, phi, space_sigma: GnsSpace, space
     gs, hs = space_sigma._groups, space_rho._groups
     # 1 / sqrt(W) of sigma's groups and sqrt(W) of rho's, times the folds'
     # weights, each in rank-group order
-    kernels = [[g.d[:, None] * f for g, f in zip(s._groups, _ratios(kind, s))] for s in (space_sigma, space_rho)]
-    sigma_scale = _stacked([(_fold_scale(g.n) / np.sqrt(w)).ravel() for g, w in zip(gs, kernels[0])])
-    rho_scale = _stacked([(_fold_scale(h.n) * np.sqrt(w)).ravel() for h, w in zip(hs, kernels[1])])
+    sigma_scale = _stacked([(_fold_scale(g.n) / np.sqrt(g.d[:, None] * f)).ravel() for g, f in zip(gs, kernels[0])])
+    rho_scale = _stacked([(_fold_scale(h.n) * np.sqrt(h.d[:, None] * f)).ravel() for h, f in zip(hs, kernels[1])])
     m *= rho_scale[:, None]
     for h, (r0, r1) in zip(hs, _spans(h.pos.size for h in hs)):
         _fold(m[r0:r1].reshape(h.index.size, h.n, h.n, -1), -1j)
@@ -401,20 +393,22 @@ def monotonicity_check(
     exact criterion (it decides: samples can miss thin violating cones) is the
     top eigenvalue of the Gram H = M^dag M, M = Z_rho C Z_sigma^-1, with no
     covariance Gram built.  For the GNS kind Z is unitary, and unless both
-    states are faithful and block-scalar H is the contraction's Gram
-    (:func:`~ncplab.gns._contraction_gram`, which its operator norm reads too),
-    formed after :func:`~ncplab.gns.induced_contraction` has checked sigma's
-    null basis.  Every other criterion (a Petz kind's, or the GNS kind's on
-    those states) is formed once (:func:`_criterion`), folded into the Hermitian
-    bases of the two grids, and the gate (:func:`_real_criterion`) reads it as a
-    real matrix R where the imaginary remainder is rounding (every catalog
-    kind): H = R^T R is real, and one real Cholesky factorization certifies it.
-    Otherwise H is formed from real products (:func:`~ncplab.gns._gram`) and
-    factorized as a complex matrix.  The samples are taken through M (the
-    unitary fold, :func:`_hermitian_rows`, where M is folded) before H is
-    formed, or as a quadratic form of the Kraus family's H; a failed verdict's
-    ``witness`` is the top eigenvector in sigma's orthonormal GNS coordinates
-    (unit norm, phase fixed as theirs) and its ratio.
+    states are faithful and block-scalar M, or the Kraus family's H, is the
+    criterion (:func:`~ncplab.gns._contraction_criterion`, which its operator
+    norm reads too) of the contraction that
+    :func:`~ncplab.gns.induced_contraction` builds once it has checked
+    sigma's null basis.  Every other criterion (a Petz kind's, or the GNS
+    kind's on those states) is formed once (:func:`_criterion`), folded into
+    the Hermitian bases of the two grids, and the gate
+    (:func:`_real_criterion`) reads it as a real matrix R where the
+    imaginary remainder is rounding (every catalog kind): H = R^T R is real,
+    and one real Cholesky factorization certifies it.  Otherwise H is formed
+    from real products (:func:`~ncplab.gns._gram`) and factorized as a
+    complex matrix.  The samples are taken through M (the unitary fold,
+    :func:`_hermitian_rows`, where M is folded) before H is formed, or as a
+    quadratic form of the Kraus family's H; a failed verdict's ``witness`` is
+    the top eigenvector in sigma's orthonormal GNS coordinates (unit norm,
+    phase fixed as theirs) and its ratio.
 
     ``tol`` must be finite and >= 0, and ``n_samples`` and ``seed``
     integers >= 0 (else :class:`InputError`)."""
@@ -442,14 +436,13 @@ def monotonicity_check(
     # there it is folded, as a Petz kind's is, and takes the faster real route
     delta, groups = 8 * space_sigma.dim * _EPS, space_sigma._groups + space_rho._groups
     folded = not kind.is_gns or all(g.rank == g.n and np.all(g.d[:, -1] >= g.d[:, 0] * (1 - delta)) for g in groups)
-    h = None
+    # sigma's kernels, read by the whitenings and a folded criterion
+    kernels = [_kernel(kind, g) for g in space_sigma._groups]
     if folded:
-        m = _real_criterion(_criterion(kind, morphism.cpu, space_sigma, space_rho), space_sigma, space_rho, unit)
-    else:
-        induced_contraction(morphism, space_sigma, space_rho)  # sigma's null basis checked
-        m = _contraction_images(morphism.cpu, space_sigma, space_rho)
-        if m is None:  # the Kraus family's Gram, with no matrix beside it
-            h = _kraus_gram(morphism.cpu, space_sigma, space_rho)
+        both = kernels, [_kernel(kind, g) for g in space_rho._groups]
+        m, h = _real_criterion(_criterion(both, morphism.cpu, space_sigma, space_rho), space_sigma, space_rho, unit), None
+    else:  # the contraction checks sigma's null basis as it is built
+        m, h = _contraction_criterion(induced_contraction(morphism, space_sigma, space_rho))
     real = m is not None and m.dtype == float
 
     # the same numbers, in the same order, as drawing the real and then the
@@ -457,7 +450,7 @@ def monotonicity_check(
     draws = np.random.default_rng(seed).standard_normal((n_samples, 2, space_sigma.dim))
     xi = (draws[:, 0] + 1j * draws[:, 1]).T  # d x n_samples
     del draws
-    eta = _whiten(kind, space_sigma, xi)
+    eta = _whiten(kernels, space_sigma, xi)
     rhs, norms = (np.sum(np.abs(v) ** 2, axis=0) for v in (eta, xi))
     del xi
     if folded:
@@ -485,7 +478,7 @@ def monotonicity_check(
     if not report["passed"]:
         if folded:
             top = _hermitian_rows(space_sigma, top.astype(complex)[:, None], inverse=True)[:, 0]
-        vec = _whiten(kind, space_sigma, top[:, None], inverse=True)
+        vec = _whiten(kernels, space_sigma, top[:, None], inverse=True)
         vec = _phase_fix(vec[None] / np.linalg.norm(vec))[0, :, 0]
         report["witness"] = {"vector": vec, "ratio": exact}
     return report

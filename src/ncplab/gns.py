@@ -52,10 +52,11 @@ images U_rho^dag phi(U_sigma e_bp U_sigma^dag) U_rho (:func:`_images`, off
 L or, for a carrier built from Kraus operators, off the family in the
 density eigenbases, :func:`_kraus_blocks`), scaled by sqrt(d_q) / sqrt(d_p),
 are the contraction in the GNS kind's whitened coordinates, up to unitaries
-that its Gram (:func:`_contraction_gram`) does not see.  That Gram, which
-the GNS kind's monotonicity criterion reads on states that are not
-block-scalar, is formed from real products (:func:`_gram`), or for a Kraus
-carrier as a sum of kappa^2 Kronecker products per block of rho
+that its Gram does not see.  They are the contraction's criterion
+(:func:`_contraction_criterion`), which the operator norm reads, and so
+does the GNS kind's monotonicity verdict but on faithful block-scalar
+states: their Gram is formed from real products (:func:`_gram`), or for a
+Kraus carrier as a sum of kappa^2 Kronecker products per block of rho
 (:func:`_kraus_gram`); every other criterion scales and folds the images.
 The unit's class is a top singular vector of a contraction of norm 1, so
 one Cholesky factorization certifies the norm (:func:`_top_gram_eig`).
@@ -133,8 +134,6 @@ class GnsSpace:
         self._group_of, self._slot_of = group_of.tolist(), slot_of.tolist()
         #: per-kind covariance kernels of each group, filled by covariance.block_form
         self._forms: dict = {}
-        #: per-kind ratios f(d_a / d_b) of each group, filled by covariance._ratios
-        self._ratios: dict = {}
 
     @cached_property
     def _layout(self) -> _Layout:
@@ -321,8 +320,8 @@ class GnsContraction:
         does its adjoint, so the unit's class is a top singular vector when
         the norm is 1; one Cholesky factorization of the Gram certifies
         that, and any other matrix falls back to the spectrum
-        (:func:`_top_gram_eig`).  The Gram of an induced contraction is the
-        GNS kind's criterion Gram (:func:`_contraction_gram`), read off the
+        (:func:`_top_gram_eig`).  The Gram of an induced contraction is that
+        of its criterion (:func:`_contraction_criterion`), read off the
         carrier in the density eigenbases with the unit's class at
         :func:`_whitened_unit`, so neither ``matrix`` nor a coordinate
         layout is placed; only a given matrix has its :func:`_gram` formed,
@@ -330,8 +329,8 @@ class GnsContraction:
         if self._given:
             h, unit = _gram(self.matrix), self.source_space.cyclic
         else:
-            h = _contraction_gram(self.carrier, self.source_space, self.target_space)
-            unit = _whitened_unit(self.source_space)
+            m, h = _contraction_criterion(self)
+            h, m, unit = (h if m is None else _gram(m)), None, _whitened_unit(self.source_space)
         return float(np.sqrt(_top_gram_eig(h, unit)[0]))
 
 
@@ -502,22 +501,17 @@ def _kraus_grid(out, left, right) -> None:
     )
 
 
-def _contraction_images(phi: CpuMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> np.ndarray | None:
-    """The contraction C induced by ``phi`` in the GNS kind's whitened
-    coordinates (:func:`_whitened_unit`), up to a unitary of each of rho's
-    row blocks, so that its Gram has C's spectrum: the carrier's images
-    (:func:`_images` of the contraction).  None where the Kraus family's
-    Gram (:func:`_kraus_gram`) is faster (:func:`_kraus_gram_pays`)."""
+def _contraction_criterion(c: GnsContraction) -> tuple:
+    """The GNS kind's criterion of the contraction ``c`` of a carrier, in
+    the whitened coordinates of :func:`_whitened_unit`: ``(m, None)``, m the
+    carrier's images (:func:`_images` of the contraction), which are C up to
+    a unitary of each of rho's row blocks, or ``(None, h)``, h their Gram
+    from the Kraus family (:func:`_kraus_gram`) where that is faster
+    (:func:`_kraus_gram_pays`).  Both GNS verdicts read it."""
+    phi, space_sigma, space_rho = c.carrier, c.source_space, c.target_space
     if isinstance(phi, _KrausMap) and _kraus_gram_pays(phi, space_sigma, space_rho):
-        return None
-    return _images(phi, space_sigma, space_rho, contraction=True)
-
-
-def _contraction_gram(phi: CpuMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> np.ndarray:
-    """The Gram of :func:`_contraction_images`, exactly Hermitian: its
-    :func:`_gram`, or :func:`_kraus_gram` where that is faster."""
-    m = _contraction_images(phi, space_sigma, space_rho)
-    return _kraus_gram(phi, space_sigma, space_rho) if m is None else _gram(m)
+        return None, _kraus_gram(phi, space_sigma, space_rho)
+    return _images(phi, space_sigma, space_rho, contraction=True), None
 
 
 #: The fixed cost of one step of :func:`_kraus_gram`'s loop over rank
@@ -535,7 +529,7 @@ _GRAM_STEP_COST = 160_000
 
 def _kraus_gram_pays(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> bool:
     """Whether :func:`_kraus_gram` is faster than the dense route of
-    :func:`_contraction_gram`, :func:`_contraction_images` and their
+    :func:`_contraction_criterion`, the contraction's images and their
     :func:`_gram`.  In units of :func:`_gram`'s time per Gram entry and
     coordinate of rho, :func:`_gram` takes dim_sigma^2 dim_rho, the factor
     products dim_sigma^2 4 K_rho kappa^2, K_rho the blocks of rho's algebra,

@@ -402,7 +402,8 @@ def affine_pushforward_check(xi, xi2, grid) -> dict:
 
 @dataclass
 class GroupActionModel:
-    """A model together with a compatible group of channel automorphisms."""
+    """A model together with a compatible group of channel automorphisms,
+    validated when built, so the deviations push bare density vectors."""
 
     base: StatModel
     act_on_params: Callable
@@ -414,10 +415,8 @@ class GroupActionModel:
         ``interior`` drops that many bins at each edge of the grid before
         comparing, to separate discretization edge effects.
         """
-        rho = self.base.state_at(theta)
-        pushed = predual(self.automorphism_at(g), rho)
-        direct = self.base.state_at(self.act_on_params(g, theta))
-        p, q = pushed.vec.real, direct.vec.real
+        p = _predual_vec(self.automorphism_at(g), self.base.state_at(theta).vec).real
+        q = self.base.state_at(self.act_on_params(g, theta)).vec.real
         if interior:
             p, q = p[interior:-interior], q[interior:-interior]
         return float(np.max(np.abs(p - q)))
@@ -425,13 +424,12 @@ class GroupActionModel:
     def composition_deviation(self, g, g2, theta) -> float:
         """Total-variation gap, on the state at theta, between the channel at
         g o g2 and the chained channels at g and g2."""
-        rho = self.base.state_at(theta)
-        direct = predual(self.automorphism_at(self.act_on_params(g, g2)), rho)
+        rho = self.base.state_at(theta).vec
+        direct = _predual_vec(self.automorphism_at(self.act_on_params(g, g2)), rho)
         # the channel at g after the one at g2, one map alive at a time
-        mid = predual(self.automorphism_at(g2), rho)
-        chained = predual(self.automorphism_at(g), mid)
-        p, q = direct.vec.real, chained.vec.real
-        return float(np.sum(np.abs(p - q)))
+        mid = _predual_vec(self.automorphism_at(g2), rho)
+        chained = _predual_vec(self.automorphism_at(g), mid)
+        return float(np.sum(np.abs(direct.real - chained.real)))
 
 
 def _affine_bin_overlap_map(edges: np.ndarray, mu: float, s: float) -> CpuMap:

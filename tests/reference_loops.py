@@ -388,15 +388,16 @@ def monotonicity_unfolded(kind, morphism, n_samples, seed, tol=1e-9):
     (shape_a, rho), (shape_b, sigma) = morphism.source, morphism.target
     space_sigma, space_rho = build_gns(shape_b, sigma), build_gns(shape_a, rho)
     m = gns._images(morphism.cpu, space_sigma, space_rho)
+    kernels = [[covariance._kernel(kind, g) for g in space._groups] for space in (space_sigma, space_rho)]
     scale_sigma, scale_rho = (
-        np.concatenate([np.sqrt(g.d[:, None] * f).ravel() for g, f in zip(space._groups, covariance._ratios(kind, space))])
-        for space in (space_sigma, space_rho)
+        np.concatenate([np.sqrt(g.d[:, None] * f).ravel() for g, f in zip(space._groups, fs)])
+        for space, fs in zip((space_sigma, space_rho), kernels)
     )
     m *= scale_rho[:, None]
     m *= 1.0 / scale_sigma
     draws = np.random.default_rng(seed).standard_normal((n_samples, 2, space_sigma.dim))
     xi = (draws[:, 0] + 1j * draws[:, 1]).T
-    eta = covariance._whiten(kind, space_sigma, xi)
+    eta = covariance._whiten(kernels[0], space_sigma, xi)
     rhs, norms = (np.sum(np.abs(v) ** 2, axis=0) for v in (eta, xi))
     lhs = np.sum(np.abs(m @ eta) ** 2, axis=0)
     exact, top = gns._top_gram_eig(gns._gram(m), gns._whitened_unit(space_sigma), vector=True)
@@ -410,7 +411,7 @@ def monotonicity_unfolded(kind, morphism, n_samples, seed, tol=1e-9):
         "passed": exact <= 1.0 + tol,
     }
     if not report["passed"]:
-        vec = covariance._whiten(kind, space_sigma, top[:, None], inverse=True)
+        vec = covariance._whiten(kernels[0], space_sigma, top[:, None], inverse=True)
         vec = algebra._phase_fix(vec[None] / np.linalg.norm(vec))[0, :, 0]
         report["witness"] = {"vector": vec, "ratio": exact}
     return report

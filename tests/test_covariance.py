@@ -276,9 +276,9 @@ class TestMonotonicity:
         m = mk_morphism((shape, rho), (shape, predual(phi, rho)), phi)
         whitened, whiten = [], covariance._whiten
 
-        def recorded(kind, space, x, inverse=False):
+        def recorded(kernels, space, x, inverse=False):
             whitened.append(x.shape)
-            return whiten(kind, space, x, inverse)
+            return whiten(kernels, space, x, inverse)
 
         monkeypatch.setattr(covariance, "_whiten", recorded)
         monotonicity_check(SLD, m, n_samples=100)

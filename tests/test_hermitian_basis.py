@@ -100,21 +100,21 @@ def morphism(family, shapes, seed):
 @contextmanager
 def route():
     """Record the route of each verdict ``monotonicity_check`` takes:
-    "contraction" for the GNS kind's contraction, else "real" where the
-    real-route gate takes the folded criterion and "complex" where it
-    declines it."""
-    taken, images, real_criterion = [], covariance._contraction_images, covariance._real_criterion
+    "contraction" where it reads the criterion of the GNS kind's contraction
+    (``gns._contraction_criterion``), else "real" where the real-route gate
+    takes the folded criterion and "complex" where it declines it."""
+    taken, criterion, real_criterion = [], covariance._contraction_criterion, covariance._real_criterion
 
     def contraction(*args):
         taken.append("contraction")
-        return images(*args)
+        return criterion(*args)
 
     def gated(*args):
         out = real_criterion(*args)
         taken.append("real" if out.dtype == float else "complex")
         return out
 
-    with mock.patch.object(covariance, "_contraction_images", contraction):
+    with mock.patch.object(covariance, "_contraction_criterion", contraction):
         with mock.patch.object(covariance, "_real_criterion", gated):
             yield taken
 

@@ -1,10 +1,11 @@
 """Verdicts of carriers built from Kraus operators read the family.
 
 ``from_kraus`` returns a :class:`~ncplab.channels._KrausMap`, and for it the
-carrier's images behind a Petz kind's criterion and the GNS kind's Gram,
-which both the GNS kind's criterion and the contraction's operator norm
-read, are formed from the Kraus factors instead of the dense action, each
-where its cost rule says that is faster (``gns._kraus_criterion_pays``,
+carrier's images behind a Petz kind's criterion and the GNS kind's Gram, the
+contraction's criterion (``gns._contraction_criterion``) that both the GNS
+kind's verdict and the contraction's operator norm read, are formed from the
+Kraus factors instead of the dense action, each where its cost rule says
+that is faster (``gns._kraus_criterion_pays``,
 ``gns._kraus_gram_pays``).  Every other carrier, including a plain
 ``CpuMap`` handed a family, keeps the dense route.  These tests hold the
 factor route, forced on, to its twin, the same action wrapped by
@@ -13,9 +14,10 @@ factor route, forced on, to its twin, the same action wrapped by
 the design: the factor route reads no action, and forms no Gram of the
 contraction nor the contraction itself, the dense route runs no factor
 product, each verdict forms its criterion once, both GNS verdicts read one
-Gram, and the cost rules pick the measured routes on the benchmark's
+criterion, and the cost rules pick the measured routes on the benchmark's
 shapes."""
 
+import math
 from contextlib import contextmanager
 from unittest import mock
 
@@ -42,7 +44,7 @@ from ncplab.channels import (
 )
 from ncplab.covariance import ONE, SLD, kind_catalog, monotonicity_check
 from ncplab.gns import GnsQuotientError, build_gns, induced_contraction
-from ncplab.states import mk_state, random_state
+from ncplab.states import is_faithful, mk_state, random_state
 from test_batched import random_blocks
 from test_certificates import lowered, partial_trace, pinching, power_mean
 
@@ -130,18 +132,23 @@ def same_quotient_verdict(kind, m):
 
 
 def same_norm(m, tol=1e-13):
-    """Both routes give the operator norm within ``tol``, and the Gram from
-    the factors is exactly Hermitian and equals the one from the images."""
+    """Both routes give the operator norm within ``tol``, and the
+    contraction's criterion is the Gram from the factors on the one, exactly
+    Hermitian, and the images on the other, whose Gram equals it."""
     (shape_a, rho), (shape_b, sigma) = m.source, m.target
     spaces = build_gns(shape_b, sigma), build_gns(shape_a, rho)
-    with factor_route(), counted("_kraus_gram") as calls:
+    with factor_route(), counted("_contraction_criterion", "_kraus_gram") as calls:
         got = induced_contraction(m, *spaces).operator_norm
-    assert calls["_kraus_gram"] == 1
+    assert calls == {"_contraction_criterion": 1, "_kraus_gram": 1}
     want = induced_contraction(twin(m), *spaces).operator_norm
     assert abs(got - want) <= tol
     # the Gram from the factors equals the one from the action's images
-    dense = gns._contraction_gram(twin(m).cpu, *spaces)
-    factor = gns._kraus_gram(m.cpu, *spaces)
+    images, none = gns._contraction_criterion(induced_contraction(twin(m), *spaces))
+    assert none is None
+    dense = gns._gram(images)
+    with factor_route():
+        none, factor = gns._contraction_criterion(induced_contraction(m, *spaces))
+    assert none is None
     assert np.array_equal(factor, factor.conj().T)
     assert np.abs(factor - dense).max() <= 1e-13 * max(1.0, np.abs(dense).max())
 
@@ -232,9 +239,9 @@ class TestDesignPins:
     def test_the_operator_norm_forms_no_gram_of_the_contraction(self, morphism):
         (shape_a, rho), (shape_b, sigma) = morphism.source, morphism.target
         c = induced_contraction(morphism, build_gns(shape_b, sigma), build_gns(shape_a, rho))
-        with counted("_gram", "_kraus_gram") as calls:
+        with counted("_contraction_criterion", "_gram", "_kraus_gram") as calls:
             assert abs(c.operator_norm - 1.0) <= 1e-12
-        assert calls == {"_gram": 0, "_kraus_gram": 1}
+        assert calls == {"_contraction_criterion": 1, "_gram": 0, "_kraus_gram": 1}
 
     def test_the_family_operator_norm_places_no_contraction(self):
         # a 3-Kraus [16] carrier: the operator norm reads the family, so no
@@ -244,10 +251,10 @@ class TestDesignPins:
         rho = random_state(shape, faithful=True, seed=4)
         m = mk_morphism((shape, rho), (shape, predual(phi, rho)), phi)
         spaces = build_gns(shape, m.target[1]), build_gns(shape, rho)
-        with counted("_transform", "_gram", "_kraus_gram") as calls:
+        with counted("_transform", "_contraction_criterion", "_gram", "_kraus_gram") as calls:
             c = induced_contraction(m, *spaces)
             assert abs(c.operator_norm - 1.0) <= 1e-12
-        assert calls == {"_transform": 0, "_gram": 0, "_kraus_gram": 1}
+        assert calls == {"_transform": 0, "_contraction_criterion": 1, "_gram": 0, "_kraus_gram": 1}
         assert "matrix" not in vars(c)
         with counted("_transform") as calls:
             assert c.matrix.shape == (256, 256)
@@ -266,9 +273,9 @@ class TestDesignPins:
         with counted(*CARRIER_PARTS) as calls:
             monotonicity_check(SLD, m, n_samples=10)
         assert calls == DENSE
-        with counted("_gram", "_kraus_gram") as calls:
+        with counted("_contraction_criterion", "_gram", "_kraus_gram") as calls:
             induced_contraction(m, *spaces).operator_norm
-        assert calls == {"_gram": 1, "_kraus_gram": 0}
+        assert calls == {"_contraction_criterion": 1, "_gram": 1, "_kraus_gram": 0}
 
 
 class TestRouteChoice:
@@ -297,9 +304,10 @@ class TestRouteChoice:
         with counted(*CARRIER_PARTS) as calls:
             assert monotonicity_check(SLD, m, n_samples=10)["passed"]
         assert calls == (FACTOR if criterion == "factor" else DENSE)
-        with counted("_gram", "_kraus_gram") as calls:
+        with counted("_contraction_criterion", "_gram", "_kraus_gram") as calls:
             assert abs(induced_contraction(m, *spaces).operator_norm - 1.0) <= 1e-12
-        assert calls == ({"_gram": 0, "_kraus_gram": 1} if gram == "factor" else {"_gram": 1, "_kraus_gram": 0})
+        routes = {"factor": {"_gram": 0, "_kraus_gram": 1}, "dense": {"_gram": 1, "_kraus_gram": 0}}
+        assert calls == {"_contraction_criterion": 1, **routes[gram]}
 
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
@@ -381,9 +389,10 @@ def gns_verdicts(m):
 
 
 class TestOneGnsGram:
-    """The GNS kind's criterion and the contraction's operator norm read one
-    Gram (``gns._contraction_gram``): the same number from both, the same
-    quotient error, and no coordinate layout placed for the norm."""
+    """The GNS kind's verdict and the contraction's operator norm read one
+    criterion (``gns._contraction_criterion``), but on faithful block-scalar
+    states: the same number from both, bit for bit, the same quotient error,
+    and no coordinate layout placed for the norm."""
 
     @SETTINGS
     @given(st.sampled_from(["kraus", "linear", "markov"]), blocks, blocks, seeds, st.booleans(), st.booleans())
@@ -394,10 +403,21 @@ class TestOneGnsGram:
             shape_b = m.target[0]
             wrong = mk_state(shape_b, random_blocks(list(shape_b.blocks), np.random.default_rng(seed + 1), True))
             m = NcpMorphism(m.source, (shape_b, wrong), m.cpu)
-        exact, norm = gns_verdicts(m)
+        with counted("_contraction_criterion") as calls:
+            exact, norm = gns_verdicts(m)
         if isinstance(norm, str):
             assert exact == norm and "maps outside the rho-null space" in norm
+        elif calls["_contraction_criterion"] == 2 and exact <= 1.0 + 1e-9:
+            # a passing verdict certifies the top of the very Gram the norm reads
+            assert math.sqrt(exact) == norm
+        elif calls["_contraction_criterion"] == 2:
+            assert abs(exact - norm**2) <= 1e-12 * norm**2
         else:
+            # the verdict took the folded real route: faithful block-scalar
+            # states, which random states are only on 1 x 1 blocks
+            assert calls["_contraction_criterion"] == 1
+            (shape_a, rho), (shape_b, sigma) = m.source, m.target
+            assert set(shape_a.blocks + shape_b.blocks) == {1} and is_faithful(rho) and is_faithful(sigma)
             assert abs(exact - norm**2) <= 1e-12 * norm**2
 
     def test_a_leak_is_named_alike(self):
@@ -416,9 +436,9 @@ class TestOneGnsGram:
         phi = random_cpu_map(shape, shape, seed=4, n_kraus=3)
         rho = random_state(shape, faithful=True, seed=4)
         m = mk_morphism((shape, rho), (shape, predual(phi, rho)), phi)
-        with counted("_kraus_gram", "_gram") as calls:
+        with counted("_contraction_criterion", "_kraus_gram", "_gram") as calls:
             assert monotonicity_check(ONE, m, n_samples=10)["passed"]
-        assert calls == {"_kraus_gram": 1, "_gram": 0}
+        assert calls == {"_contraction_criterion": 1, "_kraus_gram": 1, "_gram": 0}
 
     def test_the_operator_norm_places_no_layout(self):
         # a from_linear [6] carrier on fresh spaces: the dense Gram reads the
@@ -428,9 +448,9 @@ class TestOneGnsGram:
         rho = random_state(shape, faithful=True, seed=4)
         m = twin(mk_morphism((shape, rho), (shape, predual(phi, rho)), phi))
         spaces = build_gns(shape, m.target[1]), build_gns(shape, rho)
-        with counted("_gram") as calls:
+        with counted("_contraction_criterion", "_gram") as calls:
             assert abs(induced_contraction(m, *spaces).operator_norm - 1.0) <= 1e-12
-        assert calls == {"_gram": 1}
+        assert calls == {"_contraction_criterion": 1, "_gram": 1}
         assert not any("_layout" in vars(space) for space in spaces)
 
 

@@ -9,10 +9,10 @@ from scipy.special import ndtr
 import reference_loops as ref
 from conftest import PAULI_Z
 from ncplab.algebra import ShapeError, _wrap, adjoint, hs_norm, mk_element, mk_shape
-from ncplab.channels import congruent_embedding
+from ncplab.channels import congruent_embedding, predual
 from ncplab.covariance import ONE, RLD, SLD, WY, kind_catalog, petz_kind
 from ncplab.gns import build_gns, embed
-from ncplab import models
+from ncplab import channels, models, states
 from ncplab.models import (
     ModelDomainError,
     ScoreNotRepresentableError,
@@ -35,6 +35,16 @@ from ncplab.models import (
     simplex_model,
 )
 from ncplab.states import is_faithful, mk_state, random_state
+
+
+def counted_call(calls: list, fn):
+    """``fn``, appending to ``calls`` on each call."""
+
+    def wrapper(*args, **kwargs):
+        calls.append(fn)
+        return fn(*args, **kwargs)
+
+    return wrapper
 
 
 def brute_fisher_rao(model, theta):
@@ -249,6 +259,31 @@ class TestGaussianGroupModel:
         theta = np.array([0.1, 1.0])
         dev = gm.composition_deviation((4 * width, 1.0), (6 * width, 1.0), theta)
         assert dev < 1e-12
+
+    @pytest.mark.parametrize("bins, interior", [(64, 0), (1024, 16)])
+    def test_deviations_validate_only_the_models_states(self, bins, interior, monkeypatch):
+        # the automorphisms were validated as Markov maps when built, so the
+        # deviations push bare density vectors: the numbers of the route
+        # through predual, bit for bit, with one validated state per state_at
+        gm = gaussian_group_model(bins, -8.0, 8.0)
+        g, g2, theta = (0.3, 1.2), (-0.4, 0.9), np.array([0.1, 1.0])
+        validated = []
+        for module in (states, channels, models):
+            monkeypatch.setattr(module, "_state_from_vec", counted_call(validated, module._state_from_vec))
+        rho = gm.base.state_at(theta)
+        p = predual(gm.automorphism_at(g), rho).vec.real
+        q = gm.base.state_at(gm.act_on_params(g, theta)).vec.real
+        if interior:
+            p, q = p[interior:-interior], q[interior:-interior]
+        assert len(validated) == 3
+        assert gm.equivariance_deviation(g, theta, interior=interior) == float(np.max(np.abs(p - q)))
+        assert len(validated) == 5
+        rho = gm.base.state_at(theta)
+        direct = predual(gm.automorphism_at(gm.act_on_params(g, g2)), rho)
+        chained = predual(gm.automorphism_at(g), predual(gm.automorphism_at(g2), rho))
+        assert len(validated) == 9
+        assert gm.composition_deviation(g, g2, theta) == float(np.sum(np.abs(direct.vec.real - chained.vec.real)))
+        assert len(validated) == 10
 
     def test_composition_converges(self):
         g1, g2 = (0.25, 1.1), (-0.4, 0.9)
