@@ -151,9 +151,10 @@ class _KrausMap(CpuMap):
     """CPU map whose action :func:`from_kraus` built from ``kraus``.
 
     The two agree by construction, so the matrix verdicts may read the
-    family in place of the action: the carrier's images in the density
-    eigenbases (:func:`ncplab.gns._images`) and the Gram of the GNS
-    contraction's criterion (:func:`ncplab.gns._contraction_criterion`).  Only
+    family in place of the action, for the carrier's images in the density
+    eigenbases (:func:`ncplab.gns._images`), and the map is CP, so the
+    Kadison-Schwarz inequality bounds the norm of its GNS contraction
+    (:func:`ncplab.gns._kadison_schwarz`).  Only
     :func:`from_kraus` builds one; constructing it directly is unsupported,
     since nothing else ties the family to the action.  A plain
     :class:`CpuMap` that carries a family keeps the dense route.

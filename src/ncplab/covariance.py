@@ -28,10 +28,11 @@ whitened unit at (b, p) to rho's whitened image of U_sigma e_bp U_sigma^dag
 at each (q, q), is an eigenvector of H with eigenvalue 1, which one
 Cholesky factorization certifies as the top when the verdict passes.  For
 the GNS kind Z is unitary, and but for faithful block-scalar states the
-verdict reads the criterion of the contraction it builds, as the
-contraction's operator norm does (:func:`~ncplab.gns._contraction_criterion`):
+verdict reads the contraction it builds as its operator norm does: M is
 the carrier's images in the density eigenbases (:func:`~ncplab.gns._images`),
-or the Gram of its Kraus family.  Every other criterion scales those images
+and for a carrier that ``from_kraus`` built, CP by construction, the
+Kadison-Schwarz bound certifies the top in place of the factorization
+(:func:`~ncplab.gns._certified_norm`).  Every other criterion scales those images
 by sqrt(W^rho) and 1/sqrt(W^sigma), and folds them into the Hermitian basis
 e_aa, (e_aq+e_qa)/sqrt(2), i (e_aq-e_qa)/sqrt(2) of each grid.  Where the kernel is
 symmetric, W_aq = W_qa, as for every kind of the catalog (f(t) = t f(1/t),
@@ -63,7 +64,7 @@ from .algebra import InputError, _check_count, _check_tol, _frozen, _phase_fix
 from .channels import NcpMorphism
 from .gns import (
     GnsSpace,
-    _contraction_criterion,
+    _certified_norm,
     _gram,
     _images,
     _spans,
@@ -182,6 +183,9 @@ class CovarianceGram:
 
 
 def _require_faithful(kind: OperatorMonotoneFunction, state: NormalState) -> None:
+    """Every entry point that takes a kind checks it here."""
+    if not isinstance(kind, OperatorMonotoneFunction):
+        raise UnsupportedKindError(f"a kind is an OperatorMonotoneFunction (see kind_from_name), got {kind!r}")
     if not kind.is_gns and not is_faithful(state):
         raise UnsupportedKindError(
             f"kind {kind.label} needs a faithful state; "
@@ -393,11 +397,12 @@ def monotonicity_check(
     exact criterion (it decides: samples can miss thin violating cones) is the
     top eigenvalue of the Gram H = M^dag M, M = Z_rho C Z_sigma^-1, with no
     covariance Gram built.  For the GNS kind Z is unitary, and unless both
-    states are faithful and block-scalar M, or the Kraus family's H, is the
-    criterion (:func:`~ncplab.gns._contraction_criterion`, which its operator
-    norm reads too) of the contraction that
+    states are faithful and block-scalar M is the contraction that
     :func:`~ncplab.gns.induced_contraction` builds once it has checked
-    sigma's null basis.  Every other criterion (a Petz kind's, or the GNS
+    sigma's null basis, read as its operator norm reads it: the carrier's
+    images (:func:`~ncplab.gns._images`), whose top the Kadison-Schwarz
+    bound certifies for a Kraus carrier with no H formed
+    (:func:`~ncplab.gns._certified_norm`).  Every other criterion (a Petz kind's, or the GNS
     kind's on those states) is formed once (:func:`_criterion`), folded into
     the Hermitian bases of the two grids, and the gate
     (:func:`_real_criterion`) reads it as a real matrix R where the
@@ -405,8 +410,8 @@ def monotonicity_check(
     and one real Cholesky factorization certifies it.  Otherwise H is formed
     from real products (:func:`~ncplab.gns._gram`) and factorized as a
     complex matrix.  The samples are taken through M (the unitary fold,
-    :func:`_hermitian_rows`, where M is folded) before H is formed, or as a
-    quadratic form of the Kraus family's H; a failed verdict's ``witness`` is
+    :func:`_hermitian_rows`, where M is folded) before H is formed; a
+    failed verdict's ``witness`` is
     the top eigenvector in sigma's orthonormal GNS coordinates (unit norm,
     phase fixed as theirs) and its ratio.
 
@@ -440,10 +445,13 @@ def monotonicity_check(
     kernels = [_kernel(kind, g) for g in space_sigma._groups]
     if folded:
         both = kernels, [_kernel(kind, g) for g in space_rho._groups]
-        m, h = _real_criterion(_criterion(both, morphism.cpu, space_sigma, space_rho), space_sigma, space_rho, unit), None
+        m = _real_criterion(_criterion(both, morphism.cpu, space_sigma, space_rho), space_sigma, space_rho, unit)
+        certified = None
     else:  # the contraction checks sigma's null basis as it is built
-        m, h = _contraction_criterion(induced_contraction(morphism, space_sigma, space_rho))
-    real = m is not None and m.dtype == float
+        c = induced_contraction(morphism, space_sigma, space_rho)
+        m = _images(morphism.cpu, space_sigma, space_rho, contraction=True)
+        certified = _certified_norm(c, m, unit)
+    real = m.dtype == float
 
     # the same numbers, in the same order, as drawing the real and then the
     # imaginary part of one sample at a time
@@ -458,14 +466,15 @@ def monotonicity_check(
         eta = _hermitian_rows(space_sigma, eta)
     if real:
         eta = np.concatenate([eta.real, eta.imag], axis=1)  # the parts stacked: one real product
-    # through the criterion's matrix where there is one, which then gives the Gram
-    lhs = np.sum(np.abs(m @ eta) ** 2, axis=0) if h is None else np.einsum("ij,ij->j", eta.conj(), h @ eta).real
+    lhs = np.sum(np.abs(m @ eta) ** 2, axis=0)
     del eta
-    if h is None:
-        h, m = (m.T @ m if real else _gram(m)), None
     if real:
         lhs = lhs[:n_samples] + lhs[n_samples:]
-    exact, top = _top_gram_eig(h, unit, vector=True, margin=4 * space_sigma.dim * _EPS if real else None)
+    if certified is None:
+        h, m = (m.T @ m if real else _gram(m)), None
+        exact, top = _top_gram_eig(h, unit, vector=True, margin=4 * space_sigma.dim * _EPS if real else None)
+    else:
+        exact, top = certified, unit
     report = {
         "kind": kind.label,
         "n_samples": n_samples,

@@ -52,16 +52,19 @@ images U_rho^dag phi(U_sigma e_bp U_sigma^dag) U_rho (:func:`_images`, off
 L or, for a carrier built from Kraus operators, off the family in the
 density eigenbases, :func:`_kraus_blocks`), scaled by sqrt(d_q) / sqrt(d_p),
 are the contraction in the GNS kind's whitened coordinates, up to unitaries
-that its Gram does not see.  They are the contraction's criterion
-(:func:`_contraction_criterion`), which the operator norm reads, and so
-does the GNS kind's monotonicity verdict but on faithful block-scalar
-states: their Gram is formed from real products (:func:`_gram`), or for a
-Kraus carrier as a sum of kappa^2 Kronecker products per block of rho
-(:func:`_kraus_gram`); every other criterion scales and folds the images.
-The unit's class is a top singular vector of a contraction of norm 1, so
-one Cholesky factorization certifies the norm (:func:`_top_gram_eig`).
-Each family route is taken where a cost rule measured against the dense
-route says it is faster (:func:`_kraus_gram_pays`, :func:`_kraus_criterion_pays`).
+that its Gram does not see.  The operator norm reads them, and so does
+the GNS kind's monotonicity verdict but on faithful block-scalar states;
+every other criterion scales and folds the images.  The unit's class is a
+top singular vector of a contraction of norm 1, and its Rayleigh quotient
+r is the squared norm within a margin of 8 d eps where a certificate says
+so.  A carrier built from Kraus operators is CP, so the Kadison-Schwarz
+inequality bounds the squared norm by two residuals, |phi(1) - 1| and
+rho o phi - sigma on sigma's support (:func:`_kadison_schwarz`), and
+nothing is factorized.  For any other carrier, or where that bound is
+above r (1 + 8 d eps), one Cholesky factorization of the images' Gram,
+formed from real products, decides (:func:`_gram`, :func:`_top_gram_eig`).
+The images read the Kraus family where a cost rule measured against the
+action says it is faster (:func:`_kraus_criterion_pays`).
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraShape, InputError, ShapeError, _check_tol, _pd_with_shift
-from .channels import CpuMap, NcpMorphism, _KrausMap, compose, identity_morphism
+from .channels import CpuMap, NcpMorphism, _KrausMap, _predual_vec, _unital_deviation, compose, identity_morphism
 from .channels import apply  # noqa: F401  (perfbench's binding test reads ncplab.gns.apply)
 from .states import SUPPORT_RTOL, NormalState, RankGroup, _split
 
@@ -285,6 +288,8 @@ class GnsContraction:
         self, source_space: GnsSpace, target_space: GnsSpace, matrix: np.ndarray, carrier: CpuMap | None = None
     ):
         matrix = np.asarray(matrix)
+        if matrix.dtype.kind not in "biufc":
+            raise InputError(f"contraction matrix has entries that are not finite numbers (dtype {matrix.dtype})")
         if matrix.shape != (target_space.dim, source_space.dim):
             raise ShapeError(
                 f"contraction matrix has shape {matrix.shape}, expected "
@@ -318,20 +323,21 @@ class GnsContraction:
         """Largest singular value of ``matrix``.  A contraction induced by a
         morphism maps the class of the unit to the class of the unit, and so
         does its adjoint, so the unit's class is a top singular vector when
-        the norm is 1; one Cholesky factorization of the Gram certifies
-        that, and any other matrix falls back to the spectrum
-        (:func:`_top_gram_eig`).  The Gram of an induced contraction is that
-        of its criterion (:func:`_contraction_criterion`), read off the
-        carrier in the density eigenbases with the unit's class at
-        :func:`_whitened_unit`, so neither ``matrix`` nor a coordinate
-        layout is placed; only a given matrix has its :func:`_gram` formed,
-        at ``source_space.cyclic``."""
+        the norm is 1.  An induced contraction reads the carrier's images
+        (:func:`_images`), the matrix up to unitaries, so neither ``matrix``
+        nor a layout is placed: the Kadison-Schwarz bound certifies a Kraus
+        carrier's norm (:func:`_certified_norm`), and otherwise one Cholesky
+        factorization of the images' :func:`_gram`, or the spectrum, decides
+        (:func:`_top_gram_eig`), as for a given matrix at its ``cyclic``."""
         if self._given:
-            h, unit = _gram(self.matrix), self.source_space.cyclic
-        else:
-            m, h = _contraction_criterion(self)
-            h, m, unit = (h if m is None else _gram(m)), None, _whitened_unit(self.source_space)
-        return float(np.sqrt(_top_gram_eig(h, unit)[0]))
+            return float(np.sqrt(_top_gram_eig(_gram(self.matrix), self.source_space.cyclic)[0]))
+        m = _images(self.carrier, self.source_space, self.target_space, contraction=True)
+        unit = _whitened_unit(self.source_space)
+        r = _certified_norm(self, m, unit)
+        if r is None:
+            h, m = _gram(m), None
+            r = _top_gram_eig(h, unit)[0]
+        return float(np.sqrt(r))
 
 
 def _action_t(phi: CpuMap, cols: np.ndarray | None = None) -> np.ndarray:
@@ -501,140 +507,41 @@ def _kraus_grid(out, left, right) -> None:
     )
 
 
-def _contraction_criterion(c: GnsContraction) -> tuple:
-    """The GNS kind's criterion of the contraction ``c`` of a carrier, in
-    the whitened coordinates of :func:`_whitened_unit`: ``(m, None)``, m the
-    carrier's images (:func:`_images` of the contraction), which are C up to
-    a unitary of each of rho's row blocks, or ``(None, h)``, h their Gram
-    from the Kraus family (:func:`_kraus_gram`) where that is faster
-    (:func:`_kraus_gram_pays`).  Both GNS verdicts read it."""
-    phi, space_sigma, space_rho = c.carrier, c.source_space, c.target_space
-    if isinstance(phi, _KrausMap) and _kraus_gram_pays(phi, space_sigma, space_rho):
-        return None, _kraus_gram(phi, space_sigma, space_rho)
-    return _images(phi, space_sigma, space_rho, contraction=True), None
+def _kadison_schwarz(c: GnsContraction) -> float:
+    """A bound B on the squared norm of the contraction ``c`` from two
+    residuals of its carrier, where :func:`~ncplab.channels.from_kraus`
+    built it (CP by construction); +inf for any other carrier.
+
+    Each class of sigma has a representative x = x P, P sigma's support.
+    With Delta = rho o phi - sigma, Kadison-Schwarz (phi(x)^dag phi(x) <=
+    |phi(1)| phi(x^dag x)) gives |C[x]|^2 <= |phi(1)| (sigma + Delta)(P x^dag
+    x P), and on each block k of sigma P Delta P <= |V_k^dag Delta_k V_k| /
+    lambda_k D_k, V_k the kept eigenvectors and lambda_k the least kept
+    eigenvalue.  With Hilbert-Schmidt norms above operator norms,
+
+        B = (1 + |phi(1) - 1|_HS) (1 + max_k |V_k^dag Delta_k V_k|_F / lambda_k),
+
+    for every sigma, faithful or not: Delta is measured, not assumed."""
+    phi, space_sigma = c.carrier, c.source_space
+    if not isinstance(phi, _KrausMap):
+        return np.inf
+    delta = _predual_vec(phi, c.target_space.state.vec) - space_sigma.state.vec
+    leak = 0.0
+    for g in space_sigma._groups:
+        if g.rank:  # a block that keeps nothing has no representative
+            v = g.v[..., : g.rank]
+            kept = v.conj().swapaxes(1, 2) @ delta[g.pos] @ v
+            leak = max(leak, float(np.max(np.linalg.norm(kept, axis=(1, 2)) / g.d[:, g.rank - 1])))
+    return (1.0 + _unital_deviation(phi)) * (1.0 + leak)
 
 
-#: The fixed cost of one step of :func:`_kraus_gram`'s loop over rank
-#: groups, less the dense route's, in units of :func:`_gram`'s time per Gram
-#: entry and coordinate of rho (:func:`_kraus_gram_pays`).  Measured on one
-#: BLAS thread (BENCH_29.json ``route_rules``, minimum of 60 calls, six
-#: processes): the dense route wins at n = 6 with two operators (119,000
-#: units saved, the family 1.06-1.61 times its time on warm spaces), n = 5
-#: (31,000; 1.29-1.34) and [6, 2] (7,000; 1.8-3.1), ties at n = 6 with three
-#: (93,000; 0.71-1.18), and the family wins from n = 7 with three (233,000;
-#: 0.92-0.96, 0.66-1.09 on fresh spaces) on every larger carrier of a few
-#: operators.
-_GRAM_STEP_COST = 160_000
-
-
-def _kraus_gram_pays(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> bool:
-    """Whether :func:`_kraus_gram` is faster than the dense route of
-    :func:`_contraction_criterion`, the contraction's images and their
-    :func:`_gram`.  In units of :func:`_gram`'s time per Gram entry and
-    coordinate of rho, :func:`_gram` takes dim_sigma^2 dim_rho, the factor
-    products dim_sigma^2 4 K_rho kappa^2, K_rho the blocks of rho's algebra,
-    and the contraction's images 4 :func:`_image_work`: complex
-    multiply-adds, in the products and the images alike, run at about a
-    quarter of :func:`_gram`'s rate (measured: 0.45-0.55 ns against
-    0.08-0.19 ns).  What the factor route saves must exceed
-    :data:`_GRAM_STEP_COST` per step of its loop, one per pair of sigma's
-    groups and group of rho.  A few operators on blocks from n = 7 on pay,
-    a family as long as a trace mixture's (kappa >= N_B N_A) never does."""
-    groups = len(space_sigma._groups)
-    steps = groups * groups * len(space_rho._groups)
-    products = space_sigma.dim**2 * 4 * space_rho.shape.num_blocks * len(phi.kraus) ** 2
-    saved = space_sigma.dim**2 * space_rho.dim + 4 * _image_work(space_sigma, space_rho, contraction=True) - products
-    return saved > _GRAM_STEP_COST * steps
-
-
-def _kraus_gram(phi: _KrausMap, space_sigma: GnsSpace, space_rho: GnsSpace) -> np.ndarray:
-    """The Gram M^dag M of the contraction in the GNS kind's whitened
-    coordinates of sigma (rank-group order, :func:`_whitened_unit`), from
-    the Kraus family (:func:`_kraus_blocks`), exactly Hermitian.
-
-    There M = Z_rho C Z_sigma^-1 with Z unitary, and M's entry of rho's
-    (a, q) and sigma's (b, p) is sqrt(d_q / d_p) sum_k conj(A_k[b, a])
-    A_k[p, q], so for sigma's blocks j, j' and rho's block i
-
-        (M^dag M)[(j, b, p), (j', b', p')] = sum_{i, k, l} X[b, b'] Y[p, p'],
-        X = A_k A_l'^dag,  Y = conj(A_k) D_i A_l'^T / sqrt(d_p d_p'),
-
-    A_k = A_k[j, i] and A_l' = A_l[j', i] on kept p, q: one product R of
-    inner size K_rho kappa^2 per pair of sigma's groups, realigned into its
-    place.  Y carries a factor 1/2, and the Gram is G + G^dag, its adjoint
-    formed in the memory of the R's: two arrays of the Gram's size at
-    most."""
-    groups, kappa = space_sigma._groups, len(phi.kraus)
-    # per g, per h: x (m_h, kappa m_g n_g, n_h) and y (m_h, kappa m_g r_g, r_h)
-    factors = [
-        [_gram_factors(a, g, h) for h, a in zip(space_rho._groups, pairs)]
-        for g, pairs in zip(groups, _kraus_blocks(phi, space_sigma, space_rho))
-    ]
-    # one buffer holds every R, and later the Gram's adjoint
-    spans = _spans(g.index.size * g.n * g.rank for g in groups)
-    buffer, at = np.empty(space_sigma.dim**2, dtype=complex), 0
-    products = {}
-    for s, (r0, r1) in enumerate(spans):
-        for t, (c0, c1) in enumerate(spans):
-            size = (r1 - r0) * (c1 - c0)
-            products[s, t] = _gram_product(groups[s], factors[s], groups[t], factors[t], kappa, buffer[at : at + size])
-            at += size
-    del factors
-    # G: each R realigned into its place; then G^dag in the memory of the
-    # R's, and G + G^dag: copies read through transposed views, and the
-    # ufuncs run on contiguous arrays only, so none of them buffers
-    gram = np.empty((space_sigma.dim, space_sigma.dim), dtype=complex)
-    for (s, t), prod in products.items():
-        g, g2 = groups[s], groups[t]
-        block = gram[spans[s][0] : spans[s][1], spans[t][0] : spans[t][1]]
-        np.copyto(
-            block.reshape(g.index.size, g.n, g.rank, g2.index.size, g2.n, g2.rank, copy=False),
-            prod.transpose(0, 2, 4, 1, 3, 5),
-        )
-    del products
-    adjoint = buffer.reshape(gram.shape)
-    np.copyto(adjoint, gram.T)
-    np.conjugate(adjoint, out=adjoint)
-    gram += adjoint
-    return gram
-
-
-def _gram_factors(a: np.ndarray, g: RankGroup, h: RankGroup):
-    """The factors of :func:`_kraus_gram` for one pair of groups: a as
-    (m_h, kappa m_g n_g, n_h) for X, and a on kept p, q times
-    sqrt(d_q / (2 d_p)), as (m_h, kappa m_g r_g, r_h), for Y."""
-    kappa, m, _, mh, _ = a.shape
-    y = a[:, :, : g.rank, :, : h.rank] * np.sqrt(h.d[:, : h.rank] / 2.0)
-    y /= np.sqrt(g.d[:, : g.rank, None, None])
-    # [k, j, b, i, a] -> [i, (k, j, b), a]
-    x = a.transpose(3, 0, 1, 2, 4).reshape(mh, kappa * m * g.n, h.n)
-    return x, y.transpose(3, 0, 1, 2, 4).reshape(mh, kappa * m * g.rank, h.rank)
-
-
-def _gram_product(g: RankGroup, fg: list, g2: RankGroup, fg2: list, kappa: int, out: np.ndarray) -> np.ndarray:
-    """R[j, j', b, b', p, p'] = sum_{i, k, l} X[b, b'] Y[p, p'] of
-    :func:`_kraus_gram` for sigma's groups g and g2, written into ``out``
-    (flat, of R's size) and returned as a view of it."""
-    m, m2 = g.index.size, g2.index.size
-    xr, yr = [], []
-    for (x, y), (x2, y2) in zip(fg, fg2):
-        mh = x.shape[0]
-        # [i, k, j, b, l, j', b'] -> [j, j', (b, b'), (i, k, l)]
-        xr.append(
-            (x @ x2.conj().swapaxes(1, 2))
-            .reshape(mh, kappa, m, g.n, kappa, m2, g2.n)
-            .transpose(2, 5, 3, 6, 0, 1, 4)
-            .reshape(m, m2, g.n * g2.n, mh * kappa**2)
-        )
-        yr.append(
-            (y.conj() @ y2.swapaxes(1, 2))
-            .reshape(mh, kappa, m, g.rank, kappa, m2, g2.rank)
-            .transpose(2, 5, 0, 1, 4, 3, 6)
-            .reshape(m, m2, mh * kappa**2, g.rank * g2.rank)
-        )
-    prod = out.reshape(m, m2, g.n * g2.n, g.rank * g2.rank)
-    np.matmul(_stacked(xr, axis=3), _stacked(yr, axis=2), out=prod)
-    return prod.reshape(m, m2, g.n, g2.n, g.rank, g2.rank)
+def _certified_norm(c: GnsContraction, m: np.ndarray, unit: np.ndarray) -> float | None:
+    """The top of m^dag m for the contraction's images m at its whitened
+    unit u: r = |m u|^2 / |u|^2 where :func:`_kadison_schwarz` is at most
+    r (1 + 8 d eps), d = u.size, :func:`_top_gram_eig`'s margin; else None."""
+    mu = m @ unit
+    r = float(np.vdot(mu, mu).real / np.vdot(unit, unit).real)
+    return r if _kadison_schwarz(c) <= r * (1.0 + 8 * unit.size * np.finfo(float).eps) else None
 
 
 def _spans(sizes) -> list[tuple[int, int]]:

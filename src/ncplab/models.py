@@ -413,8 +413,15 @@ class GroupActionModel:
         """Worst bin deviation between the pushed state and the state at g o theta.
 
         ``interior`` drops that many bins at each edge of the grid before
-        comparing, to separate discretization edge effects.
+        comparing, to separate discretization edge effects: an integer k
+        with 0 <= 2k < bins (else :class:`ModelDomainError`).
         """
+        try:
+            interior = _check_count("interior", interior)
+        except InputError as exc:
+            raise ModelDomainError(str(exc)) from None
+        if not 2 * interior < self.base.shape.element_dim:
+            raise ModelDomainError(f"interior {interior} leaves none of the {self.base.shape.element_dim} bins")
         p = _predual_vec(self.automorphism_at(g), self.base.state_at(theta).vec).real
         q = self.base.state_at(self.act_on_params(g, theta)).vec.real
         if interior:

@@ -90,6 +90,22 @@ class TestKinds:
         # a function equal to 1 is a Petz kind all the same: only ONE is GNS
         assert FLAT.label == "petz:flat" and not FLAT.is_gns
 
+    @pytest.mark.parametrize("kind", ["gns", "sld", None, SLD.fn], ids=["gns", "sld", "none", "bare-function"])
+    def test_a_kind_that_is_not_a_function_object_is_refused(self, kind):
+        # a name is not a kind: every entry point that takes one says which
+        # helper makes it, where it once raised AttributeError on .is_gns
+        m = identity_morphism((S2, random_state(S2, faithful=True, seed=4)))
+        space = build_gns(S2, m.target[1])
+        model = ncplab.gaussian_model(8, -8.0, 8.0)
+        for call in (
+            lambda: monotonicity_check(kind, m, n_samples=2),
+            lambda: ncplab.metric_pullback(model, [0.0, 1.0], kind),
+            lambda: covariance_gram(kind, space),
+            lambda: covariance.block_form(kind, space, 0),
+        ):
+            with pytest.raises(UnsupportedKindError, match="kind_from_name"):
+                call()
+
     def test_kind_cache_is_shared_by_every_spelling(self):
         space = build_gns(S2, random_state(S2, faithful=True, seed=4))
         covariance.block_form(petz_kind(SLD), space, 0)

@@ -7,7 +7,7 @@ with x -> x^dag makes it real there, and ``monotonicity_check`` certifies it
 with one real Gram and one real Cholesky factorization; elsewhere the
 remainder test declines it, and the folded matrix takes the complex route.
 The GNS kind does too on block-scalar states, and reads the contraction's
-Gram on all others.  These tests hold every
+images on all others.  These tests hold every
 route to the dense generalized eigenproblem on every kind, count the
 factorizations of each route, and show that a declined verdict gets the
 report of the complex route on the unfolded criterion
@@ -100,21 +100,22 @@ def morphism(family, shapes, seed):
 @contextmanager
 def route():
     """Record the route of each verdict ``monotonicity_check`` takes:
-    "contraction" where it reads the criterion of the GNS kind's contraction
-    (``gns._contraction_criterion``), else "real" where the real-route gate
-    takes the folded criterion and "complex" where it declines it."""
-    taken, criterion, real_criterion = [], covariance._contraction_criterion, covariance._real_criterion
+    "contraction" where it reads the GNS kind's contraction as its operator
+    norm does (``gns._certified_norm``, the rule both GNS verdicts read),
+    else "real" where the real-route gate takes the folded criterion and
+    "complex" where it declines it."""
+    taken, certified_norm, real_criterion = [], covariance._certified_norm, covariance._real_criterion
 
     def contraction(*args):
         taken.append("contraction")
-        return criterion(*args)
+        return certified_norm(*args)
 
     def gated(*args):
         out = real_criterion(*args)
         taken.append("real" if out.dtype == float else "complex")
         return out
 
-    with mock.patch.object(covariance, "_contraction_criterion", contraction):
+    with mock.patch.object(covariance, "_certified_norm", contraction):
         with mock.patch.object(covariance, "_real_criterion", gated):
             yield taken
 
@@ -232,16 +233,23 @@ def factorizations(monkeypatch):
 
 class TestFactorizations:
     def test_one_real_factorization_for_a_petz_kind_one_complex_for_gns(self, monkeypatch):
+        # the GNS kind factorizes the contraction's Gram of a carrier known
+        # by its action; the Kadison-Schwarz bound certifies the same map's
+        # Kraus carrier with no factorization
         shape = mk_shape([6])
         phi = random_cpu_map(shape, shape, seed=12, n_kraus=3)
         rho = random_state(shape, faithful=True, seed=12)
         m = mk_morphism((shape, rho), (shape, predual(phi, rho)), phi)
+        linear = NcpMorphism(m.source, m.target, from_linear(shape, shape, phi.linear_action))
         seen = factorizations(monkeypatch)
         assert monotonicity_check(SLD, m)["passed"]
         assert seen == [(np.dtype(float), 36)]
         seen.clear()
-        assert monotonicity_check(ONE, m)["passed"]
+        assert monotonicity_check(ONE, linear)["passed"]
         assert seen == [(np.dtype(complex), 36)]
+        seen.clear()
+        assert monotonicity_check(ONE, m)["passed"]
+        assert seen == []
 
     def test_a_carrier_that_does_not_commute_with_the_adjoint_is_declined(self, monkeypatch):
         # unital, Choi matrix not Hermitian: M is not real in any Hermitian
@@ -280,7 +288,7 @@ def assert_same_report(rep, plain):
 @contextmanager
 def formations():
     """The carrier's images (``gns._images``, read by a Petz kind's
-    criterion and by the GNS kind's Gram) and the real-route gate, each
+    criterion and by the GNS kind's verdict) and the real-route gate, each
     still run, with their calls counted."""
     images = mock.Mock(wraps=gns._images)
     with mock.patch.object(covariance, "_images", images), mock.patch.object(gns, "_images", images):
@@ -292,7 +300,7 @@ class TestOneFormation:
     """Each verdict forms its criterion once: a Petz kind's is folded into
     the Hermitian basis as it is formed, and a verdict whose real-route gate
     declines certifies the same folded matrix on the complex route; the GNS
-    kind forms the contraction's Gram, with no gate."""
+    kind forms the contraction's images, with no gate."""
 
     @staticmethod
     def verdict(kind, m, images):
@@ -311,8 +319,7 @@ class TestOneFormation:
         assert taken == ["real"] and rep["passed"]
 
     def test_a_contraction_route_verdict_of_the_gns_kind(self):
-        # [12, 4] with a trace mixture: the family is too long for the Kraus
-        # Gram, so the contraction's Gram is that of the images, formed once
+        # [12, 4] with a trace mixture: the contraction's images, formed once
         m, tracial = morphism("cpu", SHAPES[3], 5)
         assert not tracial
         rep, taken = self.verdict(ONE, m, 1)

@@ -252,6 +252,15 @@ class TestGaussianGroupModel:
         ]
         assert devs[0] > devs[1]
 
+    @pytest.mark.parametrize("interior", [-1, 8, 9, 1.5, True, "2"])
+    def test_an_interior_that_leaves_no_bin_is_refused(self, interior):
+        # 16 bins: an interior k needs 0 <= 2k < 16; -1 and 8 once reached
+        # numpy's ValueError on an empty array, 1.5 a TypeError
+        gm = gaussian_group_model(16, -8.0, 8.0)
+        with pytest.raises(ModelDomainError, match="interior"):
+            gm.equivariance_deviation((0.0, 1.0), np.array([0.2, 1.0]), interior=interior)
+        assert gm.equivariance_deviation((0.0, 1.0), np.array([0.2, 1.0]), interior=7) < 1e-14
+
     def test_composition_exact_for_aligned_shifts(self):
         bins, lo, hi = 256, -8.0, 8.0
         width = (hi - lo) / bins
