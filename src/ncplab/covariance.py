@@ -32,7 +32,7 @@ verdict reads the contraction it builds as its operator norm does: M is
 the carrier's images in the density eigenbases (:func:`~ncplab.gns._images`),
 and for a carrier that ``from_kraus`` built, CP by construction, the
 Kadison-Schwarz bound certifies the top in place of the factorization
-(:func:`~ncplab.gns._certified_norm`).  Every other criterion scales those images
+(:meth:`~ncplab.gns.GnsContraction._certified`).  Every other criterion scales those images
 by sqrt(W^rho) and 1/sqrt(W^sigma), and folds them into the Hermitian basis
 e_aa, (e_aq+e_qa)/sqrt(2), i (e_aq-e_qa)/sqrt(2) of each grid.  Where the kernel is
 symmetric, W_aq = W_qa, as for every kind of the catalog (f(t) = t f(1/t),
@@ -64,7 +64,6 @@ from .algebra import InputError, _check_count, _check_tol, _frozen, _phase_fix
 from .channels import NcpMorphism
 from .gns import (
     GnsSpace,
-    _certified_norm,
     _gram,
     _images,
     _spans,
@@ -402,7 +401,7 @@ def monotonicity_check(
     sigma's null basis, read as its operator norm reads it: the carrier's
     images (:func:`~ncplab.gns._images`), whose top the Kadison-Schwarz
     bound certifies for a Kraus carrier with no H formed
-    (:func:`~ncplab.gns._certified_norm`).  Every other criterion (a Petz kind's, or the GNS
+    (:meth:`~ncplab.gns.GnsContraction._certified`).  Every other criterion (a Petz kind's, or the GNS
     kind's on those states) is formed once (:func:`_criterion`), folded into
     the Hermitian bases of the two grids, and the gate
     (:func:`_real_criterion`) reads it as a real matrix R where the
@@ -431,11 +430,6 @@ def monotonicity_check(
             f"the limit of {MAX_SAMPLE_ENTRIES} sample coordinates"
         )
     space_rho = build_gns(shape_a, rho)
-    # the whitened class of the unit, sqrt(d_q) at (j, q, q) of each group:
-    # the map and its adjoint fix the unit's class, and so does each Gram
-    # (f(1) = 1), so M^dag M fixes this vector; it lies on the grids'
-    # diagonals, which the Hermitian basis keeps
-    unit = _whitened_unit(space_sigma)
     # the GNS kernel W_aq = d_q is symmetric to the real route's delta where
     # every density block is full rank and scalar (every abelian state):
     # there it is folded, as a Petz kind's is, and takes the faster real route
@@ -444,13 +438,16 @@ def monotonicity_check(
     # sigma's kernels, read by the whitenings and a folded criterion
     kernels = [_kernel(kind, g) for g in space_sigma._groups]
     if folded:
+        # the whitened class of the unit, sqrt(d_q) at (j, q, q) of each
+        # group: the map and its adjoint fix the unit's class, and so does
+        # each Gram (f(1) = 1), so M^dag M fixes this vector; it lies on the
+        # grids' diagonals, which the Hermitian basis keeps
+        unit = _whitened_unit(space_sigma)
         both = kernels, [_kernel(kind, g) for g in space_rho._groups]
         m = _real_criterion(_criterion(both, morphism.cpu, space_sigma, space_rho), space_sigma, space_rho, unit)
         certified = None
     else:  # the contraction checks sigma's null basis as it is built
-        c = induced_contraction(morphism, space_sigma, space_rho)
-        m = _images(morphism.cpu, space_sigma, space_rho, contraction=True)
-        certified = _certified_norm(c, m, unit)
+        m, unit, certified = induced_contraction(morphism, space_sigma, space_rho)._certified()
     real = m.dtype == float
 
     # the same numbers, in the same order, as drawing the real and then the

@@ -58,11 +58,13 @@ every other criterion scales and folds the images.  The unit's class is a
 top singular vector of a contraction of norm 1, and its Rayleigh quotient
 r is the squared norm within a margin of 8 d eps where a certificate says
 so.  A carrier built from Kraus operators is CP, so the Kadison-Schwarz
-inequality bounds the squared norm by two residuals, |phi(1) - 1| and
-rho o phi - sigma on sigma's support (:func:`_kadison_schwarz`), and
-nothing is factorized.  For any other carrier, or where that bound is
-above r (1 + 8 d eps), one Cholesky factorization of the images' Gram,
-formed from real products, decides (:func:`_gram`, :func:`_top_gram_eig`).
+inequality bounds the squared norm by two residuals as computed,
+|phi(1) - 1| and rho o phi - sigma on sigma's support with sigma's own
+rounding added (:func:`_kadison_schwarz`), and nothing is factorized.
+For any other carrier, or where that bound is above r (1 + 8 d eps), as
+on a sigma too ill-conditioned for its rounding to fit the margin, one
+Cholesky factorization of the images' Gram, formed from real products,
+decides (:func:`_gram`, :func:`_top_gram_eig`).
 The images read the Kraus family where a cost rule measured against the
 action says it is faster (:func:`_kraus_criterion_pays`).
 """
@@ -324,20 +326,30 @@ class GnsContraction:
         morphism maps the class of the unit to the class of the unit, and so
         does its adjoint, so the unit's class is a top singular vector when
         the norm is 1.  An induced contraction reads the carrier's images
-        (:func:`_images`), the matrix up to unitaries, so neither ``matrix``
-        nor a layout is placed: the Kadison-Schwarz bound certifies a Kraus
-        carrier's norm (:func:`_certified_norm`), and otherwise one Cholesky
-        factorization of the images' :func:`_gram`, or the spectrum, decides
-        (:func:`_top_gram_eig`), as for a given matrix at its ``cyclic``."""
+        (:meth:`_certified`), the matrix up to unitaries, so neither
+        ``matrix`` nor a layout is placed, and where the Kadison-Schwarz
+        bound does not certify them, one Cholesky factorization of their
+        :func:`_gram`, or the spectrum, decides (:func:`_top_gram_eig`), as
+        for a given matrix at its ``cyclic``."""
         if self._given:
             return float(np.sqrt(_top_gram_eig(_gram(self.matrix), self.source_space.cyclic)[0]))
-        m = _images(self.carrier, self.source_space, self.target_space, contraction=True)
-        unit = _whitened_unit(self.source_space)
-        r = _certified_norm(self, m, unit)
+        m, unit, r = self._certified()
         if r is None:
             h, m = _gram(m), None
             r = _top_gram_eig(h, unit)[0]
         return float(np.sqrt(r))
+
+    def _certified(self) -> tuple[np.ndarray, np.ndarray, float | None]:
+        """(m, u, r) of an induced contraction: its carrier's images m
+        (:func:`_images`), its whitened unit u (:func:`_whitened_unit`), and
+        the squared norm r = |m u|^2 / |u|^2 where :func:`_kadison_schwarz`
+        is at most r (1 + 8 d eps), d = u.size, :func:`_top_gram_eig`'s
+        margin, else None.  Both GNS verdicts read it."""
+        m = _images(self.carrier, self.source_space, self.target_space, contraction=True)
+        unit = _whitened_unit(self.source_space)
+        mu = m @ unit
+        r = float(np.vdot(mu, mu).real / np.vdot(unit, unit).real)
+        return m, unit, (r if _kadison_schwarz(self) <= r * (1.0 + 8 * unit.size * np.finfo(float).eps) else None)
 
 
 def _action_t(phi: CpuMap, cols: np.ndarray | None = None) -> np.ndarray:
@@ -519,29 +531,24 @@ def _kadison_schwarz(c: GnsContraction) -> float:
     lambda_k D_k, V_k the kept eigenvectors and lambda_k the least kept
     eigenvalue.  With Hilbert-Schmidt norms above operator norms,
 
-        B = (1 + |phi(1) - 1|_HS) (1 + max_k |V_k^dag Delta_k V_k|_F / lambda_k),
+        B = (1 + |phi(1) - 1|_HS) (1 + max_k (|V_k^dag Delta_k V_k|_F + eps |D_k|_F) / lambda_k),
 
-    for every sigma, faithful or not: Delta is measured, not assumed."""
+    for every sigma, faithful or not: Delta is measured, not assumed, and
+    sigma's own rounding eps |D_k|_F is added, so a block whose condition
+    lets it cross the margin makes B decline.  The rounding of forming the
+    residuals is not budgeted: B holds for them as computed, as a
+    factorization certifies the Gram as computed."""
     phi, space_sigma = c.carrier, c.source_space
     if not isinstance(phi, _KrausMap):
         return np.inf
     delta = _predual_vec(phi, c.target_space.state.vec) - space_sigma.state.vec
-    leak = 0.0
+    eps, leak = np.finfo(float).eps, 0.0
     for g in space_sigma._groups:
         if g.rank:  # a block that keeps nothing has no representative
             v = g.v[..., : g.rank]
-            kept = v.conj().swapaxes(1, 2) @ delta[g.pos] @ v
-            leak = max(leak, float(np.max(np.linalg.norm(kept, axis=(1, 2)) / g.d[:, g.rank - 1])))
+            kept = np.linalg.norm(v.conj().swapaxes(1, 2) @ delta[g.pos] @ v, axis=(1, 2))
+            leak = max(leak, float(np.max((kept + eps * np.linalg.norm(g.d, axis=1)) / g.d[:, g.rank - 1])))
     return (1.0 + _unital_deviation(phi)) * (1.0 + leak)
-
-
-def _certified_norm(c: GnsContraction, m: np.ndarray, unit: np.ndarray) -> float | None:
-    """The top of m^dag m for the contraction's images m at its whitened
-    unit u: r = |m u|^2 / |u|^2 where :func:`_kadison_schwarz` is at most
-    r (1 + 8 d eps), d = u.size, :func:`_top_gram_eig`'s margin; else None."""
-    mu = m @ unit
-    r = float(np.vdot(mu, mu).real / np.vdot(unit, unit).real)
-    return r if _kadison_schwarz(c) <= r * (1.0 + 8 * unit.size * np.finfo(float).eps) else None
 
 
 def _spans(sizes) -> list[tuple[int, int]]:

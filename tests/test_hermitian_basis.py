@@ -101,21 +101,21 @@ def morphism(family, shapes, seed):
 def route():
     """Record the route of each verdict ``monotonicity_check`` takes:
     "contraction" where it reads the GNS kind's contraction as its operator
-    norm does (``gns._certified_norm``, the rule both GNS verdicts read),
-    else "real" where the real-route gate takes the folded criterion and
-    "complex" where it declines it."""
-    taken, certified_norm, real_criterion = [], covariance._certified_norm, covariance._real_criterion
+    norm does (``GnsContraction._certified``, the rule both GNS verdicts
+    read), else "real" where the real-route gate takes the folded criterion
+    and "complex" where it declines it."""
+    taken, certified, real_criterion = [], gns.GnsContraction._certified, covariance._real_criterion
 
-    def contraction(*args):
+    def contraction(self):
         taken.append("contraction")
-        return certified_norm(*args)
+        return certified(self)
 
     def gated(*args):
         out = real_criterion(*args)
         taken.append("real" if out.dtype == float else "complex")
         return out
 
-    with mock.patch.object(covariance, "_certified_norm", contraction):
+    with mock.patch.object(gns.GnsContraction, "_certified", contraction):
         with mock.patch.object(covariance, "_real_criterion", gated):
             yield taken
 
