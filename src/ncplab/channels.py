@@ -315,9 +315,8 @@ def _choi_layout(src: AlgebraShape, dst: AlgebraShape):
     positions of each size class.  Every action entry lands in exactly one
     block, and its partner under the Choi adjoint in the same block.
 
-    Cached by shape value, because every verdict read from JSON builds its
-    shapes afresh, and the index maps cached on an :class:`AlgebraShape`
-    would be rebuilt for each.
+    Cached per pair of shapes, since it belongs to neither shape alone and
+    each verdict on a pair reads it.
     """
     width = src.element_dim
     classes = []
@@ -377,7 +376,7 @@ def _factor_positions(src: AlgebraShape, dst: AlgebraShape) -> tuple[np.ndarray,
     the rows (i, a) of its factors in a flattened N_B x N_A Kraus operator,
     read off the diagonal of the class's action positions: entry
     [(i,a), (i,a)] sits in the action's row of target coordinate (a, a) and
-    column of source coordinate (i, i).  Cached like the layout."""
+    column of source coordinate (i, i).  Cached per pair, like the layout."""
     width, NA = src.element_dim, dst.total_dim
     (rows_b, _), (rows_a, _) = src.full_positions, dst.full_positions
     out = []

@@ -5,8 +5,11 @@ from hypothesis import strategies as st
 
 import reference_loops as ref
 from conftest import PAULI_X, PAULI_Y, PAULI_Z, STANDARD_SHAPES, random_element
+from ncplab import algebra
 from ncplab.algebra import (
+    AlgebraShape,
     ShapeError,
+    abelian_shape,
     adjoint,
     add,
     basis,
@@ -17,6 +20,7 @@ from ncplab.algebra import (
     multiply,
     scale,
 )
+from ncplab.models import gaussian_group_model, gaussian_model, metric_pullback
 
 
 class TestShape:
@@ -51,6 +55,12 @@ class TestShape:
             assert str(err.value) == f"block dimensions must be integers, got {dims}"
             assert isinstance(err.value.__cause__, TypeError)
 
+    @pytest.mark.parametrize("bad", [5, None])
+    def test_non_iterable_rejected(self, bad):
+        with pytest.raises(ShapeError) as err:
+            mk_shape(bad)
+        assert str(err.value) == f"block dimensions must be a sequence of integers, got {bad}"
+
     @pytest.mark.parametrize("bad", [0, -1])
     def test_non_positive_block_message(self, bad):
         for dims in ([2, bad], [1] * 6143 + [bad]):
@@ -75,7 +85,80 @@ def test_shape_sizes_are_the_sums(dims, numpy_ints):
         assert s.total_dim == sum(dims) and type(s.total_dim) is int
         assert s.is_abelian is all(n == 1 for n in dims)
     # a shape that has computed its sizes still equals and hashes as a fresh one
-    assert s == mk_shape(dims) and hash(s) == hash(mk_shape(dims))
+    assert s == AlgebraShape(tuple(dims)) and hash(s) == hash(AlgebraShape(tuple(dims)))
+
+
+@pytest.fixture
+def shape_builds(monkeypatch):
+    """Counts AlgebraShape constructions."""
+    counts = {"n": 0}
+    original = AlgebraShape.__post_init__
+
+    def counted(self):
+        counts["n"] += 1
+        return original(self)
+
+    monkeypatch.setattr(AlgebraShape, "__post_init__", counted)
+    return counts
+
+
+class TestSharedShape:
+    """mk_shape and abelian_shape return one shape per block tuple, so its
+    index maps are built once per process."""
+
+    def test_one_instance_per_tuple(self):
+        assert mk_shape([2, 3]) is mk_shape((2, 3)) is mk_shape(np.array([2, 3]))
+        assert abelian_shape(6144) is mk_shape([1] * 6144) is abelian_shape(np.int64(6144))
+
+    def test_a_map_is_built_once(self):
+        assert mk_shape([2, 3]).transpose_perm is mk_shape([2, 3]).transpose_perm
+        assert abelian_shape(4096).full_positions[0] is mk_shape([1] * 4096).full_positions[0]
+
+    @pytest.mark.parametrize("bad", [True, np.True_, 1.0])
+    def test_validated_before_the_lookup(self, bad):
+        abelian_shape(6144)
+        for dims in ([1] * 6143 + [bad], [bad]):
+            with pytest.raises(ShapeError, match="^block dimensions must be integers"):
+                mk_shape(dims)
+
+    def test_cache_is_bounded(self):
+        assert algebra._shared_shape.cache_parameters()["maxsize"] == 16
+        first = mk_shape([2, 5])
+        for n in range(1, 18):
+            mk_shape([3, n])
+        assert algebra._shared_shape.cache_info().currsize == 16
+        # an evicted shape is rebuilt, equal to the one still held elsewhere
+        assert mk_shape([2, 5]) is not first and mk_shape([2, 5]) == first
+
+    def test_a_composition_builds_no_shape(self, shape_builds):
+        """The three Markov maps of a composition check reuse the model's
+        shape: no construction beyond the model's own."""
+        gm = gaussian_group_model(1024, -12.0, 12.0)
+        shape_builds["n"] = 0
+        gm.composition_deviation((0.1, 1.1), (-0.2, 0.9), np.array([0.0, 1.0]))
+        assert shape_builds["n"] == 0
+
+    def test_a_second_pullback_builds_no_shape(self, shape_builds):
+        """A fresh model on bins seen before reuses their shape."""
+        metric_pullback(gaussian_model(6144, -10.0, 10.0), [0.3, 1.2])
+        shape_builds["n"] = 0
+        metric_pullback(gaussian_model(6144, -10.0, 10.0), [0.3, 1.2])
+        assert shape_builds["n"] == 0
+
+
+_MAPS = ("element_dim", "total_dim", "is_abelian", "_offsets", "_starts", "transpose_perm", "full_positions")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=40))
+def test_shared_maps_equal_fresh_ones(dims):
+    shared, fresh = mk_shape(dims), AlgebraShape(tuple(dims))
+    assert shared == fresh and hash(shared) == hash(fresh)
+    for name in _MAPS:
+        assert np.array_equal(getattr(shared, name), getattr(fresh, name))
+    assert len(shared.size_positions) == len(fresh.size_positions)
+    for a, b in zip(shared.size_positions, fresh.size_positions):
+        assert a[0] == b[0] and np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
 
 
 class TestElementOps:
